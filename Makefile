@@ -1,4 +1,4 @@
-.PHONY: install test lint bench bench-hotpath bench-kernel bench-sweep bench-bigtrace bench-stream reproduce examples clean
+.PHONY: install test lint bench bench-hotpath bench-sweep bench-bigtrace bench-stream reproduce examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -23,13 +23,6 @@ bench:
 # scalar reference.
 bench-hotpath:
 	python -m repro bench --check
-
-# Time the decision-kernel backends (python/threaded/compiled) on the
-# large burst-overload case and append a backend-labeled entry to
-# BENCH_hotpath.json.  Bit-identity across backends is always asserted;
-# the 1.5x best-backend floor only on hosts with 4+ usable cores.
-bench-kernel:
-	python -m repro bench --kernels --check
 
 # Time the fig6e-shaped sweep grid sequentially vs the 4-worker process
 # pool vs the warm result cache, append to BENCH_sweep.json, and fail if

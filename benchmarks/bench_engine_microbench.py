@@ -160,85 +160,6 @@ def test_recorder_overhead_under_15pct():
     )
 
 
-def test_arena_cuts_decision_allocations():
-    """The scratch arenas must actually remove hot-path allocations.
-
-    tracemalloc A/B over the same heavily contended ``priority_fill``:
-    the traced window covers only the fills themselves (numpy internals
-    and the arena's own buffers are warmed *outside* it), so the peak
-    traced bytes of the disabled arm are dominated by the per-round
-    scratch the arena exists to eliminate.  Three assertions:
-
-    * the disabled arm really exercises the guarded path (an
-      allocation-count floor, counted by the null arena itself);
-    * a warmed arena performs **zero** scratch (re)allocations inside
-      the window (``grows`` frozen);
-    * the arena arm's traced peak is well below the plain arm's.
-    """
-    import tracemalloc
-
-    from repro.core import kernels
-    from repro.core.kernels import arena
-
-    rng = np.random.default_rng(5)
-    n = 600
-    src = rng.integers(0, 8, size=n)
-    dst = rng.integers(0, 8, size=n)
-    perm = rng.permutation(n).astype(np.intp)
-    # Dimension templates and gathers are built *outside* the traced
-    # window (the ``gathers=`` fast path), so the window isolates what
-    # the arena owns: the per-round backfill scratch.  Only the tiny
-    # 8-element caps copies repeat per fill.
-    template = ra.build_dims(src, dst, np.full(8, 3.0), np.full(8, 2.5), None)
-    gathers = ra.gather_groups(perm, template)
-
-    def fill_once():
-        dims = [(g, c.copy()) for g, c in template]
-        with kernels.use_kernel("python"):
-            return ra.priority_fill(perm, dims, n=n, gathers=gathers)
-
-    def traced_peak(repeats=3):
-        tracemalloc.start()
-        try:
-            for _ in range(repeats):
-                fill_once()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    old_tail = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = 0  # keep every round on the vectorized arena path
-    try:
-        arena.set_enabled(False)
-        fill_once()  # warm numpy's internal caches
-        null_grows = arena._NULL.grows
-        plain_peak = traced_peak()
-        plain_allocs = arena._NULL.grows - null_grows
-        # Floor: the guarded path must be hot enough to mean anything.
-        assert plain_allocs >= 100, (
-            f"contended fill only made {plain_allocs} scratch allocations "
-            "— the allocation guard is no longer measuring the hot path"
-        )
-
-        arena.set_enabled(True)
-        fill_once()  # warm the arena buffers outside the traced window
-        ar = arena.local_arena()
-        grows_before = ar.grows
-        arena_peak = traced_peak()
-        # The allocation-count cut itself: the plain arm made >= 100
-        # scratch allocations in the window; the warmed arena made zero.
-        assert ar.grows == grows_before, (
-            "a warmed arena re-allocated scratch inside the traced window"
-        )
-        assert arena_peak < 0.85 * plain_peak, (
-            f"arena run peaked at {arena_peak}B vs {plain_peak}B plain — "
-            "the arena no longer cuts per-decision allocations"
-        )
-    finally:
-        arena.set_enabled(None)
-        ra._SCALAR_TAIL = old_tail
-
-
 def test_columnar_ingest_cuts_submit_share():
     """Block-columnar ingest must hold its lead over the per-flow path.
 

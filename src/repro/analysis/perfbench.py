@@ -23,7 +23,6 @@ thin wrappers around :func:`bench_entry` / :func:`append_entry`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import time
@@ -45,19 +44,6 @@ SPEEDUP_CASE = "large"
 
 #: Minimum acceptable vectorized-vs-reference speedup on SPEEDUP_CASE.
 MIN_SPEEDUP = 3.0
-
-#: The grid case the kernel-backend comparison runs on (burst overload —
-#: the regime where the contended fill actually has parallel work).
-KERNEL_CASE = "large"
-
-#: Floor for the best non-python backend on KERNEL_CASE...
-KERNEL_MIN_SPEEDUP = 1.5
-
-#: ...asserted only on hosts with at least this many usable cores.
-#: Below it the threaded backend has nothing to fan out over and the
-#: entry records ``mode="single-core"``: identity is still enforced,
-#: the ratio is informational.
-KERNEL_MIN_CORES = 4
 
 
 @dataclass(frozen=True)
@@ -201,150 +187,6 @@ def bench_entry(repeats: int = 3, label: str = "", grid=None) -> Dict:
         "cases": cases,
         "speedup": speedup,
     }
-
-
-def _kernel_backends() -> List[str]:
-    """Backends worth timing separately on this host (python first).
-
-    ``process`` is always timed: without a usable shm transport (or
-    below two shards of work) it degrades to threaded dispatch, and the
-    entry's per-run ``resolved`` field plus the ``backends``
-    availability block make that state visible.
-    """
-    from repro.core import kernels
-
-    names = ["python", "threaded", "process"]
-    if kernels.have_numba():
-        names.append("compiled")  # distinct from threaded only with numba
-    return names
-
-
-def _run_kernel_case(case: BenchCase, kernel: str, repeats: int) -> Dict:
-    """Best-of-``repeats`` wall time for one case under one backend.
-
-    Alongside the timing, the per-flow/per-coflow results are hashed so
-    the entry can *prove* the backends agreed bitwise, not just that the
-    suite didn't crash — and the *resolved* backend is recorded next to
-    the requested one, so a ``compiled → threaded`` fallback is a
-    visible label, not a mystery timing.
-    """
-    from repro.core import kernels
-    from repro.schedulers import make_scheduler
-
-    workload = case.workload()
-    setup = case.setup()
-    best = None
-    decisions = 0
-    fingerprint = None
-    for _ in range(max(1, repeats)):
-        scheduler = make_scheduler("fvdf", kernel=kernel)
-        sim = setup.build_simulator(scheduler)
-        sim.submit_many(list(workload))
-        t0 = time.perf_counter()
-        res = sim.run()
-        wall = time.perf_counter() - t0
-        if best is None or wall < best:
-            best = wall
-        decisions = res.decision_points
-        fp = hashlib.sha256()
-        fp.update(np.ascontiguousarray(res.fct_array).tobytes())
-        fp.update(np.ascontiguousarray(res.cct_array).tobytes())
-        fp.update(np.float64(res.makespan).tobytes())
-        fingerprint = fp.hexdigest()
-    return {
-        "kernel": kernel,
-        "resolved": kernels.resolved_name(kernel),
-        "wall_s": round(best, 6),
-        "decisions": decisions,
-        "decisions_per_sec": round(decisions / best, 2) if best > 0 else None,
-        "fingerprint": fingerprint,
-    }
-
-
-def kernel_entry(
-    repeats: int = 3,
-    label: str = "",
-    grid=None,
-    case_name: str = KERNEL_CASE,
-) -> Dict:
-    """Time the anchor case under every decision-kernel backend.
-
-    Returns one backend-labeled ``BENCH_hotpath.json`` entry: per-backend
-    wall times with result fingerprints (``identical`` is true iff every
-    backend produced bitwise-equal FCT/CCT/makespan) and a ``speedup``
-    block comparing the best non-python backend against the python
-    reference.  The :data:`KERNEL_MIN_SPEEDUP` floor is only *asserted*
-    (``speedup.asserted``) on hosts with :data:`KERNEL_MIN_CORES`+ cores;
-    a single-core host still proves identity, which is the portable half
-    of the contract.
-    """
-    from repro.core import kernels
-
-    grid = list(grid) if grid is not None else list(GRID)
-    case = next((c for c in grid if c.name == case_name), grid[-1])
-    runs = [
-        _run_kernel_case(case, name, repeats) for name in _kernel_backends()
-    ]
-    identical = len({r["fingerprint"] for r in runs}) == 1
-    python_s = next(r["wall_s"] for r in runs if r["kernel"] == "python")
-    others = [r for r in runs if r["kernel"] != "python"]
-    best = min(others, key=lambda r: r["wall_s"]) if others else None
-    cores = kernels.usable_cores()
-    mode = "parallel" if cores >= KERNEL_MIN_CORES else "single-core"
-    return {
-        "label": label or "kernel-backends",
-        "created_unix": round(time.time(), 3),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repeats": repeats,
-        "cores": cores,
-        "backends": kernels.available_backends(),
-        "case": {
-            "name": case.name,
-            "num_coflows": case.num_coflows,
-            "num_ports": case.num_ports,
-            "max_width": case.max_width,
-            "arrival_rate": case.arrival_rate,
-        },
-        "runs": runs,
-        "identical": identical,
-        "speedup": {
-            "case": case.name,
-            "python_s": python_s,
-            "best_kernel": best["kernel"] if best else None,
-            "best_s": best["wall_s"] if best else None,
-            "ratio": (
-                round(python_s / best["wall_s"], 2)
-                if best and best["wall_s"] > 0
-                else None
-            ),
-            "floor": KERNEL_MIN_SPEEDUP,
-            "mode": mode,
-            "asserted": mode == "parallel",
-            "reference": "python decision kernel on the same case",
-        },
-    }
-
-
-def check_kernel_entry(entry: Dict) -> None:
-    """Raise AssertionError unless a kernel entry meets its floors.
-
-    Bit-identity is unconditional; the speedup floor applies only when
-    the entry itself says it ran in the parallel regime (≥ 4 cores).
-    """
-    assert entry["identical"], (
-        "kernel backends disagreed on the bench case — fingerprints: "
-        + ", ".join(
-            f"{r['kernel']}={r['fingerprint'][:12]}" for r in entry["runs"]
-        )
-    )
-    sp = entry["speedup"]
-    if sp.get("asserted"):
-        assert sp["ratio"] is not None and sp["ratio"] >= sp["floor"], (
-            f"kernel speedup regressed: best backend {sp['best_kernel']} "
-            f"at {sp['ratio']}x < {sp['floor']}x on case {sp['case']} "
-            f"({entry['cores']} cores)"
-        )
 
 
 def append_entry(path, entry: Dict, schema: str = SCHEMA) -> Dict:

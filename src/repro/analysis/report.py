@@ -46,15 +46,12 @@ def _aggregate(snapshots) -> Dict[str, Any]:
     reg = MetricsRegistry(enabled=True)
     wall = cpu = 0.0
     records = 0
-    kernels = set()
     for snap in snapshots:
         reg.merge(snap.metrics)
         wall += snap.wall_s
         cpu += snap.cpu_s
         if snap.recorder:
             records += int(snap.recorder.get("records", 0))
-        if getattr(snap, "kernel", None):
-            kernels.add(snap.kernel)
     reg_dump = reg.dump()
     decisions = _metric(reg_dump, "engine.decisions")
     latency = reg_dump.get("engine.decision_latency", {})
@@ -63,10 +60,6 @@ def _aggregate(snapshots) -> Dict[str, Any]:
         "cells": len(snapshots),
         "wall_s": round(wall, 6),
         "cpu_s": round(cpu, 6),
-        # The *resolved* decision-kernel backend(s) the cells actually
-        # executed under (a compiled->threaded fallback shows up here,
-        # not just in the timings).
-        "kernels": sorted(kernels),
         "decisions": int(decisions),
         # Explicit nulls, not 0.0: a cell with zero decisions (empty
         # workload, or metrics disabled) has no latency to average, and
@@ -151,7 +144,7 @@ def render_report(report: Dict[str, Any]) -> str:
     lines = []
     lines.append(render_table(
         ["policy", "cells", "wall", "decisions", "latency (mean)",
-         "bytes sent", "claims/decision", "kernel"],
+         "bytes sent", "claims/decision"],
         [
             [
                 policy,
@@ -165,7 +158,6 @@ def render_report(report: Dict[str, Any]) -> str:
                 ),
                 f"{p['bytes_sent']:.3g}",
                 _fmt(p["core_claims_per_decision"], ".2f"),
-                ",".join(p.get("kernels") or []) or "n/a",
             ]
             for policy, p in report["policies"].items()
         ],

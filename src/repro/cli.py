@@ -24,9 +24,7 @@ Subcommands
     ``--bigtrace`` instead replays a synthetic FB-like trace (130k+
     flows) end to end against the pinned pre-columnar engine and
     appends to ``BENCH_bigtrace.json`` (``--smoke`` is the seconds-scale
-    CI identity check); ``--kernels`` instead times the decision-kernel
-    backends (``REPRO_KERNEL``) on the large case and appends a
-    backend-labeled entry with bit-identity fingerprints.
+    CI identity check).
 ``sweep``
     Run a (policy × bandwidth × seed) experiment grid through the
     parallel runner (:mod:`repro.runner`) with the content-addressed
@@ -67,8 +65,6 @@ Examples::
     python -m repro bench --check
     python -m repro bench --bigtrace --check
     python -m repro bench --bigtrace --smoke
-    python -m repro bench --kernels --check
-    python -m repro bench --kernels --smoke --check
     python -m repro sweep --workers 4
     python -m repro sweep --smoke
     python -m repro sweep --bench --check
@@ -324,10 +320,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the hot-path scaling grid, append to the perf trajectory."""
     from repro.analysis import perfbench
 
-    # --kernels wins the routing so `--kernels --smoke` reaches the
-    # seconds-scale kernel identity check, not the bigtrace smoke.
-    if args.kernels:
-        return _bench_kernels(args)
     if args.bigtrace or args.smoke:
         return _bench_bigtrace(args)
 
@@ -368,66 +360,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             return 1
         print(f"speedup check passed (>= {perfbench.MIN_SPEEDUP:.1f}x)")
-    return 0
-
-
-def _bench_kernels(args: argparse.Namespace) -> int:
-    """`bench --kernels`: compare decision-kernel backends on one case.
-
-    ``--smoke`` swaps in the seconds-scale grid case with a single
-    repeat and never appends — the CI-friendly identity check.
-    """
-    from repro.analysis import perfbench
-
-    smoke = getattr(args, "smoke", False)
-    entry = perfbench.kernel_entry(
-        repeats=1 if smoke else args.repeats,
-        label=args.label or ("kernel-backends-smoke" if smoke else ""),
-        case_name="small" if smoke else perfbench.KERNEL_CASE,
-    )
-    rows = [
-        [
-            r["kernel"],
-            # requested -> resolved: silent fallbacks become visible
-            # labels (e.g. "compiled -> threaded" without numba).
-            r["kernel"] if r["resolved"] == r["kernel"]
-            else f"-> {r['resolved']}",
-            f"{r['wall_s']:.3f}s",
-            str(r["decisions"]),
-            f"{r['decisions_per_sec']:.0f}",
-            r["fingerprint"][:12],
-        ]
-        for r in entry["runs"]
-    ]
-    print(render_table(
-        ["backend", "resolved", "wall", "decisions", "dec/s", "fingerprint"],
-        rows,
-        title=f"decision-kernel backends on case "
-              f"'{entry['case']['name']}' (best of {entry['repeats']}, "
-              f"{entry['cores']} cores)",
-    ))
-    sp = entry["speedup"]
-    ratio = "n/a" if sp["ratio"] is None else f"{sp['ratio']:.2f}x"
-    print(
-        f"\nidentical: {entry['identical']} | best non-python: "
-        f"{sp['best_kernel']} at {ratio} vs python "
-        f"({sp['mode']}; floor {sp['floor']:.1f}x "
-        f"{'asserted' if sp['asserted'] else 'informational'})"
-    )
-    out = Path(args.out) if args.out else perfbench.default_bench_path()
-    if not args.dry_run and not smoke:
-        perfbench.append_entry(out, entry)
-        print(f"trajectory appended -> {out}")
-    if args.check:
-        try:
-            perfbench.check_kernel_entry(entry)
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        floor = (
-            f">= {sp['floor']:.1f}x" if sp["asserted"] else "identity only"
-        )
-        print(f"kernel check passed ({floor})")
     return 0
 
 
@@ -1176,13 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bigtrace", action="store_true",
                    help="run the trace-scale ingest/retire replay instead "
                         "and append to BENCH_bigtrace.json")
-    p.add_argument("--kernels", action="store_true",
-                   help="time the decision-kernel backends on the large "
-                        "case instead and append a backend-labeled entry "
-                        "(identity always asserted with --check; the 1.5x "
-                        "floor only on 4+-core hosts)")
     p.add_argument("--smoke", action="store_true",
-                   help="with --bigtrace or --kernels: seconds-scale CI "
+                   help="with --bigtrace: seconds-scale CI "
                         "case — verify bit-identity, skip the speedup "
                         "floor, no append")
     p.add_argument("--npz", default=None,

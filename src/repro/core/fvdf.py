@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core import rate_allocation as ra
 from repro.core.scheduler import Allocation, Scheduler, SchedulerView
 from repro.errors import ConfigurationError
@@ -105,14 +104,13 @@ def coflow_gamma(view: SchedulerView, beta: np.ndarray) -> np.ndarray:
 
     Returns an array aligned with ``view.coflows``.  Computed as one
     segment-max over the view's precomputed unit offsets instead of a
-    Python loop per coflow, through the active decision-kernel backend
-    (max is exact, so every backend is bitwise the reduceat reference).
+    Python loop per coflow.
     """
     if not view.coflows:
         return np.empty(0)
     gamma_f = expected_fct(view, beta)
     perm, starts = view.unit_offsets()
-    return kernels.active_kernel().segment_max(gamma_f, perm, starts)
+    return np.maximum.reduceat(gamma_f[perm], starts[:-1])
 
 
 def upgrade(view: SchedulerView, logbase: float = DEFAULT_LOGBASE) -> None:
@@ -315,7 +313,7 @@ class FVDFScheduler(Scheduler):
         if len(perm) == 0:
             return np.empty(0)
         gamma_f = expected_fct(view, beta)
-        return kernels.active_kernel().segment_max(gamma_f, perm, starts)
+        return np.maximum.reduceat(gamma_f[perm], starts[:-1])
 
     def _allocate(self, view, perm, starts, order, gamma, beta) -> np.ndarray:
         rem_in, rem_out = view.fresh_capacity()

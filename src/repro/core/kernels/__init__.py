@@ -1,72 +1,19 @@
-"""Pluggable decision-kernel backends for the scheduling hot path.
+"""The decision kernel: the serial contended priority fill.
 
-The two per-decision primitives that dominate large runs — the contended
-``priority_fill`` rounds and the FVDF segment-max gamma reduction — are
-factored behind a :class:`DecisionKernel` object so the *dispatch* can
-vary (serial numpy, thread pool, numba) while the *plan and arithmetic*
-stay shared (:mod:`repro.core.kernels.fill`,
-:mod:`repro.core.kernels.partition`).  Every backend therefore produces
-bit-identical rates and gammas on every host, which is what lets the
-``kernel=`` knob stay out of the result-cache digest.
-
-Backends
---------
-``python``
-    Strict serial reference: plain numpy plus the list-based scalar
-    tail.  Always available; the baseline every other backend is pinned
-    against in ``tests/test_kernel_backends.py``.
-``threaded``
-    Same code, but shard and chunk tasks fan out over a small shared
-    ``ThreadPoolExecutor``.  The sliced numpy calls release the GIL, so
-    this scales on multi-core hosts with zero extra dependencies.
-``compiled``
-    numba ``@njit`` scalar tail and ``prange`` segment-max when the
-    numba wheel is importable; otherwise resolves to ``threaded`` (the
-    documented fallback — nothing in this repo *requires* numba).
-``process``
-    Contention-component shards execute on a lazily-spawned persistent
-    worker-process pool, exchanging shard columns through
-    :mod:`repro.runner.shm` descriptors (no pickle on array paths) —
-    sidesteps the GIL for the Python-level round orchestration.  Chunk
-    and tail dispatch inherit from ``threaded``; single-shard pools
-    never touch the pool, so requesting it is always safe.
-``auto``
-    ``compiled`` when numba imports; else ``process`` on hosts with
-    :data:`PROCESS_AUTO_CORES`+ cores and a usable shared-memory
-    transport; else ``threaded`` on multi-core hosts, else ``python``.
-
-Selection: the ``REPRO_KERNEL`` environment variable supplies the
-default; ``make_scheduler(..., kernel=...)`` / ``RunSpec(kernel=...)``
-override per scheduler; :func:`use_kernel` scopes a choice to a block
-(the simulator wraps each run in it).  Because ``compiled`` (and
-``auto``) can resolve to a *different* backend than requested, telemetry
-and the kernel bench record :func:`resolved_name` next to the request —
-silent fallbacks should be visible, not discoverable by timing.
+The FVDF decision's hot path is the Γ_C segment-max (Eq. 7-8, a plain
+``np.maximum.reduceat`` in :mod:`repro.core.fvdf`) and the min-rate /
+backfill ``priority_fill`` of :mod:`repro.core.rate_allocation`.  The
+contended remainder of a demand-capped fill lives here: the shard plan
+over contention components (:mod:`repro.core.kernels.partition`) and
+the prefix-fits rounds that settle each shard
+(:mod:`repro.core.kernels.fill`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import importlib.util
 import os
-import threading
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.core.kernels import fill
-from repro.errors import ConfigurationError
-
-#: Environment variable holding the default backend name.
-ENV_KERNEL = "REPRO_KERNEL"
-
-#: Accepted ``REPRO_KERNEL`` / ``kernel=`` values.
-KERNEL_NAMES = ("auto", "python", "threaded", "compiled", "process")
-
-#: ``auto`` only picks the process backend with at least this many
-#: usable cores — below that the fork/shm overhead beats the GIL win.
-PROCESS_AUTO_CORES = 4
+__all__ = ["usable_cores", "resolved_name"]
 
 
 def usable_cores() -> int:
@@ -77,250 +24,8 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-class DecisionKernel:
-    """Serial pure-numpy reference backend (and base class).
-
-    Subclasses override *dispatch* hooks only; the decision arithmetic
-    lives in :mod:`repro.core.kernels.fill` and is shared by every
-    backend, so overriding anything else would break the bit-identity
-    contract.
-    """
-
-    name = "python"
-    parallel = False
-
-    def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> List[object]:
-        """Execute independent thunks; the reference runs them in order."""
-        return [t() for t in thunks]
-
-    def run_shards(
-        self, shards: Sequence["fill.ShardTask"], tail: int
-    ) -> List[object]:
-        """Execute contention-component shards; one ``(grants, caps)``
-        pair per shard, in shard order.
-
-        The default funnels the explicit :class:`~repro.core.kernels.
-        fill.ShardTask` payloads through :meth:`run_tasks` (serial here,
-        thread-pool in :class:`ThreadedKernel`), preserving the
-        pre-payload closure behaviour bit for bit; the process backend
-        overrides this to ship the columns to worker processes instead.
-        """
-        return self.run_tasks(
-            [lambda sh=sh: fill.run_shard(self, sh, tail) for sh in shards]
-        )
-
-    def fill_tail(self, grants, ids, wsub, memb, lsafe, caps, rows, rowg) -> None:
-        """Settle a small pool flow-by-flow (fused coordinates)."""
-        fill.tail_fused(grants, ids, wsub, memb, lsafe, caps, rows, rowg)
-
-    def fill_pool(self, out, dims, osub, wsub, memb_s, safe_s, rows, rowg, tail):
-        """Settle a contended demand-capped pool (see ``fill.fill_pool``)."""
-        return fill.fill_pool(
-            self, out, dims, osub, wsub, memb_s, safe_s, rows, rowg, tail
-        )
-
-    def segment_max(self, values, perm, starts) -> np.ndarray:
-        """Per-segment max of ``values[perm]`` over ``starts`` boundaries.
-
-        ``starts`` carries the trailing end sentinel; the reference is
-        ``np.maximum.reduceat`` on the head, and max is exact and
-        associative so every backend matches it bitwise.
-        """
-        return np.maximum.reduceat(values[perm], starts[:-1])
-
-
-_POOL_LOCK = threading.Lock()
-_POOL = None
-
-
-def _thread_pool():
-    global _POOL
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _POOL = ThreadPoolExecutor(
-                    max_workers=max(2, min(8, usable_cores())),
-                    thread_name_prefix="repro-kernel",
-                )
-    return _POOL
-
-
-class ThreadedKernel(DecisionKernel):
-    """Shard/chunk tasks fan out over a shared thread pool.
-
-    The pool is a process-wide singleton (threads are cheap to keep
-    around and fork-safety is moot — workers inherit ``_POOL = None``
-    because the lazy init runs per process).  Worker count caps at 8:
-    the row phases are memory-bound well before that.
-    """
-
-    name = "threaded"
-    parallel = True
-
-    def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> List[object]:
-        thunks = list(thunks)
-        if len(thunks) <= 1:
-            return [t() for t in thunks]
-        return list(_thread_pool().map(lambda t: t(), thunks))
-
-
-def have_numba() -> bool:
-    """True when the numba wheel is importable (checked once)."""
-    global _HAVE_NUMBA
-    if _HAVE_NUMBA is None:
-        try:
-            _HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-        except (ImportError, ValueError):
-            _HAVE_NUMBA = False
-    return _HAVE_NUMBA
-
-
-_HAVE_NUMBA: Optional[bool] = None
-_INSTANCES: Dict[str, DecisionKernel] = {}
-
-
-def _process_usable() -> bool:
-    """Whether the process backend could actually dispatch shards here
-    (shared-memory transport up, not already inside a pool worker)."""
-    if os.environ.get("REPRO_IN_WORKER"):
-        return False
-    from repro.runner import shm
-
-    return shm.shm_enabled()
-
-
-def _auto_backend() -> str:
-    if have_numba():
-        return "compiled"
-    cores = usable_cores()
-    if cores >= PROCESS_AUTO_CORES and _process_usable():
-        return "process"
-    return "threaded" if cores >= 2 else "python"
-
-
-def _instance(name: str) -> DecisionKernel:
-    inst = _INSTANCES.get(name)
-    if inst is None:
-        if name == "python":
-            inst = DecisionKernel()
-        elif name == "threaded":
-            inst = ThreadedKernel()
-        elif name == "compiled":
-            from repro.core.kernels import compiled
-
-            inst = compiled.make_kernel()
-            if inst is None:
-                # Documented fallback: requesting the compiled backend
-                # without numba degrades to threaded, never errors.
-                inst = _instance("threaded")
-        elif name == "process":
-            from repro.core.kernels import process
-
-            inst = process.ProcessKernel()
-        else:  # pragma: no cover - guarded by resolve_kernel
-            raise ConfigurationError(f"unknown kernel backend {name!r}")
-        _INSTANCES[name] = inst
-    return inst
-
-
-def resolve_kernel(
-    kernel: Union[None, str, DecisionKernel] = None
-) -> DecisionKernel:
-    """Resolve a backend request to a kernel instance.
-
-    ``None`` defers to ``$REPRO_KERNEL`` (itself defaulting to
-    ``auto``); instances pass through; names come from
-    :data:`KERNEL_NAMES` (case/whitespace-insensitive).  Unknown names
-    raise :class:`~repro.errors.ConfigurationError` naming the source
-    (argument vs environment), and raising never mutates any selection
-    state — a failed resolve leaves the active kernel untouched.
-    Results are bit-identical across backends, so this choice is a pure
-    performance knob — it is deliberately excluded from cache digests.
-    """
-    if isinstance(kernel, DecisionKernel):
-        return kernel
-    name = kernel
-    source = "kernel argument"
-    if name is None:
-        name = os.environ.get(ENV_KERNEL)
-        if name is not None and name.strip():
-            source = f"${ENV_KERNEL}"
-        else:
-            name = "auto"
-    requested = name
-    name = str(name).strip().lower()
-    if name not in KERNEL_NAMES:
-        raise ConfigurationError(
-            f"unknown kernel backend {requested!r} (from {source}); "
-            "choose from " + ", ".join(KERNEL_NAMES)
-        )
-    if name == "auto":
-        name = _auto_backend()
-    return _instance(name)
-
-
-def resolved_name(kernel: Union[None, str, DecisionKernel] = None) -> str:
-    """The concrete backend a request resolves to *right now*.
-
-    This is what telemetry and the kernel bench record next to the
-    requested name: ``auto`` pins down to a real backend, and a
-    ``compiled`` request without numba visibly reports ``threaded``
-    instead of silently timing the fallback.
-    """
-    return resolve_kernel(kernel).name
-
-
-_ACTIVE: contextvars.ContextVar[Optional[DecisionKernel]] = contextvars.ContextVar(
-    "repro_active_kernel", default=None
-)
-
-
-def active_kernel() -> DecisionKernel:
-    """The kernel for the current context (innermost :func:`use_kernel`),
-    falling back to the environment default."""
-    kern = _ACTIVE.get()
-    return kern if kern is not None else resolve_kernel(None)
-
-
-@contextlib.contextmanager
-def use_kernel(
-    kernel: Union[None, str, DecisionKernel] = None
-) -> Iterator[DecisionKernel]:
-    """Scope a backend choice to a block (re-entrant, context-local).
-
-    Exception-safe on both edges: the request resolves *before* the
-    prior value is replaced (an unknown name raises without touching
-    selection state), and the ``finally`` restores the prior backend no
-    matter how the body exits — an exception escaping one run can never
-    leak its kernel choice into the next.
-    """
-    token = _ACTIVE.set(resolve_kernel(kernel))
-    try:
-        yield _ACTIVE.get()
-    finally:
-        _ACTIVE.reset(token)
-
-
-def available_backends() -> Dict[str, dict]:
-    """Availability report, for benches and `repro bench --kernels`."""
-    cores = usable_cores()
-    info: Dict[str, dict] = {
-        "python": {"available": True},
-        "threaded": {"available": True, "workers": max(2, min(8, cores))},
-    }
-    if have_numba():
-        info["compiled"] = {"available": True}
-    else:
-        info["compiled"] = {"available": False, "fallback": "threaded"}
-    from repro.core.kernels import process as process_mod
-
-    if _process_usable():
-        info["process"] = {
-            "available": True, "workers": process_mod.pool_workers(),
-        }
-    else:
-        info["process"] = {"available": False, "fallback": "threaded"}
-    info["auto"] = {"resolves_to": _auto_backend(), "cores": cores}
-    return info
+def resolved_name(requested=None) -> str:
+    """Name of the decision kernel a run uses: always ``"python"``, the
+    one serial numpy path.  ``requested`` is accepted and ignored, so
+    callers that stamp a configuration keep working."""
+    return "python"

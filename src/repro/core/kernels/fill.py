@@ -1,33 +1,24 @@
-"""Backend-shared implementation of the contended priority-fill pool.
+"""The contended priority-fill pool, settled shard by shard.
 
 :func:`fill_pool` settles the contended remainder of a demand-capped
 priority fill (see ``rate_allocation._fill_contended_demands`` for the
 algorithm: prefix-fits rounds over fused (entry, group) rows, scalar
-tail below the crossover).  All backends run *this* code over *the same*
-decomposition:
-
-* the pool splits into **shards** along connected components of the
-  contention graph (entries in different components share no constraint,
-  so their fills are independent to the last bit);
-* inside a shard, each round's prefix-fits row phase splits into
-  **segment-aligned chunks** so one giant component (the big-switch
-  overload regime) still parallelizes.
-
-Backends differ only in *dispatch* — :class:`~repro.core.kernels.DecisionKernel`
-runs every task serially, the threaded kernel fans shard/chunk tasks over
-a thread pool, the compiled kernel swaps the scalar tail for an ``@njit``
-loop — never in the plan or the arithmetic, which is what makes results
-bit-identical across ``REPRO_KERNEL`` settings and host core counts.
+tail below the crossover).  The pool first splits into **shards** along
+connected components of the contention graph
+(:func:`~repro.core.kernels.partition.label_components`): entries in
+different components share no constraint, so their fills are
+independent to the last bit, and each shard's rounds only walk its own
+entries and rows instead of the whole pool's.  Shards run one after the
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import arena, partition
+from repro.core.kernels import partition
 
 #: Shard-count ceiling: components are packed into at most this many
 #: shards (pure function of the pool size, never of the host).
@@ -38,43 +29,6 @@ MAX_SHARDS = 64
 MIN_SHARD_ENTRIES = 1024
 
 
-@dataclass
-class ShardTask:
-    """One contention-component shard, in shard-local coordinates.
-
-    A plain column bundle — no closures — so backends can ship it
-    anywhere: the serial/threaded kernels run it in this process, the
-    process kernel exports the columns to a shared-memory segment and a
-    worker rebuilds the task on the far side.  ``caps`` is the shard's
-    private fused-capacity copy and is mutated by execution; the parent
-    commits it (and the returned grants) back through the plan's
-    ``entries``/``gids`` maps, which never leave the parent.
-    """
-
-    wsub: np.ndarray
-    memb: List[np.ndarray]
-    lsafe: List[np.ndarray]
-    caps: np.ndarray
-    rows: np.ndarray
-    rowg: np.ndarray
-
-
-def run_shard(kernel, shard: ShardTask, tail: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Execute one shard to completion; returns ``(grants, caps)``.
-
-    The reference executor behind ``DecisionKernel.run_shards``:
-    ``nested=True`` keeps chunk work serial (a shard is already a pool
-    task — see :func:`fill_shard`).  Mutates ``shard.caps`` in place and
-    returns it, exactly like the pre-refactor closure tasks did.
-    """
-    grants = np.zeros(shard.wsub.size, dtype=np.float64)
-    fill_shard(
-        kernel, grants, shard.wsub, list(shard.memb), list(shard.lsafe),
-        shard.caps, shard.rows, shard.rowg, tail, nested=True,
-    )
-    return grants, shard.caps
-
-
 def tail_fused(
     grants: np.ndarray,
     ids: np.ndarray,
@@ -82,16 +36,13 @@ def tail_fused(
     memb: Sequence[np.ndarray],
     lsafe: Sequence[np.ndarray],
     caps: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-    rowg: Optional[np.ndarray] = None,
 ) -> None:
     """Settle a pool flow-by-flow on plain Python lists (fused caps).
 
-    The reference scalar tail: bit-identical to the pre-kernel
+    The reference scalar tail: bit-identical to the
     ``_scalar_tail_demands`` loop (Python floats are IEEE doubles, the
     per-dimension min/subtract order is preserved), but indexing one
-    fused capacity vector.  ``rows``/``rowg`` are accepted for interface
-    parity with the compiled CSR tail and ignored here.
+    fused capacity vector.
     """
     ndim = len(memb)
     caps_l = caps.tolist()
@@ -143,55 +94,7 @@ def tail_fused(
         np.add.at(grants, ids[np.asarray(gi, dtype=np.intp)], np.asarray(gr))
 
 
-def _round_counts(
-    a: int,
-    b: int,
-    rows: np.ndarray,
-    rowg: np.ndarray,
-    newseg: np.ndarray,
-    ub: np.ndarray,
-    wsub: np.ndarray,
-    caps: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Per-entry failed-row counts for one segment-aligned chunk.
-
-    Chunk boundaries are segment starts, so the chunk-local cumulative
-    sum reproduces the canonical segment-local prefix regardless of how
-    many chunks the round was split into — the split is invisible to the
-    result, only to the wall clock.  Intermediates come out of the
-    thread-local scratch arena (chunks dispatched to different threads
-    never share buffers; chunks on one thread run serially).
-    """
-    ar = arena.local_arena()
-    n = b - a
-    rows_c = rows[a:b]
-    ns_c = newseg[a:b]
-    sid_c = np.cumsum(ns_c, out=ar.take("chunk_sid", n, np.intp))
-    sid_c -= 1
-    sst = np.flatnonzero(ns_c)
-    ubr = np.take(ub, rows_c, out=ar.take("chunk_ubr", n))
-    # Worst-case cumulative take within each group's queue, prefix up to
-    # each row *exclusive*, plus its own demand; segment heads pass
-    # unconditionally (their headroom against current caps is exact).
-    c = np.cumsum(ubr, out=ar.take("chunk_cum", n))
-    base = np.where(sst > 0, c[sst - 1], 0.0)
-    t = np.take(base, sid_c, out=ar.take("chunk_t", n))
-    np.subtract(c, t, out=t)
-    np.subtract(t, ubr, out=t)
-    t += np.take(wsub, rows_c, out=ar.take("chunk_w", n))
-    ok = np.less_equal(
-        t,
-        np.take(caps, rowg[a:b], out=ar.take("chunk_caps", n)),
-        out=ar.take("chunk_ok", n, np.bool_),
-    )
-    np.logical_or(ok, ns_c, out=ok)
-    np.logical_not(ok, out=ok)
-    return np.bincount(rows_c[ok], minlength=k)
-
-
 def fill_shard(
-    kernel,
     grants: np.ndarray,
     wsub: np.ndarray,
     memb: List[np.ndarray],
@@ -200,68 +103,46 @@ def fill_shard(
     rows: np.ndarray,
     rowg: np.ndarray,
     tail: int,
-    nested: bool,
 ) -> None:
     """Run prefix-fits rounds over one shard (fused-local coordinates).
 
     Mutates ``grants`` (indexed through the compacting ``ids`` map) and
-    ``caps`` in place.  ``nested=True`` means this shard is already
-    running as a pool task, so chunk work stays serial — dispatching
-    chunks back into the same pool from a pool thread can deadlock.  The
-    chunk *plan* is computed either way, so values don't depend on where
-    the chunks ran.
+    ``caps`` in place.
     """
     ndim = len(memb)
-    # Round scratch comes from the thread-local arena.  Single-key
-    # buffers ("ub", "newseg", ...) are fully rewritten before every
-    # read; the pool columns carried *across* the compaction step use
-    # flip parity so a gather never reads the buffer it writes.
-    ar = arena.local_arena()
-    flip = 0
     ids = np.arange(wsub.size, dtype=np.intp)
     while True:
         k = wsub.size
         if k == 0:
             return
         if k <= tail:
-            kernel.fill_tail(grants, ids, wsub, memb, lsafe, caps, rows, rowg)
+            tail_fused(grants, ids, wsub, memb, lsafe, caps)
             return
         # Per-entry upper bound on what it can ever take from here on:
         # demand capped by headroom against *current* capacities
         # (capacities only shrink, so no later turn can beat this).
-        ub = ar.take("ub", k)
-        ub[:] = np.inf
-        gcap = ar.take("gcap", k)
+        ub = np.full(k, np.inf)
         for d in range(ndim):
-            np.take(caps, lsafe[d], out=gcap)
-            np.minimum(ub, gcap, where=memb[d], out=ub)
+            np.minimum(ub, caps[lsafe[d]], where=memb[d], out=ub)
         np.minimum(ub, wsub, out=ub)
         np.maximum(ub, 0.0, out=ub)
         if rows.size:
-            newseg = ar.take("newseg", rows.size, np.bool_)
+            newseg = np.empty(rows.size, dtype=bool)
             newseg[0] = True
-            np.not_equal(rowg[1:], rowg[:-1], out=newseg[1:])
-            seg_starts = np.flatnonzero(newseg)
-            bounds = partition.chunk_bounds(rows.size, seg_starts)
-            thunks = [
-                (
-                    lambda a=int(a), b=int(b): _round_counts(
-                        a, b, rows, rowg, newseg, ub, wsub, caps, k
-                    )
-                )
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            if len(thunks) > 1 and not nested:
-                counts = kernel.run_tasks(thunks)
-            else:
-                counts = [t() for t in thunks]
-            bad = counts[0]
-            for extra in counts[1:]:
-                bad = bad + extra
-            ready = np.equal(bad, 0, out=ar.take("ready", k, np.bool_))
+            newseg[1:] = rowg[1:] != rowg[:-1]
+            sid = np.cumsum(newseg) - 1
+            sst = np.flatnonzero(newseg)
+            ubr = ub[rows]
+            # Worst-case cumulative take within each group's queue,
+            # prefix up to each row *exclusive*, plus its own demand;
+            # segment heads pass unconditionally (their headroom against
+            # current caps is exact).
+            c = np.cumsum(ubr)
+            base = np.where(sst > 0, c[sst - 1], 0.0)
+            ok = (c - base[sid] - ubr + wsub[rows] <= caps[rowg]) | newseg
+            ready = np.bincount(rows[~ok], minlength=k) == 0
         else:
-            ready = ar.take("ready", k, np.bool_)
-            ready[:] = True
+            ready = np.ones(k, dtype=bool)
         rp = np.flatnonzero(ready)
         if rp.size == 0:
             return  # unreachable: the pool's first entry heads every queue
@@ -279,52 +160,32 @@ def fill_shard(
                 caps -= np.bincount(
                     lsafe[d][gp][gm], weights=rg[gm], minlength=caps.size
                 )
-        keep = np.logical_not(ready, out=ready)
+        keep = ~ready
         # Collapse drained constraints: anyone left in a dead group has
         # zero headroom now and forever (caps never grow during a fill).
         dead = caps <= 0.0
         if dead.any():
-            dm = ar.take("deadm", k, np.bool_)
             for d in range(ndim):
-                np.take(dead, lsafe[d], out=dm)
-                np.logical_and(dm, memb[d], out=dm)
-                np.logical_not(dm, out=dm)
-                np.logical_and(keep, dm, out=keep)
+                keep &= ~(memb[d] & dead[lsafe[d]])
         if not keep.any():
             return
         # Compact the pool; remap rows through the new entry positions
-        # (row order is preserved by the filter, so no re-sort).  The
-        # surviving columns land in the opposite-parity arena buffers:
-        # a gather must never read the buffer it writes.
-        newpos = np.cumsum(keep, out=ar.take("newpos", k, np.intp))
-        newpos -= 1
-        nxt = flip ^ 1
-        rk = np.take(keep, rows, out=ar.take("rk", rows.size, np.bool_))
-        nr = int(np.count_nonzero(rk))
-        rtmp = np.compress(rk, rows, out=ar.take("rtmp", nr, np.intp))
-        rows = np.take(newpos, rtmp, out=ar.take(("rows", nxt), nr, np.intp))
-        rowg = np.compress(
-            rk, rowg, out=ar.take(("rowg", nxt), nr, rowg.dtype)
-        )
+        # (row order is preserved by the filter, so no re-sort).
+        newpos = np.cumsum(keep) - 1
+        rk = keep[rows]
+        rows = newpos[rows[rk]]
+        rowg = rowg[rk]
         pool = np.flatnonzero(keep)
-        nk = pool.size
-        ids = np.take(ids, pool, out=ar.take(("ids", nxt), nk, np.intp))
-        wsub = np.take(wsub, pool, out=ar.take(("wsub", nxt), nk))
-        memb = [
-            np.take(m, pool, out=ar.take(("memb", d, nxt), nk, np.bool_))
-            for d, m in enumerate(memb)
-        ]
-        lsafe = [
-            np.take(s, pool, out=ar.take(("lsafe", d, nxt), nk, s.dtype))
-            for d, s in enumerate(lsafe)
-        ]
-        flip = nxt
+        ids = ids[pool]
+        wsub = wsub[pool]
+        memb = [m[pool] for m in memb]
+        lsafe = [s[pool] for s in lsafe]
 
 
 def _plan_shards(
     rows: np.ndarray, rowg: np.ndarray, k: int, n_groups: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Shard plan ``(order_e, comp, shard_bounds)`` or ``None`` (one shard).
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Shard plan ``(order_e, shard_bounds)`` or ``None`` (one shard).
 
     Components are walked in label order (= order of first pool
     appearance, since labels are minimum node ids) and packed
@@ -359,11 +220,69 @@ def _plan_shards(
     if ends.size <= 1:
         return None
     sbounds = np.concatenate(([0], ends)).astype(np.intp)
-    return order_e, comp, sbounds
+    return order_e, sbounds
+
+
+def _fill_shards(
+    plan: Tuple[np.ndarray, np.ndarray],
+    grants: np.ndarray,
+    wsub: np.ndarray,
+    memb: List[np.ndarray],
+    fsafe: List[np.ndarray],
+    capc: np.ndarray,
+    rows: np.ndarray,
+    rowg: np.ndarray,
+    tail: int,
+) -> None:
+    """Fill each shard of ``plan`` in shard-local coordinates, in turn,
+    and commit its grants and capacities back to the fused pool."""
+    order_e, sbounds = plan
+    k = wsub.size
+    ndim = len(memb)
+    nsh = sbounds.size - 1
+    pos = np.empty(k, dtype=np.intp)
+    pos[order_e] = np.arange(k, dtype=np.intp)
+    shard_of = np.empty(k, dtype=np.intp)
+    shard_of[order_e] = np.searchsorted(sbounds[1:], np.arange(k), side="right")
+    rshard = shard_of[rows]
+    rorder = np.argsort(rshard, kind="stable")
+    rs_rows = rows[rorder]
+    rs_rowg = rowg[rorder]
+    rshard_sorted = rshard[rorder]
+    shard_ids = np.arange(nsh)
+    rlo = np.searchsorted(rshard_sorted, shard_ids, side="left")
+    rhi = np.searchsorted(rshard_sorted, shard_ids, side="right")
+    for s in range(nsh):
+        lo, hi = int(sbounds[s]), int(sbounds[s + 1])
+        entries = order_e[lo:hi]
+        srows = pos[rs_rows[rlo[s]:rhi[s]]] - lo
+        sgl = rs_rowg[rlo[s]:rhi[s]]
+        gids = np.unique(sgl)
+        if gids.size == 0:
+            gids = np.zeros(1, dtype=rowg.dtype)
+        # np.unique is sorted, so searchsorted is a monotone remap: local
+        # group ids keep the fused sort order and the shard's rows stay
+        # segment-contiguous.
+        lrowg = np.searchsorted(gids, sgl)
+        caps_local = capc[gids].astype(np.float64)
+        memb_l = [memb[d][entries] for d in range(ndim)]
+        lsafe_l = []
+        for d in range(ndim):
+            ls = np.searchsorted(gids, fsafe[d][entries])
+            np.copyto(ls, 0, where=~memb_l[d])
+            lsafe_l.append(ls)
+        g_local = np.zeros(entries.size, dtype=np.float64)
+        fill_shard(
+            g_local, wsub[entries], memb_l, lsafe_l, caps_local, srows, lrowg,
+            tail,
+        )
+        # Shards touch disjoint entries and disjoint groups, so the commit
+        # is plain assignment.
+        grants[entries] = g_local
+        capc[gids] = caps_local
 
 
 def fill_pool(
-    kernel,
     out: np.ndarray,
     dims: Sequence[Tuple[np.ndarray, np.ndarray]],
     osub: np.ndarray,
@@ -374,7 +293,7 @@ def fill_pool(
     rowg: np.ndarray,
     tail: int,
 ) -> np.ndarray:
-    """Settle a contended demand-capped pool through ``kernel``.
+    """Settle a contended demand-capped pool.
 
     Inputs are the pool-gathered coordinates built by
     ``rate_allocation._fill_contended_demands``: ``osub`` the flow ids,
@@ -403,72 +322,12 @@ def fill_pool(
     ]
     memb = [np.asarray(m) for m in memb_s]
     grants = np.zeros(k, dtype=np.float64)
-    if k <= tail:
-        kernel.fill_tail(
-            grants, np.arange(k, dtype=np.intp), wsub, memb, fsafe, capc,
-            rows, rowg,
-        )
+    # Pools small enough for the scalar tail skip the shard plan.
+    plan = _plan_shards(rows, rowg, k, total) if k > tail else None
+    if plan is None:
+        fill_shard(grants, wsub, memb, fsafe, capc, rows, rowg, tail)
     else:
-        plan = _plan_shards(rows, rowg, k, total)
-        if plan is None:
-            fill_shard(
-                kernel, grants, wsub, memb, fsafe, capc, rows, rowg, tail,
-                nested=False,
-            )
-        else:
-            order_e, comp, sbounds = plan
-            nsh = sbounds.size - 1
-            pos = np.empty(k, dtype=np.intp)
-            pos[order_e] = np.arange(k, dtype=np.intp)
-            shard_of = np.empty(k, dtype=np.intp)
-            shard_of[order_e] = np.searchsorted(
-                sbounds[1:], np.arange(k), side="right"
-            )
-            rshard = shard_of[rows]
-            rorder = np.argsort(rshard, kind="stable")
-            rs_rows = rows[rorder]
-            rs_rowg = rowg[rorder]
-            rshard_sorted = rshard[rorder]
-            shard_ids = np.arange(nsh)
-            rlo = np.searchsorted(rshard_sorted, shard_ids, side="left")
-            rhi = np.searchsorted(rshard_sorted, shard_ids, side="right")
-            shards = []
-            commits = []
-            for s in range(nsh):
-                lo, hi = int(sbounds[s]), int(sbounds[s + 1])
-                entries = order_e[lo:hi]
-                srows = pos[rs_rows[rlo[s]:rhi[s]]] - lo
-                sgl = rs_rowg[rlo[s]:rhi[s]]
-                gids = np.unique(sgl)
-                if gids.size == 0:
-                    gids = np.zeros(1, dtype=rowg.dtype)
-                # np.unique is sorted, so searchsorted is a monotone
-                # remap: local group ids keep the fused sort order and
-                # the shard's rows stay segment-contiguous.
-                lrowg = np.searchsorted(gids, sgl)
-                caps_local = capc[gids].astype(np.float64)
-                wsub_l = wsub[entries]
-                memb_l = [memb[d][entries] for d in range(ndim)]
-                lsafe_l = []
-                for d in range(ndim):
-                    ls = np.searchsorted(gids, fsafe[d][entries])
-                    np.copyto(ls, 0, where=~memb_l[d])
-                    lsafe_l.append(ls)
-                shards.append(
-                    ShardTask(
-                        wsub=wsub_l, memb=memb_l, lsafe=lsafe_l,
-                        caps=caps_local, rows=srows, rowg=lrowg,
-                    )
-                )
-                commits.append((entries, gids))
-            results = kernel.run_shards(shards, tail)
-            # Shards touch disjoint entries and disjoint groups, so the
-            # commit is plain assignment, in any order.
-            for (entries, gids), (g_local, caps_local) in zip(
-                commits, results
-            ):
-                grants[entries] = g_local
-                capc[gids] = caps_local
+        _fill_shards(plan, grants, wsub, memb, fsafe, capc, rows, rowg, tail)
     nz = grants > 0.0
     if nz.any():
         np.add.at(out, osub[nz], grants[nz])

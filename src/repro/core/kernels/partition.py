@@ -1,21 +1,11 @@
-"""Deterministic decomposition plans for the decision-pool fill.
+"""Contention components of a decision pool, for the shard plan.
 
-Two plans feed :mod:`repro.core.kernels.fill`:
-
-* :func:`label_components` — connected components of the bipartite
-  contention graph (pool entries on one side, fused constraint groups on
-  the other).  Entries in different components share no constraint, so
-  their fills are completely independent and may run on different
-  threads (or compiled loops) without any synchronization.
-* :func:`chunk_bounds` — segment-aligned chunk boundaries for the
-  per-round row phase inside one large shard, so the prefix-fits test
-  parallelizes even when the whole fabric is one contention component
-  (the common big-switch overload regime).
-
-Both plans are **pure functions of the pool** — never of the host's core
-count or of the selected backend — so every backend on every machine
-derives the identical decomposition, which is what makes cross-backend
-results bit-identical (see ``tests/test_kernel_backends.py``).
+:func:`label_components` finds the connected components of the bipartite
+contention graph (pool entries on one side, fused constraint groups on
+the other).  Entries in different components share no constraint, so
+:mod:`repro.core.kernels.fill` settles each group of components as its
+own shard over a much smaller pool.  The labels are a pure function of
+the pool, never of the host.
 """
 
 from __future__ import annotations
@@ -23,11 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-#: Row-phase chunk size.  One chunk per this many fused rows; chunk count
-#: derives from the pool only (NOT from the core count), so per-chunk
-#: prefix sums are reproducible across hosts and backends.
-CHUNK_ROWS = 32768
 
 #: Iteration cap for the component labelling loop; pools that have not
 #: converged by then (pathological contention chains) fall back to one
@@ -95,27 +80,3 @@ def label_components(
         lab = nxt
     return lab[:n_entries]
 
-
-def chunk_bounds(
-    n_rows: int,
-    seg_starts: np.ndarray,
-    chunk: Optional[int] = None,
-) -> np.ndarray:
-    """Segment-aligned chunk boundaries ``[0, ..., n_rows]`` for a row phase.
-
-    The chunk count is ``ceil(n_rows / chunk)`` — derived from the pool,
-    never from the host — and each boundary is snapped forward to the
-    next segment start so a group's queue never straddles two chunks
-    (per-chunk prefix sums then reproduce the canonical segment-local
-    cumulative demand exactly).  Boundaries may collapse when segments
-    are huge; duplicates are dropped.
-    """
-    if chunk is None:
-        chunk = CHUNK_ROWS
-    nch = -(-n_rows // chunk) if n_rows > 0 else 1
-    if nch <= 1:
-        return np.array([0, n_rows], dtype=np.intp)
-    targets = (np.arange(1, nch, dtype=np.int64) * n_rows) // nch
-    ext = np.append(seg_starts.astype(np.int64), n_rows)
-    cuts = ext[np.searchsorted(ext, targets, side="left")]
-    return np.unique(np.concatenate(([0], cuts, [n_rows]))).astype(np.intp)

@@ -34,8 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels
-from repro.core.kernels import arena as _arena
+from repro.core.kernels import fill
 from repro.errors import ConfigurationError
 
 #: Relative epsilon used to decide saturation in iterative filling.
@@ -124,7 +123,6 @@ def priority_fill(
     out: Optional[np.ndarray] = None,
     n: Optional[int] = None,
     gathers: Optional[Tuple[List[np.ndarray], ...]] = None,
-    kernel: Optional[object] = None,
 ) -> np.ndarray:
     """Sequential priority filling, computed with whole-group steps.
 
@@ -171,12 +169,6 @@ def priority_fill(
         Optional ``(ogroups, members, safe)`` from :func:`gather_groups`
         for this exact ``order``, letting repeated fills skip the
         per-dimension gathers.
-    kernel:
-        Optional decision-kernel override — a backend name or
-        :class:`repro.core.kernels.DecisionKernel` instance — for the
-        contended rounds; defaults to the context-active kernel
-        (:func:`repro.core.kernels.active_kernel`).  Backends are
-        bit-identical, so this is purely a performance knob.
 
     Returns
     -------
@@ -252,7 +244,7 @@ def priority_fill(
                 )
         return _fill_contended_demands(
             out, order, dims, want, ~settled & contended,
-            ogroups, members, safe, kernel=kernel,
+            ogroups, members, safe,
         )
     # Backfill rounds over the shrinking open set.  A flow is ready when
     # it heads the remaining queue of every group it occupies: all
@@ -270,20 +262,10 @@ def priority_fill(
     # capacities only shrink during a fill, so they could never receive
     # anything at their turn either — this makes backfill after a
     # saturating pass (FVDF minimal, MADD) nearly free.
-    # Per-round scratch comes from the thread-local arena (see
-    # :mod:`repro.core.kernels.arena`): single-key buffers are fully
-    # rewritten before every read, and the shrinking open set ``op``
-    # alternates flip-parity buffers so a compress never reads the
-    # buffer it writes.
-    ar = _arena.local_arena()
-    room0 = ar.take("bf_room0", m)
-    room0[:] = np.inf
-    gcap = ar.take("bf_gcap", m)
+    room0 = np.full(m, np.inf)
     for (_, caps), member, sg in zip(dims, members, safe):
-        np.take(caps, sg, out=gcap)
-        np.minimum(room0, gcap, where=member, out=room0)
+        np.minimum(room0, caps[sg], where=member, out=room0)
     op = np.flatnonzero(room0 > 0.0)
-    flip = 0
     while op.size:
         if op.size <= _SCALAR_TAIL:
             # Chain tail: backfill is the demand-capped loop with an
@@ -297,83 +279,42 @@ def priority_fill(
                 [s[op] for s in safe],
             )
             break
-        no = op.size
-        ready = ar.take("bf_ready", no, np.bool_)
-        ready[:] = True
+        ready = np.ones(op.size, dtype=bool)
         for d in range(ndim):
-            memb = np.take(members[d], op, out=ar.take("bf_memb", no, np.bool_))
+            memb = members[d][op]
             mp = np.flatnonzero(memb)
             if mp.size == 0:
                 continue
             gm = safe[d][op[mp]]
             # First open member of each group, via reversed last-wins
             # scatter: O(num_groups) per round, no sort.
-            first = ar.take(("bf_first", d), len(dims[d][1]), np.intp)
-            first[:] = -1
+            first = np.full(len(dims[d][1]), -1, dtype=np.intp)
             first[gm[::-1]] = mp[::-1]
-            heads = ar.take("bf_heads", no, np.bool_)
-            heads[:] = False
+            heads = np.zeros(op.size, dtype=bool)
             heads[first[gm]] = True
-            np.logical_not(memb, out=memb)
-            np.logical_or(heads, memb, out=heads)
-            np.logical_and(ready, heads, out=ready)
-        nr = int(np.count_nonzero(ready))
-        rp = np.compress(ready, op, out=ar.take("bf_rp", nr, np.intp))
-        room = ar.take("bf_room", nr)
-        room[:] = np.inf
-        rcap = ar.take("bf_rcap", nr)
-        rmemb = ar.take("bf_rmemb", nr, np.bool_)
+            ready &= heads | ~memb
+        rp = op[ready]
+        room = np.full(rp.size, np.inf)
         for d, (_, caps) in enumerate(dims):
-            sg_rp = np.take(
-                safe[d], rp, out=ar.take("bf_rsg", nr, safe[d].dtype)
-            )
-            np.take(caps, sg_rp, out=rcap)
-            np.take(members[d], rp, out=rmemb)
-            np.minimum(room, rcap, where=rmemb, out=room)
-        r = np.maximum(room, 0.0, out=room)
-        give = np.greater(r, 0.0, out=ar.take("bf_give", nr, np.bool_))
-        ng = int(np.count_nonzero(give))
-        gp = np.compress(give, rp, out=ar.take("bf_gp", ng, np.intp))
-        rg = np.compress(give, r, out=ar.take("bf_rg", ng))
+            np.minimum(room, caps[safe[d][rp]], where=members[d][rp], out=room)
+        r = np.maximum(room, 0.0)
+        give = r > 0.0
+        gp = rp[give]
+        rg = r[give]
         if gp.size:
             np.add.at(out, order[gp], rg)
             for d, (_, caps) in enumerate(dims):
                 gm = members[d][gp]
                 caps[safe[d][gp][gm]] -= rg[gm]
-        np.logical_not(ready, out=ready)
-        nn = int(np.count_nonzero(ready))
-        op = np.compress(
-            ready, op, out=ar.take(("bf_op", flip ^ 1), nn, np.intp)
-        )
-        flip ^= 1
+        op = op[~ready]
         if op.size:
-            drop = ar.take("bf_drop", op.size, np.bool_)
-            drop[:] = False
-            dm = ar.take("bf_dm", op.size, np.bool_)
+            drop = np.zeros(op.size, dtype=bool)
             for d, (_, caps) in enumerate(dims):
                 dead = caps <= 0.0
                 if dead.any():
-                    sg_op = np.take(
-                        safe[d], op,
-                        out=ar.take("bf_dsg", op.size, safe[d].dtype),
-                    )
-                    np.take(dead, sg_op, out=dm)
-                    np.logical_and(
-                        dm,
-                        np.take(
-                            members[d], op,
-                            out=ar.take("bf_dmb", op.size, np.bool_),
-                        ),
-                        out=dm,
-                    )
-                    np.logical_or(drop, dm, out=drop)
+                    drop |= members[d][op] & dead[safe[d][op]]
             if drop.any():
-                np.logical_not(drop, out=drop)
-                nk = int(np.count_nonzero(drop))
-                op = np.compress(
-                    drop, op, out=ar.take(("bf_op", flip ^ 1), nk, np.intp)
-                )
-                flip ^= 1
+                op = op[~drop]
     return out
 
 
@@ -453,7 +394,6 @@ def _fill_contended_demands(
     ogroups: Sequence[np.ndarray],
     members: Sequence[np.ndarray],
     safe: Sequence[np.ndarray],
-    kernel: Optional[object] = None,
 ) -> np.ndarray:
     """Settle the contended remainder of a demand-capped priority fill.
 
@@ -488,12 +428,9 @@ def _fill_contended_demands(
     collide.  One sort and one cumsum chain per round cover every
     dimension at once, and an entry is ready when none of its rows fail.
 
-    The rounds themselves (and the scalar tail below the crossover) run
-    through the selected decision-kernel backend
-    (:mod:`repro.core.kernels`): this function builds the fused rows,
-    the backend shards them along contention components and executes
-    the round phases — serially, on a thread pool, or compiled — with
-    bit-identical results either way.
+    This function builds the fused rows; :func:`repro.core.kernels.fill.
+    fill_pool` shards them along contention components and runs the
+    rounds (and the scalar tail below the crossover) shard by shard.
     """
     sel = np.flatnonzero(live)
     osub = order[sel]
@@ -517,13 +454,9 @@ def _fill_contended_demands(
     srt = np.argsort(rowg, kind="stable")
     rows = rows[srt]
     rowg = rowg[srt]
-    if kernel is not None:
-        kern = kernels.resolve_kernel(kernel)
-    else:
-        kern = kernels.active_kernel()
     # _SCALAR_TAIL is read here (not at import) so tests pinning the
     # crossover via monkeypatch exercise both regimes.
-    return kern.fill_pool(
+    return fill.fill_pool(
         out, dims, osub, wsub, memb_s, safe_s, rows, rowg, _SCALAR_TAIL
     )
 

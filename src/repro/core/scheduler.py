@@ -255,12 +255,6 @@ class Scheduler(ABC):
     #: Observability bundle, bound by the engine; disabled by default so
     #: policies can emit records unconditionally guarded on ``enabled``.
     obs: Observability = NULL_OBS
-    #: Decision-kernel backend preference for this scheduler's runs —
-    #: a name from ``repro.core.kernels.KERNEL_NAMES`` or ``None`` to
-    #: defer to ``$REPRO_KERNEL``.  The engine scopes each run with it
-    #: (``kernels.use_kernel``).  Backends are bit-identical, so this is
-    #: a performance knob, never part of a result's identity.
-    kernel: Optional[str] = None
 
     @abstractmethod
     def schedule(self, view: SchedulerView) -> Allocation:

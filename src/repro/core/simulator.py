@@ -29,12 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.compression.engine import CompressionEngine
-from repro.core import kernels
 from repro.core.coflow import Coflow, CoflowResult
 from repro.core.events import ArrivalCalendar, EventKind, ScheduleTrigger
 from repro.core.flow import Flow, FlowResult
@@ -437,12 +436,6 @@ class SliceSimulator:
         self._cached_unit_of_pos = np.empty(0, dtype=np.intp)
         self._cached_group_slots = np.empty(0, dtype=np.intp)
         self._cached_static: Dict[str, np.ndarray] = {}
-        # Generation-stamped scratch arena for the raw/comp view columns
-        # (the only per-flow state the view must re-read every decision).
-        # Buffers are reused decision to decision; full regroups bump the
-        # generation and state eviction clears it (see
-        # :mod:`repro.core.kernels.arena`).
-        self._view_scratch = kernels.arena.new_arena()
         self._cap_events: List = []
         #: coflow id -> dense slot index (remapped on drain compaction).
         self._coflows: Dict[int, int] = {}
@@ -456,6 +449,13 @@ class SliceSimulator:
         self._eps_val = 0.0
         self._started = False
         self._decision_points = 0
+        # State a ``run(until=...)`` horizon must not lose, so a chunked
+        # run equals an uninterrupted one: the trigger kinds observed at
+        # the last boundary, and the allocation still in force when the
+        # horizon (not an event) ended the window.  Cancellation drops
+        # the held allocation; arrivals and capacity changes re-decide.
+        self._resume_kinds: Set[EventKind] = set()
+        self._held: Optional[Allocation] = None
         self._ingress_bytes = np.zeros(fabric.num_ingress)
         self._egress_bytes = np.zeros(fabric.num_egress)
         self._flow_results: List[FlowResult] = []
@@ -760,6 +760,7 @@ class SliceSimulator:
             self._calendar.discard(slot)
         self._active = self._active[self._coflow_of[self._active] != coflow_id]
         self._groups_dirty = True
+        self._held = None
         self._cf_remaining[slot] = 0
         self._cancelled.add(int(coflow_id))
         tr = self.obs.tracer
@@ -822,18 +823,16 @@ class SliceSimulator:
         """Run until all submitted coflows finish (or ``until`` is reached).
 
         Incremental use is supported: call :meth:`run` with a horizon,
-        :meth:`submit` more work, and call :meth:`run` again.
-
-        The whole run executes under the scheduler's decision-kernel
-        preference (``scheduler.kernel``, defaulting to
-        ``$REPRO_KERNEL``): backends are bit-identical, so this scoping
-        only decides how the hot-path arithmetic is dispatched.
+        :meth:`submit` more work, and call :meth:`run` again.  A horizon
+        is not a decision point: the next call resumes with the pending
+        trigger kinds and, if no event ended the window, the allocation
+        still in force, so a chunked run equals an uninterrupted one.
         """
-        with kernels.use_kernel(getattr(self.scheduler, "kernel", None)):
-            return self._run_loop(until)
-
-    def _run_loop(self, until: Optional[float] = None) -> SimulationResult:
-        trigger = ScheduleTrigger({EventKind.START}) if not self._started else ScheduleTrigger()
+        if self._started:
+            trigger = ScheduleTrigger(set(self._resume_kinds))
+        else:
+            trigger = ScheduleTrigger({EventKind.START})
+        held, self._held = self._held, None
         self._started = True
         while True:
             # Jump over empty time if nothing is active.
@@ -863,61 +862,19 @@ class SliceSimulator:
             if self._active.size == 0:
                 continue  # activation may still be empty (arrival just past `until`)
 
-            # The previous window is over: its compression cores are free
-            # for reassignment before the scheduler looks at the node state.
-            self._release_claims()
-            for fn in self._on_decision:
-                fn(self.now)
-            view = self._build_view(trigger)
             obs = self.obs
             tr = obs.tracer
             flt = obs.recorder
-            if tr.enabled:
-                tr.emit(
-                    self.now,
-                    "decision",
-                    kinds=trigger.kinds,
-                    n_flows=view.num_flows,
-                    n_coflows=len(view.coflows),
-                )
-            if flt.enabled:
-                flt.add_decision(
-                    self.now, trigger.kinds, view.num_flows, len(view.coflows)
-                )
-            timed = obs.metrics.enabled or obs.profiler.enabled
-            if timed:
-                t0 = time.perf_counter()
-            alloc = self.scheduler.schedule(view)
-            if timed:
-                elapsed = time.perf_counter() - t0
-                obs.metrics.histogram("engine.decision_latency").observe(elapsed)
-                if obs.profiler.enabled:
-                    obs.profiler.add("schedule", elapsed)
-            self._validate(view, alloc)
-            self._apply_claims(view, alloc)
-            if tr.enabled or flt.enabled:
-                tx = alloc.rates > 0
-                n_tx = int(tx.sum())
-                total = float(alloc.rates.sum())
-                max_rate = float(alloc.rates.max()) if len(alloc.rates) else 0.0
-                if tr.enabled:
-                    tr.emit(self.now, "rates", n_tx=n_tx, total=total, max=max_rate)
-                if flt.enabled:
-                    flt.add_rates(self.now, n_tx, total, max_rate)
-                if alloc.compress.any():
-                    beta_ids = view.flow_ids[alloc.compress]
-                    if tr.enabled:
-                        tr.emit(
-                            self.now,
-                            "beta",
-                            flow_ids=[int(i) for i in beta_ids],
-                        )
-                    if flt.enabled:
-                        flt.add_beta(self.now, beta_ids)
-            if self._recorder is not None:
-                self._recorder.sample_model(self.now, self.cpu)
-            self._decision_points += 1
-            obs.metrics.counter("engine.decisions").inc()
+            if held is not None and not trigger.kinds:
+                # A ``run(until=...)`` horizon, not an event, ended the
+                # last window: its allocation stays in force (cores
+                # included), exactly as in an uninterrupted run.
+                view = self._build_view(trigger)
+                alloc = held
+                self._claim_cores(view, alloc)
+            else:
+                view, alloc = self._decide(trigger)
+            held = None
 
             n_slices, dt_kinds = self._horizon_slices(view, alloc, until)
             if tr.enabled:
@@ -933,14 +890,81 @@ class SliceSimulator:
                 self._integrate(view, alloc, n_slices * self.slice_len)
             self._k += n_slices
 
-            trigger = ScheduleTrigger(dt_kinds & {EventKind.HORIZON})
+            active = self._active
+            trigger = ScheduleTrigger()
             completed = self._retire_finished(boundary)
             if completed:
                 trigger.kinds.add(EventKind.COMPLETION)
             if EventKind.RAW_EXHAUSTED in dt_kinds:
                 trigger.kinds.add(EventKind.RAW_EXHAUSTED)
+            if dt_kinds == {EventKind.HORIZON} and self._active is active:
+                held = alloc
+        self._resume_kinds = set(trigger.kinds)
+        self._held = held
         self._release_claims()
         return self.result()
+
+    def _decide(self, trigger: ScheduleTrigger):
+        """One decision point: ask the scheduler, validate, claim cores.
+
+        Returns ``(view, alloc)``.
+        """
+        # The previous window is over: its compression cores are free
+        # for reassignment before the scheduler looks at the node state.
+        self._release_claims()
+        for fn in self._on_decision:
+            fn(self.now)
+        view = self._build_view(trigger)
+        obs = self.obs
+        tr = obs.tracer
+        flt = obs.recorder
+        if tr.enabled:
+            tr.emit(
+                self.now,
+                "decision",
+                kinds=trigger.kinds,
+                n_flows=view.num_flows,
+                n_coflows=len(view.coflows),
+            )
+        if flt.enabled:
+            flt.add_decision(
+                self.now, trigger.kinds, view.num_flows, len(view.coflows)
+            )
+        timed = obs.metrics.enabled or obs.profiler.enabled
+        if timed:
+            t0 = time.perf_counter()
+        alloc = self.scheduler.schedule(view)
+        if timed:
+            elapsed = time.perf_counter() - t0
+            obs.metrics.histogram("engine.decision_latency").observe(elapsed)
+            if obs.profiler.enabled:
+                obs.profiler.add("schedule", elapsed)
+        self._validate(view, alloc)
+        self._apply_claims(view, alloc)
+        if tr.enabled or flt.enabled:
+            tx = alloc.rates > 0
+            n_tx = int(tx.sum())
+            total = float(alloc.rates.sum())
+            max_rate = float(alloc.rates.max()) if len(alloc.rates) else 0.0
+            if tr.enabled:
+                tr.emit(self.now, "rates", n_tx=n_tx, total=total, max=max_rate)
+            if flt.enabled:
+                flt.add_rates(self.now, n_tx, total, max_rate)
+            if alloc.compress.any():
+                beta_ids = view.flow_ids[alloc.compress]
+                if tr.enabled:
+                    tr.emit(
+                        self.now,
+                        "beta",
+                        flow_ids=[int(i) for i in beta_ids],
+                    )
+                if flt.enabled:
+                    flt.add_beta(self.now, beta_ids)
+        if self._recorder is not None:
+            self._recorder.sample_model(self.now, self.cpu)
+        self._decision_points += 1
+        obs.metrics.counter("engine.decisions").inc()
+        return view, alloc
 
     def result(self) -> SimulationResult:
         return SimulationResult(
@@ -1112,11 +1136,8 @@ class SliceSimulator:
         self._active = new_of_flow[self._active]
         self._done_chunks = [new_of_flow[held]] if held.size else []
         self._closed_chunks = []
-        # Cached grouping/scratch reference pre-eviction indices; the
-        # arena drops its (peak-sized) buffers outright — the world just
-        # shrank, don't pin the old high-water mark.
+        # Cached grouping references pre-eviction indices.
         self._groups_dirty = True
-        self._view_scratch.clear()
         return store
 
     def export_state(self) -> dict:
@@ -1141,6 +1162,12 @@ class SliceSimulator:
             "k": self._k,
             "started": self._started,
             "decision_points": self._decision_points,
+            "resume_kinds": sorted(k.name for k in self._resume_kinds),
+            "held": (
+                None
+                if self._held is None
+                else (self._held.rates.copy(), self._held.compress.copy())
+            ),
             "done_total": self._done_total,
             "n": n,
             "n_cf": n_cf,
@@ -1211,6 +1238,15 @@ class SliceSimulator:
         self._k = int(state["k"])
         self._started = bool(state["started"])
         self._decision_points = int(state["decision_points"])
+        # Checkpoints older than the horizon carry-over lack both keys;
+        # they resume with a fresh decision, as they always did.
+        self._resume_kinds = {
+            EventKind[name] for name in state.get("resume_kinds", ())
+        }
+        held = state.get("held")
+        self._held = (
+            None if held is None else Allocation(rates=held[0], compress=held[1])
+        )
         self._ingress_bytes = np.asarray(
             state["ingress_bytes"], dtype=np.float64
         ).copy()
@@ -1360,11 +1396,6 @@ class SliceSimulator:
         handle (a mid-run submission arriving no later than an already
         active coflow).
         """
-        # Cached indices are being rebuilt from scratch (cancellation,
-        # forced regroup, delta-ineligible arrival): stamp a new scratch
-        # generation so staleness is observable (reuse stays safe either
-        # way — every take is fully overwritten before it is read).
-        self._view_scratch.invalidate()
         idx = self._active
         coflow_ids = self._coflow_of[idx]
         slots_of_pos = self._slot_of[idx]
@@ -1517,10 +1548,6 @@ class SliceSimulator:
         idx = self._active
         static = self._cached_static
         free = self.cpu.free_cores(self.now)
-        n = idx.size
-        scr = self._view_scratch
-        raw = np.take(self._raw, idx, out=scr.take("raw", n))
-        comp = np.take(self._comp, idx, out=scr.take("comp", n))
         return SchedulerView(
             time=self.now,
             slice_len=self.slice_len,
@@ -1529,8 +1556,8 @@ class SliceSimulator:
             flow_ids=static["flow_ids"],
             src=static["src"],
             dst=static["dst"],
-            raw=raw,
-            comp=comp,
+            raw=self._raw[idx],
+            comp=self._comp[idx],
             xi=static["xi"],
             size=static["size"],
             arrival=static["arrival"],
@@ -1581,13 +1608,18 @@ class SliceSimulator:
                     f"{view.free_cores[node]} free cores"
                 )
 
-    def _apply_claims(self, view: SchedulerView, alloc: Allocation) -> None:
+    def _claim_cores(self, view: SchedulerView, alloc: Allocation) -> Dict[int, int]:
+        """Claim one core per compressing flow; returns claims per node."""
         claims: Dict[int, int] = {}
         for pos in np.nonzero(alloc.compress)[0]:
             node = int(view.src[pos])
             self.cpu.claim(node)
             self._claim_nodes.append(node)
             claims[node] = claims.get(node, 0) + 1
+        return claims
+
+    def _apply_claims(self, view: SchedulerView, alloc: Allocation) -> None:
+        claims = self._claim_cores(view, alloc)
         if claims:
             tr = self.obs.tracer
             if tr.enabled:

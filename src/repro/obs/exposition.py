@@ -16,8 +16,8 @@ rate:
     the rolling-window rates.
 ``/snapshot``
     One JSON document (schema :data:`SNAPSHOT_SCHEMA`) with the full
-    ``StreamStats.as_dict()``, the typed registry dump, the resolved
-    kernel backend, tick/in-flight/checkpoint state, the
+    ``StreamStats.as_dict()``, the typed registry dump,
+    tick/in-flight/checkpoint state, the
     :class:`~repro.obs.window.RollingWindow` snapshot and health.
 ``/healthz`` / ``/readyz``
     Liveness and readiness: ready once the first tick completes (HTTP
@@ -300,14 +300,6 @@ class TelemetryPlane:
         return (time.monotonic() - base) < self.watchdog_s
 
     # -------------------------------------------------------- snapshots
-    def resolved_kernel(self) -> str:
-        """The *resolved* decision-kernel backend the engine runs on."""
-        from repro.core import kernels
-
-        return kernels.resolved_name(
-            getattr(self.driver.sim.scheduler, "kernel", None)
-        )
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``/snapshot`` JSON payload (schema repro-live-v1),
         assembled on the reader's thread from published state."""
@@ -318,7 +310,6 @@ class TelemetryPlane:
         return {
             "schema": SNAPSHOT_SCHEMA,
             "policy": d.policy,
-            "kernel": self.resolved_kernel(),
             "tick_s": d.tick,
             "max_in_flight": d.max_in_flight,
             "ticks": live.get("ticks", 0),
@@ -493,7 +484,7 @@ def render_dashboard(snap: Dict[str, Any], color: bool = True) -> str:
     ready = "ready" if snap.get("ready") else "starting"
     lines = [
         f"{bold}repro top{reset} — policy {snap.get('policy', '?')} | "
-        f"kernel {snap.get('kernel', '?')} | tick {snap.get('tick_s', 0)}s | "
+        f"tick {snap.get('tick_s', 0)}s | "
         f"{health} ({ready}) | uptime {snap.get('uptime_s', 0.0):.0f}s",
         "",
         f"{bold}rates (window of {window.get('ticks', 0)} ticks, "

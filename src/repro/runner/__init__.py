@@ -16,14 +16,9 @@ in :mod:`repro.analysis` grow a ``parallel=`` argument (defaulting to the
 sweep`` drives full grids from the command line.
 """
 
+from repro.core.kernels import usable_cores
 from repro.runner.cache import ResultCache, cache_enabled_by_env, default_cache_root
-from repro.runner.pool import (
-    RunOutcome,
-    execute_spec,
-    resolve_workers,
-    run_specs,
-    usable_cores,
-)
+from repro.runner.pool import RunOutcome, execute_spec, resolve_workers, run_specs
 from repro.runner.spec import (
     CACHE_SCHEMA,
     SUMMARY_METRICS,

@@ -44,13 +44,13 @@ import dataclasses
 import json
 import os
 import pickle
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.atomicio import fsync_dir, write_atomic
 from repro.core.simulator import SimulationResult
 from repro.runner.spec import ResultSummary, RunSpec
 
@@ -70,15 +70,6 @@ def cache_enabled_by_env() -> bool:
 
 def default_cache_root() -> Path:
     return Path(os.environ.get(ENV_CACHE_DIR) or DEFAULT_DIRNAME)
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a just-renamed entry survives a crash."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _load_npz_mmap(path: Path) -> Dict[str, np.ndarray]:
@@ -235,7 +226,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             if spec.full:
-                self._write_atomic(
+                write_atomic(
                     path,
                     lambda fh: pickle.dump(
                         payload, fh, protocol=pickle.HIGHEST_PROTOCOL
@@ -259,45 +250,17 @@ class ResultCache:
                     # Sidecar lands (and is durable) before the json that
                     # references it: a crash in between leaves an orphan
                     # sidecar, never a dangling manifest.
-                    self._write_atomic(
+                    write_atomic(
                         self._sidecar(path), lambda fh: np.savez(fh, **arrays)
                     )
                 blob = json.dumps(d)
-                self._write_atomic(
+                write_atomic(
                     path, lambda fh: fh.write(blob.encode("utf-8"))
                 )
-            _fsync_dir(path.parent)
+            fsync_dir(path.parent)
         except Exception:
             return False
         return True
-
-    @staticmethod
-    def _write_atomic(path: Path, write) -> None:
-        """Write via fsynced temp file + atomic rename.
-
-        A pid-suffixed temp name is NOT unique across threads sharing a
-        process (in-process pools, nested runners): two writers would
-        interleave into the same temp file and publish garbage.  mkstemp
-        gives each writer its own file in the destination directory, so
-        os.replace stays atomic and same-filesystem; the pre-rename fsync
-        guarantees the renamed entry is never a truncated shell.
-        """
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)  # atomic: readers never see partial files
-        except Exception:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
 
     def stats(self) -> dict:
         return {

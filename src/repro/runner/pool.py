@@ -40,6 +40,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from repro.core.kernels import usable_cores
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ResultSummary, RunSpec
@@ -47,14 +48,6 @@ from repro.runner.telemetry import TelemetrySnapshot, _Stopwatch
 
 ENV_PARALLEL = "REPRO_PARALLEL"
 _ENV_IN_WORKER = "REPRO_IN_WORKER"
-
-
-def usable_cores() -> int:
-    """Cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
 
 
 def resolve_workers(parallel: Union[None, int, str] = None) -> int:
@@ -133,14 +126,8 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     key = spec.key or scheduler.name
     snapshot = None
     if spec.telemetry:
-        from repro.core import kernels
-
-        # Record the *resolved* backend, not the request: "auto" pins
-        # down, and a compiled request without numba reports the
-        # threaded fallback it actually ran on.
         snapshot = TelemetrySnapshot.capture(
-            key, scheduler.name, obs, clock.wall_s, clock.cpu_s,
-            kernel=kernels.resolved_name(getattr(scheduler, "kernel", None)),
+            key, scheduler.name, obs, clock.wall_s, clock.cpu_s
         )
     if spec.full:
         return RunOutcome(

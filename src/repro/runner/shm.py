@@ -31,13 +31,6 @@ Ownership protocol (the part that keeps ``/dev/shm`` clean):
   parent-side attach failure path still unlinks.  Either way no segment
   outlives the pool.
 
-The process decision kernel (:mod:`repro.core.kernels.process`) reuses
-the same descriptors in the opposite direction — the *parent* exports
-shard inputs and keeps ownership for the round trip while workers attach
-with ``consume=False`` (copy out, close, unregister, never unlink); the
-parent :func:`discard`\\ s the input segments once the shard results are
-home.  That non-consuming read is the "pool-lifetime attach mode".
-
 ``REPRO_SHM=0`` disables the transport (summaries pickle whole, exactly
 the pre-shm behaviour) — an escape hatch for platforms with a broken or
 missing ``/dev/shm``.
@@ -155,21 +148,12 @@ def export_arrays(arrays: Dict[str, np.ndarray]) -> Optional[ShmBlock]:
     return ShmBlock(name=name, size=size, columns=cols)
 
 
-def attach_arrays(block: ShmBlock, consume: bool = True) -> Dict[str, np.ndarray]:
-    """Copy columns out of ``block``'s segment; destroy it iff ``consume``.
+def attach_arrays(block: ShmBlock) -> Dict[str, np.ndarray]:
+    """Copy columns out of ``block``'s segment, then destroy it.
 
     The copy is deliberate: returned arrays own their memory, so the
     segment can be unlinked immediately and nothing downstream can pin
     ``/dev/shm`` pages alive.
-
-    ``consume=False`` is the **pool-lifetime attach mode** used by the
-    process decision kernel: a reader (typically a pool worker) copies
-    the columns out of a segment it does *not* own and leaves the
-    segment alive for its owner — the parent that exported it — to
-    :func:`discard` after the round trip.  The reader's attach-time
-    resource-tracker registration is dropped (same handoff rule as
-    :func:`_disown`), otherwise a worker exiting would unlink a segment
-    the parent still owns and the tracker would log a spurious leak.
     """
     global ATTACHED
     from multiprocessing import shared_memory
@@ -178,8 +162,7 @@ def attach_arrays(block: ShmBlock, consume: bool = True) -> Dict[str, np.ndarray
     # tracker on CPython <= 3.12; ``unlink()`` below unregisters it, so
     # no extra bookkeeping is needed here (an explicit unregister would
     # make unlink's one a double — the tracker logs a KeyError per
-    # segment for those).  The non-consuming path never unlinks, so it
-    # must unregister explicitly instead.
+    # segment for those).
     seg = shared_memory.SharedMemory(name=block.name, create=False)
     try:
         out: Dict[str, np.ndarray] = {}
@@ -194,10 +177,7 @@ def attach_arrays(block: ShmBlock, consume: bool = True) -> Dict[str, np.ndarray
             del src
     finally:
         seg.close()
-        if consume:
-            seg.unlink()
-        else:
-            _disown(seg)
+        seg.unlink()
     ATTACHED += 1
     return out
 

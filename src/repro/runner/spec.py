@@ -205,24 +205,13 @@ class RunSpec:
     #: back on the RunOutcome.  Deliberately *not* part of the cache
     #: digest: telemetry observes the run, it cannot change its results.
     telemetry: bool = False
-    #: decision-kernel backend for this cell (``repro.core.kernels``;
-    #: ``None`` defers to ``$REPRO_KERNEL``).  Like ``telemetry``,
-    #: deliberately *not* part of the cache digest: backends are
-    #: bit-identical, so the same digest must hit whichever backend
-    #: produced the cached entry.
-    kernel: Optional[str] = None
 
     def build_scheduler(self) -> Scheduler:
         from repro.schedulers import make_scheduler
 
         if isinstance(self.policy, str):
-            return make_scheduler(
-                self.policy, kernel=self.kernel, **dict(self.params or {})
-            )
-        sched = self.policy.fresh()
-        if self.kernel is not None:
-            sched.kernel = self.kernel
-        return sched
+            return make_scheduler(self.policy, **dict(self.params or {}))
+        return self.policy.fresh()
 
     def digest(self) -> Optional[str]:
         """Content-addressed cache key, or ``None`` when uncacheable."""

@@ -51,10 +51,6 @@ class TelemetrySnapshot:
     wall_s: float
     cpu_s: float
     peak_rss_kb: int
-    #: the *resolved* decision-kernel backend the run executed under —
-    #: what ``auto`` pinned down to, or what a ``compiled`` request
-    #: silently fell back to (``None`` on pre-kernel snapshots).
-    kernel: Optional[str] = None
     #: typed metrics dump (see ``MetricsRegistry.dump``).
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: ``FlightRecorder.summary()`` when a recorder was attached.
@@ -68,7 +64,6 @@ class TelemetrySnapshot:
         obs: Observability,
         wall_s: float,
         cpu_s: float,
-        kernel: Optional[str] = None,
     ) -> "TelemetrySnapshot":
         """Snapshot an observability bundle after a run."""
         return cls(
@@ -78,7 +73,6 @@ class TelemetrySnapshot:
             wall_s=float(wall_s),
             cpu_s=float(cpu_s),
             peak_rss_kb=_peak_rss_kb(),
-            kernel=kernel,
             metrics=obs.metrics.dump(),
             recorder=(
                 obs.recorder.summary() if obs.recorder.enabled else None
@@ -93,7 +87,6 @@ class TelemetrySnapshot:
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
             "peak_rss_kb": self.peak_rss_kb,
-            "kernel": self.kernel,
             "metrics": self.metrics,
             "recorder": self.recorder,
         }

@@ -10,9 +10,8 @@ benchmark sweeps)::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.core import kernels
 from repro.core.fvdf import FVDFConfig, FVDFScheduler
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
@@ -70,9 +69,7 @@ def scheduler_names() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def make_scheduler(
-    name: str, kernel: Optional[str] = None, **params
-) -> Scheduler:
+def make_scheduler(name: str, **params) -> Scheduler:
     """Instantiate a scheduling policy by registry name.
 
     Keyword ``params`` are forwarded to the policy's constructor — e.g.
@@ -82,12 +79,6 @@ def make_scheduler(
     :class:`~repro.runner.spec.RunSpec` cells.  Registry aliases that are
     already fully parameterised (``sebf-madd``, ``fvdf-flow``, …) accept
     no further params.
-
-    ``kernel`` selects the decision-kernel backend the engine uses for
-    this scheduler's runs (``repro.core.kernels.KERNEL_NAMES``; ``None``
-    defers to ``$REPRO_KERNEL``).  It is validated here so a typo fails
-    at construction, not mid-run, and since backends are bit-identical
-    it never affects results — only wall clock.
     """
     try:
         factory = _FACTORIES[name.lower()]
@@ -95,16 +86,12 @@ def make_scheduler(
         raise ConfigurationError(
             f"unknown scheduler {name!r}; available: {scheduler_names()}"
         ) from None
-    if kernel is not None:
-        kernels.resolve_kernel(kernel)  # validate the name eagerly
     try:
         sched = factory(**params) if params else factory()
     except TypeError as exc:
         raise ConfigurationError(
             f"scheduler {name!r} rejected params {sorted(params)}: {exc}"
         ) from None
-    if kernel is not None:
-        sched.kernel = kernel
     return sched
 
 

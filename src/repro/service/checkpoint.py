@@ -38,6 +38,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.atomicio import fsync_dir, write_atomic
 from repro.core.coflow import coflow_id_watermark, ensure_coflow_ids_above
 from repro.core.flow import ensure_flow_ids_above, flow_id_watermark
 from repro.errors import CheckpointError, ConfigurationError
@@ -123,6 +124,8 @@ def save_checkpoint(
         "k": state["k"],
         "started": state["started"],
         "decision_points": state["decision_points"],
+        "resume_kinds": state["resume_kinds"],
+        "held": state["held"],
         "done_total": state["done_total"],
         "n": state["n"],
         "n_cf": state["n_cf"],
@@ -144,7 +147,11 @@ def save_checkpoint(
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **payload)
+    # Temp file + fsync + rename: a crash mid-write (periodic checkpoints
+    # reuse one path) must leave the previous checkpoint intact.  The
+    # open handle also keeps numpy from appending ``.npz`` to the name.
+    write_atomic(path, lambda fh: np.savez_compressed(fh, **payload))
+    fsync_dir(path.parent)
     return path
 
 
@@ -165,6 +172,8 @@ def load_checkpoint(path) -> Dict[str, Any]:
         "k": blob["k"],
         "started": blob["started"],
         "decision_points": blob["decision_points"],
+        "resume_kinds": blob.get("resume_kinds", []),
+        "held": blob.get("held"),
         "done_total": blob["done_total"],
         "n": blob["n"],
         "n_cf": blob["n_cf"],

@@ -372,26 +372,19 @@ class StreamDriver:
 
         The single snapshot covers the whole stream so far; the ``grid``
         block records the serve configuration instead of a sweep grid.
-        The snapshot carries the *resolved* decision-kernel backend
-        (surfaced in ``policies.<name>.kernels`` exactly like pooled
-        sweeps), and the ``window`` block holds the telemetry plane's
-        rolling-window rates — an explicit ``null`` when no plane was
+        The ``window`` block holds the telemetry plane's rolling-window
+        rates — an explicit ``null`` when no plane was
         attached, matching the report schema's n/a convention.
         """
         from repro.analysis.report import build_report
-        from repro.core import kernels
         from repro.runner.telemetry import RunTelemetry, TelemetrySnapshot
 
-        kernel = kernels.resolved_name(
-            getattr(self.sim.scheduler, "kernel", None)
-        )
         snap = TelemetrySnapshot.capture(
             key="serve",
             policy=self.policy,
             obs=self.sim.obs,
             wall_s=self.stats.wall_s,
             cpu_s=time.process_time(),
-            kernel=kernel,
         )
         tele = RunTelemetry(
             snapshots=[snap], workers=1, wall_s=self.stats.wall_s, cells=1
@@ -412,7 +405,6 @@ class StreamDriver:
             ),
         )
         report["stream"] = self.stats.as_dict()
-        report["stream"]["kernel"] = kernel
         return report
 
 

@@ -339,7 +339,6 @@ class TestTelemetryPlane:
         snap = plane.snapshot()
         assert snap["schema"] == SNAPSHOT_SCHEMA == "repro-live-v1"
         assert snap["policy"] == "fvdf-flow"
-        assert snap["kernel"]  # resolved backend name, never empty
         assert snap["ticks"] == stats.ticks
         assert snap["finished"] and snap["ready"] and snap["healthy"]
         assert snap["stream"] == d.stats.as_dict()
@@ -453,7 +452,6 @@ class TestStreamReportIntegration:
         plane = TelemetryPlane(d)
         d.run()
         report = d.telemetry_report(label="t")
-        assert report["stream"]["kernel"]
         assert report["window"]["ticks"] == len(plane.window)
         assert report["window"]["rates_per_s"]["flows_admitted"] is not None
 

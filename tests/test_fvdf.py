@@ -230,3 +230,18 @@ class TestCompressionScheduling:
         with_c = run_fvdf(coflows_a, eng=engine(speed=8.0, ratio=0.5))
         without = run_fvdf(coflows_b, config=FVDFConfig(compress=False))
         assert with_c.avg_cct < without.avg_cct
+
+
+class TestUnitGammas:
+    def test_segment_max_empty_segment_quirk(self, monkeypatch):
+        """Γ per unit is ``np.maximum.reduceat`` over the unit offsets:
+        a zero-length segment reproduces reduceat's documented
+        behaviour (``out[i] = values[perm][starts[i]]``)."""
+        from repro.core import fvdf
+
+        values = np.array([5.0, -2.0, 7.0, 1.0])
+        monkeypatch.setattr(fvdf, "expected_fct", lambda view, beta: values)
+        perm = np.arange(4, dtype=np.intp)
+        starts = np.array([0, 2, 2, 4], dtype=np.intp)  # middle segment empty
+        got = FVDFScheduler()._unit_gammas(None, None, perm, starts)
+        assert np.array_equal(got, np.array([5.0, 7.0, 7.0]))

@@ -304,7 +304,7 @@ class TestConcurrentWrites:
             seen.append(kw.get("dir"))
             return real(*a, **kw)
 
-        monkeypatch.setattr("repro.runner.cache.tempfile.mkstemp", spy)
+        monkeypatch.setattr("repro.atomicio.tempfile.mkstemp", spy)
         assert cache.put(spec, summary)
         digest = spec.digest()
         assert seen == [tmp_path / digest[:2]]

@@ -414,6 +414,44 @@ class TestCheckpoint:
         assert path.exists()
         assert stats.checkpoints >= 2
 
+    def test_crash_mid_write_keeps_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint write that dies halfway (partial bytes, then an
+        exception) onto the path of the last good checkpoint leaves that
+        checkpoint intact and resumable bit-identically, and leaves no
+        temp file behind."""
+        whole = _driver()
+        whole.run()
+
+        first = _driver()
+        first.run(max_ticks=4)
+        path = tmp_path / "latest.npz"
+        first.checkpoint(path)
+        pre = list(first.shards)
+        good = path.read_bytes()
+        first.run(max_ticks=2)  # the stream moves on past the checkpoint
+
+        def crash(file, **_arrays):
+            if not hasattr(file, "write"):  # a path: write straight onto it
+                file = open(file, "wb")
+            file.write(b"PK\x03\x04 partial archive")
+            file.flush()
+            raise OSError("disk failed mid-write")
+
+        monkeypatch.setattr(np, "savez_compressed", crash)
+        with pytest.raises(OSError, match="mid-write"):
+            first.checkpoint(path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["latest.npz"]
+        second = restore_driver(path)
+        second.run()
+        combined = concat_stores(pre + second.shards)
+        _assert_same_content(whole.result_store(), combined)
+        _assert_same_content(whole.result_store(), combined, CF_CONTENT)
+
     def test_restored_stream_counts_continue(self, tmp_path):
         first = _driver()
         first.run(max_ticks=4)

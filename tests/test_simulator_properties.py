@@ -180,8 +180,80 @@ def test_resume_at_large_now_matches_uninterrupted(data):
     assert [c.finish for c in chunked.coflow_results] == [
         c.finish for c in whole.coflow_results
     ]
-    # Chunk boundaries insert extra decision points, so byte totals
+    # Chunk boundaries split integration windows, so byte totals
     # accumulate in a different order — equal only up to float roundoff.
     assert chunked.total_bytes_sent == pytest.approx(
         whole.total_bytes_sent, rel=1e-9
     )
+
+
+def _held_window_workload():
+    """One coflow on port 0->0 whose compressed flow drains mid-slice.
+
+    Under ``fvdf-flow`` the decision at t=0.1 holds one full-rate
+    allocation until the compressed flow drains at t=0.45; a decision
+    re-taken at a horizon inside that window (t=0.4) caps the almost
+    finished flow at its demand and hands the spare rate to the next
+    flow, finishing it a slice early.
+    """
+    return [Coflow([Flow(0, 0, 0.625, compressible=True),
+                    Flow(0, 0, 2.0, compressible=False),
+                    Flow(0, 0, 1.125, compressible=False)], arrival=0.0)]
+
+
+def _sim(scheduler):
+    return SliceSimulator(
+        BigSwitch(N_PORTS, bandwidth=1.0),
+        scheduler,
+        slice_len=0.05,
+        cpu=CpuModel(N_PORTS, cores_per_node=2),
+        compression=CompressionEngine(
+            Codec("prop", speed=8.0, decompression_speed=32.0, ratio=0.5),
+            size_dependent=False,
+        ),
+    )
+
+
+def test_horizon_keeps_the_held_allocation():
+    """A ``run(until=...)`` horizon is not a decision point: the
+    allocation in force and the trigger kinds pending at the horizon
+    carry over to the next ``run`` call."""
+    whole, _ = run(_held_window_workload(), "fvdf-flow")
+    assert [f.finish for f in whole.flow_results] == [0.45, 1.5, 3.5]
+
+    sim = _sim(make_scheduler("fvdf-flow"))
+    sim.submit_many(_held_window_workload())
+    for i in range(1, 5):
+        sim.run(until=0.1 * i)
+    chunked = sim.run()
+    assert [f.finish for f in chunked.flow_results] == [0.45, 1.5, 3.5]
+    assert chunked.decision_points == whole.decision_points
+
+
+def test_checkpoint_inside_a_held_window_resumes_identically(tmp_path):
+    """The held allocation and pending trigger kinds survive a
+    checkpoint round trip taken at a horizon."""
+    from repro.service.checkpoint import load_checkpoint, save_checkpoint
+
+    whole, _ = run(_held_window_workload(), "fvdf-flow")
+
+    sim = _sim(make_scheduler("fvdf-flow"))
+    sim.submit_many(_held_window_workload())
+    sim.run(until=0.1)  # RAW_EXHAUSTED pending at the horizon
+    save_checkpoint(tmp_path / "a.npz", sim)
+    state = load_checkpoint(tmp_path / "a.npz")["state"]
+    assert state["resume_kinds"] == ["RAW_EXHAUSTED"]
+    resumed = _sim(state["scheduler"])
+    resumed.import_state(state)
+    resumed.run(until=0.3)  # horizon inside the held window
+    save_checkpoint(tmp_path / "b.npz", resumed)
+    state = load_checkpoint(tmp_path / "b.npz")["state"]
+    assert state["held"] is not None
+    final = _sim(state["scheduler"])
+    final.import_state(state)
+    res = final.run()
+
+    assert [f.finish for f in res.flow_results] == [
+        f.finish for f in whole.flow_results
+    ]
+    assert res.decision_points == whole.decision_points
