@@ -368,3 +368,60 @@ def test_incremental_view_overhead_under_5pct():
         f"incremental view path is {overhead:.1%} slower than per-decision "
         f"regroup ({incremental:.4f}s vs {regroup:.4f}s)"
     )
+
+def test_jsonl_block_parse_near_json_floor(tmp_path):
+    """The JSONL block parse must stay near the cost of ``json.loads``.
+
+    ``JsonlSource.pop_block`` reads each due line once into flat column
+    lists and converts every column to an array once per block, so on
+    top of ``json.loads`` it pays only the per-field conversions.  Over
+    a few thousand stream-serve-shaped lines (4 flows each, popped in
+    0.4 s horizons), best-of-N, the whole parse must stay within 3x of
+    bare ``json.loads`` over the same lines — a ratio, so it holds on
+    any host.  A per-coflow numpy path costs ~5x.
+    """
+    import json
+    import math
+
+    from repro.service import JsonlSource, SourceSpec, coflow_to_json
+    from repro.traces.distributions import ConstantSize
+    from repro.units import KB
+
+    source = SourceSpec(
+        rate=2000.0, num_ports=16, width=4,
+        size_dist=ConstantSize(64 * KB), seed=1, limit=4_000,
+    ).build()
+    lines = []
+    while source.peek() is not None:
+        lines.append(json.dumps(coflow_to_json(source.pop())))
+    path = tmp_path / "arrivals.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+
+    def floor():
+        for line in lines:
+            json.loads(line)
+
+    def parse():
+        src = JsonlSource(str(path))
+        horizon, n_flows = 0.0, 0
+        while src.peek() is not None:
+            horizon += 0.4
+            block = src.pop_block(horizon, math.inf)
+            n_flows += 0 if block is None else block.n_flows
+        assert n_flows == 4 * len(lines)
+
+    def best_of(n, fn):
+        best = float("inf")
+        for _ in range(n):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    parse()  # warm-up
+    json_s = best_of(5, floor)
+    parse_s = best_of(5, parse)
+    assert parse_s <= 3.0 * json_s, (
+        f"JSONL block parse took {parse_s:.4f}s, "
+        f"{parse_s / json_s:.1f}x bare json.loads ({json_s:.4f}s)"
+    )

@@ -19,9 +19,11 @@ still get the *same* instances.  Blocks built from raw columns carry
 its columns only if someone actually asks.
 
 Flow/coflow ids for raw-column rows are drawn from the same global
-counters as object construction, in the same per-coflow order (the ``w``
-member flow ids, then the coflow id), so a run ingested through blocks is
-bit-identical — ids included — to the same run ingested through objects.
+counters as object construction.  A batch of coflows reserves all its
+flow ids, then all its coflow ids; the counters are independent, so these
+are the ids the coflows would have drawn one by one, and a run ingested
+through blocks is bit-identical — ids included — to the same run
+ingested through objects.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class CoflowBlock:
         compressible,
         override,
         flow_id,
-        flow_arrival=None,
+        flow_arrival,
         coflows: Optional[List[Optional[Coflow]]] = None,
     ) -> None:
         self.arrival = np.asarray(arrival, dtype=np.float64)
@@ -97,10 +99,7 @@ class CoflowBlock:
         # object API lets them diverge (a coflow's arrival mutated after
         # construction does not restamp members) — carry them explicitly
         # so block ingest reproduces the object path bit-for-bit.
-        if flow_arrival is None:
-            self.flow_arrival = np.repeat(self.arrival, self.width)
-        else:
-            self.flow_arrival = np.asarray(flow_arrival, dtype=np.float64)
+        self.flow_arrival = np.asarray(flow_arrival, dtype=np.float64)
         self.coflows = coflows
 
     @property
@@ -206,131 +205,112 @@ class CoflowBlock:
 class BlockBuilder:
     """Accumulates coflows — raw columns or objects — into one block.
 
-    Sources use this to assemble an admission batch: synthetic generators
-    append raw column rows (:meth:`add_columns`), while buffered-lookahead
-    or legacy paths append full objects (:meth:`add_coflow`).  ``build``
-    concatenates everything into a single :class:`CoflowBlock`; the
-    ``coflows`` list is carried only when at least one object was added.
+    Sources use this to assemble an admission batch: parsers and
+    generators append many coflows of raw columns in one call
+    (:meth:`add_columns`), while buffered-lookahead or legacy paths append
+    full objects (:meth:`add_coflow`).  ``build`` concatenates the chunks
+    into a single :class:`CoflowBlock`; the ``coflows`` list is carried
+    only when at least one object was added.
     """
 
     def __init__(self) -> None:
-        self._arrival: List[float] = []
-        self._width: List[int] = []
-        self._cid: List[int] = []
+        # per call: an (arrival, width, coflow_id) and a (src, dst, size,
+        # compressible, override, flow_id, flow_arrival) column tuple;
+        # CoflowBlock casts the concatenated columns to their dtypes
+        self._coflow_cols: List[tuple] = []
+        self._flow_cols: List[tuple] = []
         self._label: List[str] = []
         self._deadline: List[Optional[float]] = []
-        self._src: List[np.ndarray] = []
-        self._dst: List[np.ndarray] = []
-        self._size: List[np.ndarray] = []
-        self._comp: List[np.ndarray] = []
-        self._override: List[np.ndarray] = []
-        self._fid: List[np.ndarray] = []
-        self._farr: List[np.ndarray] = []
         self._objs: List[Optional[Coflow]] = []
-        self._any_obj = False
         self.n_flows = 0
 
     @property
     def n_coflows(self) -> int:
-        return len(self._arrival)
+        return len(self._label)
+
+    def _append(self, coflow_cols, flow_cols, label, deadline, objs) -> None:
+        self._coflow_cols.append(coflow_cols)
+        self._flow_cols.append(flow_cols)
+        self._label.extend(label)
+        self._deadline.extend(deadline)
+        self._objs.extend(objs)
+        self.n_flows += len(flow_cols[0])
 
     def add_columns(
         self,
-        arrival: float,
-        src: np.ndarray,
-        dst: np.ndarray,
-        size: np.ndarray,
-        compressible: np.ndarray,
-        override: Optional[np.ndarray] = None,
-        label: str = "",
-        deadline: Optional[float] = None,
-        flow_id0: Optional[int] = None,
-        coflow_id: Optional[int] = None,
-    ) -> int:
-        """Append one coflow from raw per-flow columns; returns its id.
+        arrival,
+        src,
+        dst,
+        size,
+        compressible,
+        override=None,
+        width=None,
+        label="",
+        deadline=None,
+    ) -> None:
+        """Append coflows from raw columns, reserving their ids in bulk.
 
-        When ids are not supplied they are reserved from the global
-        counters here, in object-construction order (flow ids first, then
-        the coflow id).
+        ``arrival``, ``width``, ``label`` and ``deadline`` are per coflow;
+        the rest are per flow, each coflow's flows contiguous.  Without
+        ``width`` the columns are one coflow and the per-coflow values are
+        scalars.  ``override`` defaults to ``-1`` (no ratio override).
+
+        All flow ids are reserved first, then all coflow ids.  The two
+        counters are independent, so this draws the same ids as
+        constructing the coflows one after another.
         """
-        src = np.asarray(src, dtype=np.intp)
-        w = int(src.size)
-        if flow_id0 is None:
-            flow_id0 = reserve_flow_ids(w)
-        if coflow_id is None:
-            coflow_id = reserve_coflow_ids(1)
-        self._arrival.append(float(arrival))
-        self._width.append(w)
-        self._cid.append(int(coflow_id))
-        self._label.append(label)
-        self._deadline.append(deadline)
-        self._src.append(src)
-        self._dst.append(np.asarray(dst, dtype=np.intp))
-        self._size.append(np.asarray(size, dtype=np.float64))
-        self._comp.append(np.asarray(compressible, dtype=bool))
+        n = len(src)
+        if width is None:
+            arrival, width, label, deadline = [arrival], [n], [label], [deadline]
+        m = len(arrival)
+        flow_id0, coflow_id0 = reserve_flow_ids(n), reserve_coflow_ids(m)
         if override is None:
-            self._override.append(np.full(w, -1.0))
-        else:
-            self._override.append(np.asarray(override, dtype=np.float64))
-        self._fid.append(np.arange(flow_id0, flow_id0 + w, dtype=np.int64))
-        self._farr.append(np.full(w, float(arrival)))
-        self._objs.append(None)
-        self.n_flows += w
-        return int(coflow_id)
+            override = np.full(n, -1.0)
+        self._append(
+            (arrival, width, np.arange(coflow_id0, coflow_id0 + m)),
+            (src, dst, size, compressible, override,
+             np.arange(flow_id0, flow_id0 + n), np.repeat(arrival, width)),
+            label, deadline, [None] * m,
+        )
 
     def add_coflow(self, coflow: Coflow) -> int:
         """Append one already-constructed coflow object; returns its id."""
-        w = len(coflow.flows)
-        self._arrival.append(coflow.arrival)
-        self._width.append(w)
-        self._cid.append(coflow.coflow_id)
-        self._label.append(coflow.label)
-        self._deadline.append(coflow.deadline)
-        self._src.append(np.fromiter((f.src for f in coflow.flows), np.intp, w))
-        self._dst.append(np.fromiter((f.dst for f in coflow.flows), np.intp, w))
-        self._size.append(
-            np.fromiter((f.size for f in coflow.flows), np.float64, w)
+        flows = coflow.flows
+        rows = [
+            (f.src, f.dst, f.size, f.compressible,
+             -1.0 if f.ratio_override is None else f.ratio_override,
+             f.flow_id, f.arrival)
+            for f in flows
+        ]
+        self._append(
+            ([coflow.arrival], [len(flows)], [coflow.coflow_id]),
+            tuple(zip(*rows)),
+            [coflow.label], [coflow.deadline], [coflow],
         )
-        self._comp.append(
-            np.fromiter((f.compressible for f in coflow.flows), bool, w)
-        )
-        self._override.append(
-            np.fromiter(
-                (
-                    -1.0 if f.ratio_override is None else f.ratio_override
-                    for f in coflow.flows
-                ),
-                np.float64,
-                w,
-            )
-        )
-        self._fid.append(
-            np.fromiter((f.flow_id for f in coflow.flows), np.int64, w)
-        )
-        self._farr.append(
-            np.fromiter((f.arrival for f in coflow.flows), np.float64, w)
-        )
-        self._objs.append(coflow)
-        self._any_obj = True
-        self.n_flows += w
         return coflow.coflow_id
 
     def build(self) -> Optional[CoflowBlock]:
         """The accumulated block, or ``None`` when nothing was added."""
-        if not self._arrival:
+        if not self._label:
             return None
+        arrival, width, coflow_id = (
+            np.concatenate(col) for col in zip(*self._coflow_cols)
+        )
+        src, dst, size, comp, override, flow_id, flow_arrival = (
+            np.concatenate(col) for col in zip(*self._flow_cols)
+        )
         return CoflowBlock(
-            arrival=self._arrival,
-            width=self._width,
-            coflow_id=self._cid,
+            arrival=arrival,
+            width=width,
+            coflow_id=coflow_id,
             label=self._label,
             deadline=self._deadline,
-            src=np.concatenate(self._src),
-            dst=np.concatenate(self._dst),
-            size=np.concatenate(self._size),
-            compressible=np.concatenate(self._comp),
-            override=np.concatenate(self._override),
-            flow_id=np.concatenate(self._fid),
-            flow_arrival=np.concatenate(self._farr),
-            coflows=list(self._objs) if self._any_obj else None,
+            src=src,
+            dst=dst,
+            size=size,
+            compressible=comp,
+            override=override,
+            flow_id=flow_id,
+            flow_arrival=flow_arrival,
+            coflows=self._objs if any(o is not None for o in self._objs) else None,
         )

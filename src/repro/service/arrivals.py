@@ -21,13 +21,14 @@ compact cursor and resume the stream exactly where it left off.
 Sources also vend whole *admission blocks*: :meth:`ArrivalSource.
 pop_block` drains every coflow inside a horizon (subject to a flow
 budget) into one :class:`~repro.core.ingest.CoflowBlock`.  The concrete
-sources override it to emit raw columns — the synthetic generator fills
-columns straight from its rng draws, the JSONL reader parses records to
-columns via :func:`repro.traces.io.coflow_json_to_columns` — so the
-steady-state streaming path never constructs ``Flow``/``Coflow`` objects.
-Ids are reserved from the same global counters in the same per-coflow
-order, so a blocked stream is bit-identical (ids included) to the same
-stream popped one object at a time.
+sources override it to emit raw columns — the synthetic generator gathers
+its rng draws, the JSONL reader reads each due line once into flat Python
+lists — and hand the whole block to one
+:meth:`~repro.core.ingest.BlockBuilder.add_columns` call, so the
+steady-state streaming path never constructs ``Flow``/``Coflow`` objects
+and reserves ids once per block.  The ids are the ones the same coflows
+would draw one object at a time, so a blocked stream is bit-identical
+(ids included) to the same stream popped object by object.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.core.flow import Flow
 from repro.core.ingest import BlockBuilder, CoflowBlock
 from repro.errors import ConfigurationError
 from repro.traces.distributions import SizeDistribution, spark_flow_sizes
-from repro.traces.io import coflow_json_to_columns
 
 _MODES = ("steady", "bursty", "diurnal")
 
@@ -212,6 +212,16 @@ class ArrivalSource:
             builder.add_coflow(self.pop())
         return builder.build()
 
+    def _take_lookahead(self, builder: BlockBuilder, horizon: float) -> bool:
+        """Move a due lookahead coflow into ``builder``; ``False`` when it
+        is past ``horizon``, which ends the block before it."""
+        if self._buffered is None:
+            return True
+        if self._buffered.arrival > horizon:
+            return False
+        builder.add_coflow(self.pop())
+        return True
+
 
 class SyntheticSource(ArrivalSource):
     """Seeded unbounded generator of coflows (see :class:`SourceSpec`)."""
@@ -314,36 +324,39 @@ class SyntheticSource(ArrivalSource):
     def pop_block(
         self, horizon: float, flow_budget: Optional[int] = None
     ) -> Optional[CoflowBlock]:
+        budget = math.inf if flow_budget is None else flow_budget
         builder = BlockBuilder()
-        while flow_budget is None or builder.n_flows < flow_budget:
-            if self._buffered is not None:
-                # a peek() lookahead already materialized this coflow
-                if self._buffered.arrival > horizon:
-                    break
-                builder.add_coflow(self.pop())
-                continue
-            if self._exhausted:
-                break
+        if budget <= 0 or not self._take_lookahead(builder, horizon):
+            return None
+        raws, overshoot = [], None
+        n = builder.n_flows
+        while n < budget and not self._exhausted:
             cur = self._cursor()
             raw = self._next_raw()
             if raw is None:
                 self._exhausted = True
                 self._pre_cursor = None
+            elif raw["arrival"] > horizon:
+                overshoot = raw, cur
                 break
-            if raw["arrival"] > horizon:
-                # overshoot: stash it for the next tick (materialized, so
-                # peek()/state() keep their object-buffer contract)
-                self._buffered = self._materialize(raw)
-                self._pre_cursor = cur
-                break
+            else:
+                raws.append(raw)
+                n += raw["src"].size
+        if raws:
             builder.add_columns(
-                raw["arrival"],
-                raw["src"],
-                raw["dst"],
-                raw["size"],
-                raw["compressible"],
-                label=raw["label"],
+                [r["arrival"] for r in raws],
+                *(np.concatenate([r[k] for r in raws])
+                  for k in ("src", "dst", "size", "compressible")),
+                width=[r["src"].size for r in raws],
+                label=[r["label"] for r in raws],
+                deadline=[None] * len(raws),
             )
+        if overshoot is not None:
+            # stash it for the next tick, materialized so peek()/state()
+            # keep their object-buffer contract; only after the block's
+            # ids are reserved, because constructing the coflow draws its own
+            self._buffered = self._materialize(overshoot[0])
+            self._pre_cursor = overshoot[1]
         return builder.build()
 
     def _cursor(self) -> Dict[str, Any]:
@@ -423,14 +436,16 @@ class JsonlSource(ArrivalSource):
     "flows": [{"src", "dst", "size", "compressible"?, "ratio_override"?}]}``.
     Lines must be in non-decreasing arrival order; blank lines are skipped.
     The cursor is the number of non-blank lines consumed, so ``seek`` on a
-    file re-opens and skips — stdin cannot seek.
+    file re-opens and skips — stdin cannot seek.  Errors name the physical
+    line, blank lines included.
     """
 
     def __init__(self, path: str, limit: Optional[int] = None) -> None:
         super().__init__()
         self.path = path
         self.limit = limit
-        self._lines = 0
+        self._lines = 0  # non-blank lines consumed: the cursor
+        self._lineno = 0  # physical lines read: for error messages
         self._last_arrival = -math.inf
         if path == "-":
             self._fh: Optional[IO[str]] = sys.stdin
@@ -439,28 +454,35 @@ class JsonlSource(ArrivalSource):
             self._fh = open(path, "r", encoding="utf-8")
             self._owns = True
 
+    def _bad_line(self, exc: Exception) -> ConfigurationError:
+        return ConfigurationError(
+            f"bad JSONL coflow on line {self._lineno} of {self.path}: {exc}"
+        )
+
     def _next_record(self) -> Optional[Dict[str, Any]]:
-        """Parse the next non-blank line into a record dict (no objects)."""
+        """Parse the next non-blank line into a record dict (no objects).
+
+        The record's arrival, checked non-decreasing, is left in
+        ``self._last_arrival``.
+        """
         if self._fh is None:
             return None
         if self.limit is not None and self._lines >= self.limit:
             self._close()
             return None
         for line in self._fh:
-            line = line.strip()
-            if not line:
+            self._lineno += 1
+            if line.isspace():
                 continue
             self._lines += 1
             try:
                 rec = json.loads(line)
                 arrival = float(rec.get("arrival", 0.0))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigurationError(
-                    f"bad JSONL coflow on line {self._lines} of {self.path}: {exc}"
-                ) from exc
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise self._bad_line(exc) from exc
             if arrival < self._last_arrival:
                 raise ConfigurationError(
-                    f"JSONL arrivals must be non-decreasing; line {self._lines} "
+                    f"JSONL arrivals must be non-decreasing; line {self._lineno} "
                     f"has arrival {arrival} after {self._last_arrival}"
                 )
             self._last_arrival = arrival
@@ -468,55 +490,66 @@ class JsonlSource(ArrivalSource):
         self._close()
         return None
 
-    def _next(self) -> Optional[Coflow]:
-        rec = self._next_record()
-        if rec is None:
-            return None
+    def _to_coflow(self, rec: Dict[str, Any]) -> Coflow:
         try:
             return coflow_from_json(rec)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"bad JSONL coflow on line {self._lines} of {self.path}: {exc}"
-            ) from exc
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise self._bad_line(exc) from exc
+
+    def _next(self) -> Optional[Coflow]:
+        rec = self._next_record()
+        return None if rec is None else self._to_coflow(rec)
 
     def pop_block(
         self, horizon: float, flow_budget: Optional[int] = None
     ) -> Optional[CoflowBlock]:
+        """Read every due line once into flat column lists, then hand the
+        block to one :meth:`BlockBuilder.add_columns` call."""
+        budget = math.inf if flow_budget is None else flow_budget
         builder = BlockBuilder()
-        while flow_budget is None or builder.n_flows < flow_budget:
-            if self._buffered is not None:
-                if self._buffered.arrival > horizon:
-                    break
-                builder.add_coflow(self.pop())
-                continue
-            if self._exhausted:
-                break
-            cur = self._cursor()
+        if budget <= 0 or not self._take_lookahead(builder, horizon):
+            return None
+        arrival, width, label, deadline = [], [], [], []
+        src, dst, size, comp, override = [], [], [], [], []
+        add_src, add_dst, add_size = src.append, dst.append, size.append
+        add_comp, add_override = comp.append, override.append
+        n = builder.n_flows
+        overshoot = None
+        while n < budget:
             rec = self._next_record()
             if rec is None:
                 self._exhausted = True
                 self._pre_cursor = None
                 break
-            try:
-                cols = coflow_json_to_columns(rec)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigurationError(
-                    f"bad JSONL coflow on line {self._lines} of {self.path}: {exc}"
-                ) from exc
-            if cols["arrival"] > horizon:
-                self._buffered = coflow_from_json(rec)
-                self._pre_cursor = cur
+            if self._last_arrival > horizon:
+                overshoot = rec
                 break
+            try:
+                flows = rec["flows"]
+                for f in flows:
+                    add_src(int(f["src"]))
+                    add_dst(int(f["dst"]))
+                    add_size(float(f["size"]))
+                    add_comp(bool(f.get("compressible", True)))
+                    ratio = f.get("ratio_override")
+                    add_override(-1.0 if ratio is None else float(ratio))
+                label.append(str(rec.get("label", "")))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise self._bad_line(exc) from exc
+            arrival.append(self._last_arrival)
+            width.append(len(flows))
+            deadline.append(rec.get("deadline"))
+            n += len(flows)
+        if arrival:
             builder.add_columns(
-                cols["arrival"],
-                cols["src"],
-                cols["dst"],
-                cols["size"],
-                cols["compressible"],
-                override=cols["override"],
-                label=cols["label"],
-                deadline=cols["deadline"],
+                arrival, src, dst, size, comp, override,
+                width=width, label=label, deadline=deadline,
             )
+        if overshoot is not None:
+            # stash it for the next tick; only after the block's ids are
+            # reserved, because constructing the coflow draws its own
+            self._buffered = self._to_coflow(overshoot)
+            self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
         return builder.build()
 
     def _close(self) -> None:
@@ -535,8 +568,9 @@ class JsonlSource(ArrivalSource):
         if self._lines:
             raise ConfigurationError("seek() requires a fresh source")
         target = int(state["lines"])
+        # records, not coflows: skipping must draw no flow/coflow ids
         while self._lines < target:
-            if self._next() is None:
+            if self._next_record() is None:
                 raise ConfigurationError(
                     f"JSONL cursor {target} beyond end of {self.path} ({self._lines} lines)"
                 )

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Dict, List, TextIO, Union
-
-import numpy as np
+from typing import Dict, List, TextIO, Union
 
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
@@ -50,40 +48,6 @@ def write_csv_trace(coflows: List[Coflow], dest: Union[str, Path, TextIO]) -> No
                 "compressible": int(f.compressible),
                 "ratio_override": "" if f.ratio_override is None else repr(f.ratio_override),
             })
-
-
-def coflow_json_to_columns(rec: Dict[str, Any]) -> Dict[str, Any]:
-    """Parse one JSONL coflow record straight into raw per-flow columns.
-
-    Column-space twin of :func:`repro.service.arrivals.coflow_from_json`:
-    the same record layout, but no :class:`Flow`/:class:`Coflow` objects
-    (and no ids drawn) — the block ingest path stamps ids later, in
-    object-construction order.  ``override`` uses ``-1.0`` for "no
-    ratio override", matching :class:`repro.core.ingest.CoflowBlock`.
-    """
-    flows = rec["flows"]
-    w = len(flows)
-    return {
-        "arrival": float(rec.get("arrival", 0.0)),
-        "label": str(rec.get("label", "")),
-        "deadline": rec.get("deadline"),
-        "src": np.fromiter((int(f["src"]) for f in flows), np.intp, w),
-        "dst": np.fromiter((int(f["dst"]) for f in flows), np.intp, w),
-        "size": np.fromiter((float(f["size"]) for f in flows), np.float64, w),
-        "compressible": np.fromiter(
-            (bool(f.get("compressible", True)) for f in flows), bool, w
-        ),
-        "override": np.fromiter(
-            (
-                -1.0
-                if f.get("ratio_override") is None
-                else float(f["ratio_override"])
-                for f in flows
-            ),
-            np.float64,
-            w,
-        ),
-    }
 
 
 def read_csv_trace(source: Union[str, Path, TextIO]) -> List[Coflow]:

@@ -14,9 +14,14 @@ batch engine it wraps:
 """
 
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
 from repro.core.results import ResultStore, concat_stores
@@ -200,6 +205,27 @@ class TestJsonlSource:
         with pytest.raises(ReproError):
             src.peek()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"arrival": 2.0, "flows": [{"src": 0, "dst": 1, "size": "big"}]},
+            {"arrival": 0.5, "flows": [{"src": 0, "dst": 1, "size": 10.0}]},
+            [2.0, [0, 1, 10.0]],
+        ],
+        ids=["malformed", "decreasing", "not-an-object"],
+    )
+    def test_error_names_physical_line(self, tmp_path, bad):
+        """Blank lines count: the bad record is physical line 4."""
+        good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
+        path = tmp_path / "blanks.jsonl"
+        path.write_text(json.dumps(good) + "\n\n\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ReproError, match="line 4 "):
+            JsonlSource(str(path)).pop_block(1e9)
+        src = JsonlSource(str(path))
+        src.pop()
+        with pytest.raises(ReproError, match="line 4 "):
+            src.peek()
+
     def test_seek_skips_consumed_lines(self, tmp_path):
         coflows = _drain_all(_spec(limit=10).build())
         path = str(self._write(tmp_path, coflows))
@@ -375,6 +401,83 @@ class TestBlockAdmission:
         assert blk_fast.coflows is None
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_jsonl_pop_block_matches_object_pop(self, data):
+        """JsonlSource's one-pass block parse builds, column for column and
+        id for id, the block the generic object-popping pop_block builds
+        from the same file — whether a block ends on the horizon
+        overshoot, on the flow-budget overshoot or with a lookahead
+        already buffered by peek()."""
+        from repro.core.coflow import coflow_id_watermark
+        from repro.core.flow import flow_id_watermark
+        from repro.service.arrivals import ArrivalSource
+
+        rows, t = [], 0.0
+        for i in range(data.draw(st.integers(1, 12), label="coflows")):
+            t += data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+            flows = []
+            for _ in range(data.draw(st.integers(1, 4))):
+                f = {
+                    "src": data.draw(st.integers(0, 3)),
+                    "dst": data.draw(st.integers(0, 3)),
+                    "size": data.draw(st.floats(1.0, 1e6)),
+                }
+                if data.draw(st.booleans()):
+                    f["compressible"] = False
+                if data.draw(st.booleans()):
+                    f["ratio_override"] = data.draw(st.floats(0.1, 0.9))
+                flows.append(f)
+            rec = {"arrival": t, "flows": flows}
+            if data.draw(st.booleans()):
+                rec["deadline"] = data.draw(st.floats(0.5, 5.0))
+            if data.draw(st.booleans()):
+                rec["label"] = f"job-{i}"
+            rows.append(rec)
+        cuts = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0.0, 0.05, 0.2, 1.0]),  # horizon step
+                    st.sampled_from([None, 1, 2, 5]),  # flow budget
+                    st.booleans(),  # peek() first
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            label="cuts",
+        )
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "arrivals.jsonl")
+            with open(path, "w") as fh:
+                fh.write("".join(json.dumps(r) + "\n" for r in rows))
+            for pop_block in (JsonlSource.pop_block, ArrivalSource.pop_block):
+                bases = (flow_id_watermark(), coflow_id_watermark())
+                src = JsonlSource(path)
+                blocks, horizon = [], 0.0
+                for step, budget, peek in cuts:
+                    horizon += step
+                    if peek:
+                        src.peek()
+                    blocks.append(pop_block(src, horizon, budget))
+                blocks.append(pop_block(src, math.inf))
+                runs.append((blocks, bases))
+        (fast, (fb, cb)), (base, (fb0, cb0)) = runs
+        for x, y in zip(fast, base):
+            assert (x is None) == (y is None)
+            if x is None:
+                continue
+            for col in ("arrival", "width", "src", "dst", "size",
+                        "compressible", "override", "flow_arrival"):
+                assert np.array_equal(
+                    getattr(x, col), getattr(y, col)
+                ), f"column {col} differs"
+            assert x.label == y.label
+            assert x.deadline == y.deadline
+            assert np.array_equal(x.flow_id - fb, y.flow_id - fb0)
+            assert np.array_equal(x.coflow_id - cb, y.coflow_id - cb0)
+
+
 # -------------------------------------------------------- checkpointing
 class TestCheckpoint:
     def test_mid_stream_roundtrip_is_bit_identical(self, tmp_path):
@@ -396,6 +499,47 @@ class TestCheckpoint:
         assert list(whole.result_store().cf_label) == list(
             combined.cf_label
         )
+
+    def test_jsonl_mid_stream_roundtrip_keeps_ids(self, tmp_path):
+        """The JSONL twin of the round trip above, ids included: seeking
+        the restored source to its cursor draws no ids, so the resumed
+        stream draws from the checkpoint's watermark in file order."""
+        from repro.core.flow import flow_id_watermark
+
+        coflows = _drain_all(_spec(limit=60).build())
+        path = tmp_path / "arrivals.jsonl"
+        path.write_text(
+            "".join(json.dumps(coflow_to_json(c)) + "\n" for c in coflows)
+        )
+        spec = SourceSpec(kind="jsonl", path=str(path))
+        # file position of each coflow's first flow
+        first_flow = np.cumsum([0] + [len(c.flows) for c in coflows])
+
+        base = flow_id_watermark()
+        whole = _driver(spec, tick=0.05)
+        whole.run()
+        whole_pos = np.asarray(whole.result_store().flow_id) - base
+
+        base = flow_id_watermark()
+        first = _driver(spec, tick=0.05)
+        first.run(max_ticks=4)
+        ck = first.checkpoint(tmp_path / "serve.ckpt.npz")
+        pre = list(first.shards)
+        data = load_checkpoint(ck)
+        mark = data["flow_id_watermark"]
+
+        second = restore_driver(ck)
+        assert flow_id_watermark() == mark
+        second.run()
+        combined = concat_stores(pre + second.shards)
+        _assert_same_content(whole.result_store(), combined)
+        _assert_same_content(whole.result_store(), combined, CF_CONTENT)
+        # ids back to file positions: below the mark they count from the
+        # first run's base, above it from the cursor's first flow
+        ids = np.asarray(combined.flow_id)
+        resumed_at = first_flow[data["source_state"]["lines"]]
+        pos = np.where(ids < mark, ids - base, ids - mark + resumed_at)
+        assert np.array_equal(pos, whole_pos)
 
     def test_checkpoint_carries_driver_and_source_state(self, tmp_path):
         d = _driver()
