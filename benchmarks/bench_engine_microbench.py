@@ -331,7 +331,7 @@ def test_incremental_view_overhead_under_5pct():
     where a from-scratch regroup is cheapest and the incremental
     bookkeeping is pure overhead — the incremental path must stay within
     5 % of the ``force_regroup`` path.  (At scale it is strictly faster;
-    ``benchmarks/bench_hotpath_scale.py`` tracks that side.)
+    the ``burst-decide`` workload of ``e2ebench/`` tracks that side.)
     """
     cfg = WorkloadConfig(
         num_coflows=60,

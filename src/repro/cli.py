@@ -18,18 +18,10 @@ Subcommands
     Run a scenario with the observability layer enabled and write the
     structured event trace as JSONL (read back with
     :func:`repro.analysis.read_trace`).
-``bench``
-    Run the hot-path scaling grid and append an entry to the
-    ``BENCH_hotpath.json`` perf trajectory at the repo root;
-    ``--bigtrace`` instead replays a synthetic FB-like trace (130k+
-    flows) end to end against the pinned pre-columnar engine and
-    appends to ``BENCH_bigtrace.json`` (``--smoke`` is the seconds-scale
-    CI identity check).
 ``sweep``
     Run a (policy × bandwidth × seed) experiment grid through the
     parallel runner (:mod:`repro.runner`) with the content-addressed
-    result cache; ``--smoke`` is the CI equivalence check and
-    ``--bench`` the tracked ``BENCH_sweep.json`` scaling grid.
+    result cache; ``--smoke`` is the CI equivalence check.
 ``report``
     Run a pooled sweep with per-worker telemetry attached and render the
     merged run report (per-policy decision latency, bytes sent,
@@ -45,8 +37,7 @@ Subcommands
     Prometheus exposition, ``/snapshot`` JSON, ``/healthz``/``/readyz``
     with a stall watchdog) on a daemon thread; ``--smoke`` is the CI
     checkpoint/restore identity check (with ``--metrics-port`` it also
-    polls the plane mid-run) and ``--bench`` the tracked
-    ``BENCH_stream.json`` 1M-flow replay.
+    polls the plane mid-run).
 ``top``
     Live terminal dashboard for a running ``repro serve
     --metrics-port N`` (local or remote): polls ``/snapshot`` and
@@ -62,12 +53,8 @@ Examples::
     python -m repro cluster --scale large
     python -m repro trace fig4 --policy fvdf --out fig4.jsonl
     python -m repro trace synthetic --coflows 50 --profile
-    python -m repro bench --check
-    python -m repro bench --bigtrace --check
-    python -m repro bench --bigtrace --smoke
     python -m repro sweep --workers 4
     python -m repro sweep --smoke
-    python -m repro sweep --bench --check
     python -m repro report --workers 4 --out report.json
     python -m repro report --smoke
     python -m repro serve --rate 200 --mode bursty --coflows 5000
@@ -77,7 +64,6 @@ Examples::
     python -m repro serve --metrics-port 9090
     python -m repro serve --smoke
     python -m repro serve --smoke --metrics-port 0
-    python -m repro serve --bench --check
     python -m repro top --port 9090
     python -m repro top --url http://scheduler-host:9090 --once
 """
@@ -316,144 +302,56 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path scaling grid, append to the perf trajectory."""
-    from repro.analysis import perfbench
-
-    if args.bigtrace or args.smoke:
-        return _bench_bigtrace(args)
-
-    entry = perfbench.bench_entry(repeats=args.repeats, label=args.label)
-    rows = [
-        [
-            c["name"],
-            f"{c['num_coflows']}cf/{c['num_ports']}p/w{c['max_width']}",
-            f"{c['wall_s']:.3f}s",
-            str(c["decisions"]),
-            f"{c['decisions_per_sec']:.0f}",
-            str(c["peak_active_flows"]),
-        ]
-        for c in entry["cases"]
-    ]
-    print(render_table(
-        ["case", "grid", "wall", "decisions", "dec/s", "peak flows"],
-        rows, title="hot-path scaling grid (best of "
-                    f"{entry['repeats']})",
-    ))
-    sp = entry["speedup"]
-    if sp is not None:
-        print(
-            f"\n{sp['case']} case: reference {sp['before_s']:.3f}s -> "
-            f"vectorized {sp['after_s']:.3f}s  ({sp['ratio']:.2f}x)"
-        )
-    out = Path(args.out) if args.out else perfbench.default_bench_path()
-    if not args.dry_run:
-        perfbench.append_entry(out, entry)
-        print(f"trajectory appended -> {out}")
-    if args.check:
-        if sp is None or sp["ratio"] < perfbench.MIN_SPEEDUP:
-            got = "n/a" if sp is None else f"{sp['ratio']:.2f}x"
-            print(
-                f"error: speedup check failed: {got} < "
-                f"{perfbench.MIN_SPEEDUP:.1f}x on {perfbench.SPEEDUP_CASE}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"speedup check passed (>= {perfbench.MIN_SPEEDUP:.1f}x)")
-    return 0
-
-
-def _bench_bigtrace(args: argparse.Namespace) -> int:
-    """`bench --bigtrace`: the trace-scale BENCH_bigtrace.json replay."""
-    from repro.analysis import bigbench
-
-    case = bigbench.SMOKE_CASE if args.smoke else bigbench.CASE
-    entry = bigbench.bench_entry(
-        repeats=args.repeats, label=args.label, case=case,
-        npz_out=args.npz, smoke_trace_identity=args.smoke,
-    )
-    tr, sp, rec = entry["trace"], entry["speedup"], entry["recorder"]
-    rows = [
-        [tr["case"],
-         f"{tr['num_coflows']}cf/{tr['num_flows']}fl/{tr['num_ports']}p",
-         tr["policy"],
-         f"{sp['before_s']:.3f}s",
-         f"{sp['after_s']:.3f}s",
-         f"{rec['wall_s']:.3f}s",
-         f"{sp['ratio']:.2f}x"],
-    ]
-    print(render_table(
-        ["case", "trace", "policy", "pre-columnar", "columnar",
-         "+recorder", "speedup"],
-        rows,
-        title="Trace-scale end-to-end replay (submit_many -> run -> metrics)",
-    ))
-    print(
-        f"\nbit-identical: {entry['identical']} | decisions: "
-        f"{entry['decisions']} | makespan: {entry['makespan']:.1f}s"
-    )
-    rec_ident = (
-        f" | stream identical: {rec['identical']}"
-        if "identical" in rec else ""
-    )
-    print(
-        f"recorder: {rec['records']} records in "
-        f"{rec['nbytes'] / 1e6:.1f}MB of columns | retained "
-        f"{rec['retained']:.0%} of the untraced speedup"
-        f"{rec_ident}"
-    )
-    if args.npz:
-        print(f"recorder trace saved -> {args.npz}")
-    if not args.smoke:
-        out = Path(args.out) if args.out else bigbench.default_bigbench_path()
-        if not args.dry_run:
-            bigbench.append_entry(out, entry, schema=bigbench.SCHEMA)
-            print(f"trajectory appended -> {out}")
-    if args.check or args.smoke:
-        try:
-            bigbench.check_entry(entry, smoke=args.smoke)
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        floor = "identity" if args.smoke else f">= {bigbench.MIN_SPEEDUP:.1f}x"
-        print(f"bigtrace check passed ({floor})")
-    return 0
-
-
 def _floats_csv(parse):
     def _parse(text: str):
         return [parse(t) for t in text.split(",") if t.strip()]
     return _parse
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a (policy × bandwidth × seed) grid through the parallel runner."""
-    from repro.analysis import sweepbench
-    from repro.runner import ResultCache, resolve_workers, run_specs
-
-    if args.bench:
-        return _sweep_bench(args)
+def _sweep_grid(args: argparse.Namespace):
+    """The grid a ``sweep``/``report`` run asks for: the CI smoke grid
+    under ``--smoke``, else the grid options (defaults from
+    :data:`repro.runner.GRID`)."""
+    from repro.runner import SMOKE_GRID, SweepGrid
 
     if args.smoke:
-        return _sweep_smoke(args)
-
-    defaults = sweepbench.GRID
-    grid = sweepbench.SweepGrid(
+        return SMOKE_GRID
+    return SweepGrid(
         policies=tuple(args.policies),
-        bandwidths=tuple(args.bandwidths) if args.bandwidths else defaults.bandwidths,
-        seeds=tuple(args.seeds) if args.seeds else defaults.seeds,
+        bandwidths=tuple(args.bandwidths),
+        seeds=tuple(args.seeds),
         num_coflows=args.coflows,
         num_ports=args.ports,
         max_width=args.max_width,
         arrival_rate=args.rate,
         slice_len=args.slice,
     )
-    # An explicit --workers wins; otherwise REPRO_PARALLEL; otherwise this
-    # command (unlike the library default) goes wide — it exists to fan out.
+
+
+def _sweep_workers(args: argparse.Namespace) -> int:
+    """Pool size of a ``sweep``/``report`` run.
+
+    An explicit ``--workers`` wins; ``--smoke`` defaults to 2; otherwise
+    ``REPRO_PARALLEL``, otherwise these commands (unlike the library
+    default) go wide — they exist to fan out.
+    """
+    from repro.runner import resolve_workers
+
     if args.workers is not None:
-        workers = resolve_workers(args.workers)
-    else:
-        workers = resolve_workers(None) or resolve_workers("auto")
+        return resolve_workers(args.workers)
+    if args.smoke:
+        return 2
+    return resolve_workers(None) or resolve_workers("auto")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run a (policy × bandwidth × seed) grid through the parallel runner."""
+    from repro.runner import ResultCache, run_specs
+
+    grid, workers = _sweep_grid(args), _sweep_workers(args)
+    if args.smoke:
+        return _sweep_smoke(grid.specs(), workers)
+
     cache = ResultCache(
         root=args.cache_dir, enabled=False if args.no_cache else None
     )
@@ -488,15 +386,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_smoke(args: argparse.Namespace) -> int:
+def _sweep_smoke(specs, workers: int) -> int:
     """Tiny pool-vs-sequential equivalence run for CI (`sweep --smoke`)."""
     import tempfile
 
-    from repro.analysis import sweepbench
     from repro.runner import ResultCache, run_specs
 
-    workers = 2 if args.workers is None else int(args.workers)
-    specs = sweepbench.SMOKE_GRID.specs()
     seq = run_specs(specs, workers=0, cache=False)
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(root=tmp, enabled=True)
@@ -518,76 +413,14 @@ def _sweep_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_bench(args: argparse.Namespace) -> int:
-    """`sweep --bench`: the tracked BENCH_sweep.json scaling grid."""
-    from repro.analysis import sweepbench
-
-    workers = (
-        sweepbench.BENCH_WORKERS if args.workers is None else int(args.workers)
-    )
-    entry = sweepbench.bench_entry(workers=workers, label=args.label)
-    rows = [
-        ["sequential", f"{entry['sequential_s']:.2f}s", "1.00x"],
-        ["parallel (cold cache)", f"{entry['parallel_cold_s']:.2f}s",
-         f"{entry['pool_speedup']:.2f}x"],
-        ["parallel (warm cache)", f"{entry['parallel_warm_s']:.2f}s",
-         f"{entry['cache_speedup']:.2f}x"],
-    ]
-    print(render_table(
-        ["path", "wall", "speedup"],
-        rows,
-        title=f"sweep scaling — {entry['cells']} cells, "
-              f"{entry['workers']} workers on {entry['cores']} core(s)",
-    ))
-    sp = entry["speedup"]
-    print(
-        f"\nbit-identical: {entry['identical']} | tracked figure: "
-        f"{sp['ratio']:.2f}x (mode={sp['mode']}, floor {sp['floor']:.1f}x)"
-    )
-    out = Path(args.out) if args.out else sweepbench.default_sweep_path()
-    if not args.dry_run:
-        sweepbench.append_entry(out, entry)
-        print(f"trajectory appended -> {out}")
-    if args.check:
-        try:
-            sweepbench.check_entry(entry)
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"sweep check passed (>= {sweepbench.MIN_SPEEDUP:.1f}x)")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a pooled sweep with telemetry and render the merged report."""
     import time as _time
 
     from repro.analysis import report as report_mod
-    from repro.analysis import sweepbench
-    from repro.runner import ResultCache, RunTelemetry, resolve_workers, run_specs
+    from repro.runner import ResultCache, RunTelemetry, run_specs
 
-    if args.smoke:
-        grid = sweepbench.SMOKE_GRID
-        workers = 2 if args.workers is None else resolve_workers(args.workers)
-    else:
-        defaults = sweepbench.GRID
-        grid = sweepbench.SweepGrid(
-            policies=tuple(args.policies),
-            bandwidths=(
-                tuple(args.bandwidths) if args.bandwidths
-                else defaults.bandwidths
-            ),
-            seeds=tuple(args.seeds) if args.seeds else defaults.seeds,
-            num_coflows=args.coflows,
-            num_ports=args.ports,
-            max_width=args.max_width,
-            arrival_rate=args.rate,
-            slice_len=args.slice,
-        )
-        if args.workers is not None:
-            workers = resolve_workers(args.workers)
-        else:
-            workers = resolve_workers(None) or resolve_workers("auto")
+    grid, workers = _sweep_grid(args), _sweep_workers(args)
     cache = ResultCache(
         root=args.cache_dir, enabled=False if args.no_cache else None
     )
@@ -614,8 +447,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.service import SourceSpec, StreamDriver, restore_driver
 
-    if args.bench:
-        return _serve_bench(args)
     if args.smoke:
         return _serve_smoke(args)
 
@@ -912,41 +743,6 @@ def _serve_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_bench(args: argparse.Namespace) -> int:
-    """`serve --bench`: the tracked BENCH_stream.json streamed replay."""
-    from repro.analysis import streambench
-
-    case = streambench.SMOKE_CASE if args.smoke else streambench.CASE
-    entry = streambench.bench_entry(label=args.label, case=case)
-    rows = [
-        ["flows streamed", f"{entry['flows_done']:,}"],
-        ["wall", f"{entry['wall_s']:.2f}s"],
-        ["throughput", f"{entry['throughput_flows_per_s']:,.0f} flows/s"],
-        ["steady-state", f"{entry['steady_flows_per_s']:,.0f} flows/s"],
-        ["peak engine rows", f"{entry['peak_live_rows']:,} "
-         f"({entry['live_row_fraction']:.1%} of stream)"],
-        ["RSS growth 25%→end", f"{entry['rss_growth']:.3f}x"
-         if entry["rss_25_kb"] else "n/a (/proc unavailable)"],
-    ]
-    print(render_table(
-        ["metric", "value"], rows,
-        title=f"stream scaling — {entry['label']}, "
-              f"{entry['ticks']} ticks",
-    ))
-    if not args.smoke and not args.dry_run:
-        out = Path(args.out) if args.out else streambench.default_stream_path()
-        streambench.append_entry(out, entry, schema=streambench.SCHEMA)
-        print(f"trajectory appended -> {out}")
-    if args.check:
-        try:
-            streambench.check_entry(entry, case=case)
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print("stream check passed (throughput + bounded memory)")
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """Live ANSI dashboard over a running ``serve --metrics-port``."""
     import json as _json
@@ -1025,6 +821,37 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_grid_args(p: argparse.ArgumentParser, smoke_help: str) -> None:
+    """The grid, pool and cache options ``sweep`` and ``report`` share;
+    the help renders the defaults of :data:`repro.runner.GRID`."""
+    from repro.runner import GRID
+
+    def bw(b: float) -> str:
+        return f"{b / GBPS:g}gbps" if b >= GBPS else f"{b / MBPS:g}mbps"
+
+    p.add_argument("--policies", type=_policies, default=list(GRID.policies))
+    p.add_argument("--bandwidths", type=_floats_csv(parse_bandwidth),
+                   default=list(GRID.bandwidths),
+                   help="comma list of link bandwidths (default "
+                        f"{','.join(bw(b) for b in GRID.bandwidths)})")
+    p.add_argument("--seeds", type=_floats_csv(int), default=list(GRID.seeds),
+                   help="comma list of workload seeds (default "
+                        f"{','.join(str(s) for s in GRID.seeds)})")
+    p.add_argument("--coflows", type=int, default=GRID.num_coflows)
+    p.add_argument("--ports", type=int, default=GRID.num_ports)
+    p.add_argument("--max-width", type=int, default=GRID.max_width)
+    p.add_argument("--rate", type=float, default=GRID.arrival_rate)
+    p.add_argument("--slice", type=float, default=GRID.slice_len)
+    p.add_argument("--workers", default=None,
+                   help="pool size (int or 'auto'; default: REPRO_PARALLEL "
+                        "or 'auto'; --smoke defaults to 2)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the .repro-cache result cache entirely")
+    p.add_argument("--cache-dir", default=None,
+                   help="cache root (default: $REPRO_CACHE_DIR or .repro-cache)")
+    p.add_argument("--smoke", action="store_true", help=smoke_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Swallow (IPDPS'18) reproduction toolkit"
@@ -1091,71 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "bench", help="run the hot-path scaling grid (perf trajectory)"
-    )
-    p.add_argument("--repeats", type=int, default=3,
-                   help="best-of-N timing repeats (default 3)")
-    p.add_argument("--label", default="",
-                   help="entry label recorded in the trajectory")
-    p.add_argument("--out", default=None,
-                   help="trajectory path (default: BENCH_hotpath.json at "
-                        "the repo root)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="print results without touching the trajectory file")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero unless the large-grid speedup is "
-                        ">= 3x over the pinned reference")
-    p.add_argument("--bigtrace", action="store_true",
-                   help="run the trace-scale ingest/retire replay instead "
-                        "and append to BENCH_bigtrace.json")
-    p.add_argument("--smoke", action="store_true",
-                   help="with --bigtrace: seconds-scale CI "
-                        "case — verify bit-identity, skip the speedup "
-                        "floor, no append")
-    p.add_argument("--npz", default=None,
-                   help="with --bigtrace: save the recorder arm's columnar "
-                        "trace to this .npz path")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
         "sweep",
         help="run a (policy x bandwidth x seed) grid through the parallel "
              "runner with the content-addressed result cache",
     )
-    p.add_argument("--policies", type=_policies,
-                   default=["sebf", "scf", "ncf", "lcf", "pff", "pfp", "fvdf"])
-    p.add_argument("--bandwidths", type=_floats_csv(parse_bandwidth),
-                   default=None,
-                   help="comma list, e.g. 100mbps,1gbps,10gbps (the default)")
-    p.add_argument("--seeds", type=_floats_csv(int), default=None,
-                   help="comma list of workload seeds (default 14,15,16)")
-    p.add_argument("--coflows", type=int, default=60)
-    p.add_argument("--ports", type=int, default=16)
-    p.add_argument("--max-width", type=int, default=8)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument("--slice", type=float, default=0.01)
-    p.add_argument("--workers", default=None,
-                   help="pool size (int or 'auto'; default: REPRO_PARALLEL "
-                        "or 'auto', --smoke defaults to 2, --bench to 4)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the .repro-cache result cache entirely")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny pool-vs-sequential equivalence run (CI)")
-    p.add_argument("--bench", action="store_true",
-                   help="run the tracked sweep-scaling grid and append an "
-                        "entry to BENCH_sweep.json")
-    p.add_argument("--check", action="store_true",
-                   help="with --bench: exit non-zero unless the suite-level "
-                        "speedup clears the 2.5x floor")
-    p.add_argument("--label", default="",
-                   help="with --bench: entry label recorded in the trajectory")
-    p.add_argument("--out", default=None,
-                   help="with --bench: trajectory path (default: "
-                        "BENCH_sweep.json at the repo root)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="with --bench: print without touching the trajectory")
+    _add_grid_args(p, smoke_help="tiny pool-vs-sequential equivalence run (CI)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser(
@@ -1163,27 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a pooled sweep with per-worker telemetry and render the "
              "merged run report (writes report.json)",
     )
-    p.add_argument("--policies", type=_policies,
-                   default=["sebf", "scf", "ncf", "lcf", "pff", "pfp", "fvdf"])
-    p.add_argument("--bandwidths", type=_floats_csv(parse_bandwidth),
-                   default=None,
-                   help="comma list, e.g. 100mbps,1gbps,10gbps (the default)")
-    p.add_argument("--seeds", type=_floats_csv(int), default=None,
-                   help="comma list of workload seeds (default 14,15,16,17)")
-    p.add_argument("--coflows", type=int, default=60)
-    p.add_argument("--ports", type=int, default=16)
-    p.add_argument("--max-width", type=int, default=8)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument("--slice", type=float, default=0.01)
-    p.add_argument("--workers", default=None,
-                   help="pool size (int or 'auto'; default: REPRO_PARALLEL "
-                        "or 'auto'; --smoke defaults to 2)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the .repro-cache result cache entirely")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    p.add_argument("--smoke", action="store_true",
-                   help="run the tiny CI grid instead of the full sweep")
+    _add_grid_args(p, smoke_help="run the tiny CI grid instead of the full sweep")
     p.add_argument("--label", default="", help="label recorded in report.json")
     p.add_argument("--out", default="report.json",
                    help="report output path (default report.json)")
@@ -1239,16 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="CI check: 10k-flow stream with a mid-stream "
                         "checkpoint/restore round trip (bit-identical)")
-    p.add_argument("--bench", action="store_true",
-                   help="tracked BENCH_stream.json 1M-flow replay "
-                        "(with --smoke: the seconds-scale case, no append)")
-    p.add_argument("--check", action="store_true",
-                   help="with --bench: assert throughput/memory floors")
-    p.add_argument("--label", default="")
-    p.add_argument("--out", default=None,
-                   help="with --bench: trajectory file to append to")
-    p.add_argument("--dry-run", action="store_true",
-                   help="with --bench: do not append to the trajectory")
+    p.add_argument("--label", default="",
+                   help="label recorded in the --report telemetry report")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

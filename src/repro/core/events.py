@@ -13,9 +13,10 @@ Two calendar implementations live here:
   with staged batch appends, span-returning ``pop_due`` and lazy
   cancellation through a discard set instead of a per-call predicate.
 * :class:`HeapCalendar` — the original ``heapq``-of-``(arrival, counter,
-  Coflow)`` calendar, kept runnable for the pinned pre-columnar engine
-  (:mod:`repro.core.reference`) so the ingest benchmarks always measure
-  the columnar path against the exact code it replaced.
+  Coflow)`` calendar.  Only the pre-columnar test oracle
+  (:class:`repro.core.reference.PreColumnarSliceSimulator`) uses it;
+  ``tests/test_events.py`` checks its ordering and lazy-prune semantics
+  directly.
 """
 
 from __future__ import annotations
@@ -269,7 +270,8 @@ class ArrivalCalendar:
 
 class HeapCalendar:
     """Min-heap of coflows keyed by arrival time (the pre-columnar
-    calendar, kept verbatim for :mod:`repro.core.reference`)."""
+    calendar, kept verbatim for the test oracle in
+    :mod:`repro.core.reference`)."""
 
     def __init__(self) -> None:
         self._heap: List = []

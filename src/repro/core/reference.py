@@ -1,32 +1,26 @@
-"""Pinned pre-vectorization reference implementations (perf baseline).
+"""The engine's pre-columnar event paths, pinned as a test oracle.
 
-The decision-point hot path — FVDF's minimal-rate allocation, its
-work-conserving backfill, ``greedy_priority`` and ``madd``'s backfill —
-was originally written as scalar Python loops over
-:func:`~repro.core.rate_allocation.flow_headroom` /
-:func:`~repro.core.rate_allocation.consume`.  Those loops were replaced by
-the vectorized :func:`~repro.core.rate_allocation.priority_fill`; this
-module keeps the scalar originals **runnable** so the perf-regression
-harness (``python -m repro bench``, ``benchmarks/bench_hotpath_scale.py``)
-can measure the speedup of the vectorized path against the exact code it
-replaced, on the same machine and workload, every time the benchmark runs.
+:class:`PreColumnarSliceSimulator` keeps the scalar per-flow ingest,
+cancellation, retirement and full-regroup code that the columnar engine
+replaced.  It is a correctness oracle, not a production path:
 
-Nothing here is used by the schedulers; equivalence between the two paths
-is enforced by ``tests/test_vectorized_equivalence.py`` (which carries its
-own copy of the scalar loops, so a bug here cannot mask a bug there).
+* ``tests/test_columnar_results.py`` replays workloads through it and
+  through :class:`~repro.core.simulator.SliceSimulator` and requires
+  bit-identical per-flow and per-coflow results;
+* ``benchmarks/bench_engine_microbench.py::
+  test_columnar_ingest_cuts_submit_share`` uses it as the baseline the
+  columnar ingest must beat.
+
+Nothing in the library imports this module.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 import numpy as np
 
-from repro.core import rate_allocation as ra
 from repro.core.coflow import CoflowResult
 from repro.core.events import HeapCalendar
-from repro.core.fvdf import FVDFScheduler, compression_strategy, expected_fct
-from repro.core.scheduler import Allocation, SchedulerView
+from repro.core.scheduler import SchedulerView
 from repro.core.simulator import (
     _ACTIVE,
     _CANCELLED,
@@ -39,199 +33,17 @@ from repro.core.simulator import (
 from repro.errors import ConfigurationError
 
 
-def priority_fill_ref(
-    order: np.ndarray,
-    dims: Sequence[ra.Dimension],
-    demands: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-    n: Optional[int] = None,
-) -> np.ndarray:
-    """Scalar sequential priority filling — the pre-vectorization loop."""
-    if out is None:
-        if n is None:
-            n = max((len(groups) for groups, _ in dims), default=0)
-        out = np.zeros(n, dtype=np.float64)
-    for i in order:
-        r = ra.flow_headroom(i, dims)
-        if demands is not None:
-            r = min(r, float(demands[i]))
-        if r <= 0.0:
-            continue
-        out[i] += r
-        ra.consume(i, r, dims)
-    return out
-
-
-def greedy_priority_ref(
-    order: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rem_in: np.ndarray,
-    rem_out: np.ndarray,
-    demands: Optional[np.ndarray] = None,
-    extra: Optional[Sequence[ra.Dimension]] = None,
-) -> np.ndarray:
-    """Scalar :func:`~repro.core.rate_allocation.greedy_priority`."""
-    dims = ra.build_dims(src, dst, rem_in, rem_out, extra)
-    rates = np.zeros(len(src), dtype=np.float64)
-    priority_fill_ref(order, dims, demands=demands, out=rates)
-    return rates
-
-
-def madd_ref(
-    coflow_order: Sequence[np.ndarray],
-    src: np.ndarray,
-    dst: np.ndarray,
-    volumes: np.ndarray,
-    rem_in: np.ndarray,
-    rem_out: np.ndarray,
-    backfill: bool = True,
-    extra: Optional[Sequence[ra.Dimension]] = None,
-) -> np.ndarray:
-    """:func:`~repro.core.rate_allocation.madd` with the scalar backfill."""
-    rates = ra.madd(
-        coflow_order, src, dst, volumes, rem_in, rem_out,
-        backfill=False, extra=extra,
-    )
-    if backfill:
-        dims = ra.build_dims(src, dst, rem_in, rem_out, extra)
-        for idx in coflow_order:
-            for i in np.asarray(idx, dtype=np.intp):
-                if volumes[i] <= 0:
-                    continue
-                r = ra.flow_headroom(i, dims)
-                if r <= 0.0:
-                    continue
-                rates[i] += r
-                ra.consume(i, r, dims)
-    return rates
-
-
-class ReferenceFVDFScheduler(FVDFScheduler):
-    """FVDF with the pre-vectorization decision loop, kept verbatim.
-
-    Differences from :class:`~repro.core.fvdf.FVDFScheduler` (each one a
-    hot-path rewrite this baseline deliberately does *not* have):
-
-    * units materialized as a Python list of ``(flow_idx, P)`` tuples and
-      concatenated with ``np.concatenate`` at every decision;
-    * Γ per unit via a per-unit Python list comprehension instead of one
-      ``np.maximum.reduceat`` segment-max;
-    * both compression passes always run (no "β unchanged ⇒ Γ unchanged"
-      skip);
-    * the minimal pass, its backfill, and the greedy/madd policies walk
-      flows one at a time through ``flow_headroom``/``consume``.
-
-    Pair it with ``SliceSimulator.force_regroup = True`` to also restore
-    the per-decision view regrouping cost.
-    """
-
-    def __init__(self, config=None, name: Optional[str] = None):
-        super().__init__(config=config, name=name or "fvdf-ref")
-
-    def _units(self, view: SchedulerView) -> List[Tuple[np.ndarray, float]]:
-        if self.config.granularity == "coflow":
-            return [(cs.flow_idx, cs.priority_class) for cs in view.coflows]
-        units: List[Tuple[np.ndarray, float]] = []
-        for cs in view.coflows:
-            for i in cs.flow_idx:
-                units.append((np.asarray([i], dtype=np.intp), cs.priority_class))
-        return units
-
-    def schedule(self, view: SchedulerView) -> Allocation:
-        n = view.num_flows
-        if n == 0:
-            return Allocation.idle(0)
-        cfg = self.config
-        if cfg.logbase > 1.0 and view.trigger.is_preemption_point:
-            if cfg.aging == "starved":
-                for cs in view.coflows:
-                    if self._last_served.get(cs.coflow_id, True) is False:
-                        cs.priority_class *= cfg.logbase
-            else:
-                for cs in view.coflows:
-                    cs.priority_class *= cfg.logbase
-
-        units = self._units(view)
-        beta0 = compression_strategy(view, enable=cfg.compress)
-        gamma0 = self._ref_gammas(view, beta0, units)
-        provisional = np.argsort(
-            [g / p for (_, p), g in zip(units, gamma0)], kind="stable"
-        )
-        flow_order = np.concatenate([units[u][0] for u in provisional])
-        beta = compression_strategy(view, enable=cfg.compress, order=flow_order)
-        gamma = self._ref_gammas(view, beta, units)
-        order = np.argsort(
-            [g / p for (_, p), g in zip(units, gamma)], kind="stable"
-        )
-        rates = self._ref_allocate(view, units, order, gamma, beta)
-        self._last_served = {
-            cs.coflow_id: bool(
-                (rates[cs.flow_idx] > 0).any() or beta[cs.flow_idx].any()
-            )
-            for cs in view.coflows
-        }
-        return Allocation(rates=rates, compress=beta)
-
-    @staticmethod
-    def _ref_gammas(view, beta, units) -> np.ndarray:
-        gamma_f = expected_fct(view, beta)
-        return np.asarray([float(gamma_f[idx].max()) for idx, _ in units])
-
-    def _ref_allocate(self, view, units, order, gamma, beta) -> np.ndarray:
-        rem_in, rem_out = view.fresh_capacity()
-        extra = view.fresh_extra()
-        vol = view.raw + view.comp
-        rates = np.zeros(view.num_flows)
-        sendable = ~beta & (vol > 0)
-        if self.config.rate_policy == "madd":
-            groups = [units[u][0][sendable[units[u][0]]] for u in order]
-            return madd_ref(
-                groups, view.src, view.dst, vol, rem_in, rem_out, extra=extra
-            )
-        if self.config.rate_policy == "minimal":
-            dims = ra.build_dims(view.src, view.dst, rem_in, rem_out, extra)
-            for u in order:
-                idx, _ = units[u]
-                g = max(gamma[u], view.slice_len)
-                for i in idx:
-                    if not sendable[i]:
-                        continue
-                    r = min(vol[i] / g, ra.flow_headroom(i, dims))
-                    if r <= 0:
-                        continue
-                    rates[i] = r
-                    ra.consume(i, r, dims)
-            for u in order:
-                for i in units[u][0]:
-                    if not sendable[i]:
-                        continue
-                    headroom = ra.flow_headroom(i, dims)
-                    if headroom <= 0:
-                        continue
-                    rates[i] += headroom
-                    ra.consume(i, headroom, dims)
-            return rates
-        flow_order = [i for u in order for i in units[u][0] if sendable[i]]
-        return greedy_priority_ref(
-            np.asarray(flow_order, dtype=np.intp),
-            view.src, view.dst, rem_in, rem_out, extra=extra,
-        )
-
-
 class PreColumnarSliceSimulator(SliceSimulator):
     """The engine's scalar per-event path, pinned pre-columnar.
 
-    PR "columnar result pipeline" replaced the per-flow Python in the
-    engine's *event* paths — scalar ``submit`` column fills, the
-    per-flow ``FlowResult`` materialization loop inside
-    ``_retire_finished``, the dict-chasing full ``_regroup`` rebuild at
-    every structural change, per-decision ``raw``/``comp`` copies — with
-    batched column ops and a lazy ``ResultStore``.  This subclass keeps
-    the replaced implementations verbatim (same semantics, same results)
-    so ``benchmarks/bench_bigtrace_scale.py`` can re-measure the
-    end-to-end speedup on every run, exactly like
-    :class:`ReferenceFVDFScheduler` does for the scheduling math.
+    The columnar engine replaced the per-flow Python in the engine's
+    *event* paths — scalar ``submit`` column fills, the per-flow
+    ``FlowResult`` materialization loop inside ``_retire_finished``, the
+    dict-chasing full ``_regroup`` rebuild at every structural change,
+    per-decision ``raw``/``comp`` copies — with batched column ops and a
+    lazy ``ResultStore``.  This subclass keeps the replaced
+    implementations verbatim (same semantics, same results), so the tests
+    named in the module docstring can hold the columnar engine to them.
     """
 
     def __init__(self, *args, **kwargs):

@@ -1700,7 +1700,14 @@ class SliceSimulator:
         if cz.any():
             R = self.compression.speed
             gi = idx[cz]
-            consumed = np.minimum(self._raw[gi], R * dt)
+            raw = self._raw[gi]
+            consumed = np.minimum(raw, R * dt)
+            # A residual the engine counts as empty is roundoff (a window
+            # split by a ``run(until=...)`` horizon sums its steps in a
+            # different order): compress it now, or the next decision
+            # spends a whole slice compressing nothing.
+            tail = raw - consumed <= self._eps(gi)
+            consumed[tail] = raw[tail]
             self._raw[gi] -= consumed
             self._comp[gi] += consumed * self._xi[gi]
             self._comp_in[gi] += consumed

@@ -140,31 +140,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
            "2000 flows / 64 ports primitives; 200-coflow end-to-end run",
            ("repro.core",),
            "bench_engine_microbench.py"),
-        _E("hotpath", "Decision-point hot-path scaling grid",
-           "flows x coflows x ports grid vs the pinned scalar reference; "
-           "appends to BENCH_hotpath.json and asserts the 3x speedup floor",
-           ("repro.analysis.perfbench", "repro.core.reference"),
-           "bench_hotpath_scale.py"),
-        _E("sweep", "Parallel sweep-runner scaling grid",
-           "fig6e-shaped policy x bandwidth x seed grid: sequential vs "
-           "4-worker pool vs warm result cache; appends to BENCH_sweep.json "
-           "and asserts the 2.5x suite-level floor + bit-identity",
-           ("repro.runner", "repro.analysis.sweepbench"),
-           "bench_sweep_scale.py"),
-        _E("bigtrace", "Trace-scale end-to-end replay",
-           "131k-flow synthetic FB trace: columnar ingest/retire/results "
-           "vs the pinned pre-columnar engine; appends to "
-           "BENCH_bigtrace.json and asserts the 3x floor + bit-identity",
-           ("repro.analysis.bigbench", "repro.core.results",
-            "repro.core.reference"),
-           "bench_bigtrace_scale.py"),
-        _E("stream", "Streaming-service steady-state replay",
-           "1M flows through the long-lived service driver (tick-batched "
-           "admission, bounded in-flight window, incremental drain); "
-           "appends to BENCH_stream.json and asserts the throughput floor "
-           "and bounded-memory ceilings",
-           ("repro.service", "repro.analysis.streambench"),
-           "bench_stream_scale.py"),
     ]
 }
 

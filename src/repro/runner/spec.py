@@ -12,6 +12,10 @@ crosses the process boundary is described here:
 * :class:`RunSpec` — one experiment cell: a policy (registry name + params,
   or a live :class:`~repro.core.scheduler.Scheduler`), a workload spec and
   an :class:`~repro.analysis.harness.ExperimentSetup`.
+* :class:`SweepGrid` — a (policy × bandwidth × seed) grid of generated
+  workloads that expands into one :class:`RunSpec` per cell; :data:`GRID`
+  is the default grid of ``repro sweep``/``repro report`` and
+  :data:`SMOKE_GRID` their CI smoke grid.
 * :class:`ResultSummary` — the compact record a worker sends back instead
   of pickling a whole :class:`~repro.core.simulator.SimulationResult`
   (set ``RunSpec.full=True`` when a consumer needs per-flow results).
@@ -45,11 +49,13 @@ from repro.core.coflow import Coflow
 from repro.core.scheduler import Scheduler
 from repro.core.simulator import SimulationResult
 from repro.errors import ConfigurationError
+from repro.traces.distributions import LogNormalSizes
 from repro.traces.generator import (
     WorkloadConfig,
     generate_flow_workload,
     generate_workload,
 )
+from repro.units import KB, MB, gbps, mbps
 
 #: Version tag folded into every cache digest; bump on any change that can
 #: alter simulation results for an unchanged spec.
@@ -236,6 +242,96 @@ class RunSpec:
         if isinstance(self.policy, str):
             return self.policy.lower()
         raise _Uncacheable("live Scheduler instances are not digestable")
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """A (policy × bandwidth × seed) grid of seeded synthetic workloads.
+
+    The default mirrors the Fig. 6(e) evaluation shape (coflow traces,
+    16 ports, bandwidth sweep) widened to four seeds so the grid is
+    large enough for fan-out to matter.
+    """
+
+    policies: Tuple[str, ...] = (
+        "sebf", "scf", "ncf", "lcf", "pff", "pfp", "fvdf",
+    )
+    bandwidths: Tuple[float, ...] = (mbps(100), gbps(1), gbps(10))
+    seeds: Tuple[int, ...] = (14, 15, 16, 17)
+    num_coflows: int = 60
+    num_ports: int = 16
+    max_width: int = 8
+    arrival_rate: float = 2.0
+    slice_len: float = 0.01
+
+    @property
+    def cells(self) -> int:
+        return len(self.policies) * len(self.bandwidths) * len(self.seeds)
+
+    def workload_config(self) -> WorkloadConfig:
+        return WorkloadConfig(
+            num_coflows=self.num_coflows,
+            num_ports=self.num_ports,
+            size_dist=LogNormalSizes(
+                median=8 * MB, sigma=1.3, lo=64 * KB, hi=256 * MB
+            ),
+            width=(1, self.max_width),
+            arrival_rate=self.arrival_rate,
+        )
+
+    def specs(self, telemetry: bool = False) -> List[RunSpec]:
+        """One cacheable RunSpec per grid cell, in deterministic order.
+
+        Workloads are *generated* specs (config + seed): each worker
+        rebuilds its trace with ``np.random.default_rng(seed)``, so only
+        a few hundred bytes cross the pipe per cell.  ``telemetry=True``
+        makes every cell ship a :class:`~repro.runner.telemetry.
+        TelemetrySnapshot` home (the cache digest is unaffected).
+        """
+        cfg = self.workload_config()
+        out: List[RunSpec] = []
+        for seed in self.seeds:
+            workload = WorkloadSpec.generated(cfg, seed)
+            for bw in self.bandwidths:
+                setup = ExperimentSetup(
+                    num_ports=self.num_ports, bandwidth=bw,
+                    slice_len=self.slice_len,
+                )
+                for policy in self.policies:
+                    out.append(
+                        RunSpec(
+                            policy=policy, workload=workload, setup=setup,
+                            key=f"s{seed}/bw{bw:g}/{policy}",
+                            telemetry=telemetry,
+                        )
+                    )
+        return out
+
+    def describe(self) -> Dict:
+        return {
+            "policies": list(self.policies),
+            "bandwidths": [float(b) for b in self.bandwidths],
+            "seeds": list(self.seeds),
+            "num_coflows": self.num_coflows,
+            "num_ports": self.num_ports,
+            "max_width": self.max_width,
+            "arrival_rate": self.arrival_rate,
+            "slice_len": self.slice_len,
+        }
+
+
+#: The default grid of ``repro sweep`` / ``repro report`` (84 cells):
+#: every grid option of theirs defaults to its field.
+GRID = SweepGrid()
+
+#: Tiny grid for the CI smoke runs (``repro sweep --smoke``,
+#: ``repro report --smoke``).
+SMOKE_GRID = SweepGrid(
+    policies=("sebf", "fvdf"),
+    bandwidths=(mbps(100), gbps(1)),
+    seeds=(0,),
+    num_coflows=10,
+)
 
 
 @dataclass

@@ -5,13 +5,12 @@ lazy results) must be an exact behavioural match for the pinned
 pre-columnar engine (:class:`repro.core.reference.
 PreColumnarSliceSimulator`: scalar per-flow submit, eager per-flow
 ``FlowResult`` retirement) — same dataclasses, same arrays, same
-metrics, on the same workloads.  That equivalence is what licenses the
-``BENCH_bigtrace.json`` speedup claim.
+metrics, on the same workloads.
 
 Covered here:
 
-* full-trace equivalence across FVDF/SEBF/FAIR on generated and
-  FB-synthesized workloads;
+* full-trace equivalence across FVDF (coflow and flow granularity),
+  SEBF and FAIR on generated and FB-synthesized workloads;
 * cancellation mid-run (including the "only stamp unset finish_phys"
   rule) and ``run(until=...)`` horizon resume with mid-run submission;
 * hypothesis sweeps over tied retirement boundaries (constant sizes,
@@ -38,7 +37,8 @@ from repro.traces.facebook import synthesize
 from repro.traces.generator import WorkloadConfig, generate_workload
 from repro.units import mbps
 
-POLICIES = ["fvdf", "sebf", "fair"]
+#: ``fvdf-flow`` is the paper's flow-granularity FVDF, with compression on.
+POLICIES = ["fvdf", "fvdf-flow", "sebf", "fair"]
 
 
 def _make_sim(policy, cls, num_ports=6, bandwidth=mbps(100), slice_len=0.01):

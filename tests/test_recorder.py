@@ -178,7 +178,7 @@ def _run_both(policy, coflows):
     return obs_tr.tracer.records, list(obs_rec.recorder)
 
 
-@pytest.mark.parametrize("policy", ["fvdf", "sebf", "fair"])
+@pytest.mark.parametrize("policy", ["fvdf", "fvdf-flow", "sebf", "fair"])
 @pytest.mark.parametrize("workload", ["generated", "fb"])
 def test_decoded_stream_matches_tracer(policy, workload):
     coflows = (

@@ -230,6 +230,26 @@ def test_horizon_keeps_the_held_allocation():
     assert chunked.decision_points == whole.decision_points
 
 
+def test_split_compression_window_leaves_no_raw_residual():
+    """Horizons at 0.05/0.10/0.15 split a 2-byte flow's 0.25 s
+    compression window; the steps sum to 2.0 only up to roundoff.  The
+    roundoff residual must not cost a spurious extra compression slice
+    (the chunked run used to finish at 1.3 s instead of 1.25 s)."""
+    def workload():
+        return [Coflow([Flow(0, 0, 2.0, compressible=True)], arrival=0.0)]
+
+    whole, _ = run(workload(), "fvdf-flow")
+    assert [f.finish for f in whole.flow_results] == [1.25]
+
+    sim = _sim(make_scheduler("fvdf-flow"))
+    sim.submit_many(workload())
+    for i in range(1, 4):
+        sim.run(until=0.05 * i)
+    chunked = sim.run()
+    assert [f.finish for f in chunked.flow_results] == [1.25]
+    assert chunked.decision_points == whole.decision_points
+
+
 def test_checkpoint_inside_a_held_window_resumes_identically(tmp_path):
     """The held allocation and pending trigger kinds survive a
     checkpoint round trip taken at a horizon."""

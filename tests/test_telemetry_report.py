@@ -8,7 +8,6 @@ are associative; the merge folds in spec order).
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis import ExperimentSetup
@@ -18,12 +17,12 @@ from repro.analysis.report import (
     render_report,
     write_report,
 )
-from repro.analysis.sweepbench import SweepGrid
 from repro.obs import Observability
 from repro.runner import (
     ResultCache,
     RunSpec,
     RunTelemetry,
+    SweepGrid,
     TelemetrySnapshot,
     WorkloadSpec,
     run_specs,
