@@ -1,12 +1,11 @@
-"""The decision kernel: the serial contended priority fill.
+"""Host helpers the benchmark's configuration stamp reads.
 
-The FVDF decision's hot path is the Γ_C segment-max (Eq. 7-8, a plain
-``np.maximum.reduceat`` in :mod:`repro.core.fvdf`) and the min-rate /
-backfill ``priority_fill`` of :mod:`repro.core.rate_allocation`.  The
-contended remainder of a demand-capped fill lives here: the shard plan
-over contention components (:mod:`repro.core.kernels.partition`) and
-the prefix-fits rounds that settle each shard
-(:mod:`repro.core.kernels.fill`).
+The decision kernel itself is plain numpy and Python in
+:mod:`repro.core.fvdf` and :mod:`repro.core.rate_allocation`.  This
+package only keeps the two helpers ``e2ebench/run.py`` imports:
+:func:`usable_cores` (which :mod:`repro.runner` also uses to size its
+pool) and :func:`resolved_name`, which goes with the next change to the
+benchmark.
 """
 
 from __future__ import annotations

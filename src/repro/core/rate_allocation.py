@@ -34,19 +34,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import fill
 from repro.errors import ConfigurationError
 
 #: Relative epsilon used to decide saturation in iterative filling.
 _EPS = 1e-12
-
-#: Below this many unsettled flows, fill rounds hand off to the list-based
-#: scalar tail (~0.25 µs/flow): per-round numpy-call overhead (~30 kernel
-#: launches over the contention-chain depth) only amortizes once the
-#: working set is large enough for memory bandwidth to dominate.  Tuned on
-#: the bench grid's burst case, where the pure list tail beat the
-#: vectorized rounds for every pool up to several thousand flows.
-_SCALAR_TAIL = 4096
 
 #: One capacity dimension: (per-flow group index with -1 = exempt, caps).
 Dimension = Tuple[np.ndarray, np.ndarray]
@@ -84,22 +75,6 @@ def consume(i: int, rate: float, dims: Sequence[Dimension]) -> None:
             caps[g] -= rate
 
 
-def headroom_all(dims: Sequence[Dimension], n: int) -> np.ndarray:
-    """Per-flow end-to-end headroom over all dimensions, vectorized.
-
-    Equivalent to ``[flow_headroom(i, dims) for i in range(n)]``: the
-    min over member dimensions of the group's remaining capacity,
-    clipped at zero; flows exempt everywhere get ``inf``.
-    """
-    room = np.full(n, np.inf)
-    for groups, caps in dims:
-        member = groups >= 0
-        np.minimum(
-            room, caps[np.clip(groups, 0, None)], where=member, out=room
-        )
-    return np.maximum(room, 0.0)
-
-
 def gather_groups(
     order: np.ndarray, dims: Sequence[Dimension]
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
@@ -124,10 +99,9 @@ def priority_fill(
     n: Optional[int] = None,
     gathers: Optional[Tuple[List[np.ndarray], ...]] = None,
 ) -> np.ndarray:
-    """Sequential priority filling, computed with whole-group steps.
+    """Sequential priority filling: the paper's order-then-greedy rate step.
 
-    Semantically identical to the scalar loop every priority policy used
-    to run::
+    The semantics are the flow-by-flow loop::
 
         for i in order:
             r = flow_headroom(i, dims)
@@ -138,19 +112,14 @@ def priority_fill(
             rates[i] += r
             consume(i, r, dims)
 
-    but instead of paying two Python calls per flow it settles flows in
-    bulk.  With ``demands``, flows whose every constraint group can
-    absorb the *total* demand of its members are granted exactly their
-    demand wholesale (the fabric's steady state); the contended remainder
-    is settled by :func:`_fill_contended_demands` in prefix-sized rounds.
-    Without ``demands`` (backfill), flows settle in head-rounds: per
-    round, the highest-priority unsettled flow of every constraint group
-    (its "head") has every higher-priority competitor already settled, so
-    its headroom against the current capacities is final and it is
-    granted immediately.  Either way each round settles at least the
-    globally first unsettled flow and drained constraints collapse their
-    whole remaining queue, so the number of rounds tracks the deepest
-    contention chain, not the flow count.
+    and the contended fill *is* that loop, run on plain Python lists
+    (:func:`_fill_in_order`).  Two shortcuts shrink what it walks.
+    With ``demands``, flows whose every constraint group can absorb the
+    *total* demand of its members are granted exactly their demand in
+    bulk (the fabric's steady state), and only the contended remainder
+    goes through the loop.  Without ``demands`` (backfill), flows with no
+    headroom now are dropped up front: capacities only shrink during a
+    fill, so they could never receive anything at their turn either.
 
     Parameters
     ----------
@@ -184,15 +153,15 @@ def priority_fill(
     if m == 0:
         return out
     if m <= 8:
-        # Tiny fills: the scalar loop beats any vectorized setup cost.
-        for i in order:
-            r = flow_headroom(i, dims)
-            if demands is not None:
-                r = min(r, float(demands[i]))
-            if r <= 0.0:
-                continue
-            out[i] += r
-            consume(i, r, dims)
+        # Tiny fills: the loop alone beats any vectorized setup cost.
+        want = (
+            np.full(m, math.inf)
+            if demands is None
+            else np.asarray(demands, dtype=np.float64)[order]
+        )
+        _fill_in_order(
+            out, dims, order, want, [np.asarray(g)[order] for g, _ in dims]
+        )
         return out
     # Gather each dimension's group column once, in priority order
     # (reused across fills when the caller passes them in).
@@ -200,11 +169,11 @@ def priority_fill(
         ogroups, members, safe = gather_groups(order, dims)
     else:
         ogroups, members, safe = gathers
-    ndim = len(ogroups)
     if demands is not None:
-        odemand = np.asarray(demands, dtype=np.float64)[order]
+        want = np.asarray(demands, dtype=np.float64)[order]
         # A non-positive demand is skipped without consuming: settled.
-        settled = odemand <= 0.0
+        settled = want <= 0.0
+        want = np.where(settled, 0.0, want)
         # Contention partition.  A constraint group is *overloaded* when
         # the total demand of its unsettled members exceeds its remaining
         # capacity; a flow is *contended* when any of its groups is
@@ -212,12 +181,9 @@ def priority_fill(
         # under sequential filling — each of its groups can absorb the
         # demand of all members (contended members never take more than
         # their demand either), so its headroom is >= its demand at its
-        # turn regardless of position — and can be granted wholesale.
-        # Only the contended remainder needs the rounds loop below.  This
-        # is the steady state of FVDF's minimal pass (rates r = V/Γ fit
-        # by construction unless the fabric is overloaded), where it
-        # settles the whole fill in one shot.
-        want = np.where(settled, 0.0, odemand)
+        # turn regardless of position — and is granted in bulk.  This is
+        # the steady state of FVDF's minimal pass (rates r = V/Γ fit by
+        # construction unless the fabric is overloaded).
         contended = np.zeros(m, dtype=bool)
         loads = []
         for (_, caps), og, member, sg in zip(dims, ogroups, members, safe):
@@ -229,236 +195,95 @@ def priority_fill(
                 contended |= member & over[sg]
             loads.append(load)
         unc = ~settled & ~contended
-        if not contended.any():
-            if unc.any():
-                np.add.at(out, order[unc], want[unc])
-                for (_, caps), load in zip(dims, loads):
-                    caps -= load
-            return out
         if unc.any():
             np.add.at(out, order[unc], want[unc])
-            for (_, caps), og, member in zip(dims, ogroups, members):
-                mu = member & unc
-                caps -= np.bincount(
-                    og[mu], weights=want[mu], minlength=len(caps)
-                )
-        return _fill_contended_demands(
-            out, order, dims, want, ~settled & contended,
-            ogroups, members, safe,
+            if contended.any():
+                # Charge only the granted flows' demand.
+                loads = [
+                    np.bincount(
+                        og[member & unc],
+                        weights=want[member & unc],
+                        minlength=len(caps),
+                    )
+                    for (_, caps), og, member in zip(dims, ogroups, members)
+                ]
+            for (_, caps), load in zip(dims, loads):
+                caps -= load
+        pos = np.flatnonzero(~settled & contended)
+        want = want[pos]
+    else:
+        room = np.full(m, np.inf)
+        for (_, caps), member, sg in zip(dims, members, safe):
+            np.minimum(room, caps[sg], where=member, out=room)
+        pos = np.flatnonzero(room > 0.0)
+        # Backfill is the demand-capped loop with an infinite demand
+        # (r = headroom at the flow's turn).
+        want = np.full(pos.size, math.inf)
+    if pos.size:
+        _fill_in_order(
+            out, dims, order[pos], want, [og[pos] for og in ogroups]
         )
-    # Backfill rounds over the shrinking open set.  A flow is ready when
-    # it heads the remaining queue of every group it occupies: all
-    # higher-priority competitors settled, so its headroom against the
-    # current caps is final.  Heads of one round never share a group, so
-    # the whole round commits with plain fancy indexing — no ``ufunc.at``
-    # scatter needed for the capacity update.  ``op`` holds the
-    # still-open positions in priority order; each round settles at least
-    # the globally first open flow, and drained constraints collapse
-    # their whole queue at once (caps never grow during a fill, so a zero
-    # now is a zero at their turn too), so the number of rounds tracks
-    # the deepest contention chain, not the flow count.  Small open sets
-    # finish in the scalar loop — chain tails cost less flow-by-flow than
-    # round-by-round.  Flows with no headroom *now* are dropped up front:
-    # capacities only shrink during a fill, so they could never receive
-    # anything at their turn either — this makes backfill after a
-    # saturating pass (FVDF minimal, MADD) nearly free.
-    room0 = np.full(m, np.inf)
-    for (_, caps), member, sg in zip(dims, members, safe):
-        np.minimum(room0, caps[sg], where=member, out=room0)
-    op = np.flatnonzero(room0 > 0.0)
-    while op.size:
-        if op.size <= _SCALAR_TAIL:
-            # Chain tail: backfill is the demand-capped loop with an
-            # infinite demand (r = headroom at the flow's turn).
-            _scalar_tail_demands(
-                out,
-                dims,
-                order[op],
-                np.full(op.size, math.inf),
-                [mem[op] for mem in members],
-                [s[op] for s in safe],
-            )
-            break
-        ready = np.ones(op.size, dtype=bool)
-        for d in range(ndim):
-            memb = members[d][op]
-            mp = np.flatnonzero(memb)
-            if mp.size == 0:
-                continue
-            gm = safe[d][op[mp]]
-            # First open member of each group, via reversed last-wins
-            # scatter: O(num_groups) per round, no sort.
-            first = np.full(len(dims[d][1]), -1, dtype=np.intp)
-            first[gm[::-1]] = mp[::-1]
-            heads = np.zeros(op.size, dtype=bool)
-            heads[first[gm]] = True
-            ready &= heads | ~memb
-        rp = op[ready]
-        room = np.full(rp.size, np.inf)
-        for d, (_, caps) in enumerate(dims):
-            np.minimum(room, caps[safe[d][rp]], where=members[d][rp], out=room)
-        r = np.maximum(room, 0.0)
-        give = r > 0.0
-        gp = rp[give]
-        rg = r[give]
-        if gp.size:
-            np.add.at(out, order[gp], rg)
-            for d, (_, caps) in enumerate(dims):
-                gm = members[d][gp]
-                caps[safe[d][gp][gm]] -= rg[gm]
-        op = op[~ready]
-        if op.size:
-            drop = np.zeros(op.size, dtype=bool)
-            for d, (_, caps) in enumerate(dims):
-                dead = caps <= 0.0
-                if dead.any():
-                    drop |= members[d][op] & dead[safe[d][op]]
-            if drop.any():
-                op = op[~drop]
     return out
 
 
-def _scalar_tail_demands(
+def _fill_in_order(
     out: np.ndarray,
     dims: Sequence[Dimension],
     osub: np.ndarray,
     wsub: np.ndarray,
-    memb_s: Sequence[np.ndarray],
-    safe_s: Sequence[np.ndarray],
+    gsub: Sequence[np.ndarray],
 ) -> None:
-    """Settle a demand-capped pool flow-by-flow on plain Python lists.
+    """Grant ``min(headroom, demand)`` flow by flow, on plain Python lists.
 
-    Bit-identical to the scalar reference loop (Python floats are IEEE
-    doubles) but ~10x cheaper per flow than numpy scalar indexing.  The
-    two-dimension case (the big switch without extra uplink dims) runs a
-    dedicated ``zip`` loop; capacities are written back at the end.
+    ``osub`` are flow ids in priority order, ``wsub`` their demands and
+    ``gsub`` their group column per dimension (−1 = exempt).
+    Bit-identical to the loop in :func:`priority_fill`'s docstring
+    (Python floats are IEEE doubles) but ~10x cheaper per flow than
+    numpy scalar indexing.  The two-dimension case (the big switch
+    without extra uplink dims) runs a dedicated ``zip`` loop; capacities
+    are written back at the end.
     """
-    ndim = len(memb_s)
     caps_l = [caps.tolist() for _, caps in dims]
     gi: list = []
     gr: list = []
-    if ndim == 2:
+    if len(gsub) == 2:
         c0, c1 = caps_l
-        for pos, (w, m0, g0, m1, g1) in enumerate(
-            zip(
-                wsub.tolist(),
-                memb_s[0].tolist(),
-                safe_s[0].tolist(),
-                memb_s[1].tolist(),
-                safe_s[1].tolist(),
-            )
+        for pos, (w, g0, g1) in enumerate(
+            zip(wsub.tolist(), gsub[0].tolist(), gsub[1].tolist())
         ):
             r = w
-            if m0 and c0[g0] < r:
+            if g0 >= 0 and c0[g0] < r:
                 r = c0[g0]
-            if m1 and c1[g1] < r:
+            if g1 >= 0 and c1[g1] < r:
                 r = c1[g1]
             if r <= 0.0:
                 continue
             gi.append(pos)
             gr.append(r)
-            if m0:
+            if g0 >= 0:
                 c0[g0] -= r
-            if m1:
+            if g1 >= 0:
                 c1[g1] -= r
     else:
-        gl = [s.tolist() for s in safe_s]
-        ml = [m.tolist() for m in memb_s]
-        wl = wsub.tolist()
-        for pos in range(len(wl)):
-            r = wl[pos]
-            for d in range(ndim):
-                if ml[d][pos]:
-                    c = caps_l[d][gl[d][pos]]
-                    if c < r:
-                        r = c
+        gl = [g.tolist() for g in gsub]
+        for pos, w in enumerate(wsub.tolist()):
+            r = w
+            for d, caps in enumerate(caps_l):
+                g = gl[d][pos]
+                if g >= 0 and caps[g] < r:
+                    r = caps[g]
             if r <= 0.0:
                 continue
             gi.append(pos)
             gr.append(r)
-            for d in range(ndim):
-                if ml[d][pos]:
-                    caps_l[d][gl[d][pos]] -= r
-    for d, (_, caps) in enumerate(dims):
-        caps[:] = caps_l[d]
+            for d, caps in enumerate(caps_l):
+                g = gl[d][pos]
+                if g >= 0:
+                    caps[g] -= r
+    for caps, values in zip((caps for _, caps in dims), caps_l):
+        caps[:] = values
     if gi:
         np.add.at(out, osub[gi], gr)
-
-
-def _fill_contended_demands(
-    out: np.ndarray,
-    order: np.ndarray,
-    dims: Sequence[Dimension],
-    want: np.ndarray,
-    live: np.ndarray,
-    ogroups: Sequence[np.ndarray],
-    members: Sequence[np.ndarray],
-    safe: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Settle the contended remainder of a demand-capped priority fill.
-
-    Rounds over the contended subset, settling whole *prefixes* per
-    round: a flow is ready when, in every dimension it occupies, it
-    either (a) *fits* — the cumulative demand of all still-live members
-    up to and including itself is within the group's remaining capacity,
-    so no matter what its live predecessors actually take (never more
-    than their demand) its headroom at its turn is at least its demand —
-    or (b) *heads* the group's live queue, so its headroom against the
-    current capacities is exact.  Flows fitting everywhere are granted
-    exactly their demand; heads take ``min(headroom, demand)``.  This
-    drains a long same-group queue (e.g. a wide coflow funnelling through
-    one port) in O(1) rounds instead of one flow per round.  Grants of
-    one round may share groups, so capacity updates go through
-    ``np.bincount``.
-
-    ``want``/``ogroups``/``members``/``safe`` are in ``order``-gathered
-    coordinates; ``live`` masks the contended, still-unsettled entries.
-    ``caps`` arrays are mutated in place.
-
-    Settled entries are *compacted out* of the pool after every round
-    rather than masked: filtering a group-sorted row list by a keep mask
-    preserves the sort, so compaction only recomputes segment boundaries
-    (an elementwise comparison), never re-sorts.  Each round then costs
-    O(pool size) and the pool shrinks geometrically — and because
-    everything in the pool is unsettled, the "heads its group's queue"
-    test degenerates to the segment-start mask.
-
-    All dimensions share one fused layout: each (entry, member dim) pair
-    is one *row*, with group ids offset per dimension so they never
-    collide.  One sort and one cumsum chain per round cover every
-    dimension at once, and an entry is ready when none of its rows fail.
-
-    This function builds the fused rows; :func:`repro.core.kernels.fill.
-    fill_pool` shards them along contention components and runs the
-    rounds (and the scalar tail below the crossover) shard by shard.
-    """
-    sel = np.flatnonzero(live)
-    osub = order[sel]
-    wsub = want[sel]
-    memb_s = [member[sel] for member in members]
-    safe_s = [sg[sel] for sg in safe]
-    ndim = len(memb_s)
-    # Fused row layout, sorted once.  Group ids are dim-disjoint, so a
-    # segment's rows all come from one dimension and (concatenation
-    # order, stable sort) keep them in pool = priority order.  int32
-    # keys make the radix sort measurably faster; group counts are tiny.
-    goff = 0
-    row_entry, row_group = [], []
-    for d in range(ndim):
-        mp = np.flatnonzero(memb_s[d])
-        row_entry.append(mp)
-        row_group.append((ogroups[d][sel][mp] + goff).astype(np.int32))
-        goff += len(dims[d][1])
-    rows = np.concatenate(row_entry)
-    rowg = np.concatenate(row_group)
-    srt = np.argsort(rowg, kind="stable")
-    rows = rows[srt]
-    rowg = rowg[srt]
-    # _SCALAR_TAIL is read here (not at import) so tests pinning the
-    # crossover via monkeypatch exercise both regimes.
-    return fill.fill_pool(
-        out, dims, osub, wsub, memb_s, safe_s, rows, rowg, _SCALAR_TAIL
-    )
 
 
 def greedy_priority(

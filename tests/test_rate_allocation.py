@@ -156,26 +156,41 @@ class TestMaxminExemptFlows:
         assert rates[0] == pytest.approx(10.0)
 
 
-# -- contended fill: zero-headroom prefilter and the shard plan -------------
+# -- contended fill: the flow-by-flow loop, bit for bit ---------------------
 
 
-def _fill(src, dst, ci, co, perm, demands, tail):
-    """One ``priority_fill`` with the scalar-tail crossover pinned at
-    ``tail``; returns the rates and the final capacities."""
+def _fill(src, dst, ci, co, perm, demands):
+    """One ``priority_fill``; returns the rates and the final capacities."""
     dims = ra.build_dims(src, dst, ci.copy(), co.copy(), None)
-    old = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = tail
-    try:
-        rates = ra.priority_fill(perm, dims, demands=demands, n=len(src))
-    finally:
-        ra._SCALAR_TAIL = old
+    rates = ra.priority_fill(perm, dims, demands=demands, n=len(src))
     return rates, [c for _, c in dims]
 
 
+def _loop(src, dst, ci, co, perm, demands):
+    """The flow-by-flow oracle (``priority_fill``'s documented semantics);
+    returns the rates and the final capacities."""
+    dims = ra.build_dims(src, dst, ci.copy(), co.copy(), None)
+    rates = np.zeros(len(src))
+    for i in perm:
+        r = ra.flow_headroom(i, dims)
+        if demands is not None:
+            r = min(r, float(demands[i]))
+        if r > 0.0:
+            rates[i] += r
+            ra.consume(i, r, dims)
+    return rates, [c for _, c in dims]
+
+
+def _assert_bitwise(got, want):
+    (rates, caps_got), (ref, caps_want) = got, want
+    assert np.array_equal(rates, ref)
+    for c_got, c_want in zip(caps_got, caps_want):
+        assert np.array_equal(c_got, c_want)
+
+
 def test_backfill_zero_headroom_prefilter():
-    """Backfill against drained dimensions, on the vectorized rounds:
-    the prefilter must grant nothing through dead groups and match the
-    flow-by-flow loop bitwise."""
+    """Backfill against drained dimensions: the prefilter must grant
+    nothing through dead groups and match the flow-by-flow loop bitwise."""
     n = 12
     rng = np.random.default_rng(7)
     src = rng.integers(0, 5, size=n)
@@ -183,83 +198,46 @@ def test_backfill_zero_headroom_prefilter():
     ci = np.array([0.0, 3.0, 0.0, 2.0, 1.0])  # two ingress ports drained
     co = np.array([1.0, 0.0, 2.0, 0.0, 3.0])  # two egress ports drained
     perm = np.arange(n, dtype=np.intp)
-    rates, got_caps = _fill(src, dst, ci, co, perm, None, tail=0)
-    ref = np.zeros(n)
-    ref_dims = ra.build_dims(src, dst, ci.copy(), co.copy(), None)
-    for i in perm:
-        r = ra.flow_headroom(i, ref_dims)
-        if r > 0.0:
-            ref[i] += r
-            ra.consume(i, r, ref_dims)
-    assert np.array_equal(rates, ref)
-    for got, (_, want) in zip(got_caps, ref_dims):
-        assert np.array_equal(got, want)
+    got = _fill(src, dst, ci, co, perm, None)
+    _assert_bitwise(got, _loop(src, dst, ci, co, perm, None))
     drained = (ci == 0.0)[src] | (co == 0.0)[dst]
-    assert not rates[drained].any()
+    assert not got[0][drained].any()
 
 
-def _component_pool(n_comp=6, flows_per=40, seed=3):
-    """Block-diagonal fabric: component c only touches its own 2 ports."""
+def _overloaded_pool(seed, n=6000, ports=16):
+    """``n`` flows on ``ports`` ports whose demands overload every port,
+    so the whole pool is contended."""
     rng = np.random.default_rng(seed)
-    n = n_comp * flows_per
-    src = np.repeat(2 * np.arange(n_comp), flows_per)
-    dst = src + 1
-    ci = np.full(2 * n_comp, 4.0)
-    co = np.full(2 * n_comp, 3.0)
+    src = rng.integers(0, ports, size=n)
+    dst = rng.integers(0, ports, size=n)
+    ci = rng.uniform(1.0, 10.0, size=ports)
+    co = rng.uniform(1.0, 10.0, size=ports)
     perm = rng.permutation(n).astype(np.intp)
-    demands = rng.uniform(0.1, 2.0, size=n)
+    demands = rng.uniform(0.01, 1.0, size=n)
     return src, dst, ci, co, perm, demands
 
 
-def _fused_rows(order, dims):
-    """The fused (entry, group) rows the contended fill builds, sorted by
-    fused group id."""
-    rows_l, rowg_l, goff = [], [], 0
-    for groups, caps_d in dims:
-        idx = np.flatnonzero(groups[order] >= 0)
-        rows_l.append(idx)
-        rowg_l.append(groups[order][idx] + goff)
-        goff += len(caps_d)
-    rows = np.concatenate(rows_l)
-    rowg = np.concatenate(rowg_l)
-    srt = np.argsort(rowg, kind="stable")
-    return rows[srt].astype(np.intp), rowg[srt]
-
-
-def test_multi_shard_plan_matches_single_shard():
-    """Lowering the shard floor activates the component decomposition;
-    grants and capacities must match the single-shard plan bitwise."""
-    from repro.core.kernels import fill
-
-    src, dst, ci, co, perm, demands = _component_pool()
-    ref_rates, ref_caps = _fill(src, dst, ci, co, perm, demands, tail=0)
-
-    old_floor = fill.MIN_SHARD_ENTRIES
-    fill.MIN_SHARD_ENTRIES = 8
-    try:
-        # The plan must actually split now — otherwise this test is vacuous.
-        dims = ra.build_dims(src, dst, ci.copy(), co.copy(), None)
-        rows, rowg = _fused_rows(perm, dims)
-        plan = fill._plan_shards(rows, rowg, perm.size, ci.size + co.size)
-        assert plan is not None and plan[1].size - 1 > 1
-        rates, got_caps = _fill(src, dst, ci, co, perm, demands, tail=0)
-    finally:
-        fill.MIN_SHARD_ENTRIES = old_floor
-    assert np.array_equal(rates, ref_rates)
-    for got, want in zip(got_caps, ref_caps):
-        assert np.array_equal(got, want)
-
-
-def test_label_components_block_diagonal():
-    from repro.core.kernels import partition
-
-    src, dst, ci, co, perm, _ = _component_pool(n_comp=4, flows_per=16)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contended_demand_fill_above_4096_flows_is_the_loop(seed):
+    """A fully contended demand-capped pool above 4,096 flows settles
+    exactly as the flow-by-flow loop: rates and final capacities equal
+    to the last bit, not just to a tolerance."""
+    src, dst, ci, co, perm, demands = _overloaded_pool(seed)
     dims = ra.build_dims(src, dst, ci.copy(), co.copy(), None)
-    rows, rowg = _fused_rows(perm, dims)
-    comp = partition.label_components(rows, rowg, perm.size, ci.size + co.size)
-    assert comp is not None
-    # Entries in the same block share a label; across blocks they differ.
-    blocks = src[perm] // 2
-    for b in range(4):
-        assert np.unique(comp[blocks == b]).size == 1
-    assert np.unique(comp).size == 4
+    for groups, caps_d in dims:
+        load = np.bincount(groups, weights=demands, minlength=len(caps_d))
+        assert (load > caps_d).all()
+    _assert_bitwise(
+        _fill(src, dst, ci, co, perm, demands),
+        _loop(src, dst, ci, co, perm, demands),
+    )
+
+
+def test_backfill_above_4096_flows_is_the_loop():
+    """Backfill of a pool above 4,096 flows with headroom everywhere:
+    bitwise the flow-by-flow loop."""
+    src, dst, ci, co, perm, _ = _overloaded_pool(3)
+    _assert_bitwise(
+        _fill(src, dst, ci, co, perm, None),
+        _loop(src, dst, ci, co, perm, None),
+    )

@@ -1,19 +1,15 @@
-"""The vectorized allocation hot path matches the scalar reference.
+"""The priority fill and the policies built on it match the scalar loop.
 
-The vectorized :func:`repro.core.rate_allocation.priority_fill` (and the
-policies built on it) must be *numerically equivalent* to the scalar
-flow-by-flow loop it replaced — not just feasible, the same rates to
-1e-9.  This module keeps its own copy of the pre-vectorization scalar
-loop as the oracle, so the production code can keep evolving without the
+:func:`repro.core.rate_allocation.priority_fill` runs the flow-by-flow
+loop on its contended remainder, after two vectorized shortcuts: the bulk
+grant of uncontended flows (demand-capped fills) and the zero-headroom
+prefilter (backfill).  Its rates must equal the scalar loop's to 1e-9 —
+not just be feasible.  This module keeps its own copy of the scalar loop
+as the oracle, so the production code can keep evolving without the
 oracle silently following it.
-
-``_SCALAR_TAIL`` is pinned per test so both implementations are
-exercised: ``0`` forces the vectorized rounds for every pool, the
-default lets the list-based tail take over.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +18,6 @@ from repro.core import rate_allocation as ra
 N_PORTS = 5
 N_RACKS = 2
 TOL = 1e-9
-
-# Force-vectorized (tail disabled) and production (tail enabled) paths.
-TAILS = [0, ra._SCALAR_TAIL]
 
 
 def scalar_priority_fill(order, dims, demands=None, out=None, n=None):
@@ -85,46 +78,33 @@ def _copy_extra(extra):
     return [(g, c.copy()) for g, c in extra]
 
 
-@pytest.mark.parametrize("tail", TAILS)
 @given(fabrics())
 @settings(max_examples=150, deadline=None)
-def test_greedy_priority_matches_scalar(tail, fab):
+def test_greedy_priority_matches_scalar(fab):
     src, dst, ci, co, extra, perm, _ = fab
     dims_ref = ra.build_dims(src, dst, ci.copy(), co.copy(), _copy_extra(extra))
     expected = scalar_priority_fill(perm, dims_ref, n=len(src))
-    old = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = tail
-    try:
-        got = ra.greedy_priority(
-            perm, src, dst, ci.copy(), co.copy(), extra=_copy_extra(extra)
-        )
-    finally:
-        ra._SCALAR_TAIL = old
+    got = ra.greedy_priority(
+        perm, src, dst, ci.copy(), co.copy(), extra=_copy_extra(extra)
+    )
     np.testing.assert_allclose(got, expected, atol=TOL, rtol=0)
 
 
-@pytest.mark.parametrize("tail", TAILS)
 @given(fabrics())
 @settings(max_examples=150, deadline=None)
-def test_minimal_rate_fill_matches_scalar(tail, fab):
+def test_minimal_rate_fill_matches_scalar(fab):
     """priority_fill with per-flow demand caps (FVDF's minimal pass)."""
     src, dst, ci, co, extra, perm, demands = fab
     dims_ref = ra.build_dims(src, dst, ci.copy(), co.copy(), _copy_extra(extra))
     expected = scalar_priority_fill(perm, dims_ref, demands=demands, n=len(src))
     dims = ra.build_dims(src, dst, ci.copy(), co.copy(), _copy_extra(extra))
-    old = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = tail
-    try:
-        got = ra.priority_fill(perm, dims, demands=demands, n=len(src))
-    finally:
-        ra._SCALAR_TAIL = old
+    got = ra.priority_fill(perm, dims, demands=demands, n=len(src))
     np.testing.assert_allclose(got, expected, atol=TOL, rtol=0)
 
 
-@pytest.mark.parametrize("tail", TAILS)
 @given(fabrics())
 @settings(max_examples=100, deadline=None)
-def test_minimal_then_backfill_matches_scalar(tail, fab):
+def test_minimal_then_backfill_matches_scalar(fab):
     """The FVDF allocate shape: demand-capped fill, then backfill into
     the same rates array against the same mutated capacities."""
     src, dst, ci, co, extra, perm, demands = fab
@@ -132,23 +112,17 @@ def test_minimal_then_backfill_matches_scalar(tail, fab):
     expected = scalar_priority_fill(perm, dims_ref, demands=demands, n=len(src))
     scalar_priority_fill(perm, dims_ref, out=expected)
     dims = ra.build_dims(src, dst, ci.copy(), co.copy(), _copy_extra(extra))
-    old = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = tail
-    try:
-        gathers = ra.gather_groups(perm, dims)
-        got = ra.priority_fill(
-            perm, dims, demands=demands, n=len(src), gathers=gathers
-        )
-        ra.priority_fill(perm, dims, out=got, gathers=gathers)
-    finally:
-        ra._SCALAR_TAIL = old
+    gathers = ra.gather_groups(perm, dims)
+    got = ra.priority_fill(
+        perm, dims, demands=demands, n=len(src), gathers=gathers
+    )
+    ra.priority_fill(perm, dims, out=got, gathers=gathers)
     np.testing.assert_allclose(got, expected, atol=TOL, rtol=0)
 
 
-@pytest.mark.parametrize("tail", TAILS)
 @given(fabrics(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_madd_matches_scalar_backfill(tail, fab, data):
+def test_madd_matches_scalar_backfill(fab, data):
     """madd's vectorized backfill equals MADD pass + scalar backfill."""
     src, dst, ci, co, extra, perm, vol = fab
     n = len(src)
@@ -187,13 +161,8 @@ def test_madd_matches_scalar_backfill(tail, fab, data):
     )
     flat = flat[vol[flat] > 0]
     scalar_priority_fill(flat, dims_ref, out=ref)
-    old = ra._SCALAR_TAIL
-    ra._SCALAR_TAIL = tail
-    try:
-        got = ra.madd(
-            groups, src, dst, vol, ci.copy(), co.copy(),
-            backfill=True, extra=_copy_extra(extra),
-        )
-    finally:
-        ra._SCALAR_TAIL = old
+    got = ra.madd(
+        groups, src, dst, vol, ci.copy(), co.copy(),
+        backfill=True, extra=_copy_extra(extra),
+    )
     np.testing.assert_allclose(got, ref, atol=TOL, rtol=0)
