@@ -118,13 +118,13 @@ def test_disabled_tracing_overhead_under_5pct():
 
 
 def test_recorder_overhead_under_15pct():
-    """A flight recorder must ride the batched path nearly for free.
+    """Tracing must ride the batched path nearly for free.
 
     Same best-of-N discipline as the disabled-tracing guard: the FVDF
-    workload with a :class:`~repro.obs.recorder.FlightRecorder` attached
-    (``record=True``, no tracer) must stay within 15 % of the untraced
-    columnar run — the recorder exists so full-fidelity capture does not
-    reintroduce the per-record Python path.
+    workload with ``Observability(trace=True)`` — the one trace sink, a
+    :class:`~repro.obs.recorder.FlightRecorder` — must stay within 15 %
+    of the untraced columnar run, so full-fidelity capture does not
+    reintroduce a per-record or per-flow Python path.
     """
     cfg = WorkloadConfig(
         num_coflows=60,
@@ -150,7 +150,7 @@ def test_recorder_overhead_under_15pct():
         5,
         lambda: run_policy(
             "fvdf", workload, setup,
-            obs=Observability(trace=False, metrics=False, record=True),
+            obs=Observability(trace=True, metrics=False),
         ),
     )
     overhead = recorded / baseline - 1.0

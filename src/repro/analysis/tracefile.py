@@ -1,9 +1,12 @@
 """Reading and summarising JSONL traces produced by :mod:`repro.obs`.
 
-The writer side lives in :class:`repro.obs.trace.Tracer` (``dump_jsonl``);
-this module is the consumer: load a trace back into typed records, slice it
-by kind or time, and render a quick per-kind summary — the round-trip that
-``python -m repro trace <scenario> --out run.jsonl`` feeds.
+The writer side is :meth:`repro.obs.recorder.FlightRecorder.dump_jsonl`
+(via :func:`repro.obs.trace.write_jsonl`); this module is the consumer:
+load a trace back into typed records, slice it by kind or time, and render
+a quick per-kind summary — the round-trip that ``python -m repro trace
+<scenario> --out run.jsonl`` feeds.  The query helpers take any sequence
+of records, so they work on a decoded recorder (``list(obs.recorder)``)
+as well as on a file.
 """
 
 from __future__ import annotations

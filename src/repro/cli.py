@@ -282,11 +282,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         res = run_policy(policy, workload, setup, obs=obs)
 
     if args.out == "-":
-        obs.tracer.dump_jsonl(sys.stdout)
+        obs.recorder.dump_jsonl(sys.stdout)
     else:
-        n = obs.tracer.dump_jsonl(args.out)
+        n = obs.recorder.dump_jsonl(args.out)
         print(f"{n} trace records -> {args.out}")
-    counts = obs.tracer.counts()
+    counts = obs.recorder.counts()
     rows = [[kind, str(counts[kind])] for kind in sorted(counts)]
     print(render_table(["record kind", "count"], rows,
                        title=f"{policy.name} on {args.scenario}"))

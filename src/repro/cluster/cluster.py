@@ -252,9 +252,9 @@ class ClusterSimulator:
                 if self._events and self._events[0][0] < t:
                     continue  # a shuffle finished and enqueued earlier work
             _, _, kind, job_id = heapq.heappop(self._events)
-            tr = self.obs.events
-            if tr.enabled:
-                tr.emit(t, "job_stage", stage=kind, job_id=job_id)
+            flt = self.obs.recorder
+            if flt.enabled:
+                flt.emit(t, "job_stage", stage=kind, job_id=job_id)
             getattr(self, f"_on_{kind}")(t, self._jobs[job_id])
         makespan = max(
             [self.net.now] + [r.result_stage.end for r in self._results], default=0.0

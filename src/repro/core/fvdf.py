@@ -268,30 +268,12 @@ class FVDFScheduler(Scheduler):
             # priority cannot change β; β unchanged ⇒ Γ unchanged ⇒ the
             # provisional ranking is already final — skip pass 2.
             beta, gamma, order = beta0, gamma0, provisional
-        tr = self.obs.tracer
         flt = self.obs.recorder
-        if tr.enabled or flt.enabled:
-            first_flow = perm[starts[:-1]]
-            if flt.enabled:
-                # Columnar sink: three gathers, no per-unit Python lists.
-                ranked = first_flow[order]
-                flt.add_order(
-                    view.time, view.coflow_ids[ranked], gamma[order], P[order]
-                )
-            if tr.enabled:
-                tr.emit(
-                    view.time,
-                    "order",
-                    units=[
-                        [
-                            int(view.coflow_ids[first_flow[u]]),
-                            float(gamma[u]),
-                            float(P[u]),
-                            float(gamma[u] / P[u]),
-                        ]
-                        for u in order
-                    ],
-                )
+        if flt.enabled:
+            ranked = perm[starts[:-1]][order]
+            flt.add_order(
+                view.time, view.coflow_ids[ranked], gamma[order], P[order]
+            )
         if cfg.aging in ("decay", "reset") and len(order) and view.trigger.is_preemption_point:
             cs = view.coflows[int(owner[order[0]])]
             if cfg.aging == "reset":

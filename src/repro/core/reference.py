@@ -7,6 +7,9 @@ replaced.  It is a correctness oracle, not a production path:
 * ``tests/test_columnar_results.py`` replays workloads through it and
   through :class:`~repro.core.simulator.SliceSimulator` and requires
   bit-identical per-flow and per-coflow results;
+* ``tests/test_recorder.py`` holds the columnar engine's decoded trace
+  stream equal to this engine's, whose arrival, cancel and completion
+  events go record by record through ``obs.recorder.emit``;
 * ``benchmarks/bench_engine_microbench.py::
   test_columnar_ingest_cuts_submit_share`` uses it as the baseline the
   columnar ingest must beat.
@@ -131,9 +134,9 @@ class PreColumnarSliceSimulator(SliceSimulator):
         self._groups_dirty = True
         rec.remaining = 0
         self._cancelled.add(int(coflow_id))
-        tr = self.obs.tracer
-        if tr.enabled:
-            tr.emit(now, "cancel", coflow_id=int(coflow_id), n_flows=cancelled)
+        flt = self.obs.recorder
+        if flt.enabled:
+            flt.emit(now, "cancel", coflow_id=int(coflow_id), n_flows=cancelled)
         self.obs.metrics.counter("engine.cancellations").inc(cancelled)
         return cancelled
 
@@ -144,15 +147,15 @@ class PreColumnarSliceSimulator(SliceSimulator):
             for c in self._calendar.pop_due(self.now + 1e-12)
             if c.coflow_id not in self._cancelled
         ]
-        tr = self.obs.tracer
+        flt = self.obs.recorder
         for coflow in due:
             rec = self._coflows[coflow.coflow_id]
             self._state[rec.global_idx] = _ACTIVE
             self._start[rec.global_idx] = self.now
             self._active = np.concatenate((self._active, rec.global_idx))
             self._groups_dirty = True
-            if tr.enabled:
-                tr.emit(
+            if flt.enabled:
+                flt.emit(
                     self.now,
                     "arrival",
                     coflow_id=int(coflow.coflow_id),
@@ -243,13 +246,13 @@ class PreColumnarSliceSimulator(SliceSimulator):
         self._finish[done_idx] = boundary
         unset = self._finish_phys[done_idx] == 0.0
         self._finish_phys[done_idx[unset]] = boundary
-        tr = self.obs.tracer
+        flt = self.obs.recorder
         mx = self.obs.metrics
         mx.counter("engine.flow_completions").inc(len(done_idx))
         for g in done_idx:
             fr = self._make_flow_result(int(g))
-            if tr.enabled:
-                tr.emit(
+            if flt.enabled:
+                flt.emit(
                     boundary,
                     "completion",
                     flow_id=fr.flow_id,
@@ -279,8 +282,8 @@ class PreColumnarSliceSimulator(SliceSimulator):
                 flow_results=list(rec.flow_results),
                 deadline=rec.coflow.deadline,
             )
-            if tr.enabled:
-                tr.emit(boundary, "completion", coflow_id=cid)
+            if flt.enabled:
+                flt.emit(boundary, "completion", coflow_id=cid)
             mx.counter("engine.completions").inc()
             self._coflow_results.append(cr)
             for fn in self._on_coflow_complete:

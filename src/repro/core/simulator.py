@@ -763,9 +763,6 @@ class SliceSimulator:
         self._held = None
         self._cf_remaining[slot] = 0
         self._cancelled.add(int(coflow_id))
-        tr = self.obs.tracer
-        if tr.enabled:
-            tr.emit(now, "cancel", coflow_id=int(coflow_id), n_flows=cancelled)
         flt = self.obs.recorder
         if flt.enabled:
             flt.add_cancel(now, int(coflow_id), cancelled)
@@ -804,15 +801,12 @@ class SliceSimulator:
 
     def _apply_due_capacity_changes(self) -> bool:
         applied = False
-        tr = self.obs.tracer
         flt = self.obs.recorder
         while self._cap_events and (
             self._cap_events[0][0] <= self.now + self._eps_now()
         ):
             _, side, port, cap = heapq.heappop(self._cap_events)
             getattr(self.fabric, side).set_capacity(port, cap)
-            if tr.enabled:
-                tr.emit(self.now, "capacity", side=side, port=port, capacity=cap)
             if flt.enabled:
                 flt.add_capacity(self.now, side, port, cap)
             applied = True
@@ -863,7 +857,6 @@ class SliceSimulator:
                 continue  # activation may still be empty (arrival just past `until`)
 
             obs = self.obs
-            tr = obs.tracer
             flt = obs.recorder
             if held is not None and not trigger.kinds:
                 # A ``run(until=...)`` horizon, not an event, ended the
@@ -877,8 +870,6 @@ class SliceSimulator:
             held = None
 
             n_slices, dt_kinds = self._horizon_slices(view, alloc, until)
-            if tr.enabled:
-                tr.emit(self.now, "jump", n_slices=n_slices, kinds=dt_kinds)
             if flt.enabled:
                 flt.add_jump(self.now, n_slices, dt_kinds)
             obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
@@ -916,16 +907,7 @@ class SliceSimulator:
             fn(self.now)
         view = self._build_view(trigger)
         obs = self.obs
-        tr = obs.tracer
         flt = obs.recorder
-        if tr.enabled:
-            tr.emit(
-                self.now,
-                "decision",
-                kinds=trigger.kinds,
-                n_flows=view.num_flows,
-                n_coflows=len(view.coflows),
-            )
         if flt.enabled:
             flt.add_decision(
                 self.now, trigger.kinds, view.num_flows, len(view.coflows)
@@ -941,25 +923,13 @@ class SliceSimulator:
                 obs.profiler.add("schedule", elapsed)
         self._validate(view, alloc)
         self._apply_claims(view, alloc)
-        if tr.enabled or flt.enabled:
-            tx = alloc.rates > 0
-            n_tx = int(tx.sum())
+        if flt.enabled:
+            n_tx = int((alloc.rates > 0).sum())
             total = float(alloc.rates.sum())
             max_rate = float(alloc.rates.max()) if len(alloc.rates) else 0.0
-            if tr.enabled:
-                tr.emit(self.now, "rates", n_tx=n_tx, total=total, max=max_rate)
-            if flt.enabled:
-                flt.add_rates(self.now, n_tx, total, max_rate)
+            flt.add_rates(self.now, n_tx, total, max_rate)
             if alloc.compress.any():
-                beta_ids = view.flow_ids[alloc.compress]
-                if tr.enabled:
-                    tr.emit(
-                        self.now,
-                        "beta",
-                        flow_ids=[int(i) for i in beta_ids],
-                    )
-                if flt.enabled:
-                    flt.add_beta(self.now, beta_ids)
+                flt.add_beta(self.now, view.flow_ids[alloc.compress])
         if self._recorder is not None:
             self._recorder.sample_model(self.now, self.cpu)
         self._decision_points += 1
@@ -1367,14 +1337,6 @@ class SliceSimulator:
             self._groups_dirty = True
         else:
             self._regroup_extend(slots, new_idx, old_n)
-        tr = self.obs.tracer
-        if tr.enabled:
-            for cid, w in zip(
-                self._cf_id[slots].tolist(), counts.tolist()
-            ):
-                tr.emit(
-                    self.now, "arrival", coflow_id=int(cid), n_flows=int(w)
-                )
         flt = self.obs.recorder
         if flt.enabled:
             flt.add_arrivals(
@@ -1621,10 +1583,6 @@ class SliceSimulator:
     def _apply_claims(self, view: SchedulerView, alloc: Allocation) -> None:
         claims = self._claim_cores(view, alloc)
         if claims:
-            tr = self.obs.tracer
-            if tr.enabled:
-                for node, n in sorted(claims.items()):
-                    tr.emit(self.now, "core_claim", node=node, claims=n)
             flt = self.obs.recorder
             if flt.enabled:
                 items = sorted(claims.items())
@@ -1749,7 +1707,7 @@ class SliceSimulator:
         (``_done_chunks`` / ``_closed_chunks``) feeds the lazy
         :class:`ResultStore` snapshot in :meth:`result`.  The eager
         per-flow path below runs only when flow/coflow completion
-        callbacks or the tracer need the dataclasses now.
+        callbacks need the dataclasses now.
         """
         idx = self._active
         if len(idx) == 0:
@@ -1800,41 +1758,35 @@ class SliceSimulator:
             self._cf_bytes[s] = self._bytes_sent[a:b].sum()
         self._closed_chunks.append(closed)
 
-        tr = self.obs.tracer
         mx = self.obs.metrics
         mx.counter("engine.flow_completions").inc(len(done_idx))
         mx.counter("engine.completions").inc(int(closed.size))
         flt = self.obs.recorder
         if flt.enabled:
-            # The whole retirement batch in two columnar appends — the
-            # recorder must never trip the eager per-flow path below.
+            # The whole retirement batch in two columnar appends.
             flt.add_flow_completions(
                 boundary, self._flow_id[done_idx], self._coflow_of[done_idx]
             )
             flt.add_coflow_completions(boundary, self._cf_id[closed])
-        if tr.enabled or self._on_flow_complete or self._on_coflow_complete:
-            self._emit_eager(boundary, done_idx, closed, tr)
+        if self._on_flow_complete or self._on_coflow_complete:
+            self._emit_eager(boundary, done_idx, closed)
         return [int(self._cf_id[s]) for s in closed.tolist()]
 
-    def _emit_eager(self, boundary, done_idx, closed, tr) -> None:
-        """Materialize result dataclasses now, for callbacks/tracer.
+    def _emit_eager(self, boundary, done_idx, closed) -> None:
+        """Materialize result dataclasses now, for completion callbacks.
 
         Field values are identical to the lazy store-backed path; only
         object identity differs (callback consumers get their own
         instances).  Ordering matches the pre-columnar per-flow loop:
         flow completions in retirement order, then closed coflows.
         """
-        for g in done_idx:
-            fr = self._make_flow_result(int(g))
-            if tr.enabled:
-                tr.emit(
-                    boundary,
-                    "completion",
-                    flow_id=fr.flow_id,
-                    coflow_id=fr.coflow_id,
-                )
-            for fn in self._on_flow_complete:
-                fn(fr)
+        if self._on_flow_complete:
+            for g in done_idx:
+                fr = self._make_flow_result(int(g))
+                for fn in self._on_flow_complete:
+                    fn(fr)
+        if not self._on_coflow_complete:
+            return
         for s in closed.tolist():
             a = int(self._cf_first[s])
             gi = np.arange(a, a + int(self._cf_count[s]), dtype=np.intp)
@@ -1851,8 +1803,6 @@ class SliceSimulator:
                 flow_results=[self._make_flow_result(int(g)) for g in members],
                 deadline=self._cf_deadlines[s],
             )
-            if tr.enabled:
-                tr.emit(boundary, "completion", coflow_id=cr.coflow_id)
             for fn in self._on_coflow_complete:
                 fn(cr)
 

@@ -7,12 +7,12 @@ interesting question is almost always *why* the scheduler was woken up and
 assignments, the rate vector.  This package makes those observable as
 typed records without touching the hot paths when disabled:
 
-* :mod:`repro.obs.trace` — an event tracer emitting typed records with
-  JSONL export (read back via :func:`repro.analysis.read_trace`);
-* :mod:`repro.obs.recorder` — the columnar flight recorder: a batch-native
-  trace sink that accepts whole event batches as ndarray columns, with
-  lossless decode back to the legacy record stream (the fast way to trace
-  a million-flow replay — see ``docs/observability.md``);
+* :mod:`repro.obs.recorder` — the columnar flight recorder, the one
+  trace sink: it accepts whole event batches as ndarray columns (plus
+  per-record events from the system layers) and decodes losslessly to
+  the typed record stream (see ``docs/observability.md``);
+* :mod:`repro.obs.trace` — the :class:`TraceRecord` type and its JSONL
+  form (read back via :func:`repro.analysis.read_trace`);
 * :mod:`repro.obs.metrics` — counters, gauges and bucketed summary
   histograms (decision latency, slices fast-forwarded per jump, bus
   traffic …);
@@ -36,17 +36,12 @@ default is :data:`NULL_OBS`, whose components are permanently disabled;
 every hook site guards on ``enabled`` before building a record, so a run
 without observability pays only a predicate check per decision point
 (guarded in ``benchmarks/bench_engine_microbench.py`` to stay under 5%).
-
-Per-record emitters that are not on a per-flow hot path (scheduler
-orderings, bus traffic, heartbeats) write to :attr:`Observability.events`,
-which routes to the tracer, the recorder, or both — so a recorder-only run
-still captures the full stream.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
-from repro.obs.trace import NULL_TRACER, TraceRecord, Tracer
+from repro.obs.trace import TraceRecord
 from repro.obs.window import RollingWindow
 
 __all__ = [
@@ -58,104 +53,59 @@ __all__ = [
     "NULL_OBS",
     "NULL_PROFILER",
     "NULL_RECORDER",
-    "NULL_TRACER",
     "Observability",
     "Profiler",
     "RollingWindow",
     "TraceRecord",
-    "Tracer",
 ]
 
 
-class _Tee:
-    """Per-record fan-out to both the tracer and the recorder's fallback."""
-
-    __slots__ = ("enabled", "_tracer", "_recorder")
-
-    def __init__(self, tracer: Tracer, recorder: FlightRecorder):
-        self.enabled = True
-        self._tracer = tracer
-        self._recorder = recorder
-
-    def emit(self, t, kind, **data):
-        self._tracer.emit(t, kind, **data)
-        self._recorder.emit(t, kind, **data)
-
-
 class Observability:
-    """Bundle of tracer + recorder + metrics + profiler handed through
-    the stack.
+    """Bundle of recorder + metrics + profiler handed through the stack.
 
     Parameters
     ----------
     trace:
-        Record typed events per record (decision points, arrivals, Γ
-        orderings …).  Forces the engine's batched retirement path to
-        materialize per-flow records — prefer ``record`` on large runs.
+        Attach a :class:`~repro.obs.recorder.FlightRecorder` as
+        :attr:`recorder`: typed events (decision points, arrivals, Γ
+        orderings …) captured as columnar batches; iterate it to decode.
     metrics:
         Maintain counters/gauges/histograms.  Metrics are cheap enough to
         stay on even when tracing is off.
     profile:
         Time the ``schedule``/``integrate`` hot sections.
-    record:
-        Attach a columnar :class:`~repro.obs.recorder.FlightRecorder`:
-        the engine hands it vectorized event batches, keeping the hot
-        path columnar; decode with ``iter(obs.recorder)`` or
-        ``obs.recorder.to_tracer()``.
-    keep_last:
-        Ring-buffer depth (in batches) for the recorder; ``None`` keeps
-        everything.  Only meaningful with ``record=True``.
     """
 
-    __slots__ = ("tracer", "recorder", "metrics", "profiler", "_events")
+    __slots__ = ("recorder", "metrics", "profiler")
 
     def __init__(
         self,
         trace: bool = True,
         metrics: bool = True,
         profile: bool = False,
-        record: bool = False,
-        keep_last=None,
     ):
-        self.tracer = Tracer() if trace else NULL_TRACER
-        self.recorder = (
-            FlightRecorder(keep_last=keep_last) if record else NULL_RECORDER
-        )
+        self.recorder = FlightRecorder() if trace else NULL_RECORDER
         self.metrics = MetricsRegistry(enabled=metrics)
         self.profiler = Profiler() if profile else NULL_PROFILER
-        self._events = None
 
     @property
-    def events(self):
-        """The per-record sink for non-hot-path emitters.
-
-        Routes to the tracer, the recorder's Tracer-compatible fallback,
-        or a tee over both — whichever are enabled.  Hook sites guard on
-        ``obs.events.enabled`` exactly as they would on a tracer.
-        """
-        if self._events is None:
-            if self.tracer.enabled and self.recorder.enabled:
-                self._events = _Tee(self.tracer, self.recorder)
-            elif self.recorder.enabled:
-                self._events = self.recorder
-            else:
-                self._events = self.tracer
-        return self._events
+    def tracer(self) -> FlightRecorder:
+        """Read-only alias of :attr:`recorder`, kept for the benchmark's
+        fb-replay export; it goes with the next ``e2ebench/`` change."""
+        return self.recorder
 
     @property
     def enabled(self) -> bool:
         """Whether any component would record anything."""
         return (
-            self.tracer.enabled
-            or self.recorder.enabled
+            self.recorder.enabled
             or self.metrics.enabled
             or self.profiler.enabled
         )
 
     def __repr__(self) -> str:
         return (
-            f"<Observability trace={self.tracer.enabled} "
-            f"record={self.recorder.enabled} "
+            f"<Observability trace={self.recorder.enabled} "
             f"metrics={self.metrics.enabled} profile={self.profiler.enabled}>"
         )
 
@@ -164,11 +114,9 @@ class _NullObservability(Observability):
     """The do-nothing default: every component permanently disabled."""
 
     def __init__(self):
-        self.tracer = NULL_TRACER
         self.recorder = NULL_RECORDER
         self.metrics = MetricsRegistry(enabled=False)
         self.profiler = NULL_PROFILER
-        self._events = NULL_TRACER
 
 
 #: Shared disabled instance — the default everywhere an ``obs`` is accepted.

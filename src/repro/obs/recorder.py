@@ -1,63 +1,49 @@
-"""Columnar flight recorder: batch-native trace capture for the engine.
+"""Columnar flight recorder: the one trace sink of the engine.
 
-The legacy :class:`~repro.obs.trace.Tracer` is a *per-record* consumer:
-every event costs a Python dict, a ``TraceRecord`` and a list append, and
-— worse — attaching it forces the engine's batched retirement path to
-materialize per-flow result dataclasses just to name the flows in the
-``completion`` records.  On a million-flow replay that forfeits most of
-the columnar engine's speedup exactly when visibility matters most.
-
-The :class:`FlightRecorder` is the batch-native alternative.  The engine
-hands it whole event *batches* — an arrival batch, a retirement batch, a
-decision record, a rate summary — as ndarray columns, appended to
-preallocated growable column buffers.  No per-flow Python runs on the hot
-path; the cost of recording a 10k-flow retirement batch is a handful of
-vectorized copies.
+The engine hands the :class:`FlightRecorder` whole event *batches* — an
+arrival batch, a retirement batch, a decision record, a rate summary —
+as ndarray columns, appended to growable column buffers.  No per-flow
+Python runs on the hot path; the cost of recording a 10k-flow
+retirement batch is a handful of vectorized copies, and tracing never
+forces the engine to materialize per-flow result objects.
 
 Interleaving is preserved by a **batch journal**: one compact row per
 append (stream id, timestamp, start row, row count) in emission order.
-Decoding walks the journal and re-expands each batch into the exact
-:class:`TraceRecord` stream the legacy tracer would have produced — same
-kinds, same payloads, same order — so every existing consumer
-(:mod:`repro.analysis.tracefile`, ``python -m repro trace``) works
-unchanged on a decoded recorder stream.
+Iterating the recorder walks the journal and re-expands each batch into
+the :class:`~repro.obs.trace.TraceRecord` stream, in emission order —
+the stream :mod:`repro.analysis.tracefile` and ``python -m repro trace``
+consume.
 
 Record kinds with columnar streams: ``decision``, ``jump``, ``rates``,
-``beta``, ``core_claim``, ``arrival``, ``completion`` (flow and coflow
-level), ``cancel``, ``capacity``.  Everything else (``order``, ``bus``,
+``beta``, ``order``, ``core_claim``, ``arrival``, ``completion`` (flow
+and coflow level), ``cancel``, ``capacity``.  Everything else (``bus``,
 ``heartbeat``, ``master_order``, ``job_stage`` …) arrives through the
-Tracer-compatible :meth:`FlightRecorder.emit` fallback and is journaled
-per record — those kinds are per-decision scale, never per-flow, so the
-fallback cannot de-vectorize anything.
+per-record :meth:`FlightRecorder.emit` and is journaled one record at a
+time — those kinds are per-decision scale, never per-flow.
 
-Capacity management:
-
-* **ring-buffer mode** — ``FlightRecorder(keep_last=N)`` keeps only the
-  most recent ``N`` batches; older batches are dropped (counted in
-  :attr:`dropped_records` / :attr:`dropped_batches`) and their buffer
-  space is reclaimed by compaction on the next growth.
-* **spill to disk** — :meth:`save_npz` writes every live column to one
-  ``.npz`` (no pickling); :meth:`load_npz` restores a decodable recorder.
-  :meth:`spill_npz` saves and clears, for chunked unbounded runs.
-  :meth:`dump_jsonl` exports the decoded stream in the Tracer's JSONL
-  format.
+Export: :meth:`~FlightRecorder.dump_jsonl` writes the decoded stream as
+JSON lines; :meth:`~FlightRecorder.save_npz` writes every column to one
+``.npz`` (no pickling) and :meth:`~FlightRecorder.load_npz` restores a
+decodable recorder; :meth:`~FlightRecorder.spill_npz` saves and clears,
+for chunked unbounded runs.
 
 NPZ round-trips preserve the JSONL rendering of every record exactly.
 Columnar streams also keep their Python payload types (``kinds`` decode
-back to ``EventKind`` sets); fallback records are stored as JSON lines,
+back to ``EventKind`` sets); per-record events are stored as JSON lines,
 so after a reload their payloads carry JSON types (sets become sorted
 name lists — the same coercion ``dump_jsonl`` applies).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, IO, Iterator, List, Mapping, Union
 
 import numpy as np
 
 from repro.core.events import EventKind
-from repro.obs.trace import TraceRecord, Tracer, record_from_json, record_to_json
+from repro.obs.trace import (
+    TraceRecord, record_from_json, record_to_json, write_jsonl,
+)
 
 __all__ = ["NULL_RECORDER", "FlightRecorder"]
 
@@ -121,49 +107,26 @@ _SIDES = ("ingress", "egress")
 
 
 class _Columns:
-    """A set of growable, same-length column buffers with a live head.
+    """A set of growable, same-length column buffers (growth doubles)."""
 
-    ``head`` marks the first live row (ring-mode drops advance it); rows
-    ``[head, n)`` are live.  Growth doubles; when the dead prefix would
-    cover the shortfall, the live region is compacted to the front
-    instead (the owner is told the shift so it can rebase row indices).
-    """
+    __slots__ = ("cols", "n", "cap")
 
-    __slots__ = ("cols", "n", "head")
-
-    def __init__(self, layout: Mapping[str, type], cap: int = 0):
-        self.cols = {
-            name: np.empty(cap, dtype=dt) for name, dt in layout.items()
-        }
+    def __init__(self, layout: Mapping[str, type]):
+        self.cols = {name: np.empty(0, dtype=dt) for name, dt in layout.items()}
         self.n = 0
-        self.head = 0
+        self.cap = 0
 
-    @property
-    def live(self) -> int:
-        return self.n - self.head
-
-    def ensure(self, extra: int) -> int:
-        """Make room for ``extra`` rows; returns the compaction shift."""
-        cap = next(iter(self.cols.values())).size if self.cols else 0
-        if self.n + extra <= cap:
-            return 0
-        shift = 0
-        if self.head and self.live + extra <= cap:
-            shift = self.head
+    def reserve(self, count: int) -> int:
+        """Claim ``count`` more rows; returns the first one's index."""
+        a = self.n
+        if a + count > self.cap:
+            self.cap = max(64, 2 * self.cap, a + count)
             for name, arr in self.cols.items():
-                arr[: self.live] = arr[self.head: self.n]
-            self.n -= shift
-            self.head = 0
-        else:
-            new_cap = max(64, cap * 2, self.live + extra)
-            shift = self.head
-            for name, arr in self.cols.items():
-                grown = np.empty(new_cap, dtype=arr.dtype)
-                grown[: self.live] = arr[self.head: self.n]
+                grown = np.empty(self.cap, dtype=arr.dtype)
+                grown[:a] = arr[:a]
                 self.cols[name] = grown
-            self.n -= shift
-            self.head = 0
-        return shift
+        self.n = a + count
+        return a
 
     def nbytes(self) -> int:
         return sum(arr.nbytes for arr in self.cols.values())
@@ -172,31 +135,16 @@ class _Columns:
 class FlightRecorder:
     """Batch-native trace sink with lossless decode to ``TraceRecord``.
 
-    Parameters
-    ----------
-    keep_last:
-        Ring-buffer mode: keep only the newest ``keep_last`` batches
-        (one engine hook-site append = one batch).  ``None`` keeps
-        everything.
-
     The engine-facing ``add_*`` methods append one batch each; the
-    Tracer-compatible :meth:`emit` journals a single per-record event for
-    kinds without a columnar stream.  Iterating the recorder (or calling
-    :meth:`to_tracer`) decodes the stream in emission order.
+    per-record :meth:`emit` journals a single event for kinds without a
+    columnar stream.  Iterating the recorder decodes the stream in
+    emission order.
     """
 
-    __slots__ = (
-        "enabled", "dropped_records", "dropped_batches", "_keep_last",
-        "_streams", "_journal", "_misc", "_misc_head",
-    )
+    __slots__ = ("enabled", "_streams", "_journal", "_misc")
 
-    def __init__(self, keep_last: Optional[int] = None):
-        if keep_last is not None and keep_last <= 0:
-            raise ValueError(f"keep_last must be positive, got {keep_last}")
+    def __init__(self):
         self.enabled = True
-        self.dropped_records = 0
-        self.dropped_batches = 0
-        self._keep_last = keep_last
         self._streams = {
             code: _Columns(layout) for code, layout in _LAYOUT.items()
         }
@@ -205,154 +153,115 @@ class FlightRecorder:
              "start": np.int64, "count": np.int64}
         )
         self._misc: List[TraceRecord] = []
-        self._misc_head = 0
 
     # ------------------------------------------------------------- appends
     def _journal_batch(self, code: int, t: float, start: int, count: int) -> None:
         jl = self._journal
-        jl.ensure(1)
+        j = jl.reserve(1)
         jc = jl.cols
-        jc["stream"][jl.n] = code
-        jc["t"][jl.n] = t
-        jc["start"][jl.n] = start
-        jc["count"][jl.n] = count
-        jl.n += 1
-        if self._keep_last is not None:
-            while jl.live > self._keep_last:
-                self._drop_oldest_batch()
+        jc["stream"][j] = code
+        jc["t"][j] = t
+        jc["start"][j] = start
+        jc["count"][j] = count
 
-    def _drop_oldest_batch(self) -> None:
-        jl = self._journal
-        jc = jl.cols
-        i = jl.head
-        code = int(jc["stream"][i])
-        count = int(jc["count"][i])
-        end = int(jc["start"][i]) + count
-        if code == _MISC:
-            self._misc_head = end
-            if self._misc_head >= 1024:
-                del self._misc[: self._misc_head]
-                self._rebase_journal(_MISC, self._misc_head)
-                self._misc_head = 0
-        else:
-            self._streams[code].head = end
-        jl.head += 1
-        self.dropped_batches += 1
-        self.dropped_records += 1 if code in _BATCH_RECORD else count
-
-    def _rebase_journal(self, code: int, shift: int) -> None:
-        """Subtract ``shift`` from the starts of every live batch of a
-        stream (after its buffer was compacted to the front)."""
-        jl = self._journal
-        jc = jl.cols
-        live_stream = jc["stream"][jl.head: jl.n]
-        live_start = jc["start"][jl.head: jl.n]
-        live_start[live_stream == code] -= shift
-
-    def _rows(self, code: int, t: float, count: int) -> Dict[str, np.ndarray]:
-        """Reserve ``count`` rows in a stream; journal them; return views."""
+    def _rows(self, code: int, t: float, count: int):
+        """Reserve ``count`` rows in a stream and journal them; returns the
+        stream's columns and the first reserved row."""
         st = self._streams[code]
-        shift = st.ensure(count)
-        if shift:
-            self._rebase_journal(code, shift)
-        a, b = st.n, st.n + count
-        views = {name: arr[a:b] for name, arr in st.cols.items()}
-        st.n = b
+        a = st.reserve(count)
         self._journal_batch(code, t, a, count)
-        return views
+        return st.cols, a
 
     def add_decision(self, t, kinds, n_flows, n_coflows) -> None:
-        row = self._rows(_DECISION, float(t), 1)
-        row["kinds"][0] = _kinds_to_mask(kinds)
-        row["n_flows"][0] = n_flows
-        row["n_coflows"][0] = n_coflows
+        cols, a = self._rows(_DECISION, float(t), 1)
+        cols["kinds"][a] = _kinds_to_mask(kinds)
+        cols["n_flows"][a] = n_flows
+        cols["n_coflows"][a] = n_coflows
 
     def add_jump(self, t, n_slices, kinds) -> None:
-        row = self._rows(_JUMP, float(t), 1)
-        row["n_slices"][0] = n_slices
-        row["kinds"][0] = _kinds_to_mask(kinds)
+        cols, a = self._rows(_JUMP, float(t), 1)
+        cols["n_slices"][a] = n_slices
+        cols["kinds"][a] = _kinds_to_mask(kinds)
 
     def add_rates(self, t, n_tx, total, max_rate) -> None:
-        row = self._rows(_RATES, float(t), 1)
-        row["n_tx"][0] = n_tx
-        row["total"][0] = total
-        row["max"][0] = max_rate
+        cols, a = self._rows(_RATES, float(t), 1)
+        cols["n_tx"][a] = n_tx
+        cols["total"][a] = total
+        cols["max"][a] = max_rate
 
     def add_arrivals(self, t, coflow_ids, n_flows) -> None:
         """One arrival batch: per-coflow id and width columns."""
         k = len(coflow_ids)
         if k == 0:
             return
-        rows = self._rows(_ARRIVAL, float(t), k)
-        rows["coflow_id"][:] = coflow_ids
-        rows["n_flows"][:] = n_flows
+        cols, a = self._rows(_ARRIVAL, float(t), k)
+        cols["coflow_id"][a:a + k] = coflow_ids
+        cols["n_flows"][a:a + k] = n_flows
 
     def add_flow_completions(self, t, flow_ids, coflow_ids) -> None:
         """One retirement batch: every flow that finished at ``t``."""
         k = len(flow_ids)
         if k == 0:
             return
-        rows = self._rows(_FLOW_DONE, float(t), k)
-        rows["flow_id"][:] = flow_ids
-        rows["coflow_id"][:] = coflow_ids
+        cols, a = self._rows(_FLOW_DONE, float(t), k)
+        cols["flow_id"][a:a + k] = flow_ids
+        cols["coflow_id"][a:a + k] = coflow_ids
 
     def add_coflow_completions(self, t, coflow_ids) -> None:
         k = len(coflow_ids)
         if k == 0:
             return
-        rows = self._rows(_COFLOW_DONE, float(t), k)
-        rows["coflow_id"][:] = coflow_ids
+        cols, a = self._rows(_COFLOW_DONE, float(t), k)
+        cols["coflow_id"][a:a + k] = coflow_ids
 
     def add_beta(self, t, flow_ids) -> None:
         """The flows granted compression this window (one record)."""
         k = len(flow_ids)
         if k == 0:
             return
-        rows = self._rows(_BETA, float(t), k)
-        rows["flow_id"][:] = flow_ids
+        cols, a = self._rows(_BETA, float(t), k)
+        cols["flow_id"][a:a + k] = flow_ids
 
     def add_order(self, t, coflow_ids, gammas, ps) -> None:
         """FVDF's ranked unit order for one decision (one record).
 
         Rows arrive in ranking order; the decoded record carries the
-        legacy ``units`` payload (``[coflow_id, gamma, p, gamma/p]`` per
+        ``units`` payload (``[coflow_id, gamma, p, gamma/p]`` per
         unit, the key recomputed from the stored columns).
 
         Unlike the per-row streams there is deliberately no ``k == 0``
-        early return: the legacy tracer emits an ``order`` record even
-        when no units are rankable, so an empty batch must journal (and
-        decode to ``units=[]``) to keep the streams record-for-record
-        identical.  Ring drops and buffer compaction must treat these
-        zero-row batches like any other (their ``start`` sits on the
-        dead/live boundary and still gets rebased).
+        early return: FVDF records an ``order`` even when no units are
+        rankable, so an empty batch journals (and decodes to
+        ``units=[]``).
         """
         k = len(coflow_ids)
-        rows = self._rows(_ORDER, float(t), k)
-        rows["coflow_id"][:] = coflow_ids
-        rows["gamma"][:] = gammas
-        rows["p"][:] = ps
+        cols, a = self._rows(_ORDER, float(t), k)
+        cols["coflow_id"][a:a + k] = coflow_ids
+        cols["gamma"][a:a + k] = gammas
+        cols["p"][a:a + k] = ps
 
     def add_core_claims(self, t, nodes, claims) -> None:
         k = len(nodes)
         if k == 0:
             return
-        rows = self._rows(_CLAIM, float(t), k)
-        rows["node"][:] = nodes
-        rows["claims"][:] = claims
+        cols, a = self._rows(_CLAIM, float(t), k)
+        cols["node"][a:a + k] = nodes
+        cols["claims"][a:a + k] = claims
 
     def add_cancel(self, t, coflow_id, n_flows) -> None:
-        row = self._rows(_CANCEL, float(t), 1)
-        row["coflow_id"][0] = coflow_id
-        row["n_flows"][0] = n_flows
+        cols, a = self._rows(_CANCEL, float(t), 1)
+        cols["coflow_id"][a] = coflow_id
+        cols["n_flows"][a] = n_flows
 
     def add_capacity(self, t, side, port, capacity) -> None:
-        row = self._rows(_CAPACITY, float(t), 1)
-        row["side"][0] = _SIDES.index(side)
-        row["port"][0] = port
-        row["capacity"][0] = capacity
+        cols, a = self._rows(_CAPACITY, float(t), 1)
+        cols["side"][a] = _SIDES.index(side)
+        cols["port"][a] = port
+        cols["capacity"][a] = capacity
 
-    # Tracer-compatible fallback for kinds without a columnar stream
-    # (scheduler orderings, bus traffic, heartbeats — per-decision scale).
+    # Per-record events for kinds without a columnar stream (scheduler
+    # orderings, bus traffic, heartbeats — per-decision scale).  Call
+    # sites guard on ``enabled`` before building the payload.
     def emit(self, t: float, kind: str, **data: Any) -> None:
         if not self.enabled:
             return
@@ -362,21 +271,22 @@ class FlightRecorder:
     def clear(self) -> None:
         """Drop every buffered batch (buffers stay allocated)."""
         for st in self._streams.values():
-            st.n = st.head = 0
-        self._journal.n = self._journal.head = 0
+            st.n = 0
+        self._journal.n = 0
         self._misc.clear()
-        self._misc_head = 0
 
     # -------------------------------------------------------------- decode
     def __iter__(self) -> Iterator[TraceRecord]:
-        """Decode the live batches back into the legacy record stream."""
+        """Decode the batches back into the record stream, in order."""
         jl = self._journal
-        jc = jl.cols
-        for i in range(jl.head, jl.n):
-            code = int(jc["stream"][i])
-            t = float(jc["t"][i])
-            a = int(jc["start"][i])
-            b = a + int(jc["count"][i])
+        n = jl.n
+        journal = zip(
+            *(jl.cols[name][:n].tolist()
+              for name in ("stream", "t", "start", "count"))
+        )
+        # ``tolist`` per batch: payload values are Python ints and floats.
+        for code, t, a, count in journal:
+            b = a + count
             if code == _MISC:
                 yield self._misc[a]
                 continue
@@ -399,41 +309,38 @@ class FlightRecorder:
                     "max": float(cols["max"][a]),
                 })
             elif code == _ARRIVAL:
-                ids, widths = cols["coflow_id"], cols["n_flows"]
-                for j in range(a, b):
+                for cid, width in zip(cols["coflow_id"][a:b].tolist(),
+                                      cols["n_flows"][a:b].tolist()):
                     yield TraceRecord(t, "arrival", {
-                        "coflow_id": int(ids[j]), "n_flows": int(widths[j]),
+                        "coflow_id": cid, "n_flows": width,
                     })
             elif code == _FLOW_DONE:
-                fids, cids = cols["flow_id"], cols["coflow_id"]
-                for j in range(a, b):
+                for fid, cid in zip(cols["flow_id"][a:b].tolist(),
+                                    cols["coflow_id"][a:b].tolist()):
                     yield TraceRecord(t, "completion", {
-                        "flow_id": int(fids[j]), "coflow_id": int(cids[j]),
+                        "flow_id": fid, "coflow_id": cid,
                     })
             elif code == _COFLOW_DONE:
-                ids = cols["coflow_id"]
-                for j in range(a, b):
-                    yield TraceRecord(t, "completion", {
-                        "coflow_id": int(ids[j]),
-                    })
+                for cid in cols["coflow_id"][a:b].tolist():
+                    yield TraceRecord(t, "completion", {"coflow_id": cid})
             elif code == _BETA:
                 yield TraceRecord(t, "beta", {
                     "flow_ids": cols["flow_id"][a:b].tolist(),
                 })
             elif code == _ORDER:
-                cids, g, p = cols["coflow_id"], cols["gamma"], cols["p"]
                 yield TraceRecord(t, "order", {
                     "units": [
-                        [int(cids[j]), float(g[j]), float(p[j]),
-                         float(g[j] / p[j])]
-                        for j in range(a, b)
+                        [cid, g, p, g / p]
+                        for cid, g, p in zip(cols["coflow_id"][a:b].tolist(),
+                                             cols["gamma"][a:b].tolist(),
+                                             cols["p"][a:b].tolist())
                     ],
                 })
             elif code == _CLAIM:
-                nodes, claims = cols["node"], cols["claims"]
-                for j in range(a, b):
+                for node, claims in zip(cols["node"][a:b].tolist(),
+                                        cols["claims"][a:b].tolist()):
                     yield TraceRecord(t, "core_claim", {
-                        "node": int(nodes[j]), "claims": int(claims[j]),
+                        "node": node, "claims": claims,
                     })
             elif code == _CANCEL:
                 yield TraceRecord(t, "cancel", {
@@ -447,29 +354,22 @@ class FlightRecorder:
                     "capacity": float(cols["capacity"][a]),
                 })
 
-    def to_tracer(self) -> Tracer:
-        """A legacy :class:`Tracer` preloaded with the decoded stream."""
-        tr = Tracer()
-        tr.records = list(self)
-        tr.dropped = self.dropped_records
-        return tr
-
     # ----------------------------------------------------------- inspection
     def __len__(self) -> int:
-        """Decoded record count of the live region (no decoding done)."""
+        """Decoded record count (no decoding done)."""
         return sum(self.counts().values())
 
     @property
     def batches(self) -> int:
-        """Live batch count (journal rows)."""
-        return self._journal.live
+        """Batch count (journal rows)."""
+        return self._journal.n
 
     def counts(self) -> Dict[str, int]:
         """Decoded record count per kind, computed from the journal."""
         jl = self._journal
         jc = jl.cols
-        stream = jc["stream"][jl.head: jl.n]
-        count = jc["count"][jl.head: jl.n]
+        stream = jc["stream"][: jl.n]
+        count = jc["count"][: jl.n]
         out: Dict[str, int] = {}
         for code, kind in _RECORD_KIND.items():
             mask = stream == code
@@ -480,7 +380,7 @@ class FlightRecorder:
             )
             out[kind] = out.get(kind, 0) + n
         for idx in np.nonzero(stream == _MISC)[0]:
-            kind = self._misc[int(jc["start"][jl.head + idx])].kind
+            kind = self._misc[int(jc["start"][idx])].kind
             out[kind] = out.get(kind, 0) + 1
         return out
 
@@ -495,53 +395,36 @@ class FlightRecorder:
         return {
             "records": len(self),
             "batches": self.batches,
-            "dropped_records": self.dropped_records,
-            "dropped_batches": self.dropped_batches,
             "nbytes": self.nbytes(),
             "counts": self.counts(),
         }
 
     # --------------------------------------------------------------- export
     def dump_jsonl(self, dest: Union[str, IO[str]]) -> int:
-        """Write the decoded stream as JSON lines (Tracer format)."""
-        if hasattr(dest, "write"):
-            return Tracer._write(dest, self)  # type: ignore[arg-type]
-        with open(dest, "w", encoding="utf-8") as fh:
-            return Tracer._write(fh, self)
+        """Write the decoded stream as JSON lines; returns the count."""
+        return write_jsonl(dest, self)
 
     def save_npz(self, path) -> None:
-        """Spill every live column to one ``.npz`` (no pickling).
+        """Write every column to one ``.npz`` (no pickling).
 
-        Only the live region is written; ring-dropped batches are gone.
-        Fallback records are stored as JSON lines (their decoded payloads
-        carry JSON types after a reload, exactly as in ``dump_jsonl``).
+        Per-record events are stored as JSON lines (their decoded
+        payloads carry JSON types after a reload, exactly as in
+        ``dump_jsonl``).
         """
         jl = self._journal
-        arrays: Dict[str, np.ndarray] = {
-            "meta.dropped": np.asarray(
-                [self.dropped_records, self.dropped_batches], dtype=np.int64
-            ),
-        }
-        heads = np.zeros(len(_STREAM_NAME), dtype=np.int64)
+        arrays: Dict[str, np.ndarray] = {}
         for code, st in self._streams.items():
-            heads[code] = st.head
             for name, arr in st.cols.items():
-                arrays[f"{_STREAM_NAME[code]}.{name}"] = arr[st.head: st.n]
-        heads[_MISC] = self._misc_head
+                arrays[f"{_STREAM_NAME[code]}.{name}"] = arr[: st.n]
         arrays["misc.json"] = np.asarray(
-            [record_to_json(r) for r in self._misc[self._misc_head:]],
-            dtype=str,
+            [record_to_json(r) for r in self._misc], dtype=str
         )
-        stream = jl.cols["stream"][jl.head: jl.n]
-        start = jl.cols["start"][jl.head: jl.n] - heads[stream]
-        arrays["journal.stream"] = stream
-        arrays["journal.t"] = jl.cols["t"][jl.head: jl.n]
-        arrays["journal.start"] = start
-        arrays["journal.count"] = jl.cols["count"][jl.head: jl.n]
+        for name, arr in jl.cols.items():
+            arrays[f"journal.{name}"] = arr[: jl.n]
         np.savez_compressed(path, **arrays)
 
     def spill_npz(self, path) -> int:
-        """Save the live batches to ``path`` and clear the buffers.
+        """Save the batches to ``path`` and clear the buffers.
 
         Returns the number of records spilled — chunked export for
         unbounded runs: spill every N batches, concatenate offline.
@@ -556,9 +439,6 @@ class FlightRecorder:
         """Restore a recorder saved by :meth:`save_npz`."""
         with np.load(path, allow_pickle=False) as data:
             rec = cls()
-            dropped = data["meta.dropped"]
-            rec.dropped_records = int(dropped[0])
-            rec.dropped_batches = int(dropped[1])
             for code, st in rec._streams.items():
                 prefix = _STREAM_NAME[code]
                 n = None
@@ -566,7 +446,7 @@ class FlightRecorder:
                     arr = np.array(data[f"{prefix}.{name}"])
                     st.cols[name] = arr
                     n = arr.size
-                st.n = n or 0
+                st.n = st.cap = n or 0
             rec._misc = [
                 record_from_json(line) for line in data["misc.json"].tolist()
             ]
@@ -577,13 +457,12 @@ class FlightRecorder:
                 "start": np.array(data["journal.start"]),
                 "count": np.array(data["journal.count"]),
             }
-            jl.n = jl.cols["stream"].size
+            jl.n = jl.cap = jl.cols["stream"].size
         return rec
 
     def __repr__(self) -> str:
         return (
-            f"<FlightRecorder records={len(self)} batches={self.batches} "
-            f"dropped={self.dropped_records}>"
+            f"<FlightRecorder records={len(self)} batches={self.batches}>"
         )
 
 

@@ -1,10 +1,11 @@
-"""Typed event tracing with JSONL export.
+"""Trace records and their JSONL form.
 
-A :class:`Tracer` collects :class:`TraceRecord` instances — a simulated
-timestamp, a record kind, and a flat payload dict.  Hook sites in the
-engine and system layers guard every emission on :attr:`Tracer.enabled`,
-so the disabled tracer (:data:`NULL_TRACER`) costs one attribute check and
-nothing else.
+A :class:`TraceRecord` is one traced event — a simulated timestamp, a
+record kind, and a flat payload dict.  The engine and system layers
+capture them in the :class:`~repro.obs.recorder.FlightRecorder`, which
+decodes back to this record stream; :func:`write_jsonl` and
+:func:`record_from_json` are the two ends of the JSONL format that
+:mod:`repro.analysis.tracefile` reads.
 
 Record kinds (the schema is documented in ``docs/observability.md``):
 
@@ -34,9 +35,9 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Any, Callable, Dict, IO, Iterable, Iterator, List, NamedTuple, Optional, Set, Union
+from typing import Any, Dict, IO, Iterable, NamedTuple, Union
 
-__all__ = ["NULL_TRACER", "TraceRecord", "Tracer", "record_to_json", "record_from_json"]
+__all__ = ["TraceRecord", "record_from_json", "record_to_json", "write_jsonl"]
 
 
 class TraceRecord(NamedTuple):
@@ -70,107 +71,32 @@ def record_to_json(record: TraceRecord) -> str:
 
 
 def record_from_json(line: str) -> TraceRecord:
-    """Parse one JSONL line back into a :class:`TraceRecord`."""
-    obj = json.loads(line)
-    t = float(obj.pop("t"))
-    kind = str(obj.pop("kind"))
-    return TraceRecord(t=t, kind=kind, data=obj)
+    """Parse one JSONL line back into a :class:`TraceRecord`.
 
-
-class Tracer:
-    """Collects trace records in order; exports them as JSONL.
-
-    Parameters
-    ----------
-    limit:
-        Maximum records kept (oldest beyond the limit are dropped and
-        counted in :attr:`dropped`); ``None`` keeps everything.
-    sink:
-        Optional callable invoked with every record as it is emitted —
-        lets a caller stream records to disk instead of buffering.
+    Raises :class:`ValueError` unless the line is a JSON object with a
+    numeric ``t`` and a string ``kind`` (:class:`KeyError` if either is
+    missing).
     """
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    t = obj.pop("t")
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ValueError(f"'t' must be a number, got {t!r}")
+    kind = obj.pop("kind")
+    if not isinstance(kind, str):
+        raise ValueError(f"'kind' must be a string, got {kind!r}")
+    return TraceRecord(t=float(t), kind=kind, data=obj)
 
-    __slots__ = ("enabled", "records", "dropped", "_limit", "_sink")
 
-    def __init__(
-        self,
-        limit: Optional[int] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
-    ):
-        self.enabled = True
-        self.records: List[TraceRecord] = []
-        self.dropped = 0
-        self._limit = limit
-        self._sink = sink
-
-    # ------------------------------------------------------------- emission
-    def emit(self, t: float, kind: str, **data: Any) -> None:
-        """Record one event.  Call sites must guard on :attr:`enabled` so a
-        disabled tracer never pays for payload construction."""
-        if not self.enabled:
-            return
-        rec = TraceRecord(t=float(t), kind=kind, data=data)
-        if self._sink is not None:
-            self._sink(rec)
-        self.records.append(rec)
-        if self._limit is not None and len(self.records) > self._limit:
-            del self.records[0]
-            self.dropped += 1
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
-    # ------------------------------------------------------------ inspection
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records of one kind, in emission order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def kinds_at(self, t: float, tol: float = 1e-9) -> Set[str]:
-        """Record kinds observed at simulated instant ``t`` (± ``tol``)."""
-        return {r.kind for r in self.records if abs(r.t - t) <= tol}
-
-    def counts(self) -> Dict[str, int]:
-        """Record count per kind."""
-        out: Dict[str, int] = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
-        return out
-
-    # --------------------------------------------------------------- export
-    def dump_jsonl(self, dest: Union[str, IO[str]]) -> int:
-        """Write all buffered records as JSON lines; returns the count."""
-        if hasattr(dest, "write"):
-            return self._write(dest, self.records)  # type: ignore[arg-type]
+def write_jsonl(dest: Union[str, IO[str]], records: Iterable[TraceRecord]) -> int:
+    """Write records as JSON lines to a path or open handle; returns the count."""
+    if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8") as fh:
-            return self._write(fh, self.records)
-
-    @staticmethod
-    def _write(fh: IO[str], records: Iterable[TraceRecord]) -> int:
-        n = 0
-        for rec in records:
-            fh.write(record_to_json(rec))
-            fh.write("\n")
-            n += 1
-        return n
-
-
-class _NullTracer(Tracer):
-    """Permanently-disabled tracer; :meth:`emit` is a no-op."""
-
-    def __init__(self):
-        super().__init__()
-        self.enabled = False
-
-    def emit(self, t: float, kind: str, **data: Any) -> None:  # pragma: no cover
-        return None
-
-
-#: Shared disabled tracer — the default wherever a tracer is accepted.
-NULL_TRACER = _NullTracer()
+            return write_jsonl(fh, records)
+    n = 0
+    for rec in records:
+        dest.write(record_to_json(rec))
+        dest.write("\n")
+        n += 1
+    return n

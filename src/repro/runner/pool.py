@@ -118,8 +118,7 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     if spec.telemetry:
         from repro.obs import Observability
 
-        # Metrics only: no per-record tracer (it would force the engine's
-        # eager per-flow path), no recorder (nothing consumes the trace).
+        # Metrics only: no recorder (nothing consumes the trace).
         obs = Observability(trace=False, metrics=True)
     with _Stopwatch() as clock:
         result = run_policy(scheduler, coflows, spec.setup, obs=obs)

@@ -136,9 +136,9 @@ class SwallowMaster:
                 raise ProtocolError(f"scheduling() over unknown coflow {ref.coflow_id}")
             regs.append(reg)
         regs.sort(key=lambda r: self.gamma(r.info) / r.priority_class)
-        tr = self.obs.events
-        if tr.enabled:
-            tr.emit(
+        flt = self.obs.recorder
+        if flt.enabled:
+            flt.emit(
                 self._now(),
                 "master_order",
                 units=[

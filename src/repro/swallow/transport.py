@@ -66,10 +66,10 @@ class MessageBus:
         self._counts[topic] += 1
         if self.obs.metrics.enabled:
             self.obs.metrics.counter(f"bus.messages.{topic}").inc()
-        tr = self.obs.events
-        if tr.enabled:
+        flt = self.obs.recorder
+        if flt.enabled:
             t = self.clock() if self.clock is not None else -1.0
-            tr.emit(t, "bus", topic=topic)
+            flt.emit(t, "bus", topic=topic)
         if self.keep_log:
             self._log.append((topic, message))
         for h in tuple(handlers):

@@ -70,9 +70,9 @@ class SwallowWorker:
             free_cores=int(cpu.free_cores(t)[self.node]),
             bandwidth_free=bandwidth_free,
         )
-        tr = self.bus.obs.events
-        if tr.enabled:
-            tr.emit(t, "heartbeat", node=self.node, free_cores=msg.free_cores)
+        flt = self.bus.obs.recorder
+        if flt.enabled:
+            flt.emit(t, "heartbeat", node=self.node, free_cores=msg.free_cores)
         self.bus.publish("master/measurement", msg)
         return msg
 

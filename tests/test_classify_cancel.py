@@ -139,7 +139,7 @@ class TestCancellation:
         # the never-started flow gets start == finish == cancellation time
         assert sim._start[g_pending] == pytest.approx(0.5)
         assert sim._finish[g_pending] == pytest.approx(0.5)
-        recs = obs.tracer.of_kind("cancel")
+        recs = [r for r in obs.recorder if r.kind == "cancel"]
         assert [(r.data["coflow_id"], r.data["n_flows"]) for r in recs] == [
             (active.coflow_id, 1),
             (pending.coflow_id, 1),

@@ -1,7 +1,10 @@
-"""Observability layer: tracer, metrics, profiler, JSONL round-trip."""
+"""Observability layer: trace records, metrics, profiler, JSONL round-trip."""
 
+import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,10 +17,11 @@ from repro.analysis import (
     trace_summary,
 )
 from repro.errors import ProtocolError, ReproError
-from repro.obs import NULL_OBS, NULL_PROFILER, NULL_TRACER, Observability
+from repro.obs import NULL_OBS, NULL_PROFILER, NULL_RECORDER, Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
-from repro.obs.trace import TraceRecord, Tracer, record_from_json, record_to_json
+from repro.obs.recorder import FlightRecorder
+from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 from repro.scenarios import run_motivating_example
 from repro.schedulers import make_scheduler
 from repro.swallow.transport import MessageBus
@@ -25,33 +29,21 @@ from repro.swallow.transport import MessageBus
 
 class TestTracer:
     def test_emit_and_query(self):
-        tr = Tracer()
-        tr.emit(0.0, "decision", kinds={"ARRIVAL"}, n_flows=2)
-        tr.emit(0.5, "completion", flow_id=7)
-        tr.emit(0.5, "arrival", coflow_id=1)
-        assert len(tr) == 3
-        assert [r.kind for r in tr.of_kind("completion")] == ["completion"]
-        assert tr.kinds_at(0.5) == {"completion", "arrival"}
-        assert tr.counts() == {"decision": 1, "completion": 1, "arrival": 1}
-
-    def test_limit_drops_oldest(self):
-        tr = Tracer(limit=2)
-        for i in range(5):
-            tr.emit(float(i), "decision")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert tr.records[0].t == 3.0
-
-    def test_sink_streams_records(self):
-        seen = []
-        tr = Tracer(sink=seen.append)
-        tr.emit(1.0, "arrival", coflow_id=3)
-        assert seen == [TraceRecord(1.0, "arrival", {"coflow_id": 3})]
+        rec = FlightRecorder()
+        rec.emit(0.0, "decision", kinds={"ARRIVAL"}, n_flows=2)
+        rec.emit(0.5, "completion", flow_id=7)
+        rec.emit(0.5, "arrival", coflow_id=1)
+        assert len(rec) == 3
+        records = list(rec)
+        assert records[1] == TraceRecord(0.5, "completion", {"flow_id": 7})
+        assert kinds_at(records, 0.5) == {"completion", "arrival"}
+        assert rec.counts() == {"decision": 1, "completion": 1, "arrival": 1}
+        assert trace_summary(records) == rec.counts()
 
     def test_null_tracer_records_nothing(self):
-        NULL_TRACER.emit(0.0, "decision")
-        assert len(NULL_TRACER) == 0
-        assert not NULL_TRACER.enabled
+        NULL_RECORDER.emit(0.0, "decision")
+        assert len(NULL_RECORDER) == 0
+        assert not NULL_RECORDER.enabled
 
     def test_json_round_trip_coerces_types(self):
         from repro.core.events import EventKind
@@ -124,13 +116,14 @@ class TestProfiler:
 class TestObservabilityBundle:
     def test_defaults(self):
         obs = Observability()
-        assert obs.tracer.enabled and obs.metrics.enabled
+        assert obs.recorder.enabled and obs.metrics.enabled
         assert not obs.profiler.enabled
         assert obs.enabled
+        assert obs.tracer is obs.recorder  # read-only alias
 
     def test_null_obs_disabled(self):
         assert not NULL_OBS.enabled
-        assert not NULL_OBS.tracer.enabled
+        assert not NULL_OBS.recorder.enabled
         assert not NULL_OBS.metrics.enabled
         assert not NULL_OBS.profiler.enabled
 
@@ -139,7 +132,7 @@ class TestEngineTracing:
     def test_run_emits_records_and_metrics(self):
         obs = Observability(profile=True)
         res = run_motivating_example(make_scheduler("fvdf"), obs=obs)
-        counts = obs.tracer.counts()
+        counts = obs.recorder.counts()
         # every decision point produced decision/order/rates/jump records
         assert counts["decision"] == res.decision_points
         assert counts["order"] == res.decision_points
@@ -169,30 +162,35 @@ class TestEngineTracing:
         obs = Observability()
         run_motivating_example(make_scheduler("fvdf"), obs=obs)
         path = tmp_path / "run.jsonl"
-        n = obs.tracer.dump_jsonl(str(path))
-        assert n == len(obs.tracer)
+        n = obs.recorder.dump_jsonl(str(path))
+        assert n == len(obs.recorder)
         records = read_trace(str(path))
         assert len(records) == n
-        assert trace_summary(records) == obs.tracer.counts()
+        assert trace_summary(records) == obs.recorder.counts()
         decisions = decision_timeline(records)
         assert decisions[0].data["kinds"] == ["ARRIVAL", "START"]
-        # kinds_at mirrors the in-memory tracer view
+        # kinds_at agrees on the file and the in-memory recorder
         t0 = decisions[0].t
         assert "decision" in kinds_at(records, t0)
+        assert kinds_at(records, t0) == kinds_at(list(obs.recorder), t0)
         # streaming reader agrees with the batch reader
         assert list(iter_trace(str(path))) == records
 
     def test_reader_rejects_malformed_lines(self, tmp_path):
+        # Not JSON; then JSON that is not a record: an array, a bare
+        # string, a non-numeric ``t``, a non-string ``kind``.
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"t": 0.0, "kind": "decision"}\nnot json\n')
-        with pytest.raises(ReproError, match="line 2"):
-            read_trace(str(path))
+        for line in ('not json', '[1,2]', '"str"', '{"t": null, "kind": "x"}',
+                     '{"t": 0.0, "kind": 3}'):
+            path.write_text('{"t": 0.0, "kind": "decision"}\n' + line + "\n")
+            with pytest.raises(ReproError, match="line 2"):
+                read_trace(str(path))
 
     def test_dump_to_handle(self):
-        tr = Tracer()
-        tr.emit(0.0, "arrival", coflow_id=0)
+        rec = FlightRecorder()
+        rec.emit(0.0, "arrival", coflow_id=0)
         buf = io.StringIO()
-        assert tr.dump_jsonl(buf) == 1
+        assert rec.dump_jsonl(buf) == 1
         assert read_trace(io.StringIO(buf.getvalue()))[0].kind == "arrival"
 
 
@@ -204,7 +202,7 @@ class TestBusObservability:
         bus.publish("a", 1)
         bus.publish("a", 2)
         assert obs.metrics.value("bus.messages.a") == 2
-        recs = obs.tracer.of_kind("bus")
+        recs = [r for r in obs.recorder if r.kind == "bus"]
         assert len(recs) == 2
         assert recs[0].data["topic"] == "a"
         assert recs[0].t == -1.0  # no clock attached
@@ -215,7 +213,8 @@ class TestBusObservability:
         bus.clock = lambda: 4.5
         bus.subscribe("a", lambda m: None)
         bus.publish("a", 1)
-        assert bus.obs.tracer.of_kind("bus")[0].t == 4.5
+        [rec] = list(bus.obs.recorder)
+        assert rec.kind == "bus" and rec.t == 4.5
 
 
 class TestCliTrace:
@@ -241,3 +240,25 @@ class TestCliTrace:
         out = capsys.readouterr().out
         assert '"kind":"decision"' in out
         assert "hot sections" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["fig4", "--policy", "fvdf"],
+             "9acbc9eda9d29ac13e40288b91e4d7ee62aea25244679e937c16067c023881bb"),
+            (["synthetic", "--coflows", "20", "--policy", "fvdf-flow"],
+             "19b389ed1e286e06ad799ed8a84ed7233d098c3c080048ad61b0003cdb350498"),
+        ],
+        ids=["fig4-fvdf", "synthetic-fvdf-flow"],
+    )
+    def test_trace_jsonl_bytes_are_pinned(self, tmp_path, argv, digest):
+        """The exact ``--out`` bytes: record order, payload keys and float
+        rendering all stay put.  A fresh process, because coflow and flow
+        ids come from process-global counters."""
+        out = tmp_path / "run.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

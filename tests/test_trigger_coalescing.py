@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine
+from repro.analysis import decision_timeline
 from repro.core.coflow import Coflow
 from repro.core.events import EventKind, ScheduleTrigger
 from repro.core.flow import Flow
@@ -107,11 +108,11 @@ class TestTiedBoundaryEndToEnd:
         sim.submit(Coflow([Flow(src=1, dst=0, size=1.0, flow_id=1)], arrival=1.0))
         sim.run()
         # the fast-forward jump from t=0 must report both event kinds …
-        jump = obs.tracer.of_kind("jump")[0]
+        jump = next(r for r in obs.recorder if r.kind == "jump")
         assert set(jump.data["kinds"]) == {EventKind.ARRIVAL, EventKind.COMPLETION}
         # … and the decision at t=1.0 must deliver both to the scheduler.
         [decision] = [
-            r for r in obs.tracer.of_kind("decision") if abs(r.t - 1.0) < 1e-9
+            r for r in decision_timeline(obs.recorder) if abs(r.t - 1.0) < 1e-9
         ]
         assert {EventKind.ARRIVAL, EventKind.COMPLETION} <= set(decision.data["kinds"])
 
@@ -133,7 +134,7 @@ class TestTiedBoundaryEndToEnd:
         assert obs.metrics.value("fvdf.upgrades") >= 1
 
 
-def _events_by_decision(tracer):
+def _events_by_decision(records):
     """Map each traced decision to the arrival/completion records that
     occurred since the previous decision (completions) or at the decision
     instant itself (arrivals).
@@ -142,10 +143,10 @@ def _events_by_decision(tracer):
     its coflow lives reschedules but does not fire the Upgrade step), so
     only coflow completion records — those without a ``flow_id`` — count.
     """
-    decisions = [r for r in tracer.of_kind("decision")]
-    arrivals = [r.t for r in tracer.of_kind("arrival")]
+    decisions = decision_timeline(records)
+    arrivals = [r.t for r in records if r.kind == "arrival"]
     completions = [
-        r.t for r in tracer.of_kind("completion") if "flow_id" not in r.data
+        r.t for r in records if r.kind == "completion" and "flow_id" not in r.data
     ]
     prev = -math.inf
     out = []
@@ -191,7 +192,7 @@ class TestTriggerKindsProperty:
         )
         sim.submit_many(workload)
         sim.run()
-        for decision, occurred in _events_by_decision(obs.tracer):
+        for decision, occurred in _events_by_decision(list(obs.recorder)):
             delivered = {
                 k
                 for k in decision.data["kinds"]
