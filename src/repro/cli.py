@@ -21,7 +21,7 @@ Subcommands
 ``sweep``
     Run a (policy × bandwidth × seed) experiment grid through the
     parallel runner (:mod:`repro.runner`) with the content-addressed
-    result cache; ``--smoke`` is the CI equivalence check.
+    result cache.
 ``report``
     Run a pooled sweep with per-worker telemetry attached and render the
     merged run report (per-policy decision latency, bytes sent,
@@ -35,9 +35,7 @@ Subcommands
     ``--checkpoint``/``--resume`` snapshot and restore the live service;
     ``--metrics-port N`` starts the live telemetry plane (``/metrics``
     Prometheus exposition, ``/snapshot`` JSON, ``/healthz``/``/readyz``
-    with a stall watchdog) on a daemon thread; ``--smoke`` is the CI
-    checkpoint/restore identity check (with ``--metrics-port`` it also
-    polls the plane mid-run).
+    with a stall watchdog) on a daemon thread.
 ``top``
     Live terminal dashboard for a running ``repro serve
     --metrics-port N`` (local or remote): polls ``/snapshot`` and
@@ -54,16 +52,12 @@ Examples::
     python -m repro trace fig4 --policy fvdf --out fig4.jsonl
     python -m repro trace synthetic --coflows 50 --profile
     python -m repro sweep --workers 4
-    python -m repro sweep --smoke
     python -m repro report --workers 4 --out report.json
-    python -m repro report --smoke
     python -m repro serve --rate 200 --mode bursty --coflows 5000
     python -m repro serve --input trace.jsonl --spill-dir shards/
     python -m repro serve --ticks 50 --checkpoint svc.npz
     python -m repro serve --resume svc.npz
     python -m repro serve --metrics-port 9090
-    python -m repro serve --smoke
-    python -m repro serve --smoke --metrics-port 0
     python -m repro top --port 9090
     python -m repro top --url http://scheduler-host:9090 --once
 """
@@ -73,7 +67,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -309,13 +303,10 @@ def _floats_csv(parse):
 
 
 def _sweep_grid(args: argparse.Namespace):
-    """The grid a ``sweep``/``report`` run asks for: the CI smoke grid
-    under ``--smoke``, else the grid options (defaults from
-    :data:`repro.runner.GRID`)."""
-    from repro.runner import SMOKE_GRID, SweepGrid
+    """The grid a ``sweep``/``report`` run asks for: the grid options
+    (defaults from :data:`repro.runner.GRID`)."""
+    from repro.runner import SweepGrid
 
-    if args.smoke:
-        return SMOKE_GRID
     return SweepGrid(
         policies=tuple(args.policies),
         bandwidths=tuple(args.bandwidths),
@@ -331,16 +322,14 @@ def _sweep_grid(args: argparse.Namespace):
 def _sweep_workers(args: argparse.Namespace) -> int:
     """Pool size of a ``sweep``/``report`` run.
 
-    An explicit ``--workers`` wins; ``--smoke`` defaults to 2; otherwise
-    ``REPRO_PARALLEL``, otherwise these commands (unlike the library
-    default) go wide — they exist to fan out.
+    An explicit ``--workers`` wins; otherwise ``REPRO_PARALLEL``,
+    otherwise these commands (unlike the library default) go wide —
+    they exist to fan out.
     """
     from repro.runner import resolve_workers
 
     if args.workers is not None:
         return resolve_workers(args.workers)
-    if args.smoke:
-        return 2
     return resolve_workers(None) or resolve_workers("auto")
 
 
@@ -349,9 +338,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner import ResultCache, run_specs
 
     grid, workers = _sweep_grid(args), _sweep_workers(args)
-    if args.smoke:
-        return _sweep_smoke(grid.specs(), workers)
-
     cache = ResultCache(
         root=args.cache_dir, enabled=False if args.no_cache else None
     )
@@ -383,33 +369,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"({stats['hits']} hits, {stats['misses']} misses, "
         f"{stats['corrupt']} corrupt dropped, {stats['root']})"
     )
-    return 0
-
-
-def _sweep_smoke(specs, workers: int) -> int:
-    """Tiny pool-vs-sequential equivalence run for CI (`sweep --smoke`)."""
-    import tempfile
-
-    from repro.runner import ResultCache, run_specs
-
-    seq = run_specs(specs, workers=0, cache=False)
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(root=tmp, enabled=True)
-        par = run_specs(specs, workers=workers, cache=cache)
-        warm = run_specs(specs, workers=workers, cache=cache)
-    ok_par = all(
-        a.key == b.key and a.summary == b.summary for a, b in zip(seq, par)
-    )
-    ok_warm = all(
-        a.key == b.key and a.summary == b.summary for a, b in zip(seq, warm)
-    ) and all(o.cached for o in warm)
-    print(
-        f"sweep smoke: {len(specs)} cells, {workers} workers | "
-        f"pool identical: {ok_par} | cache identical+hit: {ok_warm}"
-    )
-    if not (ok_par and ok_warm):
-        print("error: smoke equivalence failed", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -446,9 +405,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.obs import Observability
     from repro.service import SourceSpec, StreamDriver, restore_driver
-
-    if args.smoke:
-        return _serve_smoke(args)
 
     obs = Observability(trace=False, metrics=True)
     if args.resume:
@@ -543,206 +499,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _smoke_run_with_plane(driver, args: argparse.Namespace,
-                          probe: Dict[str, Any]):
-    """Run a smoke leg with the telemetry plane attached, polling
-    ``/metrics``, ``/snapshot`` and ``/healthz`` from a second thread
-    while admission runs at full rate — the endpoints must answer
-    mid-run, not just after the stream drains."""
-    import json as _json
-    import threading
-    import urllib.request
-
-    from repro.obs.exposition import TelemetryPlane
-
-    plane = TelemetryPlane(driver, watchdog_s=args.watchdog)
-    port = plane.start(args.metrics_port)
-    base = f"http://127.0.0.1:{port}"
-    stop = threading.Event()
-
-    def poll():
-        while not stop.is_set():
-            try:
-                with urllib.request.urlopen(
-                    base + "/metrics", timeout=2
-                ) as r:
-                    probe["metrics"] = r.read().decode()
-                with urllib.request.urlopen(
-                    base + "/snapshot", timeout=2
-                ) as r:
-                    probe["snapshot"] = _json.loads(r.read().decode())
-                with urllib.request.urlopen(
-                    base + "/healthz", timeout=2
-                ) as r:
-                    probe["healthz"] = r.status
-                probe["polls"] = probe.get("polls", 0) + 1
-            except (OSError, ValueError):
-                pass  # plane still warming up; keep polling
-            stop.wait(0.02)
-
-    poller = threading.Thread(target=poll, daemon=True)
-    poller.start()
-    try:
-        stats = driver.run()
-    finally:
-        stop.set()
-        poller.join(timeout=5)
-        plane.stop()
-    probe["serving_after_stop"] = plane.serving
-    return stats
-
-
-def _serve_smoke(args: argparse.Namespace) -> int:
-    """`serve --smoke`: bounded 10k-flow stream + checkpoint/restore
-    round trip + JSONL block-parser replay, asserting bit-identical
-    downstream results on all three legs."""
-    import json as _json
-    import tempfile
-
-    from repro.core.results import concat_stores
-    from repro.service import (
-        JsonlSource,
-        SourceSpec,
-        StreamDriver,
-        coflow_to_json,
-        restore_driver,
-    )
-    from repro.traces.distributions import LogNormalSizes
-    from repro.units import KB
-
-    total_flows = args.flows or 10_000
-    spec = SourceSpec(
-        rate=500.0,
-        num_ports=8,
-        width=2,
-        size_dist=LogNormalSizes(median=50 * KB, sigma=1.0),
-        seed=11,
-        limit=total_flows // 2,
-    )
-    setup = ExperimentSetup(
-        num_ports=8, bandwidth=parse_bandwidth("1gbps"), slice_len=0.05
-    )
-
-    def fresh() -> StreamDriver:
-        sim = setup.build_simulator(make_scheduler(args.policy))
-        return StreamDriver(
-            sim, spec.build(), tick=0.5, max_in_flight=2_000,
-            setup=setup, source_spec=spec, policy=args.policy,
-        )
-
-    a = fresh()
-    probe: Dict[str, Any] = {}
-    if args.metrics_port is not None:
-        stats_a = _smoke_run_with_plane(a, args, probe)
-    else:
-        stats_a = a.run()
-    store_a = a.result_store()
-
-    b = fresh()
-    b.run(max_ticks=max(1, stats_a.ticks // 2))
-    with tempfile.TemporaryDirectory() as tmp:
-        ck = str(Path(tmp) / "serve-smoke.npz")
-        b.checkpoint(ck)
-        pre_shards = list(b.shards)
-        b2 = restore_driver(ck)
-        stats_b = b2.run()
-    store_b = concat_stores(pre_shards + b2.shards)
-
-    # Third leg: dump the stream to JSONL and replay it through the
-    # block-columnar parser (JsonlSource.pop_block -> submit_block); the
-    # same arrivals must produce bit-identical downstream results.
-    with tempfile.TemporaryDirectory() as tmp:
-        jsonl = Path(tmp) / "stream.jsonl"
-        dump = spec.build()
-        with jsonl.open("w") as fh:
-            while dump.peek() is not None:
-                fh.write(_json.dumps(coflow_to_json(dump.pop())) + "\n")
-        sim_c = setup.build_simulator(make_scheduler(args.policy))
-        c = StreamDriver(
-            sim_c, JsonlSource(str(jsonl)), tick=0.5, max_in_flight=2_000,
-            setup=setup, policy=args.policy,
-        )
-        stats_c = c.run()
-    store_c = c.result_store()
-
-    content_flow = ("src", "dst", "size", "arrival", "start", "finish",
-                    "finish_phys", "bytes_sent", "comp_in", "comp_out")
-    content_cf = ("cf_arrival", "cf_finish", "cf_finish_phys", "cf_size",
-                  "cf_width", "cf_bytes_sent")
-
-    def diff(other):
-        bad = [
-            name
-            for name in content_flow + content_cf
-            if not np.array_equal(getattr(store_a, name), getattr(other, name))
-        ]
-        if list(store_a.cf_label) != list(other.cf_label):
-            bad.append("cf_label")
-        return bad
-
-    mismatch = diff(store_b)
-    mismatch_jsonl = diff(store_c)
-    bounded = stats_a.peak_live_rows <= 4 * 2_000  # backlog-sized, not stream-sized
-    plane_ok = True
-    plane_note = ""
-    if args.metrics_port is not None:
-        snap = probe.get("snapshot") or {}
-        metrics_text = probe.get("metrics") or ""
-        # Prometheus rejects a scrape wholesale on a duplicated sample
-        # (same name + labelset), so uniqueness is part of well-formed.
-        sample_keys = [
-            line.rsplit(" ", 1)[0]
-            for line in metrics_text.splitlines()
-            if line and not line.startswith("#")
-        ]
-        plane_checks = {
-            "polled mid-run": probe.get("polls", 0) >= 1,
-            "exposition well-formed": (
-                "# TYPE repro_stream_in_flight gauge" in metrics_text
-                and "repro_stream_tick_wall_s_bucket{" in metrics_text
-                and 'le="+Inf"' in metrics_text
-            ),
-            "samples unique": (
-                len(sample_keys) > 0
-                and len(sample_keys) == len(set(sample_keys))
-            ),
-            "snapshot schema": snap.get("schema") == "repro-live-v1",
-            "healthz 200": probe.get("healthz") == 200,
-            "clean shutdown": not probe.get("serving_after_stop", True),
-        }
-        plane_ok = all(plane_checks.values())
-        plane_note = (
-            f" | plane ok: {plane_ok} ({probe.get('polls', 0)} polls)"
-        )
-        if not plane_ok:
-            failed = [k for k, v in plane_checks.items() if not v]
-            print(f"error: telemetry plane checks failed: {failed}",
-                  file=sys.stderr)
-    print(
-        f"serve smoke: {stats_a.flows_done} flows, {stats_a.coflows_done} "
-        f"coflows | restamped {stats_a.restamped} | peak rows "
-        f"{stats_a.peak_live_rows} (bounded: {bounded}) | resume at tick "
-        f"{max(1, stats_a.ticks // 2)}/{stats_a.ticks} | identical: "
-        f"{not mismatch} | jsonl replay identical: {not mismatch_jsonl}"
-        f"{plane_note}"
-    )
-    if mismatch or mismatch_jsonl or stats_a.flows_done != total_flows \
-            or not bounded or stats_b.flows_done != stats_a.flows_done \
-            or stats_c.flows_done != stats_a.flows_done or not plane_ok:
-        if mismatch:
-            print(f"error: columns differ after restore: {mismatch}",
-                  file=sys.stderr)
-        if mismatch_jsonl:
-            print(
-                f"error: columns differ on JSONL block replay: "
-                f"{mismatch_jsonl}", file=sys.stderr,
-            )
-        if not (mismatch or mismatch_jsonl or not plane_ok):
-            print("error: smoke stream incomplete or unbounded", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """Live ANSI dashboard over a running ``serve --metrics-port``."""
     import json as _json
@@ -821,7 +577,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_grid_args(p: argparse.ArgumentParser, smoke_help: str) -> None:
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
     """The grid, pool and cache options ``sweep`` and ``report`` share;
     the help renders the defaults of :data:`repro.runner.GRID`."""
     from repro.runner import GRID
@@ -844,12 +600,11 @@ def _add_grid_args(p: argparse.ArgumentParser, smoke_help: str) -> None:
     p.add_argument("--slice", type=float, default=GRID.slice_len)
     p.add_argument("--workers", default=None,
                    help="pool size (int or 'auto'; default: REPRO_PARALLEL "
-                        "or 'auto'; --smoke defaults to 2)")
+                        "or 'auto')")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the .repro-cache result cache entirely")
     p.add_argument("--cache-dir", default=None,
                    help="cache root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    p.add_argument("--smoke", action="store_true", help=smoke_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -922,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a (policy x bandwidth x seed) grid through the parallel "
              "runner with the content-addressed result cache",
     )
-    _add_grid_args(p, smoke_help="tiny pool-vs-sequential equivalence run (CI)")
+    _add_grid_args(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser(
@@ -930,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a pooled sweep with per-worker telemetry and render the "
              "merged run report (writes report.json)",
     )
-    _add_grid_args(p, smoke_help="run the tiny CI grid instead of the full sweep")
+    _add_grid_args(p)
     p.add_argument("--label", default="", help="label recorded in report.json")
     p.add_argument("--out", default="report.json",
                    help="report output path (default report.json)")
@@ -983,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --metrics-port: /healthz turns 503 when no "
                         "tick completed within this wall-clock window "
                         "(default 10s)")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI check: 10k-flow stream with a mid-stream "
-                        "checkpoint/restore round trip (bit-identical)")
     p.add_argument("--label", default="",
                    help="label recorded in the --report telemetry report")
     p.set_defaults(fn=cmd_serve)

@@ -264,6 +264,14 @@ class Scheduler(ABC):
         """Attach the engine's observability bundle (called by the engine)."""
         self.obs = obs
 
+    def __getstate__(self) -> dict:
+        # The bound bundle (registry, profiler, recorder) belongs to the
+        # engine, not the policy: an unpickled scheduler falls back to
+        # the class default NULL_OBS until an engine binds it again.
+        state = self.__dict__.copy()
+        state.pop("obs", None)
+        return state
+
     def reset(self) -> None:
         """Clear any cross-run state (default: stateless).
 

@@ -1114,8 +1114,8 @@ class SliceSimulator:
         """Everything needed to rebuild this simulator elsewhere.
 
         Array entries come out as copies; Python-object state (the
-        scheduler, live :class:`Coflow` dataclasses, labels) is included
-        by reference — callers serialize it (see
+        scheduler, labels, deadlines) is included by reference —
+        callers serialize it (see
         :mod:`repro.service.checkpoint`).  Call between :meth:`run`
         calls only: in-flight core claims are not part of the state
         (``run`` releases them before returning).
@@ -1187,14 +1187,7 @@ class SliceSimulator:
         self._grow(n)
         self._cf_grow(n_cf)
         for c in _FLOW_COLS:
-            col = state["flow_cols"].get(c)
-            if col is None and c == "_override":
-                # pre-columnar-ingest checkpoints lack the override
-                # column; those runs never used ratio_override through
-                # the service path, so "no override" is faithful.
-                getattr(self, c)[:n] = -1.0
-            else:
-                getattr(self, c)[:n] = col
+            getattr(self, c)[:n] = state["flow_cols"][c]
         self._n = n
         for c in _CF_COLS:
             getattr(self, c)[:n_cf] = state["cf_cols"][c]
@@ -1208,12 +1201,8 @@ class SliceSimulator:
         self._k = int(state["k"])
         self._started = bool(state["started"])
         self._decision_points = int(state["decision_points"])
-        # Checkpoints older than the horizon carry-over lack both keys;
-        # they resume with a fresh decision, as they always did.
-        self._resume_kinds = {
-            EventKind[name] for name in state.get("resume_kinds", ())
-        }
-        held = state.get("held")
+        self._resume_kinds = {EventKind[name] for name in state["resume_kinds"]}
+        held = state["held"]
         self._held = (
             None if held is None else Allocation(rates=held[0], compress=held[1])
         )
@@ -1241,42 +1230,24 @@ class SliceSimulator:
         heapq.heapify(self._cap_events)
         self._cf_labels = list(state["cf_labels"])
         self._cf_deadlines = list(state["cf_deadlines"])
-        # Legacy checkpoints carried the Coflow objects; columnar ones
-        # reconstruct them lazily from the columns instead.
-        objs = state.get("coflows")
-        self._cf_coflows = list(objs) if objs is not None else [None] * n_cf
+        # Coflow objects are rebuilt lazily from the columns.
+        self._cf_coflows = [None] * n_cf
         self._coflows = {}
         self._cf_states = []
         prio = state["priority_class"]
         for slot, cid in enumerate(self._cf_id[:n_cf].tolist()):
             self._coflows[cid] = slot
-            st = CoflowState(
+            self._cf_states.append(CoflowState(
                 coflow_id=cid,
                 coflow_factory=(
                     lambda sim=self, cid=cid: sim._materialize_coflow(cid)
                 ),
                 flow_idx=np.empty(0, dtype=np.intp),
                 priority_class=prio[slot],
-            )
-            if self._cf_coflows[slot] is not None:
-                st.coflow = self._cf_coflows[slot]
-            self._cf_states.append(st)
-        if "cal_time" in state:
-            self._calendar.import_entries(
-                state["cal_time"], state["cal_seq"], state["cal_slot"]
-            )
-        else:
-            # Legacy rebuild: every still-pending, non-cancelled coflow
-            # re-enters the calendar in slot (== original submission)
-            # order, which reproduces the original tie-break sequence.
-            for slot in range(n_cf):
-                first = int(self._cf_first[slot])
-                if (
-                    int(self._cf_count[slot])
-                    and self._state[first] == _PENDING
-                    and int(self._cf_id[slot]) not in self._cancelled
-                ):
-                    self._calendar.push(float(self._cf_arrival[slot]), slot)
+            ))
+        self._calendar.import_entries(
+            state["cal_time"], state["cal_seq"], state["cal_slot"]
+        )
         self._groups_dirty = True
 
     # ------------------------------------------------------------- internals

@@ -22,19 +22,17 @@ from repro.runner.pool import RunOutcome, execute_spec, resolve_workers, run_spe
 from repro.runner.spec import (
     CACHE_SCHEMA,
     GRID,
-    SMOKE_GRID,
     SUMMARY_METRICS,
     ResultSummary,
     RunSpec,
-    ServeSpec,
     SweepGrid,
     WorkloadSpec,
 )
 from repro.runner.telemetry import RunTelemetry, TelemetrySnapshot
 
 __all__ = [
-    "RunSpec", "ServeSpec", "WorkloadSpec", "ResultSummary", "RunOutcome",
-    "SweepGrid", "GRID", "SMOKE_GRID",
+    "RunSpec", "WorkloadSpec", "ResultSummary", "RunOutcome",
+    "SweepGrid", "GRID",
     "run_specs", "execute_spec", "resolve_workers", "usable_cores",
     "ResultCache", "cache_enabled_by_env", "default_cache_root",
     "CACHE_SCHEMA", "SUMMARY_METRICS",

@@ -10,11 +10,7 @@ that module for what is and is not part of the key.
 Array-bearing summaries (``RunSpec(arrays=True)``) split in two: the
 ``.json`` keeps the scalars plus an ``__arrays__`` manifest, and the
 per-flow/per-coflow columns live in an uncompressed ``<digest>.npz``
-sidecar.  Warm reads map the sidecar with ``mmap_mode="r"`` semantics —
-``np.load`` silently ignores ``mmap_mode`` for zip archives, so member
-offsets are parsed directly and each column becomes a read-only
-``np.memmap`` — meaning a warm sweep never re-deserializes (or even
-faults in) columns nobody touches.
+sidecar, read back whole with a plain ``np.load`` (a few KB per cell).
 
 Writes are crash-safe: payloads go to a same-directory temp file that is
 fsynced before the atomic rename, and the directory entry is fsynced
@@ -44,7 +40,6 @@ import dataclasses
 import json
 import os
 import pickle
-import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -72,67 +67,9 @@ def default_cache_root() -> Path:
     return Path(os.environ.get(ENV_CACHE_DIR) or DEFAULT_DIRNAME)
 
 
-def _load_npz_mmap(path: Path) -> Dict[str, np.ndarray]:
-    """Read-only memory-mapped arrays from an uncompressed NPZ.
-
-    ``np.load(..., mmap_mode="r")`` silently falls back to a full read
-    for zip archives, so this walks the zip members itself: skip each
-    member's local file header, parse the ``.npy`` header, and map the
-    raw data region with ``np.memmap``.  Raises on anything unexpected
-    (compressed member, object dtype, unknown npy version) — the caller
-    falls back to a plain ``np.load``.
-    """
-    from numpy.lib import format as npformat
-
-    out: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as zf:
-        infos = list(zf.infolist())
-    with path.open("rb") as fh:
-        for info in infos:
-            key = info.filename
-            if key.endswith(".npy"):
-                key = key[:-4]
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError("compressed NPZ member")
-            fh.seek(info.header_offset)
-            local = fh.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                raise ValueError("bad zip local header")
-            nlen = int.from_bytes(local[26:28], "little")
-            elen = int.from_bytes(local[28:30], "little")
-            fh.seek(info.header_offset + 30 + nlen + elen)
-            version = npformat.read_magic(fh)
-            if version == (1, 0):
-                shape, fortran, dtype = npformat.read_array_header_1_0(fh)
-            elif version == (2, 0):
-                shape, fortran, dtype = npformat.read_array_header_2_0(fh)
-            else:
-                raise ValueError(f"unsupported npy version {version}")
-            if dtype.hasobject:
-                raise ValueError("object arrays cannot be mapped")
-            if any(s == 0 for s in shape):
-                out[key] = np.empty(shape, dtype=dtype)
-                continue
-            out[key] = np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=fh.tell(),
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-    return out
-
-
 def _load_sidecar(path: Path) -> Dict[str, np.ndarray]:
-    try:
-        return _load_npz_mmap(path)
-    except FileNotFoundError:
-        raise
-    except Exception:
-        # Unexpected layout (future numpy, exotic dtype): plain read.
-        with np.load(path, allow_pickle=False) as z:
-            return {k: z[k] for k in z.files}
+    with np.load(path, allow_pickle=False) as z:
+        return {k: z[k] for k in z.files}
 
 
 class ResultCache:

@@ -14,8 +14,7 @@ crosses the process boundary is described here:
   an :class:`~repro.analysis.harness.ExperimentSetup`.
 * :class:`SweepGrid` — a (policy × bandwidth × seed) grid of generated
   workloads that expands into one :class:`RunSpec` per cell; :data:`GRID`
-  is the default grid of ``repro sweep``/``repro report`` and
-  :data:`SMOKE_GRID` their CI smoke grid.
+  is the default grid of ``repro sweep``/``repro report``.
 * :class:`ResultSummary` — the compact record a worker sends back instead
   of pickling a whole :class:`~repro.core.simulator.SimulationResult`
   (set ``RunSpec.full=True`` when a consumer needs per-flow results).
@@ -323,107 +322,6 @@ class SweepGrid:
 #: The default grid of ``repro sweep`` / ``repro report`` (84 cells):
 #: every grid option of theirs defaults to its field.
 GRID = SweepGrid()
-
-#: Tiny grid for the CI smoke runs (``repro sweep --smoke``,
-#: ``repro report --smoke``).
-SMOKE_GRID = SweepGrid(
-    policies=("sebf", "fvdf"),
-    bandwidths=(mbps(100), gbps(1)),
-    seeds=(0,),
-    num_coflows=10,
-)
-
-
-@dataclass
-class ServeSpec:
-    """One streamed (serve-mode) run: a policy against an arrival source.
-
-    The streaming analogue of :class:`RunSpec`, executed by
-    :func:`repro.service.run_serve_spec`.  ``source`` is normally a
-    :class:`repro.service.SourceSpec` (declarative, cacheable); a live
-    :class:`~repro.service.ArrivalSource` also works but makes the spec
-    uncacheable, like a live scheduler does.
-
-    Unlike telemetry, the service shape knobs (``tick``,
-    ``max_in_flight``, ``drain_every``, ``max_flows``) ARE part of the
-    digest: tick horizons add decision points and backpressure restamps
-    arrivals, so they all change results.
-    """
-
-    policy: Union[str, Scheduler]
-    source: object
-    setup: ExperimentSetup = field(default_factory=ExperimentSetup)
-    params: Optional[Mapping] = None
-    tick: float = 1.0
-    max_in_flight: int = 10_000
-    drain_every: int = 1
-    max_flows: Optional[int] = None
-    key: Optional[str] = None
-    #: serve-mode caches summaries only; kept for ResultCache path compat.
-    full: bool = False
-    telemetry: bool = False
-
-    def build_scheduler(self) -> Scheduler:
-        from repro.schedulers import make_scheduler
-
-        if isinstance(self.policy, str):
-            return make_scheduler(self.policy, **dict(self.params or {}))
-        return self.policy.fresh()
-
-    def build_driver(self, obs=None, **extra):
-        """Fresh :class:`~repro.service.StreamDriver` for this spec.
-
-        ``extra`` passes through output plumbing (``spill_dir``,
-        ``keep_shards``, checkpoint settings) that is not part of the
-        spec's identity.
-        """
-        from repro.service import StreamDriver
-
-        sim = self.setup.build_simulator(self.build_scheduler(), obs=obs)
-        if hasattr(self.source, "build"):
-            source, source_spec = self.source.build(), self.source
-        else:
-            source, source_spec = self.source, None
-        return StreamDriver(
-            sim,
-            source,
-            tick=self.tick,
-            max_in_flight=self.max_in_flight,
-            drain_every=self.drain_every,
-            setup=self.setup,
-            source_spec=source_spec,
-            policy=self.policy if isinstance(self.policy, str) else self.policy.name,
-            **extra,
-        )
-
-    def digest(self) -> Optional[str]:
-        """Content-addressed cache key, or ``None`` when uncacheable."""
-        if self.full:
-            return None  # no single picklable result exists for a stream
-        try:
-            token = {
-                "schema": CACHE_SCHEMA,
-                "version": repro.__version__,
-                "numpy": np.__version__,
-                "mode": "serve",
-                "policy": self._policy_token(),
-                "params": _canon(dict(self.params)) if self.params else None,
-                "source": _canon(self.source),
-                "setup": _setup_token(self.setup),
-                "tick": self.tick,
-                "max_in_flight": self.max_in_flight,
-                "drain_every": self.drain_every,
-                "max_flows": self.max_flows,
-            }
-        except _Uncacheable:
-            return None
-        blob = json.dumps(token, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _policy_token(self):
-        if isinstance(self.policy, str):
-            return self.policy.lower()
-        raise _Uncacheable("live Scheduler instances are not digestable")
 
 
 #: Scalar metrics available on a ResultSummary (run_seeds uses this to

@@ -35,12 +35,12 @@ from repro.service.checkpoint import (
     restore_simulator,
     save_checkpoint,
 )
-from repro.service.driver import StreamDriver, StreamStats, run_serve_spec
+from repro.service.driver import StreamDriver, StreamStats
 
 __all__ = [
     "ArrivalSource", "SyntheticSource", "JsonlSource", "SourceSpec",
     "coflow_from_json", "coflow_to_json",
-    "StreamDriver", "StreamStats", "run_serve_spec",
+    "StreamDriver", "StreamStats",
     "CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint",
     "restore_driver", "restore_simulator",
 ]

@@ -12,9 +12,8 @@ Format (``repro-checkpoint-v1``): one ``.npz`` holding
   :class:`~repro.analysis.harness.ExperimentSetup` and
   :class:`~repro.service.arrivals.SourceSpec`, the arrival-source
   cursor, the driver's streaming stats, and the global flow/coflow id
-  watermarks.  (Checkpoints written by older versions also carried the
-  live :class:`~repro.core.coflow.Coflow` dataclasses; the engine's
-  columns are now sufficient, and restore still accepts both layouts.)
+  watermarks.  The scheduler pickles without its bound observability
+  bundle; restore binds the caller's.
 
 Restore (:func:`restore_driver`) builds a fresh simulator from the
 pickled setup + scheduler, loads the columns with
@@ -56,9 +55,7 @@ __all__ = [
 CHECKPOINT_SCHEMA = "repro-checkpoint-v1"
 
 #: export_state keys stored as top-level npz arrays (not in the blob).
-#: ``cal_*`` are the columnar arrival-calendar entries (time/seq/slot);
-#: checkpoints written before they existed restore via the engine's
-#: slot-order calendar rebuild (`import_state` handles their absence).
+#: ``cal_*`` are the columnar arrival-calendar entries (time/seq/slot).
 _ARRAY_KEYS = (
     "active",
     "done_flows",
@@ -133,7 +130,6 @@ def save_checkpoint(
         "cap_events": state["cap_events"],
         "cf_labels": state["cf_labels"],
         "cf_deadlines": state["cf_deadlines"],
-        "coflows": state.get("coflows"),
         "scheduler": state["scheduler"],
         "setup": setup,
         "source_spec": source_spec,
@@ -172,8 +168,8 @@ def load_checkpoint(path) -> Dict[str, Any]:
         "k": blob["k"],
         "started": blob["started"],
         "decision_points": blob["decision_points"],
-        "resume_kinds": blob.get("resume_kinds", []),
-        "held": blob.get("held"),
+        "resume_kinds": blob["resume_kinds"],
+        "held": blob["held"],
         "done_total": blob["done_total"],
         "n": blob["n"],
         "n_cf": blob["n_cf"],
@@ -181,7 +177,6 @@ def load_checkpoint(path) -> Dict[str, Any]:
         "cap_events": blob["cap_events"],
         "cf_labels": blob["cf_labels"],
         "cf_deadlines": blob["cf_deadlines"],
-        "coflows": blob["coflows"],
         "scheduler": blob["scheduler"],
         "priority_class": arrays.pop("priority_class").tolist(),
         "flow_cols": {},
@@ -273,10 +268,8 @@ def restore_driver(
         source_spec=data["source_spec"],
         policy=drv["policy"],
     )
-    stats = StreamStats()
-    for name in stats.__dataclass_fields__:
-        if name in drv["stats"]:
-            setattr(stats, name, drv["stats"][name])
-    driver.stats = stats
-    driver._shard_seq = int(drv.get("shard_seq", 0))
+    driver.stats = StreamStats(
+        **{name: drv["stats"][name] for name in StreamStats.__dataclass_fields__}
+    )
+    driver._shard_seq = int(drv["shard_seq"])
     return driver

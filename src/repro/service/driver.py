@@ -13,8 +13,7 @@ in fixed wall-of-simulated-time *ticks*:
    paper's online model never schedules work into the past).  The whole
    handoff is columnar: the source fills block columns, restamping is a
    vectorized mask, and the engine bulk-writes the block into its
-   flow/coflow columns (``block_admission=False`` keeps the legacy
-   per-object loop for equivalence testing).
+   flow/coflow columns.
 2. **Tick** — ``run(until=now + tick)``: the engine advances, firing
    decision points at slice boundaries, and parks at the horizon.
 3. **Drain** — every ``drain_every`` ticks, :meth:`SliceSimulator.
@@ -47,7 +46,7 @@ from repro.core.simulator import SliceSimulator, _time_eps
 from repro.errors import ConfigurationError
 from repro.service.arrivals import ArrivalSource, SourceSpec
 
-__all__ = ["StreamStats", "StreamDriver", "run_serve_spec"]
+__all__ = ["StreamStats", "StreamDriver"]
 
 
 @dataclass
@@ -133,10 +132,6 @@ class StreamDriver:
         :class:`~repro.analysis.harness.ExperimentSetup` and
         :class:`~repro.service.arrivals.SourceSpec` that built ``sim``
         and ``source``, and the policy name.
-    block_admission:
-        Admit via the block-columnar fast path (default).  ``False``
-        restores the legacy pop-one-object/``submit_many`` loop — the two
-        are bit-identical; the switch exists for A/B equivalence tests.
     """
 
     def __init__(
@@ -154,7 +149,6 @@ class StreamDriver:
         setup=None,
         source_spec: Optional[SourceSpec] = None,
         policy: str = "",
-        block_admission: bool = True,
     ) -> None:
         if tick <= 0:
             raise ConfigurationError(f"tick must be positive, got {tick}")
@@ -176,7 +170,6 @@ class StreamDriver:
         self.setup = setup
         self.source_spec = source_spec
         self.policy = policy or getattr(sim.scheduler, "name", "")
-        self.block_admission = bool(block_admission)
         self.stats = StreamStats()
         self.shards: List[ResultStore] = []
         self.shard_paths: List[Path] = []
@@ -207,41 +200,21 @@ class StreamDriver:
             budget = min(budget, max_flows - self.stats.flows_submitted)
         if budget <= 0:
             return 0
-        if self.block_admission:
-            block = self.source.pop_block(horizon, budget)
-            if block is None:
-                return 0
-            # Backpressure (or a resumed checkpoint) delayed admission
-            # past the nominal arrival: restamp to "now", the moment
-            # the master actually learns about the coflow.
-            late = block.arrival < sim.now - _time_eps(sim.now)
-            n_late = int(np.count_nonzero(late))
-            if n_late:
-                block.restamp(late, sim.now)
-                self.stats.restamped += n_late
-            sim.submit_block(block)
-            self.stats.coflows_submitted += block.n_coflows
-            self.stats.flows_submitted += block.n_flows
-            return block.n_coflows
-        batch = []
-        n_flows = 0
-        while n_flows < budget:
-            t = self.source.peek()
-            if t is None or t > horizon:
-                break
-            cf = self.source.pop()
-            if cf.arrival < sim.now - _time_eps(sim.now):
-                cf.arrival = sim.now
-                for f in cf.flows:
-                    f.arrival = sim.now
-                self.stats.restamped += 1
-            batch.append(cf)
-            n_flows += len(cf)
-        if batch:
-            sim.submit_many(batch)
-            self.stats.coflows_submitted += len(batch)
-            self.stats.flows_submitted += n_flows
-        return len(batch)
+        block = self.source.pop_block(horizon, budget)
+        if block is None:
+            return 0
+        # Backpressure (or a resumed checkpoint) delayed admission past
+        # the nominal arrival: restamp to "now", the moment the master
+        # actually learns about the coflow.
+        late = block.arrival < sim.now - _time_eps(sim.now)
+        n_late = int(np.count_nonzero(late))
+        if n_late:
+            block.restamp(late, sim.now)
+            self.stats.restamped += n_late
+        sim.submit_block(block)
+        self.stats.coflows_submitted += block.n_coflows
+        self.stats.flows_submitted += block.n_flows
+        return block.n_coflows
 
     def _drain(self) -> None:
         store = self.sim.drain_retired()
@@ -407,34 +380,3 @@ class StreamDriver:
         report["stream"] = self.stats.as_dict()
         return report
 
-
-def run_serve_spec(spec, cache=None):
-    """Execute a :class:`repro.runner.ServeSpec`, optionally through a
-    :class:`repro.runner.ResultCache` (summaries only — a streamed run
-    has no single ``SimulationResult`` to pickle).
-
-    Returns ``(summary, cached)`` like the pool's single-spec path.
-    """
-    from repro.runner.spec import ResultSummary
-
-    if cache is not None:
-        hit = cache.get(spec)
-        if hit is not None:
-            return hit, True
-    driver = spec.build_driver()
-    stats = driver.run(max_flows=spec.max_flows)
-    summary = ResultSummary(
-        policy=spec.policy,
-        avg_fct=stats.avg_fct,
-        avg_cct=stats.avg_cct,
-        makespan=float(driver.sim.now),
-        decision_points=int(driver.sim._decision_points),
-        traffic_reduction=stats.traffic_reduction,
-        num_flows=stats.flows_done,
-        num_coflows=stats.coflows_done,
-        total_bytes_sent=stats.bytes_sent,
-        total_bytes_original=stats.bytes_original,
-    )
-    if cache is not None:
-        cache.put(spec, summary)
-    return summary, False

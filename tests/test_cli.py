@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,42 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "fvdf" in proc.stdout
+
+
+class TestServiceCommands:
+    """The real ``serve``/``sweep``/``report`` command paths, end to end
+    on tiny inputs."""
+
+    def test_serve_checkpoint_then_resume_to_report(self, tmp_path, capsys):
+        ck, rep = tmp_path / "svc.npz", tmp_path / "serve.json"
+        assert main(["serve", "--coflows", "200", "--ticks", "3",
+                     "--checkpoint", str(ck)]) == 0
+        assert ck.exists()
+        assert main(["serve", "--resume", str(ck), "--report", str(rep)]) == 0
+        out = capsys.readouterr().out
+        assert "resumed from" in out
+        report = json.loads(rep.read_text())
+        assert report["schema"] == "repro-report-v1"
+        assert report["stream"]["coflows_done"] == 200
+        assert report["stream"]["coflows_submitted"] == 200
+
+    GRID_ARGS = [
+        "--policies", "sebf,fvdf", "--bandwidths", "100mbps,1gbps", "--seeds", "0",
+        "--coflows", "10", "--workers", "0", "--no-cache",
+    ]
+
+    def test_sweep_tiny_grid(self, capsys):
+        assert main(["sweep", *self.GRID_ARGS]) == 0
+        out = capsys.readouterr().out
+        assert "sweep grid — 4 cells, 0 workers" in out
+        assert "s0/bw1.25e+07/sebf" in out and "s0/bw1.25e+07/fvdf" in out
+        assert "cache off" in out
+
+    def test_report_tiny_grid(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["report", *self.GRID_ARGS, "--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["schema"] == "repro-report-v1"
+        assert report["grid"]["policies"] == ["sebf", "fvdf"]
+        assert report["grid"]["num_coflows"] == 10
+        assert f"report written -> {out_path}" in capsys.readouterr().out

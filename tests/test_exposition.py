@@ -9,7 +9,8 @@ The plane's contract has four load-bearing edges, each pinned here:
 * the rolling window's rates are the windowed counter deltas divided by
   the windowed wall time — checked against hand-computed ticks;
 * `/healthz` tracks the watchdog (a stalled driver turns 503, a cleanly
-  finished one stays 200), `/readyz` flips on the first tick;
+  finished one stays 200), `/readyz` flips on the first tick, and every
+  endpoint answers while the driver thread is mid-tick;
 * `render_dashboard` is a pure snapshot-dict → string function, so one
   `repro top --once` frame is pinned without a socket in sight.
 """
@@ -386,6 +387,43 @@ class TestTelemetryPlane:
             plane.stop()
         assert not plane.serving
         plane.stop()  # idempotent
+
+    def test_endpoints_answer_from_inside_a_tick(self):
+        """The plane serves while the driver thread is mid-tick: a
+        decision hook fetches every endpoint once, after the first tick
+        and while the source still has coflows to admit."""
+        d = _driver()
+        plane = TelemetryPlane(d)
+        base = f"http://127.0.0.1:{plane.start(0)}"
+        probe = {}
+
+        def fetch(now):
+            if probe or not plane.ready or d.exhausted():
+                return
+            probe["ticks"] = d.stats.ticks
+            for path in ("/metrics", "/snapshot", "/healthz"):
+                with urllib.request.urlopen(base + path, timeout=5) as r:
+                    probe[path] = (r.status, r.read().decode())
+
+        d.sim.on_decision(fetch)
+        try:
+            stats = d.run()
+        finally:
+            plane.stop()
+        assert 1 <= probe["ticks"] < stats.ticks
+        assert all(probe[p][0] == 200 for p in ("/metrics", "/snapshot", "/healthz"))
+        text = probe["/metrics"][1]
+        assert "# TYPE repro_stream_in_flight gauge" in text
+        assert "repro_ready 1" in text
+        keys = [
+            l.rsplit(" ", 1)[0] for l in text.splitlines()
+            if l and not l.startswith("#")
+        ]
+        assert len(keys) == len(set(keys))
+        snap = json.loads(probe["/snapshot"][1])
+        assert snap["schema"] == "repro-live-v1"
+        assert snap["ready"] and not snap["finished"]
+        assert json.loads(probe["/healthz"][1])["healthy"] is True
 
     def test_start_twice_raises(self):
         plane = TelemetryPlane(_driver())

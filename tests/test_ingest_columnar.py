@@ -6,8 +6,7 @@ must be *bit-identical* to scalar per-coflow submission: same tie
 breaking (submission order), same activation spans, same results.  These
 properties pin that across out-of-order batches, tied arrivals,
 cancel-before-arrival and ``run(until)`` resumes mid-batch, plus the
-checkpoint round trip of a populated calendar (old checkpoints without
-calendar arrays still restore via the slot-order rebuild).
+checkpoint round trip of a populated calendar.
 """
 
 import numpy as np
@@ -225,37 +224,3 @@ class TestCalendarCheckpoint:
         restored = restore_simulator(load_checkpoint(path))
         assert len(restored._calendar) == len(sim._calendar)
         _assert_results_identical(sim.run(), restored.run())
-
-    def test_legacy_checkpoint_without_calendar_arrays(self, tmp_path):
-        """Checkpoints from before the columnar calendar (no ``cal_*``
-        arrays, no ``flow__override`` column) restore via the slot-order
-        calendar rebuild and an all-default override column."""
-        sim = self._paused_sim()
-        path = save_checkpoint(tmp_path / "new.npz", sim, setup=SETUP)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k].copy() for k in data.files}
-        for key in ("cal_time", "cal_seq", "cal_slot", "flow___override"):
-            arrays.pop(key)
-        legacy = tmp_path / "legacy.npz"
-        np.savez_compressed(legacy, **arrays)
-        restored = restore_simulator(load_checkpoint(legacy))
-        assert len(restored._calendar) == len(sim._calendar)
-        _assert_results_identical(sim.run(), restored.run())
-
-    def test_legacy_state_with_coflow_objects(self):
-        """import_state still accepts the old ``coflows`` object list."""
-        import pickle
-
-        sim = self._paused_sim()
-        state = sim.export_state()
-        assert "coflows" not in state
-        state = dict(state)
-        for key in ("cal_time", "cal_seq", "cal_slot"):
-            state.pop(key)
-        # what a legacy export carried: the live Coflow objects per slot
-        state["coflows"] = list(sim._cf_coflows)
-        state["scheduler"] = pickle.loads(pickle.dumps(state["scheduler"]))
-        other = SETUP.build_simulator(state["scheduler"])
-        other.import_state(state)
-        assert other._cf_coflows[0] is sim._cf_coflows[0]
-        _assert_results_identical(sim.run(), other.run())

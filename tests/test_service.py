@@ -9,8 +9,13 @@ batch engine it wraps:
 * the driver's drain cadence partitions results without changing them,
   backpressure restamps late admissions to "now", and engine memory is
   bounded by the in-flight backlog, not the stream length;
-* a mid-stream checkpoint restores to a bit-identical continuation;
-* :class:`~repro.runner.ResultCache` round-trips ``ServeSpec`` runs.
+* block admission (columnar ``pop_block`` → ``submit_block``) matches
+  the per-object loop it replaced, kept here as
+  :class:`ObjectAdmissionDriver`, id draws included;
+* a JSONL dump of a synthetic stream replays bit-identically through
+  the block parser;
+* a mid-stream checkpoint restores to a bit-identical continuation, and
+  carries no observability state.
 """
 
 import json
@@ -25,8 +30,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
 from repro.core.results import ResultStore, concat_stores
+from repro.core.simulator import _time_eps
 from repro.errors import ReproError
-from repro.runner import ResultCache, ServeSpec
 from repro.schedulers import make_scheduler
 from repro.service import (
     JsonlSource,
@@ -36,7 +41,6 @@ from repro.service import (
     coflow_to_json,
     load_checkpoint,
     restore_driver,
-    run_serve_spec,
 )
 from repro.traces.distributions import ConstantSize
 from repro.units import KB, mbps
@@ -64,13 +68,44 @@ def _spec(**kw):
     return SourceSpec(**kw)
 
 
-def _driver(spec=None, *, policy="fvdf-flow", **kw):
+def _driver(spec=None, *, policy="fvdf-flow", cls=StreamDriver, obs=None,
+            **kw):
     spec = spec or _spec()
-    sim = SETUP.build_simulator(make_scheduler(policy))
+    sim = SETUP.build_simulator(make_scheduler(policy), obs=obs)
     kw.setdefault("tick", 0.2)
-    return StreamDriver(
-        sim, spec.build(), setup=SETUP, source_spec=spec, **kw
-    )
+    return cls(sim, spec.build(), setup=SETUP, source_spec=spec, **kw)
+
+
+class ObjectAdmissionDriver(StreamDriver):
+    """The per-object admission loop block admission replaced: peek and
+    pop one :class:`~repro.core.coflow.Coflow` at a time, restamp it in
+    place, and ``submit_many`` the batch.  The oracle of
+    :class:`TestBlockAdmission`."""
+
+    def _admit(self, horizon, max_flows):
+        sim = self.sim
+        budget = self.max_in_flight - self.in_flight
+        if max_flows is not None:
+            budget = min(budget, max_flows - self.stats.flows_submitted)
+        batch = []
+        n_flows = 0
+        while n_flows < budget:
+            t = self.source.peek()
+            if t is None or t > horizon:
+                break
+            cf = self.source.pop()
+            if cf.arrival < sim.now - _time_eps(sim.now):
+                cf.arrival = sim.now
+                for f in cf.flows:
+                    f.arrival = sim.now
+                self.stats.restamped += 1
+            batch.append(cf)
+            n_flows += len(cf)
+        if batch:
+            sim.submit_many(batch)
+            self.stats.coflows_submitted += len(batch)
+            self.stats.flows_submitted += n_flows
+        return len(batch)
 
 
 def _drain_all(source):
@@ -319,24 +354,25 @@ class TestStreamDriver:
 
 # ----------------------------------------------- block-columnar admission
 class TestBlockAdmission:
-    """``block_admission=True`` (columnar pop_block → submit_block) must be
-    bit-identical to the legacy pop-one-object loop — including the global
-    flow/coflow id draws, which both paths make in the same order."""
+    """Block admission (columnar pop_block → submit_block) must be
+    bit-identical to :class:`ObjectAdmissionDriver`'s pop-one-object loop
+    — including the global flow/coflow id draws, which both paths make in
+    the same order."""
 
     def _run_pair(self, spec=None, source_path=None, **kw):
         from repro.core.flow import flow_id_watermark
 
         outs = []
-        for block in (True, False):
+        for cls in (StreamDriver, ObjectAdmissionDriver):
             base = flow_id_watermark()
             if source_path is not None:
                 sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
-                d = StreamDriver(
+                d = cls(
                     sim, JsonlSource(str(source_path)), tick=0.2,
-                    setup=SETUP, block_admission=block, **kw
+                    setup=SETUP, **kw
                 )
             else:
-                d = _driver(spec, block_admission=block, **kw)
+                d = _driver(spec, cls=cls, **kw)
             stats = d.run()
             outs.append((d, stats, base))
         return outs
@@ -478,6 +514,36 @@ class TestBlockAdmission:
             assert np.array_equal(x.coflow_id - cb, y.coflow_id - cb0)
 
 
+# ---------------------------------------------------------- JSONL replay
+class TestJsonlReplay:
+    def test_dump_replays_bit_identical(self, tmp_path):
+        """A synthetic stream dumped to JSONL with ``coflow_to_json`` and
+        replayed through ``JsonlSource``'s block parser produces the
+        synthetic run's results bit for bit, backpressure included."""
+        spec = _spec(rate=200.0, limit=120, compressible_fraction=0.5)
+        synthetic = _driver(spec, max_in_flight=40)
+        synthetic.run()
+        assert synthetic.stats.restamped > 0
+
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(
+            json.dumps(coflow_to_json(cf)) + "\n"
+            for cf in _drain_all(spec.build())
+        ))
+        sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
+        replay = StreamDriver(
+            sim, JsonlSource(str(path)), tick=0.2, max_in_flight=40,
+            setup=SETUP,
+        )
+        stats = replay.run()
+        assert stats.coflows_done == 120
+        assert stats.flows_done == synthetic.stats.flows_done
+        a, b = synthetic.result_store(), replay.result_store()
+        _assert_same_content(a, b)
+        _assert_same_content(a, b, CF_CONTENT)
+        assert list(a.cf_label) == list(b.cf_label)
+
+
 # -------------------------------------------------------- checkpointing
 class TestCheckpoint:
     def test_mid_stream_roundtrip_is_bit_identical(self, tmp_path):
@@ -540,6 +606,41 @@ class TestCheckpoint:
         resumed_at = first_flow[data["source_state"]["lines"]]
         pos = np.where(ids < mark, ids - base, ids - mark + resumed_at)
         assert np.array_equal(pos, whole_pos)
+
+    def test_checkpoint_pickles_no_observability(self, tmp_path):
+        """The scheduler's bound obs bundle (registry, profiler, flight
+        recorder) stays out of the checkpoint blob; restore binds its
+        own, and the continuation stays bit-identical."""
+        import pickletools
+
+        from repro.obs import Observability
+
+        whole = _driver()
+        whole.run()
+
+        first = _driver(obs=Observability(trace=True, metrics=True))
+        first.run(max_ticks=4)
+        assert len(first.sim.obs.recorder) > 0
+        ck = first.checkpoint(tmp_path / "traced.npz")
+        pre = list(first.shards)
+        with np.load(ck, allow_pickle=False) as data:
+            blob = data["__pickle__"].tobytes()
+        # Every global a pickle names is spelled as a string opcode
+        # argument (GLOBAL's "module name", or the module string pushed
+        # before STACK_GLOBAL).
+        strings = [
+            arg for _, arg, _ in pickletools.genops(blob)
+            if isinstance(arg, str)
+        ]
+        for module in ("repro.obs.recorder", "repro.obs.metrics"):
+            assert not any(a.startswith(module) for a in strings), module
+
+        second = restore_driver(ck)
+        assert second.sim.scheduler.obs is second.sim.obs
+        second.run()
+        combined = concat_stores(pre + second.shards)
+        _assert_same_content(whole.result_store(), combined)
+        _assert_same_content(whole.result_store(), combined, CF_CONTENT)
 
     def test_checkpoint_carries_driver_and_source_state(self, tmp_path):
         d = _driver()
@@ -605,35 +706,3 @@ class TestCheckpoint:
         assert second.stats.flows_done == done_before
         stats = second.run()
         assert stats.coflows_done == 30
-
-
-# ------------------------------------------------------- spec and cache
-class TestServeSpecCache:
-    def _serve_spec(self, **kw):
-        kw.setdefault("policy", "fvdf-flow")
-        kw.setdefault("source", _spec())
-        kw.setdefault("setup", SETUP)
-        kw.setdefault("tick", 0.2)
-        return ServeSpec(**kw)
-
-    def test_digest_stable_and_shape_sensitive(self):
-        assert self._serve_spec().digest() == self._serve_spec().digest()
-        assert self._serve_spec().digest() is not None
-        base = self._serve_spec().digest()
-        assert self._serve_spec(tick=0.5).digest() != base
-        assert self._serve_spec(max_in_flight=7).digest() != base
-        assert self._serve_spec(source=_spec(seed=6)).digest() != base
-
-    def test_live_source_is_uncacheable(self):
-        spec = self._serve_spec(source=_spec().build(), key="live")
-        assert spec.digest() is None
-
-    def test_cache_roundtrip(self, tmp_path):
-        cache = ResultCache(root=tmp_path, enabled=True)
-        spec = self._serve_spec()
-        cold, was_cached = run_serve_spec(spec, cache)
-        assert not was_cached
-        warm, was_cached = run_serve_spec(spec, cache)
-        assert was_cached
-        assert warm == cold
-        assert cold.avg_cct > 0
