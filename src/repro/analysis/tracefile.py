@@ -1,7 +1,7 @@
 """Reading and summarising JSONL traces produced by :mod:`repro.obs`.
 
 The writer side is :meth:`repro.obs.recorder.FlightRecorder.dump_jsonl`
-(via :func:`repro.obs.trace.write_jsonl`); this module is the consumer:
+(formatted straight from its columns); this module is the consumer:
 load a trace back into typed records, slice it by kind or time, and render
 a quick per-kind summary — the round-trip that ``python -m repro trace
 <scenario> --out run.jsonl`` feeds.  The query helpers take any sequence

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -692,6 +693,17 @@ class SliceSimulator:
         """
         return self._coflow_for_slot(self._coflows[coflow_id])
 
+    def _coflow_factory(self, coflow_id: int) -> Callable[[], Coflow]:
+        """The lazy-materialization factory of one CoflowState.
+
+        Holds the engine through a weak proxy: a strong reference would
+        close the cycle engine -> state -> factory -> engine, and a
+        dropped engine would then wait for the cyclic GC.  Once the
+        engine is gone the factory raises ``ReferenceError``.
+        """
+        sim = weakref.proxy(self)
+        return lambda: sim._materialize_coflow(coflow_id)
+
     def _state_for_slot(self, slot: int) -> CoflowState:
         """The scheduler-facing :class:`CoflowState` of a slot.
 
@@ -704,9 +716,7 @@ class SliceSimulator:
             cid = int(self._cf_id[slot])
             st = CoflowState(
                 coflow_id=cid,
-                coflow_factory=lambda sim=self, cid=cid: (
-                    sim._materialize_coflow(cid)
-                ),
+                coflow_factory=self._coflow_factory(cid),
                 flow_idx=np.empty(0, dtype=np.intp),
             )
             self._cf_states[slot] = st
@@ -1239,9 +1249,7 @@ class SliceSimulator:
             self._coflows[cid] = slot
             self._cf_states.append(CoflowState(
                 coflow_id=cid,
-                coflow_factory=(
-                    lambda sim=self, cid=cid: sim._materialize_coflow(cid)
-                ),
+                coflow_factory=self._coflow_factory(cid),
                 flow_idx=np.empty(0, dtype=np.intp),
                 priority_class=prio[slot],
             ))

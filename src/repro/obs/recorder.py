@@ -21,11 +21,14 @@ and coflow level), ``cancel``, ``capacity``.  Everything else (``bus``,
 per-record :meth:`FlightRecorder.emit` and is journaled one record at a
 time — those kinds are per-decision scale, never per-flow.
 
-Export: :meth:`~FlightRecorder.dump_jsonl` writes the decoded stream as
-JSON lines; :meth:`~FlightRecorder.save_npz` writes every column to one
-``.npz`` (no pickling) and :meth:`~FlightRecorder.load_npz` restores a
-decodable recorder; :meth:`~FlightRecorder.spill_npz` saves and clears,
-for chunked unbounded runs.
+Export: :meth:`~FlightRecorder.dump_jsonl` formats JSON lines straight
+from the columns (one fixed line template per stream, one ``write`` per
+batch) without building the records; its bytes equal
+:func:`~repro.obs.trace.record_to_json` of each decoded record.
+:meth:`~FlightRecorder.save_npz` writes every column to one ``.npz`` (no
+pickling) and :meth:`~FlightRecorder.load_npz` restores a decodable
+recorder; :meth:`~FlightRecorder.spill_npz` saves and clears, for
+chunked unbounded runs.
 
 NPZ round-trips preserve the JSONL rendering of every record exactly.
 Columnar streams also keep their Python payload types (``kinds`` decode
@@ -36,14 +39,14 @@ name lists — the same coercion ``dump_jsonl`` applies).
 
 from __future__ import annotations
 
+import json
+import math
 from typing import Any, Dict, IO, Iterator, List, Mapping, Union
 
 import numpy as np
 
 from repro.core.events import EventKind
-from repro.obs.trace import (
-    TraceRecord, record_from_json, record_to_json, write_jsonl,
-)
+from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 
 __all__ = ["NULL_RECORDER", "FlightRecorder"]
 
@@ -104,6 +107,90 @@ _RECORD_KIND = {
 _BATCH_RECORD = frozenset({_BETA, _ORDER})
 
 _SIDES = ("ingress", "egress")
+
+# ------------------------------------------------------------ JSONL lines
+#: Rows formatted per ``write``: a huge retirement batch is never held
+#: whole as Python objects or text.
+_CHUNK = 4096
+
+_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _num(x: float) -> str:
+    """A float exactly as ``json.dumps`` renders it."""
+    if x - x == 0.0:  # finite
+        return repr(x)
+    return _NONFINITE.get(x, "NaN")
+
+
+class _KindsJson(dict):
+    """``kinds`` mask -> its JSON array of sorted names, rendered once per
+    distinct mask."""
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = json.dumps(
+            sorted(kind.name for kind in _mask_to_kinds(mask)),
+            separators=(",", ":"),
+        )
+        return text
+
+
+def _units(cids, gammas, ps):
+    """``order`` units ``[coflow_id, gamma, p, gamma/p]`` as JSON arrays;
+    the key is computed from Python floats, exactly as the decode does."""
+    return [
+        f"[{c},{_num(g)},{_num(p)},{_num(g / p)}]"
+        for c, g, p in zip(cids, gammas, ps)
+    ]
+
+
+#: Batch-record streams: the payload key of the one array a batch
+#: becomes, and the JSON text of its items from a chunk's column lists.
+_ARRAY_ITEMS = {
+    _BETA: ("flow_ids", lambda fids: map(str, fids)),
+    _ORDER: ("units", _units),
+}
+
+#: Per-row line templates: ``(head, kinds, *column lists) -> lines``.
+#: ``head`` is the batch's ``{"t":...,"kind":"...",`` prefix and the
+#: payload keys follow the decoded record's key order.
+_LINES = {
+    _DECISION: lambda head, kinds, masks, nfs, ncs: [
+        f'{head}"kinds":{kinds[m]},"n_flows":{nf},"n_coflows":{nc}}}\n'
+        for m, nf, nc in zip(masks, nfs, ncs)
+    ],
+    _JUMP: lambda head, kinds, nss, masks: [
+        f'{head}"n_slices":{ns},"kinds":{kinds[m]}}}\n'
+        for ns, m in zip(nss, masks)
+    ],
+    _RATES: lambda head, kinds, ntxs, totals, maxes: [
+        f'{head}"n_tx":{ntx},"total":{_num(tot)},"max":{_num(mx)}}}\n'
+        for ntx, tot, mx in zip(ntxs, totals, maxes)
+    ],
+    _ARRIVAL: lambda head, kinds, cids, widths: [
+        f'{head}"coflow_id":{c},"n_flows":{w}}}\n'
+        for c, w in zip(cids, widths)
+    ],
+    _FLOW_DONE: lambda head, kinds, fids, cids: [
+        f'{head}"flow_id":{f},"coflow_id":{c}}}\n'
+        for f, c in zip(fids, cids)
+    ],
+    _COFLOW_DONE: lambda head, kinds, cids: [
+        f'{head}"coflow_id":{c}}}\n' for c in cids
+    ],
+    _CLAIM: lambda head, kinds, nodes, claims: [
+        f'{head}"node":{node},"claims":{cl}}}\n'
+        for node, cl in zip(nodes, claims)
+    ],
+    _CANCEL: lambda head, kinds, cids, nfs: [
+        f'{head}"coflow_id":{c},"n_flows":{nf}}}\n'
+        for c, nf in zip(cids, nfs)
+    ],
+    _CAPACITY: lambda head, kinds, sides, ports, caps: [
+        f'{head}"side":"{_SIDES[s]}","port":{port},"capacity":{_num(cap)}}}\n'
+        for s, port, cap in zip(sides, ports, caps)
+    ],
+}
 
 
 class _Columns:
@@ -276,16 +363,19 @@ class FlightRecorder:
         self._misc.clear()
 
     # -------------------------------------------------------------- decode
-    def __iter__(self) -> Iterator[TraceRecord]:
-        """Decode the batches back into the record stream, in order."""
+    def _batches(self) -> Iterator[tuple]:
+        """The journal as ``(stream, t, start, count)`` Python tuples."""
         jl = self._journal
         n = jl.n
-        journal = zip(
+        return zip(
             *(jl.cols[name][:n].tolist()
               for name in ("stream", "t", "start", "count"))
         )
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        """Decode the batches back into the record stream, in order."""
         # ``tolist`` per batch: payload values are Python ints and floats.
-        for code, t, a, count in journal:
+        for code, t, a, count in self._batches():
             b = a + count
             if code == _MISC:
                 yield self._misc[a]
@@ -401,8 +491,43 @@ class FlightRecorder:
 
     # --------------------------------------------------------------- export
     def dump_jsonl(self, dest: Union[str, IO[str]]) -> int:
-        """Write the decoded stream as JSON lines; returns the count."""
-        return write_jsonl(dest, self)
+        """Write the decoded stream as JSON lines to a path or open
+        handle; returns the record count.
+
+        Lines are formatted straight from the columns — one ``tolist``
+        per column slice and one ``write`` per batch (per
+        :data:`_CHUNK` rows of a larger one) — and are byte-identical
+        to ``record_to_json`` of each decoded record.
+        """
+        if not hasattr(dest, "write"):
+            with open(dest, "w", encoding="utf-8") as fh:
+                return self.dump_jsonl(fh)
+        write = dest.write
+        kinds = _KindsJson()
+        for code, t, a, count in self._batches():
+            if code == _MISC:
+                write(record_to_json(self._misc[a]) + "\n")
+                continue
+            head = f'{{"t":{_num(t)},"kind":"{_RECORD_KIND[code]}",'
+            cols = [self._streams[code].cols[name] for name in _LAYOUT[code]]
+            b = a + count
+            chunks = (
+                [col[lo:min(lo + _CHUNK, b)].tolist() for col in cols]
+                for lo in range(a, b, _CHUNK)
+            )
+            if code in _BATCH_RECORD:
+                # One record per batch: its array is written chunk by chunk.
+                key, items = _ARRAY_ITEMS[code]
+                write(f'{head}"{key}":[')
+                sep = ""
+                for rows in chunks:
+                    write(sep + ",".join(items(*rows)))
+                    sep = ","
+                write("]}\n")
+            else:
+                for rows in chunks:
+                    write("".join(_LINES[code](head, kinds, *rows)))
+        return len(self)
 
     def save_npz(self, path) -> None:
         """Write every column to one ``.npz`` (no pickling).

@@ -3,9 +3,10 @@
 A :class:`TraceRecord` is one traced event — a simulated timestamp, a
 record kind, and a flat payload dict.  The engine and system layers
 capture them in the :class:`~repro.obs.recorder.FlightRecorder`, which
-decodes back to this record stream; :func:`write_jsonl` and
-:func:`record_from_json` are the two ends of the JSONL format that
-:mod:`repro.analysis.tracefile` reads.
+decodes back to this record stream.  :func:`record_to_json` is the
+reference JSONL encoding of one record — the recorder's columnar
+``dump_jsonl`` writes the same bytes — and :func:`record_from_json` is
+the reader end that :mod:`repro.analysis.tracefile` uses.
 
 Record kinds (the schema is documented in ``docs/observability.md``):
 
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Any, Dict, IO, Iterable, NamedTuple, Union
+from typing import Any, Dict, NamedTuple
 
-__all__ = ["TraceRecord", "record_from_json", "record_to_json", "write_jsonl"]
+__all__ = ["TraceRecord", "record_from_json", "record_to_json"]
 
 
 class TraceRecord(NamedTuple):
@@ -87,16 +88,3 @@ def record_from_json(line: str) -> TraceRecord:
     if not isinstance(kind, str):
         raise ValueError(f"'kind' must be a string, got {kind!r}")
     return TraceRecord(t=float(t), kind=kind, data=obj)
-
-
-def write_jsonl(dest: Union[str, IO[str]], records: Iterable[TraceRecord]) -> int:
-    """Write records as JSON lines to a path or open handle; returns the count."""
-    if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8") as fh:
-            return write_jsonl(fh, records)
-    n = 0
-    for rec in records:
-        dest.write(record_to_json(rec))
-        dest.write("\n")
-        n += 1
-    return n

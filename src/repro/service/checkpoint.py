@@ -32,6 +32,8 @@ paths you wrote yourself, like any pickle.
 from __future__ import annotations
 
 import pickle
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -151,12 +153,44 @@ def save_checkpoint(
     return path
 
 
+def _check_layout(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """The checks made before the blob is unpickled: it is there, and the
+    engine columns of each table have one length."""
+    if "__pickle__" not in arrays:
+        raise CheckpointError(
+            f"{path} is not a {CHECKPOINT_SCHEMA} checkpoint: "
+            f"no __pickle__ entry"
+        )
+    for prefix in ("flow__", "cf__"):
+        lengths = {
+            key: np.shape(arr)[:1] for key, arr in arrays.items()
+            if key.startswith(prefix)
+        }
+        if len(set(lengths.values())) > 1:
+            raise CheckpointError(
+                f"checkpoint {path} is inconsistent: {prefix}* columns "
+                f"have unequal lengths {lengths}"
+            )
+
+
 def load_checkpoint(path) -> Dict[str, Any]:
     """Read a checkpoint into a dict: the ``import_state`` payload under
     ``"state"`` plus the service context (setup, source spec/cursor,
-    driver state, id watermarks, schema) at the top level."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        arrays = {key: data[key].copy() for key in data.files}
+    driver state, id watermarks, schema) at the top level.
+
+    Raises :class:`CheckpointError` naming ``path`` when the file cannot
+    be read as a checkpoint (truncated or corrupt archive), has no
+    ``__pickle__`` entry, or has engine columns of unequal lengths.
+    """
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key].copy() for key in data.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc}"
+        ) from exc
+    _check_layout(path, arrays)
     blob = pickle.loads(arrays.pop("__pickle__").tobytes())
     if blob.get("schema") != CHECKPOINT_SCHEMA:
         raise ConfigurationError(

@@ -6,8 +6,12 @@ must be *bit-identical* to scalar per-coflow submission: same tie
 breaking (submission order), same activation spans, same results.  These
 properties pin that across out-of-order batches, tied arrivals,
 cancel-before-arrival and ``run(until)`` resumes mid-batch, plus the
-checkpoint round trip of a populated calendar.
+checkpoint round trip of a populated calendar, and that a dropped engine
+is freed by reference counting alone.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro.core.ingest import BlockBuilder, CoflowBlock
 from repro.core.simulator import SliceSimulator
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
+from repro.obs import Observability
 from repro.schedulers import make_scheduler
 from repro.service.checkpoint import (
     load_checkpoint,
@@ -224,3 +229,61 @@ class TestCalendarCheckpoint:
         restored = restore_simulator(load_checkpoint(path))
         assert len(restored._calendar) == len(sim._calendar)
         _assert_results_identical(sim.run(), restored.run())
+
+
+# ------------------------------------------------------------ lifetime
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _lazy_states(sim):
+    """CoflowStates whose coflow object is not built yet."""
+    return [st for st in sim._cf_states
+            if st is not None and st._coflow is None]
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestEngineLifetime:
+    """Lazy CoflowStates hold their engine weakly: a dropped engine dies
+    at once, with no engine -> state -> factory -> engine cycle left for
+    the cyclic GC."""
+
+    def _assert_freed_when_dropped(self, build):
+        sim = build()
+        first, late = _lazy_states(sim)[:2]
+        cf = first.coflow  # materializes while the engine lives
+        assert cf.coflow_id == first.coflow_id
+        assert len(cf.flows) > 0
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        with pytest.raises(ReferenceError):
+            late.coflow
+
+    def test_traced_block_run_is_freed(self):
+        def build():
+            sim = SETUP.build_simulator(
+                make_scheduler("fvdf-flow"), obs=Observability(trace=True)
+            )
+            sim.submit_block(CoflowBlock.from_coflows(_checkpoint_workload()))
+            sim.run(until=0.02)
+            return sim
+
+        self._assert_freed_when_dropped(build)
+
+    def test_restored_engine_is_freed(self, tmp_path):
+        sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
+        sim.submit_many(_checkpoint_workload())
+        sim.run(until=0.02)
+        path = save_checkpoint(tmp_path / "life.npz", sim, setup=SETUP)
+        self._assert_freed_when_dropped(lambda: restore_simulator(
+            load_checkpoint(path), obs=Observability(trace=True)
+        ))

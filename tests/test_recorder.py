@@ -16,10 +16,12 @@ same recorder.  Covered here:
   tied retirement boundaries);
 * eager gating: tracing never forces per-flow result dataclass
   materialization;
-* NPZ round-trip and JSONL export fidelity.
+* NPZ round-trip and JSONL export fidelity: the columnar JSONL writer is
+  byte-identical to ``record_to_json`` of each decoded record.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from repro.core.events import EventKind
 from repro.core.reference import PreColumnarSliceSimulator
 from repro.core.simulator import SliceSimulator
 from repro.obs import NULL_RECORDER, Observability
+from repro.obs import recorder as recorder_mod
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import TraceRecord
+from repro.obs.trace import TraceRecord, record_to_json
 from repro.schedulers import make_scheduler
 from repro.traces.distributions import ConstantSize
 from repro.traces.facebook import synthesize
@@ -335,3 +338,83 @@ class TestNpzRoundtrip:
         assert len(rec) == 1
         chunk = FlightRecorder.load_npz(tmp_path / "chunk0.npz")
         assert len(chunk) == 20
+
+
+# ------------------------------------------------------------ JSONL export
+def _oracle_jsonl(rec):
+    """The per-record encode: decode each record, then ``json.dumps`` it."""
+    return "".join(record_to_json(r) + "\n" for r in rec)
+
+
+def _every_stream_recorder():
+    """Every stream kind with interleaved ``emit`` records, an empty
+    ``order`` batch, non-finite floats, ``t = -1.0`` and a retirement
+    batch larger than the writer's chunk."""
+    nan, inf = math.nan, math.inf
+    big = 2 * recorder_mod._CHUNK + 3
+    rec = FlightRecorder()
+    rec.emit(-1.0, "master_order", coflow_ids=[3, 1])
+    rec.add_arrivals(0.0, [1, 2], [3, big])
+    rec.add_decision(0.0, {EventKind.ARRIVAL, EventKind.START}, 3, 2)
+    rec.add_decision(0.0, set(), 0, 0)
+    rec.add_order(0.0, np.array([1, 2, 3, 4]),
+                  np.array([nan, inf, -inf, 1.5e300]),
+                  np.array([2.0, 1.0, 4.0, 1e-10]))
+    rec.add_order(0.1, np.array([]), np.array([]), np.array([]))
+    rec.add_beta(0.1, np.array([7, 5, 6]))
+    rec.add_rates(0.1, 3, nan, inf)
+    rec.add_rates(0.1, 0, -0.0, -inf)
+    rec.add_core_claims(0.1, [0, 2], [1, 3])
+    rec.emit(0.1, "bus", topic="decision",
+             kinds={EventKind.COMPLETION, EventKind.ARRIVAL})
+    rec.add_jump(0.2, 4, {EventKind.COMPLETION})
+    rec.add_capacity(0.2, "ingress", 1, inf)
+    rec.add_capacity(0.2, "egress", 0, nan)
+    rec.add_capacity(0.25, "egress", 0, 1e-320)
+    rec.add_cancel(0.3, 1, 2)
+    rec.add_flow_completions(-1.0, np.arange(big) + 100,
+                             np.full(big, 2))
+    rec.add_coflow_completions(0.4, np.array([2]))
+    rec.emit(0.4, "heartbeat", node=3, free_cores=2)
+    return rec
+
+
+def _dump_both_ways(rec, tmp_path):
+    """``dump_jsonl`` to a handle and to a path; both texts must agree and
+    both calls must return ``len(rec)``."""
+    buf = io.StringIO()
+    assert rec.dump_jsonl(buf) == len(rec)
+    path = tmp_path / "trace.jsonl"
+    assert rec.dump_jsonl(path) == len(rec)
+    assert path.read_text(encoding="utf-8") == buf.getvalue()
+    return buf.getvalue()
+
+
+class TestJsonlExport:
+    def test_columnar_writer_matches_per_record_encode(self, tmp_path):
+        rec = _every_stream_recorder()
+        kinds = {r.kind for r in rec}
+        assert {"decision", "jump", "rates", "beta", "order", "core_claim",
+                "arrival", "completion", "cancel", "capacity", "bus",
+                "heartbeat", "master_order"} <= kinds
+        assert _dump_both_ways(rec, tmp_path) == _oracle_jsonl(rec)
+
+    def test_npz_reload_matches_per_record_encode(self, tmp_path):
+        rec = _every_stream_recorder()
+        rec.save_npz(tmp_path / "rec.npz")
+        again = FlightRecorder.load_npz(tmp_path / "rec.npz")
+        text = _dump_both_ways(again, tmp_path)
+        assert text == _oracle_jsonl(again) == _oracle_jsonl(rec)
+
+    def test_spill_and_resume_match_per_record_encode(self, tmp_path):
+        rec = _every_stream_recorder()
+        expect = _oracle_jsonl(rec)
+        assert rec.spill_npz(tmp_path / "chunk0.npz") > 0
+        chunk = FlightRecorder.load_npz(tmp_path / "chunk0.npz")
+        assert _dump_both_ways(chunk, tmp_path) == expect
+        rec.add_order(0.5, np.array([9]), np.array([math.inf]),
+                      np.array([math.inf]))
+        rec.emit(0.5, "heartbeat", node=0, free_cores=1)
+        rec.add_flow_completions(0.5, np.array([1, 2]), np.array([9, 9]))
+        assert len(rec) == 4
+        assert _dump_both_ways(rec, tmp_path) == _oracle_jsonl(rec)

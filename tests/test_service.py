@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.analysis import ExperimentSetup
 from repro.core.results import ResultStore, concat_stores
 from repro.core.simulator import _time_eps
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.schedulers import make_scheduler
 from repro.service import (
     JsonlSource,
@@ -706,3 +706,37 @@ class TestCheckpoint:
         assert second.stats.flows_done == done_before
         stats = second.run()
         assert stats.coflows_done == 30
+
+    def test_truncated_checkpoint_fails_loudly(self, tmp_path):
+        """A checkpoint cut short anywhere raises CheckpointError naming
+        the path, from load_checkpoint and restore_driver alike."""
+        d = _driver()
+        d.run(max_ticks=4)
+        good = d.checkpoint(tmp_path / "good.npz").read_bytes()
+        size = len(good)
+        path = tmp_path / "cut.npz"
+        for cut in (0, 1, 10, size // 3, size // 2, size - 10, size - 1):
+            path.write_bytes(good[:cut])
+            for load in (load_checkpoint, restore_driver):
+                with pytest.raises(CheckpointError, match="cut.npz"):
+                    load(path)
+
+    def test_checkpoint_layout_is_checked_before_unpickling(self, tmp_path):
+        d = _driver()
+        d.run(max_ticks=4)
+        ck = d.checkpoint(tmp_path / "good.npz")
+        with np.load(ck, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+
+        no_blob = tmp_path / "no_blob.npz"
+        np.savez(no_blob, **{k: v for k, v in arrays.items()
+                             if k != "__pickle__"})
+        with pytest.raises(CheckpointError, match="no_blob.npz.*__pickle__"):
+            load_checkpoint(no_blob)
+
+        for prefix in ("flow__", "cf__"):
+            key = next(k for k in arrays if k.startswith(prefix))
+            ragged = tmp_path / f"ragged_{prefix}.npz"
+            np.savez(ragged, **{**arrays, key: arrays[key][:-1]})
+            with pytest.raises(CheckpointError, match=f"{prefix}.*unequal"):
+                load_checkpoint(ragged)
