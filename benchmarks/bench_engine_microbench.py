@@ -166,7 +166,9 @@ def test_columnar_ingest_cuts_submit_share():
     A bigtrace-style case — ~20k coflows / ~40k flows submitted in one
     batch, then a short bounded run — against the pinned pre-columnar
     engine (:class:`~repro.core.reference.PreColumnarSliceSimulator`,
-    kept verbatim for exactly this purpose).  Two guards:
+    kept verbatim for exactly this purpose).  The run window schedules
+    with D-CLAS, a policy of moderate and steady cost, so both shares
+    weigh ingest against a like amount of scheduling work.  Two guards:
 
     * **wall time** — ``submit_many``'s share of (submit + run window)
       must be at least halved versus the pre-columnar engine (best-of-N
@@ -200,10 +202,10 @@ def test_columnar_ingest_cuts_submit_share():
         )
         if kind == "old":
             return PreColumnarSliceSimulator(
-                BigSwitch(16, mbps(500)), make_scheduler("sebf"),
+                BigSwitch(16, mbps(500)), make_scheduler("dclas"),
                 slice_len=0.01,
             )
-        return setup.build_simulator(make_scheduler("sebf"))
+        return setup.build_simulator(make_scheduler("dclas"))
 
     def one(kind):
         sim = make(kind)

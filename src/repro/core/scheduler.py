@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,44 @@ class _SegmentRef:
         self.starts = starts
 
 
+def segment_sums(
+    cols, width: np.ndarray, first: Optional[np.ndarray] = None
+) -> List[np.ndarray]:
+    """Per-segment sums of each column of ``cols``: segment ``i`` is
+    ``col[first[i] : first[i] + width[i]]``; without ``first`` the
+    segments lie back to back from the start of ``col``.
+
+    Equal bit for bit to each segment's own ``.sum()``, without a Python
+    step per segment (``np.add.reduceat`` adds in another order).  numpy
+    sums fewer than 8 values one by one, as ``np.bincount`` fills a bin,
+    so a batch of segments all that narrow takes one ``bincount``;
+    otherwise the segments of each width are summed as the rows of their
+    own ``(k, w)`` gather along ``axis=1``, which numpy reduces with the
+    kernel of a slice's ``.sum()``.  A lone segment, the usual closing
+    batch, is summed as the slice itself.
+    """
+    k = len(width)
+    if k == 1:
+        a = 0 if first is None else int(first[0])
+        return [col[a : a + int(width[0])].sum(keepdims=True) for col in cols]
+    if 0 < width.max(initial=0) < 8:
+        unit = np.repeat(np.arange(k), width)
+        if first is not None:
+            rows = np.repeat(first - (np.cumsum(width) - width), width)
+            rows += np.arange(len(rows))
+            cols = [col[rows] for col in cols]
+        return [np.bincount(unit, weights=col, minlength=k) for col in cols]
+    if first is None:
+        first = np.cumsum(width) - width
+    out = [np.zeros(k) for _ in cols]
+    for w in set(width.tolist()):
+        sel = np.flatnonzero(width == w)
+        rows = first[sel, None] + np.arange(w)
+        for o, col in zip(out, cols):
+            o[sel] = col[rows].sum(axis=1)
+    return out
+
+
 class CoflowState:
     """Mutable per-coflow scheduling state exposed to schedulers.
 
@@ -56,7 +94,8 @@ class CoflowState:
         The immutable coflow definition.  With the block-columnar ingest
         path the engine may never have built a :class:`Coflow` object at
         all — states constructed with ``coflow_id=``/``coflow_factory=``
-        materialize one from the engine's columns on first access, while
+        materialize one on first access as ``coflow_factory(coflow_id)``
+        (one factory serves every state of an engine), while
         :attr:`coflow_id` always answers without materializing (it is the
         only coflow field the stock policies read per decision).
     flow_idx:
@@ -106,7 +145,7 @@ class CoflowState:
     def coflow(self) -> Coflow:
         cf = self._coflow
         if cf is None:
-            cf = self._coflow = self._coflow_factory()
+            cf = self._coflow = self._coflow_factory(self._coflow_id)
         return cf
 
     @coflow.setter
@@ -178,6 +217,13 @@ class SchedulerView:
     #: Python loops.  Derived lazily from ``coflows`` when not supplied.
     unit_perm: Optional[np.ndarray] = None
     unit_starts: Optional[np.ndarray] = None
+    #: Optional engine-side coflow table ``(slots, ids, arrival, width)``:
+    #: ``coflows[j]`` is row ``slots[j]`` of the three columns, and width
+    #: counts every member flow, finished ones too.
+    coflow_table: Optional[Tuple[np.ndarray, ...]] = None
+    _coflow_cols: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def num_flows(self) -> int:
@@ -209,6 +255,25 @@ class SchedulerView:
                 np.intp
             )
         return self.unit_perm, self.unit_starts
+
+    def coflow_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-coflow ``(ids, arrival, width)`` columns aligned with
+        ``coflows``, built on first call — gathered from ``coflow_table``
+        when the engine supplied one, else read off the states — so
+        policies that never rank coflows pay nothing."""
+        if self._coflow_cols is None:
+            if self.coflow_table is not None:
+                slots, ids, arrival, width = self.coflow_table
+                self._coflow_cols = (ids[slots], arrival[slots], width[slots])
+            else:
+                cfs = [cs.coflow for cs in self.coflows]
+                self._coflow_cols = (
+                    np.array([cs.coflow_id for cs in self.coflows],
+                             dtype=np.int64),
+                    np.array([cf.arrival for cf in cfs], dtype=np.float64),
+                    np.array([cf.width for cf in cfs], dtype=np.int64),
+                )
+        return self._coflow_cols
 
     def fresh_capacity(self):
         """Writable copies of (ingress, egress) capacities for allocation."""

@@ -46,6 +46,7 @@ from repro.core.scheduler import (
     Scheduler,
     SchedulerView,
     _SegmentRef,
+    segment_sums,
 )
 from repro.cpu.cores import CpuModel
 from repro.cpu.monitor import UtilizationRecorder
@@ -302,6 +303,27 @@ class _CoflowRecord:
         self.flow_results: List[FlowResult] = []
 
 
+class _CoflowFactory:
+    """Coflow object by id: the one factory every lazy
+    :class:`CoflowState` of an engine shares.
+
+    Resolves the *current* slot through the engine's id map, so it stays
+    valid across drain compactions.  Holds the engine through a weak
+    proxy: a strong reference would close the cycle engine -> state ->
+    factory -> engine, and a dropped engine would then wait for the
+    cyclic GC.  Once the engine is gone a call raises ``ReferenceError``.
+    """
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: "SliceSimulator"):
+        self._sim = weakref.proxy(sim)
+
+    def __call__(self, coflow_id: int) -> Coflow:
+        sim = self._sim
+        return sim._coflow_for_slot(sim._coflows[coflow_id])
+
+
 class SliceSimulator:
     """The slice-granular coflow simulator.
 
@@ -407,6 +429,7 @@ class SliceSimulator:
         # activation).
         self._cf_coflows: List[Optional[Coflow]] = []
         self._cf_states: List[Optional[CoflowState]] = []
+        self._coflow_factory = _CoflowFactory(self)
 
         # --- retirement log (feeds the ResultStore snapshot) ----------------
         self._done_chunks: List[np.ndarray] = []   # global flow idx, per retire
@@ -437,7 +460,9 @@ class SliceSimulator:
         self._cached_unit_of_pos = np.empty(0, dtype=np.intp)
         self._cached_group_slots = np.empty(0, dtype=np.intp)
         self._cached_static: Dict[str, np.ndarray] = {}
+        #: Pending capacity changes, a heap of (time, side, port, seq, cap).
         self._cap_events: List = []
+        self._cap_seq = 0
         #: coflow id -> dense slot index (remapped on drain compaction).
         self._coflows: Dict[int, int] = {}
         self._calendar = ArrivalCalendar()
@@ -685,39 +710,19 @@ class SliceSimulator:
             self._cf_coflows[slot] = cf
         return cf
 
-    def _materialize_coflow(self, coflow_id: int) -> Coflow:
-        """Coflow object by id — the factory behind lazy CoflowStates.
-
-        Resolves the *current* slot through the id map, so the factory
-        stays valid across drain compactions.
-        """
-        return self._coflow_for_slot(self._coflows[coflow_id])
-
-    def _coflow_factory(self, coflow_id: int) -> Callable[[], Coflow]:
-        """The lazy-materialization factory of one CoflowState.
-
-        Holds the engine through a weak proxy: a strong reference would
-        close the cycle engine -> state -> factory -> engine, and a
-        dropped engine would then wait for the cyclic GC.  Once the
-        engine is gone the factory raises ``ReferenceError``.
-        """
-        sim = weakref.proxy(self)
-        return lambda: sim._materialize_coflow(coflow_id)
-
     def _state_for_slot(self, slot: int) -> CoflowState:
         """The scheduler-facing :class:`CoflowState` of a slot.
 
         Created lazily on first activation; carries only the coflow id
-        plus a materialization factory, so the stock policies (which read
-        ``state.coflow_id``) never force the object into existence.
+        plus the engine's shared materialization factory, so the stock
+        policies (which read ``state.coflow_id``) never force the object
+        into existence.
         """
         st = self._cf_states[slot]
         if st is None:
-            cid = int(self._cf_id[slot])
             st = CoflowState(
-                coflow_id=cid,
-                coflow_factory=self._coflow_factory(cid),
-                flow_idx=np.empty(0, dtype=np.intp),
+                coflow_id=int(self._cf_id[slot]),
+                coflow_factory=self._coflow_factory,
             )
             self._cf_states[slot] = st
         return st
@@ -807,7 +812,13 @@ class SliceSimulator:
             )
         if capacity <= 0:
             raise ConfigurationError("capacity must stay positive")
-        heapq.heappush(self._cap_events, (float(time), side, int(port), float(capacity)))
+        # The sequence number orders changes to one port at one instant:
+        # the one scheduled last is applied last, so it wins.
+        heapq.heappush(
+            self._cap_events,
+            (float(time), side, int(port), self._cap_seq, float(capacity)),
+        )
+        self._cap_seq += 1
 
     def _apply_due_capacity_changes(self) -> bool:
         applied = False
@@ -815,7 +826,7 @@ class SliceSimulator:
         while self._cap_events and (
             self._cap_events[0][0] <= self.now + self._eps_now()
         ):
-            _, side, port, cap = heapq.heappop(self._cap_events)
+            _, side, port, _, cap = heapq.heappop(self._cap_events)
             getattr(self.fabric, side).set_capacity(port, cap)
             if flt.enabled:
                 flt.add_capacity(self.now, side, port, cap)
@@ -1113,11 +1124,13 @@ class SliceSimulator:
         slot_map = np.where(keep_slot, new_of_slot, np.intp(-1))
         self._calendar.remap(slot_map)
 
+        # Eviction keeps every active row (no evicted coflow has one) and
+        # their order, so the cached grouping over active positions stays
+        # valid; only its slot column needs the renumbering.
         self._active = new_of_flow[self._active]
+        self._cached_group_slots = new_of_slot[self._cached_group_slots]
         self._done_chunks = [new_of_flow[held]] if held.size else []
         self._closed_chunks = []
-        # Cached grouping references pre-eviction indices.
-        self._groups_dirty = True
         return store
 
     def export_state(self) -> dict:
@@ -1238,6 +1251,7 @@ class SliceSimulator:
         self._cancelled = {int(c) for c in state["cancelled"]}
         self._cap_events = [tuple(e) for e in state["cap_events"]]
         heapq.heapify(self._cap_events)
+        self._cap_seq = 1 + max((e[3] for e in self._cap_events), default=-1)
         self._cf_labels = list(state["cf_labels"])
         self._cf_deadlines = list(state["cf_deadlines"])
         # Coflow objects are rebuilt lazily from the columns.
@@ -1249,8 +1263,7 @@ class SliceSimulator:
             self._coflows[cid] = slot
             self._cf_states.append(CoflowState(
                 coflow_id=cid,
-                coflow_factory=self._coflow_factory(cid),
-                flow_idx=np.empty(0, dtype=np.intp),
+                coflow_factory=self._coflow_factory,
                 priority_class=prio[slot],
             ))
         self._calendar.import_entries(
@@ -1331,11 +1344,12 @@ class SliceSimulator:
         positions, ``coflow_ids`` column, unit permutation/offsets and
         every gather of per-flow *constants*) depends only on
         ``_active``.  Arrivals and retirements keep the cache current
-        with the incremental deltas below; this full rebuild runs on the
-        first decision, after cancellations, when ``force_regroup`` is
-        set, and for the rare arrival batch the append delta cannot
-        handle (a mid-run submission arriving no later than an already
-        active coflow).
+        with the incremental deltas below, and a drain only renumbers
+        the cached slots; this full rebuild runs on the first decision,
+        after cancellations and restores, when ``force_regroup`` is set,
+        and for the rare arrival batch the append delta cannot handle (a
+        mid-run submission arriving no later than an already active
+        coflow).
         """
         idx = self._active
         coflow_ids = self._coflow_of[idx]
@@ -1509,6 +1523,10 @@ class SliceSimulator:
             compression=self.compression,
             unit_perm=self._seg.perm,
             unit_starts=self._seg.starts,
+            coflow_table=(
+                self._cached_group_slots, self._cf_id, self._cf_arrival,
+                self._cf_count,
+            ),
         )
 
     def _validate(self, view: SchedulerView, alloc: Allocation) -> None:
@@ -1727,14 +1745,14 @@ class SliceSimulator:
             closed = closed[np.argsort(last[closed], kind="stable")]
         closed = closed.astype(np.intp, copy=False)
         self._cf_finish[closed] = boundary
-        # Per-coflow totals, summed at close time in store order — the
-        # same contiguous slice (and summation order) the eager
-        # ``CoflowResult`` used, so lazy results match bitwise.
-        for s in closed.tolist():
-            a = self._cf_first[s]
-            b = a + self._cf_count[s]
-            self._cf_size[s] = self._size[a:b].sum()
-            self._cf_bytes[s] = self._bytes_sent[a:b].sum()
+        if closed.size:
+            # Per-coflow totals over each closed coflow's rows, summed as
+            # each slice's own ``.sum()`` would (what the eager
+            # ``CoflowResult`` used), so lazy results match bitwise.
+            (self._cf_size[closed], self._cf_bytes[closed]) = segment_sums(
+                (self._size, self._bytes_sent),
+                self._cf_count[closed], self._cf_first[closed],
+            )
         self._closed_chunks.append(closed)
 
         mx = self.obs.metrics
@@ -1749,7 +1767,7 @@ class SliceSimulator:
             flt.add_coflow_completions(boundary, self._cf_id[closed])
         if self._on_flow_complete or self._on_coflow_complete:
             self._emit_eager(boundary, done_idx, closed)
-        return [int(self._cf_id[s]) for s in closed.tolist()]
+        return self._cf_id[closed].tolist()
 
     def _emit_eager(self, boundary, done_idx, closed) -> None:
         """Materialize result dataclasses now, for completion callbacks.

@@ -9,12 +9,12 @@ key function.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core import rate_allocation as ra
-from repro.core.scheduler import Allocation, CoflowState, Scheduler, SchedulerView
+from repro.core.scheduler import Allocation, Scheduler, SchedulerView
 from repro.errors import ConfigurationError
 
 
@@ -47,11 +47,12 @@ class OrderedFlowScheduler(Scheduler):
 class OrderedCoflowScheduler(Scheduler):
     """Strict coflow-priority policies (SEBF, SCF, NCF, LCF, coflow-FIFO).
 
-    Subclasses implement :meth:`coflow_key`; coflows are served in ascending
-    key order (ties broken by arrival, then id).  Within a coflow, flows are
-    served in index order.  ``rate_policy`` selects between work-conserving
-    strict priority ("greedy", the default — matches the paper's Fig. 4
-    numbers) and Varys' MADD ("madd").
+    Subclasses implement :meth:`coflow_keys`, one key per coflow of the
+    view; coflows are served in ascending key order (ties broken by
+    arrival, then id).  Within a coflow, flows are served in index order.
+    ``rate_policy`` selects between work-conserving strict priority
+    ("greedy", the default — matches the paper's Fig. 4 numbers) and
+    Varys' MADD ("madd").
     """
 
     def __init__(self, rate_policy: str = "greedy"):
@@ -59,31 +60,35 @@ class OrderedCoflowScheduler(Scheduler):
             raise ConfigurationError(f"unknown rate_policy {rate_policy!r}")
         self.rate_policy = rate_policy
 
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        """Priority key of every coflow, aligned with ``view.coflows``."""
         raise NotImplementedError
 
     def schedule(self, view: SchedulerView) -> Allocation:
         n = view.num_flows
         if n == 0:
             return Allocation.idle(0)
-        ordered = sorted(
-            view.coflows,
-            key=lambda cs: (
-                self.coflow_key(view, cs),
-                cs.coflow.arrival,
-                cs.coflow_id,
-            ),
-        )
+        perm, starts = view.unit_offsets()
+        # The ranked coflows' segments of ``perm``, in rank order; a lone
+        # coflow has nothing to rank.
+        ranked = np.zeros(1, dtype=np.intp)
+        if len(starts) > 2:
+            ids, arrivals, _ = view.coflow_columns()
+            ranked = np.lexsort((ids, arrivals, self.coflow_keys(view)))
         rem_in, rem_out = view.fresh_capacity()
         extra = view.fresh_extra()
         if self.rate_policy == "madd":
-            groups = [cs.flow_idx for cs in ordered]
+            groups = [perm[starts[u] : starts[u + 1]] for u in ranked.tolist()]
             rates = ra.madd(
                 groups, view.src, view.dst, view.volume, rem_in, rem_out,
                 extra=extra,
             )
         else:
-            order = np.concatenate([cs.flow_idx for cs in ordered])
+            order = perm
+            if len(ranked) > 1:
+                width = (starts[1:] - starts[:-1])[ranked]
+                base = starts[ranked] - (np.cumsum(width) - width)
+                order = perm[np.repeat(base, width) + np.arange(starts[-1])]
             rates = ra.greedy_priority(
                 order, view.src, view.dst, rem_in, rem_out, extra=extra
             )

@@ -15,12 +15,10 @@ coflows — and record the interpretation in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
-
 import numpy as np
 
 from repro.core import rate_allocation as ra
-from repro.core.scheduler import CoflowState, SchedulerView
+from repro.core.scheduler import SchedulerView, segment_sums
 from repro.schedulers.base import OrderedCoflowScheduler
 from repro.schedulers.flow_level import FlowFAIR, FlowPFP, FlowWSS
 
@@ -48,8 +46,14 @@ class CoflowFIFO(OrderedCoflowScheduler):
 
     name = "coflow-fifo"
 
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
-        return cs.coflow.arrival
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        return view.coflow_columns()[1]
+
+
+def _unit_of_pos(starts: np.ndarray) -> np.ndarray:
+    """Coflow ordinal of every position of the view's unit permutation."""
+    n_cof = len(starts) - 1
+    return np.repeat(np.arange(n_cof, dtype=np.intp), starts[1:] - starts[:-1])
 
 
 class SEBF(OrderedCoflowScheduler):
@@ -57,20 +61,35 @@ class SEBF(OrderedCoflowScheduler):
 
     name = "sebf"
 
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
-        idx = cs.flow_idx
-        vol = view.volume[idx]
-        extra = [
-            (groups[idx], caps) for groups, caps in view.fresh_extra()
-        ]
-        return ra.coflow_gamma(
-            vol,
-            view.src[idx],
-            view.dst[idx],
-            view.fabric.ingress.capacity,
-            view.fabric.egress.capacity,
-            extra=extra,
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        """Γ of every coflow: ``max_c load_c / cap_c`` over every capacity
+        dimension (rack dimensions included), infinite when a used
+        constraint has no capacity.  One ``bincount`` per dimension over
+        (coflow, group) bins accumulates each bin in the coflow's flow
+        order, as a per-coflow ``bincount`` would."""
+        perm, starts = view.unit_offsets()
+        n_cof = len(starts) - 1
+        unit = _unit_of_pos(starts)
+        vol = view.volume[perm]
+        gamma = np.zeros(n_cof)
+        dims = ra.build_dims(
+            view.src, view.dst, view.fabric.ingress.capacity,
+            view.fabric.egress.capacity, view.fresh_extra(),
         )
+        for groups, caps in dims:
+            g = groups[perm]
+            member = g >= 0
+            m = len(caps)
+            load = np.bincount(
+                unit[member] * m + g[member], weights=vol[member],
+                minlength=n_cof * m,
+            ).reshape(n_cof, m)
+            used = load > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(used, load / caps, 0.0)
+            ratio[used & (caps <= 0)] = np.inf
+            np.maximum(gamma, ratio.max(axis=1, initial=0.0), out=gamma)
+        return gamma
 
 
 class SCF(OrderedCoflowScheduler):
@@ -78,8 +97,9 @@ class SCF(OrderedCoflowScheduler):
 
     name = "scf"
 
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
-        return float(view.volume[cs.flow_idx].sum())
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        perm, starts = view.unit_offsets()
+        return segment_sums((view.volume[perm],), starts[1:] - starts[:-1])[0]
 
 
 class NCF(OrderedCoflowScheduler):
@@ -91,8 +111,8 @@ class NCF(OrderedCoflowScheduler):
 
     name = "ncf"
 
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
-        return float(cs.coflow.width)
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        return view.coflow_columns()[2].astype(np.float64)
 
 
 class LCF(OrderedCoflowScheduler):
@@ -100,22 +120,17 @@ class LCF(OrderedCoflowScheduler):
 
     name = "lcf"
 
-    def _port_sets(self, view: SchedulerView):
-        sets = {}
-        for cs in view.coflows:
-            idx = cs.flow_idx
-            eps: Set[Tuple[str, int]] = set()
-            eps.update(("in", int(p)) for p in view.src[idx])
-            eps.update(("out", int(p)) for p in view.dst[idx])
-            sets[cs.coflow_id] = eps
-        return sets
-
-    def coflow_key(self, view: SchedulerView, cs: CoflowState) -> float:
-        sets = self._port_sets(view)
-        mine = sets[cs.coflow_id]
-        contention = 0
-        for cid, other in sets.items():
-            if cid == cs.coflow_id:
-                continue
-            contention += len(mine & other)
-        return float(contention)
+    def coflow_keys(self, view: SchedulerView) -> np.ndarray:
+        """Ports shared with each other coflow, summed: with ``M`` the
+        coflow × port presence matrix (ingress ports, then egress), a
+        coflow shares port ``p`` with ``colsum[p] - 1`` others."""
+        perm, starts = view.unit_offsets()
+        n_in = view.fabric.num_ingress
+        presence = np.zeros(
+            (len(starts) - 1, n_in + view.fabric.num_egress), dtype=np.int64
+        )
+        unit = _unit_of_pos(starts)
+        presence[unit, view.src[perm]] = 1
+        presence[unit, n_in + view.dst[perm]] = 1
+        contention = presence @ (presence.sum(axis=0) - 1)
+        return contention.astype(np.float64)

@@ -85,26 +85,14 @@ def save_checkpoint(
 
     ``setup`` is required to restore without caller-provided plumbing;
     ``source``/``source_spec`` record the arrival stream and its cursor.
-    Raises :class:`ConfigurationError` for setups with background
-    traffic — its closures are not checkpointable state — and
-    :class:`CheckpointError` while scheduled capacity events are still
-    pending: ``repro-checkpoint-v1`` does not guarantee a faithful
-    restore of the capacity-event queue, and a snapshot that silently
-    dropped (or re-ordered) pending events would diverge from the
-    uninterrupted run.  Checkpoint before scheduling the events or after
-    the engine has applied them.
+    Pending capacity changes are part of the state: each carries its
+    scheduling sequence number, so a restore applies them in the same
+    order.  Raises :class:`ConfigurationError` for setups with background
+    traffic — its closures are not checkpointable state.
     """
     if setup is not None and getattr(setup, "background", None) is not None:
         raise ConfigurationError(
             "cannot checkpoint a setup with background traffic"
-        )
-    pending_caps = len(getattr(sim, "_cap_events", ()) or ())
-    if pending_caps:
-        raise CheckpointError(
-            f"cannot checkpoint with {pending_caps} pending capacity "
-            f"event(s): {CHECKPOINT_SCHEMA} does not guarantee faithful "
-            f"restore of the scheduled capacity-event queue — checkpoint "
-            f"before scheduling capacity changes or after they apply"
         )
     state = sim.export_state()
     payload: Dict[str, np.ndarray] = {}
@@ -173,6 +161,34 @@ def _check_layout(path: Path, arrays: Dict[str, np.ndarray]) -> None:
             )
 
 
+def _check_counts(path: Path, arrays: Dict[str, np.ndarray], n: int,
+                  n_cf: int) -> None:
+    """The checks made against the blob's row counts: every engine column
+    has ``n`` (flow) or ``n_cf`` (coflow) rows, and every index array
+    points inside its table."""
+    for prefix, rows in (("flow__", n), ("cf__", n_cf)):
+        for key, arr in arrays.items():
+            if key.startswith(prefix) and np.shape(arr)[:1] != (rows,):
+                raise CheckpointError(
+                    f"checkpoint {path} is inconsistent: {key} has shape "
+                    f"{np.shape(arr)}, the state has {rows} rows"
+                )
+    for key, rows, table in (
+        ("active", n, "n"), ("done_flows", n, "n"),
+        ("closed_slots", n_cf, "n_cf"), ("cal_slot", n_cf, "n_cf"),
+    ):
+        idx = arrays.get(key)
+        if idx is None:
+            raise CheckpointError(
+                f"checkpoint {path} is inconsistent: no {key} entry"
+            )
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            raise CheckpointError(
+                f"checkpoint {path} is inconsistent: {key} indexes outside "
+                f"[0, {table}={rows})"
+            )
+
+
 def load_checkpoint(path) -> Dict[str, Any]:
     """Read a checkpoint into a dict: the ``import_state`` payload under
     ``"state"`` plus the service context (setup, source spec/cursor,
@@ -180,7 +196,10 @@ def load_checkpoint(path) -> Dict[str, Any]:
 
     Raises :class:`CheckpointError` naming ``path`` when the file cannot
     be read as a checkpoint (truncated or corrupt archive), has no
-    ``__pickle__`` entry, or has engine columns of unequal lengths.
+    ``__pickle__`` entry, has engine columns of unequal lengths or of
+    other lengths than the blob's ``n``/``n_cf``, or index arrays
+    (``active``, ``done_flows``, ``closed_slots``, ``cal_slot``) pointing
+    outside their table.
     """
     path = Path(path)
     try:
@@ -197,6 +216,7 @@ def load_checkpoint(path) -> Dict[str, Any]:
             f"unsupported checkpoint schema {blob.get('schema')!r} "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
+    _check_counts(path, arrays, int(blob["n"]), int(blob["n_cf"]))
     state = {
         "slice_len": blob["slice_len"],
         "k": blob["k"],

@@ -14,7 +14,8 @@ Covered here:
 * cancellation mid-run (including the "only stamp unset finish_phys"
   rule) and ``run(until=...)`` horizon resume with mid-run submission;
 * hypothesis sweeps over tied retirement boundaries (constant sizes,
-  clumped arrivals → many flows/coflows retiring in one batch);
+  clumped arrivals → many flows/coflows retiring in one batch), and
+  closing batches that mix coflow widths below 8 or of 8 and more;
 * the lazy sequences' contracts: list equality, member object identity
   shared between ``coflow_results[k].flow_results`` and the flat flow
   list, frozen snapshots across resumed runs;
@@ -231,6 +232,38 @@ def test_tied_boundary_retirement_batches(seed, num_coflows, max_width, policy):
     new.submit_many(coflows)
     old.submit_many(coflows)
     assert_identical(new.run(), old.run())
+
+
+@pytest.mark.parametrize("policy", ["fair", "fvdf-flow"])
+@pytest.mark.parametrize("widths", [(2, 7), (8, 40)])
+def test_mixed_width_closing_batches_match(policy, widths):
+    """Coflows submitted at once with equal flow sizes and served flow
+    by flow close many at a time; each closing batch sums its coflows'
+    totals together (all narrower than 8 flows, or grouped by width),
+    and must match the per-coflow sums bit for bit."""
+    cfg = WorkloadConfig(
+        num_coflows=24, num_ports=6, size_dist=ConstantSize(2e5),
+        width=widths, arrival_rate=None,
+    )
+    coflows = generate_workload(cfg, np.random.default_rng(2))
+    new, old = _pair(policy)
+    mixed = []
+    retire = new._retire_finished
+
+    def recorded(boundary):
+        n_chunks = len(new._closed_chunks)
+        out = retire(boundary)
+        if len(new._closed_chunks) > n_chunks:
+            widths = set(new._cf_count[new._closed_chunks[-1]].tolist())
+            if len(widths) > 1:
+                mixed.append(widths)
+        return out
+
+    new._retire_finished = recorded
+    new.submit_many(coflows)
+    old.submit_many(coflows)
+    assert_identical(new.run(), old.run())
+    assert mixed, "no closing batch mixed widths"
 
 
 # ----------------------------------------------------- lazy-seq contracts

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
 from repro.fabric.ports import PortSet
 from repro.schedulers import make_scheduler
+from repro.units import mbps
 
 
 def make_sim(bandwidth=1.0, scheduler="sebf"):
@@ -110,3 +111,17 @@ class TestScheduledChanges:
         res = sim.run()
         # 2 bytes @1 + 2 bytes @2 (t=2..3) + 2 bytes @1 -> finish at 5.
         assert res.flow_results[0].fct == pytest.approx(5.0, abs=0.05)
+
+    def test_same_instant_changes_apply_in_scheduling_order(self):
+        """Two changes on one port at one instant: the one scheduled last
+        wins, whatever the capacity values."""
+        for first, last in ((mbps(50), mbps(20)), (mbps(20), mbps(50))):
+            sim = SliceSimulator(
+                BigSwitch(2, mbps(100)), make_scheduler("sebf"),
+                slice_len=0.01,
+            )
+            sim.submit(Coflow([Flow(1, 0, 1e8)]))
+            sim.schedule_capacity_change(0.5, "ingress", 1, first)
+            sim.schedule_capacity_change(0.5, "ingress", 1, last)
+            sim.run(until=0.6)
+            assert sim.fabric.ingress.capacity[1] == last

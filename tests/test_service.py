@@ -21,6 +21,7 @@ batch engine it wraps:
 import json
 import math
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -296,6 +297,36 @@ class TestStreamDriver:
         _assert_same_content(stores[0], stores[1])
         _assert_same_content(stores[0], stores[1], CF_CONTENT)
 
+    @pytest.mark.parametrize("policy", ["fvdf-flow", "sebf"])
+    def test_drains_keep_the_cached_grouping(self, policy):
+        """Draining every tick renumbers the cached grouping instead of
+        rebuilding it: one full regroup (the first decision) in the whole
+        stream, and the results of a run that regroups at every decision,
+        bit for bit."""
+        spec = _spec(limit=60, size_dist=ConstantSize(600 * KB))
+        fast = _driver(spec, policy=policy)
+        regroups = []
+        full_regroup = fast.sim._regroup
+
+        def counted():
+            regroups.append(fast.sim.now)
+            full_regroup()
+
+        fast.sim._regroup = counted
+        fast.run()
+        slow = _driver(spec, policy=policy)
+        slow.sim.force_regroup = True
+        slow.run()
+        stats = fast.stats
+        assert stats.drains > 5
+        assert stats.peak_live_rows < stats.flows_submitted  # rows evicted
+        assert len(regroups) == 1
+        assert fast.stats.flows_done == slow.stats.flows_done
+        for cols in (FLOW_CONTENT, CF_CONTENT):
+            _assert_same_content(
+                fast.result_store(), slow.result_store(), cols
+            )
+
     def test_arrival_gap_longer_than_tick_stays_live(self, tmp_path):
         # Nothing in flight and the next arrival several ticks away: the
         # service must keep advancing its horizon across the idle gap
@@ -566,6 +597,42 @@ class TestCheckpoint:
             combined.cf_label
         )
 
+    def test_pending_capacity_events_roundtrip(self, tmp_path):
+        """Capacity changes still pending at the checkpoint (a same-port,
+        same-instant pair among them) are restored and applied in the
+        order they were scheduled: the continuation equals the
+        uninterrupted run bit for bit."""
+        def schedule(sim):
+            sim.schedule_capacity_change(0.3, "ingress", 0, mbps(50))
+            sim.schedule_capacity_change(0.5, "egress", 2, mbps(60))
+            sim.schedule_capacity_change(0.5, "egress", 2, mbps(30))
+            sim.schedule_capacity_change(0.7, "ingress", 1, mbps(40))
+
+        whole = _driver()
+        schedule(whole.sim)
+        whole.run()
+
+        first = _driver()
+        schedule(first.sim)
+        first.run(max_ticks=2)
+        ck = first.checkpoint(tmp_path / "caps.npz")
+        pre = list(first.shards)
+        pending = sorted(first.sim._cap_events)
+        assert len(pending) == 3
+
+        second = restore_driver(ck)
+        assert sorted(second.sim._cap_events) == pending
+        second.run()
+        assert second.sim.fabric.egress.capacity[2] == mbps(30)
+        for side in ("ingress", "egress"):
+            assert np.array_equal(
+                getattr(second.sim.fabric, side).capacity,
+                getattr(whole.sim.fabric, side).capacity,
+            )
+        combined = concat_stores(pre + second.shards)
+        _assert_same_content(whole.result_store(), combined)
+        _assert_same_content(whole.result_store(), combined, CF_CONTENT)
+
     def test_jsonl_mid_stream_roundtrip_keeps_ids(self, tmp_path):
         """The JSONL twin of the round trip above, ids included: seeking
         the restored source to its cursor draws no ids, so the resumed
@@ -740,3 +807,48 @@ class TestCheckpoint:
             np.savez(ragged, **{**arrays, key: arrays[key][:-1]})
             with pytest.raises(CheckpointError, match=f"{prefix}.*unequal"):
                 load_checkpoint(ragged)
+
+    def test_checkpoint_counts_and_indexes_are_checked(self, tmp_path):
+        """Columns of one consistent length that disagree with the blob's
+        ``n``/``n_cf``, and index arrays pointing outside their table,
+        raise CheckpointError naming the path."""
+        d = _driver(_spec(size_dist=ConstantSize(2000 * KB)))
+        d.run(max_ticks=2)
+        ck = d.checkpoint(tmp_path / "good.npz")
+        with np.load(ck, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        blob = pickle.loads(arrays["__pickle__"].tobytes())
+        n, n_cf = blob["n"], blob["n_cf"]
+        assert n and n_cf, "no live rows to corrupt"
+
+        def bad(name, drop=None, **changes):
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, **{
+                k: v for k, v in {**arrays, **changes}.items() if k != drop
+            })
+            return path
+
+        short = {
+            k: v[:-1] for k, v in arrays.items() if k.startswith("flow__")
+        }
+        cases = [
+            (bad("short_flows", **short), f"flow__.*the state has {n} rows"),
+            (bad("long_cfs", **{
+                k: np.concatenate((v, v[-1:]))
+                for k, v in arrays.items() if k.startswith("cf__")
+            }), f"cf__.*the state has {n_cf} rows"),
+            (bad("active", active=np.append(arrays["active"], n)),
+             r"active indexes outside \[0, n="),
+            (bad("done", done_flows=np.append(arrays["done_flows"], -1)),
+             r"done_flows indexes outside \[0, n="),
+            (bad("closed", closed_slots=np.append(
+                arrays["closed_slots"], n_cf).astype(np.intp)),
+             r"closed_slots indexes outside \[0, n_cf="),
+            (bad("cal", cal_time=np.array([9.0]), cal_seq=np.array([0]),
+                 cal_slot=np.array([n_cf])),
+             r"cal_slot indexes outside \[0, n_cf="),
+            (bad("no_active", drop="active"), "no active entry"),
+        ]
+        for path, match in cases:
+            with pytest.raises(CheckpointError, match=f"{path.name}.*{match}"):
+                load_checkpoint(path)
