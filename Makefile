@@ -4,7 +4,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 # Config lives in pyproject.toml ([tool.ruff]).  Skips gracefully when
 # ruff is not on PATH so `make lint` is safe in minimal containers.

@@ -21,7 +21,7 @@ compression assignments over the slice window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -158,6 +158,28 @@ class FVDFConfig:
             raise ConfigurationError(f"unknown aging policy {self.aging!r}")
 
 
+class Decision(NamedTuple):
+    """What one :meth:`FVDFScheduler.schedule` call decided.
+
+    References to arrays the decision built anyway, kept until the next
+    one.  Per-flow arrays are aligned with the view's active positions;
+    ``perm[starts[u]:starts[u+1]]`` are unit *u*'s positions and
+    ``order`` ranks the units, highest priority first.
+    """
+
+    flow_ids: np.ndarray
+    coflow_ids: np.ndarray
+    perm: np.ndarray
+    starts: np.ndarray
+    order: np.ndarray
+    #: per unit: ``Γ_C`` (Eq. 8) and priority class ``P`` (Pseudocode 3)
+    gamma: np.ndarray
+    priority: np.ndarray
+    #: per flow: granted rate and β
+    rates: np.ndarray
+    beta: np.ndarray
+
+
 class FVDFScheduler(Scheduler):
     """Fastest-Volume-Disposal-First (the paper's contribution).
 
@@ -170,6 +192,10 @@ class FVDFScheduler(Scheduler):
     4. Allocate bandwidth: compressing flows sit out this window; the rest
        receive rates per the configured policy, then leftover capacity
        backfills in priority order (work conservation).
+
+    The decision stays in :attr:`last` until the next one; the Table IV
+    ``scheduling()`` (:class:`~repro.swallow.context.SwallowContext`)
+    returns it.
     """
 
     uses_compression = True
@@ -179,9 +205,18 @@ class FVDFScheduler(Scheduler):
         self.name = name or ("fvdf" if self.config.compress else "fvdf-nocompress")
         #: coflow_id -> whether it received service in the last window
         self._last_served: dict = {}
+        #: the most recent decision, i.e. the allocation in force
+        self.last: Optional[Decision] = None
 
     def reset(self) -> None:
         self._last_served.clear()
+        self.last = None
+
+    def __getstate__(self) -> dict:
+        # ``last`` holds the engine's arrays, not policy state.
+        state = super().__getstate__()
+        state["last"] = None
+        return state
 
     # -- helpers ---------------------------------------------------------------
     def _unit_segments(self, view: SchedulerView):
@@ -288,6 +323,10 @@ class FVDFScheduler(Scheduler):
         self._last_served = {
             cs.coflow_id: bool(served[k]) for k, cs in enumerate(view.coflows)
         }
+        self.last = Decision(
+            view.flow_ids, view.coflow_ids, perm, starts, order, gamma, P,
+            rates, beta,
+        )
         return Allocation(rates=rates, compress=beta)
 
     def _unit_gammas(self, view, beta, perm, starts) -> np.ndarray:

@@ -17,7 +17,7 @@ consume.
 Record kinds with columnar streams: ``decision``, ``jump``, ``rates``,
 ``beta``, ``order``, ``core_claim``, ``arrival``, ``completion`` (flow
 and coflow level), ``cancel``, ``capacity``.  Everything else (``bus``,
-``heartbeat``, ``master_order``, ``job_stage`` …) arrives through the
+``heartbeat``, ``job_stage`` …) arrives through the
 per-record :meth:`FlightRecorder.emit` and is journaled one record at a
 time — those kinds are per-decision scale, never per-flow.
 

@@ -24,12 +24,11 @@ kind                    payload
 ``cancel``              ``coflow_id``, ``n_flows`` aborted
 ``capacity``            ``side``, ``port``, ``capacity``
 ``bus``                 ``topic`` of a published message
-``master_order``        master's ranked ``coflow_ids`` for a scheduling()
 ``heartbeat``           daemon measurement: ``node``, ``free_cores``
 ======================  ====================================================
 
 Timestamps are simulated seconds (engine records) or ``-1`` for records
-emitted outside simulated time (e.g. master RPCs driven by a test).
+emitted outside simulated time (e.g. bus messages with no clock attached).
 """
 
 from __future__ import annotations

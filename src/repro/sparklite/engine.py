@@ -235,7 +235,6 @@ class SparkLiteContext:
             return out
 
         sc = self.swallow
-        start = sc.engine.now
         infos = [
             FlowInfo(flow_id=f.flow_id, src=f.src, dst=f.dst, size=f.size,
                      compressible=f.compressible,
@@ -262,8 +261,8 @@ class SparkLiteContext:
         self.shuffle_reports.append(
             ShuffleReport(
                 label=label,
-                start=start,
-                end=sc.engine.now,
+                start=cres.arrival,
+                end=cres.finish,
                 payload_bytes=sum(len(b) for _, _, b in blobs),
                 wire_bytes=cres.bytes_sent,
                 num_flows=len(flows),

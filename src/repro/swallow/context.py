@@ -12,9 +12,11 @@ This is the object cluster frameworks interact with (paper §V-B)::
     data = sc.pull(ref, block_id)      # Receiver
     sc.remove(ref)                     # Driver
 
-Division of labour: the **master** makes decisions from aggregated
-information; the **engine** (a :class:`~repro.core.simulator.SliceSimulator`
-running the FVDF scheduler) is the physics that carries the transfer out;
+Division of labour: the **master** registers coflows and aggregates
+daemon measurements; the **engine** (a
+:class:`~repro.core.simulator.SliceSimulator` running
+:class:`~repro.core.fvdf.FVDFScheduler`) makes the scheduling decision and
+carries the transfer out, and ``scheduling()`` returns that decision;
 **workers** hold the actual block bytes between push and pull, optionally
 compressing them for real.  ``pull()`` is time-decoupled as in the paper:
 it drives the simulation forward until the requested block's coflow has
@@ -23,12 +25,15 @@ finished transferring, then hands over (and decompresses) the data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
-from repro.core.fvdf import FVDFConfig, FVDFScheduler
+from repro.core.fvdf import Decision, FVDFConfig, FVDFScheduler
 from repro.core.simulator import SliceSimulator
 from repro.cpu.cores import CpuModel
 from repro.errors import ConfigurationError, ProtocolError
@@ -46,6 +51,23 @@ from repro.swallow.messages import (
 from repro.swallow.transport import MessageBus
 from repro.swallow.worker import Executor, SwallowWorker, hook_executor
 from repro.units import gbps
+
+
+def _unit_coflows(d: Decision) -> np.ndarray:
+    """Engine coflow id of each scheduling unit of the decision ``d``."""
+    return d.coflow_ids[d.perm[d.starts[:-1]]]
+
+
+@dataclass
+class _Live:
+    """One added coflow's state in the context; remove() drops it whole."""
+
+    coflow: Coflow
+    #: flows still waiting for a push, in registration order
+    unpushed: List[Flow]
+    #: block id -> flow, for blocks pushed and not yet pulled
+    blocks: Dict[int, Flow] = field(default_factory=dict)
+    completed: bool = False
 
 
 class SwallowContext:
@@ -70,7 +92,7 @@ class SwallowContext:
         engine decision point (the paper's periodic measurement messages),
         instead of only on explicit :meth:`heartbeat` calls.
     obs:
-        Observability bundle shared by the engine, bus, master and workers
+        Observability bundle shared by the engine, bus and workers
         — one trace covers the whole system (default: disabled).
     """
 
@@ -94,33 +116,24 @@ class SwallowContext:
         self.obs = self.bus.obs
         self.fabric = BigSwitch(num_nodes, bandwidth)
         self.cpu = CpuModel(num_nodes, cores_per_node=cores_per_node)
-        self.compression = (
-            CompressionEngine(codec) if smart_compress else None
-        )
         self.engine = SliceSimulator(
             self.fabric,
             FVDFScheduler(FVDFConfig(compress=smart_compress)),
             slice_len=slice_len,
             cpu=self.cpu,
-            compression=self.compression,
+            compression=CompressionEngine(codec) if smart_compress else None,
             obs=obs,
         )
         self.bus.clock = lambda: self.engine.now
-        self.master = SwallowMaster(
-            self.bus,
-            link_bandwidth=float(self.fabric.ingress.capacity.min()),
-            compression=self.compression,
-        )
+        self.master = SwallowMaster(self.bus)
         self.workers = [
             SwallowWorker(n, self.bus, real_compression=real_compression)
             for n in range(num_nodes)
         ]
         self.bus.subscribe("master/callback", lambda msg: None)  # observability sink
         self.bus.subscribe("worker/alloc", lambda msg: None)
-        self._ref_to_coflow: Dict[int, Coflow] = {}
-        self._completed: Dict[int, bool] = {}
-        self._block_to_flow: Dict[Tuple[int, int], Flow] = {}
-        self._unpushed: Dict[int, List[Flow]] = {}
+        self._live: Dict[int, _Live] = {}  # ref id -> state
+        self._ref_of: Dict[int, int] = {}  # engine coflow id -> ref id
         self.engine.on_coflow_complete(self._on_engine_complete)
         if auto_heartbeat:
             self.engine.on_decision(lambda t: self.heartbeat())
@@ -163,28 +176,68 @@ class SwallowContext:
         ]
         coflow = Coflow(flows, arrival=self.engine.now, label=info.label)
         self.engine.submit(coflow)
-        self._ref_to_coflow[ref.coflow_id] = coflow
-        self._completed[ref.coflow_id] = False
-        self._unpushed[ref.coflow_id] = list(flows)
+        self._live[ref.coflow_id] = _Live(coflow, flows)
+        self._ref_of[coflow.coflow_id] = ref.coflow_id
         return ref
 
     def remove(self, ref: CoflowRef) -> None:
         """Unregister a coflow once its transfer has completed."""
-        if ref.coflow_id not in self._ref_to_coflow:
-            raise ProtocolError(f"remove() of unknown ref {ref.coflow_id}")
-        if not self._completed[ref.coflow_id]:
+        live = self._state(ref, "remove")
+        if not live.completed:
             raise ProtocolError(
                 f"remove() before coflow {ref.coflow_id} completed transfer"
             )
-        del self._ref_to_coflow[ref.coflow_id]
+        del self._live[ref.coflow_id]
+        del self._ref_of[live.coflow.coflow_id]
         self.master.remove(ref)
 
     def scheduling(self, refs: List[CoflowRef]) -> SchResult:
-        """Ask the master for the current plan over the given coflows."""
-        return self.master.scheduling(refs)
+        """The plan the engine runs, over the given coflows.
+
+        The order and each coflow's ``Γ_C`` and ``P`` are the ranking of
+        the engine's latest FVDF decision; β and the per-flow rates are
+        the allocation in force.  If no decision has seen one of the
+        coflows yet (it was just add()ed), the engine first steps one
+        slice: the decision at ``now`` governs ``[now, now + slice_len)``,
+        and a chunked run equals an uninterrupted one, so no CCT changes —
+        but a coflow add()ed *after* this call arrives one slice later.
+        A coflow that has finished transferring appears in no field of
+        the plan.
+        """
+        ref_of = {
+            self._state(ref, "scheduling").coflow.coflow_id: ref.coflow_id
+            for ref in refs
+        }
+        d = self.engine.scheduler.last
+        seen = set() if d is None else set(_unit_coflows(d).tolist())
+        if any(
+            cid not in seen and not self._live[rid].completed
+            for cid, rid in ref_of.items()
+        ):
+            self.engine.run(until=self.engine.now + self.engine.slice_len)
+            d = self.engine.scheduler.last
+        if d is None:
+            return SchResult(order=(), compress={}, rates={})
+        ids = list(ref_of)
+        unit_cf = _unit_coflows(d)
+        units = d.order[np.isin(unit_cf[d.order], ids)]
+        order = tuple(ref_of[cid] for cid in unit_cf[units].tolist())
+        flows = np.isin(d.coflow_ids, ids)
+        fids = d.flow_ids[flows].tolist()
+        return SchResult(
+            order=order,
+            compress=dict(zip(fids, d.beta[flows].tolist())),
+            rates=dict(zip(fids, d.rates[flows].tolist())),
+            gamma=dict(zip(order, d.gamma[units].tolist())),
+            priority=dict(zip(order, d.priority[units].tolist())),
+        )
 
     def alloc(self, plan: SchResult) -> None:
-        """Cluster-manager step: fan the plan out to the involved workers."""
+        """Cluster-manager step: fan the plan out to every worker.
+
+        Fan-out only.  The plan is the engine's own decision and already
+        runs; nothing here hands a plan back to the engine.
+        """
         for w in self.workers:
             self.bus.publish("worker/alloc", (w.node, plan))
 
@@ -192,20 +245,22 @@ class SwallowContext:
         """Sender side: hand one block to Swallow for transfer.
 
         Blocks map onto the coflow's flows in registration order; pushing
-        more blocks than the coflow has flows is a protocol error.
+        more blocks than the coflow has flows is a protocol error.  The
+        worker compresses the block iff its flow's β in the allocation in
+        force is set; this does not step the engine.
         """
-        queue = self._unpushed.get(ref.coflow_id)
-        if queue is None:
-            raise ProtocolError(f"push() to unknown ref {ref.coflow_id}")
-        if not queue:
+        live = self._state(ref, "push")
+        if not live.unpushed:
             raise ProtocolError(
                 f"coflow {ref.coflow_id}: more blocks pushed than flows"
             )
-        flow = queue.pop(0)
-        beta = self.master.scheduling([ref]).compress.get(flow.flow_id, False)
-        worker = self.workers[flow.src]
-        stored, compressed = worker.store_block(ref, block_id, payload, beta)
-        self._block_to_flow[(ref.coflow_id, block_id.value)] = flow
+        flow = live.unpushed.pop(0)
+        d = self.engine.scheduler.last
+        beta = d is not None and bool(d.beta[d.flow_ids == flow.flow_id].any())
+        stored, compressed = self.workers[flow.src].store_block(
+            ref, block_id, payload, beta
+        )
+        live.blocks[block_id.value] = flow
         return PushMsg(
             coflow=ref, block_id=block_id, payload_size=stored, compressed=compressed
         )
@@ -216,11 +271,11 @@ class SwallowContext:
         Time-decoupled: if the coflow's transfer has not finished yet, the
         simulation advances until it has (the receiver "waits").
         """
-        key = (ref.coflow_id, block_id.value)
-        flow = self._block_to_flow.get(key)
+        live = self._state(ref, "pull")
+        flow = live.blocks.get(block_id.value)
         if flow is None:
             raise ProtocolError(f"pull() of unpushed block {block_id.value}")
-        while not self._completed[ref.coflow_id]:
+        while not live.completed:
             if not self.engine.pending:
                 raise ProtocolError(
                     f"coflow {ref.coflow_id} cannot complete: engine drained"
@@ -231,15 +286,20 @@ class SwallowContext:
             "master/callback",
             CallBackMsg(coflow=ref, block_id=block_id, time=self.engine.now),
         )
-        del self._block_to_flow[key]
+        del live.blocks[block_id.value]
         return data
 
     # ------------------------------------------------------------- internals
+    def _state(self, ref: CoflowRef, call: str) -> _Live:
+        live = self._live.get(ref.coflow_id)
+        if live is None:
+            raise ProtocolError(f"{call}() of unknown ref {ref.coflow_id}")
+        return live
+
     def _on_engine_complete(self, cr) -> None:
-        for cid, coflow in self._ref_to_coflow.items():
-            if coflow.coflow_id == cr.coflow_id:
-                self._completed[cid] = True
-                return
+        rid = self._ref_of.get(cr.coflow_id)
+        if rid is not None:
+            self._live[rid].completed = True
 
     # ------------------------------------------------------------- inspection
     def heartbeat(self) -> None:

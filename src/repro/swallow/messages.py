@@ -2,7 +2,7 @@
 
 These mirror the objects the Scala implementation ships over Akka:
 ``flowInfo``/``coflowInfo`` flowing driver→master, ``schResult`` flowing
-master→cluster-manager, periodic daemon measurements, and the block-level
+to the cluster manager, periodic daemon measurements, and the block-level
 push/pull envelopes.  They are plain dataclasses; the in-process
 :class:`~repro.swallow.transport.MessageBus` stands in for Akka.
 """
@@ -64,11 +64,13 @@ class CoflowRef:
 
 @dataclass(frozen=True)
 class SchResult:
-    """Master's decision: scheduling order, β per flow, rate per flow."""
+    """The FVDF decision: scheduling order, β per flow, rate per flow."""
 
     order: Tuple[int, ...]  # coflow ids, highest priority first
     compress: Dict[int, bool]  # flow_id -> β
-    rates: Dict[int, float]  # flow_id -> bytes/s (the minimal allocation)
+    rates: Dict[int, float]  # flow_id -> granted bytes/s
+    gamma: Dict[int, float] = field(default_factory=dict)  # coflow id -> Γ_C
+    priority: Dict[int, float] = field(default_factory=dict)  # coflow id -> P
 
     def __post_init__(self) -> None:
         if any(r < 0 for r in self.rates.values()):

@@ -33,8 +33,6 @@ class MessageBus:
     def __init__(self, obs: Optional[Observability] = None):
         self._handlers: Dict[str, List[Handler]] = defaultdict(list)
         self._counts: Dict[str, int] = defaultdict(int)
-        self._log: List = []
-        self.keep_log = False
         self.obs = obs if obs is not None else NULL_OBS
         #: Supplies the simulated timestamp for trace records; attached by
         #: the owning context once an engine exists.
@@ -70,8 +68,6 @@ class MessageBus:
         if flt.enabled:
             t = self.clock() if self.clock is not None else -1.0
             flt.emit(t, "bus", topic=topic)
-        if self.keep_log:
-            self._log.append((topic, message))
         for h in tuple(handlers):
             h(message)
 
@@ -82,7 +78,3 @@ class MessageBus:
     @property
     def total_messages(self) -> int:
         return sum(self._counts.values())
-
-    @property
-    def log(self) -> List:
-        return list(self._log)

@@ -183,6 +183,24 @@ class TestEndToEnd:
         assert rep.payload_bytes > 0
         assert rep.num_flows > 0
 
+    def test_shuffle_time_is_the_coflows_cct(self):
+        """A shuffle lasts its coflow's CCT, not the pull loop's chunk
+        boundary, so compression shows up as a shorter shuffle."""
+        lines = [" ".join(["alpha beta gamma delta"] * (i % 5 + 1))
+                 for i in range(300)]
+        durations = {}
+        for smart in (False, True):
+            ctx = self.ctx(bandwidth=200_000.0, smart_compress=smart)
+            (ctx.parallelize(list(enumerate(lines)), 4)
+             .flat_map(lambda rec: [(w, rec[0]) for w in rec[1].split()])
+             .group_by_key(4)
+             .collect())
+            (report,) = ctx.shuffle_reports
+            (cres,) = ctx.swallow.results().coflow_results
+            assert report.duration == cres.cct
+            durations[smart] = report.duration
+        assert durations[True] < durations[False]
+
     def test_shuffle_report_accounting(self):
         ctx = self.ctx(bandwidth=20_000.0)
         data = [(i % 8, "x" * 100) for i in range(500)]
