@@ -1,10 +1,13 @@
 .PHONY: install test lint bench reproduce examples clean
 
+# Every target runs from the source tree, installed or not.
+export PYTHONPATH := src
+
 install:
 	pip install -e . --no-build-isolation
 
 test:
-	PYTHONPATH=src python -m pytest -x -q
+	python -m pytest -x -q
 
 # Config lives in pyproject.toml ([tool.ruff]).  Skips gracefully when
 # ruff is not on PATH so `make lint` is safe in minimal containers.

@@ -104,15 +104,33 @@ class CompressionEngine:
         numpy.ndarray
             Boolean mask of flows actually granted a core (one core per
             flow, never exceeding ``free_cores`` on any node).
+
+        Notes
+        -----
+        Walking ``priority`` and granting each wanting flow a core while
+        its node has one left is the same as: every node grants its first
+        ``free_cores[node]`` wanting entries of ``priority``.  That is
+        computed without a per-flow step — a stable sort of the wanting
+        entries by node keeps priority order within each node, and an
+        entry is granted when its rank within its node is below the
+        node's budget.  A repeated index is one entry per occurrence, as
+        in the walk.
         """
+        want = np.asarray(want, dtype=bool)
         granted = np.zeros(len(want), dtype=bool)
-        budget = np.asarray(free_cores, dtype=np.int64).copy()
-        order = priority if priority is not None else np.arange(len(want))
-        for i in order:
-            if not want[i]:
-                continue
-            node = src[i]
-            if budget[node] > 0:
-                granted[i] = True
-                budget[node] -= 1
+        if priority is None:
+            cand = np.flatnonzero(want)
+        else:
+            order = np.asarray(priority, dtype=np.intp)
+            cand = order[want[order]]
+        if cand.size == 0:
+            return granted
+        nodes = np.asarray(src)[cand]
+        by_node = np.argsort(nodes, kind="stable")
+        sorted_nodes = nodes[by_node]
+        rank = np.arange(cand.size) - np.searchsorted(
+            sorted_nodes, sorted_nodes, side="left"
+        )
+        budget = np.asarray(free_cores, dtype=np.int64)
+        granted[cand[by_node[rank < budget[sorted_nodes]]]] = True
         return granted

@@ -246,15 +246,17 @@ class FVDFScheduler(Scheduler):
     def _flows_in_unit_order(perm, starts, order) -> np.ndarray:
         """Active positions concatenated unit-by-unit in ``order``.
 
-        Equivalent to ``np.concatenate([flows(u) for u in order])`` but via
-        one stable argsort over a per-position unit rank — no per-unit
-        Python iteration.
+        Equivalent to ``np.concatenate([flows(u) for u in order])`` but as
+        one O(n) gather, no sort and no per-unit Python iteration: output
+        slot ``k`` of unit ``order[j]``'s run reads ``perm`` at that unit's
+        start plus ``k``, i.e. at ``repeat(start − out_start, L) + arange``
+        with ``L`` the units' lengths in ``order`` and ``out_start`` their
+        exclusive running sum.
         """
-        n_units = len(starts) - 1
-        rank = np.empty(n_units, dtype=np.intp)
-        rank[order] = np.arange(n_units, dtype=np.intp)
-        key = np.repeat(rank, np.diff(starts))
-        return perm[np.argsort(key, kind="stable")]
+        lengths = np.diff(starts)[order]
+        out_starts = np.cumsum(lengths) - lengths
+        shift = np.repeat(starts[:-1][order] - out_starts, lengths)
+        return perm[shift + np.arange(len(shift), dtype=np.intp)]
 
     def schedule(self, view: SchedulerView) -> Allocation:
         n = view.num_flows
@@ -264,8 +266,10 @@ class FVDFScheduler(Scheduler):
         if cfg.logbase > 1.0 and view.trigger.is_preemption_point:
             if cfg.aging == "starved":
                 upgraded = 0
-                for cs in view.coflows:
-                    if self._last_served.get(cs.coflow_id, True) is False:
+                was_served = self._last_served
+                ids = view.coflow_columns()[0].tolist()
+                for cs, cid in zip(view.coflows, ids):
+                    if was_served.get(cid, True) is False:
                         cs.priority_class *= cfg.logbase
                         upgraded += 1
             else:
@@ -320,9 +324,9 @@ class FVDFScheduler(Scheduler):
         served_pos = (rates > 0) | beta
         cperm, cstarts = view.unit_offsets()
         served = np.logical_or.reduceat(served_pos[cperm], cstarts[:-1])
-        self._last_served = {
-            cs.coflow_id: bool(served[k]) for k, cs in enumerate(view.coflows)
-        }
+        self._last_served = dict(
+            zip(view.coflow_columns()[0].tolist(), served.tolist())
+        )
         self.last = Decision(
             view.flow_ids, view.coflow_ids, perm, starts, order, gamma, P,
             rates, beta,

@@ -30,6 +30,7 @@ change.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,7 +114,9 @@ def priority_fill(
             consume(i, r, dims)
 
     and the contended fill *is* that loop, run on plain Python lists
-    (:func:`_fill_in_order`).  Two shortcuts shrink what it walks.
+    (:func:`_fill_in_order`): exempt groups (−1) index an ``+inf`` slot
+    appended to each capacity list, so the loop tests no group, and it
+    records one rate per walked flow.  Two shortcuts shrink what it walks.
     With ``demands``, flows whose every constraint group can absorb the
     *total* demand of its members are granted exactly their demand in
     bulk (the fabric's steady state), and only the contended remainder
@@ -239,51 +242,54 @@ def _fill_in_order(
     ``gsub`` their group column per dimension (−1 = exempt).
     Bit-identical to the loop in :func:`priority_fill`'s docstring
     (Python floats are IEEE doubles) but ~10x cheaper per flow than
-    numpy scalar indexing.  The two-dimension case (the big switch
-    without extra uplink dims) runs a dedicated ``zip`` loop; capacities
-    are written back at the end.
+    numpy scalar indexing.
+
+    Each dimension's capacity list carries one extra ``+inf`` slot at
+    its end, which group −1 reaches through negative indexing: it never
+    binds (``inf < r`` is false, and so is ``nan < r`` once an infinite
+    grant has been charged to it), so exempt groups need no test.  The
+    loop records one rate per walked flow (0.0 when skipped) in a
+    zero-filled ``array('d')`` that numpy reads in place, and applies
+    them with one ``np.add.at`` (an order may repeat a flow); capacities
+    are written back without the slot.  The two-dimension case (the big
+    switch without extra uplink dims) runs a dedicated ``zip`` loop.
     """
-    caps_l = [caps.tolist() for _, caps in dims]
-    gi: list = []
-    gr: list = []
+    caps_l = [caps.tolist() + [math.inf] for _, caps in dims]
+    m = len(osub)
+    granted = array("d", bytes(8 * m))
     if len(gsub) == 2:
         c0, c1 = caps_l
-        for pos, (w, g0, g1) in enumerate(
-            zip(wsub.tolist(), gsub[0].tolist(), gsub[1].tolist())
+        for pos, w, g0, g1 in zip(
+            range(m), wsub.tolist(), gsub[0].tolist(), gsub[1].tolist()
         ):
             r = w
-            if g0 >= 0 and c0[g0] < r:
-                r = c0[g0]
-            if g1 >= 0 and c1[g1] < r:
-                r = c1[g1]
+            a = c0[g0]
+            if a < r:
+                r = a
+            b = c1[g1]
+            if b < r:
+                r = b
             if r <= 0.0:
                 continue
-            gi.append(pos)
-            gr.append(r)
-            if g0 >= 0:
-                c0[g0] -= r
-            if g1 >= 0:
-                c1[g1] -= r
+            granted[pos] = r
+            c0[g0] = a - r
+            c1[g1] = b - r
     else:
-        gl = [g.tolist() for g in gsub]
+        pairs = [(g.tolist(), caps) for g, caps in zip(gsub, caps_l)]
         for pos, w in enumerate(wsub.tolist()):
             r = w
-            for d, caps in enumerate(caps_l):
-                g = gl[d][pos]
-                if g >= 0 and caps[g] < r:
-                    r = caps[g]
+            for groups, caps in pairs:
+                c = caps[groups[pos]]
+                if c < r:
+                    r = c
             if r <= 0.0:
                 continue
-            gi.append(pos)
-            gr.append(r)
-            for d, caps in enumerate(caps_l):
-                g = gl[d][pos]
-                if g >= 0:
-                    caps[g] -= r
-    for caps, values in zip((caps for _, caps in dims), caps_l):
-        caps[:] = values
-    if gi:
-        np.add.at(out, osub[gi], gr)
+            granted[pos] = r
+            for groups, caps in pairs:
+                caps[groups[pos]] -= r
+    for (_, caps), values in zip(dims, caps_l):
+        caps[:] = values[:-1]
+    np.add.at(out, osub, np.frombuffer(granted, dtype=np.float64))
 
 
 def greedy_priority(

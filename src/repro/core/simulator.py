@@ -893,7 +893,8 @@ class SliceSimulator:
             n_slices, dt_kinds = self._horizon_slices(view, alloc, until)
             if flt.enabled:
                 flt.add_jump(self.now, n_slices, dt_kinds)
-            obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
+            if obs.metrics.enabled:
+                obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
             boundary = (self._k + n_slices) * self.slice_len
             if obs.profiler.enabled:
                 with obs.profiler.section("integrate"):
@@ -1536,42 +1537,43 @@ class SliceSimulator:
                 f"{self.scheduler.name}: allocation length {len(alloc.rates)} "
                 f"!= {n} active flows"
             )
-        if np.any(~np.isfinite(alloc.rates)):
+        if not np.isfinite(alloc.rates).all():
             raise SchedulingError(f"{self.scheduler.name}: non-finite rate")
         self.fabric.check_feasible(view.src, view.dst, alloc.rates)
-        if np.any(alloc.compress & (alloc.rates > 0)):
+        cz = alloc.compress
+        if not cz.any():
+            return
+        if (cz & (alloc.rates > 0)).any():
             raise SchedulingError(
                 f"{self.scheduler.name}: a flow may not compress and transmit "
                 "in the same slice (exclusive β)"
             )
-        if alloc.compress.any():
-            if self.compression is None:
-                raise SchedulingError(
-                    f"{self.scheduler.name} requested compression but the "
-                    "simulator has no compression engine"
-                )
-            bad = alloc.compress & (~view.compressible | (view.raw <= 0))
-            if bad.any():
-                raise SchedulingError(
-                    f"{self.scheduler.name}: compression requested for an "
-                    "incompressible or fully-compressed flow"
-                )
-            counts = np.bincount(
-                view.src[alloc.compress], minlength=self.cpu.num_nodes
+        if self.compression is None:
+            raise SchedulingError(
+                f"{self.scheduler.name} requested compression but the "
+                "simulator has no compression engine"
             )
-            if np.any(counts > view.free_cores):
-                node = int(np.argmax(counts - view.free_cores))
-                raise SchedulingError(
-                    f"{self.scheduler.name}: node {node} granted "
-                    f"{counts[node]} compressions with only "
-                    f"{view.free_cores[node]} free cores"
-                )
+        bad = cz & (~view.compressible | (view.raw <= 0))
+        if bad.any():
+            raise SchedulingError(
+                f"{self.scheduler.name}: compression requested for an "
+                "incompressible or fully-compressed flow"
+            )
+        counts = np.bincount(view.src[cz], minlength=self.cpu.num_nodes)
+        if (counts > view.free_cores).any():
+            node = int(np.argmax(counts - view.free_cores))
+            raise SchedulingError(
+                f"{self.scheduler.name}: node {node} granted "
+                f"{counts[node]} compressions with only "
+                f"{view.free_cores[node]} free cores"
+            )
 
     def _claim_cores(self, view: SchedulerView, alloc: Allocation) -> Dict[int, int]:
         """Claim one core per compressing flow; returns claims per node."""
         claims: Dict[int, int] = {}
-        for pos in np.nonzero(alloc.compress)[0]:
-            node = int(view.src[pos])
+        if not alloc.compress.any():
+            return claims
+        for node in view.src[alloc.compress].tolist():
             self.cpu.claim(node)
             self._claim_nodes.append(node)
             claims[node] = claims.get(node, 0) + 1
@@ -1613,7 +1615,7 @@ class SliceSimulator:
         if nxt is not None:
             candidates.append((max(nxt - self.now, 0.0), EventKind.ARRIVAL))
         R = self.compression.speed if self.compression is not None else 0.0
-        vol = view.raw + view.comp
+        vol = view.volume
         tx = alloc.rates > 0
         if tx.any():
             dt = float((vol[tx] / alloc.rates[tx]).min())
@@ -1663,27 +1665,32 @@ class SliceSimulator:
             # spends a whole slice compressing nothing.
             tail = raw - consumed <= self._eps(gi)
             consumed[tail] = raw[tail]
-            self._raw[gi] -= consumed
+            self._raw[gi] = raw - consumed
             self._comp[gi] += consumed * self._xi[gi]
             self._comp_in[gi] += consumed
         # --- transmission: drain comp first, then raw -------------------------
         tx = rates > 0
         if tx.any():
             gi = idx[tx]
-            vol_before = self._raw[gi] + self._comp[gi]
-            budget = rates[tx] * dt
-            sent = np.minimum(vol_before, budget)
+            raw = self._raw[gi]
+            comp = self._comp[gi]
+            vol_before = raw + comp
+            r_tx = rates[tx]
+            sent = np.minimum(vol_before, r_tx * dt)
             done = sent >= vol_before - self._eps(gi)
-            # physical finish of completed flows
-            self._finish_phys[gi[done]] = self.now + vol_before[done] / rates[tx][done]
-            from_comp = np.minimum(self._comp[gi], sent)
-            self._comp[gi] -= from_comp
-            self._raw[gi] -= sent - from_comp
-            self._raw[gi] = np.maximum(self._raw[gi], 0.0)
-            self._comp[gi] = np.maximum(self._comp[gi], 0.0)
+            if done.any():
+                # physical finish of completed flows
+                self._finish_phys[gi[done]] = (
+                    self.now + vol_before[done] / r_tx[done]
+                )
+            from_comp = np.minimum(comp, sent)
+            self._raw[gi] = np.maximum(raw - (sent - from_comp), 0.0)
+            self._comp[gi] = np.maximum(comp - from_comp, 0.0)
             self._bytes_sent[gi] += sent
             self._comp_out[gi] += from_comp
-            self.obs.metrics.counter("engine.bytes_sent").inc(float(sent.sum()))
+            metrics = self.obs.metrics
+            if metrics.enabled:
+                metrics.counter("engine.bytes_sent").inc(float(sent.sum()))
             self._ingress_bytes += np.bincount(
                 self._src[gi], weights=sent, minlength=len(self._ingress_bytes)
             )

@@ -13,15 +13,24 @@ This is the standard model of Varys, Aalo and the coflow literature.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.fabric.ports import ArrayLike, PortSet, port_loads
+from repro.fabric.ports import ArrayLike, PortSet
 
 #: Relative tolerance accepted on port-capacity feasibility checks.
 FEASIBILITY_RTOL = 1e-6
+
+
+def worst_violator(load: np.ndarray, caps: np.ndarray, over: np.ndarray) -> int:
+    """The violating constraint (``over``) with the largest excess.
+
+    Ports within tolerance are never named, however large their
+    absolute excess over the nominal capacity.
+    """
+    return int(np.argmax(np.where(over, load - caps, -np.inf)))
 
 
 class BigSwitch:
@@ -80,24 +89,20 @@ class BigSwitch:
         """
         if len(rates) == 0:
             return
-        if np.any(rates < 0):
+        if rates.min() < 0:
             raise SchedulingError("negative rate in allocation")
-        in_load = port_loads(src, rates, self.num_ingress)
-        out_load = port_loads(dst, rates, self.num_egress)
-        in_cap = self.ingress.capacity
-        out_cap = self.egress.capacity
-        in_over = in_load > in_cap * (1 + FEASIBILITY_RTOL)
-        out_over = out_load > out_cap * (1 + FEASIBILITY_RTOL)
-        if np.any(in_over):
-            p = int(np.argmax(in_load - in_cap))
-            raise SchedulingError(
-                f"ingress port {p} oversubscribed: {in_load[p]:.6g} > {in_cap[p]:.6g} B/s"
-            )
-        if np.any(out_over):
-            p = int(np.argmax(out_load - out_cap))
-            raise SchedulingError(
-                f"egress port {p} oversubscribed: {out_load[p]:.6g} > {out_cap[p]:.6g} B/s"
-            )
+        for side, ports, caps in (
+            ("ingress", src, self.ingress.capacity),
+            ("egress", dst, self.egress.capacity),
+        ):
+            load = np.bincount(ports, weights=rates, minlength=len(caps))
+            over = load > caps * (1 + FEASIBILITY_RTOL)
+            if over.any():
+                p = worst_violator(load, caps, over)
+                raise SchedulingError(
+                    f"{side} port {p} oversubscribed: "
+                    f"{load[p]:.6g} > {caps[p]:.6g} B/s"
+                )
 
     def flow_link_cap(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Per-flow end-to-end link capacity ``min(B_s, B_r)`` (Eq. 2)."""

@@ -18,14 +18,14 @@ with oversubscription.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.rate_allocation import Dimension
 from repro.errors import ConfigurationError, SchedulingError
-from repro.fabric.bigswitch import FEASIBILITY_RTOL, BigSwitch
-from repro.fabric.ports import ArrayLike, PortSet, port_loads
+from repro.fabric.bigswitch import FEASIBILITY_RTOL, BigSwitch, worst_violator
+from repro.fabric.ports import ArrayLike, PortSet
 
 
 class TwoTierFabric(BigSwitch):
@@ -97,8 +97,8 @@ class TwoTierFabric(BigSwitch):
                 groups[member], weights=rates[member], minlength=self.num_racks
             )
             over = load > caps * (1 + FEASIBILITY_RTOL)
-            if np.any(over):
-                r = int(np.argmax(load - caps))
+            if over.any():
+                r = worst_violator(load, caps, over)
                 raise SchedulingError(
                     f"rack {r} {label} oversubscribed: "
                     f"{load[r]:.6g} > {caps[r]:.6g} B/s"

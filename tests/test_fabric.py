@@ -64,6 +64,24 @@ def test_feasibility_rejects_egress_oversubscription():
         sw.check_feasible(np.array([0, 1]), np.array([2, 2]), np.array([0.6, 0.6]))
 
 
+def test_feasibility_names_the_ingress_violator():
+    """Port 1 carries the larger absolute excess but is within
+    ``FEASIBILITY_RTOL`` of its capacity; port 0 is the violator."""
+    sw = BigSwitch(2, [1.0, 1e10], egress_bandwidth=1e11)
+    with pytest.raises(SchedulingError, match="ingress port 0 oversubscribed"):
+        sw.check_feasible(
+            np.array([0, 1]), np.array([0, 1]), np.array([1.1, 1e10 + 5e3])
+        )
+
+
+def test_feasibility_names_the_egress_violator():
+    sw = BigSwitch(2, 1e11, egress_bandwidth=[1e10, 1.0])
+    with pytest.raises(SchedulingError, match="egress port 1 oversubscribed"):
+        sw.check_feasible(
+            np.array([0, 1]), np.array([0, 1]), np.array([1e10 + 5e3, 1.1])
+        )
+
+
 def test_feasibility_rejects_negative_rates():
     sw = BigSwitch(3, 1.0)
     with pytest.raises(SchedulingError, match="negative"):

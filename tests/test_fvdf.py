@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine
@@ -245,3 +247,21 @@ class TestUnitGammas:
         starts = np.array([0, 2, 2, 4], dtype=np.intp)  # middle segment empty
         got = FVDFScheduler()._unit_gammas(None, None, perm, starts)
         assert np.array_equal(got, np.array([5.0, 7.0, 7.0]))
+
+
+@given(
+    st.lists(st.integers(0, 5), min_size=0, max_size=12),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_flows_in_unit_order_is_the_concatenation(lengths, rnd):
+    """The O(n) gather lists each unit's flows, units in ``order``."""
+    starts = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+    perm = np.array(rnd.sample(range(int(starts[-1])), int(starts[-1])),
+                    dtype=np.intp)
+    order = np.array(rnd.sample(range(len(lengths)), len(lengths)),
+                     dtype=np.intp)
+    want = [perm[starts[u]:starts[u + 1]] for u in order]
+    want = np.concatenate(want) if want else np.empty(0, dtype=np.intp)
+    got = FVDFScheduler._flows_in_unit_order(perm, starts, order)
+    assert np.array_equal(got, want)

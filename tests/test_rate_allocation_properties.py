@@ -106,3 +106,60 @@ def test_maxmin_weighted_dominance(fs):
     w = np.ones(n); w[0] = 2.0
     rates = ra.maxmin_fair(src, dst, ci.copy(), co.copy(), weights=w)
     assert rates[0] >= rates[1] - 1e-9
+
+
+# -- the fill loop with exempt groups ----------------------------------------
+
+#: Multiples of 1/8: sums of these are exact in float64 in any order, so
+#: the bulk grant's one summed capacity update equals the loop's running
+#: one and the whole fill can be compared bit for bit.
+eighths = st.integers(0, 64).map(lambda k: k / 8)
+
+
+@st.composite
+def exempt_instances(draw):
+    """2- or 3-dimension fills with at least one exempt (−1) flow in
+    every dimension, demands of 0, positive or ``inf`` (or none:
+    backfill) and an order that may repeat flows."""
+    n_dims = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 24))
+    dims = []
+    for _ in range(n_dims):
+        k = draw(st.integers(1, 4))
+        groups = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+        groups[draw(st.integers(0, n - 1))] = -1
+        caps = draw(st.lists(eighths, min_size=k, max_size=k))
+        dims.append((np.array(groups, dtype=np.intp), np.array(caps)))
+    demand = st.one_of(st.just(0.0), eighths, st.just(float("inf")))
+    demands = draw(
+        st.one_of(st.none(), st.lists(demand, min_size=n, max_size=n).map(np.array))
+    )
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return n, dims, demands, np.array(order, dtype=np.intp)
+
+
+def _docstring_loop(n, dims, order, demands):
+    """``priority_fill``'s documented semantics, flow by flow."""
+    dims = [(groups, caps.copy()) for groups, caps in dims]
+    rates = np.zeros(n)
+    for i in order:
+        r = ra.flow_headroom(i, dims)
+        if demands is not None:
+            r = min(r, demands[i])
+        if r <= 0.0:
+            continue
+        rates[i] += r
+        ra.consume(i, r, dims)
+    return rates, [caps for _, caps in dims]
+
+
+@given(exempt_instances())
+@settings(max_examples=400, deadline=None)
+def test_fill_with_exempt_groups_is_the_docstring_loop(inst):
+    n, dims, demands, order = inst
+    want_rates, want_caps = _docstring_loop(n, dims, order, demands)
+    got_dims = [(groups, caps.copy()) for groups, caps in dims]
+    rates = ra.priority_fill(order, got_dims, demands=demands, n=n)
+    assert np.array_equal(rates, want_rates)
+    for (_, caps), want in zip(got_dims, want_caps):
+        assert np.array_equal(caps, want)

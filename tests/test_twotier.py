@@ -53,6 +53,15 @@ class TestFeasibility:
         with pytest.raises(SchedulingError, match="uplink|downlink"):
             f.check_feasible(src, dst, np.array([0.7, 0.7]))
 
+    def test_names_the_rack_violator(self):
+        """Rack 1's uplink is within tolerance despite the larger
+        absolute excess; rack 0's is the violator."""
+        f = fabric(bandwidth=1e11, uplink_bandwidth=[1.0, 1e10])
+        with pytest.raises(SchedulingError, match="rack 0 uplink oversubscribed"):
+            f.check_feasible(
+                np.array([0, 2]), np.array([2, 0]), np.array([1.1, 1e10 + 5e3])
+            )
+
     def test_flow_link_cap_reflects_uplink(self):
         f = fabric(uplink_bandwidth=0.25)
         caps = f.flow_link_cap(np.array([0, 0]), np.array([1, 2]))
