@@ -7,6 +7,8 @@ call out (vectorised volume integration, progressive filling), and
 against the observability hooks costing anything while disabled.
 """
 
+import gc
+import statistics
 import time
 
 import numpy as np
@@ -21,6 +23,41 @@ from repro.units import MB, mbps
 
 N_FLOWS = 2000
 N_PORTS = 64
+
+def timed(fn, clock=time.process_time):
+    """An arm for :func:`paired_ratio`: runs ``fn`` and returns its cost
+    on ``clock``.  Process CPU time by default: the guarded work is
+    single-threaded, and CPU time leaves out the time the process waits
+    while another one holds the core."""
+    def arm():
+        t0 = clock()
+        fn()
+        return clock() - t0
+    return arm
+
+
+def paired_ratio(arm_a, arm_b, pairs):
+    """Median over ``pairs`` A/B pairs of ``arm_b() / arm_a()``.
+
+    The recorder, ingest-share, telemetry-plane and incremental-view
+    guards measure with this helper.  Each arm runs its workload and
+    returns its cost (see :func:`timed`).  The arms
+    alternate within each pair, A first in even pairs and B first in
+    odd ones, so drift and warm-up land on both sides alike, and the
+    median of the per-pair ratios ignores the pairs a burst of outside
+    load disturbs.  Garbage from the previous arm is collected before
+    each arm starts.  ``pairs`` is odd, so the median is one pair's
+    ratio; a guard whose runs are short and whose ratio sits near its
+    bound takes more pairs.
+    """
+    ratios = []
+    for i in range(pairs):
+        costs = {}
+        for side in ("ab" if i % 2 == 0 else "ba"):
+            gc.collect()
+            costs[side] = arm_a() if side == "a" else arm_b()
+        ratios.append(costs["b"] / costs["a"])
+    return statistics.median(ratios)
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +157,8 @@ def test_disabled_tracing_overhead_under_5pct():
 def test_recorder_overhead_under_15pct():
     """Tracing must ride the batched path nearly for free.
 
-    Same best-of-N discipline as the disabled-tracing guard: the FVDF
-    workload with ``Observability(trace=True)`` — the one trace sink, a
+    Measured with :func:`paired_ratio`: the FVDF workload with
+    ``Observability(trace=True)`` — the one trace sink, a
     :class:`~repro.obs.recorder.FlightRecorder` — must stay within 15 %
     of the untraced columnar run, so full-fidelity capture does not
     reintroduce a per-record or per-flow Python path.
@@ -136,27 +173,19 @@ def test_recorder_overhead_under_15pct():
     workload = generate_workload(cfg, np.random.default_rng(7))
     setup = ExperimentSetup(num_ports=16, bandwidth=mbps(200), slice_len=0.01)
 
-    def best_of(n, fn):
-        best = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     run_policy("fvdf", workload, setup)  # warm-up
-    baseline = best_of(5, lambda: run_policy("fvdf", workload, setup))
-    recorded = best_of(
-        5,
-        lambda: run_policy(
+    ratio = paired_ratio(
+        timed(lambda: run_policy("fvdf", workload, setup)),
+        timed(lambda: run_policy(
             "fvdf", workload, setup,
             obs=Observability(trace=True, metrics=False),
-        ),
+        )),
+        pairs=41,
     )
-    overhead = recorded / baseline - 1.0
+    overhead = ratio - 1.0
     assert overhead < 0.15, (
         f"recorder-attached run is {overhead:.1%} slower than the "
-        f"untraced columnar path ({recorded:.4f}s vs {baseline:.4f}s)"
+        "untraced columnar path (median of paired runs)"
     )
 
 
@@ -170,9 +199,9 @@ def test_columnar_ingest_cuts_submit_share():
     with D-CLAS, a policy of moderate and steady cost, so both shares
     weigh ingest against a like amount of scheduling work.  Two guards:
 
-    * **wall time** — ``submit_many``'s share of (submit + run window)
-      must be at least halved versus the pre-columnar engine (best-of-N
-      so container jitter cannot flake it);
+    * **time share** — ``submit_many``'s share of (submit + run window)
+      must be at least halved versus the pre-columnar engine (the median
+      of paired share ratios, so container jitter cannot flake it);
     * **tracemalloc** — the columnar submit's traced allocation peak must
       stay well below the object path's (no per-coflow record objects,
       heap entries or per-flow scalar conversions on the ingest path).
@@ -207,35 +236,34 @@ def test_columnar_ingest_cuts_submit_share():
             )
         return setup.build_simulator(make_scheduler("dclas"))
 
-    def one(kind):
-        sim = make(kind)
-        t0 = time.perf_counter()
-        sim.submit_many(list(workload))
-        t1 = time.perf_counter()
-        sim.run(until=0.1)
-        t2 = time.perf_counter()
-        return t1 - t0, t2 - t1
+    old_shares = []
 
-    one("new")  # warm numpy / allocator caches
-    one("old")
-    best = {}
-    for kind in ("old", "new"):
-        s_best = r_best = float("inf")
-        for _ in range(3):
-            s, r = one(kind)
-            s_best, r_best = min(s_best, s), min(r_best, r)
-        best[kind] = (s_best, r_best)
-    share = {k: s / (s + r) for k, (s, r) in best.items()}
+    def share(kind):
+        """An arm: submit's share of (submit + run window) CPU time."""
+        sim = make(kind)
+        t0 = time.process_time()
+        sim.submit_many(list(workload))
+        t1 = time.process_time()
+        sim.run(until=0.1)
+        x = (t1 - t0) / (time.process_time() - t0)
+        if kind == "old":
+            old_shares.append(x)
+        return x
+
+    share("new")  # warm numpy / allocator caches
+    share("old")
+    old_shares.clear()
+    ratio = paired_ratio(lambda: share("old"), lambda: share("new"), pairs=15)
+    old_share = statistics.median(old_shares)
     # Floor: the case must actually be ingest-heavy on the old engine,
     # or the share comparison stops measuring the ingest path at all.
-    assert share["old"] > 0.2, (
-        f"pre-columnar submit share is only {share['old']:.1%} — the "
+    assert old_share > 0.2, (
+        f"pre-columnar submit share is only {old_share:.1%} — the "
         "bigtrace case no longer stresses ingest"
     )
-    assert share["new"] <= 0.5 * share["old"], (
-        f"columnar ingest submit share {share['new']:.1%} is not a 2x cut "
-        f"of the pre-columnar {share['old']:.1%} "
-        f"(submit {best['new'][0]:.4f}s vs {best['old'][0]:.4f}s)"
+    assert ratio <= 0.5, (
+        f"columnar ingest submit share is {ratio:.2f}x the pre-columnar "
+        "share (median of paired runs), not a 2x cut"
     )
 
     def traced_submit_peak(kind):
@@ -258,8 +286,9 @@ def test_columnar_ingest_cuts_submit_share():
 def test_telemetry_plane_overhead_under_5pct():
     """The live telemetry plane must cost the streaming loop ~nothing.
 
-    Same best-of-N discipline as the disabled-tracing guard, but over
-    the streaming service: an identical bounded stream driven with (a)
+    Measured with :func:`paired_ratio` over the streaming service
+    (process CPU time counts the plane's serving thread too): an
+    identical bounded stream driven with (a)
     no plane and (b) a :class:`~repro.obs.exposition.TelemetryPlane`
     attached *and serving HTTP* on an ephemeral port.  The plane's whole
     design is once-per-tick instrument updates plus snapshot-on-read —
@@ -280,7 +309,10 @@ def test_telemetry_plane_overhead_under_5pct():
     )
     setup = ExperimentSetup(num_ports=8, bandwidth=mbps(500), slice_len=0.05)
 
+    drivers = []
+
     def one(with_plane):
+        """An arm: CPU time of one streaming loop."""
         sim = setup.build_simulator(make_scheduler("fvdf-flow"))
         driver = StreamDriver(
             sim, spec.build(), tick=0.5, max_in_flight=2_000,
@@ -294,33 +326,28 @@ def test_telemetry_plane_overhead_under_5pct():
             # Time the streaming loop only: stop() deliberately sits
             # outside the window (it blocks on the server's poll loop,
             # which is shutdown latency, not per-tick overhead).
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             driver.run()
-            wall = time.perf_counter() - t0
+            cost = time.process_time() - t0
         finally:
             if plane is not None:
                 plane.stop()
-        return wall, driver
+        if not with_plane:
+            drivers.append(driver)
+        return cost
 
     one(False)  # warm-up
-    # Interleave the arms so clock drift / container jitter lands on
-    # both equally, then compare best-of-N.
-    baseline = enabled = float("inf")
-    plain_driver = None
-    for _ in range(4):
-        wall, plain_driver = one(False)
-        baseline = min(baseline, wall)
-        wall, _ = one(True)
-        enabled = min(enabled, wall)
+    ratio = paired_ratio(lambda: one(False), lambda: one(True), pairs=25)
     # Plane off: no stream.* instrument may ever have been created.
     assert not any(
         n.startswith("stream.")
-        for n in plain_driver.sim.obs.metrics.names()
+        for d in drivers
+        for n in d.sim.obs.metrics.names()
     ), "a plane-off driver registered stream.* instruments"
-    overhead = enabled / baseline - 1.0
+    overhead = ratio - 1.0
     assert overhead < 0.05, (
         f"telemetry-plane run is {overhead:.1%} slower than the plane-off "
-        f"stream ({enabled:.4f}s vs {baseline:.4f}s)"
+        "stream (median of paired runs)"
     )
 
 
@@ -354,22 +381,16 @@ def test_incremental_view_overhead_under_5pct():
         sim.submit_many(list(workload))
         return sim.run()
 
-    def best_of(n, fn):
-        best = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     run(False)  # warm-up
-    regroup = best_of(5, lambda: run(True))
-    incremental = best_of(5, lambda: run(False))
-    overhead = incremental / regroup - 1.0
+    ratio = paired_ratio(
+        timed(lambda: run(True)), timed(lambda: run(False)), pairs=31
+    )
+    overhead = ratio - 1.0
     assert overhead < 0.05, (
         f"incremental view path is {overhead:.1%} slower than per-decision "
-        f"regroup ({incremental:.4f}s vs {regroup:.4f}s)"
+        "regroup (median of paired runs)"
     )
+
 
 def test_jsonl_block_parse_near_json_floor(tmp_path):
     """The JSONL block parse must stay near the cost of ``json.loads``.

@@ -139,8 +139,8 @@ class ArrivalCalendar:
         self._staged_slot.clear()
         self._staged_n = 0
         # Stable sort on time keeps push order within ties == seq order.
-        if t.size > 1 and np.any(np.diff(t) < 0):
-            order = np.argsort(t, kind="stable")
+        if t.size > 1 and (t[1:] < t[:-1]).any():
+            order = t.argsort(kind="stable")
             t, s, q = t[order], s[order], q[order]
         head = self._head
         mt = self._time[head:]
@@ -205,7 +205,7 @@ class ArrivalCalendar:
         if self._dead:
             self._purge_dead()
         head = self._head
-        hi = int(np.searchsorted(self._time, now, side="right"))
+        hi = int(self._time.searchsorted(now, side="right"))
         if hi <= head:
             return np.empty(0, dtype=np.intp)
         out = self._slot[head:hi]

@@ -238,7 +238,7 @@ class FVDFScheduler(Scheduler):
         )
         if self.config.granularity == "coflow":
             return perm, starts, p_cof, np.arange(n_cof, dtype=np.intp)
-        owner = np.repeat(np.arange(n_cof, dtype=np.intp), np.diff(starts))
+        owner = np.arange(n_cof, dtype=np.intp).repeat(starts[1:] - starts[:-1])
         starts_f = np.arange(len(perm) + 1, dtype=np.intp)
         return perm, starts_f, p_cof[owner], owner
 
@@ -253,9 +253,10 @@ class FVDFScheduler(Scheduler):
         with ``L`` the units' lengths in ``order`` and ``out_start`` their
         exclusive running sum.
         """
-        lengths = np.diff(starts)[order]
-        out_starts = np.cumsum(lengths) - lengths
-        shift = np.repeat(starts[:-1][order] - out_starts, lengths)
+        lengths = (starts[1:] - starts[:-1])[order]
+        shift = (starts[:-1][order] - (lengths.cumsum() - lengths)).repeat(
+            lengths
+        )
         return perm[shift + np.arange(len(shift), dtype=np.intp)]
 
     def schedule(self, view: SchedulerView) -> Allocation:
@@ -275,7 +276,7 @@ class FVDFScheduler(Scheduler):
             else:
                 upgrade(view, cfg.logbase)
                 upgraded = len(view.coflows)
-            if upgraded:
+            if upgraded and self.obs.metrics.enabled:
                 self.obs.metrics.counter("fvdf.upgrades").inc(upgraded)
 
         perm, starts, P, owner = self._unit_segments(view)
@@ -284,16 +285,16 @@ class FVDFScheduler(Scheduler):
         # provisional urgency ranking, which then decides who actually wins
         # the contended cores.
         want = _compression_want(view, cfg.compress)
-        if want.any():
+        if np.count_nonzero(want):
             beta0 = view.compression.grant_cores(
                 want, view.src, view.free_cores
             )
         else:
             beta0 = want
         gamma0 = self._unit_gammas(view, beta0, perm, starts)
-        provisional = np.argsort(gamma0 / P, kind="stable")
+        provisional = (gamma0 / P).argsort(kind="stable")
 
-        if bool((want & ~beta0).any()):
+        if np.count_nonzero(want & ~beta0):
             # Pass 2: some node had more candidates than free cores, so the
             # urgency order decides who wins — re-grant and re-rank.
             flow_order = self._flows_in_unit_order(perm, starts, provisional)
@@ -301,7 +302,7 @@ class FVDFScheduler(Scheduler):
                 want, view.src, view.free_cores, priority=flow_order
             )
             gamma = self._unit_gammas(view, beta, perm, starts)
-            order = np.argsort(gamma / P, kind="stable")
+            order = (gamma / P).argsort(kind="stable")
         else:
             # Every compression wish was granted (no contended cores), so
             # priority cannot change β; β unchanged ⇒ Γ unchanged ⇒ the
@@ -364,21 +365,28 @@ class FVDFScheduler(Scheduler):
             # demand cap.
             dims = ra.build_dims(view.src, view.dst, rem_in, rem_out, extra)
             unit_of_pos = np.empty(n, dtype=np.intp)
-            unit_of_pos[perm] = np.repeat(
-                np.arange(len(starts) - 1, dtype=np.intp), np.diff(starts)
+            unit_of_pos[perm] = np.arange(len(starts) - 1, dtype=np.intp).repeat(
+                starts[1:] - starts[:-1]
             )
             demands = vol / np.maximum(gamma, view.slice_len)[unit_of_pos]
             rates = np.zeros(n)
-            gathers = ra.gather_groups(flow_order, dims)
+            # priority_fill reads the gathers only past 8 flows.
+            gathers = (
+                ra.gather_groups(flow_order, dims) if len(flow_order) > 8
+                else None
+            )
             ra.priority_fill(
                 flow_order, dims, demands=demands, out=rates, gathers=gathers
             )
-            minimal_total = float(rates.sum())
+            metrics = self.obs.metrics
+            if metrics.enabled:
+                minimal_total = float(rates.sum())
             # Work conservation: hand out leftovers in priority order.
             ra.priority_fill(flow_order, dims, out=rates, gathers=gathers)
-            backfill = float(rates.sum()) - minimal_total
-            if backfill > 0:
-                self.obs.metrics.counter("fvdf.backfill_rate").inc(backfill)
+            if metrics.enabled:
+                backfill = float(rates.sum()) - minimal_total
+                if backfill > 0:
+                    metrics.counter("fvdf.backfill_rate").inc(backfill)
             return rates
         # "greedy": strict priority in unit order.
         return ra.greedy_priority(

@@ -88,7 +88,7 @@ def gather_groups(
     """
     ogroups = [np.asarray(groups, dtype=np.intp)[order] for groups, _ in dims]
     members = [og >= 0 for og in ogroups]
-    safe = [np.clip(og, 0, None) for og in ogroups]
+    safe = [np.maximum(og, 0) for og in ogroups]
     return ogroups, members, safe
 
 
@@ -158,9 +158,9 @@ def priority_fill(
     if m <= 8:
         # Tiny fills: the loop alone beats any vectorized setup cost.
         want = (
-            np.full(m, math.inf)
+            [math.inf] * m
             if demands is None
-            else np.asarray(demands, dtype=np.float64)[order]
+            else np.asarray(demands, dtype=np.float64)[order].tolist()
         )
         _fill_in_order(
             out, dims, order, want, [np.asarray(g)[order] for g, _ in dims]
@@ -194,13 +194,13 @@ def priority_fill(
                 og[member], weights=want[member], minlength=len(caps)
             )
             over = load > caps
-            if over.any():
+            if np.count_nonzero(over):
                 contended |= member & over[sg]
             loads.append(load)
         unc = ~settled & ~contended
-        if unc.any():
+        if np.count_nonzero(unc):
             np.add.at(out, order[unc], want[unc])
-            if contended.any():
+            if np.count_nonzero(contended):
                 # Charge only the granted flows' demand.
                 loads = [
                     np.bincount(
@@ -212,16 +212,16 @@ def priority_fill(
                 ]
             for (_, caps), load in zip(dims, loads):
                 caps -= load
-        pos = np.flatnonzero(~settled & contended)
-        want = want[pos]
+        pos = (~settled & contended).nonzero()[0]
+        want = want[pos].tolist()
     else:
         room = np.full(m, np.inf)
         for (_, caps), member, sg in zip(dims, members, safe):
             np.minimum(room, caps[sg], where=member, out=room)
-        pos = np.flatnonzero(room > 0.0)
+        pos = (room > 0.0).nonzero()[0]
         # Backfill is the demand-capped loop with an infinite demand
         # (r = headroom at the flow's turn).
-        want = np.full(pos.size, math.inf)
+        want = [math.inf] * pos.size
     if pos.size:
         _fill_in_order(
             out, dims, order[pos], want, [og[pos] for og in ogroups]
@@ -233,13 +233,14 @@ def _fill_in_order(
     out: np.ndarray,
     dims: Sequence[Dimension],
     osub: np.ndarray,
-    wsub: np.ndarray,
+    wsub: List[float],
     gsub: Sequence[np.ndarray],
 ) -> None:
     """Grant ``min(headroom, demand)`` flow by flow, on plain Python lists.
 
-    ``osub`` are flow ids in priority order, ``wsub`` their demands and
-    ``gsub`` their group column per dimension (−1 = exempt).
+    ``osub`` are flow ids in priority order, ``wsub`` their demands (a
+    list of floats) and ``gsub`` their group column per dimension
+    (−1 = exempt).
     Bit-identical to the loop in :func:`priority_fill`'s docstring
     (Python floats are IEEE doubles) but ~10x cheaper per flow than
     numpy scalar indexing.
@@ -260,7 +261,7 @@ def _fill_in_order(
     if len(gsub) == 2:
         c0, c1 = caps_l
         for pos, w, g0, g1 in zip(
-            range(m), wsub.tolist(), gsub[0].tolist(), gsub[1].tolist()
+            range(m), wsub, gsub[0].tolist(), gsub[1].tolist()
         ):
             r = w
             a = c0[g0]
@@ -276,7 +277,7 @@ def _fill_in_order(
             c1[g1] = b - r
     else:
         pairs = [(g.tolist(), caps) for g, caps in zip(gsub, caps_l)]
-        for pos, w in enumerate(wsub.tolist()):
+        for pos, w in enumerate(wsub):
             r = w
             for groups, caps in pairs:
                 c = caps[groups[pos]]
@@ -373,44 +374,56 @@ def maxmin_fair(
     if demands is not None:
         live &= demands > 0
 
-    while live.any():
-        w_live = np.where(live, w, 0.0)
-        # Per-constraint growth-rate limit lam = rem_cap / total weight.
-        lam_flow = np.full(n, np.inf)
-        for groups, caps in dims:
-            member = groups >= 0
-            gsum = np.bincount(
-                groups[member], weights=w_live[member], minlength=len(caps)
+    # Loop invariants per dimension: (caps, selector of the member flows,
+    # their groups, member mask, in-bounds group index).  A dimension
+    # without exempt flows selects with a slice; otherwise exempt flows
+    # (group == -1) are clamped to index 0 purely to keep the fancy index
+    # in bounds, and the member mask discards those lanes, so a saturated
+    # constraint 0 can never freeze a flow exempt from this dimension.
+    cols = []
+    for groups, caps in dims:
+        member = groups >= 0
+        if np.count_nonzero(member) == n:
+            cols.append((caps, slice(None), groups, None, groups))
+        else:
+            cols.append(
+                (caps, member, groups[member], member, np.maximum(groups, 0))
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
+    unbounded = np.full(n, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while np.count_nonzero(live):
+            w_live = np.where(live, w, 0.0)
+            # Per-constraint growth-rate limit lam = rem_cap / total weight.
+            lam_flow = unbounded.copy()
+            for caps, sel, groups, _, _ in cols:
+                gsum = np.bincount(
+                    groups, weights=w_live[sel], minlength=len(caps)
+                )
                 lam = np.where(gsum > 0, caps / gsum, np.inf)
-            lam_flow[member] = np.minimum(lam_flow[member], lam[groups[member]])
-        if demands is not None:
-            with np.errstate(divide="ignore"):
+                lam_flow[sel] = np.minimum(lam_flow[sel], lam[groups])
+            if demands is not None:
                 lam_demand = np.where(live, (demands - rates) / w, np.inf)
-            lam_flow = np.minimum(lam_flow, lam_demand)
-        lam_flow = np.where(live, lam_flow, np.inf)
-        lam_star = lam_flow.min()
-        if not np.isfinite(lam_star) or lam_star < 0:
-            break
-        inc = np.where(live, w * lam_star, 0.0)
-        rates += inc
-        newly_frozen = live & (lam_flow <= lam_star * (1 + 1e-9) + _EPS)
-        for groups, caps in dims:
-            member = groups >= 0
-            caps -= np.bincount(
-                groups[member], weights=inc[member], minlength=len(caps)
-            )
-            np.clip(caps, 0.0, None, out=caps)
-            sat = caps <= _EPS * (1 + caps)
-            # Exempt flows (group == -1) are clipped to index 0 purely to
-            # keep the fancy index in bounds; the ``member`` mask discards
-            # those lanes, so a saturated constraint 0 can never freeze a
-            # flow that is exempt from this dimension.
-            newly_frozen |= live & member & sat[np.clip(groups, 0, None)]
-        if not newly_frozen.any():
-            break  # numerical guard; should not happen
-        live &= ~newly_frozen
+                lam_flow = np.minimum(lam_flow, lam_demand)
+            lam_flow = np.where(live, lam_flow, np.inf)
+            lam_star = lam_flow.min()
+            if not math.isfinite(lam_star) or lam_star < 0:
+                break
+            inc = np.where(live, w * lam_star, 0.0)
+            rates += inc
+            newly_frozen = live & (lam_flow <= lam_star * (1 + 1e-9) + _EPS)
+            for caps, sel, groups, member, safe in cols:
+                caps -= np.bincount(
+                    groups, weights=inc[sel], minlength=len(caps)
+                )
+                np.maximum(caps, 0.0, out=caps)
+                sat = caps <= _EPS * (1 + caps)
+                if member is None:
+                    newly_frozen |= live & sat[safe]
+                else:
+                    newly_frozen |= live & member & sat[safe]
+            if not np.count_nonzero(newly_frozen):
+                break  # numerical guard; should not happen
+            live &= ~newly_frozen
     return rates
 
 

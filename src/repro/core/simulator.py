@@ -78,6 +78,22 @@ _CF_COLS = (
 )
 
 
+#: The window kinds of a run(until=...) horizon that no event shares.
+_HORIZON_ONLY = frozenset({EventKind.HORIZON})
+
+
+def _window_masks(alloc: Allocation):
+    """``(tx, n_tx, compressing)`` of the allocation in force.
+
+    The transmit mask, how many flows it selects and whether any flow
+    compresses, taken once per window for validation, core claims, the
+    horizon and integration.  ``count_nonzero`` answers a mask's
+    ``any()`` without the Python wrapper of the ndarray method.
+    """
+    tx = alloc.rates > 0
+    return tx, int(np.count_nonzero(tx)), bool(np.count_nonzero(alloc.compress))
+
+
 def _time_eps(t: float) -> float:
     """Comparison tolerance for simulated-time instants near ``t``.
 
@@ -441,11 +457,11 @@ class SliceSimulator:
         self._active = np.empty(0, dtype=np.intp)
         self._cancelled: set = set()
         # --- incremental view cache ------------------------------------------
-        # Coflow grouping (and every gather of per-flow constants) only
-        # changes when the active set changes; arrivals and retirements
-        # now patch the cached segmentation *incrementally* (append /
-        # shrink deltas), so ``_groups_dirty`` — a full rebuild — is only
-        # set by cancellation and the rare delta-ineligible arrival.
+        # Coflow grouping only changes when the active set changes;
+        # arrivals and retirements now patch the cached segmentation
+        # *incrementally* (append / shrink deltas), so ``_groups_dirty``
+        # — a full rebuild — is only set by cancellation and the rare
+        # delta-ineligible arrival.
         self._groups_dirty = True
         #: Debug/benchmark knob: force a full regroup at every decision
         #: point, restoring the pre-incremental view-building cost (used
@@ -453,13 +469,11 @@ class SliceSimulator:
         #: microbench overhead guard).
         self.force_regroup = False
         self._cached_states: List[CoflowState] = []
-        self._cached_coflow_ids = np.empty(0, dtype=np.int64)
         self._seg = _SegmentRef(
             np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
         )
         self._cached_unit_of_pos = np.empty(0, dtype=np.intp)
         self._cached_group_slots = np.empty(0, dtype=np.intp)
-        self._cached_static: Dict[str, np.ndarray] = {}
         #: Pending capacity changes, a heap of (time, side, port, seq, cap).
         self._cap_events: List = []
         self._cap_seq = 0
@@ -885,22 +899,26 @@ class SliceSimulator:
                 # included), exactly as in an uninterrupted run.
                 view = self._build_view(trigger)
                 alloc = held
-                self._claim_cores(view, alloc)
+                tx, n_tx, compressing = _window_masks(alloc)
+                self._claim_cores(view, alloc, compressing)
             else:
-                view, alloc = self._decide(trigger)
+                view, alloc, tx, n_tx, compressing = self._decide(trigger)
             held = None
 
-            n_slices, dt_kinds = self._horizon_slices(view, alloc, until)
+            n_slices, dt_kinds = self._horizon_slices(
+                view, alloc, tx, n_tx, compressing, until
+            )
             if flt.enabled:
                 flt.add_jump(self.now, n_slices, dt_kinds)
             if obs.metrics.enabled:
                 obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
             boundary = (self._k + n_slices) * self.slice_len
+            dt = n_slices * self.slice_len
             if obs.profiler.enabled:
                 with obs.profiler.section("integrate"):
-                    self._integrate(view, alloc, n_slices * self.slice_len)
+                    self._integrate(alloc, tx, n_tx, compressing, dt)
             else:
-                self._integrate(view, alloc, n_slices * self.slice_len)
+                self._integrate(alloc, tx, n_tx, compressing, dt)
             self._k += n_slices
 
             active = self._active
@@ -910,7 +928,7 @@ class SliceSimulator:
                 trigger.kinds.add(EventKind.COMPLETION)
             if EventKind.RAW_EXHAUSTED in dt_kinds:
                 trigger.kinds.add(EventKind.RAW_EXHAUSTED)
-            if dt_kinds == {EventKind.HORIZON} and self._active is active:
+            if dt_kinds == _HORIZON_ONLY and self._active is active:
                 held = alloc
         self._resume_kinds = set(trigger.kinds)
         self._held = held
@@ -920,7 +938,8 @@ class SliceSimulator:
     def _decide(self, trigger: ScheduleTrigger):
         """One decision point: ask the scheduler, validate, claim cores.
 
-        Returns ``(view, alloc)``.
+        Returns ``(view, alloc, tx, n_tx, compressing)``, the last three
+        from :func:`_window_masks`.
         """
         # The previous window is over: its compression cores are free
         # for reassignment before the scheduler looks at the node state.
@@ -943,20 +962,21 @@ class SliceSimulator:
             obs.metrics.histogram("engine.decision_latency").observe(elapsed)
             if obs.profiler.enabled:
                 obs.profiler.add("schedule", elapsed)
-        self._validate(view, alloc)
-        self._apply_claims(view, alloc)
+        tx, n_tx, compressing = _window_masks(alloc)
+        self._validate(view, alloc, tx, compressing)
+        self._apply_claims(view, alloc, compressing)
         if flt.enabled:
-            n_tx = int((alloc.rates > 0).sum())
             total = float(alloc.rates.sum())
             max_rate = float(alloc.rates.max()) if len(alloc.rates) else 0.0
             flt.add_rates(self.now, n_tx, total, max_rate)
-            if alloc.compress.any():
+            if compressing:
                 flt.add_beta(self.now, view.flow_ids[alloc.compress])
         if self._recorder is not None:
             self._recorder.sample_model(self.now, self.cpu)
         self._decision_points += 1
-        obs.metrics.counter("engine.decisions").inc()
-        return view, alloc
+        if obs.metrics.enabled:
+            obs.metrics.counter("engine.decisions").inc()
+        return view, alloc, tx, n_tx, compressing
 
     def result(self) -> SimulationResult:
         return SimulationResult(
@@ -1300,50 +1320,51 @@ class SliceSimulator:
         ``global_idx`` gather at all on the common streaming path.
         """
         slots = self._calendar.pop_due(self.now + self._eps_now())
-        n_due = int(slots.size)
+        n_due = slots.size
         if not n_due:
             return 0
-        firsts = self._cf_first[slots]
         counts = self._cf_count[slots]
-        total = int(counts.sum())
-        if n_due == 1 or (
-            int(slots[-1]) - int(slots[0]) == n_due - 1
-            and bool(np.all(np.diff(slots) == 1))
-        ):
-            # Contiguous ascending slots → one flow-row slice.
-            new_idx = np.arange(
-                int(firsts[0]), int(firsts[0]) + total, dtype=np.intp
+        first = int(self._cf_first[slots[0]])
+        if n_due == 1:
+            total = int(counts[0])
+            contiguous = True
+        else:
+            total = int(counts.sum())
+            contiguous = int(slots[-1]) - int(slots[0]) == n_due - 1 and bool(
+                (slots[1:] - slots[:-1] == 1).all()
             )
+        if contiguous:
+            # Contiguous ascending slots → one flow-row slice.
+            rows = slice(first, first + total)
+            new_idx = np.arange(first, first + total, dtype=np.intp)
         else:
             # Gather without a Python loop: repeat each block's base
             # offset and add a running ramp.
-            offs = np.cumsum(counts) - counts
-            new_idx = (
-                np.repeat(firsts - offs, counts)
-                + np.arange(total, dtype=np.intp)
-            ).astype(np.intp, copy=False)
-        self._state[new_idx] = _ACTIVE
-        self._start[new_idx] = self.now
+            rows = new_idx = (
+                self._cf_first[slots] - (counts.cumsum() - counts)
+            ).repeat(counts) + np.arange(total, dtype=np.intp)
+        self._state[rows] = _ACTIVE
+        self._start[rows] = self.now
         old_n = self._active.size
         self._active = np.concatenate((self._active, new_idx))
         if self._groups_dirty or self.force_regroup:
             self._groups_dirty = True
         else:
-            self._regroup_extend(slots, new_idx, old_n)
-        flt = self.obs.recorder
-        if flt.enabled:
-            flt.add_arrivals(
+            self._regroup_extend(slots, counts, rows, old_n)
+        obs = self.obs
+        if obs.recorder.enabled:
+            obs.recorder.add_arrivals(
                 self.now, self._cf_id[slots].tolist(), counts.tolist()
             )
-        self.obs.metrics.counter("engine.arrivals").inc(n_due)
+        if obs.metrics.enabled:
+            obs.metrics.counter("engine.arrivals").inc(n_due)
         return n_due
 
     def _regroup(self) -> None:
         """Recompute the coflow segmentation of the active set from scratch.
 
         Invariant: the grouping (states list, per-state ``flow_idx``
-        positions, ``coflow_ids`` column, unit permutation/offsets and
-        every gather of per-flow *constants*) depends only on
+        positions, unit permutation/offsets) depends only on
         ``_active``.  Arrivals and retirements keep the cache current
         with the incremental deltas below, and a drain only renumbers
         the cached slots; this full rebuild runs on the first decision,
@@ -1352,9 +1373,7 @@ class SliceSimulator:
         mid-run submission arriving no later than an already active
         coflow).
         """
-        idx = self._active
-        coflow_ids = self._coflow_of[idx]
-        slots_of_pos = self._slot_of[idx]
+        slots_of_pos = self._slot_of[self._active]
         # Rank distinct coflows by (arrival, coflow_id) — the order the
         # old per-decision dict grouping produced after its sort.
         uslots, inv = np.unique(slots_of_pos, return_inverse=True)
@@ -1378,22 +1397,12 @@ class SliceSimulator:
             state.bind_segments(self._seg, k)
             states.append(state)
         self._cached_states = states
-        self._cached_coflow_ids = coflow_ids
         self._cached_unit_of_pos = unit_of_pos
         self._cached_group_slots = group_slots.astype(np.intp, copy=False)
-        self._cached_static = {
-            "flow_ids": self._flow_id[idx],
-            "src": self._src[idx],
-            "dst": self._dst[idx],
-            "xi": self._xi[idx],
-            "size": self._size[idx],
-            "arrival": self._arrival[idx],
-            "compressible": self._compressible[idx],
-        }
         self._groups_dirty = False
 
     def _regroup_extend(
-        self, slots: np.ndarray, new_idx: np.ndarray, old_n: int
+        self, slots: np.ndarray, widths: np.ndarray, rows, old_n: int
     ) -> None:
         """Append delta: newly arrived coflows join the cached grouping.
 
@@ -1404,55 +1413,41 @@ class SliceSimulator:
         coflow submitted mid-run whose arrival does not exceed the last
         active group's — falls back to a full rebuild.
 
-        ``slots`` are the batch's coflow slots in activation order;
-        ``new_idx`` their flow rows (block-contiguous, slot order) and
+        ``slots`` are the batch's coflow slots in activation order and
+        ``widths`` their flow counts; ``rows`` their flow rows
+        (block-contiguous, slot order: a slice or an index array) and
         ``old_n`` the pre-batch active count.
         """
         arrivals = self._cf_arrival[slots]
         gslots = self._cached_group_slots
-        if gslots.size and arrivals.min() <= self._cf_arrival[gslots[-1]]:
+        # The calendar pops in (time, seq) order, so arrivals[0] is the
+        # batch's earliest arrival.
+        if gslots.size and arrivals[0] <= self._cf_arrival[gslots[-1]]:
             self._groups_dirty = True
             return
         order = np.lexsort((self._cf_id[slots], arrivals))
-        widths = self._cf_count[slots]
         g0 = len(self._cached_states)
-        # Batch positions: slot i occupies [off[i], off[i]+width[i]) past old_n.
-        offs = np.concatenate(([0], np.cumsum(widths))).astype(np.intp)
-        base = old_n + offs[:-1]
-        ramp_off = (np.cumsum(widths[order]) - widths[order]).astype(np.intp)
-        perm_chunk = (
-            np.repeat(base[order] - ramp_off, widths[order])
-            + np.arange(int(widths.sum()), dtype=np.intp)
-        ).astype(np.intp, copy=False)
-        rank = np.empty(slots.size, dtype=np.intp)
-        rank[order] = np.arange(slots.size, dtype=np.intp)
-        unit_chunk = g0 + np.repeat(rank, widths).astype(np.intp, copy=False)
-        counts_sorted = widths[order]
+        # Batch positions: slot i occupies [base[i], base[i]+width[i]);
+        # in group order they land back to back from old_n on.
+        base = old_n + (widths.cumsum() - widths)
+        w = widths[order]
+        ends = w.cumsum()
+        perm_chunk = (base[order] - (ends - w)).repeat(w) + np.arange(
+            ends[-1], dtype=np.intp
+        )
         seg = self._seg
         seg.perm = np.concatenate((seg.perm, perm_chunk))
-        seg.starts = np.concatenate(
-            (seg.starts, seg.starts[-1] + np.cumsum(counts_sorted))
-        ).astype(np.intp, copy=False)
-        for j, i in enumerate(order.tolist()):
-            state = self._state_for_slot(int(slots[i]))
-            state.bind_segments(seg, g0 + j)
+        seg.starts = np.concatenate((seg.starts, seg.starts[-1] + ends))
+        new_slots = slots[order]
+        for j, s in enumerate(new_slots.tolist(), g0):
+            state = self._state_for_slot(s)
+            state.bind_segments(seg, j)
             self._cached_states.append(state)
-        self._cached_group_slots = np.concatenate(
-            (gslots, slots[order])
-        )
-        self._cached_unit_of_pos = np.concatenate(
-            (self._cached_unit_of_pos, unit_chunk)
-        )
-        self._cached_coflow_ids = np.concatenate(
-            (self._cached_coflow_ids, self._coflow_of[new_idx])
-        )
-        static = self._cached_static
-        for key, col in (
-            ("flow_ids", self._flow_id), ("src", self._src),
-            ("dst", self._dst), ("xi", self._xi), ("size", self._size),
-            ("arrival", self._arrival), ("compressible", self._compressible),
-        ):
-            static[key] = np.concatenate((static[key], col[new_idx]))
+        self._cached_group_slots = np.concatenate((gslots, new_slots))
+        # order is a permutation, so its argsort is each slot's rank.
+        self._cached_unit_of_pos = np.concatenate((
+            self._cached_unit_of_pos, (g0 + order.argsort()).repeat(widths)
+        ))
 
     def _regroup_shrink(self, keep: np.ndarray) -> None:
         """Shrink delta: drop retired positions from the cached grouping.
@@ -1464,61 +1459,48 @@ class SliceSimulator:
         without re-sorting.  Emptied groups drop out; surviving groups
         keep their relative order, so only their ordinals shift.
         """
-        unit_of_pos = self._cached_unit_of_pos
+        kept_units = self._cached_unit_of_pos[keep]
         n_groups = len(self._cached_states)
-        counts_new = np.bincount(unit_of_pos[keep], minlength=n_groups)
-        alive = counts_new > 0
-        newpos = np.cumsum(keep) - 1  # old position -> new position
+        counts = np.bincount(kept_units, minlength=n_groups)
+        newpos = keep.cumsum() - 1  # old position -> new position
         seg = self._seg
         perm = seg.perm
-        perm_keep = keep[perm]
-        new_perm = newpos[perm[perm_keep]].astype(np.intp, copy=False)
-        if alive.all():
-            new_unit = unit_of_pos[keep]
-            seg.perm = new_perm
-            seg.starts = np.concatenate(
-                ([0], np.cumsum(counts_new))
-            ).astype(np.intp)
-        else:
-            new_ord = np.cumsum(alive) - 1
-            new_unit = new_ord[unit_of_pos[keep]].astype(np.intp, copy=False)
-            seg.perm = new_perm
-            seg.starts = np.concatenate(
-                ([0], np.cumsum(counts_new[alive]))
-            ).astype(np.intp)
+        seg.perm = newpos[perm[keep[perm]]]
+        if np.count_nonzero(counts) < n_groups:
+            alive = counts > 0
+            kept_units = (alive.cumsum() - 1)[kept_units]
+            counts = counts[alive]
             alive_list = alive.tolist()
             states = [s for s, a in zip(self._cached_states, alive_list) if a]
             for k, state in enumerate(states):
                 state._ordinal = k
             self._cached_states = states
             self._cached_group_slots = self._cached_group_slots[alive]
-        self._cached_unit_of_pos = new_unit
-        self._cached_coflow_ids = self._cached_coflow_ids[keep]
-        static = self._cached_static
-        for key in static:
-            static[key] = static[key][keep]
+        starts = np.zeros(counts.size + 1, dtype=np.intp)
+        counts.cumsum(out=starts[1:])
+        seg.starts = starts
+        self._cached_unit_of_pos = kept_units
 
     def _build_view(self, trigger: ScheduleTrigger) -> SchedulerView:
         if self._groups_dirty or self.force_regroup:
             self._regroup()
         idx = self._active
-        static = self._cached_static
         free = self.cpu.free_cores(self.now)
         return SchedulerView(
             time=self.now,
             slice_len=self.slice_len,
             trigger=trigger,
             fabric=self.fabric,
-            flow_ids=static["flow_ids"],
-            src=static["src"],
-            dst=static["dst"],
+            flow_ids=self._flow_id[idx],
+            src=self._src[idx],
+            dst=self._dst[idx],
             raw=self._raw[idx],
             comp=self._comp[idx],
-            xi=static["xi"],
-            size=static["size"],
-            arrival=static["arrival"],
-            coflow_ids=self._cached_coflow_ids,
-            compressible=static["compressible"],
+            xi=self._xi[idx],
+            size=self._size[idx],
+            arrival=self._arrival[idx],
+            coflow_ids=self._coflow_of[idx],
+            compressible=self._compressible[idx],
             coflows=self._cached_states,
             free_cores=free,
             compression=self.compression,
@@ -1530,7 +1512,10 @@ class SliceSimulator:
             ),
         )
 
-    def _validate(self, view: SchedulerView, alloc: Allocation) -> None:
+    def _validate(
+        self, view: SchedulerView, alloc: Allocation, tx: np.ndarray,
+        compressing: bool,
+    ) -> None:
         n = view.num_flows
         if len(alloc.rates) != n or len(alloc.compress) != n:
             raise SchedulingError(
@@ -1540,10 +1525,10 @@ class SliceSimulator:
         if not np.isfinite(alloc.rates).all():
             raise SchedulingError(f"{self.scheduler.name}: non-finite rate")
         self.fabric.check_feasible(view.src, view.dst, alloc.rates)
-        cz = alloc.compress
-        if not cz.any():
+        if not compressing:
             return
-        if (cz & (alloc.rates > 0)).any():
+        cz = alloc.compress
+        if (cz & tx).any():
             raise SchedulingError(
                 f"{self.scheduler.name}: a flow may not compress and transmit "
                 "in the same slice (exclusive β)"
@@ -1568,10 +1553,12 @@ class SliceSimulator:
                 f"{view.free_cores[node]} free cores"
             )
 
-    def _claim_cores(self, view: SchedulerView, alloc: Allocation) -> Dict[int, int]:
+    def _claim_cores(
+        self, view: SchedulerView, alloc: Allocation, compressing: bool
+    ) -> Dict[int, int]:
         """Claim one core per compressing flow; returns claims per node."""
         claims: Dict[int, int] = {}
-        if not alloc.compress.any():
+        if not compressing:
             return claims
         for node in view.src[alloc.compress].tolist():
             self.cpu.claim(node)
@@ -1579,8 +1566,10 @@ class SliceSimulator:
             claims[node] = claims.get(node, 0) + 1
         return claims
 
-    def _apply_claims(self, view: SchedulerView, alloc: Allocation) -> None:
-        claims = self._claim_cores(view, alloc)
+    def _apply_claims(
+        self, view: SchedulerView, alloc: Allocation, compressing: bool
+    ) -> None:
+        claims = self._claim_cores(view, alloc, compressing)
         if claims:
             flt = self.obs.recorder
             if flt.enabled:
@@ -1597,7 +1586,7 @@ class SliceSimulator:
             self.cpu.release(node)
         self._claim_nodes.clear()
 
-    def _horizon_slices(self, view, alloc, until):
+    def _horizon_slices(self, view, alloc, tx, n_tx, compressing, until):
         """Slices to advance until the next interesting boundary.
 
         Returns ``(n, kinds)``: the number of slices to fast-forward and
@@ -1611,24 +1600,25 @@ class SliceSimulator:
         fire-at-every-event contract (Pseudocode 3).
         """
         candidates: List = []
+        now = self.now
         nxt = self._next_arrival()
         if nxt is not None:
-            candidates.append((max(nxt - self.now, 0.0), EventKind.ARRIVAL))
-        R = self.compression.speed if self.compression is not None else 0.0
-        vol = view.volume
-        tx = alloc.rates > 0
-        if tx.any():
-            dt = float((vol[tx] / alloc.rates[tx]).min())
+            candidates.append((max(nxt - now, 0.0), EventKind.ARRIVAL))
+        if n_tx:
+            dt = float((view.volume[tx] / alloc.rates[tx]).min())
             candidates.append((dt, EventKind.COMPLETION))
-        cz = alloc.compress
-        if cz.any() and R > 0:
-            candidates.append((float((view.raw[cz] / R).min()), EventKind.RAW_EXHAUSTED))
+        R = self.compression.speed if self.compression is not None else 0.0
+        if compressing and R > 0:
+            candidates.append((
+                float((view.raw[alloc.compress] / R).min()),
+                EventKind.RAW_EXHAUSTED,
+            ))
         if self._cap_events:
             candidates.append(
-                (max(self._cap_events[0][0] - self.now, 0.0), EventKind.CAPACITY)
+                (max(self._cap_events[0][0] - now, 0.0), EventKind.CAPACITY)
             )
         if until is not None:
-            candidates.append((max(until - self.now, 0.0), EventKind.HORIZON))
+            candidates.append((max(until - now, 0.0), EventKind.HORIZON))
         if not candidates:
             raise SimulationError(
                 f"{self.scheduler.name}: no flow transmits or compresses and "
@@ -1649,14 +1639,15 @@ class SliceSimulator:
         kinds = {kind for dt, kind in candidates if dt <= window}
         return n, kinds
 
-    def _integrate(self, view: SchedulerView, alloc: Allocation, dt: float) -> None:
+    def _integrate(
+        self, alloc: Allocation, tx: np.ndarray, n_tx: int,
+        compressing: bool, dt: float,
+    ) -> None:
         idx = self._active
-        rates = alloc.rates
         # --- compression: raw -> comp, shrunk by xi --------------------------
-        cz = alloc.compress
-        if cz.any():
+        if compressing:
             R = self.compression.speed
-            gi = idx[cz]
+            gi = idx[alloc.compress]
             raw = self._raw[gi]
             consumed = np.minimum(raw, R * dt)
             # A residual the engine counts as empty is roundoff (a window
@@ -1669,16 +1660,15 @@ class SliceSimulator:
             self._comp[gi] += consumed * self._xi[gi]
             self._comp_in[gi] += consumed
         # --- transmission: drain comp first, then raw -------------------------
-        tx = rates > 0
-        if tx.any():
+        if n_tx:
             gi = idx[tx]
             raw = self._raw[gi]
             comp = self._comp[gi]
             vol_before = raw + comp
-            r_tx = rates[tx]
+            r_tx = alloc.rates[tx]
             sent = np.minimum(vol_before, r_tx * dt)
             done = sent >= vol_before - self._eps(gi)
-            if done.any():
+            if np.count_nonzero(done):
                 # physical finish of completed flows
                 self._finish_phys[gi[done]] = (
                     self.now + vol_before[done] / r_tx[done]
@@ -1716,11 +1706,11 @@ class SliceSimulator:
         idx = self._active
         if len(idx) == 0:
             return []
-        vol = self._raw[idx] + self._comp[idx]
-        done_mask = vol <= self._eps(idx)
-        done_idx = idx[done_mask]
-        if len(done_idx) == 0:
+        done_mask = self._raw[idx] + self._comp[idx] <= self._eps(idx)
+        n_done = np.count_nonzero(done_mask)
+        if not n_done:
             return []
+        done_idx = idx[done_mask]
         keep = ~done_mask
         self._active = idx[keep]
         if self._groups_dirty or self.force_regroup:
@@ -1729,30 +1719,32 @@ class SliceSimulator:
             self._regroup_shrink(keep)
         self._state[done_idx] = _DONE
         self._finish[done_idx] = boundary
-        unset = self._finish_phys[done_idx] == 0.0
-        self._finish_phys[done_idx[unset]] = boundary
-        self._done_seq[done_idx] = self._done_total + np.arange(
-            len(done_idx), dtype=np.int64
+        finish_phys = self._finish_phys[done_idx]
+        finish_phys[finish_phys == 0.0] = boundary
+        self._finish_phys[done_idx] = finish_phys
+        done0 = self._done_total
+        self._done_seq[done_idx] = np.arange(
+            done0, done0 + n_done, dtype=np.int64
         )
-        self._done_total += len(done_idx)
+        self._done_total = done0 + int(n_done)
         self._done_chunks.append(done_idx)
 
         # --- close coflows via segment ops over the batch -------------------
+        n_cf = self._n_cf
         slots = self._slot_of[done_idx]
-        batch_counts = np.bincount(slots, minlength=self._n_cf)
-        remaining = self._cf_remaining[: self._n_cf]
+        batch_counts = np.bincount(slots, minlength=n_cf)
+        remaining = self._cf_remaining[:n_cf]
         remaining -= batch_counts
-        np.maximum.at(self._cf_finish_phys, slots, self._finish_phys[done_idx])
-        closed = np.nonzero((remaining == 0) & (batch_counts > 0))[0]
+        np.maximum.at(self._cf_finish_phys, slots, finish_phys)
+        closed = ((remaining == 0) & (batch_counts > 0)).nonzero()[0]
         if closed.size > 1:
             # Close order = order each coflow's *last* flow retires in the
             # batch (what the per-flow loop produced).
-            last = np.zeros(self._n_cf, dtype=np.int64)
-            np.maximum.at(last, slots, np.arange(len(done_idx), dtype=np.int64))
-            closed = closed[np.argsort(last[closed], kind="stable")]
-        closed = closed.astype(np.intp, copy=False)
-        self._cf_finish[closed] = boundary
+            last = np.zeros(n_cf, dtype=np.int64)
+            np.maximum.at(last, slots, np.arange(n_done, dtype=np.int64))
+            closed = closed[last[closed].argsort(kind="stable")]
         if closed.size:
+            self._cf_finish[closed] = boundary
             # Per-coflow totals over each closed coflow's rows, summed as
             # each slice's own ``.sum()`` would (what the eager
             # ``CoflowResult`` used), so lazy results match bitwise.
@@ -1762,10 +1754,11 @@ class SliceSimulator:
             )
         self._closed_chunks.append(closed)
 
-        mx = self.obs.metrics
-        mx.counter("engine.flow_completions").inc(len(done_idx))
-        mx.counter("engine.completions").inc(int(closed.size))
-        flt = self.obs.recorder
+        obs = self.obs
+        if obs.metrics.enabled:
+            obs.metrics.counter("engine.flow_completions").inc(int(n_done))
+            obs.metrics.counter("engine.completions").inc(int(closed.size))
+        flt = obs.recorder
         if flt.enabled:
             # The whole retirement batch in two columnar appends.
             flt.add_flow_completions(

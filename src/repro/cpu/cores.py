@@ -140,8 +140,11 @@ class CpuModel:
 
         Background load occupies ``busy * cores`` (rounded up — partial use
         of a core blocks it for the exclusive compression claim), then
-        current claims are subtracted.
+        current claims are subtracted.  Without a background model no
+        core is busy (``ceil(0 - 1e-9)`` is 0), so only claims count.
         """
+        if self._background is None:
+            return np.maximum(self.cores_per_node - self._claimed, 0)
         bg_cores = np.ceil(self.background_busy(t) * self.cores_per_node - 1e-9)
         free = self.cores_per_node - bg_cores.astype(np.int64) - self._claimed
         return np.maximum(free, 0)

@@ -97,7 +97,7 @@ class BigSwitch:
         ):
             load = np.bincount(ports, weights=rates, minlength=len(caps))
             over = load > caps * (1 + FEASIBILITY_RTOL)
-            if over.any():
+            if np.count_nonzero(over):
                 p = worst_violator(load, caps, over)
                 raise SchedulingError(
                     f"{side} port {p} oversubscribed: "

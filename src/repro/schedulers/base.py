@@ -87,8 +87,8 @@ class OrderedCoflowScheduler(Scheduler):
             order = perm
             if len(ranked) > 1:
                 width = (starts[1:] - starts[:-1])[ranked]
-                base = starts[ranked] - (np.cumsum(width) - width)
-                order = perm[np.repeat(base, width) + np.arange(starts[-1])]
+                base = starts[ranked] - (width.cumsum() - width)
+                order = perm[base.repeat(width) + np.arange(starts[-1])]
             rates = ra.greedy_priority(
                 order, view.src, view.dst, rem_in, rem_out, extra=extra
             )

@@ -53,7 +53,7 @@ class CoflowFIFO(OrderedCoflowScheduler):
 def _unit_of_pos(starts: np.ndarray) -> np.ndarray:
     """Coflow ordinal of every position of the view's unit permutation."""
     n_cof = len(starts) - 1
-    return np.repeat(np.arange(n_cof, dtype=np.intp), starts[1:] - starts[:-1])
+    return np.arange(n_cof, dtype=np.intp).repeat(starts[1:] - starts[:-1])
 
 
 class SEBF(OrderedCoflowScheduler):

@@ -10,7 +10,8 @@ metrics, on the same workloads.
 Covered here:
 
 * full-trace equivalence across FVDF (coflow and flow granularity),
-  SEBF and FAIR on generated and FB-synthesized workloads;
+  SEBF, FAIR, SCF, NCF, LCF and PFP (every sweep-grid policy; PFF is
+  FAIR's allocation) on generated and FB-synthesized workloads;
 * cancellation mid-run (including the "only stamp unset finish_phys"
   rule) and ``run(until=...)`` horizon resume with mid-run submission;
 * hypothesis sweeps over tied retirement boundaries (constant sizes,
@@ -39,7 +40,7 @@ from repro.traces.generator import WorkloadConfig, generate_workload
 from repro.units import mbps
 
 #: ``fvdf-flow`` is the paper's flow-granularity FVDF, with compression on.
-POLICIES = ["fvdf", "fvdf-flow", "sebf", "fair"]
+POLICIES = ["fvdf", "fvdf-flow", "sebf", "fair", "scf", "ncf", "lcf", "pfp"]
 
 
 def _make_sim(policy, cls, num_ports=6, bandwidth=mbps(100), slice_len=0.01):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.cores import CpuModel, PiecewiseConstantBackground, random_background
 from repro.cpu.monitor import CpuReport, UtilizationRecorder
@@ -62,6 +64,27 @@ class TestCpuModel:
         cpu = CpuModel(1, cores_per_node=2, background=lambda t: 1.0)
         cpu.claim(0, 1)  # engine bug scenario; model must still clamp
         assert cpu.free_cores(0.0)[0] == 0
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.integers(0, 12), min_size=1, max_size=10),
+        st.floats(0.0, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_free_cores_without_background_equals_idle_background(
+        self, cores, claims, t
+    ):
+        """No background model answers exactly as an always-idle one:
+        same integers and dtype, over-claimed nodes included."""
+        bare = CpuModel(len(claims), cores)
+        idle = CpuModel(len(claims), cores, background=lambda t: 0.0)
+        for node, n in enumerate(claims):
+            if n:
+                bare.claim(node, n)
+                idle.claim(node, n)
+        got, want = bare.free_cores(t), idle.free_cores(t)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -22,7 +22,7 @@ from repro.core.coflow import Coflow
 from repro.core.events import EventKind, ScheduleTrigger
 from repro.core.flow import Flow
 from repro.core.scheduler import Allocation
-from repro.core.simulator import SliceSimulator
+from repro.core.simulator import SliceSimulator, _window_masks
 from repro.fabric.bigswitch import BigSwitch
 from repro.obs import Observability
 from repro.schedulers import make_scheduler
@@ -38,6 +38,11 @@ def _sim(num_ports=2, bandwidth=1.0, policy="fifo", obs=None, compression=None):
     )
 
 
+def _horizon(sim, view, alloc):
+    """``_horizon_slices`` with no ``run(until=...)`` horizon."""
+    return sim._horizon_slices(view, alloc, *_window_masks(alloc), None)
+
+
 class TestHorizonSlicesCoalescing:
     """Unit-level regression: the pre-fix code returned only the first kind."""
 
@@ -49,7 +54,7 @@ class TestHorizonSlicesCoalescing:
         sim.submit(Coflow([Flow(src=1, dst=0, size=1.0, flow_id=1)], arrival=1.0))
         sim._activate_due()
         view = sim._build_view(ScheduleTrigger({EventKind.START}))
-        n, kinds = sim._horizon_slices(view, Allocation(rates=np.array([1.0])), None)
+        n, kinds = _horizon(sim, view, Allocation(rates=np.array([1.0])))
         assert n == 100
         assert kinds == {EventKind.ARRIVAL, EventKind.COMPLETION}
 
@@ -70,7 +75,7 @@ class TestHorizonSlicesCoalescing:
         alloc = Allocation(
             rates=np.array([0.0]), compress=np.array([True])
         )
-        _, kinds = sim._horizon_slices(view, alloc, None)
+        _, kinds = _horizon(sim, view, alloc)
         assert EventKind.RAW_EXHAUSTED in kinds
         assert EventKind.ARRIVAL in kinds
 
@@ -83,7 +88,7 @@ class TestHorizonSlicesCoalescing:
         sim.submit(Coflow([Flow(src=1, dst=0, size=1.0, flow_id=1)], arrival=0.005))
         sim._activate_due()
         view = sim._build_view(ScheduleTrigger({EventKind.START}))
-        n, kinds = sim._horizon_slices(view, Allocation(rates=np.array([1.0])), None)
+        n, kinds = _horizon(sim, view, Allocation(rates=np.array([1.0])))
         assert n == 1
         assert kinds == {EventKind.ARRIVAL, EventKind.COMPLETION}
 
@@ -93,7 +98,7 @@ class TestHorizonSlicesCoalescing:
         sim.submit(Coflow([Flow(src=1, dst=0, size=1.0, flow_id=1)], arrival=5.0))
         sim._activate_due()
         view = sim._build_view(ScheduleTrigger({EventKind.START}))
-        n, kinds = sim._horizon_slices(view, Allocation(rates=np.array([1.0])), None)
+        n, kinds = _horizon(sim, view, Allocation(rates=np.array([1.0])))
         assert n == 100
         assert kinds == {EventKind.COMPLETION}
 
