@@ -22,9 +22,8 @@ Two calendar implementations live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -42,24 +41,69 @@ class EventKind(Enum):
     HORIZON = auto()  # run(until=...) boundary reached
 
 
-@dataclass
-class ScheduleTrigger:
-    """The set of event kinds observed at the current slice boundary."""
+#: Bit of each :class:`EventKind` in a kinds mask (declaration order).
+KIND_BIT: Dict[EventKind, int] = {kind: 1 << i for i, kind in enumerate(EventKind)}
 
-    kinds: Set[EventKind] = field(default_factory=set)
+
+def kinds_of(mask: int) -> FrozenSet[EventKind]:
+    """The event kinds set in ``mask``."""
+    return frozenset(kind for kind, bit in KIND_BIT.items() if mask & bit)
+
+
+def mask_of(kinds: Iterable[EventKind]) -> int:
+    """The mask with the bit of every kind in ``kinds`` set."""
+    mask = 0
+    for kind in kinds:
+        mask |= KIND_BIT[kind]
+    return mask
+
+
+_ARRIVAL_OR_COMPLETION = KIND_BIT[EventKind.ARRIVAL] | KIND_BIT[EventKind.COMPLETION]
+
+
+class ScheduleTrigger:
+    """The set of event kinds observed at the current slice boundary.
+
+    Held as an int ``mask`` (see :data:`KIND_BIT`): the engine ORs bits
+    in at every step, which costs no ``Enum.__hash__`` call the way set
+    inserts and lookups do.  :attr:`kinds` reads the mask back as a set.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, kinds: Iterable[EventKind] = (), mask: int = 0):
+        self.mask = mask | mask_of(kinds) if kinds else mask
+
+    @property
+    def kinds(self) -> FrozenSet[EventKind]:
+        return kinds_of(self.mask)
 
     @property
     def has_arrival(self) -> bool:
-        return EventKind.ARRIVAL in self.kinds
+        return bool(self.mask & KIND_BIT[EventKind.ARRIVAL])
 
     @property
     def has_completion(self) -> bool:
-        return EventKind.COMPLETION in self.kinds
+        return bool(self.mask & KIND_BIT[EventKind.COMPLETION])
 
     @property
     def is_preemption_point(self) -> bool:
         """Arrivals and completions are the paper's preemption points."""
-        return self.has_arrival or self.has_completion
+        return bool(self.mask & _ARRIVAL_OR_COMPLETION)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScheduleTrigger):
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __repr__(self) -> str:
+        names = sorted(kind.name for kind in self.kinds)
+        return f"ScheduleTrigger({{{', '.join(names)}}})"
+
+
+#: What :meth:`ArrivalCalendar.pop_due` returns when nothing is due.
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+_NO_SLOTS.setflags(write=False)
 
 
 class ArrivalCalendar:
@@ -205,9 +249,9 @@ class ArrivalCalendar:
         if self._dead:
             self._purge_dead()
         head = self._head
+        if head >= self._time.size or self._time[head] > now:
+            return _NO_SLOTS
         hi = int(self._time.searchsorted(now, side="right"))
-        if hi <= head:
-            return np.empty(0, dtype=np.intp)
         out = self._slot[head:hi]
         self._head = hi
         # Compact the consumed prefix once it dominates the storage.

@@ -72,6 +72,8 @@ def _compression_want(view: SchedulerView, enable: bool) -> np.ndarray:
     want = view.compressible & (view.raw > 0)
     # Eq. 3: only compress when it disposes volume faster than the wire can.
     want &= engine.speed * (1.0 - view.xi) > view.link_cap
+    if not np.count_nonzero(want):
+        return want
     # Eq. 3 compares full-slice disposals; when transmission would already
     # finish the whole flow within one slice (Δt >= V), compressing first
     # can only add slice waste — never compress such flows.
@@ -89,12 +91,13 @@ def expected_fct(view: SchedulerView, beta: np.ndarray) -> np.ndarray:
     delta = view.slice_len
     B = view.link_cap
     vol = view.volume
-    if view.compression is not None:
-        dc = view.compression.speed * (1.0 - view.xi) * delta
-    else:
-        dc = np.zeros(view.num_flows)
-    dt = B * delta
-    disposed = np.where(beta, dc, dt)
+    disposed = B * delta
+    if np.count_nonzero(beta):
+        if view.compression is not None:
+            dc = view.compression.speed * (1.0 - view.xi) * delta
+        else:
+            dc = np.zeros(view.num_flows)
+        disposed = np.where(beta, dc, disposed)
     residual = np.maximum(vol - disposed, 0.0)
     return delta + residual / B
 
@@ -231,10 +234,8 @@ class FVDFScheduler(Scheduler):
         """
         perm, starts = view.unit_offsets()
         n_cof = len(view.coflows)
-        p_cof = np.fromiter(
-            (cs.priority_class for cs in view.coflows),
-            dtype=np.float64,
-            count=n_cof,
+        p_cof = np.array(
+            [cs.priority_class for cs in view.coflows], dtype=np.float64
         )
         if self.config.granularity == "coflow":
             return perm, starts, p_cof, np.arange(n_cof, dtype=np.intp)
@@ -285,7 +286,8 @@ class FVDFScheduler(Scheduler):
         # provisional urgency ranking, which then decides who actually wins
         # the contended cores.
         want = _compression_want(view, cfg.compress)
-        if np.count_nonzero(want):
+        wanted = np.count_nonzero(want)
+        if wanted:
             beta0 = view.compression.grant_cores(
                 want, view.src, view.free_cores
             )
@@ -294,7 +296,7 @@ class FVDFScheduler(Scheduler):
         gamma0 = self._unit_gammas(view, beta0, perm, starts)
         provisional = (gamma0 / P).argsort(kind="stable")
 
-        if np.count_nonzero(want & ~beta0):
+        if wanted and np.count_nonzero(want & ~beta0):
             # Pass 2: some node had more candidates than free cores, so the
             # urgency order decides who wins — re-grant and re-rank.
             flow_order = self._flows_in_unit_order(perm, starts, provisional)

@@ -40,6 +40,16 @@ from repro.errors import ConfigurationError
 #: Relative epsilon used to decide saturation in iterative filling.
 _EPS = 1e-12
 
+#: Fills without demands up to this many flows skip the vectorized
+#: prefilter: it only drops flows the loop would skip anyway, so the
+#: walk is the same, and on a few dozen flows the loop alone is cheaper.
+#: (With demands the bulk grant charges capacities in a different order
+#: of additions, so only fills of at most 8 flows take the loop there.)
+_SMALL_BACKFILL = 32
+
+#: ``maxmin_fair`` runs its rounds on Python lists up to this many flows.
+_SMALL_MAXMIN = 32
+
 #: One capacity dimension: (per-flow group index with -1 = exempt, caps).
 Dimension = Tuple[np.ndarray, np.ndarray]
 
@@ -155,16 +165,14 @@ def priority_fill(
     m = len(order)
     if m == 0:
         return out
-    if m <= 8:
-        # Tiny fills: the loop alone beats any vectorized setup cost.
+    if m <= 8 or (demands is None and m <= _SMALL_BACKFILL):
+        # Small fills: the loop alone beats any vectorized setup cost.
         want = (
             [math.inf] * m
             if demands is None
             else np.asarray(demands, dtype=np.float64)[order].tolist()
         )
-        _fill_in_order(
-            out, dims, order, want, [np.asarray(g)[order] for g, _ in dims]
-        )
+        _fill_small(out, dims, order, want)
         return out
     # Gather each dimension's group column once, in priority order
     # (reused across fills when the caller passes them in).
@@ -293,6 +301,66 @@ def _fill_in_order(
     np.add.at(out, osub, np.frombuffer(granted, dtype=np.float64))
 
 
+def _fill_small(
+    out: np.ndarray,
+    dims: Sequence[Dimension],
+    order: np.ndarray,
+    want: List[float],
+) -> None:
+    """:func:`_fill_in_order` for a fill of a few flows, settled wholly on
+    Python lists.
+
+    The same walk over the same ``+inf``-slotted capacity lists, but each
+    grant is added into ``out`` as it is made, in walk order, which is
+    what ``np.add.at`` does with repeated flows; and only the capacities
+    a grant changed are written back.  A fill of a few flows then skips
+    the ``array('d')``, the ``np.add.at`` and the whole-capacity
+    write-back, whose fixed costs outweigh its walk.
+    """
+    caps_l = []
+    for _, caps in dims:
+        values = caps.tolist()
+        values.append(math.inf)
+        caps_l.append(values)
+    cols = [np.asarray(groups)[order].tolist() for groups, _ in dims]
+    granted = []  # walk positions that received a grant
+    if len(dims) == 2:
+        c0, c1 = caps_l
+        for pos, i, w, g0, g1 in zip(
+            range(len(want)), order.tolist(), want, cols[0], cols[1]
+        ):
+            r = w
+            a = c0[g0]
+            if a < r:
+                r = a
+            b = c1[g1]
+            if b < r:
+                r = b
+            if r <= 0.0:
+                continue
+            out[i] += r
+            c0[g0] = a - r
+            c1[g1] = b - r
+            granted.append(pos)
+    else:
+        for pos, (i, w) in enumerate(zip(order.tolist(), want)):
+            r = w
+            for groups, caps in zip(cols, caps_l):
+                c = caps[groups[pos]]
+                if c < r:
+                    r = c
+            if r <= 0.0:
+                continue
+            out[i] += r
+            for groups, caps in zip(cols, caps_l):
+                caps[groups[pos]] -= r
+            granted.append(pos)
+    for (_, caps), groups, values in zip(dims, cols, caps_l):
+        for g in {groups[pos] for pos in granted}:
+            if g >= 0:
+                caps[g] = values[g]
+
+
 def greedy_priority(
     order: np.ndarray,
     src: np.ndarray,
@@ -345,7 +413,9 @@ def maxmin_fair(
     Every active flow's rate grows proportionally to its weight until one
     of its constraints saturates or it reaches its demand; saturated flows
     freeze and filling continues.  Terminates after at most
-    ``num_flows + num_constraints`` rounds.
+    ``num_flows + num_constraints`` rounds.  Up to ``_SMALL_MAXMIN``
+    flows the rounds run on Python lists, where a round's fixed numpy
+    cost outweighs its work; both round loops give the same bits.
 
     Parameters
     ----------
@@ -374,57 +444,142 @@ def maxmin_fair(
     if demands is not None:
         live &= demands > 0
 
-    # Loop invariants per dimension: (caps, selector of the member flows,
-    # their groups, member mask, in-bounds group index).  A dimension
-    # without exempt flows selects with a slice; otherwise exempt flows
-    # (group == -1) are clamped to index 0 purely to keep the fancy index
-    # in bounds, and the member mask discards those lanes, so a saturated
-    # constraint 0 can never freeze a flow exempt from this dimension.
-    cols = []
-    for groups, caps in dims:
-        member = groups >= 0
-        if np.count_nonzero(member) == n:
-            cols.append((caps, slice(None), groups, None, groups))
-        else:
-            cols.append(
-                (caps, member, groups[member], member, np.maximum(groups, 0))
-            )
-    unbounded = np.full(n, np.inf)
+    # Every dimension's constraints on one axis: group g of dimension d
+    # is constraint offset[d] + g, and an exempt flow (group -1) points
+    # at one extra slot at the end whose capacity is +inf and which never
+    # saturates.  A constraint's flows then sum in flow order, as in a
+    # per-dimension bincount, and a flow's limit is the minimum over its
+    # dimensions.
+    sizes = [len(caps) for _, caps in dims]
+    slot = sum(sizes)
+    caps_all = np.empty(slot + 1)
+    rows = []
+    offset = 0
+    for (groups, caps), size in zip(dims, sizes):
+        caps_all[offset : offset + size] = caps
+        rows.append(np.where(groups >= 0, groups + offset, slot))
+        offset += size
+    caps_all[slot] = np.inf
+    if n <= _SMALL_MAXMIN:
+        rates, caps_all = _maxmin_small(w, live, demands, rows, caps_all, slot)
+    else:
+        _maxmin_rounds(w, live, demands, rows, caps_all, slot, rates)
+    offset = 0
+    for (_, caps), size in zip(dims, sizes):
+        caps[:] = caps_all[offset : offset + size]
+        offset += size
+    return rates
+
+
+def _maxmin_rounds(w, live, demands, rows, caps_all, slot, rates) -> None:
+    """:func:`maxmin_fair`'s rounds on arrays: ``rates`` and ``caps_all``
+    are filled in place."""
+    n = len(w)
+    n_dims = len(rows)
+    constraint = np.concatenate(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         while np.count_nonzero(live):
-            w_live = np.where(live, w, 0.0)
             # Per-constraint growth-rate limit lam = rem_cap / total weight.
-            lam_flow = unbounded.copy()
-            for caps, sel, groups, _, _ in cols:
-                gsum = np.bincount(
-                    groups, weights=w_live[sel], minlength=len(caps)
-                )
-                lam = np.where(gsum > 0, caps / gsum, np.inf)
-                lam_flow[sel] = np.minimum(lam_flow[sel], lam[groups])
+            # (A weight times the live mask is the weight or 0.0: weights
+            # are finite and non-negative, and so is lam_star below.)
+            w_live = w * live
+            gsum = np.bincount(
+                constraint, weights=np.concatenate([w_live] * n_dims),
+                minlength=slot + 1,
+            )
+            # A constraint without live weight divides by zero; only
+            # frozen flows read it, and they are masked out below.
+            lam = caps_all / gsum
+            lam_flow = lam[rows[0]]
+            for row in rows[1:]:
+                lam_flow = np.minimum(lam_flow, lam[row])
             if demands is not None:
                 lam_demand = np.where(live, (demands - rates) / w, np.inf)
                 lam_flow = np.minimum(lam_flow, lam_demand)
-            lam_flow = np.where(live, lam_flow, np.inf)
-            lam_star = lam_flow.min()
+            lam_star = lam_flow[live].min()
             if not math.isfinite(lam_star) or lam_star < 0:
                 break
-            inc = np.where(live, w * lam_star, 0.0)
+            inc = w_live * lam_star
             rates += inc
-            newly_frozen = live & (lam_flow <= lam_star * (1 + 1e-9) + _EPS)
-            for caps, sel, groups, member, safe in cols:
-                caps -= np.bincount(
-                    groups, weights=inc[sel], minlength=len(caps)
-                )
-                np.maximum(caps, 0.0, out=caps)
-                sat = caps <= _EPS * (1 + caps)
-                if member is None:
-                    newly_frozen |= live & sat[safe]
-                else:
-                    newly_frozen |= live & member & sat[safe]
+            newly_frozen = lam_flow <= lam_star * (1 + 1e-9) + _EPS
+            caps_all -= np.bincount(
+                constraint, weights=np.concatenate([inc] * n_dims),
+                minlength=slot + 1,
+            )
+            np.maximum(caps_all, 0.0, out=caps_all)  # the slot stays +inf
+            sat = caps_all <= _EPS * (1 + caps_all)
+            sat[slot] = False
+            for row in rows:
+                newly_frozen |= sat[row]
+            newly_frozen &= live
             if not np.count_nonzero(newly_frozen):
                 break  # numerical guard; should not happen
             live &= ~newly_frozen
-    return rates
+
+
+def _maxmin_small(w, live, demands, rows, caps_all, slot):
+    """:func:`_maxmin_rounds` on Python lists, for a few flows.
+
+    The same rounds, value for value: each constraint sums its live
+    flows in flow order (a ``bincount``'s order), and every division,
+    product, difference and comparison is the array round's, one element
+    at a time.  A constraint no live flow uses is skipped: the array
+    round reads it only for frozen flows, and subtracts nothing from it
+    (after the first round's clamp at 0).  Returns ``(rates, caps_all)``.
+    """
+    n = len(w)
+    wl = w.tolist()
+    lv = live.tolist()
+    dl = None if demands is None else demands.tolist()
+    fcs = list(zip(*[row.tolist() for row in rows]))  # constraints per flow
+    caps = caps_all.tolist()
+    rates = [0.0] * n
+    eps = _EPS
+    clamped = False
+    while True in lv:
+        flows = [i for i in range(n) if lv[i]]
+        gsum: dict = {}
+        for i in flows:
+            x = wl[i]
+            for c in fcs[i]:
+                gsum[c] = gsum.get(c, 0.0) + x
+        lam = {c: caps[c] / s for c, s in gsum.items()}
+        lam_flow = {}
+        for i in flows:
+            best = min([lam[c] for c in fcs[i]])
+            if dl is not None:
+                x = (dl[i] - rates[i]) / wl[i]
+                if x < best:
+                    best = x
+            lam_flow[i] = best
+        lam_star = min(lam_flow.values())
+        if not math.isfinite(lam_star) or lam_star < 0:
+            break
+        if not clamped:
+            # The array round clamps every constraint at 0 once.
+            caps = [0.0 if x < 0.0 else x for x in caps]
+            clamped = True
+        csum: dict = {}
+        for i in flows:
+            x = wl[i] * lam_star
+            rates[i] += x
+            for c in fcs[i]:
+                csum[c] = csum.get(c, 0.0) + x
+        for c, s in csum.items():
+            x = caps[c] - s
+            caps[c] = 0.0 if x < 0.0 else x
+        top = lam_star * (1 + 1e-9) + eps
+        frozen = [
+            i for i in flows
+            if lam_flow[i] <= top or any(
+                c != slot and caps[c] <= eps * (1 + caps[c]) for c in fcs[i]
+            )
+        ]
+        if not frozen:
+            break  # numerical guard; should not happen
+        for i in frozen:
+            lv[i] = False
+    return np.array(rates), np.array(caps)
 
 
 def coflow_gamma(

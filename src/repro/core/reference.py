@@ -32,6 +32,7 @@ from repro.core.simulator import (
     SimulationResult,
     SliceSimulator,
     _CoflowRecord,
+    _tolerance,
 )
 from repro.errors import ConfigurationError
 
@@ -89,6 +90,7 @@ class PreColumnarSliceSimulator(SliceSimulator):
             self._flow_id[g] = f.flow_id
             self._raw[g] = f.size
             self._comp[g] = 0.0
+            self._tol[g] = _tolerance(self._size[g])
             if f.ratio_override is not None:
                 self._xi[g] = f.ratio_override
             elif self.compression is not None:
@@ -203,6 +205,8 @@ class PreColumnarSliceSimulator(SliceSimulator):
     def _build_view(self, trigger) -> SchedulerView:
         if self._groups_dirty or self.force_regroup:
             self._regroup()
+        # The view carries the grouping up front.
+        self._grouping_read = True
         idx = self._active
         static = self._cached_static
         free = self.cpu.free_cores(self.now)
@@ -236,7 +240,7 @@ class PreColumnarSliceSimulator(SliceSimulator):
         if len(idx) == 0:
             return finished_coflows
         vol = self._raw[idx] + self._comp[idx]
-        done_mask = vol <= self._eps(idx)
+        done_mask = vol <= self._tol[idx]
         done_idx = idx[done_mask]
         if len(done_idx) == 0:
             return finished_coflows

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,7 +183,6 @@ class CoflowState:
         )
 
 
-@dataclass
 class SchedulerView:
     """Read-only snapshot of the simulation at a decision point.
 
@@ -191,43 +190,70 @@ class SchedulerView:
     flow everywhere.  ``volume = raw + comp`` is the paper's ``V``; ``xi`` is
     each flow's *effective* compression ratio (its ``ratio_override`` if
     set, otherwise the codec's size-dependent model).
+
+    ``unit_perm``/``unit_starts`` are an optional precomputed coflow
+    segmentation: ``unit_perm`` lists every active-flow position grouped
+    by coflow (in ``coflows`` order) and ``unit_starts`` the segment
+    offsets (``len(coflows) + 1`` entries), so segment ops like
+    ``np.maximum.reduceat`` replace per-coflow Python loops; derived
+    lazily from ``coflows`` when not supplied.  ``coflow_table`` is an
+    optional engine-side coflow table ``(slots, ids, arrival, width)``:
+    ``coflows[j]`` is row ``slots[j]`` of the three columns, and width
+    counts every member flow, finished ones too.
+
+    The engine hands out a subclass that gathers the columns a policy
+    does not read on every decision, and the coflow grouping, on first
+    read (:class:`repro.core.simulator.SliceSimulator`).
     """
 
-    time: float
-    slice_len: float
-    trigger: ScheduleTrigger
-    fabric: BigSwitch
-    flow_ids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    raw: np.ndarray
-    comp: np.ndarray
-    xi: np.ndarray
-    size: np.ndarray
-    arrival: np.ndarray
-    coflow_ids: np.ndarray
-    compressible: np.ndarray
-    coflows: List[CoflowState]
-    free_cores: np.ndarray
-    compression: Optional[CompressionEngine]
-    #: Optional precomputed coflow segmentation: ``unit_perm`` lists every
-    #: active-flow position grouped by coflow (in ``coflows`` order) and
-    #: ``unit_starts`` the segment offsets (``len(coflows) + 1`` entries),
-    #: so segment ops like ``np.maximum.reduceat`` replace per-coflow
-    #: Python loops.  Derived lazily from ``coflows`` when not supplied.
-    unit_perm: Optional[np.ndarray] = None
-    unit_starts: Optional[np.ndarray] = None
-    #: Optional engine-side coflow table ``(slots, ids, arrival, width)``:
-    #: ``coflows[j]`` is row ``slots[j]`` of the three columns, and width
-    #: counts every member flow, finished ones too.
-    coflow_table: Optional[Tuple[np.ndarray, ...]] = None
-    _coflow_cols: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
+    def __init__(
+        self,
+        time: float,
+        slice_len: float,
+        trigger: ScheduleTrigger,
+        fabric: BigSwitch,
+        flow_ids: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        raw: np.ndarray,
+        comp: np.ndarray,
+        xi: np.ndarray,
+        size: np.ndarray,
+        arrival: np.ndarray,
+        coflow_ids: np.ndarray,
+        compressible: np.ndarray,
+        coflows: List[CoflowState],
+        free_cores: np.ndarray,
+        compression: Optional[CompressionEngine],
+        unit_perm: Optional[np.ndarray] = None,
+        unit_starts: Optional[np.ndarray] = None,
+        coflow_table: Optional[Tuple[np.ndarray, ...]] = None,
+    ):
+        self.time = time
+        self.slice_len = slice_len
+        self.trigger = trigger
+        self.fabric = fabric
+        self.flow_ids = flow_ids
+        self.src = src
+        self.dst = dst
+        self.raw = raw
+        self.comp = comp
+        self.xi = xi
+        self.size = size
+        self.arrival = arrival
+        self.coflow_ids = coflow_ids
+        self.compressible = compressible
+        self.coflows = coflows
+        self.free_cores = free_cores
+        self.compression = compression
+        self.unit_perm = unit_perm
+        self.unit_starts = unit_starts
+        self.coflow_table = coflow_table
+        self._coflow_cols: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def num_flows(self) -> int:
-        return len(self.flow_ids)
+        return len(self.src)
 
     @functools.cached_property
     def volume(self) -> np.ndarray:

@@ -30,13 +30,20 @@ import heapq
 import math
 import time
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow, CoflowResult
-from repro.core.events import ArrivalCalendar, EventKind, ScheduleTrigger
+from repro.core.events import (
+    KIND_BIT,
+    ArrivalCalendar,
+    EventKind,
+    ScheduleTrigger,
+    kinds_of,
+    mask_of,
+)
 from repro.core.flow import Flow, FlowResult
 from repro.core.ingest import CoflowBlock
 from repro.core.results import LazyCoflowResults, LazyFlowResults, ResultStore
@@ -71,6 +78,10 @@ _FLOW_COLS = (
     "_slot_of", "_done_seq",
 )
 
+#: Every growable flow column: the checkpointed ones plus ``_tol``, the
+#: finish tolerance, which a restore derives from ``_size`` again.
+_STORE_COLS = _FLOW_COLS + ("_tol",)
+
 #: Dense per-coflow slot columns.
 _CF_COLS = (
     "_cf_id", "_cf_arrival", "_cf_remaining", "_cf_finish",
@@ -78,20 +89,39 @@ _CF_COLS = (
 )
 
 
+#: Trigger-kind bits the engine ORs into a step's mask.
+_START = KIND_BIT[EventKind.START]
+_ARRIVAL = KIND_BIT[EventKind.ARRIVAL]
+_COMPLETION = KIND_BIT[EventKind.COMPLETION]
+_RAW_EXHAUSTED = KIND_BIT[EventKind.RAW_EXHAUSTED]
+_CAPACITY = KIND_BIT[EventKind.CAPACITY]
 #: The window kinds of a run(until=...) horizon that no event shares.
-_HORIZON_ONLY = frozenset({EventKind.HORIZON})
+_HORIZON = KIND_BIT[EventKind.HORIZON]
 
 
-def _window_masks(alloc: Allocation):
-    """``(tx, n_tx, compressing)`` of the allocation in force.
+def _tolerance(size):
+    """Volume a flow may keep and still count as finished: ``1e-9·size +
+    1e-9``.  Ingest stores it as a column, so the step never recomputes
+    it."""
+    return 1e-9 * size + 1e-9
 
-    The transmit mask, how many flows it selects and whether any flow
-    compresses, taken once per window for validation, core claims, the
-    horizon and integration.  ``count_nonzero`` answers a mask's
-    ``any()`` without the Python wrapper of the ndarray method.
+
+class _Window:
+    """One step's window: the allocation in force and its transmitting
+    rows, taken once from the view for validation, the horizon and
+    integration.
+
+    ``tx`` masks the transmitting active positions and ``n_tx`` counts
+    them; ``gi`` are their global rows and ``rates``, ``raw``, ``comp``
+    and ``vol`` their rates and volumes.  Those volumes are the view's,
+    which integration may use as is: its compress branch only writes β
+    rows, and a β row never transmits.
     """
-    tx = alloc.rates > 0
-    return tx, int(np.count_nonzero(tx)), bool(np.count_nonzero(alloc.compress))
+
+    __slots__ = (
+        "alloc", "tx", "n_tx", "compressing", "gi", "rates", "raw", "comp",
+        "vol",
+    )
 
 
 def _time_eps(t: float) -> float:
@@ -324,20 +354,80 @@ class _CoflowFactory:
     :class:`CoflowState` of an engine shares.
 
     Resolves the *current* slot through the engine's id map, so it stays
-    valid across drain compactions.  Holds the engine through a weak
-    proxy: a strong reference would close the cycle engine -> state ->
-    factory -> engine, and a dropped engine would then wait for the
-    cyclic GC.  Once the engine is gone a call raises ``ReferenceError``.
+    valid across drain compactions.  Holds the engine's weak proxy: a
+    strong reference would close the cycle engine -> state -> factory ->
+    engine, and a dropped engine would then wait for the cyclic GC.  Once
+    the engine is gone a call raises ``ReferenceError``.
     """
 
     __slots__ = ("_sim",)
 
     def __init__(self, sim: "SliceSimulator"):
-        self._sim = weakref.proxy(sim)
+        self._sim = sim
 
     def __call__(self, coflow_id: int) -> Coflow:
         sim = self._sim
         return sim._coflow_for_slot(sim._coflows[coflow_id])
+
+
+#: View columns gathered from the store on first read: name -> column.
+_LAZY_COLUMNS = {
+    "flow_ids": "_flow_id",
+    "xi": "_xi",
+    "size": "_size",
+    "arrival": "_arrival",
+    "coflow_ids": "_coflow_of",
+    "compressible": "_compressible",
+}
+#: View attributes that the engine's coflow grouping binds.
+_GROUPING = frozenset({"coflows", "unit_perm", "unit_starts", "coflow_table"})
+
+
+class _EngineView(SchedulerView):
+    """The engine's :class:`SchedulerView` of its active set.
+
+    ``src``, ``dst``, ``raw`` and ``comp`` are gathered up front; every
+    policy reads them.  The other columns, the free cores and the coflow
+    grouping are bound on first read, so a policy pays only for what it
+    reads: the flow-level baselines never group coflows, and only FVDF
+    reads the free cores.  Read a view during its own decision: the
+    engine's store moves on afterwards.
+    """
+
+    def __init__(self, sim: "SliceSimulator", trigger: ScheduleTrigger):
+        idx = sim._active
+        self.time = sim._k * sim.slice_len
+        self.slice_len = sim.slice_len
+        self.trigger = trigger
+        self.fabric = sim.fabric
+        self.compression = sim.compression
+        self.src = sim._src[idx]
+        self.dst = sim._dst[idx]
+        self.raw = sim._raw[idx]
+        self.comp = sim._comp[idx]
+        self._coflow_cols = None
+        self._sim = sim._proxy
+        self._idx = idx
+
+    def __getattr__(self, name):
+        # Only reached for attributes not bound yet.
+        sim = self.__dict__.get("_sim")
+        if sim is None:
+            raise AttributeError(name)
+        column = _LAZY_COLUMNS.get(name)
+        if column is not None:
+            value = getattr(sim, column)[self._idx]
+        elif name == "free_cores":
+            value = sim.cpu.free_cores(self.time)
+        elif name in _GROUPING:
+            sim._bind_grouping(self)
+            return self.__dict__[name]
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.__dict__[name] = value
+        return value
 
 
 class SliceSimulator:
@@ -421,6 +511,8 @@ class SliceSimulator:
         self._slot_of = np.empty(0, dtype=np.intp)
         #: Retirement sequence number per flow (order within the run).
         self._done_seq = np.empty(0, dtype=np.int64)
+        #: Finish tolerance per flow (:func:`_tolerance` of its size).
+        self._tol = np.empty(0, dtype=np.float64)
 
         # --- dense per-coflow slot arrays ------------------------------------
         # One slot per submitted coflow, in submission order.  Retirement
@@ -445,7 +537,10 @@ class SliceSimulator:
         # activation).
         self._cf_coflows: List[Optional[Coflow]] = []
         self._cf_states: List[Optional[CoflowState]] = []
-        self._coflow_factory = _CoflowFactory(self)
+        #: The engine through a weak proxy, for the objects it hands out
+        #: (coflow factory, views): a dropped engine is freed by refcount.
+        self._proxy = weakref.proxy(self)
+        self._coflow_factory = _CoflowFactory(self._proxy)
 
         # --- retirement log (feeds the ResultStore snapshot) ----------------
         self._done_chunks: List[np.ndarray] = []   # global flow idx, per retire
@@ -457,12 +552,15 @@ class SliceSimulator:
         self._active = np.empty(0, dtype=np.intp)
         self._cancelled: set = set()
         # --- incremental view cache ------------------------------------------
-        # Coflow grouping only changes when the active set changes;
-        # arrivals and retirements now patch the cached segmentation
-        # *incrementally* (append / shrink deltas), so ``_groups_dirty``
-        # — a full rebuild — is only set by cancellation and the rare
-        # delta-ineligible arrival.
+        # Coflow grouping only changes when the active set changes.
+        # While decisions read it, arrivals and retirements patch the
+        # cached segmentation *incrementally* (append / shrink deltas);
+        # ``_groups_dirty`` — a full rebuild on the next read — is set by
+        # cancellation, the rare delta-ineligible arrival and a decision
+        # that did not read the grouping (flow-level policies never do).
         self._groups_dirty = True
+        #: Whether the current decision read the grouping (see _decide).
+        self._grouping_read = False
         #: Debug/benchmark knob: force a full regroup at every decision
         #: point, restoring the pre-incremental view-building cost (used
         #: by the perf harness to measure the cache's win and by the
@@ -494,7 +592,7 @@ class SliceSimulator:
         # the last boundary, and the allocation still in force when the
         # horizon (not an event) ended the window.  Cancellation drops
         # the held allocation; arrivals and capacity changes re-decide.
-        self._resume_kinds: Set[EventKind] = set()
+        self._resume_mask = 0
         self._held: Optional[Allocation] = None
         self._ingress_bytes = np.zeros(fabric.num_ingress)
         self._egress_bytes = np.zeros(fabric.num_egress)
@@ -511,7 +609,7 @@ class SliceSimulator:
         if need <= self._cap:
             return
         new_cap = max(64, self._cap * 2, need)
-        for name in _FLOW_COLS:
+        for name in _STORE_COLS:
             old = getattr(self, name)
             arr = np.zeros(new_cap, dtype=old.dtype)
             arr[: self._n] = old[: self._n]
@@ -642,6 +740,7 @@ class SliceSimulator:
         self._flow_id[g0:g1] = block.flow_id
         self._raw[g0:g1] = size
         self._comp[g0:g1] = 0.0
+        self._tol[g0:g1] = _tolerance(self._size[g0:g1])
         self._xi[g0:g1] = xi
         self._override[g0:g1] = override
         self._state[g0:g1] = _PENDING
@@ -857,10 +956,7 @@ class SliceSimulator:
         trigger kinds and, if no event ended the window, the allocation
         still in force, so a chunked run equals an uninterrupted one.
         """
-        if self._started:
-            trigger = ScheduleTrigger(set(self._resume_kinds))
-        else:
-            trigger = ScheduleTrigger({EventKind.START})
+        mask = self._resume_mask if self._started else _START
         held, self._held = self._held, None
         self._started = True
         while True:
@@ -883,54 +979,48 @@ class SliceSimulator:
             if until is not None and self.now >= until - _time_eps(until):
                 break
 
-            arrived = self._activate_due()
-            if arrived:
-                trigger.kinds.add(EventKind.ARRIVAL)
-            if self._apply_due_capacity_changes():
-                trigger.kinds.add(EventKind.CAPACITY)
+            if self._activate_due():
+                mask |= _ARRIVAL
+            if self._cap_events and self._apply_due_capacity_changes():
+                mask |= _CAPACITY
             if self._active.size == 0:
                 continue  # activation may still be empty (arrival just past `until`)
 
             obs = self.obs
             flt = obs.recorder
-            if held is not None and not trigger.kinds:
+            trigger = ScheduleTrigger(mask=mask)
+            if held is not None and not mask:
                 # A ``run(until=...)`` horizon, not an event, ended the
                 # last window: its allocation stays in force (cores
                 # included), exactly as in an uninterrupted run.
                 view = self._build_view(trigger)
-                alloc = held
-                tx, n_tx, compressing = _window_masks(alloc)
-                self._claim_cores(view, alloc, compressing)
+                win = self._window(view, held)
+                self._claim_cores(view, held, win.compressing)
             else:
-                view, alloc, tx, n_tx, compressing = self._decide(trigger)
+                view, win = self._decide(trigger)
             held = None
 
-            n_slices, dt_kinds = self._horizon_slices(
-                view, alloc, tx, n_tx, compressing, until
-            )
+            n_slices, dt_mask = self._horizon_slices(view, win, until)
             if flt.enabled:
-                flt.add_jump(self.now, n_slices, dt_kinds)
+                flt.add_jump(self.now, n_slices, dt_mask)
             if obs.metrics.enabled:
                 obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
             boundary = (self._k + n_slices) * self.slice_len
             dt = n_slices * self.slice_len
             if obs.profiler.enabled:
                 with obs.profiler.section("integrate"):
-                    self._integrate(alloc, tx, n_tx, compressing, dt)
+                    self._integrate(win, dt)
             else:
-                self._integrate(alloc, tx, n_tx, compressing, dt)
+                self._integrate(win, dt)
             self._k += n_slices
 
             active = self._active
-            trigger = ScheduleTrigger()
-            completed = self._retire_finished(boundary)
-            if completed:
-                trigger.kinds.add(EventKind.COMPLETION)
-            if EventKind.RAW_EXHAUSTED in dt_kinds:
-                trigger.kinds.add(EventKind.RAW_EXHAUSTED)
-            if dt_kinds == _HORIZON_ONLY and self._active is active:
-                held = alloc
-        self._resume_kinds = set(trigger.kinds)
+            mask = dt_mask & _RAW_EXHAUSTED
+            if self._retire_finished(boundary):
+                mask |= _COMPLETION
+            if dt_mask == _HORIZON and self._active is active:
+                held = win.alloc
+        self._resume_mask = mask
         self._held = held
         self._release_claims()
         return self.result()
@@ -938,20 +1028,22 @@ class SliceSimulator:
     def _decide(self, trigger: ScheduleTrigger):
         """One decision point: ask the scheduler, validate, claim cores.
 
-        Returns ``(view, alloc, tx, n_tx, compressing)``, the last three
-        from :func:`_window_masks`.
+        Returns ``(view, window)``.  The coflow grouping stays maintained
+        for the next decision only if this one read it.
         """
         # The previous window is over: its compression cores are free
         # for reassignment before the scheduler looks at the node state.
-        self._release_claims()
+        if self._claim_nodes:
+            self._release_claims()
         for fn in self._on_decision:
             fn(self.now)
+        self._grouping_read = False
         view = self._build_view(trigger)
         obs = self.obs
         flt = obs.recorder
         if flt.enabled:
             flt.add_decision(
-                self.now, trigger.kinds, view.num_flows, len(view.coflows)
+                self.now, trigger.mask, view.num_flows, self._n_active_coflows()
             )
         timed = obs.metrics.enabled or obs.profiler.enabled
         if timed:
@@ -962,21 +1054,32 @@ class SliceSimulator:
             obs.metrics.histogram("engine.decision_latency").observe(elapsed)
             if obs.profiler.enabled:
                 obs.profiler.add("schedule", elapsed)
-        tx, n_tx, compressing = _window_masks(alloc)
-        self._validate(view, alloc, tx, compressing)
-        self._apply_claims(view, alloc, compressing)
+        if not self._grouping_read:
+            # Nothing reads the grouping: stop patching it per step; the
+            # next read rebuilds it.
+            self._groups_dirty = True
+        win = self._window(view, alloc)
+        self._validate(view, win)
+        if win.compressing:
+            self._apply_claims(view, alloc)
         if flt.enabled:
             total = float(alloc.rates.sum())
             max_rate = float(alloc.rates.max()) if len(alloc.rates) else 0.0
-            flt.add_rates(self.now, n_tx, total, max_rate)
-            if compressing:
+            flt.add_rates(self.now, win.n_tx, total, max_rate)
+            if win.compressing:
                 flt.add_beta(self.now, view.flow_ids[alloc.compress])
         if self._recorder is not None:
             self._recorder.sample_model(self.now, self.cpu)
         self._decision_points += 1
         if obs.metrics.enabled:
             obs.metrics.counter("engine.decisions").inc()
-        return view, alloc, tx, n_tx, compressing
+        return view, win
+
+    def _n_active_coflows(self) -> int:
+        """How many coflows have an active flow (the grouping's length)."""
+        if not self._groups_dirty:
+            return len(self._cached_states)
+        return len(np.unique(self._slot_of[self._active]))
 
     def result(self) -> SimulationResult:
         return SimulationResult(
@@ -1112,7 +1215,7 @@ class SliceSimulator:
         # Whole-slot eviction keeps each surviving coflow's flow block
         # contiguous, so the _cf_first/_cf_count invariant survives the
         # old->new index remap.
-        for name in _FLOW_COLS:
+        for name in _STORE_COLS:
             setattr(self, name, getattr(self, name)[:n][keep_flow])
         self._n = self._cap = int(keep_flow.sum())
         self._slot_of = new_of_slot[self._slot_of]
@@ -1146,10 +1249,11 @@ class SliceSimulator:
         self._calendar.remap(slot_map)
 
         # Eviction keeps every active row (no evicted coflow has one) and
-        # their order, so the cached grouping over active positions stays
+        # their order, so a current grouping over active positions stays
         # valid; only its slot column needs the renumbering.
         self._active = new_of_flow[self._active]
-        self._cached_group_slots = new_of_slot[self._cached_group_slots]
+        if not self._groups_dirty:
+            self._cached_group_slots = new_of_slot[self._cached_group_slots]
         self._done_chunks = [new_of_flow[held]] if held.size else []
         self._closed_chunks = []
         return store
@@ -1176,7 +1280,7 @@ class SliceSimulator:
             "k": self._k,
             "started": self._started,
             "decision_points": self._decision_points,
-            "resume_kinds": sorted(k.name for k in self._resume_kinds),
+            "resume_kinds": sorted(k.name for k in kinds_of(self._resume_mask)),
             "held": (
                 None
                 if self._held is None
@@ -1232,6 +1336,7 @@ class SliceSimulator:
         self._cf_grow(n_cf)
         for c in _FLOW_COLS:
             getattr(self, c)[:n] = state["flow_cols"][c]
+        self._tol[:n] = _tolerance(self._size[:n])
         self._n = n
         for c in _CF_COLS:
             getattr(self, c)[:n_cf] = state["cf_cols"][c]
@@ -1245,7 +1350,7 @@ class SliceSimulator:
         self._k = int(state["k"])
         self._started = bool(state["started"])
         self._decision_points = int(state["decision_points"])
-        self._resume_kinds = {EventKind[name] for name in state["resume_kinds"]}
+        self._resume_mask = mask_of(EventKind[name] for name in state["resume_kinds"])
         held = state["held"]
         self._held = (
             None if held is None else Allocation(rates=held[0], compress=held[1])
@@ -1366,12 +1471,13 @@ class SliceSimulator:
         Invariant: the grouping (states list, per-state ``flow_idx``
         positions, unit permutation/offsets) depends only on
         ``_active``.  Arrivals and retirements keep the cache current
-        with the incremental deltas below, and a drain only renumbers
-        the cached slots; this full rebuild runs on the first decision,
-        after cancellations and restores, when ``force_regroup`` is set,
-        and for the rare arrival batch the append delta cannot handle (a
-        mid-run submission arriving no later than an already active
-        coflow).
+        with the incremental deltas below while decisions read it, and a
+        drain only renumbers the cached slots; this full rebuild runs on
+        the first read, the first read after a decision that did not
+        read it, after cancellations and restores, when
+        ``force_regroup`` is set, and for the rare arrival batch the
+        append delta cannot handle (a mid-run submission arriving no
+        later than an already active coflow).
         """
         slots_of_pos = self._slot_of[self._active]
         # Rank distinct coflows by (arrival, coflow_id) — the order the
@@ -1425,47 +1531,53 @@ class SliceSimulator:
         if gslots.size and arrivals[0] <= self._cf_arrival[gslots[-1]]:
             self._groups_dirty = True
             return
-        order = np.lexsort((self._cf_id[slots], arrivals))
         g0 = len(self._cached_states)
-        # Batch positions: slot i occupies [base[i], base[i]+width[i]);
-        # in group order they land back to back from old_n on.
-        base = old_n + (widths.cumsum() - widths)
-        w = widths[order]
-        ends = w.cumsum()
-        perm_chunk = (base[order] - (ends - w)).repeat(w) + np.arange(
-            ends[-1], dtype=np.intp
-        )
         seg = self._seg
+        if len(slots) == 1:
+            # A lone coflow is its own group: its rows in row order.
+            width = int(widths[0])
+            perm_chunk = np.arange(old_n, old_n + width, dtype=np.intp)
+            ends = widths
+            new_slots = slots
+            unit_chunk = np.full(width, g0, dtype=np.intp)
+        else:
+            order = np.lexsort((self._cf_id[slots], arrivals))
+            # Batch positions: slot i occupies [base[i], base[i]+width[i]);
+            # in group order they land back to back from old_n on.
+            base = old_n + (widths.cumsum() - widths)
+            w = widths[order]
+            ends = w.cumsum()
+            perm_chunk = (base[order] - (ends - w)).repeat(w) + np.arange(
+                ends[-1], dtype=np.intp
+            )
+            new_slots = slots[order]
+            # order is a permutation, so its argsort is each slot's rank.
+            unit_chunk = (g0 + order.argsort()).repeat(widths)
         seg.perm = np.concatenate((seg.perm, perm_chunk))
         seg.starts = np.concatenate((seg.starts, seg.starts[-1] + ends))
-        new_slots = slots[order]
         for j, s in enumerate(new_slots.tolist(), g0):
             state = self._state_for_slot(s)
             state.bind_segments(seg, j)
             self._cached_states.append(state)
         self._cached_group_slots = np.concatenate((gslots, new_slots))
-        # order is a permutation, so its argsort is each slot's rank.
-        self._cached_unit_of_pos = np.concatenate((
-            self._cached_unit_of_pos, (g0 + order.argsort()).repeat(widths)
-        ))
+        self._cached_unit_of_pos = np.concatenate(
+            (self._cached_unit_of_pos, unit_chunk)
+        )
 
     def _regroup_shrink(self, keep: np.ndarray) -> None:
         """Shrink delta: drop retired positions from the cached grouping.
 
-        ``keep`` masks the *old* active positions.  Filtering a
-        group-sorted permutation by a keep mask preserves order, and the
-        old→new position remap (``cumsum(keep) - 1``) is monotone, so
-        the filtered permutation is still sorted by (group, position)
-        without re-sorting.  Emptied groups drop out; surviving groups
-        keep their relative order, so only their ordinals shift.
+        ``keep`` masks the *old* active positions.  Emptied groups drop
+        out; surviving groups keep their relative order, so only their
+        ordinals shift.  The permutation is always the stable argsort of
+        the group ordinal per position (what :meth:`_regroup` builds and
+        the append delta extends), so it is re-sorted from the kept
+        ordinals: one call, and linear on their long ascending runs.
         """
         kept_units = self._cached_unit_of_pos[keep]
         n_groups = len(self._cached_states)
         counts = np.bincount(kept_units, minlength=n_groups)
-        newpos = keep.cumsum() - 1  # old position -> new position
         seg = self._seg
-        perm = seg.perm
-        seg.perm = newpos[perm[keep[perm]]]
         if np.count_nonzero(counts) < n_groups:
             alive = counts > 0
             kept_units = (alive.cumsum() - 1)[kept_units]
@@ -1476,59 +1588,65 @@ class SliceSimulator:
                 state._ordinal = k
             self._cached_states = states
             self._cached_group_slots = self._cached_group_slots[alive]
+        # The permutation is the stable sort of the positions by group.
+        seg.perm = kept_units.argsort(kind="stable")
         starts = np.zeros(counts.size + 1, dtype=np.intp)
         counts.cumsum(out=starts[1:])
         seg.starts = starts
         self._cached_unit_of_pos = kept_units
 
     def _build_view(self, trigger: ScheduleTrigger) -> SchedulerView:
+        return _EngineView(self, trigger)
+
+    def _bind_grouping(self, view: SchedulerView) -> None:
+        """Bind the active set's coflow grouping onto ``view`` (its first
+        read of ``coflows``, ``unit_offsets()`` or ``coflow_columns()``),
+        rebuilding the grouping if no delta kept it current."""
         if self._groups_dirty or self.force_regroup:
             self._regroup()
-        idx = self._active
-        free = self.cpu.free_cores(self.now)
-        return SchedulerView(
-            time=self.now,
-            slice_len=self.slice_len,
-            trigger=trigger,
-            fabric=self.fabric,
-            flow_ids=self._flow_id[idx],
-            src=self._src[idx],
-            dst=self._dst[idx],
-            raw=self._raw[idx],
-            comp=self._comp[idx],
-            xi=self._xi[idx],
-            size=self._size[idx],
-            arrival=self._arrival[idx],
-            coflow_ids=self._coflow_of[idx],
-            compressible=self._compressible[idx],
-            coflows=self._cached_states,
-            free_cores=free,
-            compression=self.compression,
-            unit_perm=self._seg.perm,
-            unit_starts=self._seg.starts,
-            coflow_table=(
-                self._cached_group_slots, self._cf_id, self._cf_arrival,
-                self._cf_count,
-            ),
+        self._grouping_read = True
+        seg = self._seg
+        d = view.__dict__
+        d["coflows"] = self._cached_states
+        d["unit_perm"] = seg.perm
+        d["unit_starts"] = seg.starts
+        d["coflow_table"] = (
+            self._cached_group_slots, self._cf_id, self._cf_arrival,
+            self._cf_count,
         )
 
-    def _validate(
-        self, view: SchedulerView, alloc: Allocation, tx: np.ndarray,
-        compressing: bool,
-    ) -> None:
+    def _window(self, view: SchedulerView, alloc: Allocation) -> _Window:
+        """The window of ``alloc`` over ``view``'s active set."""
         n = view.num_flows
-        if len(alloc.rates) != n or len(alloc.compress) != n:
+        rates = alloc.rates
+        if len(rates) != n or len(alloc.compress) != n:
             raise SchedulingError(
-                f"{self.scheduler.name}: allocation length {len(alloc.rates)} "
+                f"{self.scheduler.name}: allocation length {len(rates)} "
                 f"!= {n} active flows"
             )
-        if not np.isfinite(alloc.rates).all():
+        win = _Window()
+        win.alloc = alloc
+        win.tx = tx = rates > 0
+        pos = tx.nonzero()[0]
+        win.n_tx = n_tx = len(pos)
+        win.compressing = bool(np.count_nonzero(alloc.compress))
+        if n_tx:
+            win.gi = self._active[pos]
+            win.rates = rates[pos]
+            win.raw = raw = view.raw[pos]
+            win.comp = comp = view.comp[pos]
+            win.vol = raw + comp
+        return win
+
+    def _validate(self, view: SchedulerView, win: _Window) -> None:
+        alloc = win.alloc
+        if np.count_nonzero(np.isfinite(alloc.rates)) < len(alloc.rates):
             raise SchedulingError(f"{self.scheduler.name}: non-finite rate")
         self.fabric.check_feasible(view.src, view.dst, alloc.rates)
-        if not compressing:
+        if not win.compressing:
             return
         cz = alloc.compress
-        if (cz & tx).any():
+        if np.count_nonzero(cz & win.tx):
             raise SchedulingError(
                 f"{self.scheduler.name}: a flow may not compress and transmit "
                 "in the same slice (exclusive β)"
@@ -1566,10 +1684,8 @@ class SliceSimulator:
             claims[node] = claims.get(node, 0) + 1
         return claims
 
-    def _apply_claims(
-        self, view: SchedulerView, alloc: Allocation, compressing: bool
-    ) -> None:
-        claims = self._claim_cores(view, alloc, compressing)
+    def _apply_claims(self, view: SchedulerView, alloc: Allocation) -> None:
+        claims = self._claim_cores(view, alloc, True)
         if claims:
             flt = self.obs.recorder
             if flt.enabled:
@@ -1586,46 +1702,47 @@ class SliceSimulator:
             self.cpu.release(node)
         self._claim_nodes.clear()
 
-    def _horizon_slices(self, view, alloc, tx, n_tx, compressing, until):
+    def _horizon_slices(self, view, win: _Window, until):
         """Slices to advance until the next interesting boundary.
 
-        Returns ``(n, kinds)``: the number of slices to fast-forward and
-        the *union* of every event kind that lands within the advanced
-        window ``(now, now + n·δ]``.  All such events take effect at the
-        boundary (arrivals activate, drained flows retire, capacity
-        changes apply), so the trigger handed to the scheduler must carry
-        all of their kinds — keeping only the earliest kind would drop
-        coincident triggers at tied boundaries (e.g. an arrival and a
-        completion at the same instant) and break the Upgrade step's
-        fire-at-every-event contract (Pseudocode 3).
+        Returns ``(n, mask)``: the number of slices to fast-forward and
+        the kinds mask (:data:`~repro.core.events.KIND_BIT`) of *every*
+        event that lands within the advanced window ``(now, now + n·δ]``.
+        All such events take effect at the boundary (arrivals activate,
+        drained flows retire, capacity changes apply), so the trigger
+        handed to the scheduler must carry all of their kinds — keeping
+        only the earliest kind would drop coincident triggers at tied
+        boundaries (e.g. an arrival and a completion at the same instant)
+        and break the Upgrade step's fire-at-every-event contract
+        (Pseudocode 3).
         """
-        candidates: List = []
-        now = self.now
-        nxt = self._next_arrival()
+        dts: List[float] = []
+        bits: List[int] = []
+        now = self._k * self.slice_len
+        nxt = self._calendar.peek_time()
         if nxt is not None:
-            candidates.append((max(nxt - now, 0.0), EventKind.ARRIVAL))
-        if n_tx:
-            dt = float((view.volume[tx] / alloc.rates[tx]).min())
-            candidates.append((dt, EventKind.COMPLETION))
+            dts.append(max(nxt - now, 0.0))
+            bits.append(_ARRIVAL)
+        if win.n_tx:
+            dts.append(float((win.vol / win.rates).min()))
+            bits.append(_COMPLETION)
         R = self.compression.speed if self.compression is not None else 0.0
-        if compressing and R > 0:
-            candidates.append((
-                float((view.raw[alloc.compress] / R).min()),
-                EventKind.RAW_EXHAUSTED,
-            ))
+        if win.compressing and R > 0:
+            dts.append(float((view.raw[win.alloc.compress] / R).min()))
+            bits.append(_RAW_EXHAUSTED)
         if self._cap_events:
-            candidates.append(
-                (max(self._cap_events[0][0] - now, 0.0), EventKind.CAPACITY)
-            )
+            dts.append(max(self._cap_events[0][0] - now, 0.0))
+            bits.append(_CAPACITY)
         if until is not None:
-            candidates.append((max(until - now, 0.0), EventKind.HORIZON))
-        if not candidates:
+            dts.append(max(until - now, 0.0))
+            bits.append(_HORIZON)
+        if not dts:
             raise SimulationError(
                 f"{self.scheduler.name}: no flow transmits or compresses and "
                 "no arrival is pending — simulated time cannot advance "
-                f"(t={self.now:.6g}, {view.num_flows} active flows)"
+                f"(t={now:.6g}, {view.num_flows} active flows)"
             )
-        dt_min = min(dt for dt, _ in candidates)
+        dt_min = min(dts)
         # Slice-grid snap tolerance.  A fixed 1e-9 slices is too tight at
         # large simulated times: ``dt_min`` is a difference of two big
         # floats, so its error is ulp-of-now sized (~5e-7 slices at
@@ -1636,48 +1753,51 @@ class SliceSimulator:
         n = max(1, int(math.ceil(dt_min / self.slice_len - tol)))
         # Events within the same tolerance of the boundary are ties.
         window = n * self.slice_len + max(n * self.slice_len * 1e-9, eps_now)
-        kinds = {kind for dt, kind in candidates if dt <= window}
-        return n, kinds
+        mask = 0
+        for dt, bit in zip(dts, bits):
+            if dt <= window:
+                mask |= bit
+        return n, mask
 
-    def _integrate(
-        self, alloc: Allocation, tx: np.ndarray, n_tx: int,
-        compressing: bool, dt: float,
-    ) -> None:
-        idx = self._active
+    def _integrate(self, win: _Window, dt: float) -> None:
         # --- compression: raw -> comp, shrunk by xi --------------------------
-        if compressing:
+        if win.compressing:
             R = self.compression.speed
-            gi = idx[alloc.compress]
+            gi = self._active[win.alloc.compress]
             raw = self._raw[gi]
             consumed = np.minimum(raw, R * dt)
             # A residual the engine counts as empty is roundoff (a window
             # split by a ``run(until=...)`` horizon sums its steps in a
             # different order): compress it now, or the next decision
             # spends a whole slice compressing nothing.
-            tail = raw - consumed <= self._eps(gi)
+            tail = raw - consumed <= self._tol[gi]
             consumed[tail] = raw[tail]
             self._raw[gi] = raw - consumed
             self._comp[gi] += consumed * self._xi[gi]
             self._comp_in[gi] += consumed
         # --- transmission: drain comp first, then raw -------------------------
-        if n_tx:
-            gi = idx[tx]
-            raw = self._raw[gi]
-            comp = self._comp[gi]
-            vol_before = raw + comp
-            r_tx = alloc.rates[tx]
+        if win.n_tx:
+            gi = win.gi
+            vol_before = win.vol
+            r_tx = win.rates
             sent = np.minimum(vol_before, r_tx * dt)
-            done = sent >= vol_before - self._eps(gi)
+            done = sent >= vol_before - self._tol[gi]
             if np.count_nonzero(done):
                 # physical finish of completed flows
-                self._finish_phys[gi[done]] = (
-                    self.now + vol_before[done] / r_tx[done]
-                )
-            from_comp = np.minimum(comp, sent)
-            self._raw[gi] = np.maximum(raw - (sent - from_comp), 0.0)
-            self._comp[gi] = np.maximum(comp - from_comp, 0.0)
+                finish = vol_before / r_tx
+                finish += self._k * self.slice_len
+                self._finish_phys[gi[done]] = finish[done]
+            comp = win.comp
+            if self.compression is None or not np.count_nonzero(comp):
+                # No sending flow holds compressed bytes: comp stays 0.0
+                # and the whole send drains raw.
+                self._raw[gi] = np.maximum(win.raw - sent, 0.0)
+            else:
+                from_comp = np.minimum(comp, sent)
+                self._raw[gi] = np.maximum(win.raw - (sent - from_comp), 0.0)
+                self._comp[gi] = np.maximum(comp - from_comp, 0.0)
+                self._comp_out[gi] += from_comp
             self._bytes_sent[gi] += sent
-            self._comp_out[gi] += from_comp
             metrics = self.obs.metrics
             if metrics.enabled:
                 metrics.counter("engine.bytes_sent").inc(float(sent.sum()))
@@ -1687,9 +1807,6 @@ class SliceSimulator:
             self._egress_bytes += np.bincount(
                 self._dst[gi], weights=sent, minlength=len(self._egress_bytes)
             )
-
-    def _eps(self, gi: np.ndarray) -> np.ndarray:
-        return 1e-9 * self._size[gi] + 1e-9
 
     def _retire_finished(self, boundary: float) -> List[int]:
         """Mark flows with zero volume done; close coflows — all columnar.
@@ -1706,7 +1823,11 @@ class SliceSimulator:
         idx = self._active
         if len(idx) == 0:
             return []
-        done_mask = self._raw[idx] + self._comp[idx] <= self._eps(idx)
+        if self.compression is None:
+            # No compressed bytes anywhere: raw is the whole volume.
+            done_mask = self._raw[idx] <= self._tol[idx]
+        else:
+            done_mask = self._raw[idx] + self._comp[idx] <= self._tol[idx]
         n_done = np.count_nonzero(done_mask)
         if not n_done:
             return []
@@ -1736,7 +1857,16 @@ class SliceSimulator:
         remaining = self._cf_remaining[:n_cf]
         remaining -= batch_counts
         np.maximum.at(self._cf_finish_phys, slots, finish_phys)
-        closed = ((remaining == 0) & (batch_counts > 0)).nonzero()[0]
+        # Only the batch's coflows can close: usually none, or one with
+        # some of its flows in the batch.  Several closing coflows come
+        # from a scan of every slot, in ascending slot order.
+        hit = remaining[slots] == 0
+        closed = slots[hit]
+        if closed.size > 1:
+            if np.count_nonzero(closed != closed[0]):
+                closed = ((remaining == 0) & (batch_counts > 0)).nonzero()[0]
+            else:
+                closed = closed[:1]
         if closed.size > 1:
             # Close order = order each coflow's *last* flow retires in the
             # batch (what the per-flow loop produced).
@@ -1767,7 +1897,7 @@ class SliceSimulator:
             flt.add_coflow_completions(boundary, self._cf_id[closed])
         if self._on_flow_complete or self._on_coflow_complete:
             self._emit_eager(boundary, done_idx, closed)
-        return self._cf_id[closed].tolist()
+        return self._cf_id[closed].tolist() if closed.size else []
 
     def _emit_eager(self, boundary, done_idx, closed) -> None:
         """Materialize result dataclasses now, for completion callbacks.

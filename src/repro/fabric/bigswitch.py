@@ -91,18 +91,37 @@ class BigSwitch:
             return
         if rates.min() < 0:
             raise SchedulingError("negative rate in allocation")
-        for side, ports, caps in (
-            ("ingress", src, self.ingress.capacity),
-            ("egress", dst, self.egress.capacity),
+        limit_in, limit_out = self._limits()
+        for side, ports, limit in (
+            ("ingress", src, limit_in),
+            ("egress", dst, limit_out),
         ):
-            load = np.bincount(ports, weights=rates, minlength=len(caps))
-            over = load > caps * (1 + FEASIBILITY_RTOL)
+            load = np.bincount(ports, weights=rates, minlength=len(limit))
+            over = load > limit
             if np.count_nonzero(over):
+                caps = getattr(self, side).capacity
                 p = worst_violator(load, caps, over)
                 raise SchedulingError(
                     f"{side} port {p} oversubscribed: "
                     f"{load[p]:.6g} > {caps[p]:.6g} B/s"
                 )
+
+    #: ``(ingress caps, egress caps, their limits)`` of the last check.
+    _limit_cache = None
+
+    def _limits(self):
+        """Per-port feasibility limits ``caps·(1 + FEASIBILITY_RTOL)`` of
+        each side, recomputed only when a side's capacities change (a
+        capacity change replaces its read-only array)."""
+        cap_in, cap_out = self.ingress.capacity, self.egress.capacity
+        cached = self._limit_cache
+        if cached is None or cached[0] is not cap_in or cached[1] is not cap_out:
+            cached = self._limit_cache = (
+                cap_in, cap_out,
+                cap_in * (1 + FEASIBILITY_RTOL),
+                cap_out * (1 + FEASIBILITY_RTOL),
+            )
+        return cached[2], cached[3]
 
     def flow_link_cap(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Per-flow end-to-end link capacity ``min(B_s, B_r)`` (Eq. 2)."""

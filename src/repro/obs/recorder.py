@@ -45,23 +45,17 @@ from typing import Any, Dict, IO, Iterator, List, Mapping, Union
 
 import numpy as np
 
-from repro.core.events import EventKind
+from repro.core.events import KIND_BIT, EventKind, mask_of
 from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 
 __all__ = ["NULL_RECORDER", "FlightRecorder"]
 
-#: Bit assigned to each EventKind in the packed ``kinds`` masks.
-_KIND_BIT: Dict[EventKind, int] = {
-    kind: 1 << i for i, kind in enumerate(EventKind)
-}
-_BIT_KIND: Dict[int, EventKind] = {bit: kind for kind, bit in _KIND_BIT.items()}
+_BIT_KIND: Dict[int, EventKind] = {bit: kind for kind, bit in KIND_BIT.items()}
 
 
 def _kinds_to_mask(kinds) -> int:
-    mask = 0
-    for k in kinds:
-        mask |= _KIND_BIT[k]
-    return mask
+    """A kinds mask, from a mask (the engine's) or a set of kinds."""
+    return kinds if isinstance(kinds, int) else mask_of(kinds)
 
 
 def _mask_to_kinds(mask: int) -> set:

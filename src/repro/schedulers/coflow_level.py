@@ -64,32 +64,36 @@ class SEBF(OrderedCoflowScheduler):
     def coflow_keys(self, view: SchedulerView) -> np.ndarray:
         """Γ of every coflow: ``max_c load_c / cap_c`` over every capacity
         dimension (rack dimensions included), infinite when a used
-        constraint has no capacity.  One ``bincount`` per dimension over
-        (coflow, group) bins accumulates each bin in the coflow's flow
-        order, as a per-coflow ``bincount`` would."""
+        constraint has no capacity.  One ``bincount`` over (coflow,
+        constraint) bins, the constraints of every dimension on one
+        axis, accumulates each bin in the coflow's flow order, as a
+        per-coflow ``bincount`` would; an exempt flow (group -1) lands
+        in a last column of capacity +inf, whose ratio is 0."""
         perm, starts = view.unit_offsets()
         n_cof = len(starts) - 1
-        unit = _unit_of_pos(starts)
-        vol = view.volume[perm]
-        gamma = np.zeros(n_cof)
         dims = ra.build_dims(
             view.src, view.dst, view.fabric.ingress.capacity,
             view.fabric.egress.capacity, view.fresh_extra(),
         )
-        for groups, caps in dims:
+        caps = np.concatenate([c for _, c in dims] + [[np.inf]])
+        slot = len(caps) - 1
+        cols = []
+        offset = 0
+        for groups, c in dims:
             g = groups[perm]
-            member = g >= 0
-            m = len(caps)
-            load = np.bincount(
-                unit[member] * m + g[member], weights=vol[member],
-                minlength=n_cof * m,
-            ).reshape(n_cof, m)
-            used = load > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(used, load / caps, 0.0)
-            ratio[used & (caps <= 0)] = np.inf
-            np.maximum(gamma, ratio.max(axis=1, initial=0.0), out=gamma)
-        return gamma
+            cols.append(np.where(g >= 0, g + offset, slot))
+            offset += len(c)
+        unit = _unit_of_pos(starts) * len(caps)
+        load = np.bincount(
+            np.concatenate([unit + col for col in cols]),
+            weights=np.concatenate([view.volume[perm]] * len(dims)),
+            minlength=n_cof * len(caps),
+        ).reshape(n_cof, len(caps))
+        used = load > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(used, load / caps, 0.0)
+        ratio[used & (caps <= 0)] = np.inf
+        return ratio.max(axis=1, initial=0.0)
 
 
 class SCF(OrderedCoflowScheduler):

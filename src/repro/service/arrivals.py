@@ -454,9 +454,12 @@ class JsonlSource(ArrivalSource):
             self._fh = open(path, "r", encoding="utf-8")
             self._owns = True
 
-    def _bad_line(self, exc: Exception) -> ConfigurationError:
+    def _bad_line(
+        self, exc: Exception, lineno: Optional[int] = None
+    ) -> ConfigurationError:
+        line = self._lineno if lineno is None else lineno
         return ConfigurationError(
-            f"bad JSONL coflow on line {self._lineno} of {self.path}: {exc}"
+            f"bad JSONL coflow on line {line} of {self.path}: {exc}"
         )
 
     def _next_record(self) -> Optional[Dict[str, Any]]:
@@ -493,7 +496,9 @@ class JsonlSource(ArrivalSource):
     def _to_coflow(self, rec: Dict[str, Any]) -> Coflow:
         try:
             return coflow_from_json(rec)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            ConfigurationError, ValueError, KeyError, TypeError, AttributeError
+        ) as exc:
             raise self._bad_line(exc) from exc
 
     def _next(self) -> Optional[Coflow]:
@@ -509,7 +514,7 @@ class JsonlSource(ArrivalSource):
         builder = BlockBuilder()
         if budget <= 0 or not self._take_lookahead(builder, horizon):
             return None
-        arrival, width, label, deadline = [], [], [], []
+        arrival, width, label, deadline, lines = [], [], [], [], []
         src, dst, size, comp, override = [], [], [], [], []
         add_src, add_dst, add_size = src.append, dst.append, size.append
         add_comp, add_override = comp.append, override.append
@@ -539,11 +544,17 @@ class JsonlSource(ArrivalSource):
             arrival.append(self._last_arrival)
             width.append(len(flows))
             deadline.append(rec.get("deadline"))
+            lines.append(self._lineno)
             n += len(flows)
         if arrival:
+            columns = (
+                np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
+                np.asarray(size, dtype=np.float64), np.asarray(comp, dtype=bool),
+                np.asarray(override, dtype=np.float64),
+            )
+            self._check_rows(arrival, width, label, deadline, lines, *columns)
             builder.add_columns(
-                arrival, src, dst, size, comp, override,
-                width=width, label=label, deadline=deadline,
+                arrival, *columns, width=width, label=label, deadline=deadline,
             )
         if overshoot is not None:
             # stash it for the next tick; only after the block's ids are
@@ -551,6 +562,46 @@ class JsonlSource(ArrivalSource):
             self._buffered = self._to_coflow(overshoot)
             self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
         return builder.build()
+
+    def _check_rows(
+        self, arrival, width, label, deadline, lines,
+        src, dst, size, comp, override,
+    ) -> None:
+        """The :class:`Flow`/:class:`Coflow` invariants over a block's rows
+        in one vectorized pass; the first breaking coflow is rebuilt as
+        objects, so the error is theirs, naming its physical line."""
+        bad_flow = (size <= 0.0) | (src < 0) | (dst < 0)
+        bad_flow |= (override != -1.0) & ~((override > 0.0) & (override < 1.0))
+        widths = np.asarray(width, dtype=np.intp)
+        bad = (widths == 0) | (np.asarray(arrival) < 0.0)
+        if np.count_nonzero(bad_flow):
+            bad[np.repeat(np.arange(len(widths)), widths)[bad_flow]] = True
+        for i, d in enumerate(deadline):
+            if d is not None and d <= 0:
+                bad[i] = True
+        if not np.count_nonzero(bad):
+            return
+        i = int(bad.argmax())
+        a = int(widths[:i].sum())
+        b = a + int(widths[i])
+        try:
+            Coflow(
+                [
+                    Flow(
+                        src=int(src[j]), dst=int(dst[j]), size=float(size[j]),
+                        compressible=bool(comp[j]),
+                        ratio_override=(
+                            None if override[j] == -1.0 else float(override[j])
+                        ),
+                        flow_id=0,
+                    )
+                    for j in range(a, b)
+                ],
+                arrival=arrival[i], label=label[i], deadline=deadline[i],
+                coflow_id=0,
+            )
+        except ConfigurationError as exc:
+            raise self._bad_line(exc, lines[i]) from exc
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:

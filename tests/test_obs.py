@@ -248,8 +248,15 @@ class TestCliTrace:
              "9acbc9eda9d29ac13e40288b91e4d7ee62aea25244679e937c16067c023881bb"),
             (["synthetic", "--coflows", "20", "--policy", "fvdf-flow"],
              "19b389ed1e286e06ad799ed8a84ed7233d098c3c080048ad61b0003cdb350498"),
+            # Flow-level policies never read the coflow grouping, so the
+            # engine does not keep it; their decision records must still
+            # carry the exact n_coflows.
+            (["synthetic", "--coflows", "20", "--policy", "pff"],
+             "b70ad4604fa1d0ef6b44fbe9a96a39839af205e94dccd798aba04081250805a6"),
+            (["synthetic", "--coflows", "20", "--policy", "pfp"],
+             "368b3e0f3eb675387bba22a0d629afd5b46fc414593c0eac3d9950e6b9b00b75"),
         ],
-        ids=["fig4-fvdf", "synthetic-fvdf-flow"],
+        ids=["fig4-fvdf", "synthetic-fvdf-flow", "synthetic-pff", "synthetic-pfp"],
     )
     def test_trace_jsonl_bytes_are_pinned(self, tmp_path, argv, digest):
         """The exact ``--out`` bytes: record order, payload keys and float

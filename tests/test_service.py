@@ -262,6 +262,51 @@ class TestJsonlSource:
         with pytest.raises(ReproError, match="line 4 "):
             src.peek()
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"arrival": 2.0, "flows": []},
+             "a coflow must contain at least one flow"),
+            ({"arrival": 2.0, "flows": [{"src": 0, "dst": 1, "size": -5.0}]},
+             "flow size must be positive, got -5.0"),
+            ({"arrival": 2.0, "flows": [{"src": 0, "dst": -1, "size": 1.0}]},
+             "ports must be non-negative"),
+            ({"arrival": 2.0, "flows": [
+                {"src": 0, "dst": 1, "size": 1.0, "ratio_override": 1.5}]},
+             r"ratio_override must lie in \(0, 1\), got 1.5"),
+            ({"arrival": 2.0, "deadline": 0.0,
+              "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
+             "deadline must be positive, got 0.0"),
+            ({"arrival": -1.0, "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
+             "arrival must be >= 0"),
+        ],
+        ids=["empty", "size", "port", "ratio", "deadline", "arrival"],
+    )
+    @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
+    def test_invariant_error_names_physical_line(
+        self, tmp_path, bad, message, path_kind
+    ):
+        """A line that parses but breaks a Flow/Coflow invariant fails
+        with the invariant's message and its physical line, on the block
+        path and on pop/peek alike."""
+        good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
+        lines = [good, bad] if bad["arrival"] >= 1.0 else [bad, good]
+        path = tmp_path / "invariant.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+        lineno = 1 + lines.index(bad) * 2
+        if lineno > 1:
+            path.write_text(
+                json.dumps(lines[0]) + "\n\n" + json.dumps(lines[1]) + "\n"
+            )
+            lineno = 3
+        src = JsonlSource(str(path))
+        with pytest.raises(ReproError, match=f"line {lineno} .*{message}"):
+            if path_kind == "pop_block":
+                src.pop_block(1e9)
+            else:
+                while src.pop() is not None:
+                    pass
+
     def test_seek_skips_consumed_lines(self, tmp_path):
         coflows = _drain_all(_spec(limit=10).build())
         path = str(self._write(tmp_path, coflows))

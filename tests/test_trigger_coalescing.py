@@ -19,10 +19,10 @@ from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine
 from repro.analysis import decision_timeline
 from repro.core.coflow import Coflow
-from repro.core.events import EventKind, ScheduleTrigger
+from repro.core.events import EventKind, ScheduleTrigger, kinds_of
 from repro.core.flow import Flow
 from repro.core.scheduler import Allocation
-from repro.core.simulator import SliceSimulator, _window_masks
+from repro.core.simulator import SliceSimulator
 from repro.fabric.bigswitch import BigSwitch
 from repro.obs import Observability
 from repro.schedulers import make_scheduler
@@ -39,8 +39,10 @@ def _sim(num_ports=2, bandwidth=1.0, policy="fifo", obs=None, compression=None):
 
 
 def _horizon(sim, view, alloc):
-    """``_horizon_slices`` with no ``run(until=...)`` horizon."""
-    return sim._horizon_slices(view, alloc, *_window_masks(alloc), None)
+    """``_horizon_slices`` with no ``run(until=...)`` horizon, its kinds
+    mask read back as a set."""
+    n, mask = sim._horizon_slices(view, sim._window(view, alloc), None)
+    return n, kinds_of(mask)
 
 
 class TestHorizonSlicesCoalescing:
