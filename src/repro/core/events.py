@@ -67,6 +67,8 @@ class ScheduleTrigger:
     Held as an int ``mask`` (see :data:`KIND_BIT`): the engine ORs bits
     in at every step, which costs no ``Enum.__hash__`` call the way set
     inserts and lookups do.  :attr:`kinds` reads the mask back as a set.
+    The constructor takes a set of ``kinds`` (the public form) or, from
+    the engine, a ready ``mask``.
     """
 
     __slots__ = ("mask",)

@@ -42,12 +42,15 @@ _EPS = 1e-12
 
 #: Fills without demands up to this many flows skip the vectorized
 #: prefilter: it only drops flows the loop would skip anyway, so the
-#: walk is the same, and on a few dozen flows the loop alone is cheaper.
+#: walk is the same.  Measured on recorded backfills (docs/performance.md
+#: §13), the loop alone stays cheaper up to a few hundred flows.
 #: (With demands the bulk grant charges capacities in a different order
 #: of additions, so only fills of at most 8 flows take the loop there.)
-_SMALL_BACKFILL = 32
+_SMALL_BACKFILL = 256
 
-#: ``maxmin_fair`` runs its rounds on Python lists up to this many flows.
+#: ``maxmin_fair`` runs its rounds on Python lists up to this many flows,
+#: about where the array rounds become cheaper on recorded PFF calls
+#: (docs/performance.md §13).
 _SMALL_MAXMIN = 32
 
 #: One capacity dimension: (per-flow group index with -1 = exempt, caps).
@@ -414,8 +417,9 @@ def maxmin_fair(
     of its constraints saturates or it reaches its demand; saturated flows
     freeze and filling continues.  Terminates after at most
     ``num_flows + num_constraints`` rounds.  Up to ``_SMALL_MAXMIN``
-    flows the rounds run on Python lists, where a round's fixed numpy
-    cost outweighs its work; both round loops give the same bits.
+    flows the same rounds run on Python lists (:func:`_maxmin_small`),
+    where a round's fixed numpy cost outweighs its work; both give the
+    same bits.
 
     Parameters
     ----------
@@ -444,95 +448,89 @@ def maxmin_fair(
     if demands is not None:
         live &= demands > 0
 
-    # Every dimension's constraints on one axis: group g of dimension d
-    # is constraint offset[d] + g, and an exempt flow (group -1) points
-    # at one extra slot at the end whose capacity is +inf and which never
-    # saturates.  A constraint's flows then sum in flow order, as in a
-    # per-dimension bincount, and a flow's limit is the minimum over its
-    # dimensions.
-    sizes = [len(caps) for _, caps in dims]
-    slot = sum(sizes)
-    caps_all = np.empty(slot + 1)
-    rows = []
-    offset = 0
-    for (groups, caps), size in zip(dims, sizes):
-        caps_all[offset : offset + size] = caps
-        rows.append(np.where(groups >= 0, groups + offset, slot))
-        offset += size
-    caps_all[slot] = np.inf
     if n <= _SMALL_MAXMIN:
-        rates, caps_all = _maxmin_small(w, live, demands, rows, caps_all, slot)
-    else:
-        _maxmin_rounds(w, live, demands, rows, caps_all, slot, rates)
-    offset = 0
-    for (_, caps), size in zip(dims, sizes):
-        caps[:] = caps_all[offset : offset + size]
-        offset += size
-    return rates
+        return _maxmin_small(w, live, demands, dims)
 
-
-def _maxmin_rounds(w, live, demands, rows, caps_all, slot, rates) -> None:
-    """:func:`maxmin_fair`'s rounds on arrays: ``rates`` and ``caps_all``
-    are filled in place."""
-    n = len(w)
-    n_dims = len(rows)
-    constraint = np.concatenate(rows)
+    # Loop invariants per dimension: (caps, selector of the member flows,
+    # their groups, member mask, in-bounds group index).  A dimension
+    # without exempt flows selects with a slice; otherwise exempt flows
+    # (group == -1) are clamped to index 0 purely to keep the fancy index
+    # in bounds, and the member mask discards those lanes, so a saturated
+    # constraint 0 can never freeze a flow exempt from this dimension.
+    cols = []
+    for groups, caps in dims:
+        member = groups >= 0
+        if np.count_nonzero(member) == n:
+            cols.append((caps, slice(None), groups, None, groups))
+        else:
+            cols.append(
+                (caps, member, groups[member], member, np.maximum(groups, 0))
+            )
+    unbounded = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         while np.count_nonzero(live):
+            w_live = np.where(live, w, 0.0)
             # Per-constraint growth-rate limit lam = rem_cap / total weight.
-            # (A weight times the live mask is the weight or 0.0: weights
-            # are finite and non-negative, and so is lam_star below.)
-            w_live = w * live
-            gsum = np.bincount(
-                constraint, weights=np.concatenate([w_live] * n_dims),
-                minlength=slot + 1,
-            )
-            # A constraint without live weight divides by zero; only
-            # frozen flows read it, and they are masked out below.
-            lam = caps_all / gsum
-            lam_flow = lam[rows[0]]
-            for row in rows[1:]:
-                lam_flow = np.minimum(lam_flow, lam[row])
+            lam_flow = unbounded.copy()
+            for caps, sel, groups, _, _ in cols:
+                gsum = np.bincount(
+                    groups, weights=w_live[sel], minlength=len(caps)
+                )
+                lam = np.where(gsum > 0, caps / gsum, np.inf)
+                lam_flow[sel] = np.minimum(lam_flow[sel], lam[groups])
             if demands is not None:
                 lam_demand = np.where(live, (demands - rates) / w, np.inf)
                 lam_flow = np.minimum(lam_flow, lam_demand)
-            lam_star = lam_flow[live].min()
+            lam_flow = np.where(live, lam_flow, np.inf)
+            lam_star = lam_flow.min()
             if not math.isfinite(lam_star) or lam_star < 0:
                 break
-            inc = w_live * lam_star
+            inc = np.where(live, w * lam_star, 0.0)
             rates += inc
-            newly_frozen = lam_flow <= lam_star * (1 + 1e-9) + _EPS
-            caps_all -= np.bincount(
-                constraint, weights=np.concatenate([inc] * n_dims),
-                minlength=slot + 1,
-            )
-            np.maximum(caps_all, 0.0, out=caps_all)  # the slot stays +inf
-            sat = caps_all <= _EPS * (1 + caps_all)
-            sat[slot] = False
-            for row in rows:
-                newly_frozen |= sat[row]
-            newly_frozen &= live
+            newly_frozen = live & (lam_flow <= lam_star * (1 + 1e-9) + _EPS)
+            for caps, sel, groups, member, safe in cols:
+                caps -= np.bincount(
+                    groups, weights=inc[sel], minlength=len(caps)
+                )
+                np.maximum(caps, 0.0, out=caps)
+                sat = caps <= _EPS * (1 + caps)
+                if member is None:
+                    newly_frozen |= live & sat[safe]
+                else:
+                    newly_frozen |= live & member & sat[safe]
             if not np.count_nonzero(newly_frozen):
                 break  # numerical guard; should not happen
             live &= ~newly_frozen
+    return rates
 
 
-def _maxmin_small(w, live, demands, rows, caps_all, slot):
-    """:func:`_maxmin_rounds` on Python lists, for a few flows.
+def _maxmin_small(w, live, demands, dims) -> np.ndarray:
+    """:func:`maxmin_fair`'s rounds on Python lists, for a few flows.
 
-    The same rounds, value for value: each constraint sums its live
-    flows in flow order (a ``bincount``'s order), and every division,
-    product, difference and comparison is the array round's, one element
-    at a time.  A constraint no live flow uses is skipped: the array
-    round reads it only for frozen flows, and subtracts nothing from it
-    (after the first round's clamp at 0).  Returns ``(rates, caps_all)``.
+    The same rounds, value for value.  Every dimension's constraints sit
+    on one axis (group g of dimension d is constraint offset[d] + g, and
+    an exempt flow points at a last slot of capacity +inf that never
+    saturates).  Each constraint sums its live flows in flow order (a
+    ``bincount``'s order), and every division, product, difference and
+    comparison is the array round's, one element at a time.  A
+    constraint no live flow uses is skipped: the array round reads it
+    only for frozen flows, and subtracts nothing from it (after the
+    first round's clamp at 0).  The capacities are written back in place.
     """
+    sizes = [len(caps) for _, caps in dims]
+    slot = sum(sizes)
+    rows = []
+    offset = 0
+    for (groups, _), size in zip(dims, sizes):
+        rows.append(np.where(groups >= 0, groups + offset, slot).tolist())
+        offset += size
+    caps = [x for _, c in dims for x in c.tolist()]
+    caps.append(math.inf)
     n = len(w)
     wl = w.tolist()
     lv = live.tolist()
     dl = None if demands is None else demands.tolist()
-    fcs = list(zip(*[row.tolist() for row in rows]))  # constraints per flow
-    caps = caps_all.tolist()
+    fcs = list(zip(*rows))  # constraints per flow
     rates = [0.0] * n
     eps = _EPS
     clamped = False
@@ -579,7 +577,11 @@ def _maxmin_small(w, live, demands, rows, caps_all, slot):
             break  # numerical guard; should not happen
         for i in frozen:
             lv[i] = False
-    return np.array(rates), np.array(caps)
+    offset = 0
+    for (_, c), size in zip(dims, sizes):
+        c[:] = caps[offset : offset + size]
+        offset += size
+    return np.array(rates)
 
 
 def coflow_gamma(

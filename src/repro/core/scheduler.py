@@ -184,7 +184,7 @@ class CoflowState:
 
 
 class SchedulerView:
-    """Read-only snapshot of the simulation at a decision point.
+    """Read-only view of the simulation at a decision point.
 
     All per-flow arrays are aligned: index ``i`` describes the same active
     flow everywhere.  ``volume = raw + comp`` is the paper's ``V``; ``xi`` is
@@ -203,7 +203,11 @@ class SchedulerView:
 
     The engine hands out a subclass that gathers the columns a policy
     does not read on every decision, and the coflow grouping, on first
-    read (:class:`repro.core.simulator.SliceSimulator`).
+    read (:class:`repro.core.simulator.SliceSimulator`).  Such a view
+    is valid only during its own decision: it reads the engine's current
+    store, so a first read of a lazy attribute after the decision raises
+    :class:`~repro.errors.SimulationError`.  A policy that needs a value
+    later copies it while deciding.
     """
 
     def __init__(

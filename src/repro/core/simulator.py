@@ -391,7 +391,9 @@ class _EngineView(SchedulerView):
     grouping are bound on first read, so a policy pays only for what it
     reads: the flow-level baselines never group coflows, and only FVDF
     reads the free cores.  Read a view during its own decision: the
-    engine's store moves on afterwards.
+    engine's store moves on afterwards, so a first read of a lazy
+    attribute after the decision raises :class:`SimulationError`
+    instead of returning a later state.
     """
 
     def __init__(self, sim: "SliceSimulator", trigger: ScheduleTrigger):
@@ -408,6 +410,7 @@ class _EngineView(SchedulerView):
         self._coflow_cols = None
         self._sim = sim._proxy
         self._idx = idx
+        self._decision = sim._decision_points
 
     def __getattr__(self, name):
         # Only reached for attributes not bound yet.
@@ -415,17 +418,23 @@ class _EngineView(SchedulerView):
         if sim is None:
             raise AttributeError(name)
         column = _LAZY_COLUMNS.get(name)
+        if column is None and name != "free_cores" and name not in _GROUPING:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        if sim._decision_points != self._decision:
+            raise SimulationError(
+                f"view.{name} first read after its decision (decision "
+                f"{self._decision}, engine at {sim._decision_points}): an "
+                "engine view is read only during its own decision"
+            )
         if column is not None:
             value = getattr(sim, column)[self._idx]
         elif name == "free_cores":
             value = sim.cpu.free_cores(self.time)
-        elif name in _GROUPING:
+        else:
             sim._bind_grouping(self)
             return self.__dict__[name]
-        else:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
         self.__dict__[name] = value
         return value
 
@@ -1719,7 +1728,7 @@ class SliceSimulator:
         dts: List[float] = []
         bits: List[int] = []
         now = self._k * self.slice_len
-        nxt = self._calendar.peek_time()
+        nxt = self._next_arrival()
         if nxt is not None:
             dts.append(max(nxt - now, 0.0))
             bits.append(_ARRIVAL)

@@ -45,17 +45,12 @@ from typing import Any, Dict, IO, Iterator, List, Mapping, Union
 
 import numpy as np
 
-from repro.core.events import KIND_BIT, EventKind, mask_of
+from repro.core.events import KIND_BIT, EventKind
 from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 
 __all__ = ["NULL_RECORDER", "FlightRecorder"]
 
 _BIT_KIND: Dict[int, EventKind] = {bit: kind for kind, bit in KIND_BIT.items()}
-
-
-def _kinds_to_mask(kinds) -> int:
-    """A kinds mask, from a mask (the engine's) or a set of kinds."""
-    return kinds if isinstance(kinds, int) else mask_of(kinds)
 
 
 def _mask_to_kinds(mask: int) -> set:
@@ -253,16 +248,19 @@ class FlightRecorder:
         self._journal_batch(code, t, a, count)
         return st.cols, a
 
-    def add_decision(self, t, kinds, n_flows, n_coflows) -> None:
+    def add_decision(self, t, mask, n_flows, n_coflows) -> None:
+        """``mask``: the trigger's kinds mask
+        (:func:`repro.core.events.mask_of`)."""
         cols, a = self._rows(_DECISION, float(t), 1)
-        cols["kinds"][a] = _kinds_to_mask(kinds)
+        cols["kinds"][a] = mask
         cols["n_flows"][a] = n_flows
         cols["n_coflows"][a] = n_coflows
 
-    def add_jump(self, t, n_slices, kinds) -> None:
+    def add_jump(self, t, n_slices, mask) -> None:
+        """``mask``: the kinds mask of the events ending the jump."""
         cols, a = self._rows(_JUMP, float(t), 1)
         cols["n_slices"][a] = n_slices
-        cols["kinds"][a] = _kinds_to_mask(kinds)
+        cols["kinds"][a] = mask
 
     def add_rates(self, t, n_tx, total, max_rate) -> None:
         cols, a = self._rows(_RATES, float(t), 1)

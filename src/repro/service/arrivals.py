@@ -37,7 +37,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Optional, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -547,61 +547,59 @@ class JsonlSource(ArrivalSource):
             lines.append(self._lineno)
             n += len(flows)
         if arrival:
-            columns = (
-                np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
-                np.asarray(size, dtype=np.float64), np.asarray(comp, dtype=bool),
-                np.asarray(override, dtype=np.float64),
-            )
-            self._check_rows(arrival, width, label, deadline, lines, *columns)
             builder.add_columns(
-                arrival, *columns, width=width, label=label, deadline=deadline,
+                arrival, src, dst, size, comp, override,
+                width=width, label=label, deadline=deadline,
             )
+        block = builder.build()
+        if arrival:
+            try:
+                block.validate()
+            except ConfigurationError as exc:
+                raise self._bad_row(block, lines, exc) from exc
         if overshoot is not None:
             # stash it for the next tick; only after the block's ids are
             # reserved, because constructing the coflow draws its own
             self._buffered = self._to_coflow(overshoot)
             self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
-        return builder.build()
+        return block
 
-    def _check_rows(
-        self, arrival, width, label, deadline, lines,
-        src, dst, size, comp, override,
-    ) -> None:
-        """The :class:`Flow`/:class:`Coflow` invariants over a block's rows
-        in one vectorized pass; the first breaking coflow is rebuilt as
-        objects, so the error is theirs, naming its physical line."""
-        bad_flow = (size <= 0.0) | (src < 0) | (dst < 0)
-        bad_flow |= (override != -1.0) & ~((override > 0.0) & (override < 1.0))
-        widths = np.asarray(width, dtype=np.intp)
-        bad = (widths == 0) | (np.asarray(arrival) < 0.0)
-        if np.count_nonzero(bad_flow):
-            bad[np.repeat(np.arange(len(widths)), widths)[bad_flow]] = True
-        for i, d in enumerate(deadline):
-            if d is not None and d <= 0:
-                bad[i] = True
-        if not np.count_nonzero(bad):
-            return
-        i = int(bad.argmax())
-        a = int(widths[:i].sum())
-        b = a + int(widths[i])
-        try:
-            Coflow(
-                [
-                    Flow(
-                        src=int(src[j]), dst=int(dst[j]), size=float(size[j]),
-                        compressible=bool(comp[j]),
-                        ratio_override=(
-                            None if override[j] == -1.0 else float(override[j])
-                        ),
-                        flow_id=0,
-                    )
-                    for j in range(a, b)
-                ],
-                arrival=arrival[i], label=label[i], deadline=deadline[i],
-                coflow_id=0,
-            )
-        except ConfigurationError as exc:
-            raise self._bad_line(exc, lines[i]) from exc
+    def _bad_row(
+        self, block: CoflowBlock, lines: List[int], exc: ConfigurationError
+    ) -> ConfigurationError:
+        """The error of the first parsed coflow in ``block`` that breaks a
+        :class:`Flow`/:class:`Coflow` invariant, naming its physical line.
+
+        The parsed coflows are the block's last ``len(lines)``; each is
+        rebuilt as objects until one fails, so the message is the
+        constructors' own.  ``exc`` (the block check's error) stands if
+        none does.
+        """
+        first = block.n_coflows - len(lines)
+        ends = np.cumsum(block.width).tolist()
+        for k, line in enumerate(lines, start=first):
+            a, b = (ends[k - 1] if k else 0), ends[k]
+            try:
+                Coflow(
+                    [
+                        Flow(
+                            src=int(block.src[j]), dst=int(block.dst[j]),
+                            size=float(block.size[j]),
+                            compressible=bool(block.compressible[j]),
+                            ratio_override=(
+                                None if block.override[j] == -1.0
+                                else float(block.override[j])
+                            ),
+                            flow_id=0,
+                        )
+                        for j in range(a, b)
+                    ],
+                    arrival=float(block.arrival[k]), label=block.label[k],
+                    deadline=block.deadline[k], coflow_id=0,
+                )
+            except ConfigurationError as bad:
+                return self._bad_line(bad, line)
+        return exc
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:

@@ -155,6 +155,30 @@ def test_cancellation_matches_precolumnar(policy):
     assert_identical(res_new, res_old)
 
 
+@pytest.mark.parametrize("policy", ["fvdf", "fair"])
+def test_cancel_before_arrival_matches_precolumnar(policy):
+    """A coflow cancelled before it arrives ends no window in either
+    engine: its arrival is not a boundary, so both make the same
+    decisions and integrate the same windows.  The target arrives while
+    the coflow ahead of it (due 0.55 s) still transmits, so the step
+    that passes its arrival is a transmit window, not an idle jump."""
+    coflows = _fb_coflows(seed=29, num_coflows=20)
+    new, old = _pair(policy)
+    new.submit_many(coflows)
+    old.submit_many(coflows)
+    horizon = 0.5
+    new.run(until=horizon)
+    old.run(until=horizon)
+    pending = [c.coflow_id for c in coflows if c.arrival > horizon]
+    assert len(pending) >= 2, "horizon too late: nothing left to arrive"
+    target = pending[1]
+    assert new.cancel_coflow(target) == old.cancel_coflow(target)
+    res_new, res_old = new.run(), old.run()
+    assert target in new.cancelled_coflows
+    assert target not in {c.coflow_id for c in res_new.coflow_results}
+    assert_identical(res_new, res_old)
+
+
 def test_cancel_stamps_only_unset_finish_phys():
     """A cancelled coflow's already-retired flows keep their physical
     finish; only still-live flows get stamped with the abort instant."""

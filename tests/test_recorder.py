@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
-from repro.core.events import EventKind
+from repro.core.events import EventKind, mask_of
 from repro.core.reference import PreColumnarSliceSimulator
 from repro.core.simulator import SliceSimulator
 from repro.obs import NULL_RECORDER, Observability
@@ -100,8 +100,8 @@ class TestUnitDecode:
     def test_scalar_streams_roundtrip(self):
         rec = FlightRecorder()
         kinds = {EventKind.ARRIVAL, EventKind.COMPLETION}
-        rec.add_decision(0.5, kinds, 7, 3)
-        rec.add_jump(0.5, 4, {EventKind.START})
+        rec.add_decision(0.5, mask_of(kinds), 7, 3)
+        rec.add_jump(0.5, 4, mask_of({EventKind.START}))
         rec.add_rates(0.5, 6, 120.5, 40.25)
         rec.add_cancel(0.7, 9, 2)
         rec.add_capacity(0.9, "egress", 3, 1e9)
@@ -148,7 +148,7 @@ class TestUnitDecode:
 
     def test_emit_fallback_interleaves_in_order(self):
         rec = FlightRecorder()
-        rec.add_decision(0.1, set(), 1, 1)
+        rec.add_decision(0.1, 0, 1, 1)
         rec.emit(0.1, "heartbeat", node=3)
         rec.add_rates(0.2, 1, 1.0, 1.0)
         kinds = [r.kind for r in rec]
@@ -355,8 +355,10 @@ def _every_stream_recorder():
     rec = FlightRecorder()
     rec.emit(-1.0, "master_order", coflow_ids=[3, 1])
     rec.add_arrivals(0.0, [1, 2], [3, big])
-    rec.add_decision(0.0, {EventKind.ARRIVAL, EventKind.START}, 3, 2)
-    rec.add_decision(0.0, set(), 0, 0)
+    rec.add_decision(
+        0.0, mask_of({EventKind.ARRIVAL, EventKind.START}), 3, 2
+    )
+    rec.add_decision(0.0, 0, 0, 0)
     rec.add_order(0.0, np.array([1, 2, 3, 4]),
                   np.array([nan, inf, -inf, 1.5e300]),
                   np.array([2.0, 1.0, 4.0, 1e-10]))
@@ -367,7 +369,7 @@ def _every_stream_recorder():
     rec.add_core_claims(0.1, [0, 2], [1, 3])
     rec.emit(0.1, "bus", topic="decision",
              kinds={EventKind.COMPLETION, EventKind.ARRIVAL})
-    rec.add_jump(0.2, 4, {EventKind.COMPLETION})
+    rec.add_jump(0.2, 4, mask_of({EventKind.COMPLETION}))
     rec.add_capacity(0.2, "ingress", 1, inf)
     rec.add_capacity(0.2, "egress", 0, nan)
     rec.add_capacity(0.25, "egress", 0, 1e-320)

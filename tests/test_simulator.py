@@ -363,6 +363,25 @@ class TestValidation:
         with pytest.raises(SimulationError, match="cannot advance"):
             s.run()
 
+    @pytest.mark.parametrize(
+        "attr", ["flow_ids", "size", "coflows", "free_cores"]
+    )
+    def test_view_read_after_its_decision_rejected(self, attr):
+        """An engine view reads the engine's current store, so a first
+        read of a lazy attribute once its decision is over fails."""
+        views = []
+
+        def keep(view):
+            views.append(view)
+            if len(views) > 1:
+                getattr(views[0], attr)
+            return Allocation(rates=view.link_cap.copy())
+
+        s = self.sim(BadScheduler(keep))
+        s.submit(one_flow_coflow(size=1.0, arrival=1.0))
+        with pytest.raises(SimulationError, match=f"view.{attr} first read"):
+            s.run()
+
     def test_cpu_fabric_shape_mismatch(self):
         from repro.cpu.cores import CpuModel
 

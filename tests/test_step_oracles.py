@@ -3,9 +3,10 @@
 * Small fills (``rate_allocation._fill_small``) settle on Python lists
   and write back only the capacities a grant changed.  They must equal
   the general loop, ``_fill_in_order``, bit for bit in rates and in the
-  final capacities: on 1–8 flows with demands, and on up to 32 flows
-  without (where the vectorized path only drops flows with no headroom
-  before the same loop, which is kept below as the oracle).
+  final capacities: on 1–8 flows with demands, and without demands on
+  up to ``_SMALL_BACKFILL`` flows (where the vectorized path only drops
+  flows with no headroom before the same loop, which is kept below as
+  the oracle).
 * ``BigSwitch.check_feasible`` caches its per-port limits.  It must
   raise on the same inputs, with the same message naming the same
   violator, as the version that multiplied the capacities per call
@@ -215,32 +216,22 @@ def test_maxmin_rounds_on_lists_equal_rounds_on_arrays(case):
     other on the same cases, rates and capacities bit for bit."""
     src, dst, rem_in, rem_out, weights, demands, active, extra = case
     outs = []
-    for small in (True, False):
-        dims = ra.build_dims(
-            src, dst, rem_in.copy(), rem_out.copy(),
-            None if extra is None else [(g, c.copy()) for g, c in extra],
-        )
-        n = len(src)
-        w = np.ones(n) if weights is None else weights.copy()
-        live = np.ones(n, dtype=bool) if active is None else active.copy()
-        live &= w > 0
-        if demands is not None:
-            live &= demands > 0
-        slot = sum(len(caps) for _, caps in dims)
-        caps_all = np.append(np.concatenate([c for _, c in dims]), np.inf)
-        rows, offset = [], 0
-        for groups, caps in dims:
-            rows.append(np.where(groups >= 0, groups + offset, slot))
-            offset += len(caps)
-        if small:
-            rates, caps_all = ra._maxmin_small(
-                w, live, demands, rows, caps_all, slot
-            )
-        else:
-            rates = np.zeros(n)
+    saved = ra._SMALL_MAXMIN
+    try:
+        for threshold in (len(src), 0):  # lists, then arrays
+            ra._SMALL_MAXMIN = threshold
+            caps = [rem_in.copy(), rem_out.copy()]
+            ext = None if extra is None else [(g, c.copy()) for g, c in extra]
             with np.errstate(all="ignore"):
-                ra._maxmin_rounds(w, live, demands, rows, caps_all, slot, rates)
-        outs.append((rates, caps_all))
+                rates = ra.maxmin_fair(
+                    src, dst, *caps, weights=weights, demands=demands,
+                    active=active, extra=ext,
+                )
+            caps += [c for _, c in ext or []]
+            outs.append((rates, caps))
+    finally:
+        ra._SMALL_MAXMIN = saved
     (a_rates, a_caps), (b_rates, b_caps) = outs
     assert a_rates.tobytes() == b_rates.tobytes()
-    assert a_caps[:-1].tobytes() == b_caps[:-1].tobytes()
+    for a, b in zip(a_caps, b_caps):
+        assert a.tobytes() == b.tobytes()
