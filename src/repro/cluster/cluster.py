@@ -22,7 +22,6 @@ from repro.cluster.failures import NO_FAILURES, FailureModel
 from repro.cluster.gc_model import GcModel
 from repro.cluster.job import JobResult, JobSpec, StageRecord
 from repro.cluster.node import ClusterNode, NodeSpec
-from repro.cluster.shuffle import build_shuffle_coflow, place_tasks
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import CoflowResult
 from repro.core.scheduler import Scheduler
@@ -30,6 +29,7 @@ from repro.core.simulator import SliceSimulator
 from repro.cpu.cores import CpuModel
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
+from repro.traces.spark import shuffle_coflow
 from repro.units import gbps
 
 
@@ -143,6 +143,17 @@ class ClusterResult:
     def completions(self) -> List[float]:
         """Job completion instants (Table V throughput windows)."""
         return sorted(j.result_stage.end for j in self.successful)
+
+
+def place_tasks(
+    rng: np.random.Generator, num_tasks: int, num_nodes: int
+) -> np.ndarray:
+    """Uniform random task placement, spreading across nodes when possible."""
+    if num_tasks <= 0 or num_nodes <= 0:
+        raise ConfigurationError("num_tasks and num_nodes must be positive")
+    if num_tasks <= num_nodes:
+        return rng.choice(num_nodes, size=num_tasks, replace=False)
+    return rng.integers(0, num_nodes, size=num_tasks)
 
 
 class _JobState:
@@ -313,10 +324,13 @@ class ClusterSimulator:
     def _start_shuffle_round(self, t: float, js: _JobState) -> None:
         arrival = max(t, self.net.now)
         js.round_start = arrival
-        coflow = build_shuffle_coflow(
-            js.spec, js.mapper_nodes, js.reducer_nodes, arrival
+        spec = js.spec
+        coflow = shuffle_coflow(
+            spec.app, js.mapper_nodes, js.reducer_nodes,
+            scale=spec.shuffle_scale, arrival=arrival,
+            label=f"{spec.label}-shuffle",
         )
-        self._coflow_to_job[coflow.coflow_id] = js.spec.job_id
+        self._coflow_to_job[coflow.coflow_id] = spec.job_id
         self.net.submit(coflow)
 
     def _on_shuffle_done(self, cr: CoflowResult) -> None:

@@ -537,7 +537,16 @@ class JsonlSource(ArrivalSource):
                     add_size(float(f["size"]))
                     add_comp(bool(f.get("compressible", True)))
                     ratio = f.get("ratio_override")
-                    add_override(-1.0 if ratio is None else float(ratio))
+                    if ratio is None:
+                        add_override(-1.0)
+                        continue
+                    r = float(ratio)
+                    if r == -1.0:
+                        # the block's "no override" value; Flow rejects it
+                        raise self._bad_line(ConfigurationError(
+                            f"ratio_override must lie in (0, 1), got {ratio}"
+                        ))
+                    add_override(r)
                 label.append(str(rec.get("label", "")))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise self._bad_line(exc) from exc

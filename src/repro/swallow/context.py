@@ -53,6 +53,13 @@ from repro.swallow.worker import Executor, SwallowWorker, hook_executor
 from repro.units import gbps
 
 
+#: The compression codec (LZ4, as Swallow ships), the cores of each node
+#: and the engine's time slice.
+CODEC = "lz4"
+CORES_PER_NODE = 4
+SLICE_LEN = 0.01
+
+
 def _unit_coflows(d: Decision) -> np.ndarray:
     """Engine coflow id of each scheduling unit of the decision ``d``."""
     return d.coflow_ids[d.perm[d.starts[:-1]]]
@@ -82,8 +89,6 @@ class SwallowContext:
     smart_compress:
         The ``swallow.smartCompress`` option; ``False`` disables all
         compression decisions.
-    codec:
-        Codec name for the compression engine (default LZ4, as shipped).
     real_compression:
         Also run pushed payload bytes through a real codec (zlib) so pull()
         exercises genuine decompression.
@@ -103,9 +108,6 @@ class SwallowContext:
         num_nodes: int = 4,
         bandwidth: float = gbps(1),
         smart_compress: bool = True,
-        codec: str = "lz4",
-        slice_len: float = 0.01,
-        cores_per_node: int = 4,
         real_compression: bool = False,
         auto_heartbeat: bool = False,
         obs=None,
@@ -115,13 +117,13 @@ class SwallowContext:
         self.bus = MessageBus(obs=obs)
         self.obs = self.bus.obs
         self.fabric = BigSwitch(num_nodes, bandwidth)
-        self.cpu = CpuModel(num_nodes, cores_per_node=cores_per_node)
+        self.cpu = CpuModel(num_nodes, cores_per_node=CORES_PER_NODE)
         self.engine = SliceSimulator(
             self.fabric,
             FVDFScheduler(FVDFConfig(compress=smart_compress)),
-            slice_len=slice_len,
+            slice_len=SLICE_LEN,
             cpu=self.cpu,
-            compression=CompressionEngine(codec) if smart_compress else None,
+            compression=CompressionEngine(CODEC) if smart_compress else None,
             obs=obs,
         )
         self.bus.clock = lambda: self.engine.now

@@ -38,9 +38,7 @@ from repro.traces.spark import (
     TABLE_I,
     AppProfile,
     get_profile,
-    mean_table1_ratio,
     shuffle_coflow,
-    spark_trace,
 )
 
 __all__ = [
@@ -53,6 +51,5 @@ __all__ = [
     "read_csv_trace", "write_csv_trace",
     "BINS", "ClassifierConfig", "classify_coflow", "bin_counts",
     "cct_by_bin", "speedup_by_bin",
-    "AppProfile", "TABLE_I", "get_profile", "shuffle_coflow", "spark_trace",
-    "mean_table1_ratio",
+    "AppProfile", "TABLE_I", "get_profile", "shuffle_coflow",
 ]

@@ -12,9 +12,7 @@ codec curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
@@ -71,79 +69,26 @@ def get_profile(name: str) -> AppProfile:
 
 def shuffle_coflow(
     app: AppProfile,
-    num_mappers: int,
-    num_reducers: int,
-    num_ports: int,
-    rng: np.random.Generator,
-    arrival: float = 0.0,
+    mapper_ports: Sequence[int],
+    reducer_ports: Sequence[int],
+    *,
     scale: float = 1.0,
-    size_jitter: float = 0.2,
+    arrival: float = 0.0,
     label: Optional[str] = None,
 ) -> Coflow:
     """Build the shuffle coflow of one (app, stage): mappers × reducers flows.
 
-    Each mapper→reducer flow carries one shuffle block of the app's
-    uncompressed size (× ``scale``, jittered ±``size_jitter``), tagged with
-    the app's Table I compression ratio.
+    Each mapper→reducer port pair carries one shuffle block of the app's
+    uncompressed size × ``scale``, tagged with the app's Table I
+    compression ratio as its ``ratio_override``; when Swallow compresses
+    the shuffle, its traffic drops by exactly the paper's per-app factor.
     """
-    if num_mappers < 1 or num_reducers < 1:
-        raise ConfigurationError("need at least one mapper and one reducer")
-    if num_ports < 1:
-        raise ConfigurationError("need at least one port")
-    m_ports = rng.integers(0, num_ports, size=num_mappers)
-    r_ports = rng.integers(0, num_ports, size=num_reducers)
-    flows: List[Flow] = []
-    for mp in m_ports:
-        for rp in r_ports:
-            jitter = 1.0 + size_jitter * (2 * rng.random() - 1)
-            size = max(app.block_uncompressed * scale * jitter, 1.0)
-            flows.append(
-                Flow(
-                    src=int(mp),
-                    dst=int(rp),
-                    size=size,
-                    ratio_override=app.ratio,
-                )
-            )
+    if len(mapper_ports) == 0 or len(reducer_ports) == 0:
+        raise ConfigurationError("need at least one mapper and one reducer port")
+    size = app.block_uncompressed * scale
+    flows = [
+        Flow(src=int(m), dst=int(r), size=size, ratio_override=app.ratio)
+        for m in mapper_ports
+        for r in reducer_ports
+    ]
     return Coflow(flows, arrival=arrival, label=label or f"{app.name}-shuffle")
-
-
-def spark_trace(
-    rng: np.random.Generator,
-    num_jobs: int = 50,
-    num_ports: int = 16,
-    apps: Optional[Sequence[str]] = None,
-    arrival_rate: float = 0.5,
-    mappers: int = 4,
-    reducers: int = 4,
-    scale: float = 1.0,
-) -> List[Coflow]:
-    """A stream of shuffle coflows from a mix of Table I applications."""
-    if num_jobs <= 0:
-        raise ConfigurationError("num_jobs must be positive")
-    pool = [get_profile(a) for a in apps] if apps else list(TABLE_I.values())
-    t = 0.0
-    coflows: List[Coflow] = []
-    for k in range(num_jobs):
-        app = pool[int(rng.integers(0, len(pool)))]
-        coflows.append(
-            shuffle_coflow(
-                app,
-                num_mappers=mappers,
-                num_reducers=reducers,
-                num_ports=num_ports,
-                rng=rng,
-                arrival=t,
-                scale=scale,
-                label=f"{app.name}-{k}",
-            )
-        )
-        t += rng.exponential(1.0 / arrival_rate)
-    return coflows
-
-
-def mean_table1_ratio() -> float:
-    """Byte-weighted average compression ratio across Table I apps."""
-    comp = sum(p.block_compressed for p in TABLE_I.values())
-    raw = sum(p.block_uncompressed for p in TABLE_I.values())
-    return comp / raw

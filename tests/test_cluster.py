@@ -9,12 +9,11 @@ from repro.cluster import (
     GcModel,
     JobSpec,
     NodeSpec,
-    build_shuffle_coflow,
     place_tasks,
 )
 from repro.errors import ConfigurationError
 from repro.schedulers import make_scheduler
-from repro.traces.spark import get_profile
+from repro.traces.spark import get_profile, shuffle_coflow
 from repro.units import GB, MB, gbps
 
 
@@ -96,19 +95,17 @@ class TestGcModel:
 
 
 class TestShuffleBuild:
-    def test_flow_matrix(self, rng):
+    def test_flow_matrix(self):
         spec = small_job(mappers=3, reducers=2, scale=1.0)
-        c = build_shuffle_coflow(spec, [0, 1, 2], [3, 4], arrival=5.0)
+        c = shuffle_coflow(
+            spec.app, [0, 1, 2], [3, 4], scale=spec.shuffle_scale, arrival=5.0
+        )
         assert c.width == 6
         assert c.arrival == 5.0
+        assert sum(f.size for f in c.flows) == pytest.approx(
+            spec.shuffle_bytes_per_round
+        )
         assert all(f.ratio_override == pytest.approx(spec.app.ratio) for f in c.flows)
-
-    def test_node_count_mismatch(self):
-        spec = small_job(mappers=2, reducers=2)
-        with pytest.raises(ConfigurationError, match="mapper nodes"):
-            build_shuffle_coflow(spec, [0], [1, 2], 0.0)
-        with pytest.raises(ConfigurationError, match="reducer nodes"):
-            build_shuffle_coflow(spec, [0, 1], [2], 0.0)
 
     def test_place_tasks_spreads(self, rng):
         nodes = place_tasks(rng, 4, 8)

@@ -15,7 +15,6 @@ CASES = [
      "CCT speedup of FVDF"),
     ("hibench_cluster.py", ["--jobs", "4"], "Table VII"),
     ("swallow_api_shuffle.py", [], "traffic reduction"),
-    ("sparklite_wordcount.py", [], "verified correct"),
     ("deadline_guarantees.py", [], "admitted met their deadline"),
 ]
 

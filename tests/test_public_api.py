@@ -9,12 +9,12 @@ import repro
 SUBPACKAGES = [
     "repro.core", "repro.fabric", "repro.cpu", "repro.compression",
     "repro.schedulers", "repro.traces", "repro.cluster", "repro.swallow",
-    "repro.sparklite", "repro.analysis",
+    "repro.analysis",
 ]
 
 
 def test_version():
-    assert repro.__version__ == "1.19.0"
+    assert repro.__version__ == "1.20.0"
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)

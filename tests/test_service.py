@@ -274,13 +274,17 @@ class TestJsonlSource:
             ({"arrival": 2.0, "flows": [
                 {"src": 0, "dst": 1, "size": 1.0, "ratio_override": 1.5}]},
              r"ratio_override must lie in \(0, 1\), got 1.5"),
+            ({"arrival": 2.0, "flows": [
+                {"src": 0, "dst": 1, "size": 1.0, "ratio_override": -1.0}]},
+             r"ratio_override must lie in \(0, 1\), got -1.0"),
             ({"arrival": 2.0, "deadline": 0.0,
               "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
              "deadline must be positive, got 0.0"),
             ({"arrival": -1.0, "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
              "arrival must be >= 0"),
         ],
-        ids=["empty", "size", "port", "ratio", "deadline", "arrival"],
+        ids=["empty", "size", "port", "ratio", "no-override", "deadline",
+             "arrival"],
     )
     @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
     def test_invariant_error_names_physical_line(

@@ -1,4 +1,4 @@
-"""Spark shuffle traces and Table I application profiles."""
+"""Spark shuffle coflows and Table I application profiles."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from repro.traces.spark import (
     TABLE_I,
     AppProfile,
     get_profile,
-    mean_table1_ratio,
     shuffle_coflow,
-    spark_trace,
 )
 
 
@@ -47,67 +45,54 @@ class TestTableI:
         with pytest.raises(ConfigurationError):
             AppProfile("x", 0, 5)
 
-    def test_mean_ratio_in_plausible_band(self):
-        # byte-weighted mix is dominated by sort/terasort (~25-28%)
-        assert 0.2 < mean_table1_ratio() < 0.4
-
 
 class TestShuffleCoflow:
-    def test_structure(self, rng):
+    def test_structure(self):
         app = get_profile("pagerank")
-        c = shuffle_coflow(app, num_mappers=3, num_reducers=2, num_ports=8, rng=rng)
+        c = shuffle_coflow(app, [0, 5, 7], [2, 3], arrival=5.0)
         assert c.width == 6
+        assert c.arrival == 5.0
+        assert c.label == "pagerank-shuffle"
+        assert [(f.src, f.dst) for f in c.flows] == [
+            (0, 2), (0, 3), (5, 2), (5, 3), (7, 2), (7, 3)
+        ]
         for f in c.flows:
             assert f.ratio_override == pytest.approx(app.ratio)
-            assert 0 <= f.src < 8 and 0 <= f.dst < 8
 
-    def test_sizes_near_block_size(self, rng):
+    def test_sizes_near_block_size(self):
         app = get_profile("wordcount")
-        c = shuffle_coflow(
-            app, num_mappers=2, num_reducers=2, num_ports=4, rng=rng,
-            size_jitter=0.0,
-        )
+        c = shuffle_coflow(app, np.array([0, 1]), np.array([2, 3]))
         for f in c.flows:
-            assert f.size == pytest.approx(app.block_uncompressed)
+            assert f.size == app.block_uncompressed
 
-    def test_scale(self, rng):
+    def test_scale(self):
         app = get_profile("svm")
-        c = shuffle_coflow(
-            app, 1, 1, 4, rng, scale=10.0, size_jitter=0.0
-        )
+        c = shuffle_coflow(app, [0], [1], scale=10.0, label="svm-0")
         assert c.flows[0].size == pytest.approx(app.block_uncompressed * 10)
+        assert c.label == "svm-0"
 
-    def test_validation(self, rng):
+    def test_validation(self):
         app = get_profile("svm")
         with pytest.raises(ConfigurationError):
-            shuffle_coflow(app, 0, 1, 4, rng)
+            shuffle_coflow(app, [], [1])
         with pytest.raises(ConfigurationError):
-            shuffle_coflow(app, 1, 1, 0, rng)
+            shuffle_coflow(app, [0], np.array([], dtype=int))
 
 
 class TestSparkTrace:
-    def test_stream_shape(self, rng):
-        trace = spark_trace(rng, num_jobs=20, num_ports=8, arrival_rate=1.0)
-        assert len(trace) == 20
-        arrivals = [c.arrival for c in trace]
-        assert arrivals == sorted(arrivals)
-
-    def test_app_restriction(self, rng):
-        trace = spark_trace(rng, num_jobs=10, apps=["sort"])
-        assert all(c.label.startswith("sort-") for c in trace)
-
-    def test_simulation_traffic_matches_app_ratio(self, rng):
-        """Replaying a sort-only trace through FVDF on a slow link must
+    def test_simulation_traffic_matches_app_ratio(self):
+        """Replaying sort-only shuffles through FVDF on a slow link must
         reduce traffic by ~1 - 0.2496 (the Table I ratio)."""
         from repro.compression.engine import CompressionEngine
         from repro.core.simulator import SliceSimulator
         from repro.fabric.bigswitch import BigSwitch
         from repro.schedulers import make_scheduler
 
-        trace = spark_trace(
-            rng, num_jobs=3, num_ports=4, apps=["sort"],
-            mappers=1, reducers=1, scale=1e-6, arrival_rate=10.0,
-        )
+        sort = get_profile("sort")
+        trace = [
+            shuffle_coflow(sort, [k], [(k + 1) % 4], scale=1e-6, arrival=0.1 * k)
+            for k in range(3)
+        ]
         # fast codec + thin pipe: everything gets compressed.
         eng = CompressionEngine("lz4", size_dependent=False)
         sim = SliceSimulator(

@@ -27,6 +27,7 @@ from repro.swallow import (
     SwallowWorker,
     hook_executor,
 )
+from repro.swallow.context import CORES_PER_NODE
 from repro.units import MB, gbps, mbps
 
 
@@ -340,8 +341,7 @@ class TestMaster:
 class TestSwallowContext:
     def make_ctx(self, **kw):
         SwallowContext.reset_instance()
-        defaults = dict(num_nodes=3, bandwidth=1000.0, slice_len=0.01,
-                        real_compression=True)
+        defaults = dict(num_nodes=3, bandwidth=1000.0, real_compression=True)
         defaults.update(kw)
         return SwallowContext(**defaults)
 
@@ -393,9 +393,35 @@ class TestSwallowContext:
             ctx.remove(ref)
 
     def test_heartbeat_updates_master(self):
-        ctx = self.make_ctx(cores_per_node=8)
+        ctx = self.make_ctx()
+        ctx.cpu.claim(2)
         ctx.heartbeat()
-        assert ctx.master.free_cores(2) == 8
+        assert ctx.master.free_cores(2) == CORES_PER_NODE - 1
+
+    def test_compression_shortens_the_shuffle(self):
+        """On a thin pipe a shuffle's coflow finishes sooner with
+        ``smart_compress``, and its wire bytes follow each flow's
+        ``ratio_override``; with it off no byte is saved.  Pulled payloads
+        equal the pushed ones either way."""
+        cct, saved = {}, {}
+        for smart in (False, True):
+            ctx = self.make_ctx(bandwidth=5_000.0, smart_compress=smart)
+            infos = [FlowInfo(i, 0, i + 1, 20_000.0, ratio_override=0.25)
+                     for i in range(2)]
+            ref = ctx.add(ctx.aggregate(infos, label="shuffle"))
+            ctx.alloc(ctx.scheduling([ref]))
+            payloads = {BlockId(): bytes([65 + i]) * 20_000 for i in range(2)}
+            for bid, data in payloads.items():
+                ctx.push(ref, bid, data)
+            for bid, data in payloads.items():
+                assert ctx.pull(ref, bid) == data
+            ctx.remove(ref)
+            (cres,) = ctx.results().coflow_results
+            cct[smart] = cres.cct
+            saved[smart] = ctx.results().traffic_reduction
+        assert saved[False] == 0.0
+        assert saved[True] == pytest.approx(0.75, abs=0.05)
+        assert cct[True] < cct[False]
 
     def test_compression_disabled_by_option(self):
         ctx = self.make_ctx(smart_compress=False)
