@@ -9,8 +9,8 @@ perfectly paired comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Union
 
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow
@@ -91,47 +91,26 @@ def run_many(
     coflows: Sequence[Coflow],
     setup: Optional[ExperimentSetup] = None,
     parallel: Union[None, int, str] = None,
-    cache=None,
+    cache=False,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the *same* workload (paired comparison).
 
-    ``parallel`` selects the execution path: ``None`` defers to the
-    ``REPRO_PARALLEL`` env var (unset → sequential), ``"auto"`` uses one
-    worker per core, an integer ≥ 1 fans the policies out over that many
-    pool workers via :mod:`repro.runner` — with results bit-identical to
-    the sequential loop.  ``cache`` is forwarded to the runner's
-    content-addressed result cache (None → env-controlled default).
+    One full-result :class:`~repro.runner.spec.RunSpec` per policy, run by
+    :func:`~repro.runner.pool.run_specs` and keyed by scheduler name.
+    ``parallel`` is its worker count: ``None`` defers to the
+    ``REPRO_PARALLEL`` env var (unset → inline), ``"auto"`` uses one
+    worker per core, 0 runs inline; results are bit-identical either
+    way.  ``cache`` is the runner's ``cache=`` (default off).
     """
-    from repro.runner import resolve_workers
-
-    workers = resolve_workers(parallel)
-    if workers > 0:
-        return _run_many_pooled(policies, coflows, setup, workers, cache)
-    out: Dict[str, SimulationResult] = {}
-    for p in policies:
-        scheduler = make_scheduler(p) if isinstance(p, str) else p
-        out[scheduler.name] = run_policy(scheduler, coflows, setup)
-    return out
-
-
-def _run_many_pooled(
-    policies, coflows, setup, workers: int, cache
-) -> Dict[str, SimulationResult]:
-    """The pool path of :func:`run_many` (full results, spec order kept)."""
     from repro.runner import RunSpec, WorkloadSpec, run_specs
 
-    setup = setup or ExperimentSetup()
     workload = WorkloadSpec.inline(coflows)
-    specs = []
-    for p in policies:
-        # The display key must match the sequential path's dict keys, and
-        # a cache hit cannot ask the worker for it — resolve names here.
-        name = make_scheduler(p).name if isinstance(p, str) else p.name
-        specs.append(
-            RunSpec(policy=p, workload=workload, setup=setup, key=name,
-                    full=True)
-        )
-    outs = run_specs(specs, workers=workers, cache=cache)
+    setup = setup or ExperimentSetup()
+    specs = [
+        RunSpec(policy=p, workload=workload, setup=setup, full=True)
+        for p in policies
+    ]
+    outs = run_specs(specs, workers=parallel, cache=cache)
     return {out.key: out.result for out in outs}
 
 

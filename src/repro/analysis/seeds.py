@@ -13,10 +13,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.harness import ExperimentSetup, run_many
+from repro.analysis.harness import ExperimentSetup
 from repro.core.coflow import Coflow
 from repro.core.scheduler import Scheduler
-from repro.core.simulator import SimulationResult
 from repro.errors import ConfigurationError
 
 WorkloadFactory = Callable[[int], Sequence[Coflow]]
@@ -57,79 +56,39 @@ def run_seeds(
     seeds: Sequence[int] = range(5),
     metric: str = "avg_cct",
     parallel: Union[None, int, str] = None,
-    cache=None,
+    cache=False,
     workload_tag: Optional[str] = None,
 ) -> SeedStats:
     """Run every policy on every seed's workload; collect one metric.
 
-    ``workload_factory(seed)`` must build a fresh workload per seed; the
-    same workload is shared by all policies within a seed (paired design).
-
-    With ``parallel`` (or ``REPRO_PARALLEL``) set, the whole
-    (seed × policy) grid fans out over the process pool: the factory is
-    pickled into each :class:`~repro.runner.spec.RunSpec` and re-invoked
-    *inside the worker* — the paired design survives because the factory
-    is deterministic per seed, and only compact summaries travel back.
-    Factories must then be picklable (module-level functions, not
-    lambdas/closures).  Opaque callables are uncacheable unless a stable
-    ``workload_tag`` names their content for the result cache.
+    The (seed × policy) grid is one :class:`~repro.runner.spec.RunSpec`
+    per cell, run by :func:`~repro.runner.pool.run_specs` (``parallel``
+    is its worker count, ``cache`` its ``cache=``, default off).  Each
+    cell rebuilds its workload as ``workload_factory(seed)``, so the
+    factory must be deterministic per seed: the policies of one seed then
+    share the same workload (paired design).  Pooled runs pickle the
+    factory into the workers, so it must then be a module-level function,
+    not a lambda or closure.  Opaque callables are uncacheable unless a
+    stable ``workload_tag`` names their content for the result cache.
+    Metrics beyond the compact summary's scalars ship full results.
     """
+    from repro.runner import SUMMARY_METRICS, RunSpec, WorkloadSpec, run_specs
+
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    from repro.runner import resolve_workers
-
-    workers = resolve_workers(parallel)
-    if workers > 0:
-        return _run_seeds_pooled(
-            policies, workload_factory, setup, seeds, metric, workers,
-            cache, workload_tag,
-        )
-    acc: Dict[str, List[float]] = {}
-    for seed in seeds:
-        workload = workload_factory(seed)
-        results: Dict[str, SimulationResult] = run_many(policies, workload, setup)
-        for name, res in results.items():
-            acc.setdefault(name, []).append(float(getattr(res, metric)))
-    return SeedStats(
-        metric=metric,
-        samples={name: np.asarray(vals) for name, vals in acc.items()},
-    )
-
-
-def _run_seeds_pooled(
-    policies, workload_factory, setup, seeds, metric, workers, cache,
-    workload_tag,
-) -> SeedStats:
-    """The (seed × policy) pool path of :func:`run_seeds`."""
-    from repro.runner import SUMMARY_METRICS, RunSpec, WorkloadSpec, run_specs
-    from repro.schedulers import make_scheduler
-
-    # Metrics beyond the compact summary's scalars need the full result.
     full = metric not in SUMMARY_METRICS
     setup = setup or ExperimentSetup()
-    # Keys must match the sequential path's (scheduler.name), including on
-    # cache hits that never construct a scheduler — resolve them up front.
-    names = [
-        make_scheduler(p).name if isinstance(p, str) else p.name
-        for p in policies
-    ]
     specs = []
     for seed in seeds:
-        workload = WorkloadSpec.from_callable(
-            workload_factory, seed, tag=workload_tag
-        )
-        for p, name in zip(policies, names):
-            specs.append(
-                RunSpec(policy=p, workload=workload, setup=setup, full=full,
-                        key=name)
-            )
-    outs = run_specs(specs, workers=workers, cache=cache)
+        workload = WorkloadSpec.from_callable(workload_factory, seed, tag=workload_tag)
+        specs += [
+            RunSpec(policy=p, workload=workload, setup=setup, full=full)
+            for p in policies
+        ]
     acc: Dict[str, List[float]] = {}
-    for out in outs:
-        acc.setdefault(out.key, []).append(
-            float(getattr(out.payload, metric))
-        )
+    for out in run_specs(specs, workers=parallel, cache=cache):
+        acc.setdefault(out.key, []).append(float(getattr(out.payload, metric)))
     return SeedStats(
         metric=metric,
         samples={name: np.asarray(vals) for name, vals in acc.items()},

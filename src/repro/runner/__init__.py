@@ -11,8 +11,9 @@ setup) simulation runs; this subsystem makes that grid cheap twice over:
   re-runs; disable with ``REPRO_CACHE=0`` or ``cache=False``.
 
 Most callers never touch this package directly: ``run_many``/``run_seeds``
-in :mod:`repro.analysis` grow a ``parallel=`` argument (defaulting to the
-``REPRO_PARALLEL`` env var) that routes through it, and ``python -m repro
+in :mod:`repro.analysis` build their specs and hand them to
+:func:`run_specs` (their ``parallel=`` is its worker count, defaulting to
+the ``REPRO_PARALLEL`` env var, unset → inline), and ``python -m repro
 sweep`` drives full grids from the command line.
 """
 

@@ -1,16 +1,13 @@
 """Content-addressed result cache for the parallel sweep runner.
 
-Layout: ``<root>/<aa>/<digest>.json`` for compact summaries and
-``<root>/<aa>/<digest>.pkl`` for full ``SimulationResult`` payloads, where
-``aa`` is the first two hex chars of the digest (one level of sharding
-keeps directories small on big sweeps).  The digest is computed by
+Layout: ``<root>/<aa>/<digest>.pkl`` — one pickle per entry, holding a
+:class:`~repro.runner.spec.ResultSummary` (with or without its arrays)
+or, for ``full`` specs, the whole ``SimulationResult``.  ``aa`` is the
+first two hex chars of the digest (one level of sharding keeps
+directories small on big sweeps).  The digest is computed by
 :meth:`repro.runner.spec.RunSpec.digest` over the spec *content* — see
-that module for what is and is not part of the key.
-
-Array-bearing summaries (``RunSpec(arrays=True)``) split in two: the
-``.json`` keeps the scalars plus an ``__arrays__`` manifest, and the
-per-flow/per-coflow columns live in an uncompressed ``<digest>.npz``
-sidecar, read back whole with a plain ``np.load`` (a few KB per cell).
+that module for what is and is not part of the key.  Entries are
+pickles, so a store must hold only files this program wrote.
 
 Writes are crash-safe: payloads go to a same-directory temp file that is
 fsynced before the atomic rename, and the directory entry is fsynced
@@ -24,8 +21,9 @@ Controls:
   reads and writes;
 * ``REPRO_CACHE_DIR`` (env) or ``ResultCache(root=...)`` relocates the
   store (default ``.repro-cache/`` under the current directory);
-* a corrupt or truncated cache file is treated as a miss and removed —
-  the cache is an accelerator, never a source of errors.
+* a corrupt or truncated cache file, or one holding the wrong payload
+  type, is treated as a miss and removed — the cache is an accelerator,
+  never a source of errors.
 
 Cached *full* results replay the pickled ``SimulationResult`` of the run
 that produced them: metrics are identical by construction, but the
@@ -36,14 +34,10 @@ the cache key).
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import pickle
 from pathlib import Path
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.atomicio import fsync_dir, write_atomic
 from repro.core.simulator import SimulationResult
@@ -67,11 +61,6 @@ def default_cache_root() -> Path:
     return Path(os.environ.get(ENV_CACHE_DIR) or DEFAULT_DIRNAME)
 
 
-def _load_sidecar(path: Path) -> Dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as z:
-        return {k: z[k] for k in z.files}
-
-
 class ResultCache:
     """Content-addressed store of summaries / full results, keyed by digest."""
 
@@ -90,9 +79,9 @@ class ResultCache:
     def resolve(cls, cache) -> "ResultCache":
         """Coerce a user-facing ``cache=`` argument into a ResultCache.
 
-        ``None`` → env-controlled default; ``True``/``False`` → forced
-        on/off at the default root; a path → enabled at that root; a
-        ResultCache passes through.
+        ``None`` → env-controlled default; ``False`` → off; ``True`` → on
+        at the default root unless ``REPRO_CACHE=0``, which still wins;
+        a path → enabled at that root; a ResultCache passes through.
         """
         if isinstance(cache, cls):
             return cache
@@ -102,16 +91,9 @@ class ResultCache:
             return cls(enabled=cache and cache_enabled_by_env())
         return cls(root=cache)
 
-    # -- paths ---------------------------------------------------------------
-    def _path(self, digest: str, full: bool) -> Path:
-        ext = "pkl" if full else "json"
-        return self.root / digest[:2] / f"{digest}.{ext}"
+    def _path(self, digest: str) -> Path:
+        return self.root / digest[:2] / f"{digest}.pkl"
 
-    @staticmethod
-    def _sidecar(path: Path) -> Path:
-        return path.with_suffix(".npz")
-
-    # -- lookup --------------------------------------------------------------
     def get(self, spec: RunSpec):
         """The cached payload for ``spec``, or ``None`` on a miss."""
         if not self.enabled:
@@ -119,39 +101,28 @@ class ResultCache:
         digest = spec.digest()
         if digest is None:
             return None
-        path = self._path(digest, spec.full)
+        path = self._path(digest)
         if not path.is_file():
             self.misses += 1
             return None
+        kind = SimulationResult if spec.full else ResultSummary
         try:
-            if spec.full:
-                with path.open("rb") as fh:
-                    payload = pickle.load(fh)
-                if not isinstance(payload, SimulationResult):
-                    raise ValueError("unexpected payload type")
-            else:
-                d = json.loads(path.read_text())
-                manifest = d.pop("__arrays__", None)
-                payload = ResultSummary.from_json(d)
-                if manifest:
-                    arrays = _load_sidecar(self._sidecar(path))
-                    for name in manifest:
-                        setattr(payload, name, arrays[name])
+            with path.open("rb") as fh:
+                payload = pickle.load(fh)
+            if not isinstance(payload, kind):
+                raise TypeError(f"expected {kind.__name__}")
         except Exception:
-            # Corrupt/truncated/stale-format entry (or an entry whose
-            # array sidecar went missing): drop it whole, treat as miss.
-            for victim in (path, self._sidecar(path)):
-                try:
-                    victim.unlink()
-                except OSError:
-                    pass
+            # Corrupt/truncated/wrong-type entry: drop it, treat as miss.
+            try:
+                path.unlink()
+            except OSError:
+                pass
             self.corrupt += 1
             self.misses += 1
             return None
         self.hits += 1
         return payload
 
-    # -- store ---------------------------------------------------------------
     def put(self, spec: RunSpec, payload) -> bool:
         """Store a run's payload; returns whether anything was written."""
         if not self.enabled:
@@ -159,41 +130,13 @@ class ResultCache:
         digest = spec.digest()
         if digest is None:
             return False
-        path = self._path(digest, spec.full)
+        path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            if spec.full:
-                write_atomic(
-                    path,
-                    lambda fh: pickle.dump(
-                        payload, fh, protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-            else:
-                arrays = {
-                    name: np.asarray(getattr(payload, name))
-                    for name in ResultSummary._ARRAYS
-                    if getattr(payload, name) is not None
-                }
-                d = {
-                    f.name: getattr(payload, f.name)
-                    for f in dataclasses.fields(payload)
-                    if f.name not in ResultSummary._ARRAYS
-                }
-                for name in ResultSummary._ARRAYS:
-                    d[name] = None
-                if arrays:
-                    d["__arrays__"] = sorted(arrays)
-                    # Sidecar lands (and is durable) before the json that
-                    # references it: a crash in between leaves an orphan
-                    # sidecar, never a dangling manifest.
-                    write_atomic(
-                        self._sidecar(path), lambda fh: np.savez(fh, **arrays)
-                    )
-                blob = json.dumps(d)
-                write_atomic(
-                    path, lambda fh: fh.write(blob.encode("utf-8"))
-                )
+            write_atomic(
+                path,
+                lambda fh: pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL),
+            )
             fsync_dir(path.parent)
         except Exception:
             return False

@@ -2,7 +2,9 @@
 
 Execution model
 ---------------
-:func:`run_specs` is the single entry point.  For every spec it first
+:func:`run_specs` is the single entry point — ``run_many`` and
+``run_seeds`` in :mod:`repro.analysis` only build specs for it — and the
+only code that picks inline or pool execution.  For every spec it first
 consults the :class:`~repro.runner.cache.ResultCache` (in the parent —
 lookups are cheap, and keeping the cache single-writer makes it race-free);
 the remaining cold cells are executed either inline (``workers=0``, the
@@ -26,11 +28,10 @@ worker processes run the same interpreter + numpy as the parent, so
 pooled results are **bit-identical** to the sequential path at any worker
 count (asserted by ``tests/test_runner_equivalence.py``).
 
-``REPRO_PARALLEL`` (env) supplies the default worker count for the
-``parallel=None`` paths in :func:`repro.analysis.harness.run_many` /
-:func:`repro.analysis.seeds.run_seeds`; ``auto`` means one worker per
-usable core.  Inside a pool worker the variable is forced to ``0`` so
-nested calls never spawn pools-within-pools.
+``REPRO_PARALLEL`` (env) supplies the worker count when ``workers`` is
+``None`` (so also for ``run_many``/``run_seeds`` with ``parallel=None``);
+``auto`` means one worker per usable core.  Inside a pool worker the
+count is forced to ``0`` so nested calls never spawn pools-within-pools.
 """
 
 from __future__ import annotations
@@ -218,15 +219,13 @@ def run_specs(
         payload = store.get(spec)
         if payload is None:
             cold.append(i)
-        elif spec.full:
-            outcomes[i] = RunOutcome(
-                key=spec.key or str(spec.policy),
-                result=payload, cached=True,
-            )
-        else:
-            outcomes[i] = RunOutcome(
-                key=spec.key or payload.policy, summary=payload, cached=True,
-            )
+            continue
+        # The key a cold run gives (execute_spec): the scheduler's name.
+        outcomes[i] = RunOutcome(
+            key=spec.key or spec.build_scheduler().name, cached=True,
+            result=payload if spec.full else None,
+            summary=None if spec.full else payload,
+        )
 
     if n_workers <= 0 or len(cold) <= 1:
         for i in cold:

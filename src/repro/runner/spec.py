@@ -387,28 +387,6 @@ class ResultSummary:
             out.coflow_finish = result.finish_array
         return out
 
-    #: Short alias used by bench/analysis code: ``ResultSummary.of(...)``.
-    of = from_result
-
-    def to_json(self) -> Dict:
-        d = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in self._ARRAYS
-        }
-        for name in self._ARRAYS:
-            arr = getattr(self, name)
-            d[name] = None if arr is None else np.asarray(arr).tolist()
-        return d
-
-    @classmethod
-    def from_json(cls, d: Mapping) -> "ResultSummary":
-        kw = dict(d)
-        for name in cls._ARRAYS:
-            if kw.get(name) is not None:
-                kw[name] = np.asarray(kw[name], dtype=np.float64)
-        return cls(**kw)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResultSummary):
             return NotImplemented

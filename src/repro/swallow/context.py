@@ -74,7 +74,12 @@ class _Live:
     unpushed: List[Flow]
     #: block id -> flow, for blocks pushed and not yet pulled
     blocks: Dict[int, Flow] = field(default_factory=dict)
-    completed: bool = False
+    #: the engine's finish time of the coflow, once its transfer is done
+    finish: Optional[float] = None
+
+    @property
+    def completed(self) -> bool:
+        return self.finish is not None
 
 
 class SwallowContext:
@@ -271,7 +276,9 @@ class SwallowContext:
         """Receiver side: obtain a block, driving the fabric as needed.
 
         Time-decoupled: if the coflow's transfer has not finished yet, the
-        simulation advances until it has (the receiver "waits").
+        simulation advances slice by slice until it has (the receiver
+        "waits"), so the clock stops within one slice of the finish.  The
+        callback carries the coflow's finish time.
         """
         live = self._state(ref, "pull")
         flow = live.blocks.get(block_id.value)
@@ -282,11 +289,11 @@ class SwallowContext:
                 raise ProtocolError(
                     f"coflow {ref.coflow_id} cannot complete: engine drained"
                 )
-            self.engine.run(until=self.engine.now + 1.0)
+            self.engine.run(until=self.engine.now + SLICE_LEN)
         data = self.workers[flow.src].fetch_block(ref, block_id)
         self.bus.publish(
             "master/callback",
-            CallBackMsg(coflow=ref, block_id=block_id, time=self.engine.now),
+            CallBackMsg(coflow=ref, block_id=block_id, time=live.finish),
         )
         del live.blocks[block_id.value]
         return data
@@ -301,7 +308,7 @@ class SwallowContext:
     def _on_engine_complete(self, cr) -> None:
         rid = self._ref_of.get(cr.coflow_id)
         if rid is not None:
-            self._live[rid].completed = True
+            self._live[rid].finish = cr.finish
 
     # ------------------------------------------------------------- inspection
     def heartbeat(self) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for the content-addressed result cache and its digests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -127,12 +129,6 @@ class TestEnvControls:
 
 
 class TestRoundtrip:
-    def test_summary_json_roundtrip(self):
-        summary = execute_spec(_spec(arrays=True)).summary
-        assert isinstance(summary, ResultSummary)
-        again = ResultSummary.from_json(summary.to_json())
-        assert again == summary  # exact, including the per-flow arrays
-
     def test_summary_store_roundtrip(self, tmp_path):
         cache = ResultCache(root=tmp_path, enabled=True)
         spec = _spec()
@@ -160,24 +156,54 @@ class TestRoundtrip:
         assert list(tmp_path.iterdir()) == []  # nothing was stored
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
+        """Every payload shape (summary, summary with arrays, full result)
+        is one ``<digest>.pkl``.  An empty file, a truncated pickle or a
+        pickle of the other payload kind reads as a miss, is removed and
+        counts as corrupt.  Loops rather than parametrizes, to keep this
+        test's id."""
         cache = ResultCache(root=tmp_path, enabled=True)
-        spec = _spec()
-        summary = execute_spec(spec).summary
-        cache.put(spec, summary)
-        path = cache._path(spec.digest(), spec.full)
-        path.write_text("{not json")
-        assert cache.get(spec) is None
-        assert not path.exists()  # corrupt file dropped
-        # A subsequent put/get works again.
-        cache.put(spec, summary)
-        assert cache.get(spec) == summary
+        specs = [_spec(), _spec(arrays=True), _spec(full=True)]
+        payloads = [execute_spec(spec).payload for spec in specs]
+        for spec, payload in zip(specs, payloads):
+            assert cache.put(spec, payload)
+            path = cache._path(spec.digest())
+            files = [p for p in tmp_path.rglob("*") if p.is_file()]
+            assert files == [path]  # no .json / .npz beside it
+            entry = path.read_bytes()
+            wrong = payloads[0] if spec.full else payloads[2]
+            for bad in (b"", entry[: len(entry) // 2], pickle.dumps(wrong)):
+                corrupt = cache.corrupt
+                path.write_bytes(bad)
+                assert cache.get(spec) is None
+                assert not path.exists()  # corrupt file dropped
+                assert cache.corrupt == corrupt + 1
+            # A subsequent put/get works again.
+            assert cache.put(spec, payload)
+            again = cache.get(spec)
+            if spec.full:
+                assert again.makespan == payload.makespan
+            else:
+                assert again == payload
+            path.unlink()
+
+    @pytest.mark.parametrize("full", [False, True], ids=["summary", "full"])
+    def test_warm_keys_equal_cold_keys(self, tmp_path, full):
+        """A hit is keyed as the run it replays: by the scheduler's name,
+        not by the spelling of the policy."""
+        cache = ResultCache(root=tmp_path, enabled=True)
+        specs = [_spec(policy=p, full=full) for p in ("sebf-madd", "FVDF")]
+        cold = run_specs(specs, workers=0, cache=cache)
+        warm = run_specs(specs, workers=0, cache=cache)
+        assert [out.cached for out in warm] == [True, True]
+        assert [out.key for out in warm] == [out.key for out in cold]
+        assert [out.key for out in cold] == ["sebf", "fvdf"]
 
     def test_summary_is_columnar_no_dataclass_roundtrip(self):
-        """ResultSummary.of reads the result's cached columns directly —
+        """ResultSummary.from_result reads the result's cached columns directly —
         the lazy sequences stay unmaterialized and the arrays are the
         very objects SimulationResult caches."""
         result = run_policy("fvdf", _coflows(), SETUP)
-        summary = ResultSummary.of("fvdf", result, arrays=True)
+        summary = ResultSummary.from_result("fvdf", result, arrays=True)
         assert summary.fct is result.fct_array
         assert summary.flow_size is result.size_array
         assert summary.cct is result.cct_array
@@ -201,7 +227,7 @@ class TestRoundtrip:
         [warm] = run_specs([spec], workers=0, cache=cache)
         assert (cache.hits, cache.misses) == (1, 1)
         assert warm.summary == cold.summary
-        live = ResultSummary.of(
+        live = ResultSummary.from_result(
             "fvdf", run_policy("fvdf", spec.workload.build(), SETUP),
             arrays=True,
         )
@@ -224,7 +250,7 @@ class TestRoundtrip:
         cache = ResultCache(root=tmp_path, enabled=True)
         spec = _spec()
         cache.put(spec, execute_spec(spec).summary)
-        cache._path(spec.digest(), spec.full).write_text("{not json")
+        cache._path(spec.digest()).write_text("{not json")
         assert cache.get(spec) is None
         assert cache.corrupt == 1
         assert cache.stats()["corrupt"] == 1

@@ -153,8 +153,12 @@ class TestCacheHitsMatchColdRuns:
         coflows = _trace(seed=18, num_coflows=8)
         setup = ExperimentSetup(num_ports=16, bandwidth=mbps(100), slice_len=0.01)
         baseline = run_many(POLICIES, coflows, setup)
-        cold = run_many(POLICIES, coflows, setup, parallel=2, cache=tmp_path)
-        warm = run_many(POLICIES, coflows, setup, parallel=2, cache=tmp_path)
-        for name in baseline:
-            assert _result_bits(cold[name]) == _result_bits(baseline[name])
-            assert _result_bits(warm[name]) == _result_bits(baseline[name])
+        # Inline (0) and pooled (2) runs both cache; each gets its own store.
+        for parallel in (0, 2):
+            store = tmp_path / str(parallel)
+            cold = run_many(POLICIES, coflows, setup, parallel=parallel, cache=store)
+            warm = run_many(POLICIES, coflows, setup, parallel=parallel, cache=store)
+            assert list(cold) == list(warm) == list(baseline)
+            for name in baseline:
+                assert _result_bits(cold[name]) == _result_bits(baseline[name])
+                assert _result_bits(warm[name]) == _result_bits(baseline[name])

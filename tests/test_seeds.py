@@ -48,6 +48,15 @@ class TestRunSeeds:
         stats = run_seeds(["fifo", "sebf"], factory, SETUP, seeds=range(4))
         assert stats.win_rate("sebf", "fifo") >= 0.75
 
+    def test_lambda_factory_runs_inline(self, monkeypatch):
+        # The inline path never pickles the factory, so a lambda works.
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        lam = run_seeds(["fifo", "sebf"], lambda s: factory(s), SETUP,
+                        seeds=range(2))
+        ref = run_seeds(["fifo", "sebf"], factory, SETUP, seeds=range(2))
+        for name in ref.samples:
+            assert lam.samples[name].tolist() == ref.samples[name].tolist()
+
     def test_requires_seeds(self):
         with pytest.raises(ConfigurationError):
             run_seeds(["fifo"], factory, SETUP, seeds=[])

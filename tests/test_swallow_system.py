@@ -27,7 +27,7 @@ from repro.swallow import (
     SwallowWorker,
     hook_executor,
 )
-from repro.swallow.context import CORES_PER_NODE
+from repro.swallow.context import CORES_PER_NODE, SLICE_LEN
 from repro.units import MB, gbps, mbps
 
 
@@ -422,6 +422,26 @@ class TestSwallowContext:
         assert saved[False] == 0.0
         assert saved[True] == pytest.approx(0.75, abs=0.05)
         assert cct[True] < cct[False]
+
+    def test_pull_stops_within_a_slice_of_the_finish(self):
+        """pull() waits slice by slice: the callback carries the coflow's
+        finish, and the clock (so the next add()'s arrival) is at most one
+        slice past it."""
+        ctx = self.make_ctx(bandwidth=5_000.0, smart_compress=False)
+        times = []
+        ctx.bus.subscribe("master/callback", lambda msg: times.append(msg.time))
+        ref = ctx.add(ctx.aggregate([FlowInfo(0, 0, 1, 19_650.0)]))
+        ctx.alloc(ctx.scheduling([ref]))
+        bid = BlockId()
+        ctx.push(ref, bid, b"x")
+        ctx.pull(ref, bid)
+        (cres,) = ctx.results().coflow_results
+        assert cres.finish == pytest.approx(3.93)
+        assert times == [cres.finish]
+        nxt = ctx.add(ctx.aggregate([FlowInfo(1, 0, 1, 100.0)]))
+        arrival = ctx._live[nxt.coflow_id].coflow.arrival
+        for t in (ctx.engine.now, arrival):
+            assert cres.finish <= t <= cres.finish + SLICE_LEN + 1e-9
 
     def test_compression_disabled_by_option(self):
         ctx = self.make_ctx(smart_compress=False)
