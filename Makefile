@@ -1,4 +1,4 @@
-.PHONY: install test lint bench reproduce examples clean
+.PHONY: install test lint bench guards reproduce examples clean
 
 # Every target runs from the source tree, installed or not.
 export PYTHONPATH := src
@@ -24,6 +24,16 @@ lint:
 bench:
 	REPRO_CACHE=0 python -m pytest -q -p no:cacheprovider benchmarks \
 		--ignore=benchmarks/bench_engine_microbench.py --benchmark-disable
+
+# The micro-benchmark overhead guards as CI runs them.
+GUARDS := disabled_tracing_overhead_under_5pct recorder_overhead_under_15pct \
+	incremental_view_overhead_under_5pct columnar_ingest_cuts_submit_share \
+	telemetry_plane_overhead_under_5pct jsonl_block_parse_near_json_floor \
+	trace_export_beats_per_record_decode
+
+guards:
+	python -m pytest -q -p no:cacheprovider \
+		$(addprefix benchmarks/bench_engine_microbench.py::test_,$(GUARDS))
 
 reproduce:
 	python -m repro reproduce

@@ -86,6 +86,19 @@ def run_policy(
     return sim.run()
 
 
+def check_distinct_names(policies: Sequence[Union[str, Scheduler]]) -> None:
+    """Raise when two policies run schedulers of the same name: grid
+    results are keyed by it, so theirs would merge (``sebf-madd`` is SEBF)."""
+    seen: Dict[str, Union[str, Scheduler]] = {}
+    for p in policies:
+        name = make_scheduler(p).name if isinstance(p, str) else p.name
+        if name in seen:
+            raise ConfigurationError(
+                f"policies {seen[name]!r} and {p!r} both run scheduler {name!r}"
+            )
+        seen[name] = p
+
+
 def run_many(
     policies: Sequence[Union[str, Scheduler]],
     coflows: Sequence[Coflow],
@@ -96,14 +109,15 @@ def run_many(
     """Run several policies over the *same* workload (paired comparison).
 
     One full-result :class:`~repro.runner.spec.RunSpec` per policy, run by
-    :func:`~repro.runner.pool.run_specs` and keyed by scheduler name.
-    ``parallel`` is its worker count: ``None`` defers to the
-    ``REPRO_PARALLEL`` env var (unset → inline), ``"auto"`` uses one
-    worker per core, 0 runs inline; results are bit-identical either
-    way.  ``cache`` is the runner's ``cache=`` (default off).
+    :func:`~repro.runner.pool.run_specs` and keyed by scheduler name (so
+    names must be distinct).  ``parallel`` is its worker count: ``None``
+    defers to the ``REPRO_PARALLEL`` env var (unset → inline), ``"auto"``
+    uses one worker per core, 0 runs inline; results are bit-identical
+    either way.  ``cache`` is the runner's ``cache=`` (default off).
     """
     from repro.runner import RunSpec, WorkloadSpec, run_specs
 
+    check_distinct_names(policies)
     workload = WorkloadSpec.inline(coflows)
     setup = setup or ExperimentSetup()
     specs = [

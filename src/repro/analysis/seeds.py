@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.harness import ExperimentSetup
+from repro.analysis.harness import ExperimentSetup, check_distinct_names
 from repro.core.coflow import Coflow
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
@@ -71,12 +71,14 @@ def run_seeds(
     not a lambda or closure.  Opaque callables are uncacheable unless a
     stable ``workload_tag`` names their content for the result cache.
     Metrics beyond the compact summary's scalars ship full results.
+    Policies must run schedulers of distinct names.
     """
     from repro.runner import SUMMARY_METRICS, RunSpec, WorkloadSpec, run_specs
 
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("need at least one seed")
+    check_distinct_names(policies)
     full = metric not in SUMMARY_METRICS
     setup = setup or ExperimentSetup()
     specs = []

@@ -8,6 +8,7 @@ flows complete; its completion time (CCT) is the maximum FCT of its members
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -81,10 +82,12 @@ class Coflow:
     def __post_init__(self) -> None:
         if not self.flows:
             raise ConfigurationError("a coflow must contain at least one flow")
-        if self.arrival < 0:
-            raise ConfigurationError(f"arrival must be >= 0, got {self.arrival}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigurationError(f"deadline must be positive, got {self.deadline}")
+        if not 0 <= self.arrival < math.inf:
+            kind = ">= 0" if self.arrival < 0 else "finite"
+            raise ConfigurationError(f"arrival must be {kind}, got {self.arrival}")
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            kind = "positive" if self.deadline <= 0 else "finite"
+            raise ConfigurationError(f"deadline must be {kind}, got {self.deadline}")
         for f in self.flows:
             f.coflow_id = self.coflow_id
             f.arrival = self.arrival

@@ -19,6 +19,7 @@ zero.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,8 +104,9 @@ class Flow:
     coflow_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ConfigurationError(f"flow size must be positive, got {self.size}")
+        if not 0 < self.size < math.inf:
+            kind = "positive" if self.size <= 0 else "finite"
+            raise ConfigurationError(f"flow size must be {kind}, got {self.size}")
         if self.ratio_override is not None and not 0 < self.ratio_override < 1:
             raise ConfigurationError(
                 f"ratio_override must lie in (0, 1), got {self.ratio_override}"
@@ -113,8 +115,9 @@ class Flow:
             raise ConfigurationError(
                 f"ports must be non-negative, got src={self.src} dst={self.dst}"
             )
-        if self.arrival < 0:
-            raise ConfigurationError(f"arrival must be >= 0, got {self.arrival}")
+        if not 0 <= self.arrival < math.inf:
+            kind = ">= 0" if self.arrival < 0 else "finite"
+            raise ConfigurationError(f"arrival must be {kind}, got {self.arrival}")
 
     def __hash__(self) -> int:  # flows are identity-keyed by id
         return hash(self.flow_id)

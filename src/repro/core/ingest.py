@@ -10,13 +10,12 @@ them straight into the engine's flow/coflow columns without ever building
 :class:`~repro.core.flow.Flow` or :class:`~repro.core.coflow.Coflow`
 objects.
 
-Objects remain first-class: ``from_coflows`` flattens an existing list of
-coflows (this is what ``submit_many`` uses), and a block may carry the
-backing objects alongside the columns (``coflows``) so legacy callers that
-want them — tracers, custom schedulers reaching for ``state.coflow`` —
-still get the *same* instances.  Blocks built from raw columns carry
-``None`` placeholders instead, and the engine materializes a coflow from
-its columns only if someone actually asks.
+A block is valid by construction: its constructor runs the
+:class:`Flow`/:class:`Coflow` invariants once, as masks over the
+columns, and builds only a failing row as objects, so the error is the
+constructors' own.  Blocks carry columns only; ``from_coflows`` flattens
+objects (``submit_many``), and :func:`coflow_from_columns` builds a
+coflow back from columns when a caller (tracer, ``state.coflow``) asks.
 
 Flow/coflow ids for raw-column rows are drawn from the same global
 counters as object construction.  A batch of coflows reserves all its
@@ -28,13 +27,40 @@ ingested through objects.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.coflow import Coflow, reserve_coflow_ids
-from repro.core.flow import reserve_flow_ids
+from repro.core.flow import Flow, reserve_flow_ids
 from repro.errors import ConfigurationError
+
+
+def coflow_from_columns(
+    src, dst, size, compressible, override, flow_id,
+    *, arrival: float, label: str, deadline: Optional[float], coflow_id: int,
+) -> Coflow:
+    """Build one :class:`Coflow` from its flow columns (equal-length
+    sequences; ``override`` is ``-1.0`` for none).  Every id is given, so
+    building draws none from the global counters."""
+    arrival = float(arrival)
+    cols = (np.asarray(col).tolist()
+            for col in (src, dst, size, compressible, override, flow_id))
+    flows = [
+        Flow(s, d, z, arrival, c, None if o == -1.0 else o, f)
+        for s, d, z, c, o, f in zip(*cols)
+    ]
+    return Coflow(flows, arrival, label, deadline, int(coflow_id))
+
+
+class BlockRowError(ConfigurationError):
+    """A block row breaks a Flow/Coflow invariant: the message is the
+    constructor's own, ``row`` the coflow's index in the block."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class CoflowBlock:
@@ -47,8 +73,7 @@ class CoflowBlock:
     (float64), ``compressible`` (bool), ``override`` (float64, ``-1`` for
     "no per-flow ratio override"), ``flow_id`` (int64).
 
-    ``coflows`` optionally carries the backing :class:`Coflow` objects
-    (entries may be ``None`` for rows built from raw columns).
+    The constructor runs :meth:`validate`.
     """
 
     __slots__ = (
@@ -64,7 +89,6 @@ class CoflowBlock:
         "override",
         "flow_id",
         "flow_arrival",
-        "coflows",
     )
 
     def __init__(
@@ -82,7 +106,6 @@ class CoflowBlock:
         override,
         flow_id,
         flow_arrival,
-        coflows: Optional[List[Optional[Coflow]]] = None,
     ) -> None:
         self.arrival = np.asarray(arrival, dtype=np.float64)
         self.width = np.asarray(width, dtype=np.int64)
@@ -100,7 +123,7 @@ class CoflowBlock:
         # construction does not restamp members) — carry them explicitly
         # so block ingest reproduces the object path bit-for-bit.
         self.flow_arrival = np.asarray(flow_arrival, dtype=np.float64)
-        self.coflows = coflows
+        self.validate()
 
     @property
     def n_coflows(self) -> int:
@@ -113,9 +136,9 @@ class CoflowBlock:
     def validate(self) -> None:
         """Apply the Flow/Coflow constructor invariants to the columns.
 
-        Rows built from objects already passed ``__post_init__``; raw
-        column rows (block-parsed JSONL, synthetic generators) get the
-        same checks here, vectorized, with the same error type.
+        Masks mirror the constructors' checks and find the first coflow
+        row that breaks one; only that row is built as objects, so the
+        :class:`BlockRowError` carries the constructors' own message.
         """
         m, n = self.n_coflows, self.n_flows
         if (
@@ -137,36 +160,46 @@ class CoflowBlock:
             )
         ):
             raise ConfigurationError("per-flow columns disagree on length")
-        if m and np.any(self.width < 1):
-            raise ConfigurationError("a coflow must contain at least one flow")
-        if m and float(self.arrival.min()) < 0:
-            raise ConfigurationError("arrival must be >= 0")
-        for d in self.deadline:
-            if d is not None and d <= 0:
-                raise ConfigurationError(f"deadline must be positive, got {d}")
-        if n:
-            if float(self.size.min()) <= 0:
-                bad = float(self.size.min())
-                raise ConfigurationError(f"flow size must be positive, got {bad}")
-            if int(self.src.min()) < 0 or int(self.dst.min()) < 0:
-                raise ConfigurationError("ports must be non-negative")
-            ov = self.override
-            has = ov != -1.0
-            if np.any(has & ~((ov > 0.0) & (ov < 1.0))):
-                bad = float(ov[has & ~((ov > 0.0) & (ov < 1.0))][0])
-                raise ConfigurationError(
-                    f"ratio_override must lie in (0, 1), got {bad}"
-                )
+        a = self.arrival
+        ok = (self.width >= 1) & (a >= 0.0) & (a < math.inf)
+        # a block without deadlines (the common case) skips the Python loop
+        deadlines = self.deadline if self.deadline.count(None) < m else ()
+        for k, d in enumerate(deadlines):
+            try:
+                if d is None or 0 < d < math.inf:
+                    continue
+            except TypeError:  # a non-number; Coflow raises the same
+                pass
+            ok[k] = False
+        size, ov = self.size, self.override
+        flow_ok = (
+            (size > 0.0) & (size < math.inf) & (self.src >= 0) & (self.dst >= 0)
+            & ((ov == -1.0) | ((ov > 0.0) & (ov < 1.0)))
+        )
+        if not flow_ok.all():
+            j = int(flow_ok.argmin())
+            ok[int(np.cumsum(self.width).searchsorted(j, side="right"))] = False
+        if ok.all():
+            return
+        row = int(ok.argmin())
+        first = int(self.width[:row].sum())
+        last = first + int(self.width[row])
+        try:
+            coflow_from_columns(
+                *(col[first:last] for col in (
+                    self.src, self.dst, self.size, self.compressible,
+                    self.override, self.flow_id,
+                )),
+                arrival=a[row], label=self.label[row],
+                deadline=self.deadline[row], coflow_id=self.coflow_id[row],
+            )
+        except (ConfigurationError, TypeError) as exc:
+            raise BlockRowError(str(exc), row) from exc
+        raise AssertionError(f"block masks reject row {row}, its objects do not")
 
     @classmethod
-    def from_coflows(
-        cls, coflows: Sequence[Coflow], keep_objects: bool = True
-    ) -> "CoflowBlock":
-        """Flatten existing coflow objects into a block.
-
-        With ``keep_objects`` the block carries the original instances so
-        downstream legacy paths see the very same objects.
-        """
+    def from_coflows(cls, coflows: Sequence[Coflow]) -> "CoflowBlock":
+        """Flatten existing coflow objects into a block."""
         coflows = list(coflows)
         flows = [f for c in coflows for f in c.flows]
         return cls(
@@ -185,7 +218,6 @@ class CoflowBlock:
             ],
             flow_id=[f.flow_id for f in flows],
             flow_arrival=[f.arrival for f in flows],
-            coflows=coflows if keep_objects else None,
         )
 
     def restamp(self, mask: np.ndarray, now: float) -> None:
@@ -193,13 +225,6 @@ class CoflowBlock:
         ``now`` — the streaming driver's late-coflow backpressure rule."""
         self.arrival[mask] = now
         self.flow_arrival[np.repeat(mask, self.width)] = now
-        if self.coflows is not None:
-            for i in np.flatnonzero(mask).tolist():
-                cf = self.coflows[i]
-                if cf is not None:
-                    cf.arrival = now
-                    for f in cf.flows:
-                        f.arrival = now
 
 
 class BlockBuilder:
@@ -209,8 +234,7 @@ class BlockBuilder:
     generators append many coflows of raw columns in one call
     (:meth:`add_columns`), while buffered-lookahead or legacy paths append
     full objects (:meth:`add_coflow`).  ``build`` concatenates the chunks
-    into a single :class:`CoflowBlock`; the ``coflows`` list is carried
-    only when at least one object was added.
+    into a single :class:`CoflowBlock`, which checks every row once.
     """
 
     def __init__(self) -> None:
@@ -221,19 +245,17 @@ class BlockBuilder:
         self._flow_cols: List[tuple] = []
         self._label: List[str] = []
         self._deadline: List[Optional[float]] = []
-        self._objs: List[Optional[Coflow]] = []
         self.n_flows = 0
 
     @property
     def n_coflows(self) -> int:
         return len(self._label)
 
-    def _append(self, coflow_cols, flow_cols, label, deadline, objs) -> None:
+    def _append(self, coflow_cols, flow_cols, label, deadline) -> None:
         self._coflow_cols.append(coflow_cols)
         self._flow_cols.append(flow_cols)
         self._label.extend(label)
         self._deadline.extend(deadline)
-        self._objs.extend(objs)
         self.n_flows += len(flow_cols[0])
 
     def add_columns(
@@ -270,7 +292,7 @@ class BlockBuilder:
             (arrival, width, np.arange(coflow_id0, coflow_id0 + m)),
             (src, dst, size, compressible, override,
              np.arange(flow_id0, flow_id0 + n), np.repeat(arrival, width)),
-            label, deadline, [None] * m,
+            label, deadline,
         )
 
     def add_coflow(self, coflow: Coflow) -> int:
@@ -285,7 +307,7 @@ class BlockBuilder:
         self._append(
             ([coflow.arrival], [len(flows)], [coflow.coflow_id]),
             tuple(zip(*rows)),
-            [coflow.label], [coflow.deadline], [coflow],
+            [coflow.label], [coflow.deadline],
         )
         return coflow.coflow_id
 
@@ -312,5 +334,4 @@ class BlockBuilder:
             override=override,
             flow_id=flow_id,
             flow_arrival=flow_arrival,
-            coflows=self._objs if any(o is not None for o in self._objs) else None,
         )

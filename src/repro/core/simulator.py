@@ -44,8 +44,8 @@ from repro.core.events import (
     kinds_of,
     mask_of,
 )
-from repro.core.flow import Flow, FlowResult
-from repro.core.ingest import CoflowBlock
+from repro.core.flow import FlowResult
+from repro.core.ingest import CoflowBlock, coflow_from_columns
 from repro.core.results import LazyCoflowResults, LazyFlowResults, ResultStore
 from repro.core.scheduler import (
     Allocation,
@@ -688,8 +688,7 @@ class SliceSimulator:
 
         Flattens the dataclasses into a :class:`CoflowBlock` (the only
         per-flow Python left on this path) and hands it to
-        :meth:`submit_block`; the block keeps the original objects so
-        legacy callers see the same instances.
+        :meth:`submit_block`.
         """
         coflows = list(coflows)
         if not coflows:
@@ -702,13 +701,12 @@ class SliceSimulator:
         One ``_grow``, one vectorized ``xi`` evaluation, one
         ``validate_endpoints`` call and one staged calendar append for the
         whole block; per-coflow Python is limited to the id→slot dict
-        fill.  Blocks built from raw columns (streaming sources) never
-        construct :class:`Flow`/:class:`Coflow` objects at all.
+        fill.  The block was checked when it was built, and no
+        :class:`Flow`/:class:`Coflow` object is constructed here.
         """
         m = block.n_coflows
         if m == 0:
             return
-        block.validate()
         now = self.now
         eps = self._eps_now()
         if float(block.arrival.min()) < now - eps:
@@ -765,10 +763,7 @@ class SliceSimulator:
         self._n_cf += m
         self._cf_labels.extend(block.label)
         self._cf_deadlines.extend(block.deadline)
-        if block.coflows is not None:
-            self._cf_coflows.extend(block.coflows)
-        else:
-            self._cf_coflows.extend([None] * m)
+        self._cf_coflows.extend([None] * m)
         self._cf_states.extend([None] * m)
         cmap = self._coflows
         slot = slot0
@@ -793,43 +788,22 @@ class SliceSimulator:
     def _coflow_for_slot(self, slot: int) -> Coflow:
         """The backing :class:`Coflow` of a slot, materialized on demand.
 
-        Rows ingested from raw columns have no object until a legacy
-        caller (tracer callback, ``state.coflow``, ``export_state``)
-        asks; reconstruction carries the stored ids, so the object is
-        indistinguishable from one built at ingest time.
+        Rows have no object until a legacy caller (tracer callback,
+        ``state.coflow``, ``export_state``) asks; reconstruction carries
+        the stored ids, so the object is indistinguishable from one built
+        at ingest time.
         """
         cf = self._cf_coflows[slot]
         if cf is None:
             a = int(self._cf_first[slot])
             b = a + int(self._cf_count[slot])
-            arrival = float(self._cf_arrival[slot])
-            flows = [
-                Flow(
-                    src=src,
-                    dst=dst,
-                    size=size,
-                    arrival=arrival,
-                    compressible=comp,
-                    ratio_override=None if ov < 0.0 else ov,
-                    flow_id=fid,
-                )
-                for src, dst, size, comp, ov, fid in zip(
-                    self._src[a:b].tolist(),
-                    self._dst[a:b].tolist(),
-                    self._size[a:b].tolist(),
-                    self._compressible[a:b].tolist(),
-                    self._override[a:b].tolist(),
-                    self._flow_id[a:b].tolist(),
-                )
-            ]
-            cf = Coflow(
-                flows,
-                arrival=arrival,
-                label=self._cf_labels[slot],
-                deadline=self._cf_deadlines[slot],
-                coflow_id=int(self._cf_id[slot]),
+            cols = (self._src, self._dst, self._size, self._compressible,
+                    self._override, self._flow_id)
+            cf = self._cf_coflows[slot] = coflow_from_columns(
+                *(col[a:b] for col in cols),
+                arrival=self._cf_arrival[slot], label=self._cf_labels[slot],
+                deadline=self._cf_deadlines[slot], coflow_id=self._cf_id[slot],
             )
-            self._cf_coflows[slot] = cf
         return cf
 
     def _state_for_slot(self, slot: int) -> CoflowState:

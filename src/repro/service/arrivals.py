@@ -37,13 +37,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.coflow import Coflow
-from repro.core.flow import Flow
-from repro.core.ingest import BlockBuilder, CoflowBlock
+from repro.core.coflow import Coflow, reserve_coflow_ids
+from repro.core.flow import Flow, reserve_flow_ids
+from repro.core.ingest import (
+    BlockBuilder,
+    BlockRowError,
+    CoflowBlock,
+    coflow_from_columns,
+)
 from repro.errors import ConfigurationError
 from repro.traces.distributions import SizeDistribution, spark_flow_sizes
 
@@ -302,20 +307,17 @@ class SyntheticSource(ArrivalSource):
 
     @staticmethod
     def _materialize(raw: Dict[str, Any]) -> Coflow:
-        """Build the coflow object for one raw draw (ids drawn here, in
+        """Build the coflow object for one raw draw (ids reserved here, in
         the same order the columnar path reserves them: flows, then the
         coflow)."""
         w = int(raw["src"].size)
-        flows = [
-            Flow(
-                src=int(raw["src"][j]),
-                dst=int(raw["dst"][j]),
-                size=float(raw["size"][j]),
-                compressible=bool(raw["compressible"][j]),
-            )
-            for j in range(w)
-        ]
-        return Coflow(flows, arrival=raw["arrival"], label=raw["label"])
+        flow_id0 = reserve_flow_ids(w)
+        return coflow_from_columns(
+            raw["src"], raw["dst"], raw["size"], raw["compressible"],
+            np.full(w, -1.0), np.arange(flow_id0, flow_id0 + w),
+            arrival=raw["arrival"], label=raw["label"], deadline=None,
+            coflow_id=reserve_coflow_ids(1),
+        )
 
     def _next(self) -> Optional[Coflow]:
         raw = self._next_raw()
@@ -560,55 +562,18 @@ class JsonlSource(ArrivalSource):
                 arrival, src, dst, size, comp, override,
                 width=width, label=label, deadline=deadline,
             )
-        block = builder.build()
-        if arrival:
-            try:
-                block.validate()
-            except ConfigurationError as exc:
-                raise self._bad_row(block, lines, exc) from exc
+        try:
+            block = builder.build()
+        except BlockRowError as exc:
+            # the parsed coflows are the block's last len(lines) rows
+            row = exc.row - (builder.n_coflows - len(lines))
+            raise self._bad_line(exc, lines[row]) from exc
         if overshoot is not None:
             # stash it for the next tick; only after the block's ids are
             # reserved, because constructing the coflow draws its own
             self._buffered = self._to_coflow(overshoot)
             self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
         return block
-
-    def _bad_row(
-        self, block: CoflowBlock, lines: List[int], exc: ConfigurationError
-    ) -> ConfigurationError:
-        """The error of the first parsed coflow in ``block`` that breaks a
-        :class:`Flow`/:class:`Coflow` invariant, naming its physical line.
-
-        The parsed coflows are the block's last ``len(lines)``; each is
-        rebuilt as objects until one fails, so the message is the
-        constructors' own.  ``exc`` (the block check's error) stands if
-        none does.
-        """
-        first = block.n_coflows - len(lines)
-        ends = np.cumsum(block.width).tolist()
-        for k, line in enumerate(lines, start=first):
-            a, b = (ends[k - 1] if k else 0), ends[k]
-            try:
-                Coflow(
-                    [
-                        Flow(
-                            src=int(block.src[j]), dst=int(block.dst[j]),
-                            size=float(block.size[j]),
-                            compressible=bool(block.compressible[j]),
-                            ratio_override=(
-                                None if block.override[j] == -1.0
-                                else float(block.override[j])
-                            ),
-                            flow_id=0,
-                        )
-                        for j in range(a, b)
-                    ],
-                    arrival=float(block.arrival[k]), label=block.label[k],
-                    deadline=block.deadline[k], coflow_id=0,
-                )
-            except ConfigurationError as bad:
-                return self._bad_line(bad, line)
-        return exc
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:

@@ -43,6 +43,13 @@ class TestHarness:
         totals = {n: r.total_bytes_original for n, r in out.items()}
         assert len(set(round(v, 6) for v in totals.values())) == 1
 
+    @pytest.mark.parametrize(
+        "pair", [("sebf", "sebf-madd"), ("edf-deadline", "edf-noadmission")]
+    )
+    def test_run_many_rejects_policies_sharing_a_name(self, workload, setup, pair):
+        with pytest.raises(ConfigurationError, match=rf"{pair[0]}.*{pair[1]}"):
+            run_many(["fifo", *pair], workload, setup)
+
     def test_workload_reusable_across_runs(self, workload, setup):
         r1 = run_policy("sebf", workload, setup)
         r2 = run_policy("sebf", workload, setup)

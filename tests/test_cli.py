@@ -118,6 +118,16 @@ class TestServiceCommands:
         assert report["stream"]["coflows_done"] == 200
         assert report["stream"]["coflows_submitted"] == 200
 
+    def test_serve_bad_input_line_exits_2_naming_it(self, tmp_path, capsys):
+        good = {"arrival": 0.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
+        bad = {"arrival": 0.0, "flows": [{"src": 0, "dst": 1, "size": float("nan")}]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        assert main(["serve", "--input", str(path), "--ports", "4"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 3 of {path}" in err
+        assert "flow size must be finite, got nan" in err
+
     GRID_ARGS = [
         "--policies", "sebf,fvdf", "--bandwidths", "100mbps,1gbps", "--seeds", "0",
         "--coflows", "10", "--workers", "0", "--no-cache",

@@ -12,6 +12,10 @@ def test_flow_validation_rejects_bad_sizes():
         Flow(src=0, dst=1, size=0)
     with pytest.raises(ConfigurationError):
         Flow(src=0, dst=1, size=-5)
+    with pytest.raises(ConfigurationError, match="size must be finite, got nan"):
+        Flow(0, 1, float("nan"))
+    with pytest.raises(ConfigurationError, match="size must be finite, got inf"):
+        Flow(0, 1, float("inf"))
 
 
 def test_flow_validation_rejects_negative_ports_and_arrival():
@@ -21,6 +25,15 @@ def test_flow_validation_rejects_negative_ports_and_arrival():
         Flow(src=0, dst=-2, size=1)
     with pytest.raises(ConfigurationError):
         Flow(src=0, dst=0, size=1, arrival=-1.0)
+    with pytest.raises(ConfigurationError, match="arrival must be finite, got inf"):
+        Flow(src=0, dst=0, size=1, arrival=float("inf"))
+
+
+def test_coflow_rejects_non_finite_arrival_and_deadline():
+    with pytest.raises(ConfigurationError, match="arrival must be finite, got nan"):
+        Coflow([Flow(0, 1, 1.0)], arrival=float("nan"))
+    with pytest.raises(ConfigurationError, match="deadline must be finite, got inf"):
+        Coflow([Flow(0, 1, 1.0)], deadline=float("inf"))
 
 
 def test_flow_ids_are_unique_by_default():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis import ExperimentSetup
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
-from repro.core.ingest import BlockBuilder, CoflowBlock
+from repro.core.ingest import BlockBuilder, BlockRowError, CoflowBlock
 from repro.core.simulator import SliceSimulator
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
@@ -158,6 +158,37 @@ class TestSubmitBlockValidation:
         )
         with pytest.raises(ConfigurationError, match="size must be positive"):
             _sim().submit_block(builder.build())
+
+    @pytest.mark.parametrize(
+        "size, deadline, row, message",
+        [
+            ([1.0, 1.0, 1.0, np.nan, 1.0, 1.0], [None, None, np.inf], 1,
+             "flow size must be finite, got nan"),
+            ([1.0] * 6, [None, None, np.inf], 2,
+             "deadline must be finite, got inf"),
+            ([1.0] * 5 + [-2.0], [None, np.nan, None], 1,
+             "deadline must be finite, got nan"),
+        ],
+    )
+    def test_block_error_names_first_bad_row(self, size, deadline, row, message):
+        builder = BlockBuilder()
+        builder.add_columns(
+            [0.0, 0.0, 1.0], np.arange(6) % 3, np.arange(6) % 2,
+            np.array(size), np.ones(6, dtype=bool),
+            width=[2, 3, 1], label=["a", "b", "c"], deadline=deadline,
+        )
+        with pytest.raises(BlockRowError, match=message) as err:
+            builder.build()
+        assert err.value.row == row
+
+    def test_submit_many_checks_its_block_once(self, monkeypatch):
+        calls = []
+        validate = CoflowBlock.validate
+        monkeypatch.setattr(
+            CoflowBlock, "validate", lambda b: calls.append(b) or validate(b)
+        )
+        _sim().submit_many([Coflow([Flow(0, 1, 1.0)]), Coflow([Flow(1, 0, 2.0)])])
+        assert len(calls) == 1
 
     def test_duplicate_submission_rolls_back(self):
         sim = _sim()

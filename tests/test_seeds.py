@@ -61,6 +61,13 @@ class TestRunSeeds:
         with pytest.raises(ConfigurationError):
             run_seeds(["fifo"], factory, SETUP, seeds=[])
 
+    @pytest.mark.parametrize(
+        "pair", [("sebf", "sebf-madd"), ("edf-deadline", "edf-noadmission")]
+    )
+    def test_rejects_policies_sharing_a_name(self, pair):
+        with pytest.raises(ConfigurationError, match=rf"{pair[0]}.*{pair[1]}"):
+            run_seeds(list(pair), factory, SETUP, seeds=range(2))
+
     def test_summary_rows_sorted(self):
         stats = SeedStats("m", {"b": np.array([1.0]), "a": np.array([2.0])})
         rows = stats.summary_rows()

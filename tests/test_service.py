@@ -282,9 +282,25 @@ class TestJsonlSource:
              "deadline must be positive, got 0.0"),
             ({"arrival": -1.0, "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
              "arrival must be >= 0"),
+            ({"arrival": 2.0, "flows": [
+                {"src": 0, "dst": 1, "size": float("nan")}]},
+             "flow size must be finite, got nan"),
+            ({"arrival": 2.0, "flows": [
+                {"src": 0, "dst": 1, "size": float("inf")}]},
+             "flow size must be finite, got inf"),
+            ({"arrival": float("nan"),
+              "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
+             "arrival must be finite, got nan"),
+            ({"arrival": float("inf"),
+              "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
+             "arrival must be finite, got inf"),
+            ({"arrival": 2.0, "deadline": "soon",
+              "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
+             "'<' not supported between instances of 'int' and 'str'"),
         ],
         ids=["empty", "size", "port", "ratio", "no-override", "deadline",
-             "arrival"],
+             "arrival", "nan-size", "inf-size", "nan-arrival", "inf-arrival",
+             "deadline-type"],
     )
     @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
     def test_invariant_error_names_physical_line(
@@ -496,6 +512,35 @@ class TestBlockAdmission:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         self._assert_identical(self._run_pair(source_path=path))
 
+    def test_each_admitted_block_is_checked_once(self, tmp_path, monkeypatch):
+        """A JSONL stream checks every block once, where it is built:
+        neither ``submit_block`` nor the source checks it again."""
+        from repro.core.ingest import CoflowBlock
+
+        coflows = _drain_all(_spec(limit=30).build())
+        path = tmp_path / "stream.jsonl"
+        path.write_text(
+            "".join(json.dumps(coflow_to_json(c)) + "\n" for c in coflows)
+        )
+        checks = []
+        validate = CoflowBlock.validate
+        monkeypatch.setattr(
+            CoflowBlock, "validate",
+            lambda block: checks.append(block) or validate(block),
+        )
+        sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
+        submitted = []
+        submit_block = sim.submit_block
+        sim.submit_block = lambda block: (
+            submitted.append(block), submit_block(block)
+        )
+        stats = StreamDriver(
+            sim, JsonlSource(str(path)), tick=0.2, setup=SETUP
+        ).run()
+        assert stats.coflows_done == 30
+        assert len(submitted) > 1
+        assert [id(b) for b in checks] == [id(b) for b in submitted]
+
     def test_pop_block_base_fallback_matches_override(self):
         """The generic object-popping pop_block (what a custom source
         inherits) builds the same block as the columnar overrides."""
@@ -512,9 +557,6 @@ class TestBlockAdmission:
                 getattr(blk_fast, col), getattr(blk_base, col)
             ), f"column {col} differs"
         assert blk_fast.label == blk_base.label
-        # the base path materialized objects; the fast path did not
-        assert blk_base.coflows is not None
-        assert blk_fast.coflows is None
 
 
     @settings(max_examples=60, deadline=None)
