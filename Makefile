@@ -41,6 +41,8 @@ reproduce:
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
+# The tracked reports under benchmarks/reports/ stay: `make bench`
+# rewrites them in place.
 clean:
-	rm -rf benchmarks/reports src/repro.egg-info .pytest_cache .repro-cache
+	rm -rf src/repro.egg-info .pytest_cache .repro-cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,9 +1,11 @@
 """Table II — compression parameters of the five codecs.
 
 Reports the registry (the paper's measured speeds/ratios, which the
-scheduler consumes) plus a live measurement of a real stdlib codec on
-synthetic shuffle-like data, and asserts the Eq. 3 decision boundary that
-drives all of Swallow's behaviour: LZ4 beats a 1 GbE link but not 10 GbE.
+scheduler consumes) and asserts the Eq. 3 decision boundary that drives
+all of Swallow's behaviour: LZ4 beats a 1 GbE link but not 10 GbE.  A
+live measurement of a real stdlib codec on synthetic shuffle-like data
+is printed and checked, but kept out of the saved report: its speeds are
+wall-clock readings of the host, different on every run.
 """
 
 import pytest
@@ -14,26 +16,24 @@ from repro.compression.codecs import TABLE_II
 from repro.units import MB, gbps, mbps, rate_to_human
 
 
+HEADER = ["codec", "compression", "decompression", "ratio",
+          "disposal speed R(1-ξ)"]
+
+
+def _row(c):
+    return [
+        c.name,
+        rate_to_human(c.speed),
+        rate_to_human(c.decompression_speed),
+        f"{c.ratio * 100:.2f}%",
+        rate_to_human(c.disposal_speed),
+    ]
+
+
 def run():
-    rows = []
-    for name in ["lz4", "lzo", "snappy", "lzf", "zstd"]:
-        c = TABLE_II[name]
-        rows.append([
-            c.name,
-            rate_to_human(c.speed * 8 / 8),
-            rate_to_human(c.decompression_speed),
-            f"{c.ratio * 100:.2f}%",
-            rate_to_human(c.disposal_speed),
-        ])
-    live = calibrated_codec("zlib", size=2 * int(MB))
-    rows.append([
-        live.name,
-        rate_to_human(live.speed),
-        rate_to_human(live.decompression_speed),
-        f"{live.ratio * 100:.2f}%",
-        rate_to_human(live.disposal_speed),
-    ])
-    return rows, live
+    rows = [_row(TABLE_II[name])
+            for name in ["lz4", "lzo", "snappy", "lzf", "zstd"]]
+    return rows, calibrated_codec("zlib", size=2 * int(MB))
 
 
 def test_table2_codecs(once, report):
@@ -41,12 +41,10 @@ def test_table2_codecs(once, report):
     report(
         "table2_codecs",
         render_table(
-            ["codec", "compression", "decompression", "ratio",
-             "disposal speed R(1-ξ)"],
-            rows,
-            title="Table II — compression parameters of flows",
+            HEADER, rows, title="Table II — compression parameters of flows"
         ),
     )
+    print(render_table(HEADER, [_row(live)], title="live (not saved)"))
     # Decompression is faster than compression for every codec (the paper's
     # justification for ignoring decompression time).
     for c in TABLE_II.values():

@@ -76,7 +76,7 @@ def run_policy(
     """Run one policy over a workload and return the result.
 
     Live :class:`Scheduler` instances are ``fresh()``-ed first, so a
-    scheduler that carries cross-run state (FVDF's served-window map,
+    scheduler that carries cross-run state (FVDF's last decision,
     EDF's admission sets) cannot leak it between runs.
     """
     setup = setup or ExperimentSetup()

@@ -9,9 +9,11 @@ The three pseudocode procedures map onto this module as:
   :func:`expected_fct` (Eq. 7), :func:`coflow_gamma` (Eq. 8) and
   :meth:`FVDFScheduler.schedule` (Shortest-``Γ_C``-First ordering plus the
   minimal-bandwidth allocation ``r = V / Γ_C``).
-* **Pseudocode 3** (OnlineScheduling / Upgrade) → the priority classes
-  ``P`` stored on :class:`~repro.core.scheduler.CoflowState`, multiplied by
-  ``logbase`` at every arrival/completion and used as ``Γ_C / P``.
+* **Pseudocode 3** (OnlineScheduling / Upgrade) → :func:`upgrade`: the
+  priority classes ``P``, a per-coflow engine column read and written
+  through :meth:`~repro.core.scheduler.SchedulerView.priority_columns`,
+  multiplied by ``logbase`` at every arrival/completion and used as
+  ``Γ_C / P``.
 
 Volume disposal itself (line 24–35) is executed by the engine
 (:mod:`repro.core.simulator`), which integrates the chosen rates and
@@ -105,21 +107,31 @@ def expected_fct(view: SchedulerView, beta: np.ndarray) -> np.ndarray:
 def coflow_gamma(view: SchedulerView, beta: np.ndarray) -> np.ndarray:
     """Eq. 8: ``Γ_C = max_f Γ_F(f)`` for every coflow in the view.
 
-    Returns an array aligned with ``view.coflows``.  Computed as one
-    segment-max over the view's precomputed unit offsets instead of a
-    Python loop per coflow.
+    Returns an array in the view's coflow-grouping order.  Computed as
+    one segment-max over the view's precomputed unit offsets instead of
+    a Python loop per coflow.
     """
-    if not view.coflows:
+    perm, starts = view.unit_offsets()
+    if len(starts) < 2:
         return np.empty(0)
     gamma_f = expected_fct(view, beta)
-    perm, starts = view.unit_offsets()
     return np.maximum.reduceat(gamma_f[perm], starts[:-1])
 
 
-def upgrade(view: SchedulerView, logbase: float = DEFAULT_LOGBASE) -> None:
-    """Pseudocode 3 Upgrade: exponential priority growth for waiting coflows."""
-    for cs in view.coflows:
-        cs.priority_class *= logbase
+def upgrade(
+    view: SchedulerView, logbase: float = DEFAULT_LOGBASE, waiting=True
+) -> np.ndarray:
+    """Pseudocode 3 Upgrade: exponential priority growth for waiting coflows.
+
+    Multiplies ``P`` by ``logbase`` for the coflows that ``waiting``
+    masks (in grouping order; every coflow by default), writes it back
+    to the view's priority column and returns it in grouping order.
+    """
+    slots, prio, _ = view.priority_columns()
+    p = prio[slots]
+    np.multiply(p, logbase, out=p, where=waiting)
+    prio[slots] = p
+    return p
 
 
 @dataclass
@@ -206,13 +218,10 @@ class FVDFScheduler(Scheduler):
     def __init__(self, config: Optional[FVDFConfig] = None, name: Optional[str] = None):
         self.config = config or FVDFConfig()
         self.name = name or ("fvdf" if self.config.compress else "fvdf-nocompress")
-        #: coflow_id -> whether it received service in the last window
-        self._last_served: dict = {}
         #: the most recent decision, i.e. the allocation in force
         self.last: Optional[Decision] = None
 
     def reset(self) -> None:
-        self._last_served.clear()
         self.last = None
 
     def __getstate__(self) -> dict:
@@ -222,21 +231,19 @@ class FVDFScheduler(Scheduler):
         return state
 
     # -- helpers ---------------------------------------------------------------
-    def _unit_segments(self, view: SchedulerView):
+    def _unit_segments(self, view: SchedulerView, p_cof: np.ndarray):
         """Scheduling units as segment arrays over the active positions.
 
         Returns ``(perm, starts, P, owner)``: ``perm[starts[u]:starts[u+1]]``
         are unit *u*'s flow positions, ``P[u]`` its priority class and
-        ``owner[u]`` the index of its coflow in ``view.coflows``.  Coflow
-        granularity reuses the view's precomputed offsets verbatim; flow
-        granularity splits every position into its own unit (inheriting
-        its coflow's class) without materializing per-flow arrays.
+        ``owner[u]`` the index of its coflow in the grouping, whose
+        classes are ``p_cof``.  Coflow granularity reuses the view's
+        precomputed offsets verbatim; flow granularity splits every
+        position into its own unit (inheriting its coflow's class)
+        without materializing per-flow arrays.
         """
         perm, starts = view.unit_offsets()
-        n_cof = len(view.coflows)
-        p_cof = np.array(
-            [cs.priority_class for cs in view.coflows], dtype=np.float64
-        )
+        n_cof = len(p_cof)
         if self.config.granularity == "coflow":
             return perm, starts, p_cof, np.arange(n_cof, dtype=np.intp)
         owner = np.arange(n_cof, dtype=np.intp).repeat(starts[1:] - starts[:-1])
@@ -265,22 +272,27 @@ class FVDFScheduler(Scheduler):
         if n == 0:
             return Allocation.idle(0)
         cfg = self.config
-        if cfg.logbase > 1.0 and view.trigger.is_preemption_point:
+        # P and the served flags of the grouping's coflows: gathered once,
+        # aged in one masked multiply, scattered back once each.
+        slots, prio, served = view.priority_columns()
+        event = view.trigger.is_preemption_point
+        upgraded = 0
+        if cfg.logbase > 1.0 and event:
             if cfg.aging == "starved":
-                upgraded = 0
-                was_served = self._last_served
-                ids = view.coflow_columns()[0].tolist()
-                for cs, cid in zip(view.coflows, ids):
-                    if was_served.get(cid, True) is False:
-                        cs.priority_class *= cfg.logbase
-                        upgraded += 1
+                # Age only the coflows the last window left idle; one
+                # that arrived since then counts as served.
+                waiting = ~served[slots]
+                upgraded = int(np.count_nonzero(waiting))
             else:
-                upgrade(view, cfg.logbase)
-                upgraded = len(view.coflows)
-            if upgraded and self.obs.metrics.enabled:
+                waiting, upgraded = True, len(slots)
+        if upgraded:
+            p_cof = upgrade(view, cfg.logbase, waiting)
+            if self.obs.metrics.enabled:
                 self.obs.metrics.counter("fvdf.upgrades").inc(upgraded)
+        else:
+            p_cof = prio[slots]
 
-        perm, starts, P, owner = self._unit_segments(view)
+        perm, starts, P, owner = self._unit_segments(view, p_cof)
 
         # Pass 1: optimistic β (budget resolved in arrival order) to get a
         # provisional urgency ranking, which then decides who actually wins
@@ -316,20 +328,17 @@ class FVDFScheduler(Scheduler):
             flt.add_order(
                 view.time, view.coflow_ids[ranked], gamma[order], P[order]
             )
-        if cfg.aging in ("decay", "reset") and len(order) and view.trigger.is_preemption_point:
-            cs = view.coflows[int(owner[order[0]])]
+        if cfg.aging in ("decay", "reset") and len(order) and event:
+            head = slots[owner[order[0]]]
             if cfg.aging == "reset":
-                cs.priority_class = 1.0
+                prio[head] = 1.0
             else:  # decay: undo this event's upgrade and one more
-                cs.priority_class = max(1.0, cs.priority_class / cfg.logbase**2)
+                prio[head] = max(1.0, prio[head] / cfg.logbase**2)
 
         rates = self._allocate(view, perm, starts, order, gamma, beta)
         served_pos = (rates > 0) | beta
         cperm, cstarts = view.unit_offsets()
-        served = np.logical_or.reduceat(served_pos[cperm], cstarts[:-1])
-        self._last_served = dict(
-            zip(view.coflow_columns()[0].tolist(), served.tolist())
-        )
+        served[slots] = np.logical_or.reduceat(served_pos[cperm], cstarts[:-1])
         self.last = Decision(
             view.flow_ids, view.coflow_ids, perm, starts, order, gamma, P,
             rates, beta,

@@ -19,11 +19,14 @@ Nothing in the library imports this module.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
-from repro.core.coflow import CoflowResult
+from repro.core.coflow import Coflow, CoflowResult
 from repro.core.events import HeapCalendar
-from repro.core.scheduler import SchedulerView
+from repro.core.flow import FlowResult
+from repro.core.scheduler import CoflowState, SchedulerView
 from repro.core.simulator import (
     _ACTIVE,
     _CANCELLED,
@@ -31,10 +34,32 @@ from repro.core.simulator import (
     _PENDING,
     SimulationResult,
     SliceSimulator,
-    _CoflowRecord,
     _tolerance,
 )
 from repro.errors import ConfigurationError
+
+
+class _CoflowRecord:
+    """Live state of one submitted coflow, kept per record.
+
+    ``slot`` is the coflow's row in the engine's per-coflow columns; this
+    engine fills only the priority class and served flag there, which
+    FVDF reads through the view as it does on the columnar engine.
+    """
+
+    __slots__ = (
+        "coflow", "global_idx", "slot", "remaining", "state", "finish_phys",
+        "flow_results",
+    )
+
+    def __init__(self, coflow: Coflow, global_idx: np.ndarray, slot: int):
+        self.coflow = coflow
+        self.global_idx = global_idx
+        self.slot = slot
+        self.remaining = len(global_idx)
+        self.state = CoflowState(coflow=coflow, flow_idx=np.empty(0, dtype=np.intp))
+        self.finish_phys = 0.0
+        self.flow_results: List[FlowResult] = []
 
 
 class PreColumnarSliceSimulator(SliceSimulator):
@@ -103,7 +128,12 @@ class PreColumnarSliceSimulator(SliceSimulator):
             self._src[g0 : self._n], self._dst[g0 : self._n]
         )
         idx = np.arange(g0, self._n, dtype=np.intp)
-        self._coflows[coflow.coflow_id] = _CoflowRecord(coflow, idx)
+        slot = self._n_cf
+        self._cf_grow(1)
+        self._cf_prio[slot] = 1.0
+        self._cf_served[slot] = True
+        self._n_cf += 1
+        self._coflows[coflow.coflow_id] = _CoflowRecord(coflow, idx, slot)
         self._coflow_arrival[coflow.coflow_id] = coflow.arrival
         self._calendar.push(coflow)
 
@@ -183,11 +213,14 @@ class PreColumnarSliceSimulator(SliceSimulator):
         counts = np.bincount(unit_of_pos, minlength=len(uids))
         starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
         states = []
+        slots = []
         for k, u in enumerate(by_arrival):
             rec = self._coflows[int(uids[u])]
             rec.state.flow_idx = perm[starts[k] : starts[k + 1]]
             states.append(rec.state)
+            slots.append(rec.slot)
         self._cached_states = states
+        self._cached_group_slots = np.asarray(slots, dtype=np.intp)
         self._cached_coflow_ids = coflow_ids
         self._cached_perm = perm
         self._cached_starts = starts
@@ -230,6 +263,9 @@ class PreColumnarSliceSimulator(SliceSimulator):
             compression=self.compression,
             unit_perm=self._cached_perm,
             unit_starts=self._cached_starts,
+            priority_table=(
+                self._cached_group_slots, self._cf_prio, self._cf_served
+            ),
         )
 
     # ---------------------------------------------------------- retirement

@@ -31,22 +31,6 @@ from repro.fabric.bigswitch import BigSwitch
 from repro.obs import NULL_OBS, Observability
 
 
-class _SegmentRef:
-    """Shared (perm, starts) segmentation, mutated in place by the engine.
-
-    Every :class:`CoflowState` the engine hands out references the same
-    ``_SegmentRef``; when the active set changes, the engine rebinds
-    ``perm``/``starts`` once and every state's ``flow_idx`` view follows
-    — no per-coflow slice assignment loop.
-    """
-
-    __slots__ = ("perm", "starts")
-
-    def __init__(self, perm: np.ndarray, starts: np.ndarray):
-        self.perm = perm
-        self.starts = starts
-
-
 def segment_sums(
     cols, width: np.ndarray, first: Optional[np.ndarray] = None
 ) -> List[np.ndarray]:
@@ -86,7 +70,7 @@ def segment_sums(
 
 
 class CoflowState:
-    """Mutable per-coflow scheduling state exposed to schedulers.
+    """One active coflow as a policy that walks coflows one by one sees it.
 
     Attributes
     ----------
@@ -96,35 +80,23 @@ class CoflowState:
         all — states constructed with ``coflow_id=``/``coflow_factory=``
         materialize one on first access as ``coflow_factory(coflow_id)``
         (one factory serves every state of an engine), while
-        :attr:`coflow_id` always answers without materializing (it is the
-        only coflow field the stock policies read per decision).
+        :attr:`coflow_id` always answers without materializing.
     flow_idx:
         Indices of this coflow's *unfinished* flows within the view's
-        active-flow arrays (refreshed at every decision point).  Either an
-        explicitly assigned array (legacy engines, tests) or — when the
-        engine bound the state to a shared segmentation — a slice of the
-        engine's unit permutation, so the engine can update every state
-        in O(1) total.
-    priority_class:
-        The paper's starvation-freedom class ``P`` (Pseudocode 3); owned by
-        the scheduler, persisted across decision points by the engine.
+        active-flow arrays.
+
+    A state holds no scheduling state of its own: the engine builds a
+    view's states only when a policy reads ``view.coflows``, and FVDF's
+    priority class and served flag live in engine columns
+    (:meth:`SchedulerView.priority_columns`).
     """
 
-    __slots__ = (
-        "priority_class",
-        "_coflow",
-        "_coflow_id",
-        "_coflow_factory",
-        "_flow_idx",
-        "_seg",
-        "_ordinal",
-    )
+    __slots__ = ("_coflow", "_coflow_id", "_coflow_factory", "flow_idx")
 
     def __init__(
         self,
         coflow: Optional[Coflow] = None,
         flow_idx: Optional[np.ndarray] = None,
-        priority_class: float = 1.0,
         *,
         coflow_id: Optional[int] = None,
         coflow_factory=None,
@@ -136,10 +108,7 @@ class CoflowState:
             int(coflow.coflow_id) if coflow is not None else int(coflow_id)
         )
         self._coflow_factory = coflow_factory
-        self.priority_class = priority_class
-        self._flow_idx = flow_idx
-        self._seg: Optional[_SegmentRef] = None
-        self._ordinal = 0
+        self.flow_idx = flow_idx
 
     @property
     def coflow(self) -> Coflow:
@@ -154,32 +123,13 @@ class CoflowState:
         self._coflow_id = int(value.coflow_id)
 
     @property
-    def flow_idx(self) -> np.ndarray:
-        seg = self._seg
-        if seg is not None:
-            k = self._ordinal
-            return seg.perm[seg.starts[k] : seg.starts[k + 1]]
-        return self._flow_idx
-
-    @flow_idx.setter
-    def flow_idx(self, value: np.ndarray) -> None:
-        self._flow_idx = value
-        self._seg = None
-
-    def bind_segments(self, seg: _SegmentRef, ordinal: int) -> None:
-        """Back ``flow_idx`` by segment ``ordinal`` of the shared ref."""
-        self._seg = seg
-        self._ordinal = ordinal
-
-    @property
     def coflow_id(self) -> int:
         return self._coflow_id
 
     def __repr__(self):
         return (
             f"CoflowState(coflow_id={self.coflow_id}, "
-            f"n_flows={len(self.flow_idx) if self.flow_idx is not None else 0}, "
-            f"priority_class={self.priority_class})"
+            f"n_flows={len(self.flow_idx) if self.flow_idx is not None else 0})"
         )
 
 
@@ -201,9 +151,18 @@ class SchedulerView:
     ``coflows[j]`` is row ``slots[j]`` of the three columns, and width
     counts every member flow, finished ones too.
 
+    ``priority_table`` is ``(slots, priority, served)``: FVDF's priority
+    class ``P`` and "served in the last window" flag as writable
+    per-coflow columns, where ``slots[j]`` is the row of the ``j``-th
+    coflow of the grouping.  The engine passes its own slot columns, so
+    what a policy writes there persists to the next decision; a view
+    built without one starts every coflow at ``P = 1``, served
+    (:meth:`priority_columns`).
+
     The engine hands out a subclass that gathers the columns a policy
     does not read on every decision, and the coflow grouping, on first
-    read (:class:`repro.core.simulator.SliceSimulator`).  Such a view
+    read (:class:`repro.core.simulator.SliceSimulator`); it builds
+    ``coflows`` only for a policy that reads it.  Such a view
     is valid only during its own decision: it reads the engine's current
     store, so a first read of a lazy attribute after the decision raises
     :class:`~repro.errors.SimulationError`.  A policy that needs a value
@@ -232,6 +191,7 @@ class SchedulerView:
         unit_perm: Optional[np.ndarray] = None,
         unit_starts: Optional[np.ndarray] = None,
         coflow_table: Optional[Tuple[np.ndarray, ...]] = None,
+        priority_table: Optional[Tuple[np.ndarray, ...]] = None,
     ):
         self.time = time
         self.slice_len = slice_len
@@ -253,6 +213,7 @@ class SchedulerView:
         self.unit_perm = unit_perm
         self.unit_starts = unit_starts
         self.coflow_table = coflow_table
+        self.priority_table = priority_table
         self._coflow_cols: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
@@ -304,6 +265,23 @@ class SchedulerView:
                     np.array([cf.width for cf in cfs], dtype=np.int64),
                 )
         return self._coflow_cols
+
+    def priority_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """FVDF's per-coflow ``(slots, priority, served)`` columns.
+
+        ``priority[slots]`` and ``served[slots]`` are the grouping's
+        priority classes and served flags; a policy updates them by
+        scattering back through ``slots``.  Without a ``priority_table``
+        the view makes one on first call: every coflow at ``P = 1``,
+        served."""
+        if self.priority_table is None:
+            n_cof = len(self.unit_offsets()[1]) - 1
+            self.priority_table = (
+                np.arange(n_cof, dtype=np.intp),
+                np.ones(n_cof),
+                np.ones(n_cof, dtype=bool),
+            )
+        return self.priority_table
 
     def fresh_capacity(self):
         """Writable copies of (ingress, egress) capacities for allocation."""
@@ -370,8 +348,8 @@ class Scheduler(ABC):
     def reset(self) -> None:
         """Clear any cross-run state (default: stateless).
 
-        Stateful policies (FVDF's served-window map, EDF's admission
-        sets, …) must override this to drop everything that could leak
+        Stateful policies (FVDF's last decision, EDF's admission sets,
+        …) must override this to drop everything that could leak
         from one run into the next.
         """
 

@@ -52,12 +52,16 @@ from repro.core.scheduler import (
     CoflowState,
     Scheduler,
     SchedulerView,
-    _SegmentRef,
     segment_sums,
 )
 from repro.cpu.cores import CpuModel
 from repro.cpu.monitor import UtilizationRecorder
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    SchedulingError,
+    SimulationError,
+)
 from repro.fabric.bigswitch import BigSwitch
 from repro.obs import NULL_OBS, Observability
 
@@ -82,10 +86,14 @@ _FLOW_COLS = (
 #: finish tolerance, which a restore derives from ``_size`` again.
 _STORE_COLS = _FLOW_COLS + ("_tol",)
 
-#: Dense per-coflow slot columns.
+#: Dense per-coflow slot columns.  ``_cf_prio`` and ``_cf_served`` are
+#: FVDF's priority class ``P`` and "served in the last window" flag
+#: (1.0 and True at submit), read and written through
+#: :meth:`SchedulerView.priority_columns`.
 _CF_COLS = (
     "_cf_id", "_cf_arrival", "_cf_remaining", "_cf_finish",
     "_cf_finish_phys", "_cf_first", "_cf_count", "_cf_size", "_cf_bytes",
+    "_cf_prio", "_cf_served",
 )
 
 
@@ -323,32 +331,6 @@ class SimulationResult:
         )
 
 
-class _CoflowRecord:
-    """Engine-internal live state of one submitted coflow.
-
-    The columnar engine keeps the hot per-coflow counters (remaining,
-    finish-phys max, …) in dense slot-indexed arrays on the simulator;
-    ``slot`` is this coflow's index into them.  The ``remaining`` /
-    ``finish_phys`` / ``flow_results`` attributes remain for the pinned
-    pre-columnar engine (:mod:`repro.core.reference`), which still does
-    its bookkeeping per record.
-    """
-
-    __slots__ = (
-        "coflow", "global_idx", "slot", "remaining", "state", "finish_phys",
-        "flow_results",
-    )
-
-    def __init__(self, coflow: Coflow, global_idx: np.ndarray, slot: int = -1):
-        self.coflow = coflow
-        self.global_idx = global_idx
-        self.slot = slot
-        self.remaining = len(global_idx)
-        self.state = CoflowState(coflow=coflow, flow_idx=np.empty(0, dtype=np.intp))
-        self.finish_phys = 0.0
-        self.flow_results: List[FlowResult] = []
-
-
 class _CoflowFactory:
     """Coflow object by id: the one factory every lazy
     :class:`CoflowState` of an engine shares.
@@ -380,7 +362,9 @@ _LAZY_COLUMNS = {
     "compressible": "_compressible",
 }
 #: View attributes that the engine's coflow grouping binds.
-_GROUPING = frozenset({"coflows", "unit_perm", "unit_starts", "coflow_table"})
+_GROUPING = frozenset(
+    {"unit_perm", "unit_starts", "coflow_table", "priority_table"}
+)
 
 
 class _EngineView(SchedulerView):
@@ -389,8 +373,11 @@ class _EngineView(SchedulerView):
     ``src``, ``dst``, ``raw`` and ``comp`` are gathered up front; every
     policy reads them.  The other columns, the free cores and the coflow
     grouping are bound on first read, so a policy pays only for what it
-    reads: the flow-level baselines never group coflows, and only FVDF
-    reads the free cores.  Read a view during its own decision: the
+    reads: the flow-level baselines never group coflows, only FVDF reads
+    the free cores, and only a policy that walks coflows one by one
+    (``dclas``, ``sincronia``, the deadline policies,
+    ``FixedOrderScheduler``) reads ``coflows``, the one attribute built
+    as Python objects.  Read a view during its own decision: the
     engine's store moves on afterwards, so a first read of a lazy
     attribute after the decision raises :class:`SimulationError`
     instead of returning a later state.
@@ -418,7 +405,10 @@ class _EngineView(SchedulerView):
         if sim is None:
             raise AttributeError(name)
         column = _LAZY_COLUMNS.get(name)
-        if column is None and name != "free_cores" and name not in _GROUPING:
+        if (
+            column is None and name not in _GROUPING
+            and name not in ("free_cores", "coflows")
+        ):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
@@ -432,6 +422,8 @@ class _EngineView(SchedulerView):
             value = getattr(sim, column)[self._idx]
         elif name == "free_cores":
             value = sim.cpu.free_cores(self.time)
+        elif name == "coflows":
+            value = sim._coflow_states(self)
         else:
             sim._bind_grouping(self)
             return self.__dict__[name]
@@ -538,14 +530,13 @@ class SliceSimulator:
         self._cf_count = np.empty(0, dtype=np.int64)
         self._cf_size = np.empty(0, dtype=np.float64)
         self._cf_bytes = np.empty(0, dtype=np.float64)
+        self._cf_prio = np.empty(0, dtype=np.float64)
+        self._cf_served = np.empty(0, dtype=bool)
         self._cf_labels: List[str] = []
         self._cf_deadlines: List[Optional[float]] = []
-        # Per-slot lazy object caches: the backing Coflow (None for rows
-        # ingested from raw columns until someone asks for the object)
-        # and the CoflowState handed to schedulers (created on first
-        # activation).
+        # Per-slot lazy object cache: the backing Coflow (None for rows
+        # ingested from raw columns until someone asks for the object).
         self._cf_coflows: List[Optional[Coflow]] = []
-        self._cf_states: List[Optional[CoflowState]] = []
         #: The engine through a weak proxy, for the objects it hands out
         #: (coflow factory, views): a dropped engine is freed by refcount.
         self._proxy = weakref.proxy(self)
@@ -575,10 +566,10 @@ class SliceSimulator:
         #: by the perf harness to measure the cache's win and by the
         #: microbench overhead guard).
         self.force_regroup = False
-        self._cached_states: List[CoflowState] = []
-        self._seg = _SegmentRef(
-            np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        )
+        # The grouping: unit permutation and offsets, the unit of every
+        # active position, and the coflow slot of every unit.
+        self._cached_perm = np.empty(0, dtype=np.intp)
+        self._cached_starts = np.zeros(1, dtype=np.intp)
         self._cached_unit_of_pos = np.empty(0, dtype=np.intp)
         self._cached_group_slots = np.empty(0, dtype=np.intp)
         #: Pending capacity changes, a heap of (time, side, port, seq, cap).
@@ -760,11 +751,12 @@ class SliceSimulator:
         self._cf_remaining[slots] = widths
         self._cf_first[slots] = firsts
         self._cf_count[slots] = widths
+        self._cf_prio[slot0 : slot0 + m] = 1.0
+        self._cf_served[slot0 : slot0 + m] = True
         self._n_cf += m
         self._cf_labels.extend(block.label)
         self._cf_deadlines.extend(block.deadline)
         self._cf_coflows.extend([None] * m)
-        self._cf_states.extend([None] * m)
         cmap = self._coflows
         slot = slot0
         for cid in ids.tolist():
@@ -775,7 +767,6 @@ class SliceSimulator:
                 del self._cf_labels[slot0:]
                 del self._cf_deadlines[slot0:]
                 del self._cf_coflows[slot0:]
-                del self._cf_states[slot0:]
                 for done in ids.tolist():
                     if cmap.get(done, -1) >= slot0:
                         del cmap[done]
@@ -805,23 +796,6 @@ class SliceSimulator:
                 deadline=self._cf_deadlines[slot], coflow_id=self._cf_id[slot],
             )
         return cf
-
-    def _state_for_slot(self, slot: int) -> CoflowState:
-        """The scheduler-facing :class:`CoflowState` of a slot.
-
-        Created lazily on first activation; carries only the coflow id
-        plus the engine's shared materialization factory, so the stock
-        policies (which read ``state.coflow_id``) never force the object
-        into existence.
-        """
-        st = self._cf_states[slot]
-        if st is None:
-            st = CoflowState(
-                coflow_id=int(self._cf_id[slot]),
-                coflow_factory=self._coflow_factory,
-            )
-            self._cf_states[slot] = st
-        return st
 
     def _eps_now(self) -> float:
         """Memoized ``_time_eps(self.now)`` — ``now`` only moves with ``_k``."""
@@ -1061,7 +1035,7 @@ class SliceSimulator:
     def _n_active_coflows(self) -> int:
         """How many coflows have an active flow (the grouping's length)."""
         if not self._groups_dirty:
-            return len(self._cached_states)
+            return len(self._cached_group_slots)
         return len(np.unique(self._slot_of[self._active]))
 
     def result(self) -> SimulationResult:
@@ -1217,9 +1191,6 @@ class SliceSimulator:
         self._cf_coflows = [
             x for x, k in zip(self._cf_coflows, keep_list) if k
         ]
-        self._cf_states = [
-            x for x, k in zip(self._cf_states, keep_list) if k
-        ]
         for cid in evicted_ids:
             self._coflows.pop(cid, None)
         # Survivors' slots shifted down: rebuild the id map from the
@@ -1292,10 +1263,6 @@ class SliceSimulator:
             "cal_slot": cal_slot,
             "cf_labels": list(self._cf_labels),
             "cf_deadlines": list(self._cf_deadlines),
-            "priority_class": [
-                1.0 if st is None else st.priority_class
-                for st in self._cf_states
-            ],
             "scheduler": self.scheduler,
         }
 
@@ -1314,6 +1281,13 @@ class SliceSimulator:
                 f"checkpoint slice_len {state['slice_len']} != "
                 f"simulator slice_len {self.slice_len}"
             )
+        for table, names in (("flow_cols", _FLOW_COLS), ("cf_cols", _CF_COLS)):
+            missing = [c for c in names if c not in state[table]]
+            if missing:
+                raise CheckpointError(
+                    f"checkpoint state has no {', '.join(missing)} column "
+                    f"in {table}: it was written by an engine without it"
+                )
         n, n_cf = int(state["n"]), int(state["n_cf"])
         self._grow(n)
         self._cf_grow(n_cf)
@@ -1365,16 +1339,9 @@ class SliceSimulator:
         self._cf_deadlines = list(state["cf_deadlines"])
         # Coflow objects are rebuilt lazily from the columns.
         self._cf_coflows = [None] * n_cf
-        self._coflows = {}
-        self._cf_states = []
-        prio = state["priority_class"]
-        for slot, cid in enumerate(self._cf_id[:n_cf].tolist()):
-            self._coflows[cid] = slot
-            self._cf_states.append(CoflowState(
-                coflow_id=cid,
-                coflow_factory=self._coflow_factory,
-                priority_class=prio[slot],
-            ))
+        self._coflows = {
+            cid: slot for slot, cid in enumerate(self._cf_id[:n_cf].tolist())
+        }
         self._calendar.import_entries(
             state["cal_time"], state["cal_seq"], state["cal_slot"]
         )
@@ -1451,11 +1418,12 @@ class SliceSimulator:
     def _regroup(self) -> None:
         """Recompute the coflow segmentation of the active set from scratch.
 
-        Invariant: the grouping (states list, per-state ``flow_idx``
-        positions, unit permutation/offsets) depends only on
-        ``_active``.  Arrivals and retirements keep the cache current
-        with the incremental deltas below while decisions read it, and a
-        drain only renumbers the cached slots; this full rebuild runs on
+        Invariant: the grouping (unit permutation/offsets, the unit of
+        every active position, the coflow slot of every unit) depends
+        only on ``_active``.  Arrivals and retirements keep the cache
+        current with the incremental deltas below while decisions read
+        it, and a drain only renumbers the cached slots; this full
+        rebuild runs on
         the first read, the first read after a decision that did not
         read it, after cancellations and restores, when
         ``force_regroup`` is set, and for the rare arrival batch the
@@ -1477,17 +1445,10 @@ class SliceSimulator:
         perm = np.argsort(unit_of_pos, kind="stable").astype(np.intp, copy=False)
         counts = np.bincount(unit_of_pos, minlength=len(uslots))
         starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        group_slots = uslots[by_arrival]
-        self._seg.perm = perm
-        self._seg.starts = starts
-        states: List[CoflowState] = []
-        for k, s in enumerate(group_slots.tolist()):
-            state = self._state_for_slot(s)
-            state.bind_segments(self._seg, k)
-            states.append(state)
-        self._cached_states = states
+        self._cached_perm = perm
+        self._cached_starts = starts
         self._cached_unit_of_pos = unit_of_pos
-        self._cached_group_slots = group_slots.astype(np.intp, copy=False)
+        self._cached_group_slots = uslots[by_arrival].astype(np.intp, copy=False)
         self._groups_dirty = False
 
     def _regroup_extend(
@@ -1514,8 +1475,7 @@ class SliceSimulator:
         if gslots.size and arrivals[0] <= self._cf_arrival[gslots[-1]]:
             self._groups_dirty = True
             return
-        g0 = len(self._cached_states)
-        seg = self._seg
+        g0 = gslots.size
         if len(slots) == 1:
             # A lone coflow is its own group: its rows in row order.
             width = int(widths[0])
@@ -1536,12 +1496,9 @@ class SliceSimulator:
             new_slots = slots[order]
             # order is a permutation, so its argsort is each slot's rank.
             unit_chunk = (g0 + order.argsort()).repeat(widths)
-        seg.perm = np.concatenate((seg.perm, perm_chunk))
-        seg.starts = np.concatenate((seg.starts, seg.starts[-1] + ends))
-        for j, s in enumerate(new_slots.tolist(), g0):
-            state = self._state_for_slot(s)
-            state.bind_segments(seg, j)
-            self._cached_states.append(state)
+        starts = self._cached_starts
+        self._cached_perm = np.concatenate((self._cached_perm, perm_chunk))
+        self._cached_starts = np.concatenate((starts, starts[-1] + ends))
         self._cached_group_slots = np.concatenate((gslots, new_slots))
         self._cached_unit_of_pos = np.concatenate(
             (self._cached_unit_of_pos, unit_chunk)
@@ -1558,24 +1515,18 @@ class SliceSimulator:
         ordinals: one call, and linear on their long ascending runs.
         """
         kept_units = self._cached_unit_of_pos[keep]
-        n_groups = len(self._cached_states)
+        n_groups = self._cached_group_slots.size
         counts = np.bincount(kept_units, minlength=n_groups)
-        seg = self._seg
         if np.count_nonzero(counts) < n_groups:
             alive = counts > 0
             kept_units = (alive.cumsum() - 1)[kept_units]
             counts = counts[alive]
-            alive_list = alive.tolist()
-            states = [s for s, a in zip(self._cached_states, alive_list) if a]
-            for k, state in enumerate(states):
-                state._ordinal = k
-            self._cached_states = states
             self._cached_group_slots = self._cached_group_slots[alive]
         # The permutation is the stable sort of the positions by group.
-        seg.perm = kept_units.argsort(kind="stable")
+        self._cached_perm = kept_units.argsort(kind="stable")
         starts = np.zeros(counts.size + 1, dtype=np.intp)
         counts.cumsum(out=starts[1:])
-        seg.starts = starts
+        self._cached_starts = starts
         self._cached_unit_of_pos = kept_units
 
     def _build_view(self, trigger: ScheduleTrigger) -> SchedulerView:
@@ -1583,20 +1534,33 @@ class SliceSimulator:
 
     def _bind_grouping(self, view: SchedulerView) -> None:
         """Bind the active set's coflow grouping onto ``view`` (its first
-        read of ``coflows``, ``unit_offsets()`` or ``coflow_columns()``),
-        rebuilding the grouping if no delta kept it current."""
+        read of ``unit_offsets()``, ``coflow_columns()`` or
+        ``priority_columns()``), rebuilding the grouping if no delta kept
+        it current."""
         if self._groups_dirty or self.force_regroup:
             self._regroup()
         self._grouping_read = True
-        seg = self._seg
+        slots = self._cached_group_slots
         d = view.__dict__
-        d["coflows"] = self._cached_states
-        d["unit_perm"] = seg.perm
-        d["unit_starts"] = seg.starts
-        d["coflow_table"] = (
-            self._cached_group_slots, self._cf_id, self._cf_arrival,
-            self._cf_count,
-        )
+        d["unit_perm"] = self._cached_perm
+        d["unit_starts"] = self._cached_starts
+        d["coflow_table"] = (slots, self._cf_id, self._cf_arrival, self._cf_count)
+        d["priority_table"] = (slots, self._cf_prio, self._cf_served)
+
+    def _coflow_states(self, view: SchedulerView) -> List[CoflowState]:
+        """``view.coflows``: one :class:`CoflowState` per coflow of the
+        grouping, built when a policy first reads it."""
+        perm, starts = view.unit_offsets()
+        bounds = starts.tolist()
+        factory = self._coflow_factory
+        return [
+            CoflowState(
+                coflow_id=cid, flow_idx=perm[a:b], coflow_factory=factory
+            )
+            for cid, a, b in zip(
+                self._cf_id[view.coflow_table[0]].tolist(), bounds, bounds[1:]
+            )
+        ]
 
     def _window(self, view: SchedulerView, alloc: Allocation) -> _Window:
         """The window of ``alloc`` over ``view``'s active set."""

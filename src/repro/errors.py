@@ -33,7 +33,7 @@ class CheckpointError(ReproError):
     Raised by :func:`repro.service.checkpoint.save_checkpoint` instead of
     silently writing a snapshot whose restore would diverge from the
     uninterrupted run (e.g. pending scheduled capacity events — the
-    ``repro-checkpoint-v1`` format does not guarantee their round trip),
+    ``repro-checkpoint-v2`` format does not guarantee their round trip),
     and by :func:`repro.service.checkpoint.load_checkpoint` for a file
     that is not a readable checkpoint (truncated or corrupt, no pickled
     object side, engine columns of unequal lengths); the message names

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Optional, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -411,23 +411,85 @@ def coflow_to_json(coflow: Coflow) -> Dict[str, Any]:
     return rec
 
 
+#: ``raw_decode`` of a default decoder: ``json.loads`` without its two
+#: whitespace matches and two call frames.  A line it fails on, or that
+#: holds more than whitespace after the object, goes to ``json.loads``,
+#: so what is accepted and the error text are ``json.loads``'.
+_raw_decode = json.JSONDecoder().raw_decode
+
+_NUMBER = frozenset({int, float})
+_OPTIONAL_NUMBER = frozenset({int, float, type(None)})
+
+#: The JSON types each JSONL field accepts, and how an error names them.
+#: Nothing is coerced, and a JSON boolean is not a number.
+_FIELD_TYPES = {
+    "arrival": (_NUMBER, "a number"),
+    "label": (frozenset({str}), "a string"),
+    "deadline": (_OPTIONAL_NUMBER, "a number or null"),
+    "src": (frozenset({int}), "an integer"),
+    "dst": (frozenset({int}), "an integer"),
+    "size": (_NUMBER, "a number"),
+    "compressible": (frozenset({bool}), "a boolean"),
+    "ratio_override": (_OPTIONAL_NUMBER, "a number or null"),
+}
+
+
+def _bad_field(
+    coflow_cols: Dict[str, list], flow_cols: Dict[str, list],
+    width: Sequence[int],
+) -> Optional[Tuple[int, str]]:
+    """The first record holding a value of a type its field does not
+    accept, as ``(record index, message)``, or ``None``.
+
+    ``coflow_cols`` hold one value per record and ``flow_cols`` one per
+    flow, each record's flows contiguous, ``width[i]`` of them.  Each
+    column's set of types is taken once; only a column holding a bad
+    type is walked to find its first bad value.
+    """
+    bad = []
+    for cols, per_flow in ((coflow_cols, False), (flow_cols, True)):
+        for name, col in cols.items():
+            allowed, kind = _FIELD_TYPES[name]
+            if set(map(type, col)) <= allowed:
+                continue
+            i = next(i for i, v in enumerate(col) if type(v) not in allowed)
+            row = (
+                int(np.cumsum(width).searchsorted(i, side="right"))
+                if per_flow else i
+            )
+            bad.append((row, f"{name} must be {kind}, got {col[i]!r}"))
+    return min(bad, key=lambda b: b[0]) if bad else None
+
+
 def coflow_from_json(rec: Dict[str, Any]) -> Coflow:
-    """Build a coflow from one parsed JSONL record."""
-    flows = [
-        Flow(
-            src=int(f["src"]),
-            dst=int(f["dst"]),
-            size=float(f["size"]),
-            compressible=bool(f.get("compressible", True)),
-            ratio_override=f.get("ratio_override"),
-        )
-        for f in rec["flows"]
-    ]
+    """Build a coflow from one parsed JSONL record.
+
+    Raises :class:`ConfigurationError` when a field holds a JSON type it
+    does not accept (see ``_FIELD_TYPES``)."""
+    flows = rec["flows"]
+    meta = {
+        "arrival": [rec.get("arrival", 0.0)],
+        "label": [rec.get("label", "")],
+        "deadline": [rec.get("deadline")],
+    }
+    cols = {
+        "src": [f["src"] for f in flows],
+        "dst": [f["dst"] for f in flows],
+        "size": [f["size"] for f in flows],
+        "compressible": [f.get("compressible", True) for f in flows],
+        "ratio_override": [f.get("ratio_override") for f in flows],
+    }
+    bad = _bad_field(meta, cols, [len(flows)])
+    if bad is not None:
+        raise ConfigurationError(bad[1])
     return Coflow(
-        flows,
-        arrival=float(rec.get("arrival", 0.0)),
-        label=str(rec.get("label", "")),
-        deadline=rec.get("deadline"),
+        [
+            Flow(src=s, dst=d, size=float(z), compressible=c, ratio_override=o)
+            for s, d, z, c, o in zip(*cols.values())
+        ],
+        arrival=float(meta["arrival"][0]),
+        label=meta["label"][0],
+        deadline=meta["deadline"][0],
     )
 
 
@@ -481,9 +543,22 @@ class JsonlSource(ArrivalSource):
                 continue
             self._lines += 1
             try:
-                rec = json.loads(line)
-                arrival = float(rec.get("arrival", 0.0))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                try:
+                    rec, end = _raw_decode(line)
+                except ValueError:
+                    rec = json.loads(line)
+                else:
+                    if end != len(line) and not line[end:].isspace():
+                        rec = json.loads(line)
+                arrival = rec.get("arrival", 0.0)
+                if arrival.__class__ not in _NUMBER:
+                    raise ConfigurationError(
+                        f"arrival must be a number, got {arrival!r}"
+                    )
+            except (
+                ConfigurationError, ValueError, KeyError, TypeError,
+                AttributeError,
+            ) as exc:
                 raise self._bad_line(exc) from exc
             if arrival < self._last_arrival:
                 raise ConfigurationError(
@@ -520,44 +595,45 @@ class JsonlSource(ArrivalSource):
         src, dst, size, comp, override = [], [], [], [], []
         add_src, add_dst, add_size = src.append, dst.append, size.append
         add_comp, add_override = comp.append, override.append
-        n = builder.n_flows
+        n0 = n = builder.n_flows
         overshoot = None
-        while n < budget:
-            rec = self._next_record()
-            if rec is None:
-                self._exhausted = True
-                self._pre_cursor = None
-                break
-            if self._last_arrival > horizon:
-                overshoot = rec
-                break
-            try:
+        flow_cols = (src, dst, size, comp, override)
+        try:
+            while n < budget:
+                rec = self._next_record()
+                if rec is None:
+                    self._exhausted = True
+                    self._pre_cursor = None
+                    break
+                if self._last_arrival > horizon:
+                    overshoot = rec
+                    break
                 flows = rec["flows"]
                 for f in flows:
-                    add_src(int(f["src"]))
-                    add_dst(int(f["dst"]))
-                    add_size(float(f["size"]))
-                    add_comp(bool(f.get("compressible", True)))
-                    ratio = f.get("ratio_override")
-                    if ratio is None:
-                        add_override(-1.0)
-                        continue
-                    r = float(ratio)
-                    if r == -1.0:
-                        # the block's "no override" value; Flow rejects it
-                        raise self._bad_line(ConfigurationError(
-                            f"ratio_override must lie in (0, 1), got {ratio}"
-                        ))
-                    add_override(r)
-                label.append(str(rec.get("label", "")))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise self._bad_line(exc) from exc
-            arrival.append(self._last_arrival)
-            width.append(len(flows))
-            deadline.append(rec.get("deadline"))
-            lines.append(self._lineno)
-            n += len(flows)
+                    add_src(f["src"])
+                    add_dst(f["dst"])
+                    add_size(f["size"])
+                    add_comp(f.get("compressible", True))
+                    add_override(f.get("ratio_override"))
+                label.append(rec.get("label", ""))
+                arrival.append(self._last_arrival)
+                width.append(len(flows))
+                deadline.append(rec.get("deadline"))
+                lines.append(self._lineno)
+                n += len(flows)
+        except (ConfigurationError, KeyError, TypeError, AttributeError) as exc:
+            # A bad type on an earlier line is the first error.
+            for col in flow_cols:
+                del col[n - n0:]
+            del label[len(width):]
+            self._check_columns(lines, width, label, deadline, *flow_cols)
+            if isinstance(exc, ConfigurationError):
+                raise
+            raise self._bad_line(exc) from exc
         if arrival:
+            override = self._check_columns(
+                lines, width, label, deadline, *flow_cols
+            )
             builder.add_columns(
                 arrival, src, dst, size, comp, override,
                 width=width, label=label, deadline=deadline,
@@ -574,6 +650,34 @@ class JsonlSource(ArrivalSource):
             self._buffered = self._to_coflow(overshoot)
             self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
         return block
+
+    def _check_columns(
+        self, lines: List[int], width: List[int], label, deadline,
+        src, dst, size, comp, override,
+    ) -> Optional[list]:
+        """Check the parsed columns' JSON types, once per column, and
+        return the override column with ``-1.0`` for "none" (``None``
+        when no flow has an override).  The error names the line of the
+        first record with a bad type; values are checked later, by the
+        block."""
+        bad = _bad_field(
+            {"label": label, "deadline": deadline},
+            {"src": src, "dst": dst, "size": size, "compressible": comp,
+             "ratio_override": override},
+            width,
+        )
+        if bad is None:
+            if override.count(None) == len(override):
+                return None
+            if -1 in override:
+                # the block's "no override" value; Flow rejects it
+                j = override.index(-1)
+                row = int(np.cumsum(width).searchsorted(j, side="right"))
+                bad = (row, "ratio_override must lie in (0, 1), "
+                            f"got {override[j]!r}")
+        if bad is not None:
+            raise self._bad_line(ConfigurationError(bad[1]), lines[bad[0]])
+        return [-1.0 if r is None else r for r in override]
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:

@@ -1,8 +1,10 @@
 """Single-file checkpoints of a live streaming scheduler.
 
-Format (``repro-checkpoint-v1``): one ``.npz`` holding
+Format (``repro-checkpoint-v2``): one ``.npz`` holding
 
-* every numeric engine column (``flow__*`` / ``cf__*`` keys) plus the
+* every numeric engine column (``flow__*`` / ``cf__*`` keys, FVDF's
+  priority class ``cf___cf_prio`` and served flag ``cf___cf_served``
+  among them) plus the
   index arrays (active set, retired rows, closed slots), the columnar
   arrival-calendar entries (``cal_time``/``cal_seq``/``cal_slot``) and
   per-port byte/capacity vectors — stored as plain arrays, loadable with
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 #: Schema tag inside every checkpoint; bump on breaking layout changes.
-CHECKPOINT_SCHEMA = "repro-checkpoint-v1"
+CHECKPOINT_SCHEMA = "repro-checkpoint-v2"
 
 #: export_state keys stored as top-level npz arrays (not in the blob).
 #: ``cal_*`` are the columnar arrival-calendar entries (time/seq/slot).
@@ -102,9 +104,6 @@ def save_checkpoint(
         payload[f"cf__{name}"] = col
     for key in _ARRAY_KEYS:
         payload[key] = np.asarray(state[key])
-    payload["priority_class"] = np.asarray(
-        state["priority_class"], dtype=np.float64
-    )
     blob = {
         "schema": CHECKPOINT_SCHEMA,
         "slice_len": state["slice_len"],
@@ -232,7 +231,6 @@ def load_checkpoint(path) -> Dict[str, Any]:
         "cf_labels": blob["cf_labels"],
         "cf_deadlines": blob["cf_deadlines"],
         "scheduler": blob["scheduler"],
-        "priority_class": arrays.pop("priority_class").tolist(),
         "flow_cols": {},
         "cf_cols": {},
     }

@@ -60,10 +60,16 @@ class TestConfig:
             FVDFConfig(aging="wishful")
 
     def test_reset_clears_service_memory(self):
+        """The last decision is the scheduler's only memory: P and the
+        served flags live in the engine's coflow columns."""
         s = FVDFScheduler()
-        s._last_served[1] = False
+        sim = SliceSimulator(BigSwitch(2, 1.0), s, slice_len=0.01)
+        sim.submit(Coflow([Flow(0, 1, 1.0)]))
+        sim.run()
+        assert s.last is not None
         s.reset()
-        assert s._last_served == {}
+        assert s.last is None
+        assert set(s.__getstate__()) == {"config", "name", "last"}
 
 
 class TestEq3Gate:

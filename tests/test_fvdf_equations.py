@@ -153,11 +153,36 @@ class TestEq3Strategy:
 
 
 class TestUpgrade:
-    def test_multiplies_priority_classes(self):
-        view = make_view(raw=[1.0, 1.0], comp=[0.0, 0.0], xi=[0.5, 0.5],
+    """Pseudocode 3's Upgrade on the view's priority columns."""
+
+    @staticmethod
+    def two_coflows():
+        return make_view(raw=[1.0, 1.0], comp=[0.0, 0.0], xi=[0.5, 0.5],
                          src=[0, 1], dst=[0, 1],
                          coflow_groups=[[0], [1]])
+
+    def test_multiplies_priority_classes(self):
+        view = self.two_coflows()
         upgrade(view, logbase=1.2)
-        upgrade(view, logbase=1.2)
-        for cs in view.coflows:
-            assert cs.priority_class == pytest.approx(1.44)
+        p = upgrade(view, logbase=1.2)
+        slots, prio, served = view.priority_columns()
+        assert p.tolist() == [1.0 * 1.2 * 1.2] * 2
+        assert prio[slots].tolist() == p.tolist()
+        assert served.all()  # upgrade never touches the served flags
+
+    def test_ages_only_the_waiting(self):
+        view = self.two_coflows()
+        p = upgrade(view, logbase=1.2, waiting=np.array([False, True]))
+        assert p.tolist() == [1.0, 1.2]
+
+    def test_writes_through_the_slots(self):
+        """The grouping's coflows are rows ``slots`` of the columns (an
+        engine's slot columns); other rows stay as they were."""
+        view = self.two_coflows()
+        prio = np.array([3.0, 5.0, 7.0])
+        view.priority_table = (
+            np.array([2, 0]), prio, np.ones(3, dtype=bool)
+        )
+        p = upgrade(view, logbase=2.0, waiting=np.array([True, False]))
+        assert p.tolist() == [14.0, 3.0]
+        assert prio.tolist() == [3.0, 5.0, 14.0]

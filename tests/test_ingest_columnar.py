@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
 from repro.core.coflow import Coflow
+from repro.core.events import ScheduleTrigger
 from repro.core.flow import Flow
 from repro.core.ingest import BlockBuilder, BlockRowError, CoflowBlock
 from repro.core.simulator import SliceSimulator
@@ -275,9 +276,10 @@ def no_cyclic_gc():
 
 
 def _lazy_states(sim):
-    """CoflowStates whose coflow object is not built yet."""
-    return [st for st in sim._cf_states
-            if st is not None and st._coflow is None]
+    """The active coflows' CoflowStates, as a view builds them for a
+    policy that reads ``view.coflows``, whose coflow is not built yet."""
+    view = sim._build_view(ScheduleTrigger(mask=0))
+    return [st for st in view.coflows if st._coflow is None]
 
 
 @pytest.mark.usefixtures("no_cyclic_gc")

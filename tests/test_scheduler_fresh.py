@@ -1,10 +1,12 @@
 """The fresh()/reset() contract: no state leaks between runs.
 
-``run_policy``/``run_many`` accept live Scheduler objects; several
-policies carry cross-run state (FVDF's served-window map feeding the
-"starved" aging rule, EDF's admission/rejection sets).  The harness
-calls ``fresh()`` before every run, so back-to-back runs of the *same*
-instance must be identical to runs of newly built ones.
+``run_policy``/``run_many`` accept live Scheduler objects; some
+policies carry cross-run state (FVDF's last decision, EDF's
+admission/rejection sets).  The harness calls ``fresh()`` before every
+run, so back-to-back runs of the *same* instance must be identical to
+runs of newly built ones.  FVDF's priority classes and served flags,
+which feed the "starved" aging rule, live in the engine's coflow
+columns, so they cannot leak from one run into the next at all.
 """
 
 import numpy as np
@@ -38,9 +40,10 @@ def _fingerprint(result):
 class TestFreshContract:
     def test_fresh_resets_in_place_and_returns_self(self):
         sched = FVDFScheduler()
-        sched._last_served = {0: False, 3: True}
+        run_policy(sched, _workload(), SETUP)
+        assert sched.last is not None
         assert sched.fresh() is sched
-        assert sched._last_served == {}
+        assert sched.last is None
 
     def test_fresh_clears_edf_admission_state(self):
         sched = DeadlineEDF()
@@ -56,9 +59,9 @@ class TestFreshContract:
 
 class TestBackToBackRuns:
     def test_fvdf_instance_reuse_is_identical(self):
-        """The regression this contract exists for: FVDF's served-window
-        map (`_last_served`) must not leak into the next run and skew the
-        "starved" aging decisions."""
+        """The regression this contract exists for: FVDF's served flags
+        must not leak into the next run and skew the "starved" aging
+        decisions."""
         workload = _workload()
         sched = FVDFScheduler()
         first = run_policy(sched, workload, SETUP)
@@ -70,13 +73,18 @@ class TestBackToBackRuns:
         assert _fingerprint(first) == _fingerprint(pristine)
 
     def test_fvdf_reuse_identical_even_with_poisoned_state(self):
-        """Even a maximally stale served-window map cannot change results,
-        because the harness freshens the instance before running."""
+        """An instance that ended a run on the same coflow ids, handed
+        to a bare engine that never calls ``fresh()``, still decides as
+        a new one: P and the served flags start over with the engine's
+        coflow columns."""
         workload = _workload()
         baseline = run_policy(FVDFScheduler(), workload, SETUP)
         sched = FVDFScheduler()
-        sched._last_served = {c.coflow_id: False for c in workload}
-        poisoned = run_policy(sched, workload, SETUP)
+        run_policy(sched, workload, SETUP)
+        sim = SETUP.build_simulator(sched)
+        sim.submit_many(workload)
+        poisoned = sim.run()
+        assert sim._decision_points > 0
         assert _fingerprint(baseline) == _fingerprint(poisoned)
 
     def test_edf_instance_reuse_is_identical(self):

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tempfile
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.analysis import ExperimentSetup
 from repro.core.results import ResultStore, concat_stores
 from repro.core.simulator import _time_eps
 from repro.errors import CheckpointError, ReproError
+from repro.obs import Observability
 from repro.schedulers import make_scheduler
 from repro.service import (
     JsonlSource,
@@ -296,7 +298,7 @@ class TestJsonlSource:
              "arrival must be finite, got inf"),
             ({"arrival": 2.0, "deadline": "soon",
               "flows": [{"src": 0, "dst": 1, "size": 1.0}]},
-             "'<' not supported between instances of 'int' and 'str'"),
+             "deadline must be a number or null, got 'soon'"),
         ],
         ids=["empty", "size", "port", "ratio", "no-override", "deadline",
              "arrival", "nan-size", "inf-size", "nan-arrival", "inf-arrival",
@@ -326,6 +328,95 @@ class TestJsonlSource:
             else:
                 while src.pop() is not None:
                     pass
+
+    @pytest.mark.parametrize(
+        "flow, coflow, message",
+        [
+            ({"src": 1.7}, {}, "src must be an integer, got 1.7"),
+            ({"dst": True}, {}, "dst must be an integer, got True"),
+            ({"size": True}, {}, "size must be a number, got True"),
+            ({"size": "10"}, {}, "size must be a number, got '10'"),
+            ({"compressible": "no"}, {},
+             "compressible must be a boolean, got 'no'"),
+            ({"compressible": 0}, {}, "compressible must be a boolean, got 0"),
+            ({"ratio_override": False}, {},
+             "ratio_override must be a number or null, got False"),
+            ({}, {"arrival": True}, "arrival must be a number, got True"),
+            ({}, {"arrival": None}, "arrival must be a number, got None"),
+            ({}, {"deadline": True}, "deadline must be a number or null, got True"),
+            ({}, {"label": 5}, "label must be a string, got 5"),
+        ],
+        ids=["float-src", "bool-dst", "bool-size", "str-size",
+             "str-compressible", "int-compressible", "bool-override",
+             "bool-arrival", "null-arrival", "bool-deadline", "int-label"],
+    )
+    @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
+    def test_field_types_are_strict(
+        self, tmp_path, flow, coflow, message, path_kind
+    ):
+        """A field of a JSON type it does not accept fails with its line,
+        not coerced: ``"src": 1.7`` is not port 1, ``"size": true`` not a
+        1-byte flow, ``"compressible": "no"`` not compressible."""
+        good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
+        bad = {"arrival": 2.0, **coflow,
+               "flows": [{"src": 0, "dst": 1, "size": 10.0},
+                         {"src": 0, "dst": 1, "size": 10.0, **flow}]}
+        path = tmp_path / "types.jsonl"
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps(good) + "\n\n"
+            + json.dumps(bad) + "\n" + json.dumps(bad) + "\n"
+        )
+        src = JsonlSource(str(path))
+        with pytest.raises(ReproError, match=f"line 4 .*{re.escape(message)}"):
+            if path_kind == "pop_block":
+                src.pop_block(1e9)
+            else:
+                while src.pop() is not None:
+                    pass
+
+    @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
+    def test_first_bad_line_wins_over_a_later_parse_error(
+        self, tmp_path, path_kind
+    ):
+        """A bad type on line 2 is reported before line 3's broken JSON."""
+        path = tmp_path / "two-errors.jsonl"
+        path.write_text(
+            json.dumps({"arrival": 1.0,
+                        "flows": [{"src": 0, "dst": 1, "size": 10.0}]}) + "\n"
+            + json.dumps({"arrival": 1.0,
+                          "flows": [{"src": 0, "dst": 1, "size": True}]})
+            + "\n{not json\n"
+        )
+        src = JsonlSource(str(path))
+        with pytest.raises(ReproError, match="line 2 .*size must be a number"):
+            if path_kind == "pop_block":
+                src.pop_block(1e9)
+            else:
+                while src.pop() is not None:
+                    pass
+
+    @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
+    def test_integer_numbers_are_accepted(self, tmp_path, path_kind):
+        """JSON integers are numbers: an int size, arrival, override and
+        deadline read as their float values."""
+        rec = {"arrival": 1, "deadline": 3, "label": "ints",
+               "flows": [{"src": 0, "dst": 1, "size": 10},
+                         {"src": 1, "dst": 0, "size": 2.5,
+                          "ratio_override": 0.5}]}
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        src = JsonlSource(str(path))
+        if path_kind == "pop_block":
+            block = src.pop_block(1e9)
+            assert block.size.tolist() == [10.0, 2.5]
+            assert block.arrival.tolist() == [1.0]
+            assert block.override.tolist() == [-1.0, 0.5]
+            assert block.deadline == [3]
+        else:
+            cf = src.pop()
+            assert [f.size for f in cf.flows] == [10.0, 2.5]
+            assert [f.ratio_override for f in cf.flows] == [None, 0.5]
+            assert (cf.arrival, cf.deadline) == (1.0, 3)
 
     def test_seek_skips_consumed_lines(self, tmp_path):
         coflows = _drain_all(_spec(limit=10).build())
@@ -765,6 +856,49 @@ class TestCheckpoint:
         pos = np.where(ids < mark, ids - base, ids - mark + resumed_at)
         assert np.array_equal(pos, whole_pos)
 
+    def test_drained_resume_keeps_priority_classes_aligned(self, tmp_path):
+        """Drained every tick and resumed mid-stream, a run in which FVDF
+        ages coflows ends with the uninterrupted run's aggregates bit for
+        bit: P and the served flags stay on their coflows' rows through
+        every compaction and the restore."""
+        spec = _spec(rate=300.0, limit=90)
+        kw = dict(policy="fvdf", drain_every=1, keep_shards=False)
+
+        def aggregates(d):
+            st = d.stats
+            return (st.flows_done, st.coflows_done, st.fct_sum, st.cct_sum,
+                    st.bytes_sent, st.bytes_original, st.restamped,
+                    float(d.sim.now))
+
+        obs = Observability(trace=False, metrics=True)
+        whole = _driver(spec, obs=obs, **kw)
+        whole.run()
+        assert obs.metrics.value("fvdf.upgrades") > 0
+
+        first = _driver(spec, **kw)
+        first.run(max_ticks=2)
+        ck = first.checkpoint(tmp_path / "aged.npz")
+        cf_cols = load_checkpoint(ck)["state"]["cf_cols"]
+        assert cf_cols["_cf_prio"].max() > 1.0, "nothing aged by the checkpoint"
+        assert not cf_cols["_cf_served"].all()
+        second = restore_driver(ck, keep_shards=False)
+        second.run()
+        assert aggregates(second) == aggregates(whole)
+
+    def test_checkpoint_without_served_column_is_refused(self, tmp_path):
+        """The served flag is engine state: a checkpoint without it is
+        refused naming the column, not restored with a default."""
+        d = _driver()
+        d.run(max_ticks=4)
+        ck = d.checkpoint(tmp_path / "good.npz")
+        with np.load(ck, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        path = tmp_path / "no_served.npz"
+        np.savez(path, **{k: v for k, v in arrays.items()
+                          if k != "cf___cf_served"})
+        with pytest.raises(CheckpointError, match="_cf_served"):
+            restore_driver(path)
+
     def test_checkpoint_pickles_no_observability(self, tmp_path):
         """The scheduler's bound obs bundle (registry, profiler, flight
         recorder) stays out of the checkpoint blob; restore binds its
@@ -805,7 +939,7 @@ class TestCheckpoint:
         d.run(max_ticks=4)
         ck = d.checkpoint(tmp_path / "serve.ckpt.npz")
         data = load_checkpoint(ck)
-        assert data["schema"] == "repro-checkpoint-v1"
+        assert data["schema"] == "repro-checkpoint-v2"
         assert data["driver_state"]["stats"]["ticks"] == 4
         assert data["source_spec"] == d.source_spec
         assert data["source_state"]["count"] >= 0

@@ -7,11 +7,11 @@ from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
-from repro.core.scheduler import Allocation, Scheduler
+from repro.core.scheduler import Allocation, CoflowState, Scheduler
 from repro.core.simulator import SliceSimulator
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.fabric.bigswitch import BigSwitch
-from repro.schedulers import FlowFAIR, FlowFIFO
+from repro.schedulers import FlowFAIR, FlowFIFO, make_scheduler
 
 
 def one_flow_coflow(size=4.0, src=0, dst=0, arrival=0.0, **kw):
@@ -393,3 +393,35 @@ class TestValidation:
         sw = BigSwitch(1, 1.0)
         with pytest.raises(ConfigurationError):
             SliceSimulator(sw, FullRate(), slice_len=0.0)
+
+
+class TestCoflowStatesOnlyWhenRead:
+    """The engine builds no per-coflow objects for a policy that does not
+    walk ``view.coflows``: FVDF keeps P and its served flags in engine
+    columns, and the coflow-level baselines rank coflow columns."""
+
+    @pytest.mark.parametrize(
+        "policy, builds",
+        [("fvdf", False), ("fvdf-flow", False), ("sebf", False),
+         ("scf", False), ("ncf", False), ("lcf", False),
+         ("coflow-fifo", False), ("dclas", True), ("sincronia", True)],
+    )
+    def test_coflow_state_constructions(self, monkeypatch, policy, builds):
+        built = []
+        init = CoflowState.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoflowState, "__init__", counting)
+        sim = SliceSimulator(BigSwitch(3, 1.0), make_scheduler(policy))
+        sim.submit_many([
+            Coflow([Flow(i % 3, (i + 1) % 3, 0.5 + i), Flow(i % 3, i % 3, 1.0)],
+                   arrival=0.1 * i)
+            for i in range(6)
+        ])
+        result = sim.run()
+        assert len(result.coflow_results) == 6
+        assert sim._decision_points > 1
+        assert bool(built) == builds
