@@ -18,9 +18,9 @@ lint:
 		echo "ruff not installed; skipping lint (pip install ruff)"; \
 	fi
 
-# The paper-claim benches as CI runs them.  The result cache stays off:
-# its key holds no source hash, so a warm .repro-cache/ would serve cells
-# computed before an engine edit.
+# The paper-claim benches as CI runs them.  The result cache stays off,
+# so every claim is computed here rather than read back; its key does
+# hash the sources, so a warm .repro-cache/ never serves an older engine.
 bench:
 	REPRO_CACHE=0 python -m pytest -q -p no:cacheprovider benchmarks \
 		--ignore=benchmarks/bench_engine_microbench.py --benchmark-disable

@@ -46,7 +46,7 @@ from repro.cpu import CpuModel, UtilizationRecorder
 from repro.fabric import BigSwitch
 from repro.schedulers import make_scheduler, scheduler_names
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "Flow", "FlowResult", "Coflow", "CoflowResult",

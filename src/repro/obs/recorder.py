@@ -22,9 +22,9 @@ per-record :meth:`FlightRecorder.emit` and is journaled one record at a
 time — those kinds are per-decision scale, never per-flow.
 
 Export: :meth:`~FlightRecorder.dump_jsonl` formats JSON lines straight
-from the columns (one fixed line template per stream, one ``write`` per
-batch) without building the records; its bytes equal
-:func:`~repro.obs.trace.record_to_json` of each decoded record.
+from the columns (one ``%`` template per stream, one ``%``-format and
+``write`` per chunk of a batch) without building the records; its bytes
+equal :func:`~repro.obs.trace.record_to_json` of each decoded record.
 :meth:`~FlightRecorder.save_npz` writes every column to one ``.npz`` (no
 pickling) and :meth:`~FlightRecorder.load_npz` restores a decodable
 recorder; :meth:`~FlightRecorder.spill_npz` saves and clears, for
@@ -112,6 +112,16 @@ def _num(x: float) -> str:
     return _NONFINITE.get(x, "NaN")
 
 
+def _floats(col: np.ndarray) -> list:
+    """JSON text of each float in ``col``.  A column of one *bit pattern*
+    (an FVDF decision's Γ, P and key) renders once; comparing bits, not
+    values, keeps ``-0.0`` apart from ``0.0``."""
+    bits = col.view(np.int64)
+    if (bits == bits[0]).all():
+        return [_num(x) for x in col[:1].tolist()] * col.size
+    return [_num(x) for x in col.tolist()]
+
+
 class _KindsJson(dict):
     """``kinds`` mask -> its JSON array of sorted names, rendered once per
     distinct mask."""
@@ -124,62 +134,47 @@ class _KindsJson(dict):
         return text
 
 
-def _units(cids, gammas, ps):
-    """``order`` units ``[coflow_id, gamma, p, gamma/p]`` as JSON arrays;
-    the key is computed from Python floats, exactly as the decode does."""
-    return [
-        f"[{c},{_num(g)},{_num(p)},{_num(g / p)}]"
-        for c, g, p in zip(cids, gammas, ps)
-    ]
-
-
-#: Batch-record streams: the payload key of the one array a batch
-#: becomes, and the JSON text of its items from a chunk's column lists.
-_ARRAY_ITEMS = {
-    _BETA: ("flow_ids", lambda fids: map(str, fids)),
-    _ORDER: ("units", _units),
+#: ``%`` template of each stream's payload: one ``%s`` per ``_LAYOUT`` column
+#: (and ``order``'s key ``gamma/p``), keys in decoded order.  A per-row line
+#: is the batch head, this and ``}\n``; ``beta``/``order`` give ``(key, item)``.
+_TEMPLATES = {
+    _DECISION: '"kinds":%s,"n_flows":%s,"n_coflows":%s',
+    _JUMP: '"n_slices":%s,"kinds":%s',
+    _RATES: '"n_tx":%s,"total":%s,"max":%s',
+    _ARRIVAL: '"coflow_id":%s,"n_flows":%s',
+    _FLOW_DONE: '"flow_id":%s,"coflow_id":%s',
+    _COFLOW_DONE: '"coflow_id":%s',
+    _CLAIM: '"node":%s,"claims":%s',
+    _CANCEL: '"coflow_id":%s,"n_flows":%s',
+    _CAPACITY: '"side":"%s","port":%s,"capacity":%s',
+    _BETA: ("flow_ids", "%s"),
+    _ORDER: ("units", "[%s,%s,%s,%s]"),
 }
 
-#: Per-row line templates: ``(head, kinds, *column lists) -> lines``.
-#: ``head`` is the batch's ``{"t":...,"kind":"...",`` prefix and the
-#: payload keys follow the decoded record's key order.
-_LINES = {
-    _DECISION: lambda head, kinds, masks, nfs, ncs: [
-        f'{head}"kinds":{kinds[m]},"n_flows":{nf},"n_coflows":{nc}}}\n'
-        for m, nf, nc in zip(masks, nfs, ncs)
-    ],
-    _JUMP: lambda head, kinds, nss, masks: [
-        f'{head}"n_slices":{ns},"kinds":{kinds[m]}}}\n'
-        for ns, m in zip(nss, masks)
-    ],
-    _RATES: lambda head, kinds, ntxs, totals, maxes: [
-        f'{head}"n_tx":{ntx},"total":{_num(tot)},"max":{_num(mx)}}}\n'
-        for ntx, tot, mx in zip(ntxs, totals, maxes)
-    ],
-    _ARRIVAL: lambda head, kinds, cids, widths: [
-        f'{head}"coflow_id":{c},"n_flows":{w}}}\n'
-        for c, w in zip(cids, widths)
-    ],
-    _FLOW_DONE: lambda head, kinds, fids, cids: [
-        f'{head}"flow_id":{f},"coflow_id":{c}}}\n'
-        for f, c in zip(fids, cids)
-    ],
-    _COFLOW_DONE: lambda head, kinds, cids: [
-        f'{head}"coflow_id":{c}}}\n' for c in cids
-    ],
-    _CLAIM: lambda head, kinds, nodes, claims: [
-        f'{head}"node":{node},"claims":{cl}}}\n'
-        for node, cl in zip(nodes, claims)
-    ],
-    _CANCEL: lambda head, kinds, cids, nfs: [
-        f'{head}"coflow_id":{c},"n_flows":{nf}}}\n'
-        for c, nf in zip(cids, nfs)
-    ],
-    _CAPACITY: lambda head, kinds, sides, ports, caps: [
-        f'{head}"side":"{_SIDES[s]}","port":{port},"capacity":{_num(cap)}}}\n'
-        for s, port, cap in zip(sides, ports, caps)
-    ],
-}
+
+def _chunk_args(code: int, cols: dict, lo: int, hi: int, kinds: dict) -> tuple:
+    """Rows ``lo:hi`` of a stream as the flat, row-major ``%`` arguments of
+    its template: ints as Python ints, floats and ``kinds`` as JSON text;
+    ``order``'s key ``gamma/p`` is one IEEE division, as Python's ``/``."""
+    texts = []
+    for name in _LAYOUT[code]:
+        col = cols[name][lo:hi]
+        if name == "kinds":
+            texts.append([kinds[m] for m in col.tolist()])
+        elif name == "side":
+            texts.append([_SIDES[s] for s in col.tolist()])
+        elif col.dtype == np.float64:
+            texts.append(_floats(col))
+        else:
+            texts.append(col.tolist())
+    if code == _ORDER:
+        with np.errstate(all="ignore"):
+            texts.append(_floats(cols["gamma"][lo:hi] / cols["p"][lo:hi]))
+    k = len(texts)
+    args = [None] * (k * (hi - lo))
+    for i, text in enumerate(texts):
+        args[i::k] = text
+    return tuple(args)
 
 
 class _Columns:
@@ -305,15 +300,17 @@ class FlightRecorder:
         """FVDF's ranked unit order for one decision (one record).
 
         Rows arrive in ranking order; the decoded record carries the
-        ``units`` payload (``[coflow_id, gamma, p, gamma/p]`` per
-        unit, the key recomputed from the stored columns).
-
-        Unlike the per-row streams there is deliberately no ``k == 0``
-        early return: FVDF records an ``order`` even when no units are
-        rankable, so an empty batch journals (and decodes to
-        ``units=[]``).
+        ``units`` payload (``[coflow_id, gamma, p, gamma/p]`` per unit,
+        the key recomputed from the stored columns), so a zero ``p``
+        raises ``ValueError`` here.  Unlike the per-row streams an empty
+        batch is journaled (it decodes to ``units=[]``): FVDF records an
+        ``order`` even when no units are rankable.
         """
         k = len(coflow_ids)
+        if np.count_nonzero(ps) < len(ps):
+            i = int(np.flatnonzero(np.equal(ps, 0.0))[0])
+            raise ValueError(f"order unit {i} (coflow {coflow_ids[i]}) has "
+                             "priority class P = 0; its key gamma/P is undefined")
         cols, a = self._rows(_ORDER, float(t), k)
         cols["coflow_id"][a:a + k] = coflow_ids
         cols["gamma"][a:a + k] = gammas
@@ -486,10 +483,9 @@ class FlightRecorder:
         """Write the decoded stream as JSON lines to a path or open
         handle; returns the record count.
 
-        Lines are formatted straight from the columns — one ``tolist``
-        per column slice and one ``write`` per batch (per
-        :data:`_CHUNK` rows of a larger one) — and are byte-identical
-        to ``record_to_json`` of each decoded record.
+        Lines are formatted straight from the columns, one ``%`` of the
+        stream's template per :data:`_CHUNK` rows (:func:`_chunk_args`),
+        byte-identical to ``record_to_json`` of each decoded record.
         """
         if not hasattr(dest, "write"):
             with open(dest, "w", encoding="utf-8") as fh:
@@ -501,24 +497,22 @@ class FlightRecorder:
                 write(record_to_json(self._misc[a]) + "\n")
                 continue
             head = f'{{"t":{_num(t)},"kind":"{_RECORD_KIND[code]}",'
-            cols = [self._streams[code].cols[name] for name in _LAYOUT[code]]
-            b = a + count
-            chunks = (
-                [col[lo:min(lo + _CHUNK, b)].tolist() for col in cols]
-                for lo in range(a, b, _CHUNK)
-            )
-            if code in _BATCH_RECORD:
-                # One record per batch: its array is written chunk by chunk.
-                key, items = _ARRAY_ITEMS[code]
-                write(f'{head}"{key}":[')
-                sep = ""
-                for rows in chunks:
-                    write(sep + ",".join(items(*rows)))
-                    sep = ","
-                write("]}\n")
-            else:
-                for rows in chunks:
-                    write("".join(_LINES[code](head, kinds, *rows)))
+            cols = self._streams[code].cols
+            spans = [(lo, min(lo + _CHUNK, a + count))
+                     for lo in range(a, a + count, _CHUNK)]
+            if code not in _BATCH_RECORD:
+                line = head + _TEMPLATES[code] + "}\n"
+                for lo, hi in spans:
+                    write(line * (hi - lo) % _chunk_args(code, cols, lo, hi, kinds))
+                continue
+            # One record per batch: its array is written chunk by chunk.
+            key, item = _TEMPLATES[code]
+            write(f'{head}"{key}":[')
+            for lo, hi in spans:
+                items = ",".join([item] * (hi - lo))
+                write(("," if lo > a else "")
+                      + items % _chunk_args(code, cols, lo, hi, kinds))
+            write("]}\n")
         return len(self)
 
     def save_npz(self, path) -> None:

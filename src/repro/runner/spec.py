@@ -23,10 +23,13 @@ Cache keys
 ----------
 :meth:`RunSpec.digest` derives the content-addressed cache key: a SHA-256
 over a canonical JSON rendering of (schema, package version, numpy
-version, policy name + params, workload content, setup).  Identifier
-fields that cannot affect metrics (``flow_id`` / ``coflow_id``, which come
-from global counters) are excluded, so the same *content* generated twice
-in one process hits the same cache cell.  Specs that embed arbitrary live
+version, a SHA-256 of the package's ``*.py`` sources, policy name +
+params, workload content, setup).  The source hash makes an engine edit
+miss every cell cached before it, version bump or not; it is computed
+once per process, on the first digest.  Identifier fields that cannot
+affect metrics (``flow_id`` / ``coflow_id``, which come from global
+counters) are excluded, so the same *content* generated twice in one
+process hits the same cache cell.  Specs that embed arbitrary live
 objects (a scheduler instance, a setup with a ``background`` callable, a
 factory callable without an explicit ``tag``) are *uncacheable* —
 ``digest()`` returns ``None`` and the runner simply executes them.
@@ -35,9 +38,11 @@ factory callable without an explicit ``tag``) are *uncacheable* —
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,9 +61,22 @@ from repro.traces.generator import (
 )
 from repro.units import KB, MB, gbps, mbps
 
-#: Version tag folded into every cache digest; bump on any change that can
-#: alter simulation results for an unchanged spec.
+#: Version tag folded into every cache digest; bump when the cached entry's
+#: format changes (a source edit already changes every key).
 CACHE_SCHEMA = "repro-runner-v1"
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 of the ``repro`` package's ``*.py`` files (relative path,
+    size and bytes of each, in path order), read once per process."""
+    package = Path(repro.__file__).parent
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 class _Uncacheable(Exception):
@@ -225,6 +243,7 @@ class RunSpec:
                 "schema": CACHE_SCHEMA,
                 "version": repro.__version__,
                 "numpy": np.__version__,
+                "source": _source_digest(),
                 "policy": self._policy_token(),
                 "params": _canon(dict(self.params)) if self.params else None,
                 "workload": self.workload.token(),

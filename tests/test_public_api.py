@@ -14,7 +14,7 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.23.0"
+    assert repro.__version__ == "1.24.0"
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)

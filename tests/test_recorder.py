@@ -17,15 +17,19 @@ same recorder.  Covered here:
 * eager gating: tracing never forces per-flow result dataclass
   materialization;
 * NPZ round-trip and JSONL export fidelity: the columnar JSONL writer is
-  byte-identical to ``record_to_json`` of each decoded record.
+  byte-identical to ``record_to_json`` of each decoded record, on fixed
+  recordings and on hypothesis-built ones (signed zeros, NaN payloads,
+  ±inf, subnormals and repeats in one chunk, batches over a chunk);
+* a zero priority class is refused where the ``order`` row is recorded.
 """
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
@@ -420,3 +424,104 @@ class TestJsonlExport:
         rec.add_flow_completions(0.5, np.array([1, 2]), np.array([9, 9]))
         assert len(rec) == 4
         assert _dump_both_ways(rec, tmp_path) == _oracle_jsonl(rec)
+
+
+#: Floats the writer must render as ``json.dumps`` does, bit for bit:
+#: signed zeros, NaN (any payload), ±inf, subnormals and anything else.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -5e-324, 2.2250738585072014e-308, 1.2, 1e300]),
+    st.floats(),
+)
+
+
+_APPENDS = (
+    "add_order", "add_flow_completions", "add_arrivals", "add_core_claims",
+    "add_coflow_completions", "add_beta", "add_decision", "add_jump",
+    "add_rates", "add_cancel", "add_capacity",
+)
+
+
+@st.composite
+def _recordings(draw):
+    """A chunk size and a list of ``(method, args, kwargs)`` appends over
+    every stream.  Float columns draw from a pool of a few values, so a
+    chunk holds many repeats and, in about half the pools, both signed
+    zeros (one value, two bit patterns)."""
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+    pool += draw(st.sampled_from([[], [0.0, -0.0]]))
+    floats = st.sampled_from(pool)
+    nonzero = st.sampled_from([x for x in pool if x != 0.0] or [1.2])
+    ints = st.integers(-(2**40), 2**40)
+    small = st.integers(0, 63)
+
+    def col(elems, n, dtype=np.int64):
+        return np.array(draw(st.lists(elems, min_size=n, max_size=n)),
+                        dtype=dtype)
+
+    def args(method, t, n):
+        if method == "add_order":
+            return t, col(ints, n), col(floats, n, float), col(nonzero, n, float)
+        if method in ("add_flow_completions", "add_arrivals", "add_core_claims"):
+            return t, col(ints, n), col(ints, n)
+        if method in ("add_coflow_completions", "add_beta"):
+            return t, col(ints, n)
+        if method == "add_decision":
+            return t, draw(small), draw(ints), draw(ints)
+        if method == "add_jump":
+            return t, draw(ints), draw(small)
+        if method == "add_rates":
+            return t, draw(ints), draw(floats), draw(floats)
+        if method == "add_cancel":
+            return t, draw(ints), draw(ints)
+        side = draw(st.sampled_from(["ingress", "egress"]))
+        return t, side, draw(ints), draw(floats)  # add_capacity
+
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        method = draw(st.sampled_from(_APPENDS + ("emit",)))
+        t = draw(floats)
+        if method == "emit":
+            ops.append((method, (t, "heartbeat"),
+                        {"node": draw(ints), "load": draw(floats)}))
+        else:
+            ops.append((method, args(method, t, draw(st.integers(0, 9))), {}))
+    return draw(st.sampled_from([1, 2, 3, recorder_mod._CHUNK])), ops
+
+
+@given(_recordings())
+@example((recorder_mod._CHUNK, [(
+    "add_order",
+    (0.0, np.array([1, 2, 3, 4]), np.array([0.0, -0.0, 0.0, -0.0]),
+     np.array([1.0, 1.0, -1.0, math.nan])),
+    {},
+)]))
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_per_record_encode_on_any_columns(recording):
+    """The writer renders a float column of one bit pattern once per
+    chunk; whatever the columns hold, its bytes equal the per-record
+    encode."""
+    chunk, ops = recording
+    rec = FlightRecorder()
+    for method, args, kwargs in ops:
+        getattr(rec, method)(*args, **kwargs)
+    with mock.patch.object(recorder_mod, "_CHUNK", chunk):
+        buf = io.StringIO()
+        assert rec.dump_jsonl(buf) == len(rec)
+    assert buf.getvalue() == _oracle_jsonl(rec)
+
+
+def test_zero_priority_class_fails_where_recorded():
+    """``gamma/P`` is undefined at ``P = 0``: ``add_order`` refuses the
+    batch, naming the unit, rather than journaling a row that every
+    later decode or export would fail on."""
+    rec = FlightRecorder()
+    with pytest.raises(ValueError, match=r"unit 1 \(coflow 8\).*P = 0"):
+        rec.add_order(0.0, np.array([7, 8]), np.array([1.0, 2.0]),
+                      np.array([1.2, -0.0]))
+    assert rec.batches == 0 and len(rec) == 0
+    rec.add_order(0.0, np.array([7]), np.array([1.0]), np.array([1e-320]))
+    buf = io.StringIO()
+    rec.dump_jsonl(buf)
+    assert buf.getvalue() == _oracle_jsonl(rec)
+    assert '"units":[[7,1.0,1e-320,Infinity]]' in buf.getvalue()

@@ -1,10 +1,16 @@
 """Unit tests for the content-addressed result cache and its digests."""
 
+import os
 import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import ExperimentSetup, run_policy
 from repro.core.fvdf import FVDFScheduler
 from repro.runner import (
@@ -81,6 +87,30 @@ class TestDigest:
             _spec(full=True).digest(),
         }
         assert len(digests) == 3
+
+    def test_source_edit_changes_digest(self, tmp_path):
+        """The key hashes the package sources: a copy of the package gives
+        the same key as this one, and the copy with one engine file
+        edited (version unchanged) gives another."""
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        blob = pickle.dumps(_spec())
+        script = ("import pickle, sys, repro; print(repro.__file__); "
+                  "print(pickle.loads(sys.stdin.buffer.read()).digest())")
+
+        def digest_in_copy():
+            env = dict(os.environ, PYTHONPATH=str(package.parent))
+            out = subprocess.run([sys.executable, "-c", script], input=blob,
+                                 env=env, capture_output=True, check=True)
+            where, digest = out.stdout.decode().splitlines()
+            assert Path(where).is_relative_to(package)
+            return digest
+
+        assert digest_in_copy() == _spec().digest()
+        with open(package / "core" / "simulator.py", "a") as fh:
+            fh.write("# edited\n")
+        assert digest_in_copy() != _spec().digest()
 
     def test_live_scheduler_is_uncacheable(self):
         assert _spec(policy=FVDFScheduler()).digest() is None
