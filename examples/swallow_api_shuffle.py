@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The Table IV programming API, mirroring the paper's Scala usage example.
 
-Walks one shuffle through the full Swallow protocol — hook, aggregate, add,
+Walks one shuffle through the eight Table IV calls — hook, aggregate, add,
 scheduling, alloc, push, pull, remove — with real payload bytes that get
 genuinely compressed (zlib standing in for LZ4) on the push path and
 decompressed on pull.
@@ -45,9 +45,8 @@ def main() -> None:
           f"({coflow_info.width} flows, {bytes_to_human(coflow_info.size)})")
 
     # val schResult = sc.scheduling(...); alloc(schResult)
-    sc.heartbeat()  # daemons report CPU/bandwidth to the master
     plan = sc.scheduling([ref])
-    print(f"master plan: order={plan.order}, "
+    print(f"plan: order={plan.order}, "
           f"compress={{{', '.join(f'{k}:{v}' for k, v in plan.compress.items())}}}")
     sc.alloc(plan)
 
@@ -69,8 +68,7 @@ def main() -> None:
     sc.remove(ref)
     res = sc.results()
     print(f"\ncoflow finished at t={res.coflow_results[0].finish:.2f}s, "
-          f"traffic reduction {res.traffic_reduction * 100:.1f}%, "
-          f"{sc.bus.total_messages} protocol messages exchanged")
+          f"traffic reduction {res.traffic_reduction * 100:.1f}%")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ The package implements, in pure Python/NumPy:
 * workload generators and the public Facebook coflow-trace format;
 * a Spark-like cluster simulator (HiBench workloads, GC model) standing in
   for the paper's 100-VM deployment;
-* the Swallow master/worker system layer with the Table IV API.
+* the Swallow system layer: the Table IV API over the engine.
 
 Quickstart::
 
@@ -46,7 +46,7 @@ from repro.cpu import CpuModel, UtilizationRecorder
 from repro.fabric import BigSwitch
 from repro.schedulers import make_scheduler, scheduler_names
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "Flow", "FlowResult", "Coflow", "CoflowResult",

@@ -88,7 +88,8 @@ def run_policy(
 
 def check_distinct_names(policies: Sequence[Union[str, Scheduler]]) -> None:
     """Raise when two policies run schedulers of the same name: grid
-    results are keyed by it, so theirs would merge (``sebf-madd`` is SEBF)."""
+    results are keyed by it, so theirs would merge (``edf-noadmission``
+    runs ``edf-deadline``)."""
     seen: Dict[str, Union[str, Scheduler]] = {}
     for p in policies:
         name = make_scheduler(p).name if isinstance(p, str) else p.name

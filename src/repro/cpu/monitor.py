@@ -1,14 +1,12 @@
-"""CPU-utilisation measurement (paper Fig. 2 and the Swallow daemons).
+"""CPU-utilisation measurement (paper Fig. 2).
 
-The Swallow worker daemon periodically reports node status to the master;
-this module is the measurement side: a :class:`UtilizationRecorder` samples
-busy fractions over time and derives the idle statistics the paper quotes
-("more than 30.77% of CPU time is wasted at 10 Gbps, 69.23% at 100 Mbps").
+A :class:`UtilizationRecorder` samples busy fractions over time and
+derives the idle statistics the paper quotes ("more than 30.77% of CPU
+time is wasted at 10 Gbps, 69.23% at 100 Mbps").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -89,22 +87,3 @@ class UtilizationRecorder:
         if start is not None and len(times):
             periods.append((start, float(times[-1])))
         return periods
-
-
-@dataclass
-class CpuReport:
-    """Summary a Swallow daemon ships to the master (Section III-B)."""
-
-    node: int
-    time: float
-    busy_fraction: float
-    free_cores: int
-
-    @classmethod
-    def measure(cls, cpu: CpuModel, node: int, t: float) -> "CpuReport":
-        return cls(
-            node=node,
-            time=t,
-            busy_fraction=float(cpu.busy_fraction(t)[node]),
-            free_cores=int(cpu.free_cores(t)[node]),
-        )

@@ -42,4 +42,5 @@ class CheckpointError(ReproError):
 
 
 class ProtocolError(ReproError):
-    """The Swallow master/worker message protocol was violated."""
+    """A Table IV call broke the API's protocol: an unknown ref or block,
+    a call out of order, or more blocks pushed than the coflow has flows."""

@@ -17,7 +17,6 @@ name                               type       meaning
 ``engine.bytes_sent``              counter    bytes put on the wire
 ``fvdf.backfill_rate``             counter    work-conservation rate handed out
 ``fvdf.upgrades``                  counter    priority-class upgrade events
-``bus.messages.<topic>``           counter    messages published per topic
 =================================  =========  ================================
 
 A disabled registry returns a shared no-op instrument from every accessor,

@@ -16,8 +16,8 @@ consume.
 
 Record kinds with columnar streams: ``decision``, ``jump``, ``rates``,
 ``beta``, ``order``, ``core_claim``, ``arrival``, ``completion`` (flow
-and coflow level), ``cancel``, ``capacity``.  Everything else (``bus``,
-``heartbeat``, ``job_stage`` …) arrives through the
+and coflow level), ``cancel``, ``capacity``.  Everything else (the
+cluster simulator's ``job_stage``) arrives through the
 per-record :meth:`FlightRecorder.emit` and is journaled one record at a
 time — those kinds are per-decision scale, never per-flow.
 
@@ -335,9 +335,9 @@ class FlightRecorder:
         cols["port"][a] = port
         cols["capacity"][a] = capacity
 
-    # Per-record events for kinds without a columnar stream (scheduler
-    # orderings, bus traffic, heartbeats — per-decision scale).  Call
-    # sites guard on ``enabled`` before building the payload.
+    # Per-record events for kinds without a columnar stream (job stages
+    # — per-decision scale).  Call sites guard on ``enabled`` before
+    # building the payload.
     def emit(self, t: float, kind: str, **data: Any) -> None:
         if not self.enabled:
             return

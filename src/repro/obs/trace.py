@@ -23,12 +23,10 @@ kind                    payload
 ``completion``          ``coflow_id`` (coflow done) / ``flow_id`` (flow done)
 ``cancel``              ``coflow_id``, ``n_flows`` aborted
 ``capacity``            ``side``, ``port``, ``capacity``
-``bus``                 ``topic`` of a published message
-``heartbeat``           daemon measurement: ``node``, ``free_cores``
+``job_stage``           cluster simulator: ``stage``, ``job_id``
 ======================  ====================================================
 
-Timestamps are simulated seconds (engine records) or ``-1`` for records
-emitted outside simulated time (e.g. bus messages with no clock attached).
+Timestamps are simulated seconds.
 """
 
 from __future__ import annotations

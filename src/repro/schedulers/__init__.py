@@ -47,7 +47,6 @@ _FACTORIES: Dict[str, Callable[[], Scheduler]] = {
     "pff": CoflowPFF,
     "coflow-fifo": CoflowFIFO,
     "sebf": SEBF,
-    "sebf-madd": lambda: SEBF(rate_policy="madd"),
     "scf": SCF,
     "ncf": NCF,
     "lcf": LCF,
@@ -77,7 +76,7 @@ def make_scheduler(name: str, **params) -> Scheduler:
     ``make_scheduler("edf-deadline", admission=False)`` — which is how
     parameterised policies travel inside picklable
     :class:`~repro.runner.spec.RunSpec` cells.  Registry aliases that are
-    already fully parameterised (``sebf-madd``, ``fvdf-flow``, …) accept
+    already fully parameterised (``edf-noadmission``, ``fvdf-flow``, …) accept
     no further params.
     """
     try:

@@ -1,23 +1,18 @@
-"""The Swallow system layer: master/worker structure and the Table IV API."""
+"""The Swallow system layer: the Table IV API over the engine."""
 
 from repro.swallow.context import SwallowContext
-from repro.swallow.master import SwallowMaster
 from repro.swallow.messages import (
     BlockId,
-    CallBackMsg,
     CoflowInfo,
     CoflowRef,
     FlowInfo,
-    MeasurementMsg,
     PushMsg,
     SchResult,
 )
-from repro.swallow.transport import MessageBus
 from repro.swallow.worker import Executor, SwallowWorker, hook_executor
 
 __all__ = [
-    "SwallowContext", "SwallowMaster", "SwallowWorker", "Executor",
-    "hook_executor", "MessageBus",
-    "FlowInfo", "CoflowInfo", "CoflowRef", "SchResult", "MeasurementMsg",
-    "BlockId", "PushMsg", "CallBackMsg",
+    "SwallowContext", "SwallowWorker", "Executor", "hook_executor",
+    "FlowInfo", "CoflowInfo", "CoflowRef", "SchResult",
+    "BlockId", "PushMsg",
 ]

@@ -12,19 +12,21 @@ This is the object cluster frameworks interact with (paper §V-B)::
     data = sc.pull(ref, block_id)      # Receiver
     sc.remove(ref)                     # Driver
 
-Division of labour: the **master** registers coflows and aggregates
-daemon measurements; the **engine** (a
+Division of labour: the context registers coflows and hands out their
+refs, the paper master's bookkeeping; the **engine** (a
 :class:`~repro.core.simulator.SliceSimulator` running
 :class:`~repro.core.fvdf.FVDFScheduler`) makes the scheduling decision and
 carries the transfer out, and ``scheduling()`` returns that decision;
 **workers** hold the actual block bytes between push and pull, optionally
-compressing them for real.  ``pull()`` is time-decoupled as in the paper:
+compressing them for real.  The paper's Akka messages between these parts
+are plain calls here.  ``pull()`` is time-decoupled as in the paper:
 it drives the simulation forward until the requested block's coflow has
 finished transferring, then hands over (and decompresses) the data.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -38,17 +40,14 @@ from repro.core.simulator import SliceSimulator
 from repro.cpu.cores import CpuModel
 from repro.errors import ConfigurationError, ProtocolError
 from repro.fabric.bigswitch import BigSwitch
-from repro.swallow.master import SwallowMaster
 from repro.swallow.messages import (
     BlockId,
-    CallBackMsg,
     CoflowInfo,
     CoflowRef,
     FlowInfo,
     PushMsg,
     SchResult,
 )
-from repro.swallow.transport import MessageBus
 from repro.swallow.worker import Executor, SwallowWorker, hook_executor
 from repro.units import gbps
 
@@ -97,13 +96,8 @@ class SwallowContext:
     real_compression:
         Also run pushed payload bytes through a real codec (zlib) so pull()
         exercises genuine decompression.
-    auto_heartbeat:
-        Have the worker daemons report node status to the master at every
-        engine decision point (the paper's periodic measurement messages),
-        instead of only on explicit :meth:`heartbeat` calls.
     obs:
-        Observability bundle shared by the engine, bus and workers
-        — one trace covers the whole system (default: disabled).
+        Observability bundle of the engine (default: disabled).
     """
 
     _instance: Optional["SwallowContext"] = None
@@ -114,36 +108,28 @@ class SwallowContext:
         bandwidth: float = gbps(1),
         smart_compress: bool = True,
         real_compression: bool = False,
-        auto_heartbeat: bool = False,
         obs=None,
     ):
         if num_nodes <= 0:
             raise ConfigurationError("num_nodes must be positive")
-        self.bus = MessageBus(obs=obs)
-        self.obs = self.bus.obs
-        self.fabric = BigSwitch(num_nodes, bandwidth)
         self.cpu = CpuModel(num_nodes, cores_per_node=CORES_PER_NODE)
         self.engine = SliceSimulator(
-            self.fabric,
+            BigSwitch(num_nodes, bandwidth),
             FVDFScheduler(FVDFConfig(compress=smart_compress)),
             slice_len=SLICE_LEN,
             cpu=self.cpu,
             compression=CompressionEngine(CODEC) if smart_compress else None,
             obs=obs,
         )
-        self.bus.clock = lambda: self.engine.now
-        self.master = SwallowMaster(self.bus)
+        self.obs = self.engine.obs
         self.workers = [
-            SwallowWorker(n, self.bus, real_compression=real_compression)
+            SwallowWorker(n, real_compression=real_compression)
             for n in range(num_nodes)
         ]
-        self.bus.subscribe("master/callback", lambda msg: None)  # observability sink
-        self.bus.subscribe("worker/alloc", lambda msg: None)
+        self._next_ref = itertools.count()
         self._live: Dict[int, _Live] = {}  # ref id -> state
         self._ref_of: Dict[int, int] = {}  # engine coflow id -> ref id
         self.engine.on_coflow_complete(self._on_engine_complete)
-        if auto_heartbeat:
-            self.engine.on_decision(lambda t: self.heartbeat())
         SwallowContext._instance = self
 
     # --------------------------------------------------------------- lifecycle
@@ -168,8 +154,8 @@ class SwallowContext:
         return CoflowInfo(flows=tuple(flow_infos), label=label)
 
     def add(self, info: CoflowInfo) -> CoflowRef:
-        """Register a coflow with the master and submit it to the fabric."""
-        ref = self.master.add(info)
+        """Register a coflow, submit it to the fabric and hand out its ref."""
+        ref = CoflowRef(coflow_id=next(self._next_ref), label=info.label)
         flows = [
             Flow(
                 src=f.src,
@@ -196,7 +182,6 @@ class SwallowContext:
             )
         del self._live[ref.coflow_id]
         del self._ref_of[live.coflow.coflow_id]
-        self.master.remove(ref)
 
     def scheduling(self, refs: List[CoflowRef]) -> SchResult:
         """The plan the engine runs, over the given coflows.
@@ -206,8 +191,10 @@ class SwallowContext:
         the allocation in force.  If no decision has seen one of the
         coflows yet (it was just add()ed), the engine first steps one
         slice: the decision at ``now`` governs ``[now, now + slice_len)``,
-        and a chunked run equals an uninterrupted one, so no CCT changes —
-        but a coflow add()ed *after* this call arrives one slice later.
+        and a coflow add()ed *after* this call arrives one slice later.
+        The step is a horizon of the engine's run: the same calls give the
+        same CCTs on every run, but they need not equal, bit for bit, the
+        CCTs of one uninterrupted ``run()`` of the same coflows.
         A coflow that has finished transferring appears in no field of
         the plan.
         """
@@ -240,13 +227,11 @@ class SwallowContext:
         )
 
     def alloc(self, plan: SchResult) -> None:
-        """Cluster-manager step: fan the plan out to every worker.
+        """Cluster-manager step: a no-op.
 
-        Fan-out only.  The plan is the engine's own decision and already
-        runs; nothing here hands a plan back to the engine.
+        The plan is the engine's own decision and is already in force, so
+        there is nothing to hand to the engine or the workers.
         """
-        for w in self.workers:
-            self.bus.publish("worker/alloc", (w.node, plan))
 
     def push(self, ref: CoflowRef, block_id: BlockId, payload: bytes) -> PushMsg:
         """Sender side: hand one block to Swallow for transfer.
@@ -277,8 +262,8 @@ class SwallowContext:
 
         Time-decoupled: if the coflow's transfer has not finished yet, the
         simulation advances slice by slice until it has (the receiver
-        "waits"), so the clock stops within one slice of the finish.  The
-        callback carries the coflow's finish time.
+        "waits"), so the clock stops within one slice of the finish.
+        ``results()`` holds the coflow's finish time.
         """
         live = self._state(ref, "pull")
         flow = live.blocks.get(block_id.value)
@@ -291,10 +276,6 @@ class SwallowContext:
                 )
             self.engine.run(until=self.engine.now + SLICE_LEN)
         data = self.workers[flow.src].fetch_block(ref, block_id)
-        self.bus.publish(
-            "master/callback",
-            CallBackMsg(coflow=ref, block_id=block_id, time=live.finish),
-        )
         del live.blocks[block_id.value]
         return data
 
@@ -311,12 +292,6 @@ class SwallowContext:
             self._live[rid].finish = cr.finish
 
     # ------------------------------------------------------------- inspection
-    def heartbeat(self) -> None:
-        """Have every worker daemon report node status to the master."""
-        for w in self.workers:
-            free_bw = float(self.fabric.ingress.capacity[w.node])
-            w.report(self.cpu, self.engine.now, free_bw)
-
     def results(self):
         """The engine's metrics so far (FCT/CCT/traffic)."""
         return self.engine.result()

@@ -1,17 +1,17 @@
-"""Message types of the Swallow master/worker protocol (paper §III/§V).
+"""The records of the Table IV API (paper §V-B).
 
 These mirror the objects the Scala implementation ships over Akka:
 ``flowInfo``/``coflowInfo`` flowing driver→master, ``schResult`` flowing
-to the cluster manager, periodic daemon measurements, and the block-level
-push/pull envelopes.  They are plain dataclasses; the in-process
-:class:`~repro.swallow.transport.MessageBus` stands in for Akka.
+to the cluster manager, and the block-level push envelope.  Here they are
+plain dataclasses passed to and returned from
+:class:`~repro.swallow.context.SwallowContext` calls in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -78,17 +78,6 @@ class SchResult:
 
 
 @dataclass(frozen=True)
-class MeasurementMsg:
-    """Periodic daemon report: node status (paper §III-B)."""
-
-    node: int
-    time: float
-    cpu_busy: float
-    free_cores: int
-    bandwidth_free: float
-
-
-@dataclass(frozen=True)
 class BlockId:
     """Unique block identifier generated by the sender."""
 
@@ -103,12 +92,3 @@ class PushMsg:
     block_id: BlockId
     payload_size: float
     compressed: bool
-
-
-@dataclass(frozen=True)
-class CallBackMsg:
-    """Receiver → master: a flow finished transferring."""
-
-    coflow: CoflowRef
-    block_id: BlockId
-    time: float

@@ -1,27 +1,27 @@
-"""Swallow worker: per-node daemon, executor hook and block store.
+"""Swallow worker: executor hook and per-node block store.
 
-Workers (paper §III-B) do three things:
+Workers (paper §III-B) do two things here:
 
-* the **daemon** periodically measures node status (CPU, free cores,
-  bandwidth headroom) and ships it to the master;
 * the **hook** captures intermediate data when the framework invokes a
   network transfer (e.g. a Spark shuffle), producing ``flowInfo`` records;
 * the **block store** holds serialized blocks between ``push()`` and
   ``pull()``, optionally running the payload through a real codec so the
   byte-level path is exercised too.
+
+The paper's third worker duty, the daemon that reports node status to the
+master, has no counterpart: the engine reads free cores straight from its
+:class:`~repro.cpu.cores.CpuModel`.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.flow import Flow
-from repro.cpu.cores import CpuModel
 from repro.errors import ProtocolError
-from repro.swallow.messages import BlockId, CoflowRef, FlowInfo, MeasurementMsg
-from repro.swallow.transport import MessageBus
+from repro.swallow.messages import BlockId, CoflowRef, FlowInfo
 
 
 @dataclass
@@ -52,31 +52,13 @@ def hook_executor(executor: Executor) -> List[FlowInfo]:
 
 
 class SwallowWorker:
-    """One worker process: daemon + block store for its node."""
+    """One worker process: the block store of its node."""
 
-    def __init__(self, node: int, bus: MessageBus, real_compression: bool = False):
+    def __init__(self, node: int, real_compression: bool = False):
         self.node = node
-        self.bus = bus
         self.real_compression = real_compression
         self._blocks: Dict[Tuple[int, int], Tuple[bytes, bool]] = {}
 
-    # ------------------------------------------------------------- daemon
-    def report(self, cpu: CpuModel, t: float, bandwidth_free: float) -> MeasurementMsg:
-        """Measure and publish one daemon heartbeat."""
-        msg = MeasurementMsg(
-            node=self.node,
-            time=t,
-            cpu_busy=float(cpu.busy_fraction(t)[self.node]),
-            free_cores=int(cpu.free_cores(t)[self.node]),
-            bandwidth_free=bandwidth_free,
-        )
-        flt = self.bus.obs.recorder
-        if flt.enabled:
-            flt.emit(t, "heartbeat", node=self.node, free_cores=msg.free_cores)
-        self.bus.publish("master/measurement", msg)
-        return msg
-
-    # ---------------------------------------------------------- block store
     def store_block(
         self, ref: CoflowRef, block_id: BlockId, payload: bytes, compress: bool
     ) -> Tuple[int, bool]:

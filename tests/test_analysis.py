@@ -13,6 +13,7 @@ from repro.analysis import (
     speedups_over,
 )
 from repro.errors import ConfigurationError
+from repro.schedulers import make_scheduler
 from repro.traces.distributions import ConstantSize
 from repro.traces.generator import WorkloadConfig, generate_workload
 
@@ -44,7 +45,8 @@ class TestHarness:
         assert len(set(round(v, 6) for v in totals.values())) == 1
 
     @pytest.mark.parametrize(
-        "pair", [("sebf", "sebf-madd"), ("edf-deadline", "edf-noadmission")]
+        "pair", [("sebf", make_scheduler("sebf", rate_policy="madd")),
+                 ("edf-deadline", "edf-noadmission")]
     )
     def test_run_many_rejects_policies_sharing_a_name(self, workload, setup, pair):
         with pytest.raises(ConfigurationError, match=rf"{pair[0]}.*{pair[1]}"):

@@ -1,5 +1,5 @@
-"""Timeline rendering, CSV export, decision hooks, auto-heartbeat,
-cluster-on-two-tier — the integration extras."""
+"""Timeline rendering, CSV export, decision hooks, cluster-on-two-tier —
+the integration extras."""
 
 import csv
 import io
@@ -105,22 +105,6 @@ class TestDecisionHook:
         res = sim.run()
         assert len(ticks) == res.decision_points
         assert ticks == sorted(ticks)
-
-
-class TestAutoHeartbeat:
-    def test_daemons_report_during_run(self):
-        from repro.swallow import SwallowContext
-        from repro.core.flow import Flow as F
-
-        SwallowContext.reset_instance()
-        ctx = SwallowContext(num_nodes=2, bandwidth=100.0, auto_heartbeat=True)
-        from repro.swallow import Executor
-
-        ex = Executor(node=0, pending_flows=[F(0, 1, 500.0)])
-        ref = ctx.add(ctx.aggregate(ctx.hook(ex)))
-        ctx.engine.run()
-        assert ctx.bus.count("master/measurement") >= 2  # both nodes reported
-        assert ctx.master.free_cores(0) == 4
 
 
 class TestClusterTwoTier:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.cores import CpuModel, PiecewiseConstantBackground, random_background
-from repro.cpu.monitor import CpuReport, UtilizationRecorder
+from repro.cpu.monitor import UtilizationRecorder
 from repro.errors import ConfigurationError
 
 
@@ -136,10 +136,3 @@ class TestUtilizationRecorder:
         rec = UtilizationRecorder(2)
         rec.sample_model(0.0, cpu)
         assert rec.busy[0, 1] == pytest.approx(0.5)
-
-    def test_cpu_report(self):
-        cpu = CpuModel(2, cores_per_node=4, background=lambda t: 0.25)
-        rep = CpuReport.measure(cpu, node=1, t=2.0)
-        assert rep.node == 1
-        assert rep.busy_fraction == pytest.approx(0.25)
-        assert rep.free_cores == 3

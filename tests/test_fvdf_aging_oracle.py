@@ -5,7 +5,7 @@ that FVDF gathers, ages with one masked multiply and scatters back.
 :class:`ReferenceAging` keeps the rule as it read when both lived per
 coflow: P on each coflow, keyed by id, multiplied by ``logbase`` when
 ``was_served.get(cid, True) is False`` ("starved") or always (the other
-modes), then the decay/reset head rule, then the served flags of the
+modes), then the reset head rule, then the served flags of the
 window just decided.  :class:`CheckedFVDF` runs it beside the engine path
 and requires every decision's ``last.priority`` to equal it bit for bit,
 over random arrivals, retirements, drains and checkpoint/resume.
@@ -51,15 +51,10 @@ class ReferenceAging:
     def settle(self, view, d) -> None:
         """The head rule, then the served flags of the decided window."""
         cfg = self.config
-        if (cfg.aging in ("decay", "reset") and len(d.order)
+        if (cfg.aging == "reset" and len(d.order)
                 and view.trigger.is_preemption_point):
             head = int(d.coflow_ids[d.perm[d.starts[d.order[0]]]])
-            if cfg.aging == "reset":
-                self.prio[head] = 1.0
-            else:
-                self.prio[head] = max(
-                    1.0, self.prio.get(head, 1.0) / cfg.logbase**2
-                )
+            self.prio[head] = 1.0
         served = {}
         for cid, s in zip(d.coflow_ids.tolist(),
                           ((d.rates > 0) | d.beta).tolist()):
@@ -153,7 +148,7 @@ def _run(config, coflows, steps, events: bool):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("granularity", ["coflow", "flow"])
-@pytest.mark.parametrize("aging", ["starved", "paper", "decay", "reset"])
+@pytest.mark.parametrize("aging", ["starved", "paper", "reset"])
 def test_engine_columns_age_as_the_per_coflow_rule(aging, granularity, seed):
     """Every decision's P equals the reference's, and draining and
     resuming mid-run leave the CCTs of the same horizons bit for bit."""

@@ -16,7 +16,7 @@ from repro.analysis import (
     read_trace,
     trace_summary,
 )
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ReproError
 from repro.obs import NULL_OBS, NULL_PROFILER, NULL_RECORDER, Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
@@ -24,7 +24,6 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 from repro.scenarios import run_motivating_example
 from repro.schedulers import make_scheduler
-from repro.swallow.transport import MessageBus
 
 
 class TestTracer:
@@ -192,29 +191,6 @@ class TestEngineTracing:
         buf = io.StringIO()
         assert rec.dump_jsonl(buf) == 1
         assert read_trace(io.StringIO(buf.getvalue()))[0].kind == "arrival"
-
-
-class TestBusObservability:
-    def test_publish_counts_per_topic(self):
-        obs = Observability()
-        bus = MessageBus(obs=obs)
-        bus.subscribe("a", lambda m: None)
-        bus.publish("a", 1)
-        bus.publish("a", 2)
-        assert obs.metrics.value("bus.messages.a") == 2
-        recs = [r for r in obs.recorder if r.kind == "bus"]
-        assert len(recs) == 2
-        assert recs[0].data["topic"] == "a"
-        assert recs[0].t == -1.0  # no clock attached
-
-    def test_clock_stamps_records(self):
-        obs = Observability()
-        bus = MessageBus(obs=obs)
-        bus.clock = lambda: 4.5
-        bus.subscribe("a", lambda m: None)
-        bus.publish("a", 1)
-        [rec] = list(bus.obs.recorder)
-        assert rec.kind == "bus" and rec.t == 4.5
 
 
 class TestCliTrace:

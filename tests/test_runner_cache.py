@@ -219,14 +219,15 @@ class TestRoundtrip:
     @pytest.mark.parametrize("full", [False, True], ids=["summary", "full"])
     def test_warm_keys_equal_cold_keys(self, tmp_path, full):
         """A hit is keyed as the run it replays: by the scheduler's name,
-        not by the spelling of the policy."""
+        not by the spelling of the policy (``edf-noadmission`` runs a
+        scheduler named ``edf-deadline``)."""
         cache = ResultCache(root=tmp_path, enabled=True)
-        specs = [_spec(policy=p, full=full) for p in ("sebf-madd", "FVDF")]
+        specs = [_spec(policy=p, full=full) for p in ("edf-noadmission", "FVDF")]
         cold = run_specs(specs, workers=0, cache=cache)
         warm = run_specs(specs, workers=0, cache=cache)
         assert [out.cached for out in warm] == [True, True]
         assert [out.key for out in warm] == [out.key for out in cold]
-        assert [out.key for out in cold] == ["sebf", "fvdf"]
+        assert [out.key for out in cold] == ["edf-deadline", "fvdf"]
 
     def test_summary_is_columnar_no_dataclass_roundtrip(self):
         """ResultSummary.from_result reads the result's cached columns directly —

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import ExperimentSetup, SeedStats, run_seeds
 from repro.errors import ConfigurationError
+from repro.schedulers import make_scheduler
 from repro.traces.distributions import ConstantSize
 from repro.traces.generator import WorkloadConfig, generate_workload
 
@@ -62,7 +63,8 @@ class TestRunSeeds:
             run_seeds(["fifo"], factory, SETUP, seeds=[])
 
     @pytest.mark.parametrize(
-        "pair", [("sebf", "sebf-madd"), ("edf-deadline", "edf-noadmission")]
+        "pair", [("sebf", make_scheduler("sebf", rate_policy="madd")),
+                 ("edf-deadline", "edf-noadmission")]
     )
     def test_rejects_policies_sharing_a_name(self, pair):
         with pytest.raises(ConfigurationError, match=rf"{pair[0]}.*{pair[1]}"):

@@ -26,8 +26,10 @@ from repro.fabric.bigswitch import BigSwitch
 from repro.schedulers import make_scheduler
 
 N_PORTS = 4
+#: registry names, and (name, params) for a policy built with params
 POLICIES = ["fifo", "fair", "srtf", "pfp", "wss", "sebf", "scf", "ncf",
-            "lcf", "coflow-fifo", "dclas", "fvdf", "fvdf-flow", "sebf-madd"]
+            "lcf", "coflow-fifo", "dclas", "fvdf", "fvdf-flow",
+            ("sebf", {"rate_policy": "madd"})]
 
 
 @st.composite
@@ -52,7 +54,8 @@ def workloads(draw):
 
 
 def run(coflows, policy):
-    scheduler = make_scheduler(policy)
+    name, params = (policy, {}) if isinstance(policy, str) else policy
+    scheduler = make_scheduler(name, **params)
     engine = CompressionEngine(
         Codec("prop", speed=8.0, decompression_speed=32.0, ratio=0.5),
         size_dependent=False,

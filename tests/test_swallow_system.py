@@ -1,4 +1,4 @@
-"""The Swallow system layer: message bus, master, worker, Table IV API."""
+"""The Swallow system layer: records, worker, Table IV API."""
 
 import numpy as np
 import pytest
@@ -20,74 +20,12 @@ from repro.swallow import (
     CoflowRef,
     Executor,
     FlowInfo,
-    MeasurementMsg,
-    MessageBus,
     SwallowContext,
-    SwallowMaster,
     SwallowWorker,
     hook_executor,
 )
-from repro.swallow.context import CORES_PER_NODE, SLICE_LEN
+from repro.swallow.context import SLICE_LEN
 from repro.units import MB, gbps, mbps
-
-
-class TestMessageBus:
-    def test_publish_subscribe(self):
-        bus = MessageBus()
-        seen = []
-        bus.subscribe("t", seen.append)
-        bus.publish("t", 42)
-        assert seen == [42]
-        assert bus.count("t") == 1
-        assert bus.total_messages == 1
-
-    def test_multiple_subscribers(self):
-        bus = MessageBus()
-        a, b = [], []
-        bus.subscribe("t", a.append)
-        bus.subscribe("t", b.append)
-        bus.publish("t", "x")
-        assert a == b == ["x"]
-
-    def test_unrouted_message_raises(self):
-        bus = MessageBus()
-        with pytest.raises(ProtocolError, match="no subscriber"):
-            bus.publish("nobody", 1)
-
-    def test_handler_may_subscribe_during_delivery(self):
-        """Regression: publish() iterates a snapshot, so a handler that
-        subscribes another handler mid-delivery must not corrupt the
-        iteration — the new handler first sees the *next* publish."""
-        bus = MessageBus()
-        late = []
-
-        def self_subscriber(msg):
-            bus.subscribe("t", late.append)
-
-        bus.subscribe("t", self_subscriber)
-        bus.publish("t", 1)
-        assert late == []  # not delivered mid-iteration
-        bus.publish("t", 2)
-        assert late == [2]
-
-    def test_handler_may_unsubscribe_itself_during_delivery(self):
-        bus = MessageBus()
-        seen = []
-
-        def once(msg):
-            seen.append(msg)
-            bus.unsubscribe("t", once)
-
-        bus.subscribe("t", once)
-        bus.subscribe("t", lambda m: None)  # keeps the topic routed
-        bus.publish("t", "a")
-        bus.publish("t", "b")
-        assert seen == ["a"]
-
-    def test_unsubscribe_unknown_handler_raises(self):
-        bus = MessageBus()
-        with pytest.raises(ProtocolError, match="not subscribed"):
-            bus.unsubscribe("t", lambda m: None)
 
 
 class TestMessages:
@@ -120,18 +58,8 @@ class TestWorker:
         assert [i.size for i in infos] == [5.0, 7.0]
         assert all(i.src == 0 for i in infos)
 
-    def test_daemon_report_reaches_master(self):
-        bus = MessageBus()
-        master = SwallowMaster(bus)
-        cpu = CpuModel(2, cores_per_node=4)
-        w = SwallowWorker(1, bus)
-        msg = w.report(cpu, t=0.0, bandwidth_free=100.0)
-        assert isinstance(msg, MeasurementMsg)
-        assert master.free_cores(1) == 4
-
     def test_block_store_roundtrip(self):
-        bus = MessageBus()
-        w = SwallowWorker(0, bus, real_compression=True)
+        w = SwallowWorker(0, real_compression=True)
         ref = CoflowRef(coflow_id=1)
         bid = BlockId()
         payload = b"hello swallow " * 100
@@ -141,7 +69,7 @@ class TestWorker:
         assert w.stored_blocks == 0
 
     def test_fetch_unknown_block(self):
-        w = SwallowWorker(0, MessageBus())
+        w = SwallowWorker(0)
         with pytest.raises(ProtocolError, match="unknown block"):
             w.fetch_block(CoflowRef(coflow_id=1), BlockId())
 
@@ -168,11 +96,8 @@ def _assert_plan_is_engine(ctx, refs, plan):
 
 
 class TestMaster:
-    """The paper's master (§III-B): it registers coflows, and its
-    ``scheduling()`` answer is the engine's own FVDF decision."""
-
-    def info(self, size=10.0):
-        return CoflowInfo(flows=(FlowInfo(0, 0, 1, size),))
+    """The paper's master (§III-B): the context registers coflows, and
+    its ``scheduling()`` answer is the engine's own FVDF decision."""
 
     def make_ctx(self, bandwidth=mbps(100), **kw):
         SwallowContext.reset_instance()
@@ -193,16 +118,20 @@ class TestMaster:
         ctx.remove(ref)
 
     def test_add_remove_lifecycle(self):
-        master = SwallowMaster(MessageBus())
-        ref = master.add(self.info())
-        assert master.registered == 1
-        master.remove(ref)
-        assert master.registered == 0
+        """add() hands out refs from a counter and registers each one;
+        remove() of a finished coflow unregisters it."""
+        ctx = self.make_ctx(bandwidth=100.0)
+        refs = [self.add(ctx, [(k, 0, 1, 10.0, False)], label=f"c{k}")
+                for k in range(2)]
+        assert [(r.coflow_id, r.label) for r in refs] == [(0, "c0"), (1, "c1")]
+        assert sorted(ctx._live) == [0, 1]
+        self.finish(ctx, refs[0])
+        assert sorted(ctx._live) == [1]
 
     def test_remove_unknown(self):
-        master = SwallowMaster(MessageBus())
-        with pytest.raises(ProtocolError):
-            master.remove(CoflowRef(coflow_id=99))
+        ctx = self.make_ctx()
+        with pytest.raises(ProtocolError, match="unknown ref"):
+            ctx.remove(CoflowRef(coflow_id=99))
 
     def test_scheduling_orders_by_gamma(self):
         ctx = self.make_ctx()
@@ -259,8 +188,6 @@ class TestMaster:
         ctx = self.make_ctx()
         for _ in range(4):
             ctx.cpu.claim(0)  # node 0: zero free cores
-        ctx.heartbeat()
-        assert ctx.master.free_cores(0) == 0
         ref = self.add(ctx, [(5, 0, 1, 10 * MB, True)])
         plan = ctx.scheduling([ref])
         assert plan.compress == {5: False}
@@ -365,8 +292,6 @@ class TestSwallowContext:
         ctx.remove(ref)
         res = ctx.results()
         assert len(res.coflow_results) == 1
-        assert ctx.bus.count("master/callback") == 2
-        assert ctx.bus.count("worker/alloc") == 3
 
     def test_singleton(self):
         ctx = self.make_ctx()
@@ -391,12 +316,6 @@ class TestSwallowContext:
         ref, _ = self.shuffle_example(ctx)
         with pytest.raises(ProtocolError, match="before coflow"):
             ctx.remove(ref)
-
-    def test_heartbeat_updates_master(self):
-        ctx = self.make_ctx()
-        ctx.cpu.claim(2)
-        ctx.heartbeat()
-        assert ctx.master.free_cores(2) == CORES_PER_NODE - 1
 
     def test_compression_shortens_the_shuffle(self):
         """On a thin pipe a shuffle's coflow finishes sooner with
@@ -424,20 +343,18 @@ class TestSwallowContext:
         assert cct[True] < cct[False]
 
     def test_pull_stops_within_a_slice_of_the_finish(self):
-        """pull() waits slice by slice: the callback carries the coflow's
-        finish, and the clock (so the next add()'s arrival) is at most one
-        slice past it."""
+        """pull() waits slice by slice: it returns once the coflow has
+        finished, and the clock (so the next add()'s arrival) is at most one
+        slice past the finish."""
         ctx = self.make_ctx(bandwidth=5_000.0, smart_compress=False)
-        times = []
-        ctx.bus.subscribe("master/callback", lambda msg: times.append(msg.time))
         ref = ctx.add(ctx.aggregate([FlowInfo(0, 0, 1, 19_650.0)]))
         ctx.alloc(ctx.scheduling([ref]))
         bid = BlockId()
         ctx.push(ref, bid, b"x")
+        assert len(ctx.results().coflow_results) == 0
         ctx.pull(ref, bid)
         (cres,) = ctx.results().coflow_results
         assert cres.finish == pytest.approx(3.93)
-        assert times == [cres.finish]
         nxt = ctx.add(ctx.aggregate([FlowInfo(1, 0, 1, 100.0)]))
         arrival = ctx._live[nxt.coflow_id].coflow.arrival
         for t in (ctx.engine.now, arrival):
@@ -461,7 +378,6 @@ class TestSwallowContext:
                 ctx.pull(ref, bid)
             ctx.remove(ref)
         assert ctx._live == {} and ctx._ref_of == {}
-        assert ctx.master.registered == 0
 
 
 def test_context_is_a_thin_wrapper_over_the_engine():

@@ -79,24 +79,27 @@ class TestFeasibility:
 
 
 class TestSchedulingOnTwoTier:
-    def run(self, scheduler_name, coflows, **fkw):
+    def run(self, scheduler_name, coflows, params=None, **fkw):
         f = fabric(**fkw)
-        sim = SliceSimulator(f, make_scheduler(scheduler_name), slice_len=0.01)
+        sim = SliceSimulator(f, make_scheduler(scheduler_name, **(params or {})),
+                             slice_len=0.01)
         sim.submit_many(coflows)
         return sim.run()
 
     @pytest.mark.parametrize(
-        "name", ["fifo", "fair", "srtf", "wss", "sebf", "sebf-madd", "scf",
-                 "dclas", "fvdf"]
+        "name, params",
+        [pytest.param(n, {}, id=n)
+         for n in ("fifo", "fair", "srtf", "wss", "sebf", "scf", "dclas", "fvdf")]
+        + [pytest.param("sebf", {"rate_policy": "madd"}, id="sebf-madd")],
     )
-    def test_policies_respect_uplinks(self, name):
+    def test_policies_respect_uplinks(self, name, params):
         """Every policy completes an inter-rack workload on a thin uplink
         without tripping the engine's feasibility validation."""
         coflows = [
             Coflow([Flow(0, 2, 1.0), Flow(1, 3, 1.0)], arrival=0.0),
             Coflow([Flow(0, 1, 1.0)], arrival=0.0),  # intra-rack
         ]
-        res = self.run(name, coflows, uplink_bandwidth=0.5)
+        res = self.run(name, coflows, params, uplink_bandwidth=0.5)
         assert len(res.coflow_results) == 2
 
     def test_uplink_slows_inter_rack_traffic(self):

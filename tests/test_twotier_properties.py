@@ -19,8 +19,9 @@ from repro.schedulers import make_scheduler
 
 NUM_RACKS, HOSTS = 2, 2
 N_PORTS = NUM_RACKS * HOSTS
-POLICIES = ["fifo", "fair", "wss", "sebf", "sebf-madd", "dclas",
-            "sincronia", "fvdf"]
+#: registry names, and (name, params) for a policy built with params
+POLICIES = ["fifo", "fair", "wss", "sebf", ("sebf", {"rate_policy": "madd"}),
+            "dclas", "sincronia", "fvdf"]
 
 
 @st.composite
@@ -45,7 +46,9 @@ def rack_workloads(draw):
 def test_two_tier_feasibility_and_bounds(coflows, policy, uplink):
     fabric = TwoTierFabric(NUM_RACKS, HOSTS, bandwidth=1.0,
                            uplink_bandwidth=uplink)
-    sim = SliceSimulator(fabric, make_scheduler(policy), slice_len=0.05)
+    name, params = (policy, {}) if isinstance(policy, str) else policy
+    sim = SliceSimulator(fabric, make_scheduler(name, **params),
+                         slice_len=0.05)
     sim.submit_many(coflows)
     res = sim.run()  # every window passed the two-tier feasibility check
     assert len(res.coflow_results) == len(coflows)
