@@ -10,8 +10,6 @@ because it re-starves the large coflow just as aging off does: both leave
 it a 41 s CCT.
 """
 
-import pytest
-
 from repro.analysis import ExperimentSetup, render_table, run_policy
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow

@@ -7,7 +7,6 @@ quantifying the omission instead of assuming it.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table, run_policy
 from repro.units import mbps

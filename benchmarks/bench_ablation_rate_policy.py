@@ -6,8 +6,6 @@ coflow everything; "madd" is Varys' allocation.  All three must complete
 the same workload; the ablation quantifies how much the choice matters.
 """
 
-import pytest
-
 from repro.analysis import ExperimentSetup, render_table, run_many
 from repro.core.fvdf import FVDFConfig, FVDFScheduler
 from repro.units import mbps

@@ -14,7 +14,6 @@ good, cannot shrink the bytes.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table, run_seeds
 from repro.traces.distributions import LogNormalSizes

@@ -7,7 +7,6 @@ improve the most; no bin regresses badly.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table, run_many
 from repro.traces.classify import ClassifierConfig, bin_counts, speedup_by_bin

@@ -9,12 +9,11 @@ provide the context.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table, run_policy
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
-from repro.schedulers import DeadlineEDF, deadline_stats, make_scheduler
+from repro.schedulers import DeadlineEDF, deadline_stats
 from repro.traces.distributions import LogNormalSizes
 from repro.units import KB, MB, mbps
 

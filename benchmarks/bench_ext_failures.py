@@ -10,7 +10,6 @@ paper's healthy testbed could not surface.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.cluster import ClusterConfig, ClusterSimulator, FailureModel, hibench_suite

@@ -9,7 +9,6 @@ realistic topologies.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.core.simulator import SliceSimulator

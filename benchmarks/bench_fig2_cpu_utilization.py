@@ -6,7 +6,6 @@ CPU-bound to I/O-bound and cores wait on the network.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite

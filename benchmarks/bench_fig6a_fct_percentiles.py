@@ -6,7 +6,6 @@ Paper: over the full trace FVDF accelerates average FCT by up to 1.31x /
 those policies favour large flows.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import ExperimentSetup, render_table, run_many

@@ -5,8 +5,6 @@ its edge over SRTF is larger for big flows than for small ones (both serve
 the smallest first; compression only pays off on volume).
 """
 
-import pytest
-
 from repro.analysis import ExperimentSetup, render_table, run_many
 from repro.core.metrics import avg_fct
 from repro.units import MB, mbps

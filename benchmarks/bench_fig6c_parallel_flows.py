@@ -4,8 +4,6 @@ Paper: across three magnitudes of parallel-flow counts, FVDF always
 outperforms SRTF, FIFO and FAIR.
 """
 
-import pytest
-
 from repro.analysis import ExperimentSetup, render_table
 from repro.runner import RunSpec, WorkloadSpec, run_specs
 from repro.traces.generator import WorkloadConfig

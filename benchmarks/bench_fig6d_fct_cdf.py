@@ -7,7 +7,6 @@ does not improve at all over FIFO/FAIR.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table
 from repro.core.metrics import cdf_at

@@ -4,8 +4,6 @@ Paper: despite differing speed/ratio, FVDF exceeds SEBF with every codec
 (LZ4, Snappy, LZF, LZO, Zstandard).
 """
 
-import pytest
-
 from repro.analysis import ExperimentSetup, render_table
 from repro.runner import RunSpec, WorkloadSpec, run_specs
 from repro.units import mbps

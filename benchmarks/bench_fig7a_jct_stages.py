@@ -6,7 +6,6 @@ and the result stage by up to 2.12x; the overall JCT improvement averages
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite

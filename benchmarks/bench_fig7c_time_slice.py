@@ -6,7 +6,6 @@ late.  Swallow defaults to 0.01 s.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_cdf, render_table, run_policy
 from repro.core.metrics import cct_values

@@ -8,8 +8,6 @@ is printed and checked, but kept out of the saved report: its speeds are
 wall-clock readings of the host, different on every run.
 """
 
-import pytest
-
 from repro.analysis import render_table
 from repro.compression.calibrate import calibrated_codec
 from repro.compression.codecs import TABLE_II

@@ -12,7 +12,6 @@ average) is the reproduced claim.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table
 from repro.core.metrics import completion_rates, throughput_windows

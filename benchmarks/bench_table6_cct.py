@@ -7,7 +7,6 @@ reproducible claim.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import ExperimentSetup, render_table
 from repro.runner import RunSpec, WorkloadSpec, run_specs

@@ -7,7 +7,6 @@ the 100% checkpoint).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import render_table
 from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence, TextIO, Union
+from typing import TextIO, Union
 
 from repro.core.simulator import SimulationResult
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster.job import JobSpec
 from repro.errors import ConfigurationError
-from repro.traces.spark import TABLE_I, AppProfile, get_profile
+from repro.traces.spark import get_profile
 from repro.units import GB, TB
 
 #: Table VII "Without Swallow" shuffle traffic per workload scale.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.traces.spark import AppProfile

@@ -14,7 +14,7 @@ times faster than compression and overlaps with receiving.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.units import MB

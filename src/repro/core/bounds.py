@@ -21,7 +21,7 @@ simulated schedule ever violates a bound.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -54,6 +54,14 @@ def reserve_coflow_ids(n: int) -> int:
     return first
 
 
+def check_arrival(arrival: float) -> None:
+    """Reject an arrival time a coflow cannot have: negative, NaN or
+    infinite."""
+    if not 0 <= arrival < math.inf:
+        kind = ">= 0" if arrival < 0 else "finite"
+        raise ConfigurationError(f"arrival must be {kind}, got {arrival}")
+
+
 @dataclass
 class Coflow:
     """A coflow: flows that belong to the same computing stage.
@@ -82,9 +90,7 @@ class Coflow:
     def __post_init__(self) -> None:
         if not self.flows:
             raise ConfigurationError("a coflow must contain at least one flow")
-        if not 0 <= self.arrival < math.inf:
-            kind = ">= 0" if self.arrival < 0 else "finite"
-            raise ConfigurationError(f"arrival must be {kind}, got {self.arrival}")
+        check_arrival(self.arrival)
         if self.deadline is not None and not 0 < self.deadline < math.inf:
             kind = "positive" if self.deadline <= 0 else "finite"
             raise ConfigurationError(f"deadline must be {kind}, got {self.deadline}")

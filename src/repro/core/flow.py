@@ -79,9 +79,9 @@ class Flow:
     size:
         Original (uncompressed) size in bytes.
     arrival:
-        Arrival time in seconds.  For flows belonging to a
-        :class:`~repro.core.coflow.Coflow` this is normally the coflow's
-        arrival time.
+        Arrival time in seconds.  A :class:`~repro.core.coflow.Coflow`
+        stamps its own on its flows, and the engine always takes a
+        member flow's arrival from its coflow's current ``arrival``.
     compressible:
         Whether the payload may be compressed at all (Pseudocode 1 line 3).
         Pre-compressed or encrypted payloads should set this to ``False``.

@@ -8,27 +8,29 @@ the unit of the columnar source→engine handoff: arrival sources
 and admits them wholesale, and :meth:`SliceSimulator.submit_block` writes
 them straight into the engine's flow/coflow columns without ever building
 :class:`~repro.core.flow.Flow` or :class:`~repro.core.coflow.Coflow`
-objects.
+objects.  A flow arrives with its coflow: the block has no per-flow
+arrival, and the engine repeats each coflow's arrival over its flows.
 
 A block is valid by construction: its constructor runs the
 :class:`Flow`/:class:`Coflow` invariants once, as masks over the
 columns, and builds only a failing row as objects, so the error is the
-constructors' own.  Blocks carry columns only; ``from_coflows`` flattens
-objects (``submit_many``), and :func:`coflow_from_columns` builds a
-coflow back from columns when a caller (tracer, ``state.coflow``) asks.
+constructors' own.  :meth:`CoflowBlock.from_columns` makes a block of
+new coflows from raw columns, ``from_coflows`` flattens objects
+(``submit_many``), and :func:`coflow_from_columns` builds a coflow back
+from columns when a caller (``ArrivalSource.pop``, tracer,
+``state.coflow``) asks.
 
-Flow/coflow ids for raw-column rows are drawn from the same global
-counters as object construction.  A batch of coflows reserves all its
-flow ids, then all its coflow ids; the counters are independent, so these
-are the ids the coflows would have drawn one by one, and a run ingested
-through blocks is bit-identical — ids included — to the same run
-ingested through objects.
+``from_columns`` draws ids from the same global counters as object
+construction: it reserves all the block's flow ids, then all its coflow
+ids.  The counters are independent, so these are the ids the coflows
+would have drawn one by one, and a run ingested through blocks is
+bit-identical — ids included — to the same run ingested through objects.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +90,6 @@ class CoflowBlock:
         "compressible",
         "override",
         "flow_id",
-        "flow_arrival",
     )
 
     def __init__(
@@ -105,7 +106,6 @@ class CoflowBlock:
         compressible,
         override,
         flow_id,
-        flow_arrival,
     ) -> None:
         self.arrival = np.asarray(arrival, dtype=np.float64)
         self.width = np.asarray(width, dtype=np.int64)
@@ -118,11 +118,6 @@ class CoflowBlock:
         self.compressible = np.asarray(compressible, dtype=bool)
         self.override = np.asarray(override, dtype=np.float64)
         self.flow_id = np.asarray(flow_id, dtype=np.int64)
-        # Flow arrivals normally equal their coflow's, but the legacy
-        # object API lets them diverge (a coflow's arrival mutated after
-        # construction does not restamp members) — carry them explicitly
-        # so block ingest reproduces the object path bit-for-bit.
-        self.flow_arrival = np.asarray(flow_arrival, dtype=np.float64)
         self.validate()
 
     @property
@@ -156,7 +151,6 @@ class CoflowBlock:
                 self.compressible,
                 self.override,
                 self.flow_id,
-                self.flow_arrival,
             )
         ):
             raise ConfigurationError("per-flow columns disagree on length")
@@ -199,7 +193,8 @@ class CoflowBlock:
 
     @classmethod
     def from_coflows(cls, coflows: Sequence[Coflow]) -> "CoflowBlock":
-        """Flatten existing coflow objects into a block."""
+        """Flatten existing coflow objects into a block.  Each flow
+        arrives with its coflow, at the coflow's current ``arrival``."""
         coflows = list(coflows)
         flows = [f for c in coflows for f in c.flows]
         return cls(
@@ -217,121 +212,40 @@ class CoflowBlock:
                 for f in flows
             ],
             flow_id=[f.flow_id for f in flows],
-            flow_arrival=[f.arrival for f in flows],
         )
 
-    def restamp(self, mask: np.ndarray, now: float) -> None:
-        """Restamp the arrival of the masked coflows (and their flows) to
-        ``now`` — the streaming driver's late-coflow backpressure rule."""
-        self.arrival[mask] = now
-        self.flow_arrival[np.repeat(mask, self.width)] = now
-
-
-class BlockBuilder:
-    """Accumulates coflows — raw columns or objects — into one block.
-
-    Sources use this to assemble an admission batch: parsers and
-    generators append many coflows of raw columns in one call
-    (:meth:`add_columns`), while buffered-lookahead or legacy paths append
-    full objects (:meth:`add_coflow`).  ``build`` concatenates the chunks
-    into a single :class:`CoflowBlock`, which checks every row once.
-    """
-
-    def __init__(self) -> None:
-        # per call: an (arrival, width, coflow_id) and a (src, dst, size,
-        # compressible, override, flow_id, flow_arrival) column tuple;
-        # CoflowBlock casts the concatenated columns to their dtypes
-        self._coflow_cols: List[tuple] = []
-        self._flow_cols: List[tuple] = []
-        self._label: List[str] = []
-        self._deadline: List[Optional[float]] = []
-        self.n_flows = 0
-
-    @property
-    def n_coflows(self) -> int:
-        return len(self._label)
-
-    def _append(self, coflow_cols, flow_cols, label, deadline) -> None:
-        self._coflow_cols.append(coflow_cols)
-        self._flow_cols.append(flow_cols)
-        self._label.extend(label)
-        self._deadline.extend(deadline)
-        self.n_flows += len(flow_cols[0])
-
-    def add_columns(
-        self,
-        arrival,
-        src,
-        dst,
-        size,
-        compressible,
+    @classmethod
+    def from_columns(
+        cls, *, arrival, width, label: Sequence[str],
+        deadline: Sequence[Optional[float]], src, dst, size, compressible,
         override=None,
-        width=None,
-        label="",
-        deadline=None,
-    ) -> None:
-        """Append coflows from raw columns, reserving their ids in bulk.
+    ) -> "CoflowBlock":
+        """A block of new coflows from raw columns, drawing their ids.
 
-        ``arrival``, ``width``, ``label`` and ``deadline`` are per coflow;
-        the rest are per flow, each coflow's flows contiguous.  Without
-        ``width`` the columns are one coflow and the per-coflow values are
-        scalars.  ``override`` defaults to ``-1`` (no ratio override).
-
-        All flow ids are reserved first, then all coflow ids.  The two
-        counters are independent, so this draws the same ids as
-        constructing the coflows one after another.
+        ``arrival``, ``width``, ``label`` and ``deadline`` hold one value
+        per coflow, the rest one per flow, each coflow's flows
+        contiguous; ``override`` defaults to ``-1`` (no ratio override).
+        All flow ids are reserved first, then all coflow ids: the ids
+        constructing the coflows one after another draws.
         """
-        n = len(src)
-        if width is None:
-            arrival, width, label, deadline = [arrival], [n], [label], [deadline]
-        m = len(arrival)
-        flow_id0, coflow_id0 = reserve_flow_ids(n), reserve_coflow_ids(m)
-        if override is None:
-            override = np.full(n, -1.0)
-        self._append(
-            (arrival, width, np.arange(coflow_id0, coflow_id0 + m)),
-            (src, dst, size, compressible, override,
-             np.arange(flow_id0, flow_id0 + n), np.repeat(arrival, width)),
-            label, deadline,
-        )
-
-    def add_coflow(self, coflow: Coflow) -> int:
-        """Append one already-constructed coflow object; returns its id."""
-        flows = coflow.flows
-        rows = [
-            (f.src, f.dst, f.size, f.compressible,
-             -1.0 if f.ratio_override is None else f.ratio_override,
-             f.flow_id, f.arrival)
-            for f in flows
-        ]
-        self._append(
-            ([coflow.arrival], [len(flows)], [coflow.coflow_id]),
-            tuple(zip(*rows)),
-            [coflow.label], [coflow.deadline],
-        )
-        return coflow.coflow_id
-
-    def build(self) -> Optional[CoflowBlock]:
-        """The accumulated block, or ``None`` when nothing was added."""
-        if not self._label:
-            return None
-        arrival, width, coflow_id = (
-            np.concatenate(col) for col in zip(*self._coflow_cols)
-        )
-        src, dst, size, comp, override, flow_id, flow_arrival = (
-            np.concatenate(col) for col in zip(*self._flow_cols)
-        )
-        return CoflowBlock(
+        n, m = len(src), len(arrival)
+        flow_id0 = reserve_flow_ids(n)
+        coflow_id0 = reserve_coflow_ids(m)
+        return cls(
             arrival=arrival,
             width=width,
-            coflow_id=coflow_id,
-            label=self._label,
-            deadline=self._deadline,
+            coflow_id=np.arange(coflow_id0, coflow_id0 + m),
+            label=label,
+            deadline=deadline,
             src=src,
             dst=dst,
             size=size,
-            compressible=comp,
-            override=override,
-            flow_id=flow_id,
-            flow_arrival=flow_arrival,
+            compressible=compressible,
+            override=np.full(n, -1.0) if override is None else override,
+            flow_id=np.arange(flow_id0, flow_id0 + n),
         )
+
+    def restamp(self, mask: np.ndarray, now: float) -> None:
+        """Restamp the arrival of the masked coflows to ``now`` — the
+        streaming driver's late-coflow backpressure rule."""
+        self.arrival[mask] = now

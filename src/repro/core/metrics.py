@@ -10,7 +10,7 @@ N×"), per-size-bin breakdowns (Fig. 6b), percentile-filtered traces
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 

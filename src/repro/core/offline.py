@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.core.coflow import Coflow
 from repro.core.scheduler import Allocation, Scheduler, SchedulerView
 from repro.core.simulator import SimulationResult, SliceSimulator
 from repro.errors import ConfigurationError
-from repro.fabric.bigswitch import BigSwitch
 
 #: Enumerating n! orders: keep n small by construction.
 MAX_EXHAUSTIVE_COFLOWS = 7

@@ -85,6 +85,9 @@ class PreColumnarSliceSimulator(SliceSimulator):
         self._calendar = HeapCalendar()
         self._coflows = {}  # coflow_id -> _CoflowRecord
         self._coflow_arrival = {}  # coflow_id -> arrival time
+        # results were materialized eagerly, one object per flow/coflow
+        self._flow_results = []
+        self._coflow_results = []
 
     def _next_arrival(self):
         """Earliest pending non-cancelled arrival (lazy lambda prune)."""
@@ -109,7 +112,7 @@ class PreColumnarSliceSimulator(SliceSimulator):
             self._src[g] = f.src
             self._dst[g] = f.dst
             self._size[g] = f.size
-            self._arrival[g] = f.arrival
+            self._arrival[g] = coflow.arrival
             self._compressible[g] = f.compressible
             self._coflow_of[g] = coflow.coflow_id
             self._flow_id[g] = f.flow_id

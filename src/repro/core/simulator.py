@@ -596,8 +596,6 @@ class SliceSimulator:
         self._held: Optional[Allocation] = None
         self._ingress_bytes = np.zeros(fabric.num_ingress)
         self._egress_bytes = np.zeros(fabric.num_egress)
-        self._flow_results: List[FlowResult] = []
-        self._coflow_results: List[CoflowResult] = []
         self._on_coflow_complete: List[Callable[[CoflowResult], None]] = []
         self._on_flow_complete: List[Callable[[FlowResult], None]] = []
         self._on_decision: List[Callable[[float], None]] = []
@@ -730,9 +728,7 @@ class SliceSimulator:
         self._src[g0:g1] = block.src
         self._dst[g0:g1] = block.dst
         self._size[g0:g1] = size
-        # Per-flow arrivals normally equal the coflow's but the legacy
-        # object API lets them diverge, so the block carries them.
-        self._arrival[g0:g1] = block.flow_arrival
+        self._arrival[g0:g1] = np.repeat(block.arrival, widths)
         self._compressible[g0:g1] = block.compressible
         self._coflow_of[g0:g1] = np.repeat(ids, widths)
         self._flow_id[g0:g1] = block.flow_id

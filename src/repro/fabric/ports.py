@@ -8,7 +8,7 @@ sets (sender side and receiver side) as they hand out rates.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -10,8 +10,7 @@ reproduces *all five* baseline numbers simultaneously, which pins it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine

@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from repro.core import rate_allocation as ra
-from repro.core.scheduler import Allocation, CoflowState, Scheduler, SchedulerView
+from repro.core.scheduler import Allocation, Scheduler, SchedulerView
 from repro.errors import ConfigurationError
 from repro.units import MB
 

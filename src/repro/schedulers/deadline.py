@@ -17,7 +17,7 @@ running rejected coflows without guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 

@@ -21,12 +21,12 @@ natural yardstick for what FVDF's compression adds beyond ordering.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core import rate_allocation as ra
-from repro.core.scheduler import Allocation, CoflowState, Scheduler, SchedulerView
+from repro.core.scheduler import Allocation, Scheduler, SchedulerView
 from repro.errors import ConfigurationError
 
 

@@ -1,10 +1,11 @@
 """Unbounded, resumable coflow arrival sources for the streaming service.
 
 A batch experiment materialises its whole workload up front; a service
-cannot.  :class:`ArrivalSource` is a pull-based iterator over coflows in
-arrival order with one-coflow lookahead (:meth:`~ArrivalSource.peek`
-returns the next arrival time without consuming it), so the driver can
-admit everything inside its horizon and leave the rest for later ticks.
+cannot.  :class:`ArrivalSource` is a pull-based stream of coflows in
+arrival order with one raw record of lookahead (:meth:`~ArrivalSource.
+peek` returns the next arrival time without consuming it), so the driver
+can admit everything inside its horizon and leave the rest for later
+ticks.
 
 Two concrete sources:
 
@@ -18,17 +19,18 @@ Two concrete sources:
 Both expose ``state()``/``seek(state)`` so a checkpoint can record a
 compact cursor and resume the stream exactly where it left off.
 
-Sources also vend whole *admission blocks*: :meth:`ArrivalSource.
-pop_block` drains every coflow inside a horizon (subject to a flow
-budget) into one :class:`~repro.core.ingest.CoflowBlock`.  The concrete
-sources override it to emit raw columns — the synthetic generator gathers
-its rng draws, the JSONL reader reads each due line once into flat Python
-lists — and hand the whole block to one
-:meth:`~repro.core.ingest.BlockBuilder.add_columns` call, so the
-steady-state streaming path never constructs ``Flow``/``Coflow`` objects
-and reserves ids once per block.  The ids are the ones the same coflows
-would draw one object at a time, so a blocked stream is bit-identical
-(ids included) to the same stream popped object by object.
+A source supplies only how to read its next raw record (a synthetic
+draw, a parsed JSONL line) with its arrival, and how to append one
+record's fields to a block's columns.  The one admission loop,
+:meth:`ArrivalSource.pop_block`, drains every due record inside a
+horizon (subject to a flow budget) into one
+:class:`~repro.core.ingest.CoflowBlock`, built by one
+:meth:`~repro.core.ingest.CoflowBlock.from_columns` call: the streaming
+path constructs no ``Flow``/``Coflow`` objects and reserves ids once per
+block.  :meth:`ArrivalSource.pop` is a one-coflow block turned into a
+``Coflow``, so the ids are the ones the same coflows draw through
+``pop_block``, and a blocked stream is bit-identical (ids included) to
+the same stream popped object by object.
 """
 
 from __future__ import annotations
@@ -37,18 +39,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, IO, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from repro.core.coflow import Coflow, reserve_coflow_ids
-from repro.core.flow import Flow, reserve_flow_ids
-from repro.core.ingest import (
-    BlockBuilder,
-    BlockRowError,
-    CoflowBlock,
-    coflow_from_columns,
-)
+from repro.core.coflow import Coflow, check_arrival
+from repro.core.flow import Flow
+from repro.core.ingest import BlockRowError, CoflowBlock, coflow_from_columns
 from repro.errors import ConfigurationError
 from repro.traces.distributions import SizeDistribution, spark_flow_sizes
 
@@ -134,98 +133,111 @@ class SourceSpec:
         return SyntheticSource(self)
 
 
+#: A block's columns as the two functions that fill and build them:
+#: ``append(record)`` appends one raw record's fields, all but its
+#: arrival, and returns its number of flows; ``build(arrivals)`` makes
+#: the block of the records appended so far, arriving at ``arrivals``,
+#: and draws its ids.
+_Columns = Tuple[Callable[[Any], int], Callable[[List[float]], CoflowBlock]]
+
+
 class ArrivalSource:
     """Pull-based stream of coflows in non-decreasing arrival order.
 
-    Subclasses implement :meth:`_next` returning the next coflow or
-    ``None`` when the stream is exhausted, plus :meth:`_cursor` /
-    :meth:`_seek_cursor` for resume; the base class provides the
-    one-coflow lookahead buffer behind :meth:`peek`/:meth:`pop` and a
-    :meth:`state` that always points *before* any buffered lookahead (the
-    cursor is captured just before :meth:`_next` runs), so a restored
-    source regenerates/rereads the buffered coflow identically.
+    A subclass implements :meth:`_read` (its next raw record with the
+    record's arrival and the cursor just before it) and :meth:`_columns`
+    (how one record's fields are appended to a block's columns), plus
+    :meth:`_cursor` / :meth:`_seek_cursor` for resume.  The base class
+    keeps one raw record of lookahead, read by :meth:`peek`, :meth:`pop`
+    and :meth:`pop_block` alike, and a :meth:`state` that points *before*
+    it, so a restored source rereads the lookahead record identically.
     """
 
     def __init__(self) -> None:
-        self._buffered: Optional[Coflow] = None
-        self._pre_cursor: Optional[Dict[str, Any]] = None
+        # (record, arrival, cursor before it): read, not yet taken
+        self._ahead: Optional[Tuple[Any, float, Any]] = None
         self._exhausted = False
 
-    def _next(self) -> Optional[Coflow]:
+    def _read(self) -> Optional[Tuple[Any, float, Any]]:
+        """The next raw record, its arrival and the cursor just before it
+        (what :meth:`_cursor` accepts), or ``None`` at the end."""
         raise NotImplementedError
 
-    def _cursor(self) -> Dict[str, Any]:
+    def _columns(self) -> _Columns:
+        """Empty columns for one block (see :data:`_Columns`).  A record
+        is appended when it is taken, so the block holds its fields, not
+        the records."""
+        raise NotImplementedError
+
+    def _cursor(self, at: Any = None) -> Dict[str, Any]:
+        """The resumable cursor at ``at``, a cursor :meth:`_read`
+        returned, or by default at the current position."""
         raise NotImplementedError
 
     def _seek_cursor(self, state: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def _fill(self) -> None:
-        if self._buffered is None and not self._exhausted:
-            cur = self._cursor()
-            nxt = self._next()
-            if nxt is None:
-                self._exhausted = True
-                self._pre_cursor = None
-            else:
-                self._buffered = nxt
-                self._pre_cursor = cur
+    def _lookahead(self) -> Optional[Tuple[Any, float, Any]]:
+        if self._ahead is None and not self._exhausted:
+            self._ahead = self._read()
+            self._exhausted = self._ahead is None
+        return self._ahead
 
     def peek(self) -> Optional[float]:
         """Arrival time of the next coflow, or ``None`` if exhausted."""
-        self._fill()
-        return None if self._buffered is None else self._buffered.arrival
+        ahead = self._lookahead()
+        return None if ahead is None else float(ahead[1])
 
     def pop(self) -> Coflow:
-        """Consume and return the next coflow (peek first)."""
-        self._fill()
-        if self._buffered is None:
+        """Consume and return the next coflow: a one-coflow block, built
+        as an object with the ids the block drew."""
+        block = self.pop_block(math.inf, 1)
+        if block is None:
             raise ConfigurationError("pop() on an exhausted arrival source")
-        out, self._buffered = self._buffered, None
-        self._pre_cursor = None
-        return out
-
-    def state(self) -> Dict[str, Any]:
-        """Compact resumable cursor pointing before any buffered coflow."""
-        if self._buffered is not None:
-            assert self._pre_cursor is not None
-            return dict(self._pre_cursor)
-        return self._cursor()
-
-    def seek(self, state: Dict[str, Any]) -> None:
-        """Position a fresh source at a cursor from :meth:`state`."""
-        if self._buffered is not None:
-            raise ConfigurationError("seek() requires a fresh source")
-        self._seek_cursor(state)
+        return coflow_from_columns(
+            block.src, block.dst, block.size, block.compressible,
+            block.override, block.flow_id, arrival=block.arrival[0],
+            label=block.label[0], deadline=block.deadline[0],
+            coflow_id=block.coflow_id[0],
+        )
 
     def pop_block(
         self, horizon: float, flow_budget: Optional[int] = None
     ) -> Optional[CoflowBlock]:
         """Drain every coflow with ``arrival <= horizon`` into one block.
 
-        The flow budget is checked *before* each pop, so the last coflow
-        may overshoot it — exactly the driver's legacy admission rule.
-        Returns ``None`` when nothing is due.  The base implementation
-        pops objects; concrete sources override it to fill raw columns
-        without materializing ``Flow``/``Coflow`` instances.
+        The flow budget is checked *before* each coflow, so the last one
+        may overshoot it.  Returns ``None`` when nothing is due.  When
+        reading a record fails, the records taken before it are built
+        first, so the first bad record's error is the one raised.
         """
-        builder = BlockBuilder()
-        while flow_budget is None or builder.n_flows < flow_budget:
-            t = self.peek()
-            if t is None or t > horizon:
-                break
-            builder.add_coflow(self.pop())
-        return builder.build()
+        budget = math.inf if flow_budget is None else flow_budget
+        append, build = self._columns()
+        arrivals: List[float] = []
+        n = 0
+        try:
+            while n < budget:
+                ahead = self._lookahead()
+                if ahead is None or ahead[1] > horizon:
+                    break
+                n += append(ahead[0])
+                arrivals.append(ahead[1])
+                self._ahead = None
+        except ConfigurationError:
+            if arrivals:
+                build(arrivals)
+            raise
+        return build(arrivals) if arrivals else None
 
-    def _take_lookahead(self, builder: BlockBuilder, horizon: float) -> bool:
-        """Move a due lookahead coflow into ``builder``; ``False`` when it
-        is past ``horizon``, which ends the block before it."""
-        if self._buffered is None:
-            return True
-        if self._buffered.arrival > horizon:
-            return False
-        builder.add_coflow(self.pop())
-        return True
+    def state(self) -> Dict[str, Any]:
+        """Compact resumable cursor pointing before any lookahead record."""
+        return self._cursor(None if self._ahead is None else self._ahead[2])
+
+    def seek(self, state: Dict[str, Any]) -> None:
+        """Position a fresh source at a cursor from :meth:`state`."""
+        if self._ahead is not None:
+            raise ConfigurationError("seek() requires a fresh source")
+        self._seek_cursor(state)
 
 
 class SyntheticSource(ArrivalSource):
@@ -237,7 +249,7 @@ class SyntheticSource(ArrivalSource):
         super().__init__()
         self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
-        self._count = 0  # coflows emitted so far (cursor)
+        self._count = 0  # coflows drawn so far (cursor)
         self._clock = 0.0  # arrival time of the previous coflow
         # bursty-mode phase machine
         self._in_burst = False
@@ -270,11 +282,13 @@ class SyntheticSource(ArrivalSource):
         inst = s.rate * (1.0 + s.depth * math.sin(2.0 * math.pi * self._clock / s.period))
         return float(self._rng.exponential(1.0 / max(inst, s.rate * (1.0 - s.depth) * 0.5)))
 
-    def _next_raw(self) -> Optional[Dict[str, Any]]:
-        """Draw the next coflow as raw columns (rng consumed, no ids drawn)."""
+    def _read(self) -> Optional[Tuple[tuple, float, Dict[str, Any]]]:
+        """Draw the next coflow: ``(label, src, dst, size, compressible)``
+        arrays, its arrival and the cursor before the draw."""
         s = self.spec
         if s.limit is not None and self._count >= s.limit:
             return None
+        cursor = self._cursor()
         if self._count == 0:
             gap = 0.0  # first coflow arrives at t=0, like generate_workload
         elif s.mode == "steady":
@@ -294,74 +308,31 @@ class SyntheticSource(ArrivalSource):
         srcs = rng.integers(0, s.num_ports, size=w)
         dsts = rng.integers(0, s.num_ports, size=w)
         compressible = rng.random(w) < s.compressible_fraction
-        raw = {
-            "arrival": self._clock,
-            "label": f"cf{self._count}",
-            "src": srcs,
-            "dst": dsts,
-            "size": sizes,
-            "compressible": compressible,
-        }
+        raw = (f"cf{self._count}", srcs, dsts, sizes, compressible)
         self._count += 1
-        return raw
+        return raw, self._clock, cursor
 
-    @staticmethod
-    def _materialize(raw: Dict[str, Any]) -> Coflow:
-        """Build the coflow object for one raw draw (ids reserved here, in
-        the same order the columnar path reserves them: flows, then the
-        coflow)."""
-        w = int(raw["src"].size)
-        flow_id0 = reserve_flow_ids(w)
-        return coflow_from_columns(
-            raw["src"], raw["dst"], raw["size"], raw["compressible"],
-            np.full(w, -1.0), np.arange(flow_id0, flow_id0 + w),
-            arrival=raw["arrival"], label=raw["label"], deadline=None,
-            coflow_id=reserve_coflow_ids(1),
-        )
+    def _columns(self) -> _Columns:
+        draws: List[tuple] = []
 
-    def _next(self) -> Optional[Coflow]:
-        raw = self._next_raw()
-        return None if raw is None else self._materialize(raw)
+        def append(raw: tuple) -> int:
+            draws.append(raw)
+            return raw[1].size
 
-    def pop_block(
-        self, horizon: float, flow_budget: Optional[int] = None
-    ) -> Optional[CoflowBlock]:
-        budget = math.inf if flow_budget is None else flow_budget
-        builder = BlockBuilder()
-        if budget <= 0 or not self._take_lookahead(builder, horizon):
-            return None
-        raws, overshoot = [], None
-        n = builder.n_flows
-        while n < budget and not self._exhausted:
-            cur = self._cursor()
-            raw = self._next_raw()
-            if raw is None:
-                self._exhausted = True
-                self._pre_cursor = None
-            elif raw["arrival"] > horizon:
-                overshoot = raw, cur
-                break
-            else:
-                raws.append(raw)
-                n += raw["src"].size
-        if raws:
-            builder.add_columns(
-                [r["arrival"] for r in raws],
-                *(np.concatenate([r[k] for r in raws])
-                  for k in ("src", "dst", "size", "compressible")),
-                width=[r["src"].size for r in raws],
-                label=[r["label"] for r in raws],
-                deadline=[None] * len(raws),
+        def build(arrivals: List[float]) -> CoflowBlock:
+            label, src, dst, size, compressible = zip(*draws)
+            return CoflowBlock.from_columns(
+                arrival=arrivals, width=[a.size for a in src], label=label,
+                deadline=[None] * len(draws), src=np.concatenate(src),
+                dst=np.concatenate(dst), size=np.concatenate(size),
+                compressible=np.concatenate(compressible),
             )
-        if overshoot is not None:
-            # stash it for the next tick, materialized so peek()/state()
-            # keep their object-buffer contract; only after the block's
-            # ids are reserved, because constructing the coflow draws its own
-            self._buffered = self._materialize(overshoot[0])
-            self._pre_cursor = overshoot[1]
-        return builder.build()
 
-    def _cursor(self) -> Dict[str, Any]:
+        return append, build
+
+    def _cursor(self, at: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        if at is not None:
+            return dict(at)
         return {
             "kind": "synthetic",
             "count": self._count,
@@ -501,7 +472,8 @@ class JsonlSource(ArrivalSource):
     Lines must be in non-decreasing arrival order; blank lines are skipped.
     The cursor is the number of non-blank lines consumed, so ``seek`` on a
     file re-opens and skips — stdin cannot seek.  Errors name the physical
-    line, blank lines included.
+    line, blank lines included.  Reading a line checks its JSON and its
+    arrival; its other fields are checked when it is popped.
     """
 
     def __init__(self, path: str, limit: Optional[int] = None) -> None:
@@ -526,12 +498,10 @@ class JsonlSource(ArrivalSource):
             f"bad JSONL coflow on line {line} of {self.path}: {exc}"
         )
 
-    def _next_record(self) -> Optional[Dict[str, Any]]:
-        """Parse the next non-blank line into a record dict (no objects).
-
-        The record's arrival, checked non-decreasing, is left in
-        ``self._last_arrival``.
-        """
+    def _read(self) -> Optional[Tuple[Tuple[Dict[str, Any], int], float, int]]:
+        """Parse the next non-blank line: ``((record, physical line),
+        arrival, lines consumed before it)``.  The arrival must be a
+        non-negative, finite number, not below the previous line's."""
         if self._fh is None:
             return None
         if self.limit is not None and self._lines >= self.limit:
@@ -555,6 +525,8 @@ class JsonlSource(ArrivalSource):
                     raise ConfigurationError(
                         f"arrival must be a number, got {arrival!r}"
                     )
+                if not 0 <= arrival < math.inf:
+                    check_arrival(float(arrival))
             except (
                 ConfigurationError, ValueError, KeyError, TypeError,
                 AttributeError,
@@ -566,48 +538,22 @@ class JsonlSource(ArrivalSource):
                     f"has arrival {arrival} after {self._last_arrival}"
                 )
             self._last_arrival = arrival
-            return rec
+            return (rec, self._lineno), arrival, self._lines - 1
         self._close()
         return None
 
-    def _to_coflow(self, rec: Dict[str, Any]) -> Coflow:
-        try:
-            return coflow_from_json(rec)
-        except (
-            ConfigurationError, ValueError, KeyError, TypeError, AttributeError
-        ) as exc:
-            raise self._bad_line(exc) from exc
-
-    def _next(self) -> Optional[Coflow]:
-        rec = self._next_record()
-        return None if rec is None else self._to_coflow(rec)
-
-    def pop_block(
-        self, horizon: float, flow_budget: Optional[int] = None
-    ) -> Optional[CoflowBlock]:
-        """Read every due line once into flat column lists, then hand the
-        block to one :meth:`BlockBuilder.add_columns` call."""
-        budget = math.inf if flow_budget is None else flow_budget
-        builder = BlockBuilder()
-        if budget <= 0 or not self._take_lookahead(builder, horizon):
-            return None
-        arrival, width, label, deadline, lines = [], [], [], [], []
-        src, dst, size, comp, override = [], [], [], [], []
+    def _columns(self) -> _Columns:
+        """Flat column lists: one pass over each line's flows when it is
+        taken, and one JSON type check per column when the block is
+        built.  Every error names the line of the first bad record."""
+        width, label, deadline, lines = [], [], [], []
+        src, dst, size, comp, override = flow_cols = [], [], [], [], []
         add_src, add_dst, add_size = src.append, dst.append, size.append
         add_comp, add_override = comp.append, override.append
-        n0 = n = builder.n_flows
-        overshoot = None
-        flow_cols = (src, dst, size, comp, override)
-        try:
-            while n < budget:
-                rec = self._next_record()
-                if rec is None:
-                    self._exhausted = True
-                    self._pre_cursor = None
-                    break
-                if self._last_arrival > horizon:
-                    overshoot = rec
-                    break
+
+        def append(record: Tuple[Dict[str, Any], int]) -> int:
+            rec, line = record
+            try:
                 flows = rec["flows"]
                 for f in flows:
                     add_src(f["src"])
@@ -615,77 +561,53 @@ class JsonlSource(ArrivalSource):
                     add_size(f["size"])
                     add_comp(f.get("compressible", True))
                     add_override(f.get("ratio_override"))
-                label.append(rec.get("label", ""))
-                arrival.append(self._last_arrival)
-                width.append(len(flows))
-                deadline.append(rec.get("deadline"))
-                lines.append(self._lineno)
-                n += len(flows)
-        except (ConfigurationError, KeyError, TypeError, AttributeError) as exc:
-            # A bad type on an earlier line is the first error.
-            for col in flow_cols:
-                del col[n - n0:]
-            del label[len(width):]
-            self._check_columns(lines, width, label, deadline, *flow_cols)
-            if isinstance(exc, ConfigurationError):
-                raise
-            raise self._bad_line(exc) from exc
-        if arrival:
-            override = self._check_columns(
-                lines, width, label, deadline, *flow_cols
-            )
-            builder.add_columns(
-                arrival, src, dst, size, comp, override,
-                width=width, label=label, deadline=deadline,
-            )
-        try:
-            block = builder.build()
-        except BlockRowError as exc:
-            # the parsed coflows are the block's last len(lines) rows
-            row = exc.row - (builder.n_coflows - len(lines))
-            raise self._bad_line(exc, lines[row]) from exc
-        if overshoot is not None:
-            # stash it for the next tick; only after the block's ids are
-            # reserved, because constructing the coflow draws its own
-            self._buffered = self._to_coflow(overshoot)
-            self._pre_cursor = {**self._cursor(), "lines": self._lines - 1}
-        return block
+            except (KeyError, TypeError, AttributeError) as exc:
+                n = sum(width)
+                for col in flow_cols:
+                    del col[n:]
+                raise self._bad_line(exc, line) from exc
+            width.append(len(flows))
+            label.append(rec.get("label", ""))
+            deadline.append(rec.get("deadline"))
+            lines.append(line)
+            return len(flows)
 
-    def _check_columns(
-        self, lines: List[int], width: List[int], label, deadline,
-        src, dst, size, comp, override,
-    ) -> Optional[list]:
-        """Check the parsed columns' JSON types, once per column, and
-        return the override column with ``-1.0`` for "none" (``None``
-        when no flow has an override).  The error names the line of the
-        first record with a bad type; values are checked later, by the
-        block."""
-        bad = _bad_field(
-            {"label": label, "deadline": deadline},
-            {"src": src, "dst": dst, "size": size, "compressible": comp,
-             "ratio_override": override},
-            width,
-        )
-        if bad is None:
-            if override.count(None) == len(override):
-                return None
-            if -1 in override:
+        def build(arrivals: List[float]) -> CoflowBlock:
+            bad = _bad_field(
+                {"label": label, "deadline": deadline},
+                {"src": src, "dst": dst, "size": size, "compressible": comp,
+                 "ratio_override": override},
+                width,
+            )
+            overrides = override.count(None) != len(override)
+            if bad is None and overrides and -1 in override:
                 # the block's "no override" value; Flow rejects it
                 j = override.index(-1)
                 row = int(np.cumsum(width).searchsorted(j, side="right"))
-                bad = (row, "ratio_override must lie in (0, 1), "
-                            f"got {override[j]!r}")
-        if bad is not None:
-            raise self._bad_line(ConfigurationError(bad[1]), lines[bad[0]])
-        return [-1.0 if r is None else r for r in override]
+                bad = (row, f"ratio_override must lie in (0, 1), got {override[j]!r}")
+            if bad is not None:
+                raise self._bad_line(ConfigurationError(bad[1]), lines[bad[0]])
+            try:
+                return CoflowBlock.from_columns(
+                    arrival=arrivals, width=width, label=label,
+                    deadline=deadline, src=src, dst=dst, size=size,
+                    compressible=comp,
+                    override=[-1.0 if r is None else r for r in override]
+                    if overrides else None,
+                )
+            except BlockRowError as exc:
+                raise self._bad_line(exc, lines[exc.row]) from exc
+
+        return append, build
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:
             self._fh.close()
         self._fh = None
 
-    def _cursor(self) -> Dict[str, Any]:
-        return {"kind": "jsonl", "lines": self._lines, "path": self.path}
+    def _cursor(self, at: Optional[int] = None) -> Dict[str, Any]:
+        lines = self._lines if at is None else at
+        return {"kind": "jsonl", "lines": lines, "path": self.path}
 
     def _seek_cursor(self, state: Dict[str, Any]) -> None:
         if state.get("kind") != "jsonl":
@@ -695,9 +617,9 @@ class JsonlSource(ArrivalSource):
         if self._lines:
             raise ConfigurationError("seek() requires a fresh source")
         target = int(state["lines"])
-        # records, not coflows: skipping must draw no flow/coflow ids
+        # raw records only: skipping draws no flow/coflow ids
         while self._lines < target:
-            if self._next_record() is None:
+            if self._read() is None:
                 raise ConfigurationError(
                     f"JSONL cursor {target} beyond end of {self.path} ({self._lines} lines)"
                 )

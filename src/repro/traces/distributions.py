@@ -14,7 +14,7 @@ megabytes"), which :func:`spark_flow_sizes` models as a log-normal body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO, Tuple, Union
+from typing import List, TextIO, Tuple, Union
 
 import numpy as np
 

@@ -1,6 +1,5 @@
 """Aalo-style D-CLAS scheduler (information-agnostic extension)."""
 
-import numpy as np
 import pytest
 
 from repro.core.coflow import Coflow

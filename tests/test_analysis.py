@@ -1,6 +1,5 @@
 """Experiment harness and report rendering."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

@@ -4,7 +4,6 @@ the integration extras."""
 import csv
 import io
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

@@ -1,6 +1,5 @@
 """Lower bounds: validity against every scheduler, tightness where known."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

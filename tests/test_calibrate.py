@@ -1,6 +1,5 @@
 """Real-codec calibration against stdlib backends."""
 
-import numpy as np
 import pytest
 
 from repro.compression.calibrate import (

@@ -1,6 +1,5 @@
 """Deadline-aware EDF scheduling with admission control (extension)."""
 
-import numpy as np
 import pytest
 
 from repro.core.coflow import Coflow

@@ -1,6 +1,5 @@
 """Property-based guarantee: admission control never breaks its promise."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

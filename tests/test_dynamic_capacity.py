@@ -1,6 +1,5 @@
 """Dynamic port capacity: scheduled bandwidth changes mid-run."""
 
-import numpy as np
 import pytest
 
 from repro.core.coflow import Coflow

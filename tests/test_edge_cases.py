@@ -1,12 +1,11 @@
 """Edge cases across modules that the mainline tests don't reach."""
 
-import numpy as np
 import pytest
 
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
 from repro.core.simulator import SliceSimulator
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.fabric.bigswitch import BigSwitch
 from repro.schedulers import make_scheduler
 

@@ -1,7 +1,6 @@
 """Event kinds and the arrival calendars (columnar + legacy heap)."""
 
 import numpy as np
-import pytest
 
 from repro.core.coflow import Coflow
 from repro.core.events import (

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.traces.facebook import (
-    FacebookTrace,
     read_facebook_trace,
     synthesize_facebook_like,
     write_facebook_trace,

@@ -6,8 +6,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterSimulator, FailureModel, NO_FAILURES
 from repro.errors import ConfigurationError
 from repro.schedulers import make_scheduler
-from repro.traces.spark import get_profile
-from repro.units import MB, gbps
+from repro.units import gbps
 
 from tests.test_cluster import small_job
 

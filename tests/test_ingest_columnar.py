@@ -22,7 +22,8 @@ from repro.analysis import ExperimentSetup
 from repro.core.coflow import Coflow
 from repro.core.events import ScheduleTrigger
 from repro.core.flow import Flow
-from repro.core.ingest import BlockBuilder, BlockRowError, CoflowBlock
+from repro.core.ingest import BlockRowError, CoflowBlock
+from repro.core.reference import PreColumnarSliceSimulator
 from repro.core.simulator import SliceSimulator
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
@@ -147,18 +148,31 @@ def test_cancel_before_arrival_batched_vs_scalar(data):
     _assert_results_identical(batched.run(), scalar.run())
 
 
+@pytest.mark.parametrize("engine", [SliceSimulator, PreColumnarSliceSimulator])
+def test_reassigned_arrival_moves_its_flows(engine):
+    """A flow arrives with its coflow: a coflow whose ``arrival`` is
+    reassigned after construction (as a caller resuming a paused run may
+    do) is submitted with every flow at the new arrival, so no FCT counts
+    the shift."""
+    cf = Coflow([Flow(0, 1, 1.0), Flow(1, 2, 2.0)], arrival=0.0)
+    cf.arrival += 0.5
+    sim = engine(BigSwitch(N_PORTS, bandwidth=1.0), make_scheduler("sebf"),
+                 slice_len=SLICE)
+    sim.submit_many([cf])
+    res = sim.run()
+    assert [fr.arrival for fr in res.flow_results] == [0.5, 0.5]
+    assert max(fr.fct for fr in res.flow_results) == res.coflow_results[0].cct
+
+
 class TestSubmitBlockValidation:
     def test_raw_columns_get_constructor_invariants(self):
-        builder = BlockBuilder()
-        builder.add_columns(
-            0.0,
-            np.array([0]),
-            np.array([1]),
-            np.array([-3.0]),  # invalid size
-            np.array([True]),
-        )
         with pytest.raises(ConfigurationError, match="size must be positive"):
-            _sim().submit_block(builder.build())
+            _sim().submit_block(CoflowBlock.from_columns(
+                arrival=[0.0], width=[1], label=[""], deadline=[None],
+                src=np.array([0]), dst=np.array([1]),
+                size=np.array([-3.0]),  # invalid size
+                compressible=np.array([True]),
+            ))
 
     @pytest.mark.parametrize(
         "size, deadline, row, message",
@@ -172,14 +186,13 @@ class TestSubmitBlockValidation:
         ],
     )
     def test_block_error_names_first_bad_row(self, size, deadline, row, message):
-        builder = BlockBuilder()
-        builder.add_columns(
-            [0.0, 0.0, 1.0], np.arange(6) % 3, np.arange(6) % 2,
-            np.array(size), np.ones(6, dtype=bool),
-            width=[2, 3, 1], label=["a", "b", "c"], deadline=deadline,
-        )
         with pytest.raises(BlockRowError, match=message) as err:
-            builder.build()
+            CoflowBlock.from_columns(
+                arrival=[0.0, 0.0, 1.0], width=[2, 3, 1],
+                label=["a", "b", "c"], deadline=deadline,
+                src=np.arange(6) % 3, dst=np.arange(6) % 2,
+                size=np.array(size), compressible=np.ones(6, dtype=bool),
+            )
         assert err.value.row == row
 
     def test_submit_many_checks_its_block_once(self, monkeypatch):
@@ -203,17 +216,12 @@ class TestSubmitBlockValidation:
         assert len(sim.result().coflow_results) == 1
 
     def test_block_without_objects_runs(self):
-        builder = BlockBuilder()
-        builder.add_columns(
-            0.0,
-            np.array([0, 1]),
-            np.array([1, 2]),
-            np.array([2.0, 3.0]),
-            np.array([True, False]),
-            label="raw",
-        )
         sim = _sim()
-        sim.submit_block(builder.build())
+        sim.submit_block(CoflowBlock.from_columns(
+            arrival=[0.0], width=[2], label=["raw"], deadline=[None],
+            src=np.array([0, 1]), dst=np.array([1, 2]),
+            size=np.array([2.0, 3.0]), compressible=np.array([True, False]),
+        ))
         res = sim.run()
         assert len(res.flow_results) == 2
         assert res.coflow_results[0].label == "raw"

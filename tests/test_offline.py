@@ -1,6 +1,5 @@
 """Offline tools: fixed-order replay and exhaustive optima."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import ExperimentSetup, run_policy
@@ -8,7 +7,6 @@ from repro.core.coflow import Coflow
 from repro.core.flow import Flow
 from repro.core.offline import (
     MAX_EXHAUSTIVE_COFLOWS,
-    ExhaustiveResult,
     FixedOrderScheduler,
     exhaustive_best_order,
 )

@@ -31,6 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ExperimentSetup
+from repro.core.coflow import coflow_id_watermark
+from repro.core.flow import flow_id_watermark
+from repro.core.ingest import CoflowBlock
 from repro.core.results import ResultStore, concat_stores
 from repro.core.simulator import _time_eps
 from repro.errors import CheckpointError, ReproError
@@ -244,16 +247,20 @@ class TestJsonlSource:
             src.peek()
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, raised_by",
         [
-            {"arrival": 2.0, "flows": [{"src": 0, "dst": 1, "size": "big"}]},
-            {"arrival": 0.5, "flows": [{"src": 0, "dst": 1, "size": 10.0}]},
-            [2.0, [0, 1, 10.0]],
+            ({"arrival": 2.0, "flows": [{"src": 0, "dst": 1, "size": "big"}]},
+             "pop"),
+            ({"arrival": 0.5, "flows": [{"src": 0, "dst": 1, "size": 10.0}]},
+             "peek"),
+            ([2.0, [0, 1, 10.0]], "peek"),
         ],
         ids=["malformed", "decreasing", "not-an-object"],
     )
-    def test_error_names_physical_line(self, tmp_path, bad):
-        """Blank lines count: the bad record is physical line 4."""
+    def test_error_names_physical_line(self, tmp_path, bad, raised_by):
+        """Blank lines count: the bad record is physical line 4.  Reading
+        a line (peek) checks its JSON and arrival; its other fields are
+        checked when it is popped."""
         good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
         path = tmp_path / "blanks.jsonl"
         path.write_text(json.dumps(good) + "\n\n\n" + json.dumps(bad) + "\n")
@@ -262,7 +269,7 @@ class TestJsonlSource:
         src = JsonlSource(str(path))
         src.pop()
         with pytest.raises(ReproError, match="line 4 "):
-            src.peek()
+            getattr(src, raised_by)()
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -500,6 +507,22 @@ class TestStreamDriver:
         assert stats.coflows_done == 2
         assert sim.now >= 5.0
 
+    @pytest.mark.parametrize("arrival", ["Infinity", "NaN", "-1"])
+    def test_bad_arrival_line_stops_the_stream(self, tmp_path, arrival):
+        """A line whose arrival is infinite, NaN or negative fails the
+        run naming its line; it does not sit in the lookahead past every
+        horizon while the driver ticks on."""
+        flows = '"flows": [{"src": 0, "dst": 1, "size": 10.0}]'
+        path = tmp_path / "bad-arrival.jsonl"
+        path.write_text(
+            f'{{"arrival": 0.0, {flows}}}\n{{"arrival": 0.1, {flows}}}\n'
+            f'{{"arrival": {arrival}, {flows}}}\n'
+        )
+        sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
+        d = StreamDriver(sim, JsonlSource(str(path)), tick=0.2, setup=SETUP)
+        with pytest.raises(ReproError, match="line 3 .*arrival must be"):
+            d.run(max_ticks=50)
+
     def test_backpressure_restamps_late_admissions(self):
         # A 2-flow in-flight bound on a 60-coflow burst forces most
         # arrivals to wait; they must be restamped to admission time.
@@ -632,36 +655,16 @@ class TestBlockAdmission:
         assert len(submitted) > 1
         assert [id(b) for b in checks] == [id(b) for b in submitted]
 
-    def test_pop_block_base_fallback_matches_override(self):
-        """The generic object-popping pop_block (what a custom source
-        inherits) builds the same block as the columnar overrides."""
-        from repro.service.arrivals import ArrivalSource
-
-        a = _spec(limit=12).build()
-        b = _spec(limit=12).build()
-        blk_fast = a.pop_block(1e9)
-        blk_base = ArrivalSource.pop_block(b, 1e9)
-        assert blk_fast.n_coflows == blk_base.n_coflows == 12
-        for col in ("arrival", "width", "src", "dst", "size",
-                    "compressible", "override", "flow_arrival"):
-            assert np.array_equal(
-                getattr(blk_fast, col), getattr(blk_base, col)
-            ), f"column {col} differs"
-        assert blk_fast.label == blk_base.label
-
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_jsonl_pop_block_matches_object_pop(self, data):
-        """JsonlSource's one-pass block parse builds, column for column and
-        id for id, the block the generic object-popping pop_block builds
-        from the same file — whether a block ends on the horizon
-        overshoot, on the flow-budget overshoot or with a lookahead
-        already buffered by peek()."""
-        from repro.core.coflow import coflow_id_watermark
-        from repro.core.flow import flow_id_watermark
-        from repro.service.arrivals import ArrivalSource
-
+        """``pop_block`` builds, column for column and id for id, the
+        block a ``peek()``/``pop()`` loop builds from the same stream —
+        for a JSONL file and a synthetic source alike, whether a block
+        ends on the horizon overshoot, on the flow-budget overshoot or
+        with a lookahead already buffered by ``peek()``, and across a
+        ``state()``/``seek()`` into a fresh source taken with a lookahead
+        buffered; together the blocks hold the whole stream."""
         rows, t = [], 0.0
         for i in range(data.draw(st.integers(1, 12), label="coflows")):
             t += data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
@@ -695,36 +698,83 @@ class TestBlockAdmission:
             ),
             label="cuts",
         )
-        runs = []
+        cuts.append((math.inf, None, False))  # drain the rest
+        resume_at = data.draw(st.integers(0, len(cuts) - 1), label="resume")
+        spec = _spec(
+            limit=data.draw(st.integers(1, 12), label="synthetic coflows"),
+            seed=data.draw(st.integers(0, 99), label="seed"),
+            compressible_fraction=0.5,
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "arrivals.jsonl")
             with open(path, "w") as fh:
                 fh.write("".join(json.dumps(r) + "\n" for r in rows))
-            for pop_block in (JsonlSource.pop_block, ArrivalSource.pop_block):
-                bases = (flow_id_watermark(), coflow_id_watermark())
-                src = JsonlSource(path)
-                blocks, horizon = [], 0.0
-                for step, budget, peek in cuts:
-                    horizon += step
-                    if peek:
-                        src.peek()
-                    blocks.append(pop_block(src, horizon, budget))
-                blocks.append(pop_block(src, math.inf))
-                runs.append((blocks, bases))
-        (fast, (fb, cb)), (base, (fb0, cb0)) = runs
-        for x, y in zip(fast, base):
-            assert (x is None) == (y is None)
-            if x is None:
-                continue
-            for col in ("arrival", "width", "src", "dst", "size",
-                        "compressible", "override", "flow_arrival"):
-                assert np.array_equal(
-                    getattr(x, col), getattr(y, col)
-                ), f"column {col} differs"
-            assert x.label == y.label
-            assert x.deadline == y.deadline
-            assert np.array_equal(x.flow_id - fb, y.flow_id - fb0)
-            assert np.array_equal(x.coflow_id - cb, y.coflow_id - cb0)
+            for make in (lambda: JsonlSource(path), spec.build):
+                (fast, (fb, cb)), (objs, (fb0, cb0)) = (
+                    _cut_blocks(make, cuts, resume_at, pop_block)
+                    for pop_block in (_pop_block, _pop_objects)
+                )
+                assert len(fast) == len(objs) == len(cuts)
+                for x, y in zip(fast, objs):
+                    assert (x is None) == (y is None)
+                    if x is None:
+                        continue
+                    for col in ("arrival", "width", "src", "dst", "size",
+                                "compressible", "override"):
+                        assert np.array_equal(
+                            getattr(x, col), getattr(y, col)
+                        ), f"column {col} differs"
+                    assert x.label == y.label
+                    assert x.deadline == y.deadline
+                    assert np.array_equal(x.flow_id - fb, y.flow_id - fb0)
+                    assert np.array_equal(x.coflow_id - cb, y.coflow_id - cb0)
+                # the cuts and the resume lose and repeat no coflow
+                whole = _pop_objects(make(), math.inf, None)
+                taken = [x for x in fast if x is not None]
+                for col in ("arrival", "size", "override"):
+                    assert np.array_equal(
+                        np.concatenate([getattr(x, col) for x in taken]),
+                        getattr(whole, col),
+                    ), f"column {col} differs from the whole stream"
+
+
+def _pop_block(source, horizon, budget):
+    return source.pop_block(horizon, budget)
+
+
+def _pop_objects(source, horizon, budget):
+    """The block ``pop_block`` must build, from ``peek()``/``pop()``
+    objects: every coflow due by ``horizon``, the budget checked before
+    each."""
+    coflows, n_flows = [], 0
+    while budget is None or n_flows < budget:
+        t = source.peek()
+        if t is None or t > horizon:
+            break
+        coflows.append(source.pop())
+        n_flows += len(coflows[-1])
+    return CoflowBlock.from_coflows(coflows) if coflows else None
+
+
+def _cut_blocks(make, cuts, resume_at, pop_block):
+    """The blocks ``pop_block`` takes from a source made by ``make`` at
+    each ``(horizon step, flow budget, peek first)`` cut; before cut
+    ``resume_at`` the source, with its lookahead buffered, is replaced by
+    a fresh one seeked to its ``state()``.  Also returns the id
+    watermarks at the start."""
+    bases = (flow_id_watermark(), coflow_id_watermark())
+    source, blocks, horizon = make(), [], 0.0
+    for i, (step, budget, peek) in enumerate(cuts):
+        if i == resume_at:
+            source.peek()
+            cursor = source.state()
+            source = make()
+            source.seek(cursor)
+        horizon += step
+        if peek:
+            source.peek()
+        blocks.append(pop_block(source, horizon, budget))
+    return blocks, bases
 
 
 # ---------------------------------------------------------- JSONL replay

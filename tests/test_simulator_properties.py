@@ -11,7 +11,6 @@ Random workloads through random policies must always satisfy:
 * compression only helps — bytes sent never exceed the original size.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -2,11 +2,8 @@
 
 import io
 
-import numpy as np
 import pytest
 
-from repro.core.coflow import Coflow
-from repro.core.flow import Flow
 from repro.errors import TraceFormatError
 from repro.traces import read_csv_trace, write_csv_trace
 from repro.traces.generator import WorkloadConfig, generate_workload

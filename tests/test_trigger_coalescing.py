@@ -11,7 +11,6 @@ kinds against the events that actually occurred, for arbitrary workloads.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,8 +5,6 @@ allocations the fabric's (stricter) feasibility check accepts — the engine
 validates every window, so a clean completion *is* the proof — and the
 big-switch lower bounds remain valid (two-tier only adds constraints)."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
