@@ -393,14 +393,15 @@ def test_incremental_view_overhead_under_5pct():
 def test_jsonl_block_parse_near_json_floor(tmp_path):
     """The JSONL block parse must stay near the cost of ``json.loads``.
 
-    ``JsonlSource.pop_block`` reads each due line once into flat column
-    lists and converts every column to an array once per block, so on
-    top of ``json.loads`` it pays only the per-field conversions.  Over
-    a few thousand stream-serve-shaped lines (4 flows each, popped in
-    0.4 s horizons), measured with :func:`paired_ratio`, the whole parse
-    must stay within 3x of bare ``json.loads`` over the same lines — a
-    ratio, so it holds on any host.  Measured at 1.8x; a per-coflow numpy
-    path costs ~5x.
+    ``JsonlSource.pop_block`` decodes each due line once with orjson,
+    reads it into flat column lists and converts every column to an
+    array once per block.  Over a few thousand stream-serve-shaped lines
+    (4 flows each, popped in 0.4 s horizons), measured with
+    :func:`paired_ratio`, the whole parse must stay within 3x of bare
+    ``json.loads`` over the same lines — a ratio, so it holds on any
+    host.  Measured at 1.00x on a 2-core host (1.52x when lines were
+    decoded with the stdlib's ``raw_decode``); a per-coflow numpy path
+    costs ~5x.
     """
     import json
     import math

@@ -56,6 +56,12 @@ def coflow_from_columns(
     return Coflow(flows, arrival, label, deadline, int(coflow_id))
 
 
+def row_of_flow(width: Sequence[int], flow: int) -> int:
+    """The coflow row holding flow row ``flow`` of coflows ``width[i]``
+    flows wide, each coflow's flows contiguous."""
+    return int(np.cumsum(width).searchsorted(flow, side="right"))
+
+
 class BlockRowError(ConfigurationError):
     """A block row breaks a Flow/Coflow invariant: the message is the
     constructor's own, ``row`` the coflow's index in the block."""
@@ -75,6 +81,9 @@ class CoflowBlock:
     (float64), ``compressible`` (bool), ``override`` (float64, ``-1`` for
     "no per-flow ratio override"), ``flow_id`` (int64).
 
+    ``line`` optionally holds, per coflow, where its source read it (a
+    JSONL line number), so an error found at admission can name it.
+
     The constructor runs :meth:`validate`.
     """
 
@@ -90,6 +99,7 @@ class CoflowBlock:
         "compressible",
         "override",
         "flow_id",
+        "line",
     )
 
     def __init__(
@@ -106,6 +116,7 @@ class CoflowBlock:
         compressible,
         override,
         flow_id,
+        line: Optional[Sequence[int]] = None,
     ) -> None:
         self.arrival = np.asarray(arrival, dtype=np.float64)
         self.width = np.asarray(width, dtype=np.int64)
@@ -118,6 +129,7 @@ class CoflowBlock:
         self.compressible = np.asarray(compressible, dtype=bool)
         self.override = np.asarray(override, dtype=np.float64)
         self.flow_id = np.asarray(flow_id, dtype=np.int64)
+        self.line = line
         self.validate()
 
     @property
@@ -141,6 +153,7 @@ class CoflowBlock:
             or self.coflow_id.size != m
             or len(self.label) != m
             or len(self.deadline) != m
+            or (self.line is not None and len(self.line) != m)
         ):
             raise ConfigurationError("per-coflow columns disagree on length")
         if int(self.width.sum()) != n or any(
@@ -171,8 +184,7 @@ class CoflowBlock:
             & ((ov == -1.0) | ((ov > 0.0) & (ov < 1.0)))
         )
         if not flow_ok.all():
-            j = int(flow_ok.argmin())
-            ok[int(np.cumsum(self.width).searchsorted(j, side="right"))] = False
+            ok[row_of_flow(self.width, int(flow_ok.argmin()))] = False
         if ok.all():
             return
         row = int(ok.argmin())
@@ -218,13 +230,14 @@ class CoflowBlock:
     def from_columns(
         cls, *, arrival, width, label: Sequence[str],
         deadline: Sequence[Optional[float]], src, dst, size, compressible,
-        override=None,
+        override=None, line: Optional[Sequence[int]] = None,
     ) -> "CoflowBlock":
         """A block of new coflows from raw columns, drawing their ids.
 
         ``arrival``, ``width``, ``label`` and ``deadline`` hold one value
         per coflow, the rest one per flow, each coflow's flows
-        contiguous; ``override`` defaults to ``-1`` (no ratio override).
+        contiguous; ``override`` defaults to ``-1`` (no ratio override),
+        ``line`` to none.
         All flow ids are reserved first, then all coflow ids: the ids
         constructing the coflows one after another draws.
         """
@@ -243,6 +256,7 @@ class CoflowBlock:
             compressible=compressible,
             override=np.full(n, -1.0) if override is None else override,
             flow_id=np.arange(flow_id0, flow_id0 + n),
+            line=line,
         )
 
     def restamp(self, mask: np.ndarray, now: float) -> None:

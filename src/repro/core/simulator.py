@@ -45,7 +45,12 @@ from repro.core.events import (
     mask_of,
 )
 from repro.core.flow import FlowResult
-from repro.core.ingest import CoflowBlock, coflow_from_columns
+from repro.core.ingest import (
+    BlockRowError,
+    CoflowBlock,
+    coflow_from_columns,
+    row_of_flow,
+)
 from repro.core.results import LazyCoflowResults, LazyFlowResults, ResultStore
 from repro.core.scheduler import (
     Allocation,
@@ -687,11 +692,13 @@ class SliceSimulator:
     def submit_block(self, block: CoflowBlock) -> None:
         """Block-columnar ingest: write every flow/coflow column in bulk.
 
-        One ``_grow``, one vectorized ``xi`` evaluation, one
-        ``validate_endpoints`` call and one staged calendar append for the
-        whole block; per-coflow Python is limited to the id→slot dict
-        fill.  The block was checked when it was built, and no
-        :class:`Flow`/:class:`Coflow` object is constructed here.
+        One ``_grow``, one vectorized ``xi`` evaluation, one port check
+        and one staged calendar append for the whole block; per-coflow
+        Python is limited to the id→slot dict fill.  The block was
+        checked when it was built, and no :class:`Flow`/:class:`Coflow`
+        object is constructed here.  A port beyond the fabric raises a
+        :class:`BlockRowError` naming its coflow's row, before anything
+        is written.
         """
         m = block.n_coflows
         if m == 0:
@@ -707,7 +714,9 @@ class SliceSimulator:
             )
         ids = block.coflow_id
         n_new = block.n_flows
-        self.fabric.validate_endpoints(block.src, block.dst)
+        bad = self.fabric.bad_endpoint(block.src, block.dst)
+        if bad is not None:
+            raise BlockRowError(bad[1], row_of_flow(block.width, bad[0]))
         size = block.size
         if self.compression is not None:
             xi = np.asarray(self.compression.ratio(size), dtype=np.float64)

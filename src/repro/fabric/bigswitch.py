@@ -13,7 +13,7 @@ This is the standard model of Varys, Aalo and the coflow literature.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +71,26 @@ class BigSwitch:
     def num_egress(self) -> int:
         return len(self.egress)
 
+    def bad_endpoint(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> Optional[Tuple[int, str]]:
+        """The first flow that references a non-existent port, as
+        ``(flow index, message)``, or ``None``."""
+        bad = []
+        for side, ports, n in (
+            ("src", src, self.num_ingress), ("dst", dst, self.num_egress)
+        ):
+            if len(ports) and (ports.min() < 0 or ports.max() >= n):
+                j = int(((ports < 0) | (ports >= n)).argmax())
+                bad.append((j, f"flow {side} {int(ports[j])} out of range "
+                               f"for fabric of {n} ports"))
+        return min(bad) if bad else None
+
     def validate_endpoints(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Raise if any flow references a non-existent port."""
-        if len(src) and (src.min() < 0 or src.max() >= self.num_ingress):
-            raise ConfigurationError("flow src out of range for fabric")
-        if len(dst) and (dst.min() < 0 or dst.max() >= self.num_egress):
-            raise ConfigurationError("flow dst out of range for fabric")
+        bad = self.bad_endpoint(src, dst)
+        if bad is not None:
+            raise ConfigurationError(bad[1])
 
     def check_feasible(self, src: np.ndarray, dst: np.ndarray, rates: np.ndarray) -> None:
         """Verify a rate vector respects every port capacity.

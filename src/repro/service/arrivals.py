@@ -45,9 +45,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.coflow import Coflow, check_arrival
-from repro.core.flow import Flow
-from repro.core.ingest import BlockRowError, CoflowBlock, coflow_from_columns
+from repro.core.coflow import Coflow, check_arrival, reserve_coflow_ids
+from repro.core.flow import reserve_flow_ids
+from repro.core.ingest import (
+    BlockRowError,
+    CoflowBlock,
+    coflow_from_columns,
+    row_of_flow,
+)
 from repro.errors import ConfigurationError
 from repro.traces.distributions import SizeDistribution, spark_flow_sizes
 
@@ -229,6 +234,12 @@ class ArrivalSource:
             raise
         return build(arrivals) if arrivals else None
 
+    def row_error(self, block: CoflowBlock, exc: BlockRowError) -> ConfigurationError:
+        """The error for row ``exc.row`` of a block this source built,
+        refused at admission (a port beyond the fabric): ``exc``, or
+        the same error naming where the source read that row."""
+        return exc
+
     def state(self) -> Dict[str, Any]:
         """Compact resumable cursor pointing before any lookahead record."""
         return self._cursor(None if self._ahead is None else self._ahead[2])
@@ -382,12 +393,6 @@ def coflow_to_json(coflow: Coflow) -> Dict[str, Any]:
     return rec
 
 
-#: ``raw_decode`` of a default decoder: ``json.loads`` without its two
-#: whitespace matches and two call frames.  A line it fails on, or that
-#: holds more than whitespace after the object, goes to ``json.loads``,
-#: so what is accepted and the error text are ``json.loads``'.
-_raw_decode = json.JSONDecoder().raw_decode
-
 _NUMBER = frozenset({int, float})
 _OPTIONAL_NUMBER = frozenset({int, float, type(None)})
 
@@ -404,64 +409,192 @@ _FIELD_TYPES = {
     "ratio_override": (_OPTIONAL_NUMBER, "a number or null"),
 }
 
+#: A port is an int64; a number a double (the block's column dtypes).
+_PORT_RANGE = (-(2**63), 2**63 - 1)
+_FLOAT_MAX = sys.float_info.max
+
+#: The errors a record of the wrong shape raises while it is read: a
+#: missing key, a list where an object belongs, a non-number compared.
+_SHAPE_ERRORS = (ConfigurationError, ValueError, KeyError, TypeError,
+                 AttributeError)
+
+
+def _out_of_range(name: str, v: Any) -> bool:
+    """An integer field ``name``'s array cannot hold: int64 for a port,
+    a double for a number (other values are typed)."""
+    if v.__class__ is not int:
+        return False
+    if name in ("src", "dst"):
+        return not _PORT_RANGE[0] <= v <= _PORT_RANGE[1]
+    try:
+        float(v)
+    except OverflowError:
+        return True
+    return False
+
 
 def _bad_field(
     coflow_cols: Dict[str, list], flow_cols: Dict[str, list],
-    width: Sequence[int],
+    width: Sequence[int], ranges: bool = False,
 ) -> Optional[Tuple[int, str]]:
     """The first record holding a value of a type its field does not
-    accept, as ``(record index, message)``, or ``None``.
+    accept, as ``(record index, message)``, or ``None``; with
+    ``ranges``, or once a bad type is found, an integer a per-flow
+    column's dtype cannot hold counts too.
 
     ``coflow_cols`` hold one value per record and ``flow_cols`` one per
     flow, each record's flows contiguous, ``width[i]`` of them.  Each
     column's set of types is taken once; only a column holding a bad
-    type is walked to find its first bad value.
+    type (or, scanning ranges, every column) is walked for its first
+    bad value.
     """
+    cols = [(name, col, False) for name, col in coflow_cols.items()]
+    cols += [(name, col, True) for name, col in flow_cols.items()]
+    if not ranges:
+        ranges = any(
+            not set(map(type, col)) <= _FIELD_TYPES[name][0]
+            for name, col, _ in cols
+        )
+        if not ranges:
+            return None
     bad = []
-    for cols, per_flow in ((coflow_cols, False), (flow_cols, True)):
-        for name, col in cols.items():
-            allowed, kind = _FIELD_TYPES[name]
-            if set(map(type, col)) <= allowed:
+    for name, col, per_flow in cols:
+        allowed, kind = _FIELD_TYPES[name]
+        for i, v in enumerate(col):
+            if type(v) not in allowed:
+                message = f"{name} must be {kind}, got {v!r}"
+            elif per_flow and _out_of_range(name, v):
+                message = f"{name} out of range, got {v!r}"
+            else:
                 continue
-            i = next(i for i, v in enumerate(col) if type(v) not in allowed)
-            row = (
-                int(np.cumsum(width).searchsorted(i, side="right"))
-                if per_flow else i
-            )
-            bad.append((row, f"{name} must be {kind}, got {col[i]!r}"))
+            bad.append((row_of_flow(width, i) if per_flow else i, message))
+            break
     return min(bad, key=lambda b: b[0]) if bad else None
 
 
-def coflow_from_json(rec: Dict[str, Any]) -> Coflow:
-    """Build a coflow from one parsed JSONL record.
+def _arrival_of(rec: Dict[str, Any]) -> Union[int, float]:
+    """A record's arrival, checked: a non-negative, finite JSON number."""
+    arrival = rec.get("arrival", 0.0)
+    if arrival.__class__ not in _NUMBER:
+        raise ConfigurationError(f"arrival must be a number, got {arrival!r}")
+    if not 0 <= arrival <= _FLOAT_MAX:
+        if _out_of_range("arrival", arrival):
+            raise ConfigurationError(f"arrival out of range, got {arrival!r}")
+        check_arrival(float(arrival))
+    return arrival
 
-    Raises :class:`ConfigurationError` when a field holds a JSON type it
-    does not accept (see ``_FIELD_TYPES``)."""
-    flows = rec["flows"]
-    meta = {
-        "arrival": [rec.get("arrival", 0.0)],
-        "label": [rec.get("label", "")],
-        "deadline": [rec.get("deadline")],
-    }
-    cols = {
-        "src": [f["src"] for f in flows],
-        "dst": [f["dst"] for f in flows],
-        "size": [f["size"] for f in flows],
-        "compressible": [f.get("compressible", True) for f in flows],
-        "ratio_override": [f.get("ratio_override") for f in flows],
-    }
-    bad = _bad_field(meta, cols, [len(flows)])
-    if bad is not None:
-        raise ConfigurationError(bad[1])
-    return Coflow(
-        [
-            Flow(src=s, dst=d, size=float(z), compressible=c, ratio_override=o)
-            for s, d, z, c, o in zip(*cols.values())
-        ],
-        arrival=float(meta["arrival"][0]),
-        label=meta["label"][0],
-        deadline=meta["deadline"][0],
-    )
+
+def _record_columns(
+    bad_line: Callable[[Exception, Any], ConfigurationError],
+) -> Tuple[Callable[[Any], int], Callable[[List[float]], CoflowBlock],
+           Callable[[float], Coflow]]:
+    """Columns of parsed JSONL records: the one reader of the record
+    format past its arrival (see :class:`JsonlSource`).
+
+    Returns ``append`` and ``build`` (see :data:`_Columns`), and
+    ``coflow(arrival)``, which makes the one record appended a
+    :class:`Coflow` without a block.  A record is appended as
+    ``(record, line)``; each error is raised as ``bad_line(error,
+    line)`` of the first bad record.  Appending makes one pass over the
+    record's flows; building checks each column's JSON types once.
+    """
+    width, label, deadline, lines = [], [], [], []
+    src, dst, size, comp, override = flow_cols = [], [], [], [], []
+    add_src, add_dst, add_size = src.append, dst.append, size.append
+    add_comp, add_override = comp.append, override.append
+    per_coflow = {"label": label, "deadline": deadline}
+    per_flow = {"src": src, "dst": dst, "size": size, "compressible": comp,
+                "ratio_override": override}
+
+    def append(record: Tuple[Dict[str, Any], Any]) -> int:
+        rec, line = record
+        try:
+            flows = rec["flows"]
+            for f in flows:
+                add_src(f["src"])
+                add_dst(f["dst"])
+                add_size(f["size"])
+                add_comp(f.get("compressible", True))
+                add_override(f.get("ratio_override"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            n = sum(width)
+            for col in flow_cols:
+                del col[n:]
+            raise bad_line(exc, line) from exc
+        width.append(len(flows))
+        label.append(rec.get("label", ""))
+        deadline.append(rec.get("deadline"))
+        lines.append(line)
+        return len(flows)
+
+    def check(ranges: bool = False) -> bool:
+        """Raise the first bad type (or, with ``ranges``, an integer its
+        column cannot hold); return whether any flow has an override."""
+        bad = _bad_field(per_coflow, per_flow, width, ranges)
+        overrides = override.count(None) != len(override)
+        if bad is None and overrides and -1 in override:
+            # the block's "no override" value; Flow rejects it
+            j = override.index(-1)
+            bad = (row_of_flow(width, j),
+                   f"ratio_override must lie in (0, 1), got {override[j]!r}")
+        if bad is not None:
+            raise bad_line(ConfigurationError(bad[1]), lines[bad[0]])
+        return overrides
+
+    def build(arrivals: List[float]) -> CoflowBlock:
+        overrides = check()
+        try:
+            return CoflowBlock.from_columns(
+                arrival=arrivals, width=width, label=label,
+                deadline=deadline, src=src, dst=dst, size=size,
+                compressible=comp,
+                override=[-1.0 if r is None else r for r in override]
+                if overrides else None,
+                line=lines,
+            )
+        except BlockRowError as exc:
+            raise bad_line(exc, lines[exc.row]) from exc
+        except OverflowError:  # an integer its column's dtype cannot hold
+            check(ranges=True)
+            raise
+
+    def coflow(arrival: float) -> Coflow:
+        check(ranges=True)
+        flow_id0 = reserve_flow_ids(len(src))
+        try:
+            return coflow_from_columns(
+                src, dst, [float(z) for z in size], comp,
+                [-1.0 if r is None else float(r) for r in override],
+                range(flow_id0, flow_id0 + len(src)), arrival=arrival,
+                label=label[0], deadline=deadline[0],
+                coflow_id=reserve_coflow_ids(1),
+            )
+        except ConfigurationError as exc:
+            raise bad_line(exc, lines[0]) from exc
+
+    return append, build, coflow
+
+
+def _no_line(exc: Exception, _line: Any) -> ConfigurationError:
+    return ConfigurationError(f"bad JSONL coflow: {exc}")
+
+
+def coflow_from_json(rec: Dict[str, Any]) -> Coflow:
+    """Build a coflow from one parsed JSONL record, through the columns
+    and checks :class:`JsonlSource` reads it with, and with the ids a
+    one-coflow block would draw, but without building the block.
+
+    Raises :class:`ConfigurationError` when a field is missing, holds a
+    JSON type it does not accept (see ``_FIELD_TYPES``) or a number its
+    column cannot hold, or breaks a :class:`Flow`/:class:`Coflow`
+    invariant."""
+    try:
+        arrival = _arrival_of(rec)
+    except _SHAPE_ERRORS as exc:
+        raise _no_line(exc, None) from exc
+    append, _, coflow = _record_columns(_no_line)
+    append((rec, None))
+    return coflow(arrival)
 
 
 class JsonlSource(ArrivalSource):
@@ -474,6 +607,14 @@ class JsonlSource(ArrivalSource):
     file re-opens and skips — stdin cannot seek.  Errors name the physical
     line, blank lines included.  Reading a line checks its JSON and its
     arrival; its other fields are checked when it is popped.
+
+    A line is decoded by ``orjson.loads``; one orjson refuses (``NaN``,
+    ``Infinity``, a number past a double, a lone surrogate escape, bad
+    JSON) goes to ``json.loads``, so which lines are accepted and the
+    text of every error are ``json.loads``'.  Only JSON whitespace may
+    surround the object.  orjson reads an integer outside
+    [-2**63, 2**64) as a float: the same double for a number field, a
+    type error for a port.
     """
 
     def __init__(self, path: str, limit: Optional[int] = None) -> None:
@@ -502,6 +643,8 @@ class JsonlSource(ArrivalSource):
         """Parse the next non-blank line: ``((record, physical line),
         arrival, lines consumed before it)``.  The arrival must be a
         non-negative, finite number, not below the previous line's."""
+        import orjson  # here, so only a run that reads JSONL loads it
+
         if self._fh is None:
             return None
         if self.limit is not None and self._lines >= self.limit:
@@ -514,23 +657,11 @@ class JsonlSource(ArrivalSource):
             self._lines += 1
             try:
                 try:
-                    rec, end = _raw_decode(line)
-                except ValueError:
+                    rec = orjson.loads(line)
+                except ValueError:  # json.loads' verdict and message
                     rec = json.loads(line)
-                else:
-                    if end != len(line) and not line[end:].isspace():
-                        rec = json.loads(line)
-                arrival = rec.get("arrival", 0.0)
-                if arrival.__class__ not in _NUMBER:
-                    raise ConfigurationError(
-                        f"arrival must be a number, got {arrival!r}"
-                    )
-                if not 0 <= arrival < math.inf:
-                    check_arrival(float(arrival))
-            except (
-                ConfigurationError, ValueError, KeyError, TypeError,
-                AttributeError,
-            ) as exc:
+                arrival = _arrival_of(rec)
+            except _SHAPE_ERRORS as exc:
                 raise self._bad_line(exc) from exc
             if arrival < self._last_arrival:
                 raise ConfigurationError(
@@ -543,62 +674,11 @@ class JsonlSource(ArrivalSource):
         return None
 
     def _columns(self) -> _Columns:
-        """Flat column lists: one pass over each line's flows when it is
-        taken, and one JSON type check per column when the block is
-        built.  Every error names the line of the first bad record."""
-        width, label, deadline, lines = [], [], [], []
-        src, dst, size, comp, override = flow_cols = [], [], [], [], []
-        add_src, add_dst, add_size = src.append, dst.append, size.append
-        add_comp, add_override = comp.append, override.append
-
-        def append(record: Tuple[Dict[str, Any], int]) -> int:
-            rec, line = record
-            try:
-                flows = rec["flows"]
-                for f in flows:
-                    add_src(f["src"])
-                    add_dst(f["dst"])
-                    add_size(f["size"])
-                    add_comp(f.get("compressible", True))
-                    add_override(f.get("ratio_override"))
-            except (KeyError, TypeError, AttributeError) as exc:
-                n = sum(width)
-                for col in flow_cols:
-                    del col[n:]
-                raise self._bad_line(exc, line) from exc
-            width.append(len(flows))
-            label.append(rec.get("label", ""))
-            deadline.append(rec.get("deadline"))
-            lines.append(line)
-            return len(flows)
-
-        def build(arrivals: List[float]) -> CoflowBlock:
-            bad = _bad_field(
-                {"label": label, "deadline": deadline},
-                {"src": src, "dst": dst, "size": size, "compressible": comp,
-                 "ratio_override": override},
-                width,
-            )
-            overrides = override.count(None) != len(override)
-            if bad is None and overrides and -1 in override:
-                # the block's "no override" value; Flow rejects it
-                j = override.index(-1)
-                row = int(np.cumsum(width).searchsorted(j, side="right"))
-                bad = (row, f"ratio_override must lie in (0, 1), got {override[j]!r}")
-            if bad is not None:
-                raise self._bad_line(ConfigurationError(bad[1]), lines[bad[0]])
-            try:
-                return CoflowBlock.from_columns(
-                    arrival=arrivals, width=width, label=label,
-                    deadline=deadline, src=src, dst=dst, size=size,
-                    compressible=comp,
-                    override=[-1.0 if r is None else r for r in override]
-                    if overrides else None,
-                )
-            except BlockRowError as exc:
-                raise self._bad_line(exc, lines[exc.row]) from exc
-
+        append, build, _ = _record_columns(self._bad_line)
         return append, build
+
+    def row_error(self, block: CoflowBlock, exc: BlockRowError) -> ConfigurationError:
+        return self._bad_line(exc, block.line[exc.row])
 
     def _close(self) -> None:
         if self._fh is not None and self._owns:

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.ingest import BlockRowError
 from repro.core.results import ResultStore, concat_stores
 from repro.core.simulator import SliceSimulator, _time_eps
 from repro.errors import ConfigurationError
@@ -211,7 +212,13 @@ class StreamDriver:
         if n_late:
             block.restamp(late, sim.now)
             self.stats.restamped += n_late
-        sim.submit_block(block)
+        try:
+            sim.submit_block(block)
+        except BlockRowError as exc:
+            error = self.source.row_error(block, exc)
+            if error is exc:
+                raise
+            raise error from exc
         self.stats.coflows_submitted += block.n_coflows
         self.stats.flows_submitted += block.n_flows
         return block.n_coflows
@@ -379,4 +386,3 @@ class StreamDriver:
         )
         report["stream"] = self.stats.as_dict()
         return report
-

@@ -14,7 +14,7 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.26.0"
+    assert repro.__version__ == "1.27.0"
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)

@@ -352,10 +352,20 @@ class TestJsonlSource:
             ({}, {"arrival": None}, "arrival must be a number, got None"),
             ({}, {"deadline": True}, "deadline must be a number or null, got True"),
             ({}, {"label": 5}, "label must be a string, got 5"),
+            ({"src": 2**63}, {}, f"src out of range, got {2**63}"),
+            ({"dst": 2**64}, {},
+             "dst must be an integer, got 1.8446744073709552e+19"),
+            ({"src": -(2**63) - 1}, {},
+             "src must be an integer, got -9.223372036854776e+18"),
+            ({"size": 10**400}, {}, f"size out of range, got {10**400}"),
+            ({}, {"arrival": 10**400}, f"arrival out of range, got {10**400}"),
         ],
         ids=["float-src", "bool-dst", "bool-size", "str-size",
              "str-compressible", "int-compressible", "bool-override",
-             "bool-arrival", "null-arrival", "bool-deadline", "int-label"],
+             "bool-arrival", "null-arrival", "bool-deadline", "int-label",
+             "int64-overflow-src", "uint64-overflow-dst",
+             "int64-underflow-src", "double-overflow-size",
+             "double-overflow-arrival"],
     )
     @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
     def test_field_types_are_strict(
@@ -363,7 +373,9 @@ class TestJsonlSource:
     ):
         """A field of a JSON type it does not accept fails with its line,
         not coerced: ``"src": 1.7`` is not port 1, ``"size": true`` not a
-        1-byte flow, ``"compressible": "no"`` not compressible."""
+        1-byte flow, ``"compressible": "no"`` not compressible.  So does
+        an integer its column cannot hold: a port beyond int64 (one
+        beyond uint64 decodes as a float), a number beyond a double."""
         good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
         bad = {"arrival": 2.0, **coflow,
                "flows": [{"src": 0, "dst": 1, "size": 10.0},
@@ -521,6 +533,34 @@ class TestStreamDriver:
         sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
         d = StreamDriver(sim, JsonlSource(str(path)), tick=0.2, setup=SETUP)
         with pytest.raises(ReproError, match="line 3 .*arrival must be"):
+            d.run(max_ticks=50)
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_port_beyond_the_fabric_names_its_line(self, tmp_path, side):
+        """A port the fabric lacks is known only at admission; the error
+        still names the path and physical line of its coflow."""
+        good = {"arrival": 0.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
+        bad = {"arrival": 0.1, "flows": [
+            {"src": 0, "dst": 1, "size": 10.0},
+            {"src": 1, "dst": 2, "size": 10.0, side: SETUP.num_ports + 3}]}
+        path = tmp_path / "ports.jsonl"
+        path.write_text(
+            json.dumps(good) + "\n\n" + json.dumps(good) + "\n"
+            + json.dumps(bad) + "\n"
+        )
+        sim = SETUP.build_simulator(make_scheduler("fvdf-flow"))
+        d = StreamDriver(sim, JsonlSource(str(path)), tick=0.2, setup=SETUP)
+        message = (f"line 4 of {re.escape(str(path))}: flow {side} "
+                   f"{SETUP.num_ports + 3} out of range for fabric of "
+                   f"{SETUP.num_ports} ports")
+        with pytest.raises(ReproError, match=message):
+            d.run(max_ticks=50)
+        assert d.stats.coflows_submitted == 0  # the block was refused whole
+
+    def test_port_beyond_the_fabric_from_a_synthetic_source(self):
+        """A source that reads no lines raises the block's own error."""
+        d = _driver(_spec(num_ports=SETUP.num_ports + 8, seed=1))
+        with pytest.raises(ReproError, match="out of range for fabric of 4"):
             d.run(max_ticks=50)
 
     def test_backpressure_restamps_late_admissions(self):
