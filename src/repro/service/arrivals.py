@@ -45,8 +45,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.coflow import Coflow, check_arrival, reserve_coflow_ids
-from repro.core.flow import reserve_flow_ids
+from repro.core.coflow import Coflow, check_arrival
 from repro.core.ingest import (
     BlockRowError,
     CoflowBlock,
@@ -146,6 +145,16 @@ class SourceSpec:
 _Columns = Tuple[Callable[[Any], int], Callable[[List[float]], CoflowBlock]]
 
 
+def _only_coflow(block: CoflowBlock) -> Coflow:
+    """The coflow of a one-coflow block, with the ids the block drew."""
+    return coflow_from_columns(
+        block.src, block.dst, block.size, block.compressible,
+        block.override, block.flow_id, arrival=block.arrival[0],
+        label=block.label[0], deadline=block.deadline[0],
+        coflow_id=block.coflow_id[0],
+    )
+
+
 class ArrivalSource:
     """Pull-based stream of coflows in non-decreasing arrival order.
 
@@ -199,12 +208,7 @@ class ArrivalSource:
         block = self.pop_block(math.inf, 1)
         if block is None:
             raise ConfigurationError("pop() on an exhausted arrival source")
-        return coflow_from_columns(
-            block.src, block.dst, block.size, block.compressible,
-            block.override, block.flow_id, arrival=block.arrival[0],
-            label=block.label[0], deadline=block.deadline[0],
-            coflow_id=block.coflow_id[0],
-        )
+        return _only_coflow(block)
 
     def pop_block(
         self, horizon: float, flow_budget: Optional[int] = None
@@ -438,32 +442,36 @@ def _bad_field(
     width: Sequence[int], ranges: bool = False,
 ) -> Optional[Tuple[int, str]]:
     """The first record holding a value of a type its field does not
-    accept, as ``(record index, message)``, or ``None``; with
-    ``ranges``, or once a bad type is found, an integer a per-flow
-    column's dtype cannot hold counts too.
+    accept, or an integer a deadline's double cannot hold, as ``(record
+    index, message)``, or ``None``; with ``ranges``, or once such a
+    value is found, an integer a per-flow column's dtype cannot hold
+    counts too.
 
     ``coflow_cols`` hold one value per record and ``flow_cols`` one per
     flow, each record's flows contiguous, ``width[i]`` of them.  Each
     column's set of types is taken once; only a column holding a bad
     type (or, scanning ranges, every column) is walked for its first
-    bad value.
+    bad value, and the deadlines only when one is an integer.
     """
     cols = [(name, col, False) for name, col in coflow_cols.items()]
     cols += [(name, col, True) for name, col in flow_cols.items()]
     if not ranges:
+        deadline = coflow_cols["deadline"]
         ranges = any(
             not set(map(type, col)) <= _FIELD_TYPES[name][0]
             for name, col, _ in cols
-        )
+        ) or (int in set(map(type, deadline))
+              and any(_out_of_range("deadline", d) for d in deadline))
         if not ranges:
             return None
     bad = []
     for name, col, per_flow in cols:
         allowed, kind = _FIELD_TYPES[name]
+        ranged = per_flow or name == "deadline"
         for i, v in enumerate(col):
             if type(v) not in allowed:
                 message = f"{name} must be {kind}, got {v!r}"
-            elif per_flow and _out_of_range(name, v):
+            elif ranged and _out_of_range(name, v):
                 message = f"{name} out of range, got {v!r}"
             else:
                 continue
@@ -486,16 +494,13 @@ def _arrival_of(rec: Dict[str, Any]) -> Union[int, float]:
 
 def _record_columns(
     bad_line: Callable[[Exception, Any], ConfigurationError],
-) -> Tuple[Callable[[Any], int], Callable[[List[float]], CoflowBlock],
-           Callable[[float], Coflow]]:
+) -> _Columns:
     """Columns of parsed JSONL records: the one reader of the record
     format past its arrival (see :class:`JsonlSource`).
 
-    Returns ``append`` and ``build`` (see :data:`_Columns`), and
-    ``coflow(arrival)``, which makes the one record appended a
-    :class:`Coflow` without a block.  A record is appended as
-    ``(record, line)``; each error is raised as ``bad_line(error,
-    line)`` of the first bad record.  Appending makes one pass over the
+    Returns ``append`` and ``build`` (see :data:`_Columns`).  A record
+    is appended as ``(record, line)``; each error is raised as
+    ``bad_line(error, line)`` of the first bad record.  Appending makes one pass over the
     record's flows; building checks each column's JSON types once.
     """
     width, label, deadline, lines = [], [], [], []
@@ -558,21 +563,7 @@ def _record_columns(
             check(ranges=True)
             raise
 
-    def coflow(arrival: float) -> Coflow:
-        check(ranges=True)
-        flow_id0 = reserve_flow_ids(len(src))
-        try:
-            return coflow_from_columns(
-                src, dst, [float(z) for z in size], comp,
-                [-1.0 if r is None else float(r) for r in override],
-                range(flow_id0, flow_id0 + len(src)), arrival=arrival,
-                label=label[0], deadline=deadline[0],
-                coflow_id=reserve_coflow_ids(1),
-            )
-        except ConfigurationError as exc:
-            raise bad_line(exc, lines[0]) from exc
-
-    return append, build, coflow
+    return append, build
 
 
 def _no_line(exc: Exception, _line: Any) -> ConfigurationError:
@@ -580,9 +571,9 @@ def _no_line(exc: Exception, _line: Any) -> ConfigurationError:
 
 
 def coflow_from_json(rec: Dict[str, Any]) -> Coflow:
-    """Build a coflow from one parsed JSONL record, through the columns
-    and checks :class:`JsonlSource` reads it with, and with the ids a
-    one-coflow block would draw, but without building the block.
+    """Build a coflow from one parsed JSONL record as
+    :meth:`JsonlSource.pop` does: through the source's columns and
+    checks into a one-coflow block, then the block's one coflow.
 
     Raises :class:`ConfigurationError` when a field is missing, holds a
     JSON type it does not accept (see ``_FIELD_TYPES``) or a number its
@@ -592,9 +583,9 @@ def coflow_from_json(rec: Dict[str, Any]) -> Coflow:
         arrival = _arrival_of(rec)
     except _SHAPE_ERRORS as exc:
         raise _no_line(exc, None) from exc
-    append, _, coflow = _record_columns(_no_line)
+    append, build = _record_columns(_no_line)
     append((rec, None))
-    return coflow(arrival)
+    return _only_coflow(build([arrival]))
 
 
 class JsonlSource(ArrivalSource):
@@ -618,7 +609,10 @@ class JsonlSource(ArrivalSource):
     """
 
     def __init__(self, path: str, limit: Optional[int] = None) -> None:
+        import orjson  # here, so only a run that reads JSONL loads it
+
         super().__init__()
+        self._loads = orjson.loads
         self.path = path
         self.limit = limit
         self._lines = 0  # non-blank lines consumed: the cursor
@@ -643,8 +637,6 @@ class JsonlSource(ArrivalSource):
         """Parse the next non-blank line: ``((record, physical line),
         arrival, lines consumed before it)``.  The arrival must be a
         non-negative, finite number, not below the previous line's."""
-        import orjson  # here, so only a run that reads JSONL loads it
-
         if self._fh is None:
             return None
         if self.limit is not None and self._lines >= self.limit:
@@ -657,7 +649,7 @@ class JsonlSource(ArrivalSource):
             self._lines += 1
             try:
                 try:
-                    rec = orjson.loads(line)
+                    rec = self._loads(line)
                 except ValueError:  # json.loads' verdict and message
                     rec = json.loads(line)
                 arrival = _arrival_of(rec)
@@ -674,8 +666,7 @@ class JsonlSource(ArrivalSource):
         return None
 
     def _columns(self) -> _Columns:
-        append, build, _ = _record_columns(self._bad_line)
-        return append, build
+        return _record_columns(self._bad_line)
 
     def row_error(self, block: CoflowBlock, exc: BlockRowError) -> ConfigurationError:
         return self._bad_line(exc, block.line[exc.row])

@@ -14,7 +14,7 @@ These tests hold the decoder to that:
   ``1e400``, a lone surrogate escape) or refuses too (trailing
   ``\\x0b``/``\\xa0``);
 * ``coflow_from_json`` reads a record as the source does;
-* only reading a JSONL line imports orjson.
+* only a JSONL source imports orjson.
 """
 
 import json
@@ -226,7 +226,7 @@ def test_coflow_from_json_reads_as_the_source_reads(tmp_path, rec):
 
 def test_only_reading_a_jsonl_line_imports_orjson(tmp_path):
     """A batch run, and a record built by ``coflow_from_json``, leave
-    orjson unloaded; the first JSONL line read loads it."""
+    orjson unloaded; a JSONL source loads it."""
     path = tmp_path / "one.jsonl"
     path.write_text(
         '{"arrival": 0, "flows": [{"src": 0, "dst": 1, "size": 1}]}\n'
@@ -242,9 +242,8 @@ sim = setup.build_simulator(make_scheduler("fvdf-flow"))
 sim.submit_many([coflow_from_json(
     {{"arrival": 0, "flows": [{{"src": 0, "dst": 1, "size": 1e5}}]}})])
 sim.run()
-source = JsonlSource({str(path)!r})
 before = "orjson" in sys.modules
-source.peek()
+JsonlSource({str(path)!r}).peek()
 print(before, "orjson" in sys.modules)
 """
     env = dict(os.environ)

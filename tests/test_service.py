@@ -359,13 +359,15 @@ class TestJsonlSource:
              "src must be an integer, got -9.223372036854776e+18"),
             ({"size": 10**400}, {}, f"size out of range, got {10**400}"),
             ({}, {"arrival": 10**400}, f"arrival out of range, got {10**400}"),
+            ({}, {"deadline": 10**400},
+             f"deadline out of range, got {10**400}"),
         ],
         ids=["float-src", "bool-dst", "bool-size", "str-size",
              "str-compressible", "int-compressible", "bool-override",
              "bool-arrival", "null-arrival", "bool-deadline", "int-label",
              "int64-overflow-src", "uint64-overflow-dst",
              "int64-underflow-src", "double-overflow-size",
-             "double-overflow-arrival"],
+             "double-overflow-arrival", "double-overflow-deadline"],
     )
     @pytest.mark.parametrize("path_kind", ["pop_block", "pop"])
     def test_field_types_are_strict(
@@ -375,7 +377,8 @@ class TestJsonlSource:
         not coerced: ``"src": 1.7`` is not port 1, ``"size": true`` not a
         1-byte flow, ``"compressible": "no"`` not compressible.  So does
         an integer its column cannot hold: a port beyond int64 (one
-        beyond uint64 decodes as a float), a number beyond a double."""
+        beyond uint64 decodes as a float), a number or deadline beyond a
+        double."""
         good = {"arrival": 1.0, "flows": [{"src": 0, "dst": 1, "size": 10.0}]}
         bad = {"arrival": 2.0, **coflow,
                "flows": [{"src": 0, "dst": 1, "size": 10.0},
