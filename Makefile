@@ -25,7 +25,9 @@ bench:
 	REPRO_CACHE=0 python -m pytest -q -p no:cacheprovider benchmarks \
 		--ignore=benchmarks/bench_engine_microbench.py --benchmark-disable
 
-# The micro-benchmark overhead guards as CI runs them.
+# The micro-benchmark overhead guards as CI runs them, plus the start-up
+# import contract (a module the benchmark's import line does not run must
+# not load there).
 GUARDS := disabled_tracing_overhead_under_5pct recorder_overhead_under_15pct \
 	incremental_view_overhead_under_5pct columnar_ingest_cuts_submit_share \
 	telemetry_plane_overhead_under_5pct jsonl_block_parse_near_json_floor \
@@ -33,7 +35,8 @@ GUARDS := disabled_tracing_overhead_under_5pct recorder_overhead_under_15pct \
 
 guards:
 	python -m pytest -q -p no:cacheprovider \
-		$(addprefix benchmarks/bench_engine_microbench.py::test_,$(GUARDS))
+		$(addprefix benchmarks/bench_engine_microbench.py::test_,$(GUARDS)) \
+		tests/test_startup_imports.py::test_benchmark_import_line_defers_what_it_does_not_run
 
 reproduce:
 	python -m repro reproduce

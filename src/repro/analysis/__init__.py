@@ -1,50 +1,30 @@
-"""Result analysis: experiment harness, metric helpers, report rendering."""
+"""Result analysis: experiment harness, metric helpers, report rendering.
 
-from repro.analysis.harness import (
-    ExperimentSetup,
-    run_many,
-    run_policy,
-    speedups_over,
-)
-from repro.analysis.collate import collate_reports
-from repro.analysis.export import export_coflows_csv, export_flows_csv
-from repro.analysis.seeds import SeedStats, run_seeds
-from repro.analysis.svg import Series, bar_chart, cdf_chart, line_chart
-from repro.analysis.tables import render_cdf, render_series, render_table
-from repro.analysis.timeline import render_timeline
-from repro.analysis.tracefile import (
-    decision_timeline,
-    iter_trace,
-    kinds_at,
-    read_trace,
-    trace_summary,
-)
-from repro.core.metrics import (
-    RunSummary,
-    TrafficSummary,
-    avg_cct,
-    avg_fct,
-    cct_values,
-    cdf_at,
-    compare,
-    completion_rates,
-    empirical_cdf,
-    fct_by_size_bins,
-    fct_values,
-    filter_flows_by_size_percentile,
-    speedup,
-    throughput_windows,
-)
+Names load on first use (:mod:`repro._lazy`): importing
+:mod:`repro.analysis.harness` compiles neither the renderers nor
+:mod:`repro.core.metrics`.
+"""
 
-__all__ = [
-    "ExperimentSetup", "run_policy", "run_many", "speedups_over",
-    "SeedStats", "run_seeds",
-    "render_table", "render_cdf", "render_series", "render_timeline",
-    "export_flows_csv", "export_coflows_csv",
-    "Series", "line_chart", "cdf_chart", "bar_chart", "collate_reports",
-    "read_trace", "iter_trace", "trace_summary", "decision_timeline", "kinds_at",
-    "empirical_cdf", "cdf_at", "speedup", "avg_fct", "avg_cct",
-    "fct_values", "cct_values", "filter_flows_by_size_percentile",
-    "fct_by_size_bins", "throughput_windows", "completion_rates",
-    "TrafficSummary", "RunSummary", "compare",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".harness": ("ExperimentSetup", "run_policy", "run_many", "speedups_over"),
+    ".seeds": ("SeedStats", "run_seeds"),
+    ".tables": ("render_table", "render_cdf", "render_series"),
+    ".timeline": ("render_timeline",),
+    ".export": ("export_flows_csv", "export_coflows_csv"),
+    ".svg": ("Series", "line_chart", "cdf_chart", "bar_chart"),
+    ".collate": ("collate_reports",),
+    ".tracefile": (
+        "read_trace", "iter_trace", "trace_summary", "decision_timeline",
+        "kinds_at",
+    ),
+    "repro.core.metrics": (
+        "empirical_cdf", "cdf_at", "speedup", "avg_fct", "avg_cct",
+        "fct_values", "cct_values", "filter_flows_by_size_percentile",
+        "fct_by_size_bins", "throughput_windows", "completion_rates",
+        "TrafficSummary", "RunSummary", "compare",
+    ),
+})
+
+__all__ = list(_EXPORTS)

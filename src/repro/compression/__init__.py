@@ -1,21 +1,19 @@
-"""Compression substrate: codecs (Table II), ratio model (Table III), engine."""
+"""Compression substrate: codecs (Table II), ratio model (Table III), engine.
 
-from repro.compression.calibrate import calibrated_codec, measure_backend, synthetic_payload
-from repro.compression.codecs import (
-    DEFAULT_CODEC_NAME,
-    TABLE_II,
-    Codec,
-    default_codec,
-    get_codec,
-    register_codec,
-)
-from repro.compression.engine import CompressionEngine
-from repro.compression.model import TABLE_III_ANCHORS, SizeDependentRatio, table3_ratio
+Names load on first use (:mod:`repro._lazy`), so the engine never
+compiles the real-codec calibration.
+"""
 
-__all__ = [
-    "Codec", "get_codec", "default_codec", "register_codec",
-    "TABLE_II", "DEFAULT_CODEC_NAME",
-    "SizeDependentRatio", "table3_ratio", "TABLE_III_ANCHORS",
-    "CompressionEngine",
-    "calibrated_codec", "measure_backend", "synthetic_payload",
-]
+from repro._lazy import lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".codecs": (
+        "Codec", "get_codec", "default_codec", "register_codec",
+        "TABLE_II", "DEFAULT_CODEC_NAME",
+    ),
+    ".model": ("SizeDependentRatio", "table3_ratio", "TABLE_III_ANCHORS"),
+    ".engine": ("CompressionEngine",),
+    ".calibrate": ("calibrated_codec", "measure_backend", "synthetic_payload"),
+})
+
+__all__ = list(_EXPORTS)

@@ -49,11 +49,13 @@ import math
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.window import STREAM_RATE_KEYS, RollingWindow
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -226,7 +228,7 @@ class TelemetryPlane:
         self.finished = False
         self._last_tick_mono: Optional[float] = None
         self._live: Dict[str, Any] = {}  # last per-tick scalars (immutable)
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional["ThreadingHTTPServer"] = None
         self._thread: Optional[threading.Thread] = None
         self.port: Optional[int] = None
         self.window.prime(self._cumulative())
@@ -348,9 +350,7 @@ class TelemetryPlane:
         (useful with ``port=0`` for an ephemeral port)."""
         if self._server is not None:
             raise RuntimeError("telemetry plane already started")
-        server = ThreadingHTTPServer((host, port), _Handler)
-        server.daemon_threads = True
-        server.plane = self  # type: ignore[attr-defined]
+        server = _make_server(self, host, port)
         self._server = server
         self.port = int(server.server_address[1])
         self._thread = threading.Thread(
@@ -378,61 +378,68 @@ class TelemetryPlane:
         return self._thread is not None and self._thread.is_alive()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the four endpoints; everything is read-only."""
+def _make_server(plane: TelemetryPlane, host: str, port: int):
+    """A bound ``ThreadingHTTPServer`` routing the four read-only endpoints
+    to ``plane``.  ``http.server`` (with ``email``, ``ssl`` and
+    ``http.client``) is imported here, so only a started plane loads it."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    server_version = "repro-telemetry"
-    protocol_version = "HTTP/1.1"
+    class Handler(BaseHTTPRequestHandler):
+        server_version = "repro-telemetry"
+        protocol_version = "HTTP/1.1"
 
-    def log_message(self, *args) -> None:  # no stderr chatter per scrape
-        return None
+        def log_message(self, *args) -> None:  # no stderr chatter per scrape
+            return None
 
-    def _respond(self, code: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        def _respond(self, code: int, body: str, content_type: str) -> None:
+            payload = body.encode("utf-8")
+            self.send_response(code)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        plane: TelemetryPlane = self.server.plane  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                self._respond(
-                    200, plane.render_metrics(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif path == "/snapshot":
-                self._respond(
-                    200, json.dumps(plane.snapshot()) + "\n",
-                    "application/json",
-                )
-            elif path == "/healthz":
-                ok = plane.healthy
-                self._respond(
-                    200 if ok else 503,
-                    json.dumps({"healthy": ok, "finished": plane.finished})
-                    + "\n",
-                    "application/json",
-                )
-            elif path == "/readyz":
-                ok = plane.ready
-                self._respond(
-                    200 if ok else 503,
-                    json.dumps({"ready": ok}) + "\n",
-                    "application/json",
-                )
-            else:
-                self._respond(
-                    404,
-                    "not found; endpoints: /metrics /snapshot /healthz "
-                    "/readyz\n",
-                    "text/plain; charset=utf-8",
-                )
-        except OSError:  # scraper went away mid-write (broken pipe,
-            pass         # connection reset, ...) — never stderr chatter
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            path = self.path.split("?", 1)[0]
+            try:
+                if path == "/metrics":
+                    self._respond(
+                        200, plane.render_metrics(),
+                        "text/plain; version=0.0.4; charset=utf-8",
+                    )
+                elif path == "/snapshot":
+                    self._respond(
+                        200, json.dumps(plane.snapshot()) + "\n",
+                        "application/json",
+                    )
+                elif path == "/healthz":
+                    ok = plane.healthy
+                    self._respond(
+                        200 if ok else 503,
+                        json.dumps({"healthy": ok, "finished": plane.finished})
+                        + "\n",
+                        "application/json",
+                    )
+                elif path == "/readyz":
+                    ok = plane.ready
+                    self._respond(
+                        200 if ok else 503,
+                        json.dumps({"ready": ok}) + "\n",
+                        "application/json",
+                    )
+                else:
+                    self._respond(
+                        404,
+                        "not found; endpoints: /metrics /snapshot /healthz "
+                        "/readyz\n",
+                        "text/plain; charset=utf-8",
+                    )
+            except OSError:  # scraper went away mid-write (broken pipe,
+                pass         # connection reset, ...) — never stderr chatter
+
+    server = ThreadingHTTPServer((host, port), Handler)
+    server.daemon_threads = True
+    return server
 
 
 # --------------------------------------------------------------------------

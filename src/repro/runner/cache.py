@@ -9,11 +9,11 @@ directories small on big sweeps).  The digest is computed by
 that module for what is and is not part of the key.  Entries are
 pickles, so a store must hold only files this program wrote.
 
-Writes are crash-safe: payloads go to a same-directory temp file that is
-fsynced before the atomic rename, and the directory entry is fsynced
-after it, so a power cut can leave a stale miss but never a
-truncated-but-renamed entry (the corrupt-unlink path below then only
-ever fires on real corruption).
+Writes are atomic, not durable: payloads go to a same-directory temp
+file and an atomic rename (:func:`~repro.atomicio.replace_atomic`), so a
+reader never sees a partial file.  Nothing is fsynced: a power cut can
+lose recent entries or truncate one, which the corrupt-unlink path below
+then drops as a miss.
 
 Controls:
 
@@ -39,7 +39,7 @@ import pickle
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.atomicio import fsync_dir, write_atomic
+from repro.atomicio import replace_atomic
 from repro.core.simulator import SimulationResult
 from repro.runner.spec import ResultSummary, RunSpec
 
@@ -133,11 +133,10 @@ class ResultCache:
         path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            write_atomic(
+            replace_atomic(
                 path,
                 lambda fh: pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL),
             )
-            fsync_dir(path.parent)
         except Exception:
             return False
         return True

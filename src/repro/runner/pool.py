@@ -37,7 +37,6 @@ count is forced to ``0`` so nested calls never spawn pools-within-pools.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -233,6 +232,8 @@ def run_specs(
             store.put(specs[i], out.payload)
             outcomes[i] = out
         return outcomes  # type: ignore[return-value]
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     # Bounded-queue submission: at most ~2 pending tasks per worker, so a
     # multi-thousand-cell sweep never materialises all spec pickles at once.

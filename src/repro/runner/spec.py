@@ -43,7 +43,17 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -54,12 +64,10 @@ from repro.core.scheduler import Scheduler
 from repro.core.simulator import SimulationResult
 from repro.errors import ConfigurationError
 from repro.traces.distributions import LogNormalSizes
-from repro.traces.generator import (
-    WorkloadConfig,
-    generate_flow_workload,
-    generate_workload,
-)
 from repro.units import KB, MB, gbps, mbps
+
+if TYPE_CHECKING:
+    from repro.traces.generator import WorkloadConfig
 
 #: Version tag folded into every cache digest; bump when the cached entry's
 #: format changes (a source edit already changes every key).
@@ -170,6 +178,12 @@ class WorkloadSpec:
         if self.kind == "inline":
             return list(self.coflows)
         if self.kind == "generated":
+            # Loaded with the spec's WorkloadConfig already.
+            from repro.traces.generator import (
+                generate_flow_workload,
+                generate_workload,
+            )
+
             gen = generate_flow_workload if self.flow_level else generate_workload
             return list(gen(self.config, np.random.default_rng(self.seed)))
         if self.kind == "callable":
@@ -287,6 +301,8 @@ class SweepGrid:
         return len(self.policies) * len(self.bandwidths) * len(self.seeds)
 
     def workload_config(self) -> WorkloadConfig:
+        from repro.traces.generator import WorkloadConfig
+
         return WorkloadConfig(
             num_coflows=self.num_coflows,
             num_ports=self.num_ports,

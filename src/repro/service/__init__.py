@@ -17,30 +17,22 @@ service:
   bit-identical resume.
 
 See ``docs/streaming.md`` for the lifecycle, checkpoint format and
-backpressure semantics.
+backpressure semantics.  Names load on first use (:mod:`repro._lazy`),
+so a driver that never checkpoints never compiles the checkpoint code.
 """
 
-from repro.service.arrivals import (
-    ArrivalSource,
-    JsonlSource,
-    SourceSpec,
-    SyntheticSource,
-    coflow_from_json,
-    coflow_to_json,
-)
-from repro.service.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    load_checkpoint,
-    restore_driver,
-    restore_simulator,
-    save_checkpoint,
-)
-from repro.service.driver import StreamDriver, StreamStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalSource", "SyntheticSource", "JsonlSource", "SourceSpec",
-    "coflow_from_json", "coflow_to_json",
-    "StreamDriver", "StreamStats",
-    "CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint",
-    "restore_driver", "restore_simulator",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": (
+        "ArrivalSource", "SyntheticSource", "JsonlSource", "SourceSpec",
+        "coflow_from_json", "coflow_to_json",
+    ),
+    ".driver": ("StreamDriver", "StreamStats"),
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint",
+        "restore_driver", "restore_simulator",
+    ),
+})
+
+__all__ = list(_EXPORTS)

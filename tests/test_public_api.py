@@ -1,27 +1,42 @@
 """The package's public surface: imports, __all__, README quickstart."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
 
+#: Every package that defines ``__all__``.
 SUBPACKAGES = [
-    "repro.core", "repro.fabric", "repro.cpu", "repro.compression",
-    "repro.schedulers", "repro.traces", "repro.cluster", "repro.swallow",
-    "repro.analysis",
+    "repro.core", "repro.core.kernels", "repro.fabric", "repro.cpu",
+    "repro.compression", "repro.schedulers", "repro.traces", "repro.cluster",
+    "repro.swallow", "repro.analysis", "repro.runner", "repro.service",
+    "repro.obs",
 ]
 
 
 def test_version():
-    assert repro.__version__ == "1.27.0"
+    assert repro.__version__ == "1.28.0"
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)
 def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
-    for name in getattr(mod, "__all__", []):
+    listed = dir(mod)
+    for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.{name} in __all__ but missing"
+        assert name in listed, f"{module}.{name} in __all__ but not in dir()"
+
+
+def test_every_package_with_all_is_checked():
+    src = Path(repro.__file__).parent
+    packages = {
+        ".".join(("repro",) + init.parent.relative_to(src).parts)
+        for init in src.rglob("__init__.py")
+        if "__all__" in init.read_text()
+    }
+    assert packages - {"repro"} == set(SUBPACKAGES)
 
 
 def test_top_level_all_resolves():
@@ -46,6 +61,4 @@ def test_readme_quickstart_snippet():
 
 
 def test_py_typed_marker_ships():
-    from pathlib import Path
-
     assert (Path(repro.__file__).parent / "py.typed").exists()

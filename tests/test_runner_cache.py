@@ -185,6 +185,27 @@ class TestRoundtrip:
         assert not cache.put(spec, out.summary)
         assert list(tmp_path.iterdir()) == []  # nothing was stored
 
+    def test_put_skips_fsync_checkpoints_keep_it(self, tmp_path, monkeypatch):
+        """A cache entry is renamed into place whole but never fsynced: a
+        power cut may lose or truncate it, and a truncated entry reads as
+        a corrupt miss (below).  A service checkpoint still fsyncs its
+        temp file and its directory."""
+        from repro.schedulers import make_scheduler
+        from repro.service import save_checkpoint
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real(fd))
+        cache = ResultCache(root=tmp_path / "cache", enabled=True)
+        spec = _spec()
+        summary = execute_spec(spec).summary
+        assert cache.put(spec, summary)
+        assert cache.get(spec) == summary
+        assert synced == []
+        sim = SETUP.build_simulator(make_scheduler("fvdf"))
+        save_checkpoint(tmp_path / "svc.npz", sim, setup=SETUP)
+        assert len(synced) == 2
+
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         """Every payload shape (summary, summary with arrays, full result)
         is one ``<digest>.pkl``.  An empty file, a truncated pickle or a
