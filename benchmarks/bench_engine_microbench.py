@@ -66,6 +66,20 @@ def paired_ratio(arm_a, arm_b, pairs):
     return statistics.median(ratios)
 
 
+def lognormal_run(num_coflows=60, num_ports=16, max_width=4, seed=7):
+    """The guards' common run: a seeded log-normal workload arriving at
+    10 coflows/s, and its 200 Mbps fabric."""
+    cfg = WorkloadConfig(
+        num_coflows=num_coflows,
+        num_ports=num_ports,
+        size_dist=LogNormalSizes(median=4 * MB, sigma=1.0, lo=256 * 1024, hi=64 * MB),
+        width=(1, max_width),
+        arrival_rate=10.0,
+    )
+    setup = ExperimentSetup(num_ports=num_ports, bandwidth=mbps(200), slice_len=0.01)
+    return generate_workload(cfg, np.random.default_rng(seed)), setup
+
+
 @pytest.fixture(scope="module")
 def flowset():
     rng = np.random.default_rng(0)
@@ -102,15 +116,7 @@ def test_madd_speed(benchmark, flowset):
 
 def test_simulator_throughput(benchmark):
     """End-to-end: 200 coflows / ~600 flows through SEBF."""
-    cfg = WorkloadConfig(
-        num_coflows=200,
-        num_ports=32,
-        size_dist=LogNormalSizes(median=4 * MB, sigma=1.0, lo=256 * 1024, hi=64 * MB),
-        width=(1, 5),
-        arrival_rate=10.0,
-    )
-    workload = generate_workload(cfg, np.random.default_rng(3))
-    setup = ExperimentSetup(num_ports=32, bandwidth=mbps(200), slice_len=0.01)
+    workload, setup = lognormal_run(num_coflows=200, num_ports=32, max_width=5, seed=3)
     res = benchmark.pedantic(
         lambda: run_policy("sebf", workload, setup), rounds=1, iterations=1
     )
@@ -125,15 +131,7 @@ def test_disabled_tracing_overhead_under_5pct():
     the disabled path must cost < 5 % extra.  The two arms run the same
     code, so the median needs many pairs to sit well inside the bound.
     """
-    cfg = WorkloadConfig(
-        num_coflows=60,
-        num_ports=16,
-        size_dist=LogNormalSizes(median=4 * MB, sigma=1.0, lo=256 * 1024, hi=64 * MB),
-        width=(1, 4),
-        arrival_rate=10.0,
-    )
-    workload = generate_workload(cfg, np.random.default_rng(7))
-    setup = ExperimentSetup(num_ports=16, bandwidth=mbps(200), slice_len=0.01)
+    workload, setup = lognormal_run()
 
     # warm-up (JIT-free, but primes allocators and caches)
     run_policy("fvdf", workload, setup)
@@ -161,15 +159,7 @@ def test_recorder_overhead_under_15pct():
     of the untraced columnar run, so full-fidelity capture does not
     reintroduce a per-record or per-flow Python path.
     """
-    cfg = WorkloadConfig(
-        num_coflows=60,
-        num_ports=16,
-        size_dist=LogNormalSizes(median=4 * MB, sigma=1.0, lo=256 * 1024, hi=64 * MB),
-        width=(1, 4),
-        arrival_rate=10.0,
-    )
-    workload = generate_workload(cfg, np.random.default_rng(7))
-    setup = ExperimentSetup(num_ports=16, bandwidth=mbps(200), slice_len=0.01)
+    workload, setup = lognormal_run()
 
     run_policy("fvdf", workload, setup)  # warm-up
     ratio = paired_ratio(
@@ -360,15 +350,7 @@ def test_incremental_view_overhead_under_5pct():
     5 % of the ``force_regroup`` path.  (At scale it is strictly faster;
     the ``burst-decide`` workload of ``e2ebench/`` tracks that side.)
     """
-    cfg = WorkloadConfig(
-        num_coflows=60,
-        num_ports=16,
-        size_dist=LogNormalSizes(median=4 * MB, sigma=1.0, lo=256 * 1024, hi=64 * MB),
-        width=(1, 4),
-        arrival_rate=10.0,
-    )
-    workload = generate_workload(cfg, np.random.default_rng(7))
-    setup = ExperimentSetup(num_ports=16, bandwidth=mbps(200), slice_len=0.01)
+    workload, setup = lognormal_run()
     obs = Observability(trace=False, metrics=False, profile=False)
 
     def run(force_regroup):

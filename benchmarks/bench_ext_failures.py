@@ -9,12 +9,8 @@ the compute stages that compression cannot help — a deployment caveat the
 paper's healthy testbed could not surface.
 """
 
-import numpy as np
-
 from repro.analysis import render_table
-from repro.cluster import ClusterConfig, ClusterSimulator, FailureModel, hibench_suite
-from repro.schedulers import make_scheduler
-from repro.units import gbps
+from repro.cluster import FailureModel, run_hibench
 
 CHURN = {
     "healthy": FailureModel(),
@@ -26,21 +22,11 @@ CHURN = {
 }
 
 
-def run_once(failures: FailureModel, scheduler: str):
-    cfg = ClusterConfig(
-        num_nodes=16, bandwidth=gbps(1), slice_len=0.01, failures=failures,
-        seed=17,
-    )
-    sim = ClusterSimulator(cfg, make_scheduler(scheduler))
-    sim.submit_jobs(hibench_suite("large", np.random.default_rng(17), num_jobs=12))
-    return sim.run()
-
-
 def run_all():
     table = {}
     for label, fm in CHURN.items():
-        base = run_once(fm, "sebf")
-        swallow = run_once(fm, "fvdf")
+        base = run_hibench("sebf", suite_seed=17, failures=fm, seed=17)
+        swallow = run_hibench("fvdf", suite_seed=17, failures=fm, seed=17)
         table[label] = {
             "sebf_jct": base.avg_jct,
             "fvdf_jct": swallow.avg_jct,

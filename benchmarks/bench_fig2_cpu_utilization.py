@@ -5,26 +5,19 @@ Paper observations: at 10 Gbps more than 30.77% of CPU time is idle; at
 CPU-bound to I/O-bound and cores wait on the network.
 """
 
-import numpy as np
-
 from repro.analysis import render_table
-from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite
-from repro.schedulers import make_scheduler
+from repro.cluster import run_hibench
 from repro.units import gbps, mbps
 
 BANDWIDTHS = {"10 Gbps": gbps(10), "100 Mbps": mbps(100)}
 
 
 def run_once(bandwidth: float):
-    cfg = ClusterConfig(
-        num_nodes=8, bandwidth=bandwidth, slice_len=0.01, sample_cpu=True
-    )
     # No compression: Fig. 2 motivates it, so it is not yet in play.
-    sim = ClusterSimulator(cfg, make_scheduler("sebf"))
-    sim.submit_jobs(
-        hibench_suite("large", np.random.default_rng(3), num_jobs=8)
+    res = run_hibench(
+        "sebf", suite_seed=3, num_jobs=8,
+        num_nodes=8, bandwidth=bandwidth, sample_cpu=True,
     )
-    res = sim.run()
     rec = res.cpu_recorder
     return {
         "idle_fraction": rec.idle_time_fraction(threshold=0.05),

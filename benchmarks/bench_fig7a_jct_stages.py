@@ -5,25 +5,13 @@ and the result stage by up to 2.12x; the overall JCT improvement averages
 1.66x.
 """
 
-import numpy as np
-
 from repro.analysis import render_table
-from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite
-from repro.schedulers import make_scheduler
-from repro.units import gbps
-
-NUM_JOBS = 12
-
-
-def run_once(scheduler: str):
-    cfg = ClusterConfig(num_nodes=16, bandwidth=gbps(1), slice_len=0.01)
-    sim = ClusterSimulator(cfg, make_scheduler(scheduler))
-    sim.submit_jobs(hibench_suite("large", np.random.default_rng(21), num_jobs=NUM_JOBS))
-    return sim.run()
+from repro.cluster import run_hibench
 
 
 def run_all():
-    return {"without": run_once("sebf"), "with": run_once("fvdf")}
+    return {"without": run_hibench("sebf", suite_seed=21),
+            "with": run_hibench("fvdf", suite_seed=21)}
 
 
 def test_fig7a_jct_stages(once, report):

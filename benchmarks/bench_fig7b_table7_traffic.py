@@ -8,26 +8,18 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.cluster import SCALE_TRAFFIC, ClusterConfig, ClusterSimulator, hibench_suite
-from repro.schedulers import make_scheduler
-from repro.units import bytes_to_human, gbps
+from repro.cluster import SCALE_TRAFFIC, run_hibench
+from repro.units import bytes_to_human
 
 PAPER_REDUCTION = {"large": 0.4673, "huge": 0.4981, "gigantic": 0.4868}
 SCALES = ["large", "huge", "gigantic"]
 
 
-def run_scale(scale: str, scheduler: str):
-    cfg = ClusterConfig(num_nodes=16, bandwidth=gbps(1), slice_len=0.01)
-    sim = ClusterSimulator(cfg, make_scheduler(scheduler))
-    sim.submit_jobs(hibench_suite(scale, np.random.default_rng(31), num_jobs=12))
-    return sim.run()
-
-
 def run_all():
     table = {}
     for scale in SCALES:
-        with_swallow = run_scale(scale, "fvdf")
-        without = run_scale(scale, "sebf")
+        with_swallow = run_hibench("fvdf", scale, suite_seed=31)
+        without = run_hibench("sebf", scale, suite_seed=31)
         table[scale] = {
             "with": with_swallow.shuffle_bytes_sent,
             "without": without.shuffle_bytes_sent,

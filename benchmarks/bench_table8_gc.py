@@ -6,28 +6,18 @@ the gap widens with workload scale (gigantic reduce: 1.6 min vs 19 min at
 the 100% checkpoint).
 """
 
-import numpy as np
-
 from repro.analysis import render_table
-from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite
-from repro.schedulers import make_scheduler
-from repro.units import gbps, seconds_to_human
+from repro.cluster import run_hibench
+from repro.units import seconds_to_human
 
 SCALES = ["large", "huge", "gigantic"]
-
-
-def run_scale(scale: str, scheduler: str):
-    cfg = ClusterConfig(num_nodes=16, bandwidth=gbps(1), slice_len=0.01)
-    sim = ClusterSimulator(cfg, make_scheduler(scheduler))
-    sim.submit_jobs(hibench_suite(scale, np.random.default_rng(41), num_jobs=12))
-    return sim.run()
 
 
 def run_all():
     table = {}
     for scale in SCALES:
-        comp = run_scale(scale, "fvdf").gc_summary()
-        plain = run_scale(scale, "sebf").gc_summary()
+        comp = run_hibench("fvdf", scale, suite_seed=41).gc_summary()
+        plain = run_hibench("sebf", scale, suite_seed=41).gc_summary()
         table[scale] = {"with": comp, "without": plain}
     return table
 

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import ExperimentSetup, render_table, run_many, speedups_over
+from repro.analysis import ExperimentSetup, run_many, speedups_over, summary_table
 from repro.traces import (
     read_facebook_trace,
     synthesize_facebook_like,
     write_facebook_trace,
 )
-from repro.units import bytes_to_human, gbps, seconds_to_human
+from repro.units import bytes_to_human, gbps
 
 POLICIES = ["coflow-fifo", "pff", "scf", "ncf", "sebf", "fvdf"]
 
@@ -58,12 +58,7 @@ def main() -> None:
         num_ports=trace.num_ports, bandwidth=gbps(1) / 8, slice_len=0.01
     )
     results = run_many(POLICIES, trace.coflows, setup)
-    rows = [
-        [name, seconds_to_human(r.avg_cct), seconds_to_human(r.makespan),
-         f"{r.traffic_reduction * 100:.1f}%"]
-        for name, r in results.items()
-    ]
-    print(render_table(["policy", "avg CCT", "makespan", "traffic saved"], rows))
+    print(summary_table(results))
     print("\nCCT speedup of FVDF:")
     for name, sp in sorted(speedups_over(results, ours="fvdf").items()):
         print(f"  over {name:12s} {sp:.2f}x")

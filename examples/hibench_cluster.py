@@ -12,19 +12,9 @@ Run:  python examples/hibench_cluster.py [--scale large|huge]
 
 import argparse
 
-import numpy as np
-
-from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite
-from repro.schedulers import make_scheduler
 from repro.analysis import render_table
-from repro.units import bytes_to_human, gbps, seconds_to_human
-
-
-def run_once(scale: str, scheduler: str, num_jobs: int):
-    cfg = ClusterConfig(num_nodes=16, bandwidth=gbps(1), slice_len=0.01)
-    sim = ClusterSimulator(cfg, make_scheduler(scheduler))
-    sim.submit_jobs(hibench_suite(scale, np.random.default_rng(1), num_jobs=num_jobs))
-    return sim.run()
+from repro.cluster import run_hibench
+from repro.units import bytes_to_human, seconds_to_human
 
 
 def main() -> None:
@@ -33,8 +23,8 @@ def main() -> None:
     ap.add_argument("--jobs", type=int, default=12)
     args = ap.parse_args()
 
-    base = run_once(args.scale, "sebf", args.jobs)
-    swallow = run_once(args.scale, "fvdf", args.jobs)
+    base = run_hibench("sebf", args.scale, suite_seed=1, num_jobs=args.jobs)
+    swallow = run_hibench("fvdf", args.scale, suite_seed=1, num_jobs=args.jobs)
 
     stages = ["map", "shuffle", "reduce", "result"]
     sb, ss = base.stage_means(), swallow.stage_means()

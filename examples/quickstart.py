@@ -8,44 +8,19 @@ FVDF — printing average FCT/CCT and the traffic saved by compression.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
-from repro.analysis import ExperimentSetup, render_table, run_many, speedups_over
-from repro.traces import WorkloadConfig, generate_workload, spark_flow_sizes
-from repro.units import bytes_to_human, gbps, seconds_to_human
+from repro.analysis import ExperimentSetup, run_many, speedups_over, summary_table
+from repro.scenarios import synthetic_workload
+from repro.units import bytes_to_human, gbps
 
 
 def main() -> None:
-    rng = np.random.default_rng(42)
-    workload = generate_workload(
-        WorkloadConfig(
-            num_coflows=40,
-            num_ports=8,
-            size_dist=spark_flow_sizes(),
-            width=(1, 6),
-            arrival_rate=4.0,
-        ),
-        rng,
-    )
+    workload = synthetic_workload(40, num_ports=8, max_width=6, seed=42)
     total = sum(c.size for c in workload)
     print(f"workload: {len(workload)} coflows, {bytes_to_human(total)} total\n")
 
     setup = ExperimentSetup(num_ports=8, bandwidth=gbps(1) / 8, slice_len=0.01)
     results = run_many(["fifo", "fair", "sebf", "fvdf"], workload, setup)
-
-    rows = [
-        [
-            name,
-            seconds_to_human(res.avg_fct),
-            seconds_to_human(res.avg_cct),
-            seconds_to_human(res.makespan),
-            f"{res.traffic_reduction * 100:.1f}%",
-        ]
-        for name, res in results.items()
-    ]
-    print(render_table(
-        ["policy", "avg FCT", "avg CCT", "makespan", "traffic saved"], rows
-    ))
+    print(summary_table(results))
 
     print("\nCCT speedup of FVDF over each baseline:")
     for name, sp in sorted(speedups_over(results, ours="fvdf").items()):

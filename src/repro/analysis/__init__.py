@@ -10,14 +10,14 @@ from repro._lazy import lazy_exports
 _EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
     ".harness": ("ExperimentSetup", "run_policy", "run_many", "speedups_over"),
     ".seeds": ("SeedStats", "run_seeds"),
-    ".tables": ("render_table", "render_cdf", "render_series"),
+    ".tables": ("render_table", "summary_table", "render_cdf", "render_series"),
     ".timeline": ("render_timeline",),
     ".export": ("export_flows_csv", "export_coflows_csv"),
     ".svg": ("Series", "line_chart", "cdf_chart", "bar_chart"),
     ".collate": ("collate_reports",),
     ".tracefile": (
         "read_trace", "iter_trace", "trace_summary", "decision_timeline",
-        "kinds_at",
+        "kinds_at", "record_run",
     ),
     "repro.core.metrics": (
         "empirical_cdf", "cdf_at", "speedup", "avg_fct", "avg_cct",

@@ -37,8 +37,10 @@ class ExperimentSetup:
     sample_cpu: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_ports <= 0 or self.bandwidth <= 0:
-            raise ConfigurationError("num_ports and bandwidth must be positive")
+        for name in ("num_ports", "bandwidth", "slice_len"):
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
     def with_(self, **kw) -> "ExperimentSetup":
         """A modified copy (for parameter sweeps)."""

@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.units import seconds_to_human
 
 
 def format_cell(value, precision: int = 3) -> str:
@@ -52,6 +53,19 @@ def render_table(
     for r in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
+
+
+def summary_table(results) -> str:
+    """One row per policy of a ``{name: SimulationResult}`` map: avg FCT,
+    avg CCT, makespan and traffic saved."""
+    rows = [
+        [name, seconds_to_human(res.avg_fct), seconds_to_human(res.avg_cct),
+         seconds_to_human(res.makespan), f"{res.traffic_reduction * 100:.1f}%"]
+        for name, res in results.items()
+    ]
+    return render_table(
+        ["policy", "avg FCT", "avg CCT", "makespan", "traffic saved"], rows
+    )
 
 
 def render_cdf(

@@ -6,7 +6,7 @@ load a trace back into typed records, slice it by kind or time, and render
 a quick per-kind summary — the round-trip that ``python -m repro trace
 <scenario> --out run.jsonl`` feeds.  The query helpers take any sequence
 of records, so they work on a decoded recorder (``list(obs.recorder)``)
-as well as on a file.
+as well as on a file.  :func:`record_run` makes such a recording.
 """
 
 from __future__ import annotations
@@ -21,8 +21,27 @@ __all__ = [
     "iter_trace",
     "kinds_at",
     "read_trace",
+    "record_run",
     "trace_summary",
 ]
+
+
+def record_run(scheduler, workload=None, setup=None, *, slice_len=0.01,
+               profile=False):
+    """``(obs, result)`` of one run with the recorder and metrics on, and
+    the profiler with ``profile``: ``scheduler`` on ``workload`` under
+    ``setup``, or on the Fig. 4 motivating example at ``slice_len`` when
+    ``workload`` is None."""
+    from repro.obs import Observability
+
+    obs = Observability(trace=True, metrics=True, profile=profile)
+    if workload is None:
+        from repro.scenarios import run_motivating_example
+
+        return obs, run_motivating_example(scheduler, slice_len=slice_len, obs=obs)
+    from repro.analysis.harness import run_policy
+
+    return obs, run_policy(scheduler, workload, setup, obs=obs)
 
 
 def iter_trace(source: Union[str, IO[str]]) -> Iterator[TraceRecord]:

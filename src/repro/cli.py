@@ -4,6 +4,9 @@ Subcommands
 -----------
 ``schedulers``
     List every registered scheduling policy.
+``experiments``
+    List the paper's tables and figures and the bench that regenerates
+    each (:mod:`repro.experiments`).
 ``compare``
     Run a synthetic coflow workload under several policies and print the
     comparison table (avg FCT/CCT, makespan, traffic saved).
@@ -12,6 +15,9 @@ Subcommands
     policies.
 ``fig4``
     Print the motivating-example table against the paper's numbers.
+``reproduce``
+    Run the paper-claim benches with pytest (all, or ``--only`` one
+    experiment) and collate their reports into ``REPORT.md``.
 ``cluster``
     Run a HiBench suite on the cluster simulator with and without Swallow.
 ``trace``
@@ -45,9 +51,11 @@ Subcommands
 Examples::
 
     python -m repro schedulers
+    python -m repro experiments
     python -m repro compare --policies fifo,sebf,fvdf --coflows 40 --bandwidth 1gbps
     python -m repro replay path/to/FB2010-1Hr-150-0.txt --policies sebf,fvdf
     python -m repro fig4
+    python -m repro reproduce --only fig6e
     python -m repro cluster --scale large
     python -m repro trace fig4 --policy fvdf --out fig4.jsonl
     python -m repro trace synthetic --coflows 50 --profile
@@ -66,17 +74,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.analysis import (
     ExperimentSetup,
     render_table,
     run_many,
-    run_policy,
     speedups_over,
+    summary_table,
 )
 from repro.errors import ReproError
 from repro.schedulers import make_scheduler, scheduler_names
@@ -106,20 +111,29 @@ def _policies(arg: str) -> List[str]:
     return names
 
 
-def _summary_table(results) -> str:
-    rows = [
-        [
-            name,
-            seconds_to_human(res.avg_fct),
-            seconds_to_human(res.avg_cct),
-            seconds_to_human(res.makespan),
-            f"{res.traffic_reduction * 100:.1f}%",
-        ]
-        for name, res in results.items()
-    ]
-    return render_table(
-        ["policy", "avg FCT", "avg CCT", "makespan", "traffic saved"], rows
-    )
+def _csv_list(parse, name: str):
+    """An argparse ``type`` for a comma list of ``parse`` values.  A bad
+    item makes argparse print ``invalid <name> value: '<the list>'``."""
+    def parse_list(text: str):
+        try:
+            return [parse(t) for t in text.split(",") if t.strip()]
+        except ReproError as exc:
+            raise ValueError(str(exc)) from None
+    parse_list.__name__ = name
+    return parse_list
+
+
+def _setup(args: argparse.Namespace, num_ports: int) -> ExperimentSetup:
+    return ExperimentSetup(num_ports=num_ports, slice_len=args.slice,
+                           bandwidth=parse_bandwidth(args.bandwidth))
+
+
+def _synthetic(args: argparse.Namespace):
+    """The trace the workload options describe (``compare``, ``trace``)."""
+    from repro.scenarios import synthetic_workload
+
+    return synthetic_workload(args.coflows, args.ports, args.max_width,
+                              args.rate, args.seed)
 
 
 def cmd_schedulers(args: argparse.Namespace) -> int:
@@ -140,26 +154,8 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.traces import WorkloadConfig, generate_workload, spark_flow_sizes
-
-    rng = np.random.default_rng(args.seed)
-    workload = generate_workload(
-        WorkloadConfig(
-            num_coflows=args.coflows,
-            num_ports=args.ports,
-            size_dist=spark_flow_sizes(),
-            width=(1, args.max_width),
-            arrival_rate=args.rate,
-        ),
-        rng,
-    )
-    setup = ExperimentSetup(
-        num_ports=args.ports,
-        bandwidth=parse_bandwidth(args.bandwidth),
-        slice_len=args.slice,
-    )
-    results = run_many(args.policies, workload, setup)
-    print(_summary_table(results))
+    results = run_many(args.policies, _synthetic(args), _setup(args, args.ports))
+    print(summary_table(results))
     if len(results) > 1:
         ours = args.policies[-1]
         print(f"\nCCT speedup of {ours}:")
@@ -186,47 +182,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"{len(coflows)} coflows, {n_flows} flows, "
         f"{bytes_to_human(total)} on {num_ports} ports"
     )
-    setup = ExperimentSetup(
-        num_ports=num_ports,
-        bandwidth=parse_bandwidth(args.bandwidth),
-        slice_len=args.slice,
-    )
-    results = run_many(args.policies, coflows, setup)
-    print(_summary_table(results))
+    print(summary_table(run_many(args.policies, coflows, _setup(args, num_ports))))
     return 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Run the benchmark suite that regenerates every table and figure."""
-    import pytest as _pytest
+    from repro.experiments import reproduce
 
-    bench_dir = str(Path(__file__).resolve().parents[2] / "benchmarks")
-    pytest_args = [bench_dir, "--benchmark-only", "-q"]
-    if args.only:
-        from repro.experiments import EXPERIMENTS
-
-        try:
-            exp = EXPERIMENTS[args.only]
-        except KeyError:
-            print(
-                f"error: unknown experiment {args.only!r}; "
-                f"see `python -m repro experiments`",
-                file=sys.stderr,
-            )
-            return 2
-        pytest_args[0] = str(Path(bench_dir) / exp.bench)
-    if args.collect_only:
-        pytest_args.append("--collect-only")
-    rc = _pytest.main(pytest_args)
-    if rc == 0 and not args.collect_only:
-        from repro.analysis.collate import collate_reports
-
-        reports = Path(bench_dir) / "reports"
-        if reports.is_dir():
-            out = reports / "REPORT.md"
-            collate_reports(reports, out)
-            print(f"\nreports written under {reports} (collated: {out})")
-    return int(rc)
+    rc, collated = reproduce(args.only, collect_only=args.collect_only)
+    if collated is not None:
+        print(f"\nreports written under {collated.parent} (collated: {collated})")
+    return rc
 
 
 def cmd_fig4(args: argparse.Namespace) -> int:
@@ -247,34 +214,14 @@ def cmd_fig4(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one scenario with tracing on and export the JSONL trace."""
-    from repro.obs import Observability
+    from repro.analysis.tracefile import record_run
 
-    obs = Observability(trace=True, metrics=True, profile=args.profile)
     policy = make_scheduler(args.policy)
-    if args.scenario == "fig4":
-        from repro.scenarios import run_motivating_example
-
-        res = run_motivating_example(policy, slice_len=args.slice, obs=obs)
-    else:  # synthetic
-        from repro.traces import WorkloadConfig, generate_workload, spark_flow_sizes
-
-        workload = generate_workload(
-            WorkloadConfig(
-                num_coflows=args.coflows,
-                num_ports=args.ports,
-                size_dist=spark_flow_sizes(),
-                width=(1, args.max_width),
-                arrival_rate=args.rate,
-            ),
-            np.random.default_rng(args.seed),
-        )
-        setup = ExperimentSetup(
-            num_ports=args.ports,
-            bandwidth=parse_bandwidth(args.bandwidth),
-            slice_len=args.slice,
-        )
-        res = run_policy(policy, workload, setup, obs=obs)
-
+    workload = setup = None
+    if args.scenario == "synthetic":
+        workload, setup = _synthetic(args), _setup(args, args.ports)
+    obs, res = record_run(policy, workload, setup, slice_len=args.slice,
+                          profile=args.profile)
     if args.out == "-":
         obs.recorder.dump_jsonl(sys.stdout)
     else:
@@ -296,18 +243,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _floats_csv(parse):
-    def _parse(text: str):
-        return [parse(t) for t in text.split(",") if t.strip()]
-    return _parse
-
-
-def _sweep_grid(args: argparse.Namespace):
-    """The grid a ``sweep``/``report`` run asks for: the grid options
-    (defaults from :data:`repro.runner.GRID`)."""
+def _sweep(args: argparse.Namespace, telemetry: bool = False):
+    """Run the grid a ``sweep``/``report`` command asks for (defaults from
+    :data:`repro.runner.GRID`)."""
     from repro.runner import SweepGrid
+    from repro.runner.sweep import run_sweep
 
-    return SweepGrid(
+    grid = SweepGrid(
         policies=tuple(args.policies),
         bandwidths=tuple(args.bandwidths),
         seeds=tuple(args.seeds),
@@ -317,36 +259,13 @@ def _sweep_grid(args: argparse.Namespace):
         arrival_rate=args.rate,
         slice_len=args.slice,
     )
-
-
-def _sweep_workers(args: argparse.Namespace) -> int:
-    """Pool size of a ``sweep``/``report`` run.
-
-    An explicit ``--workers`` wins; otherwise ``REPRO_PARALLEL``,
-    otherwise these commands (unlike the library default) go wide —
-    they exist to fan out.
-    """
-    from repro.runner import resolve_workers
-
-    if args.workers is not None:
-        return resolve_workers(args.workers)
-    return resolve_workers(None) or resolve_workers("auto")
+    return run_sweep(grid, workers=args.workers, cache=not args.no_cache,
+                     cache_dir=args.cache_dir, telemetry=telemetry)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (policy × bandwidth × seed) grid through the parallel runner."""
-    from repro.runner import ResultCache, run_specs
-
-    grid, workers = _sweep_grid(args), _sweep_workers(args)
-    cache = ResultCache(
-        root=args.cache_dir, enabled=False if args.no_cache else None
-    )
-    specs = grid.specs()
-    import time as _time
-
-    t0 = _time.perf_counter()
-    outs = run_specs(specs, workers=workers, cache=cache)
-    wall = _time.perf_counter() - t0
+    sweep = _sweep(args)
     rows = [
         [
             out.key,
@@ -355,16 +274,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{out.summary.traffic_reduction * 100:.1f}%",
             "hit" if out.cached else f"{out.wall_s:.2f}s",
         ]
-        for out in outs
+        for out in sweep.outcomes
     ]
     print(render_table(
         ["cell", "avg CCT", "makespan", "traffic saved", "run"],
         rows,
-        title=f"sweep grid — {grid.cells} cells, {workers} workers",
+        title=f"sweep grid — {sweep.grid.cells} cells, {sweep.workers} workers",
     ))
-    stats = cache.stats()
+    stats = sweep.cache.stats()
     print(
-        f"\nwall {wall:.2f}s | workers {workers} | cache "
+        f"\nwall {sweep.wall_s:.2f}s | workers {sweep.workers} | cache "
         f"{'on' if stats['enabled'] else 'off'} "
         f"({stats['hits']} hits, {stats['misses']} misses, "
         f"{stats['corrupt']} corrupt dropped, {stats['root']})"
@@ -374,58 +293,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a pooled sweep with telemetry and render the merged report."""
-    import time as _time
+    from repro.analysis.report import build_report, render_report, write_report
 
-    from repro.analysis import report as report_mod
-    from repro.runner import ResultCache, RunTelemetry, run_specs
-
-    grid, workers = _sweep_grid(args), _sweep_workers(args)
-    cache = ResultCache(
-        root=args.cache_dir, enabled=False if args.no_cache else None
-    )
-    specs = grid.specs(telemetry=True)
-    t0 = _time.perf_counter()
-    outs = run_specs(specs, workers=workers, cache=cache)
-    wall = _time.perf_counter() - t0
-    telemetry = RunTelemetry.collect(
-        outs, workers=workers, wall_s=wall, cache=cache
-    )
-    report = report_mod.build_report(
-        telemetry, grid.describe(), label=args.label
-    )
-    print(report_mod.render_report(report))
-    out_path = report_mod.write_report(report, args.out)
+    sweep = _sweep(args, telemetry=True)
+    report = build_report(sweep.telemetry, sweep.grid.describe(), label=args.label)
+    print(render_report(report))
+    out_path = write_report(report, args.out)
     print(f"report written -> {out_path}")
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming scheduler service against an arrival stream."""
-    import json as _json
+    from repro.service import SourceSpec, serve
 
-    from repro.obs import Observability
-    from repro.service import SourceSpec, StreamDriver, restore_driver
-
-    obs = Observability(trace=False, metrics=True)
-    if args.resume:
-        driver = restore_driver(
-            args.resume,
-            obs=obs,
-            spill_dir=args.spill_dir,
-            keep_shards=args.spill_dir is None,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_ticks=args.checkpoint_every,
-        )
-        print(f"resumed from {args.resume} at t={driver.sim.now:.2f}s "
-              f"({driver.stats.coflows_done} coflows already done)")
-    else:
+    source = setup = None
+    if not args.resume:
         limit = args.coflows
         if args.input is None and limit is None and args.flows is None and args.ticks is None:
             limit = 1000  # an unbounded synthetic stream needs *some* bound
         if args.input is not None:
-            spec = SourceSpec(kind="jsonl", path=args.input, limit=limit)
+            source = SourceSpec(kind="jsonl", path=args.input, limit=limit)
         else:
-            spec = SourceSpec(
+            source = SourceSpec(
                 rate=args.rate,
                 num_ports=args.ports,
                 width=(1, args.max_width),
@@ -433,136 +323,37 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 mode=args.mode,
                 limit=limit,
             )
-        setup = ExperimentSetup(
-            num_ports=args.ports,
-            bandwidth=parse_bandwidth(args.bandwidth),
-            slice_len=args.slice,
-        )
-        sim = setup.build_simulator(make_scheduler(args.policy), obs=obs)
-        driver = StreamDriver(
-            sim,
-            spec.build(),
-            tick=args.tick,
-            max_in_flight=args.max_in_flight,
-            drain_every=args.drain_every,
-            spill_dir=args.spill_dir,
-            keep_shards=args.spill_dir is None,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_ticks=args.checkpoint_every,
-            setup=setup,
-            source_spec=spec,
-            policy=args.policy,
-        )
-    plane = None
-    if args.metrics_port is not None:
-        from repro.obs.exposition import TelemetryPlane
-
-        plane = TelemetryPlane(driver, watchdog_s=args.watchdog)
-        port = plane.start(args.metrics_port)
-        print(
-            f"telemetry plane -> http://127.0.0.1:{port} "
-            f"(/metrics /snapshot /healthz /readyz; `repro top --port {port}`)"
-        )
-    try:
-        stats = driver.run(max_ticks=args.ticks, max_flows=args.flows)
-    finally:
-        if plane is not None:
-            plane.stop()
-    rows = [
-        ["coflows done", str(stats.coflows_done)],
-        ["flows done", str(stats.flows_done)],
-        ["avg FCT", seconds_to_human(stats.avg_fct)],
-        ["avg CCT", seconds_to_human(stats.avg_cct)],
-        ["traffic saved", f"{stats.traffic_reduction * 100:.1f}%"],
-        ["restamped (backpressure)", str(stats.restamped)],
-        ["peak in-flight flows", str(stats.peak_in_flight)],
-        ["peak engine rows", str(stats.peak_live_rows)],
-        ["ticks / drains", f"{stats.ticks} / {stats.drains}"],
-        ["simulated time", seconds_to_human(driver.sim.now)],
-        ["wall", f"{stats.wall_s:.2f}s"],
-        ["throughput", f"{stats.flows_done / stats.wall_s:,.0f} flows/s"
-         if stats.wall_s else "n/a"],
-    ]
-    print(render_table(
-        ["metric", "value"], rows,
-        title=f"serve — {driver.policy} @ tick {driver.tick}s",
-    ))
-    if driver.shard_paths:
-        print(f"{len(driver.shard_paths)} result shards -> {driver.spill_dir}")
-    if args.checkpoint and driver.sim.pending:
-        driver.checkpoint(args.checkpoint)
-        print(f"checkpoint (resumable) -> {args.checkpoint}")
-    if args.report:
-        report = driver.telemetry_report(label=args.label or "serve")
-        Path(args.report).write_text(_json.dumps(report, indent=2) + "\n")
-        print(f"report written -> {args.report}")
+        setup = _setup(args, args.ports)
+    serve(
+        source, setup, policy=args.policy, resume=args.resume, tick=args.tick,
+        max_in_flight=args.max_in_flight, drain_every=args.drain_every,
+        spill_dir=args.spill_dir, checkpoint=args.checkpoint,
+        checkpoint_every=args.checkpoint_every, max_ticks=args.ticks,
+        max_flows=args.flows, metrics_port=args.metrics_port,
+        watchdog=args.watchdog, report=args.report, label=args.label,
+    )
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Live ANSI dashboard over a running ``serve --metrics-port``."""
-    import json as _json
-    import time as _time
-    import urllib.request
-
-    from repro.obs.exposition import render_dashboard
+    from repro.obs.top import watch
 
     base = (args.url.rstrip("/") if args.url
             else f"http://{args.host}:{args.port}")
-    color = not args.no_color
-
-    def fetch():
-        with urllib.request.urlopen(
-            base + "/snapshot", timeout=args.timeout
-        ) as r:
-            return _json.loads(r.read().decode())
-
-    if args.once:
-        try:
-            snap = fetch()
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot reach {base}/snapshot: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(render_dashboard(snap, color=color))
-        return 0
-
-    try:
-        while True:
-            try:
-                snap = fetch()
-            except (OSError, ValueError) as exc:
-                # Transient: the plane restarts with its driver on resume.
-                print(f"waiting for {base}/snapshot ... ({exc})")
-            else:
-                if color:
-                    sys.stdout.write("\x1b[2J\x1b[H")
-                print(render_dashboard(snap, color=color))
-                if snap.get("finished"):
-                    print("stream finished; exiting")
-                    return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
+    return watch(base, interval=args.interval, timeout=args.timeout,
+                 color=not args.no_color, once=args.once)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, ClusterSimulator, hibench_suite
+    from repro.cluster import run_hibench
 
-    def run_once(policy: str):
-        cfg = ClusterConfig(
-            num_nodes=args.nodes,
-            bandwidth=parse_bandwidth(args.bandwidth),
-            slice_len=args.slice,
-        )
-        sim = ClusterSimulator(cfg, make_scheduler(policy))
-        sim.submit_jobs(
-            hibench_suite(args.scale, np.random.default_rng(args.seed),
-                          num_jobs=args.jobs)
-        )
-        return sim.run()
-
-    base, swallow = run_once("sebf"), run_once("fvdf")
+    base, swallow = (
+        run_hibench(policy, args.scale, suite_seed=args.seed, num_jobs=args.jobs,
+                    num_nodes=args.nodes, bandwidth=parse_bandwidth(args.bandwidth),
+                    slice_len=args.slice)
+        for policy in ("sebf", "fvdf")
+    )
     rows = [
         ["avg JCT", seconds_to_human(base.avg_jct), seconds_to_human(swallow.avg_jct),
          f"{base.avg_jct / swallow.avg_jct:.2f}x"],
@@ -577,6 +368,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_workload_args(p: argparse.ArgumentParser) -> None:
+    """The synthetic workload and fabric options ``compare`` and ``trace``
+    share."""
+    p.add_argument("--coflows", type=int, default=40)
+    p.add_argument("--ports", type=int, default=16)
+    p.add_argument("--max-width", type=int, default=8)
+    p.add_argument("--rate", type=float, default=4.0)
+    p.add_argument("--bandwidth", default="100mbps")
+    p.add_argument("--slice", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     """The grid, pool and cache options ``sweep`` and ``report`` share;
     the help renders the defaults of :data:`repro.runner.GRID`."""
@@ -586,11 +389,11 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
         return f"{b / GBPS:g}gbps" if b >= GBPS else f"{b / MBPS:g}mbps"
 
     p.add_argument("--policies", type=_policies, default=list(GRID.policies))
-    p.add_argument("--bandwidths", type=_floats_csv(parse_bandwidth),
+    p.add_argument("--bandwidths", type=_csv_list(parse_bandwidth, "bandwidth list"),
                    default=list(GRID.bandwidths),
                    help="comma list of link bandwidths (default "
                         f"{','.join(bw(b) for b in GRID.bandwidths)})")
-    p.add_argument("--seeds", type=_floats_csv(int), default=list(GRID.seeds),
+    p.add_argument("--seeds", type=_csv_list(int, "int list"), default=list(GRID.seeds),
                    help="comma list of workload seeds (default "
                         f"{','.join(str(s) for s in GRID.seeds)})")
     p.add_argument("--coflows", type=int, default=GRID.num_coflows)
@@ -622,13 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare policies on a synthetic workload")
     p.add_argument("--policies", type=_policies, default=["fifo", "sebf", "fvdf"])
-    p.add_argument("--coflows", type=int, default=40)
-    p.add_argument("--ports", type=int, default=16)
-    p.add_argument("--max-width", type=int, default=8)
-    p.add_argument("--rate", type=float, default=4.0)
-    p.add_argument("--bandwidth", default="100mbps")
-    p.add_argument("--slice", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser(
@@ -663,13 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output JSONL path ('-' for stdout)")
     p.add_argument("--profile", action="store_true",
                    help="also profile the schedule/integrate hot paths")
-    p.add_argument("--coflows", type=int, default=40)
-    p.add_argument("--ports", type=int, default=16)
-    p.add_argument("--max-width", type=int, default=8)
-    p.add_argument("--rate", type=float, default=4.0)
-    p.add_argument("--bandwidth", default="100mbps")
-    p.add_argument("--slice", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(

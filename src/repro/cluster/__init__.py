@@ -5,6 +5,7 @@ from repro.cluster.cluster import (
     ClusterResult,
     ClusterSimulator,
     place_tasks,
+    run_hibench,
 )
 from repro.cluster.failures import NO_FAILURES, FailureModel
 from repro.cluster.gc_model import GcModel
@@ -22,7 +23,7 @@ __all__ = [
     "ClusterSimulator", "ClusterConfig", "ClusterResult",
     "JobSpec", "JobResult", "StageRecord",
     "ClusterNode", "NodeSpec", "GcModel", "FailureModel", "NO_FAILURES",
-    "place_tasks",
+    "place_tasks", "run_hibench",
     "hibench_suite", "SCALE_TRAFFIC", "DEFAULT_MIX",
     "suite_shuffle_bytes", "expected_traffic_reduction",
 ]

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.cluster.failures import NO_FAILURES, FailureModel
 from repro.cluster.gc_model import GcModel
+from repro.cluster.hibench import hibench_suite
 from repro.cluster.job import JobResult, JobSpec, StageRecord
 from repro.cluster.node import ClusterNode, NodeSpec
 from repro.compression.engine import CompressionEngine
@@ -29,6 +30,7 @@ from repro.core.simulator import SliceSimulator
 from repro.cpu.cores import CpuModel
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
+from repro.schedulers import make_scheduler
 from repro.traces.spark import shuffle_coflow
 from repro.units import gbps
 
@@ -56,8 +58,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ConfigurationError("num_nodes must be positive")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ConfigurationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.num_racks is not None:
             if self.num_racks <= 0 or self.num_nodes % self.num_racks != 0:
                 raise ConfigurationError(
@@ -405,3 +407,18 @@ class ClusterSimulator:
                 reduce_attempts=js.reduce_attempts,
             )
         )
+
+
+def run_hibench(
+    policy, scale: str = "large", *, suite_seed: int = 0, num_jobs: int = 12, **config
+) -> ClusterResult:
+    """One HiBench ``scale`` suite of ``num_jobs`` jobs (``hibench_suite``
+    drawn with ``default_rng(suite_seed)``) run under ``policy`` on a
+    cluster of ``ClusterConfig(**config)``; ``config``'s ``seed`` is the
+    cluster's task-placement seed.  The paper's with/without-Swallow
+    comparison (Fig. 7, Tables VII-VIII) is this run under ``"fvdf"`` and
+    under ``"sebf"``."""
+    sim = ClusterSimulator(ClusterConfig(**config), make_scheduler(policy))
+    rng = np.random.default_rng(suite_seed)
+    sim.submit_jobs(hibench_suite(scale, rng, num_jobs=num_jobs))
+    return sim.run()

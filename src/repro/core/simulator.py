@@ -475,8 +475,8 @@ class SliceSimulator:
         sample_cpu: bool = False,
         obs: Optional[Observability] = None,
     ):
-        if slice_len <= 0:
-            raise ConfigurationError(f"slice_len must be positive, got {slice_len}")
+        if not 0 < slice_len < math.inf:
+            raise ConfigurationError(f"slice_len must be positive and finite, got {slice_len}")
         self.fabric = fabric
         self.scheduler = scheduler
         self.obs = obs if obs is not None else NULL_OBS
@@ -885,8 +885,8 @@ class SliceSimulator:
             raise ConfigurationError(
                 f"capacity change at {time} is in the past (now={self.now})"
             )
-        if capacity <= 0:
-            raise ConfigurationError("capacity must stay positive")
+        if not 0 < capacity < math.inf:
+            raise ConfigurationError("capacity must stay positive and finite")
         # The sequence number orders changes to one port at one instant:
         # the one scheduled last is applied last, so it wins.
         heapq.heappush(

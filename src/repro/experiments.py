@@ -9,7 +9,10 @@ code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from pathlib import Path
+from typing import Dict, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -145,4 +148,33 @@ EXPERIMENTS: Dict[str, Experiment] = {
 
 
 def get_experiment(exp_id: str) -> Experiment:
-    return EXPERIMENTS[exp_id]
+    try:
+        return EXPERIMENTS[exp_id]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown experiment {exp_id!r}; see `python -m repro experiments`"
+        ) from None
+
+
+def reproduce(only: Optional[str] = None,
+              collect_only: bool = False) -> Tuple[int, Optional[Path]]:
+    """Run the benches under ``benchmarks/`` with pytest, or only the bench
+    of experiment ``only``, and collate their reports.  Returns pytest's
+    exit code and the collated ``REPORT.md``, or None when nothing was
+    collated (``collect_only``, a failed bench, no reports directory)."""
+    import pytest
+
+    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
+    target = bench_dir / get_experiment(only).bench if only else bench_dir
+    args = [str(target), "--benchmark-only", "-q"]
+    if collect_only:
+        args.append("--collect-only")
+    rc = int(pytest.main(args))
+    reports = bench_dir / "reports"
+    if rc or collect_only or not reports.is_dir():
+        return rc, None
+    from repro.analysis.collate import collate_reports
+
+    out = reports / "REPORT.md"
+    collate_reports(reports, out)
+    return rc, out

@@ -32,8 +32,8 @@ class PortSet:
         if num_ports <= 0:
             raise ConfigurationError(f"num_ports must be positive, got {num_ports}")
         cap = np.broadcast_to(np.asarray(capacity, dtype=np.float64), (num_ports,)).copy()
-        if np.any(cap <= 0):
-            raise ConfigurationError("all port capacities must be positive")
+        if not np.all((cap > 0) & (cap < np.inf)):
+            raise ConfigurationError("all port capacities must be positive and finite")
         self._capacity = cap
         self._capacity.setflags(write=False)
 
@@ -55,8 +55,8 @@ class PortSet:
         changes only at slice boundaries."""
         if not 0 <= port < len(self._capacity):
             raise ConfigurationError(f"port {port} out of range")
-        if value <= 0:
-            raise ConfigurationError("capacity must stay positive")
+        if not 0 < value < np.inf:
+            raise ConfigurationError("capacity must stay positive and finite")
         cap = self._capacity.copy()
         cap[port] = value
         cap.setflags(write=False)

@@ -25,10 +25,11 @@ typed records without touching the hot paths when disabled:
 * :mod:`repro.obs.exposition` — the live telemetry plane: a stdlib
   ``http.server`` daemon thread exposing ``/metrics`` (Prometheus text
   exposition), ``/snapshot`` (``repro-live-v1`` JSON), ``/healthz`` and
-  ``/readyz`` for a running ``repro serve``, plus the ``repro top``
-  dashboard renderer.  Imported lazily (``from repro.obs.exposition
-  import TelemetryPlane``) so engine imports stay free of the HTTP
-  stack.
+  ``/readyz`` for a running ``repro serve``.  Imported lazily (``from
+  repro.obs.exposition import TelemetryPlane``) so engine imports stay
+  free of the HTTP stack;
+* :mod:`repro.obs.top` — the ``repro top`` dashboard: renders and polls
+  a plane's ``/snapshot``.
 
 The components are bundled in an :class:`Observability` object that the
 engine, the Swallow system layer and the cluster simulator all accept.  The

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.compression.codecs import Codec
 from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow
@@ -100,3 +102,15 @@ def run_motivating_example(
     )
     sim.submit_many(coflows)
     return sim.run()
+
+
+def synthetic_workload(num_coflows: int = 40, num_ports: int = 16, max_width: int = 8,
+                       arrival_rate: float = 4.0, seed: int = 0) -> List[Coflow]:
+    """The seeded trace of ``repro compare`` and ``repro trace synthetic``:
+    Spark shuffle flow sizes, log-uniform widths ``1..max_width`` and
+    Poisson arrivals at ``arrival_rate`` coflows/s."""
+    from repro.traces.generator import WorkloadConfig, generate_workload
+
+    cfg = WorkloadConfig(num_coflows=num_coflows, num_ports=num_ports,
+                         width=(1, max_width), arrival_rate=arrival_rate)
+    return generate_workload(cfg, np.random.default_rng(seed))

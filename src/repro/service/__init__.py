@@ -14,7 +14,9 @@ service:
   retired results so memory stays bounded over an infinite trace;
 * :mod:`repro.service.checkpoint` — single-file ``.npz`` checkpoints of
   the live engine state (columns + scheduler + arrival cursor) with
-  bit-identical resume.
+  bit-identical resume;
+* :mod:`repro.service.serving` — :func:`serve`, one ``repro serve`` run:
+  build or restore the driver, run it, write its checkpoint and report.
 
 See ``docs/streaming.md`` for the lifecycle, checkpoint format and
 backpressure semantics.  Names load on first use (:mod:`repro._lazy`),
@@ -33,6 +35,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(__name__, {
         "CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint",
         "restore_driver", "restore_simulator",
     ),
+    ".serving": ("serve",),
 })
 
 __all__ = list(_EXPORTS)

@@ -622,7 +622,10 @@ class JsonlSource(ArrivalSource):
             self._fh: Optional[IO[str]] = sys.stdin
             self._owns = False
         else:
-            self._fh = open(path, "r", encoding="utf-8")
+            try:
+                self._fh = open(path, "r", encoding="utf-8")
+            except OSError as exc:
+                raise ConfigurationError(f"cannot read JSONL {path}: {exc}") from exc
             self._owns = True
 
     def _bad_line(

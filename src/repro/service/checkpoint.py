@@ -204,7 +204,7 @@ def load_checkpoint(path) -> Dict[str, Any]:
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key].copy() for key in data.files}
-    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+    except (OSError, zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path}: {exc}"
         ) from exc

@@ -1,13 +1,65 @@
-"""Command-line interface."""
+"""Command-line interface: each command parses its options and makes one
+call into the package it drives; the tests of those calls live with
+their packages, and one argv test per command covers the parsing."""
 
+import argparse
+import ast
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main, parse_bandwidth
-from repro.errors import ReproError
-from repro.schedulers import scheduler_names
+from repro import cli
+from repro.analysis import ExperimentSetup
+from repro.cli import build_parser, main, parse_bandwidth
+from repro.core.simulator import SliceSimulator
+from repro.errors import ConfigurationError, ReproError
+from repro.fabric.bigswitch import BigSwitch
+from repro.schedulers import make_scheduler, scheduler_names
 from repro.units import GBPS, MBPS
+
+#: Calls that assemble a run; a command leaves them to its package.
+RUN_BUILDERS = {
+    "StreamDriver", "restore_driver", "TelemetryPlane", "ResultCache",
+    "run_specs", "RunTelemetry", "ClusterConfig", "ClusterSimulator",
+    "Observability", "WorkloadConfig", "generate_workload", "pytest.main",
+}
+
+
+def _called_names(fn: ast.FunctionDef):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+                if isinstance(func.value, ast.Name):
+                    yield f"{func.value.id}.{func.attr}"
+
+
+def test_no_command_builds_a_run():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    assert len(commands) == 12
+    for fn in commands:
+        assert not RUN_BUILDERS & set(_called_names(fn)), fn.name
+
+
+def test_docstring_and_readme_name_every_subcommand():
+    [sub] = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert len(sub.choices) == 12
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name in sub.choices:
+        assert f"``{name}``" in cli.__doc__, name
+        assert f"`{name}`" in readme, name
 
 
 class TestParseBandwidth:
@@ -20,6 +72,41 @@ class TestParseBandwidth:
     def test_garbage(self):
         with pytest.raises(ReproError):
             parse_bandwidth("fast")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seeds", "1.5"], "argument --seeds: invalid int list value: '1.5'"),
+        (["--bandwidths", "1gbps,fast"],
+         "argument --bandwidths: invalid bandwidth list value: '1gbps,fast'"),
+    ])
+    def test_bad_list_item_names_the_list_type(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+class TestRejectsNonFinite:
+    """A slice length or bandwidth that is NaN, infinite or not positive
+    fails where it is given, before any run starts."""
+
+    def test_setup_and_engine(self, value):
+        with pytest.raises(ConfigurationError, match="bandwidth must be positive"):
+            ExperimentSetup(bandwidth=value)
+        with pytest.raises(ConfigurationError, match="slice_len must be positive"):
+            ExperimentSetup(slice_len=value)
+        with pytest.raises(ConfigurationError, match="port capacities must be"):
+            BigSwitch(2, value)
+        with pytest.raises(ConfigurationError, match="slice_len must be positive"):
+            SliceSimulator(BigSwitch(2, 1.0), make_scheduler("fifo"), slice_len=value)
+
+    @pytest.mark.parametrize("option", ["--slice", "--bandwidth"])
+    def test_compare_exits_2(self, value, option, capsys):
+        assert main(["compare", "--coflows", "2", f"{option}={value}"]) == 2
+        name = "slice_len" if option == "--slice" else "bandwidth"
+        assert f"error: {name} must be positive and finite, got {value}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:
@@ -101,8 +188,8 @@ class TestCommands:
 
 
 class TestServiceCommands:
-    """The real ``serve``/``sweep``/``report`` command paths, end to end
-    on tiny inputs."""
+    """The ``serve``/``sweep``/``report`` argv paths, end to end on tiny
+    inputs."""
 
     def test_serve_checkpoint_then_resume_to_report(self, tmp_path, capsys):
         ck, rep = tmp_path / "svc.npz", tmp_path / "serve.json"
@@ -126,6 +213,20 @@ class TestServiceCommands:
         err = capsys.readouterr().err
         assert f"line 3 of {path}" in err
         assert "flow size must be finite, got nan" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--resume", "nope.npz"],
+         "error: cannot read checkpoint nope.npz: [Errno 2] No such file"),
+        (["--resume", "."], "error: cannot read checkpoint .: [Errno 21] Is a directory"),
+        (["--input", "nope.jsonl"],
+         "error: cannot read JSONL nope.jsonl: [Errno 2] No such file"),
+    ], ids=["resume-missing", "resume-directory", "input-missing"])
+    def test_serve_unreadable_file_exits_2_naming_it(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     GRID_ARGS = [
         "--policies", "sebf,fvdf", "--bandwidths", "100mbps,1gbps", "--seeds", "0",

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterSimulator,
+    FailureModel,
     GcModel,
     JobSpec,
     NodeSpec,
@@ -294,3 +295,44 @@ class TestHibenchSuites:
         )
         pr = [s for s in suite if s.app.name == "pagerank"]
         assert pr and all(s.rounds == 3 for s in pr)
+
+
+class TestRunHibench:
+    def test_is_the_hand_built_suite_run(self):
+        from repro.cluster import hibench_suite, run_hibench
+
+        cfg = ClusterConfig(num_nodes=8, bandwidth=gbps(1), slice_len=0.01)
+        sim = ClusterSimulator(cfg, make_scheduler("fvdf"))
+        sim.submit_jobs(hibench_suite("large", np.random.default_rng(5), num_jobs=3))
+        by_hand = sim.run()
+        res = run_hibench("fvdf", "large", suite_seed=5, num_jobs=3, num_nodes=8)
+        assert res.avg_jct == by_hand.avg_jct
+        assert res.stage_means() == by_hand.stage_means()
+        assert res.shuffle_bytes_sent == by_hand.shuffle_bytes_sent
+        assert len(res.job_results) == 3
+
+    def test_cluster_seed_passes_through(self):
+        """``seed`` is ``ClusterConfig``'s placement and failure seed; the
+        suite draws from ``suite_seed`` alone."""
+        from repro.cluster import hibench_suite, run_hibench
+
+        churn = FailureModel(task_failure_prob=0.3, max_retries=10,
+                             straggler_prob=0.3, straggler_slowdown=4.0)
+
+        def by_hand(seed):
+            cfg = ClusterConfig(num_nodes=8, failures=churn, seed=seed)
+            sim = ClusterSimulator(cfg, make_scheduler("sebf"))
+            sim.submit_jobs(hibench_suite("large", np.random.default_rng(5), num_jobs=3))
+            return sim.run()
+
+        for seed in (1, 2):
+            res = run_hibench("sebf", suite_seed=5, num_jobs=3, num_nodes=8,
+                              failures=churn, seed=seed)
+            assert res.avg_jct == by_hand(seed).avg_jct
+        assert by_hand(1).avg_jct != by_hand(2).avg_jct
+
+    def test_config_knobs_are_checked(self):
+        from repro.cluster import run_hibench
+
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            run_hibench("sebf", num_jobs=1, bandwidth=float("nan"))

@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, get_experiment
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.experiments import EXPERIMENTS, get_experiment, reproduce
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 
@@ -22,6 +25,19 @@ def test_lookup():
     exp = get_experiment("fig4")
     assert "Motivating" in exp.title
     assert exp.bench.startswith("bench_fig4")
+
+
+def test_unknown_experiment_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="unknown experiment 'fig99'"):
+        get_experiment("fig99")
+    with pytest.raises(ConfigurationError, match="unknown experiment 'fig99'"):
+        reproduce("fig99", collect_only=True)
+
+
+def test_reproduce_collect_only_collates_nothing(capsys):
+    rc, collated = reproduce("fig4", collect_only=True)
+    assert rc == 0 and collated is None
+    assert "bench_fig4_motivating_example" in capsys.readouterr().out
 
 
 def test_all_paper_artifacts_covered():

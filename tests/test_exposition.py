@@ -27,10 +27,10 @@ from repro.obs import Observability
 from repro.obs.exposition import (
     SNAPSHOT_SCHEMA,
     TelemetryPlane,
-    render_dashboard,
     render_prometheus,
 )
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.top import render_dashboard
 from repro.obs.window import STREAM_RATE_KEYS, RollingWindow
 from repro.schedulers import make_scheduler
 from repro.service import SourceSpec, StreamDriver
@@ -483,6 +483,34 @@ class TestDashboard:
         assert rc == 1
         assert "cannot reach" in capsys.readouterr().err
 
+
+    def test_watch_loops_until_the_stream_finishes(self, capsys):
+        from repro.obs.top import watch
+
+        d = _driver()
+        plane = TelemetryPlane(d)
+        port = plane.start(0)
+        d.run()
+        try:
+            rc = watch(f"http://127.0.0.1:{port}", interval=0.0)
+        finally:
+            plane.stop()
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("\x1b[2J\x1b[H")  # a loop frame clears first
+        assert out.endswith("stream finished; exiting\n")
+
+    def test_watch_waits_for_an_unreachable_plane(self, capsys, monkeypatch):
+        from repro.obs import top
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(top.time, "sleep", interrupt)
+        assert top.watch("http://127.0.0.1:9", timeout=0.5) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("waiting for http://127.0.0.1:9/snapshot")
+        assert captured.err == ""
 
 class TestStreamReportIntegration:
     def test_report_window_and_kernel_with_plane(self):

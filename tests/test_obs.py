@@ -193,6 +193,31 @@ class TestEngineTracing:
         assert read_trace(io.StringIO(buf.getvalue()))[0].kind == "arrival"
 
 
+class TestRecordRun:
+    """:func:`repro.analysis.record_run`, behind ``repro trace``."""
+
+    def test_fig4_recording(self):
+        from repro.analysis import record_run
+
+        obs, res = record_run(make_scheduler("fvdf"), profile=True)
+        assert len(obs.recorder) == 62
+        assert res.decision_points == 9
+        assert res.avg_cct == pytest.approx(2.65, abs=0.01)
+        assert "schedule" in obs.profiler.report()
+
+    def test_workload_recording_matches_untraced_run(self):
+        from repro.analysis import ExperimentSetup, record_run, run_policy
+        from repro.scenarios import synthetic_workload
+
+        workload = synthetic_workload(6, num_ports=4, seed=2)
+        setup = ExperimentSetup(num_ports=4, bandwidth=1e7)
+        obs, res = record_run(make_scheduler("sebf"), workload, setup)
+        plain = run_policy("sebf", workload, setup)
+        assert obs.recorder.counts()["decision"] == res.decision_points
+        assert res.avg_cct == plain.avg_cct
+        assert not obs.profiler.enabled
+
+
 class TestCliTrace:
     def test_trace_fig4_round_trips(self, tmp_path, capsys):
         from repro.cli import main

@@ -47,6 +47,7 @@ from repro.service import (
     coflow_to_json,
     load_checkpoint,
     restore_driver,
+    serve,
 )
 from repro.traces.distributions import ConstantSize
 from repro.units import KB, mbps
@@ -1170,3 +1171,44 @@ class TestCheckpoint:
         for path, match in cases:
             with pytest.raises(CheckpointError, match=f"{path.name}.*{match}"):
                 load_checkpoint(path)
+
+
+class TestServe:
+    """:func:`repro.service.serve`: the whole ``repro serve`` run."""
+
+    def test_checkpoint_then_resume_to_report(self, tmp_path, capsys):
+        whole = serve(_spec(), SETUP, policy="fvdf-flow", tick=0.2)
+        ck, rep = tmp_path / "svc.npz", tmp_path / "serve.json"
+        capsys.readouterr()
+        first = serve(_spec(), SETUP, policy="fvdf-flow", tick=0.2,
+                      max_ticks=3, checkpoint=ck)
+        assert first.sim.pending and ck.exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("serve — fvdf-flow @ tick 0.2s")
+        assert lines[-1] == f"checkpoint (resumable) -> {ck}"
+        resumed = serve(resume=ck, report=rep)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"resumed from {ck} at t=0.60s")
+        assert lines[-1] == f"report written -> {rep}"
+        report = json.loads(rep.read_text())
+        assert report["schema"] == "repro-report-v1"
+        assert report["window"] is None
+        assert report["stream"] == resumed.stats.as_dict()
+        for key in ("coflows_done", "flows_done", "fct_sum", "cct_sum",
+                    "bytes_sent", "bytes_original"):
+            assert getattr(resumed.stats, key) == getattr(whole.stats, key)
+        assert whole.stats.coflows_done == 30
+
+    def test_plane_serves_while_running(self, tmp_path, capsys):
+        rep = tmp_path / "serve.json"
+        driver = serve(_spec(), SETUP, tick=0.2, metrics_port=0, report=rep)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("telemetry plane -> http://127.0.0.1:")
+        assert driver._plane is not None and not driver._plane.serving
+        assert json.loads(rep.read_text())["window"]["ticks"] > 0
+
+    def test_spill_dir_keeps_no_shards_in_memory(self, tmp_path, capsys):
+        driver = serve(_spec(), SETUP, tick=0.2, spill_dir=tmp_path)
+        assert driver.shard_paths and not driver.shards
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"{len(driver.shard_paths)} result shards -> {tmp_path}"

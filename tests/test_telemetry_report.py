@@ -27,6 +27,7 @@ from repro.runner import (
     WorkloadSpec,
     run_specs,
 )
+from repro.runner.sweep import run_sweep
 from repro.traces.distributions import ConstantSize
 from repro.traces.generator import WorkloadConfig
 from repro.units import gbps, mbps
@@ -222,3 +223,37 @@ class TestDegenerateInputs:
         # every *aggregate* must still render as a real value.
         assert "live window: n/a" in text
         assert text.count("n/a") == 1
+
+
+class TestRunSweep:
+    """:func:`repro.runner.sweep.run_sweep`, behind ``repro sweep`` and
+    ``repro report``: telemetry is the one difference between them."""
+
+    def test_plain_sweep(self, tmp_path):
+        sweep = run_sweep(GRID, workers=0, cache_dir=tmp_path)
+        assert sweep.workers == 0 and sweep.telemetry is None
+        assert [o.key for o in sweep.outcomes] == [s.key for s in _specs()]
+        assert sweep.cache.stats()["misses"] == GRID.cells
+        again = run_sweep(GRID, workers=0, cache_dir=tmp_path)
+        assert all(o.cached for o in again.outcomes)
+        assert [o.summary for o in again.outcomes] == [
+            o.summary for o in sweep.outcomes
+        ]
+
+    def test_telemetry_sweep_feeds_the_report(self):
+        sweep = run_sweep(GRID, workers="0", cache=False, telemetry=True)
+        assert not sweep.cache.stats()["enabled"]
+        assert sweep.telemetry.cells == GRID.cells
+        assert len(sweep.telemetry.snapshots) == GRID.cells
+        report = build_report(sweep.telemetry, GRID.describe())
+        assert report["grid"]["policies"] == ["sebf", "fvdf"]
+
+    def test_workers_default_to_env_then_all_cores(self, monkeypatch):
+        from repro.runner import usable_cores
+
+        monkeypatch.setattr("repro.runner.sweep.run_specs", lambda *a, **k: [])
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        assert run_sweep(GRID, cache=False).workers == 1
+        monkeypatch.delenv("REPRO_PARALLEL")
+        assert run_sweep(GRID, cache=False).workers == usable_cores()
+        assert run_sweep(GRID, workers=0, cache=False).workers == 0
