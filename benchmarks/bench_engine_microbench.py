@@ -139,7 +139,7 @@ def test_disabled_tracing_overhead_under_5pct():
         timed(lambda: run_policy("fvdf", workload, setup)),
         timed(lambda: run_policy(
             "fvdf", workload, setup,
-            obs=Observability(trace=False, metrics=False, profile=False),
+            obs=Observability(trace=False, metrics=False),
         )),
         pairs=DISABLED_TRACING_PAIRS,
     )
@@ -351,7 +351,7 @@ def test_incremental_view_overhead_under_5pct():
     the ``burst-decide`` workload of ``e2ebench/`` tracks that side.)
     """
     workload, setup = lognormal_run()
-    obs = Observability(trace=False, metrics=False, profile=False)
+    obs = Observability(trace=False, metrics=False)
 
     def run(force_regroup):
         from repro.schedulers import make_scheduler

@@ -26,15 +26,13 @@ __all__ = [
 ]
 
 
-def record_run(scheduler, workload=None, setup=None, *, slice_len=0.01,
-               profile=False):
-    """``(obs, result)`` of one run with the recorder and metrics on, and
-    the profiler with ``profile``: ``scheduler`` on ``workload`` under
-    ``setup``, or on the Fig. 4 motivating example at ``slice_len`` when
-    ``workload`` is None."""
+def record_run(scheduler, workload=None, setup=None, *, slice_len=0.01):
+    """``(obs, result)`` of one run with the recorder and metrics on:
+    ``scheduler`` on ``workload`` under ``setup``, or on the Fig. 4
+    motivating example at ``slice_len`` when ``workload`` is None."""
     from repro.obs import Observability
 
-    obs = Observability(trace=True, metrics=True, profile=profile)
+    obs = Observability(trace=True, metrics=True)
     if workload is None:
         from repro.scenarios import run_motivating_example
 

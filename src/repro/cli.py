@@ -58,7 +58,7 @@ Examples::
     python -m repro reproduce --only fig6e
     python -m repro cluster --scale large
     python -m repro trace fig4 --policy fvdf --out fig4.jsonl
-    python -m repro trace synthetic --coflows 50 --profile
+    python -m repro trace synthetic --coflows 50
     python -m repro sweep --workers 4
     python -m repro report --workers 4 --out report.json
     python -m repro serve --rate 200 --mode bursty --coflows 5000
@@ -220,8 +220,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     workload = setup = None
     if args.scenario == "synthetic":
         workload, setup = _synthetic(args), _setup(args, args.ports)
-    obs, res = record_run(policy, workload, setup, slice_len=args.slice,
-                          profile=args.profile)
+    obs, res = record_run(policy, workload, setup, slice_len=args.slice)
     if args.out == "-":
         obs.recorder.dump_jsonl(sys.stdout)
     else:
@@ -237,9 +236,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     print("\nmetrics:")
     print(obs.metrics.render())
-    if args.profile:
-        print("\nhot sections:")
-        print(obs.profiler.report())
     return 0
 
 
@@ -458,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling policy (see `schedulers`)")
     p.add_argument("--out", default="trace.jsonl",
                    help="output JSONL path ('-' for stdout)")
-    p.add_argument("--profile", action="store_true",
-                   help="also profile the schedule/integrate hot paths")
     _add_workload_args(p)
     p.set_defaults(fn=cmd_trace)
 

@@ -338,7 +338,7 @@ class Scheduler(ABC):
         self.obs = obs
 
     def __getstate__(self) -> dict:
-        # The bound bundle (registry, profiler, recorder) belongs to the
+        # The bound bundle (registry, recorder) belongs to the
         # engine, not the policy: an unpickled scheduler falls back to
         # the class default NULL_OBS until an engine binds it again.
         state = self.__dict__.copy()

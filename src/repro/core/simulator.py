@@ -970,13 +970,15 @@ class SliceSimulator:
             n_slices, dt_mask = self._horizon_slices(view, win, until)
             if flt.enabled:
                 flt.add_jump(self.now, n_slices, dt_mask)
-            if obs.metrics.enabled:
-                obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
             boundary = (self._k + n_slices) * self.slice_len
             dt = n_slices * self.slice_len
-            if obs.profiler.enabled:
-                with obs.profiler.section("integrate"):
-                    self._integrate(win, dt)
+            if obs.metrics.enabled:
+                obs.metrics.histogram("engine.slices_jumped").observe(n_slices)
+                t0 = time.perf_counter()
+                self._integrate(win, dt)
+                obs.metrics.histogram("engine.integrate_latency").observe(
+                    time.perf_counter() - t0
+                )
             else:
                 self._integrate(win, dt)
             self._k += n_slices
@@ -1012,15 +1014,14 @@ class SliceSimulator:
             flt.add_decision(
                 self.now, trigger.mask, view.num_flows, self._n_active_coflows()
             )
-        timed = obs.metrics.enabled or obs.profiler.enabled
+        timed = obs.metrics.enabled
         if timed:
             t0 = time.perf_counter()
         alloc = self.scheduler.schedule(view)
         if timed:
-            elapsed = time.perf_counter() - t0
-            obs.metrics.histogram("engine.decision_latency").observe(elapsed)
-            if obs.profiler.enabled:
-                obs.profiler.add("schedule", elapsed)
+            obs.metrics.histogram("engine.decision_latency").observe(
+                time.perf_counter() - t0
+            )
         if not self._grouping_read:
             # Nothing reads the grouping: stop patching it per step; the
             # next read rebuilds it.

@@ -1,4 +1,4 @@
-"""Structured observability: tracing, metrics and profiling for the engine.
+"""Structured observability: tracing and metrics for the engine.
 
 Debugging a vectorised discrete-event engine by print statements does not
 scale: a single replay produces thousands of decision points, and the
@@ -14,10 +14,8 @@ typed records without touching the hot paths when disabled:
 * :mod:`repro.obs.trace` — the :class:`TraceRecord` type and its JSONL
   form (read back via :func:`repro.analysis.read_trace`);
 * :mod:`repro.obs.metrics` — counters, gauges and bucketed summary
-  histograms (decision latency, slices fast-forwarded per jump, bus
-  traffic …);
-* :mod:`repro.obs.profile` — wall-clock profiling of named sections
-  (``schedule`` and ``integrate`` hot paths);
+  histograms (decision and integration latency, slices fast-forwarded
+  per jump, bus traffic …);
 * :mod:`repro.obs.window` — :class:`RollingWindow`, the fixed-capacity
   ring of per-tick counter deltas behind the streaming service's live
   rates (flows/s, bytes/s, restamps/s) and exact windowed tick-latency
@@ -40,7 +38,6 @@ without observability pays only a predicate check per decision point
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.obs.trace import TraceRecord
 from repro.obs.window import RollingWindow
@@ -52,17 +49,15 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_OBS",
-    "NULL_PROFILER",
     "NULL_RECORDER",
     "Observability",
-    "Profiler",
     "RollingWindow",
     "TraceRecord",
 ]
 
 
 class Observability:
-    """Bundle of recorder + metrics + profiler handed through the stack.
+    """Bundle of recorder + metrics handed through the stack.
 
     Parameters
     ----------
@@ -71,23 +66,16 @@ class Observability:
         :attr:`recorder`: typed events (decision points, arrivals, Γ
         orderings …) captured as columnar batches; iterate it to decode.
     metrics:
-        Maintain counters/gauges/histograms.  Metrics are cheap enough to
-        stay on even when tracing is off.
-    profile:
-        Time the ``schedule``/``integrate`` hot sections.
+        Maintain counters/gauges/histograms, including the wall time of
+        each decision and each integration step.  Metrics are cheap
+        enough to stay on even when tracing is off.
     """
 
-    __slots__ = ("recorder", "metrics", "profiler")
+    __slots__ = ("recorder", "metrics")
 
-    def __init__(
-        self,
-        trace: bool = True,
-        metrics: bool = True,
-        profile: bool = False,
-    ):
+    def __init__(self, trace: bool = True, metrics: bool = True):
         self.recorder = FlightRecorder() if trace else NULL_RECORDER
         self.metrics = MetricsRegistry(enabled=metrics)
-        self.profiler = Profiler() if profile else NULL_PROFILER
 
     @property
     def tracer(self) -> FlightRecorder:
@@ -98,16 +86,12 @@ class Observability:
     @property
     def enabled(self) -> bool:
         """Whether any component would record anything."""
-        return (
-            self.recorder.enabled
-            or self.metrics.enabled
-            or self.profiler.enabled
-        )
+        return self.recorder.enabled or self.metrics.enabled
 
     def __repr__(self) -> str:
         return (
             f"<Observability trace={self.recorder.enabled} "
-            f"metrics={self.metrics.enabled} profile={self.profiler.enabled}>"
+            f"metrics={self.metrics.enabled}>"
         )
 
 
@@ -117,7 +101,6 @@ class _NullObservability(Observability):
     def __init__(self):
         self.recorder = NULL_RECORDER
         self.metrics = MetricsRegistry(enabled=False)
-        self.profiler = NULL_PROFILER
 
 
 #: Shared disabled instance — the default everywhere an ``obs`` is accepted.

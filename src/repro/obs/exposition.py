@@ -29,12 +29,14 @@ Synchronization model — the hot loop pays nothing new:
 
 * the driver thread calls :meth:`TelemetryPlane.on_tick` once per
   service tick (never per flow), updating plain gauge/histogram
-  instruments, pushing one window sample, and publishing an immutable
-  per-tick scalar dict by a single attribute store;
-* HTTP handler threads *read* — the latest published dict by attribute
-  load (atomic under the GIL), instrument values directly (floats/ints,
-  no torn reads), and the window ring snapshot-on-read.  No locks, no
-  condition variables, nothing the admission loop can block on.
+  instruments and pushing one window sample;
+* HTTP handler threads *read* each value from its one source — the
+  driver's ``StreamStats`` (one ``as_dict()`` per response, so the
+  snapshot's ``ticks`` is the ``stream`` block's), the registry's
+  instruments, the engine clock — by plain attribute loads (floats and
+  ints, atomic under the GIL, no torn reads), and the window ring
+  snapshot-on-read.  No locks, no condition variables, nothing the
+  admission loop can block on.
 
 The overhead is guarded like the recorder's: ``benchmarks/
 bench_engine_microbench.py`` asserts a plane-enabled serve run stays
@@ -108,38 +110,31 @@ def render_prometheus(
     ``<prefix>window_<key>_per_s`` rate gauges, and ``extra_gauges``
     passes through verbatim.
 
-    Each metric family is emitted at most once: the registry renders
-    first and later sections skip any name it already claimed (e.g. the
-    ``stream.ticks`` gauge vs. the ``StreamStats`` ``ticks`` field).  A
-    duplicated family makes Prometheus reject the whole scrape, so
-    first-writer-wins keeps the exposition valid.
+    Each section names its own families: no registry instrument is a
+    copy of a ``StreamStats`` field (the vocabulary in
+    ``docs/observability.md`` is checked for it), so no family is
+    declared twice.
     """
     lines = []
-    families: set = set()
 
     def sample(name: str, value: float, labels: str = "") -> None:
         lines.append(f"{name}{labels} {_prom_num(value)}")
 
-    def declare(pname: str, kind: str) -> bool:
-        if pname in families:
-            return False
-        families.add(pname)
+    def declare(pname: str, kind: str) -> None:
         lines.append(f"# TYPE {pname} {kind}")
-        return True
 
     if registry is not None and registry.enabled:
         for name in registry.names():
             inst = registry.get(name)
             pname = _prom_name(name, prefix)
             if isinstance(inst, Counter):
-                if declare(f"{pname}_total", "counter"):
-                    sample(f"{pname}_total", inst.value)
+                declare(f"{pname}_total", "counter")
+                sample(f"{pname}_total", inst.value)
             elif isinstance(inst, Gauge):
-                if declare(pname, "gauge"):
-                    sample(pname, inst.value)
+                declare(pname, "gauge")
+                sample(pname, inst.value)
             elif isinstance(inst, Histogram):
-                if not declare(pname, "histogram"):
-                    continue
+                declare(pname, "histogram")
                 cum = 0
                 for bound, count in zip(inst.bounds, inst.buckets):
                     cum += count
@@ -154,8 +149,8 @@ def render_prometheus(
             if not isinstance(value, (int, float)):
                 continue
             pname = _prom_name(f"stream.{field}", prefix)
-            if declare(pname, "gauge"):
-                sample(pname, float(value))
+            declare(pname, "gauge")
+            sample(pname, float(value))
     if window:
         rates = window.get("rates_per_s") or {}
         for key in STREAM_RATE_KEYS:
@@ -163,28 +158,27 @@ def render_prometheus(
             if rate is None:
                 continue
             pname = _prom_name(f"window.{key}", prefix) + "_per_s"
-            if declare(pname, "gauge"):
-                sample(pname, rate)
+            declare(pname, "gauge")
+            sample(pname, rate)
         tr = window.get("traffic_reduction")
         if tr is not None:
             pname = _prom_name("window.traffic_reduction", prefix)
-            if declare(pname, "gauge"):
-                sample(pname, tr)
+            declare(pname, "gauge")
+            sample(pname, tr)
     if extra_gauges:
         for name, value in extra_gauges.items():
-            if declare(name, "gauge"):
-                sample(name, float(value))
+            declare(name, "gauge")
+            sample(name, float(value))
     return "\n".join(lines) + "\n"
 
 
 class TelemetryPlane:
     """The live telemetry plane for one :class:`StreamDriver`.
 
-    Owns the rolling window, the per-tick instrument updates, the
-    published per-tick scalar snapshot, and (once :meth:`start` is
-    called) the HTTP server thread.  The driver only ever calls
-    :meth:`on_tick`/:meth:`on_finish`; everything else happens on
-    reader threads.
+    Owns the rolling window, the per-tick instrument updates and (once
+    :meth:`start` is called) the HTTP server thread.  The driver only
+    ever calls :meth:`on_tick`/:meth:`on_finish`; everything else
+    happens on reader threads.
 
     Parameters
     ----------
@@ -226,7 +220,6 @@ class TelemetryPlane:
         self.started_wall = time.time()
         self.finished = False
         self._last_tick_mono: Optional[float] = None
-        self._live: Dict[str, Any] = {}  # last per-tick scalars (immutable)
         self._server: Optional["ThreadingHTTPServer"] = None
         self._thread: Optional[threading.Thread] = None
         self.port: Optional[int] = None
@@ -254,8 +247,7 @@ class TelemetryPlane:
         """Per-tick update, called by the driver thread after each tick.
 
         Cost is once per tick, never per flow: a handful of gauge
-        stores, one histogram observe, one window push, and one
-        attribute store publishing the fresh scalar dict.
+        stores, one histogram observe and one window push.
         """
         d = self.driver
         reg = self.registry
@@ -263,18 +255,8 @@ class TelemetryPlane:
         reg.gauge("stream.in_flight").set(in_flight)
         reg.gauge("stream.live_rows").set(d.sim.live_rows)
         reg.gauge("stream.backlog_frac").set(in_flight / d.max_in_flight)
-        reg.gauge("stream.ticks").set(d.stats.ticks)
         reg.histogram("stream.tick_wall_s").observe(wall_s)
         self.window.push(wall_s, self._cumulative())
-        # Publish the per-tick scalars as one immutable dict: readers
-        # load the attribute (atomic), never see a half-updated view.
-        self._live = {
-            "ticks": d.stats.ticks,
-            "now": float(d.sim.now),
-            "in_flight": in_flight,
-            "live_rows": int(d.sim.live_rows),
-            "checkpoints": d.stats.checkpoints,
-        }
         self._last_tick_mono = time.monotonic()
 
     def on_finish(self) -> None:
@@ -303,9 +285,11 @@ class TelemetryPlane:
     # -------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, Any]:
         """The ``/snapshot`` JSON payload (schema repro-live-v1),
-        assembled on the reader's thread from published state."""
+        assembled on the reader's thread, each value read from its one
+        source."""
         d = self.driver
-        live = self._live
+        reg = self.registry
+        stream = d.stats.as_dict()
         last = self._last_tick_mono
         now_mono = time.monotonic()
         return {
@@ -313,11 +297,11 @@ class TelemetryPlane:
             "policy": d.policy,
             "tick_s": d.tick,
             "max_in_flight": d.max_in_flight,
-            "ticks": live.get("ticks", 0),
-            "sim_now": live.get("now", 0.0),
-            "in_flight": live.get("in_flight", 0),
-            "live_rows": live.get("live_rows", 0),
-            "checkpoints": live.get("checkpoints", 0),
+            "ticks": stream["ticks"],
+            "sim_now": float(d.sim.now),
+            "in_flight": int(reg.value("stream.in_flight")),
+            "live_rows": int(reg.value("stream.live_rows")),
+            "checkpoints": stream["checkpoints"],
             "uptime_s": now_mono - self.started_mono,
             "last_tick_age_s": (
                 now_mono - last if last is not None else None
@@ -325,7 +309,7 @@ class TelemetryPlane:
             "ready": self.ready,
             "healthy": self.healthy,
             "finished": self.finished,
-            "stream": d.stats.as_dict(),
+            "stream": stream,
             "window": self.window.snapshot(),
             "metrics": self.registry.dump(),
         }

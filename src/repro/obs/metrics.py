@@ -2,22 +2,9 @@
 
 The registry is deliberately tiny — a dict of named instruments — because
 the point is the *names*: a stable metric vocabulary that benches and tests
-can assert on.  Standard names used by the built-in hooks:
-
-=================================  =========  ================================
-name                               type       meaning
-=================================  =========  ================================
-``engine.decisions``               counter    scheduler invocations
-``engine.arrivals``                counter    coflows activated
-``engine.completions``             counter    coflows finished
-``engine.flow_completions``        counter    flows finished
-``engine.cancellations``           counter    flows aborted via cancel_coflow
-``engine.decision_latency``        histogram  seconds inside Scheduler.schedule
-``engine.slices_jumped``           histogram  slices fast-forwarded per jump
-``engine.bytes_sent``              counter    bytes put on the wire
-``fvdf.backfill_rate``             counter    work-conservation rate handed out
-``fvdf.upgrades``                  counter    priority-class upgrade events
-=================================  =========  ================================
+can assert on.  The vocabulary is the table under *Metrics* in
+``docs/observability.md``; ``tests/test_metric_vocabulary.py`` holds every
+name a hook site registers to it, and every row to a hook site.
 
 A disabled registry returns a shared no-op instrument from every accessor,
 so hook sites need no guards: ``metrics.counter("x").inc()`` is safe and

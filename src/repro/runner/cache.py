@@ -149,11 +149,3 @@ class ResultCache:
             "misses": self.misses,
             "corrupt": self.corrupt,
         }
-
-    def record_metrics(self, metrics) -> None:
-        """Publish the hit/miss/corrupt counters into an obs
-        :class:`~repro.obs.metrics.MetricsRegistry` (standard names
-        ``cache.hits`` / ``cache.misses`` / ``cache.corrupt_dropped``)."""
-        metrics.counter("cache.hits").inc(self.hits)
-        metrics.counter("cache.misses").inc(self.misses)
-        metrics.counter("cache.corrupt_dropped").inc(self.corrupt)

@@ -78,7 +78,11 @@ def _parse_coflow_line(line: str, lineno: int, num_ports: int) -> Coflow:
 def read_facebook_trace(source: Union[str, Path, TextIO]) -> FacebookTrace:
     """Parse a coflow-benchmark file into a :class:`FacebookTrace`."""
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
+        try:
+            fh = open(source)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read trace {source}: {exc}") from exc
+        with fh:
             return read_facebook_trace(fh)
     header = source.readline().split()
     if len(header) != 2:

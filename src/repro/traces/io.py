@@ -20,7 +20,7 @@ from typing import Dict, List, TextIO, Union
 
 from repro.core.coflow import Coflow
 from repro.core.flow import Flow
-from repro.errors import TraceFormatError
+from repro.errors import ConfigurationError, TraceFormatError
 
 FIELDS = [
     "coflow_id", "label", "arrival", "src", "dst", "size",
@@ -57,7 +57,11 @@ def read_csv_trace(source: Union[str, Path, TextIO]) -> List[Coflow]:
     times, labels and every per-flow attribute are preserved.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
+        try:
+            fh = open(source, newline="")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read trace {source}: {exc}") from exc
+        with fh:
             return read_csv_trace(fh)
     reader = csv.DictReader(source)
     if reader.fieldnames != FIELDS:

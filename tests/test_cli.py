@@ -146,9 +146,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "5 coflows" in out
 
-    def test_replay_missing_file(self, capsys):
-        with pytest.raises(FileNotFoundError):
-            main(["replay", "/nonexistent/trace.txt"])
+    def test_replay_missing_file(self, tmp_path, capsys):
+        for name in ("trace.txt", "trace.csv"):  # FB and CSV readers
+            path = tmp_path / "missing" / name
+            assert main(["replay", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: cannot read trace {path}" in err
 
     def test_cluster(self, capsys):
         rc = main(["cluster", "--scale", "large", "--nodes", "8",

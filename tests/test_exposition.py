@@ -253,25 +253,6 @@ class TestRenderPrometheus:
         # Keys whose windowed rate exists render; None rates never do.
         assert "repro_window_spills_per_s 0" in text
 
-    def test_registry_wins_stream_name_collisions(self):
-        # The stream.ticks gauge and the StreamStats `ticks` field both
-        # render as repro_stream_ticks; a duplicated family makes
-        # Prometheus reject the entire scrape, so the registry wins and
-        # the stream-dict copy is skipped.
-        reg = MetricsRegistry()
-        reg.gauge("stream.ticks").set(7)
-        text = render_prometheus(
-            reg, stream={"ticks": 7, "flows_done": 3},
-            extra_gauges={"repro_stream_flows_done": 99.0},
-        )
-        lines = text.splitlines()
-        assert lines.count("# TYPE repro_stream_ticks gauge") == 1
-        assert lines.count("repro_stream_ticks 7") == 1
-        assert "repro_stream_flows_done 3" in lines  # stream beat extras
-        assert "repro_stream_flows_done 99" not in lines
-        keys = [l.rsplit(" ", 1)[0] for l in lines if not l.startswith("#")]
-        assert len(keys) == len(set(keys))
-
     def test_empty_window_renders_no_rate_samples(self):
         text = render_prometheus(None, window=RollingWindow().snapshot())
         assert "_per_s" not in text
@@ -308,7 +289,10 @@ class TestTelemetryPlane:
         assert stats.ticks > 0
         assert plane.ready and plane.finished and plane.healthy
         reg = plane.registry
-        assert reg.value("stream.ticks") == stats.ticks
+        snap = plane.snapshot()
+        assert snap["ticks"] == snap["stream"]["ticks"] == stats.ticks
+        assert snap["in_flight"] == reg.value("stream.in_flight")
+        assert snap["live_rows"] == reg.value("stream.live_rows")
         assert reg.histogram("stream.tick_wall_s").count == stats.ticks
         assert len(plane.window) == min(stats.ticks, plane.window.capacity)
         # Windowed lifetime == stream lifetime on a short run.
@@ -366,8 +350,7 @@ class TestTelemetryPlane:
             assert 'repro_stream_tick_wall_s_bucket{le="+Inf"}' in text
             assert "repro_ready 1" in text
             # Valid exposition: every sample name+labelset appears once
-            # (a duplicate, e.g. repro_stream_ticks from both the gauge
-            # and the stats dict, fails the whole Prometheus scrape).
+            # (a duplicate fails the whole Prometheus scrape).
             keys = [
                 l.rsplit(" ", 1)[0] for l in text.splitlines()
                 if l and not l.startswith("#")

@@ -1,4 +1,4 @@
-"""Observability layer: trace records, metrics, profiler, JSONL round-trip."""
+"""Observability layer: trace records, metrics, JSONL round-trip."""
 
 import hashlib
 import io
@@ -17,9 +17,8 @@ from repro.analysis import (
     trace_summary,
 )
 from repro.errors import ReproError
-from repro.obs import NULL_OBS, NULL_PROFILER, NULL_RECORDER, Observability
+from repro.obs import NULL_OBS, NULL_RECORDER, Observability
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceRecord, record_from_json, record_to_json
 from repro.scenarios import run_motivating_example
@@ -94,29 +93,10 @@ class TestMetrics:
         assert mx.value("c") == 0.0
 
 
-class TestProfiler:
-    def test_sections_accumulate(self):
-        prof = Profiler()
-        with prof.section("work"):
-            pass
-        prof.add("work", 0.5)
-        stats = prof.stats("work")
-        assert stats.count == 2
-        assert stats.total >= 0.5
-        assert "work" in prof.report()
-
-    def test_null_profiler(self):
-        with NULL_PROFILER.section("x"):
-            pass
-        assert not NULL_PROFILER.enabled
-        assert NULL_PROFILER.report() == "(no sections profiled)"
-
-
 class TestObservabilityBundle:
     def test_defaults(self):
         obs = Observability()
         assert obs.recorder.enabled and obs.metrics.enabled
-        assert not obs.profiler.enabled
         assert obs.enabled
         assert obs.tracer is obs.recorder  # read-only alias
 
@@ -124,12 +104,11 @@ class TestObservabilityBundle:
         assert not NULL_OBS.enabled
         assert not NULL_OBS.recorder.enabled
         assert not NULL_OBS.metrics.enabled
-        assert not NULL_OBS.profiler.enabled
 
 
 class TestEngineTracing:
     def test_run_emits_records_and_metrics(self):
-        obs = Observability(profile=True)
+        obs = Observability()
         res = run_motivating_example(make_scheduler("fvdf"), obs=obs)
         counts = obs.recorder.counts()
         # every decision point produced decision/order/rates/jump records
@@ -142,16 +121,15 @@ class TestEngineTracing:
         assert obs.metrics.value("engine.decisions") == res.decision_points
         assert obs.metrics.value("engine.completions") == 2
         assert obs.metrics.histogram("engine.decision_latency").count == res.decision_points
+        assert obs.metrics.histogram("engine.integrate_latency").count == res.decision_points
         assert obs.metrics.value("engine.bytes_sent") == pytest.approx(
             res.total_bytes_sent
         )
-        assert obs.profiler.stats("schedule").count == res.decision_points
-        assert obs.profiler.stats("integrate").count == res.decision_points
 
     def test_results_identical_with_and_without_obs(self):
         res_plain = run_motivating_example(make_scheduler("fvdf"))
         res_obs = run_motivating_example(
-            make_scheduler("fvdf"), obs=Observability(profile=True)
+            make_scheduler("fvdf"), obs=Observability()
         )
         assert res_obs.avg_cct == res_plain.avg_cct
         assert res_obs.avg_fct == res_plain.avg_fct
@@ -199,11 +177,11 @@ class TestRecordRun:
     def test_fig4_recording(self):
         from repro.analysis import record_run
 
-        obs, res = record_run(make_scheduler("fvdf"), profile=True)
+        obs, res = record_run(make_scheduler("fvdf"))
         assert len(obs.recorder) == 62
         assert res.decision_points == 9
         assert res.avg_cct == pytest.approx(2.65, abs=0.01)
-        assert "schedule" in obs.profiler.report()
+        assert obs.metrics.histogram("engine.integrate_latency").count == 9
 
     def test_workload_recording_matches_untraced_run(self):
         from repro.analysis import ExperimentSetup, record_run, run_policy
@@ -215,7 +193,6 @@ class TestRecordRun:
         plain = run_policy("sebf", workload, setup)
         assert obs.recorder.counts()["decision"] == res.decision_points
         assert res.avg_cct == plain.avg_cct
-        assert not obs.profiler.enabled
 
 
 class TestCliTrace:
@@ -237,10 +214,10 @@ class TestCliTrace:
         from repro.cli import main
 
         assert main(["trace", "synthetic", "--coflows", "4", "--ports", "4",
-                     "--policy", "sebf", "--out", "-", "--profile"]) == 0
+                     "--policy", "sebf", "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert '"kind":"decision"' in out
-        assert "hot sections" in out
+        assert "engine.integrate_latency: n=" in out
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -236,6 +236,7 @@ class TestRoundtrip:
             else:
                 assert again == payload
             path.unlink()
+        assert cache.stats()["corrupt"] == 3 * len(specs)
 
     @pytest.mark.parametrize("full", [False, True], ids=["summary", "full"])
     def test_warm_keys_equal_cold_keys(self, tmp_path, full):
@@ -293,26 +294,6 @@ class TestRoundtrip:
         run_specs(specs, workers=0, cache=cache)
         assert (cache.hits, cache.misses) == (2, 2)
         assert cache.stats()["hits"] == 2
-
-    def test_corrupt_counter_and_metrics(self, tmp_path):
-        """A corrupt entry increments the dedicated counter and all three
-        stats flow into an obs metrics registry via record_metrics."""
-        from repro.obs.metrics import MetricsRegistry
-
-        cache = ResultCache(root=tmp_path, enabled=True)
-        spec = _spec()
-        cache.put(spec, execute_spec(spec).summary)
-        cache._path(spec.digest()).write_text("{not json")
-        assert cache.get(spec) is None
-        assert cache.corrupt == 1
-        assert cache.stats()["corrupt"] == 1
-        metrics = MetricsRegistry(enabled=True)
-        cache.record_metrics(metrics)
-        dump = metrics.dump()
-        assert dump["cache.misses"]["value"] == 1
-        assert dump["cache.corrupt_dropped"]["value"] == 1
-        assert dump["cache.hits"]["value"] == 0
-
 
 class TestConcurrentWrites:
     """put() must be atomic under thread-level concurrency: the old

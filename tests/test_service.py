@@ -994,9 +994,9 @@ class TestCheckpoint:
             restore_driver(path)
 
     def test_checkpoint_pickles_no_observability(self, tmp_path):
-        """The scheduler's bound obs bundle (registry, profiler, flight
-        recorder) stays out of the checkpoint blob; restore binds its
-        own, and the continuation stays bit-identical."""
+        """The scheduler's bound obs bundle (registry, flight recorder)
+        stays out of the checkpoint blob; restore binds its own, and the
+        continuation stays bit-identical."""
         import pickletools
 
         from repro.obs import Observability
