@@ -46,7 +46,7 @@ from repro.cpu import CpuModel, UtilizationRecorder
 from repro.fabric import BigSwitch
 from repro.schedulers import make_scheduler, scheduler_names
 
-__version__ = "1.30.0"
+__version__ = "1.31.0"
 
 __all__ = [
     "Flow", "FlowResult", "Coflow", "CoflowResult",

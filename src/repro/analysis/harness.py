@@ -16,7 +16,7 @@ from repro.compression.engine import CompressionEngine
 from repro.core.coflow import Coflow
 from repro.core.scheduler import Scheduler
 from repro.core.simulator import SimulationResult, SliceSimulator
-from repro.cpu.cores import BackgroundFn, CpuModel
+from repro.cpu.cores import CpuModel
 from repro.errors import ConfigurationError
 from repro.fabric.bigswitch import BigSwitch
 from repro.schedulers import make_scheduler
@@ -33,7 +33,6 @@ class ExperimentSetup:
     cores_per_node: int = 4
     codec: str = "lz4"
     size_dependent_ratio: bool = True
-    background: Optional[BackgroundFn] = None
     sample_cpu: bool = False
 
     def __post_init__(self) -> None:
@@ -48,11 +47,7 @@ class ExperimentSetup:
 
     def build_simulator(self, scheduler: Scheduler, obs=None) -> SliceSimulator:
         fabric = BigSwitch(self.num_ports, self.bandwidth)
-        cpu = CpuModel(
-            self.num_ports,
-            cores_per_node=self.cores_per_node,
-            background=self.background,
-        )
+        cpu = CpuModel(self.num_ports, cores_per_node=self.cores_per_node)
         compression = (
             CompressionEngine(self.codec, size_dependent=self.size_dependent_ratio)
             if scheduler.uses_compression

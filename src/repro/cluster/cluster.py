@@ -1,8 +1,8 @@
 """Cluster deployment simulator — the stand-in for the paper's 100-VM testbed.
 
 Jobs (map → shuffle → reduce → result) run over a simulated cluster: map and
-reduce stages occupy CPU cores on their nodes (which is exactly the
-background load Swallow's compression has to coexist with), shuffles become
+reduce stages claim CPU cores on their nodes (exactly the computation
+Swallow's compression has to coexist with), shuffles become
 coflows on the shared :class:`~repro.core.simulator.SliceSimulator`, and the
 result stage writes output to disk.  Everything Fig. 7 and Tables V–VIII
 report is measured here: per-stage durations, JCT, shuffle traffic, GC time

@@ -22,7 +22,7 @@ Two calendar implementations live here:
 from __future__ import annotations
 
 import heapq
-from enum import Enum, auto
+from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -31,18 +31,21 @@ from repro.core.coflow import Coflow
 
 
 class EventKind(Enum):
-    """Why the engine woke the scheduler up."""
+    """Why the engine woke the scheduler up.
 
-    START = auto()  # first decision point of the run
-    ARRIVAL = auto()  # one or more coflows became active
-    COMPLETION = auto()  # one or more flows/coflows finished
-    RAW_EXHAUSTED = auto()  # a compressing flow ran out of raw bytes
-    CAPACITY = auto()  # a port's capacity changed (dynamic bandwidth)
-    HORIZON = auto()  # run(until=...) boundary reached
+    Each value is the kind's bit in a kinds mask.  Recordings store
+    masks, so a bit is never reused: bit 4 belonged to a retired kind.
+    """
+
+    START = 1 << 0  # first decision point of the run
+    ARRIVAL = 1 << 1  # one or more coflows became active
+    COMPLETION = 1 << 2  # one or more flows/coflows finished
+    RAW_EXHAUSTED = 1 << 3  # a compressing flow ran out of raw bytes
+    HORIZON = 1 << 5  # run(until=...) boundary reached
 
 
-#: Bit of each :class:`EventKind` in a kinds mask (declaration order).
-KIND_BIT: Dict[EventKind, int] = {kind: 1 << i for i, kind in enumerate(EventKind)}
+#: Bit of each :class:`EventKind` in a kinds mask.
+KIND_BIT: Dict[EventKind, int] = {kind: kind.value for kind in EventKind}
 
 
 def kinds_of(mask: int) -> FrozenSet[EventKind]:

@@ -245,7 +245,7 @@ class PreColumnarSliceSimulator(SliceSimulator):
         self._grouping_read = True
         idx = self._active
         static = self._cached_static
-        free = self.cpu.free_cores(self.now)
+        free = self.cpu.free_cores()
         return SchedulerView(
             time=self.now,
             slice_len=self.slice_len,
@@ -272,6 +272,28 @@ class PreColumnarSliceSimulator(SliceSimulator):
         )
 
     # ---------------------------------------------------------- retirement
+    def _make_flow_result(self, g: int) -> FlowResult:
+        decompress = 0.0
+        if self.compression is not None and self._comp_out[g] > 0:
+            decompress = float(
+                self._comp_out[g] / self.compression.codec.decompression_speed
+            )
+        return FlowResult(
+            flow_id=int(self._flow_id[g]),
+            coflow_id=int(self._coflow_of[g]),
+            src=int(self._src[g]),
+            dst=int(self._dst[g]),
+            size=float(self._size[g]),
+            arrival=float(self._arrival[g]),
+            start=float(self._start[g]),
+            finish=float(self._finish[g]),
+            finish_physical=float(self._finish_phys[g]),
+            bytes_sent=float(self._bytes_sent[g]),
+            bytes_compressed_in=float(self._comp_in[g]),
+            bytes_compressed_out=float(self._comp_out[g]),
+            decompress_time=decompress,
+        )
+
     def _retire_finished(self, boundary: float):
         """Per-flow dataclass materialization loop (pre-columnar)."""
         finished_coflows = []
@@ -302,8 +324,6 @@ class PreColumnarSliceSimulator(SliceSimulator):
                     coflow_id=fr.coflow_id,
                 )
             self._flow_results.append(fr)
-            for fn in self._on_flow_complete:
-                fn(fr)
             rec = self._coflows[self._coflow_of[g]]
             rec.flow_results.append(fr)
             rec.remaining -= 1

@@ -131,9 +131,9 @@ class ResultStore:
     def make_flow_result(self, i: int) -> FlowResult:
         """Build the ``FlowResult`` for flat position ``i``.
 
-        Field-for-field identical to the engine's eager
+        Field-for-field identical to the pre-columnar oracle's eager
         ``_make_flow_result`` (same ``float()`` casts on the same column
-        values), so lazy and eager paths are bit-identical.
+        values), so the two engines' results are bit-identical.
         """
         comp_out = float(self.comp_out[i])
         decompress = 0.0

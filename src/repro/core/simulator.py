@@ -26,7 +26,6 @@ volume is conserved up to compression shrinkage.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 import weakref
@@ -107,7 +106,6 @@ _START = KIND_BIT[EventKind.START]
 _ARRIVAL = KIND_BIT[EventKind.ARRIVAL]
 _COMPLETION = KIND_BIT[EventKind.COMPLETION]
 _RAW_EXHAUSTED = KIND_BIT[EventKind.RAW_EXHAUSTED]
-_CAPACITY = KIND_BIT[EventKind.CAPACITY]
 #: The window kinds of a run(until=...) horizon that no event shares.
 _HORIZON = KIND_BIT[EventKind.HORIZON]
 
@@ -426,7 +424,7 @@ class _EngineView(SchedulerView):
         if column is not None:
             value = getattr(sim, column)[self._idx]
         elif name == "free_cores":
-            value = sim.cpu.free_cores(self.time)
+            value = sim.cpu.free_cores()
         elif name == "coflows":
             value = sim._coflow_states(self)
         else:
@@ -577,9 +575,6 @@ class SliceSimulator:
         self._cached_starts = np.zeros(1, dtype=np.intp)
         self._cached_unit_of_pos = np.empty(0, dtype=np.intp)
         self._cached_group_slots = np.empty(0, dtype=np.intp)
-        #: Pending capacity changes, a heap of (time, side, port, seq, cap).
-        self._cap_events: List = []
-        self._cap_seq = 0
         #: coflow id -> dense slot index (remapped on drain compaction).
         self._coflows: Dict[int, int] = {}
         self._calendar = ArrivalCalendar()
@@ -596,13 +591,12 @@ class SliceSimulator:
         # horizon is not a decision point: the trigger kinds observed at
         # the last boundary, and the allocation still in force when the
         # horizon (not an event) ended the window.  Cancellation drops
-        # the held allocation; arrivals and capacity changes re-decide.
+        # the held allocation; arrivals re-decide.
         self._resume_mask = 0
         self._held: Optional[Allocation] = None
         self._ingress_bytes = np.zeros(fabric.num_ingress)
         self._egress_bytes = np.zeros(fabric.num_egress)
         self._on_coflow_complete: List[Callable[[CoflowResult], None]] = []
-        self._on_flow_complete: List[Callable[[FlowResult], None]] = []
         self._on_decision: List[Callable[[float], None]] = []
         self._recorder = UtilizationRecorder(self.cpu.num_nodes) if sample_cpu else None
 
@@ -664,9 +658,6 @@ class SliceSimulator:
     def on_coflow_complete(self, fn: Callable[[CoflowResult], None]) -> None:
         """Register a completion callback (used by the cluster simulator)."""
         self._on_coflow_complete.append(fn)
-
-    def on_flow_complete(self, fn: Callable[[FlowResult], None]) -> None:
-        self._on_flow_complete.append(fn)
 
     def on_decision(self, fn: Callable[[float], None]) -> None:
         """Register a hook fired at every decision point (before the
@@ -864,50 +855,6 @@ class SliceSimulator:
         """Ids of coflows aborted via :meth:`cancel_coflow`."""
         return frozenset(self._cancelled)
 
-    def schedule_capacity_change(
-        self, time: float, side: str, port: int, capacity: float
-    ) -> None:
-        """Change a port's capacity at a future instant (dynamic bandwidth).
-
-        Models background traffic coming and going — the condition the
-        Swallow daemons measure and the master adapts to.  The change is
-        applied at the first slice boundary at/after ``time`` and triggers
-        a rescheduling (``EventKind.CAPACITY``).
-
-        Parameters
-        ----------
-        side:
-            ``"ingress"`` or ``"egress"``.
-        """
-        if side not in ("ingress", "egress"):
-            raise ConfigurationError(f"side must be ingress/egress, got {side!r}")
-        if time < self.now - _time_eps(self.now):
-            raise ConfigurationError(
-                f"capacity change at {time} is in the past (now={self.now})"
-            )
-        if not 0 < capacity < math.inf:
-            raise ConfigurationError("capacity must stay positive and finite")
-        # The sequence number orders changes to one port at one instant:
-        # the one scheduled last is applied last, so it wins.
-        heapq.heappush(
-            self._cap_events,
-            (float(time), side, int(port), self._cap_seq, float(capacity)),
-        )
-        self._cap_seq += 1
-
-    def _apply_due_capacity_changes(self) -> bool:
-        applied = False
-        flt = self.obs.recorder
-        while self._cap_events and (
-            self._cap_events[0][0] <= self.now + self._eps_now()
-        ):
-            _, side, port, _, cap = heapq.heappop(self._cap_events)
-            getattr(self.fabric, side).set_capacity(port, cap)
-            if flt.enabled:
-                flt.add_capacity(self.now, side, port, cap)
-            applied = True
-        return applied
-
     # ------------------------------------------------------------ main loop
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run until all submitted coflows finish (or ``until`` is reached).
@@ -948,8 +895,6 @@ class SliceSimulator:
 
             if self._activate_due():
                 mask |= _ARRIVAL
-            if self._cap_events and self._apply_due_capacity_changes():
-                mask |= _CAPACITY
             if self._active.size == 0:
                 continue  # activation may still be empty (arrival just past `until`)
 
@@ -1268,7 +1213,6 @@ class SliceSimulator:
             "ingress_capacity": self.fabric.ingress.capacity.copy(),
             "egress_capacity": self.fabric.egress.capacity.copy(),
             "cancelled": sorted(self._cancelled),
-            "cap_events": sorted(self._cap_events),
             "cal_time": cal_time,
             "cal_seq": cal_seq,
             "cal_slot": cal_slot,
@@ -1280,9 +1224,12 @@ class SliceSimulator:
     def import_state(self, state: dict) -> None:
         """Restore an :meth:`export_state` payload into this simulator.
 
-        The simulator must be freshly constructed, with the same fabric
-        shape, slice length and scheduler policy as the exporter.  Global
-        flow/coflow id counters are the caller's concern (see
+        The simulator must be freshly constructed, with the same fabric,
+        slice length and scheduler policy as the exporter.  The saved
+        per-side port capacities are a record of the exporter's fabric:
+        a different port count or capacity raises
+        :class:`ConfigurationError`.  Global flow/coflow id counters are
+        the caller's concern (see
         :func:`repro.core.flow.ensure_flow_ids_above`).
         """
         if self._started or self._n:
@@ -1292,6 +1239,21 @@ class SliceSimulator:
                 f"checkpoint slice_len {state['slice_len']} != "
                 f"simulator slice_len {self.slice_len}"
             )
+        for side in ("ingress", "egress"):
+            saved = np.asarray(state[f"{side}_capacity"], dtype=np.float64)
+            current = getattr(self.fabric, side).capacity
+            if saved.shape != current.shape:
+                raise ConfigurationError(
+                    f"checkpoint has {saved.size} {side} ports, "
+                    f"fabric has {current.size}"
+                )
+            differ = np.flatnonzero(saved != current)
+            if differ.size:
+                p = int(differ[0])
+                raise ConfigurationError(
+                    f"checkpoint {side} port {p} capacity {float(saved[p])} "
+                    f"!= fabric capacity {float(current[p])}"
+                )
         for table, names in (("flow_cols", _FLOW_COLS), ("cf_cols", _CF_COLS)):
             missing = [c for c in names if c not in state[table]]
             if missing:
@@ -1329,23 +1291,7 @@ class SliceSimulator:
         self._egress_bytes = np.asarray(
             state["egress_bytes"], dtype=np.float64
         ).copy()
-        for side, caps in (
-            ("ingress", state["ingress_capacity"]),
-            ("egress", state["egress_capacity"]),
-        ):
-            ports = getattr(self.fabric, side)
-            if len(caps) != len(ports.capacity):
-                raise ConfigurationError(
-                    f"checkpoint has {len(caps)} {side} ports, "
-                    f"fabric has {len(ports.capacity)}"
-                )
-            for port, cap in enumerate(caps):
-                if cap != ports.capacity[port]:
-                    ports.set_capacity(port, float(cap))
         self._cancelled = {int(c) for c in state["cancelled"]}
-        self._cap_events = [tuple(e) for e in state["cap_events"]]
-        heapq.heapify(self._cap_events)
-        self._cap_seq = 1 + max((e[3] for e in self._cap_events), default=-1)
         self._cf_labels = list(state["cf_labels"])
         self._cf_deadlines = list(state["cf_deadlines"])
         # Coflow objects are rebuilt lazily from the columns.
@@ -1667,8 +1613,8 @@ class SliceSimulator:
         the kinds mask (:data:`~repro.core.events.KIND_BIT`) of *every*
         event that lands within the advanced window ``(now, now + n·δ]``.
         All such events take effect at the boundary (arrivals activate,
-        drained flows retire, capacity changes apply), so the trigger
-        handed to the scheduler must carry all of their kinds — keeping
+        drained flows retire), so the trigger handed to the scheduler
+        must carry all of their kinds — keeping
         only the earliest kind would drop coincident triggers at tied
         boundaries (e.g. an arrival and a completion at the same instant)
         and break the Upgrade step's fire-at-every-event contract
@@ -1688,9 +1634,6 @@ class SliceSimulator:
         if win.compressing and R > 0:
             dts.append(float((view.raw[win.alloc.compress] / R).min()))
             bits.append(_RAW_EXHAUSTED)
-        if self._cap_events:
-            dts.append(max(self._cap_events[0][0] - now, 0.0))
-            bits.append(_CAPACITY)
         if until is not None:
             dts.append(max(until - now, 0.0))
             bits.append(_HORIZON)
@@ -1853,62 +1796,27 @@ class SliceSimulator:
                 boundary, self._flow_id[done_idx], self._coflow_of[done_idx]
             )
             flt.add_coflow_completions(boundary, self._cf_id[closed])
-        if self._on_flow_complete or self._on_coflow_complete:
-            self._emit_eager(boundary, done_idx, closed)
+        if self._on_coflow_complete and closed.size:
+            self._emit_eager(closed)
         return self._cf_id[closed].tolist() if closed.size else []
 
-    def _emit_eager(self, boundary, done_idx, closed) -> None:
-        """Materialize result dataclasses now, for completion callbacks.
+    def _emit_eager(self, closed: np.ndarray) -> None:
+        """Materialize the closed coflows' results now, for completion
+        callbacks, in close order.
 
-        Field values are identical to the lazy store-backed path; only
-        object identity differs (callback consumers get their own
-        instances).  Ordering matches the pre-columnar per-flow loop:
-        flow completions in retirement order, then closed coflows.
+        The results come from a store of the closed coflows and their
+        member rows in retirement order, built and read as the lazy
+        results are, so their fields are identical; only object identity
+        differs (callback consumers get their own instances).
         """
-        if self._on_flow_complete:
-            for g in done_idx:
-                fr = self._make_flow_result(int(g))
-                for fn in self._on_flow_complete:
-                    fn(fr)
-        if not self._on_coflow_complete:
-            return
-        for s in closed.tolist():
-            a = int(self._cf_first[s])
-            gi = np.arange(a, a + int(self._cf_count[s]), dtype=np.intp)
-            members = gi[np.argsort(self._done_seq[gi], kind="stable")]
-            cr = CoflowResult(
-                coflow_id=int(self._cf_id[s]),
-                label=self._cf_labels[s],
-                arrival=float(self._cf_arrival[s]),
-                finish=boundary,
-                finish_physical=float(self._cf_finish_phys[s]),
-                size=float(self._cf_size[s]),
-                width=len(gi),
-                bytes_sent=float(self._cf_bytes[s]),
-                flow_results=[self._make_flow_result(int(g)) for g in members],
-                deadline=self._cf_deadlines[s],
-            )
+        counts = self._cf_count[closed]
+        rows = (
+            self._cf_first[closed] - (counts.cumsum() - counts)
+        ).repeat(counts) + np.arange(int(counts.sum()), dtype=np.intp)
+        rows = rows[np.argsort(self._done_seq[rows], kind="stable")]
+        store = self._build_store(rows, closed)
+        flows = LazyFlowResults(store)
+        for k in range(store.n_coflows):
+            cr = store.make_coflow_result(k, flows)
             for fn in self._on_coflow_complete:
                 fn(cr)
-
-    def _make_flow_result(self, g: int) -> FlowResult:
-        decompress = 0.0
-        if self.compression is not None and self._comp_out[g] > 0:
-            decompress = float(
-                self._comp_out[g] / self.compression.codec.decompression_speed
-            )
-        return FlowResult(
-            flow_id=int(self._flow_id[g]),
-            coflow_id=int(self._coflow_of[g]),
-            src=int(self._src[g]),
-            dst=int(self._dst[g]),
-            size=float(self._size[g]),
-            arrival=float(self._arrival[g]),
-            start=float(self._start[g]),
-            finish=float(self._finish[g]),
-            finish_physical=float(self._finish_phys[g]),
-            bytes_sent=float(self._bytes_sent[g]),
-            bytes_compressed_in=float(self._comp_in[g]),
-            bytes_compressed_out=float(self._comp_out[g]),
-            decompress_time=decompress,
-        )

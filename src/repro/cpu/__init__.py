@@ -1,11 +1,6 @@
-"""CPU substrate: per-node cores, background load and utilisation monitoring."""
+"""CPU substrate: per-node cores, their claims and utilisation monitoring."""
 
-from repro.cpu.cores import CpuModel, PiecewiseConstantBackground, random_background
+from repro.cpu.cores import CpuModel
 from repro.cpu.monitor import UtilizationRecorder
 
-__all__ = [
-    "CpuModel",
-    "PiecewiseConstantBackground",
-    "random_background",
-    "UtilizationRecorder",
-]
+__all__ = ["CpuModel", "UtilizationRecorder"]

@@ -29,7 +29,7 @@ class UtilizationRecorder:
         self._samples.append(busy.copy())
 
     def sample_model(self, t: float, cpu: CpuModel) -> None:
-        self.sample(t, cpu.busy_fraction(t))
+        self.sample(t, cpu.busy_fraction())
 
     def __len__(self) -> int:
         return len(self._times)

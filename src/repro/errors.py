@@ -28,16 +28,14 @@ class TraceFormatError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A simulator state cannot be faithfully checkpointed or restored.
+    """A simulator state cannot be faithfully restored.
 
-    Raised by :func:`repro.service.checkpoint.save_checkpoint` instead of
-    silently writing a snapshot whose restore would diverge from the
-    uninterrupted run (e.g. pending scheduled capacity events — the
-    ``repro-checkpoint-v2`` format does not guarantee their round trip),
-    and by :func:`repro.service.checkpoint.load_checkpoint` for a file
+    Raised by :func:`repro.service.checkpoint.load_checkpoint` for a file
     that is not a readable checkpoint (truncated or corrupt, no pickled
-    object side, engine columns of unequal lengths); the message names
-    the path.
+    object side, engine columns of unequal lengths; the message names
+    the path), and by
+    :meth:`~repro.core.simulator.SliceSimulator.import_state` for a state
+    that lacks an engine column.
     """
 
 

@@ -62,6 +62,10 @@ class BigSwitch:
             num_egress_ports if num_egress_ports is not None else num_ports,
             egress_bandwidth if egress_bandwidth is not None else bandwidth,
         )
+        # Per-port feasibility limits ``caps·(1 + FEASIBILITY_RTOL)``;
+        # capacities are fixed, so they are computed once.
+        self._limit_in = self.ingress.capacity * (1 + FEASIBILITY_RTOL)
+        self._limit_out = self.egress.capacity * (1 + FEASIBILITY_RTOL)
 
     @property
     def num_ingress(self) -> int:
@@ -105,10 +109,9 @@ class BigSwitch:
             return
         if rates.min() < 0:
             raise SchedulingError("negative rate in allocation")
-        limit_in, limit_out = self._limits()
         for side, ports, limit in (
-            ("ingress", src, limit_in),
-            ("egress", dst, limit_out),
+            ("ingress", src, self._limit_in),
+            ("egress", dst, self._limit_out),
         ):
             load = np.bincount(ports, weights=rates, minlength=len(limit))
             over = load > limit
@@ -119,23 +122,6 @@ class BigSwitch:
                     f"{side} port {p} oversubscribed: "
                     f"{load[p]:.6g} > {caps[p]:.6g} B/s"
                 )
-
-    #: ``(ingress caps, egress caps, their limits)`` of the last check.
-    _limit_cache = None
-
-    def _limits(self):
-        """Per-port feasibility limits ``caps·(1 + FEASIBILITY_RTOL)`` of
-        each side, recomputed only when a side's capacities change (a
-        capacity change replaces its read-only array)."""
-        cap_in, cap_out = self.ingress.capacity, self.egress.capacity
-        cached = self._limit_cache
-        if cached is None or cached[0] is not cap_in or cached[1] is not cap_out:
-            cached = self._limit_cache = (
-                cap_in, cap_out,
-                cap_in * (1 + FEASIBILITY_RTOL),
-                cap_out * (1 + FEASIBILITY_RTOL),
-            )
-        return cached[2], cached[3]
 
     def flow_link_cap(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Per-flow end-to-end link capacity ``min(B_s, B_r)`` (Eq. 2)."""

@@ -1,9 +1,10 @@
 """Port-capacity bookkeeping for the big-switch fabric.
 
 A :class:`PortSet` is one side (ingress or egress) of the fabric: an array
-of link capacities plus transient *remaining capacity* used while building a
-rate allocation.  Rate-allocation policies consume capacity from two port
-sets (sender side and receiver side) as they hand out rates.
+of link capacities, fixed when the fabric is built, plus transient
+*remaining capacity* used while building a rate allocation.
+Rate-allocation policies consume capacity from two port sets (sender
+side and receiver side) as they hand out rates.
 """
 
 from __future__ import annotations
@@ -48,19 +49,6 @@ class PortSet:
     def remaining(self) -> np.ndarray:
         """A fresh writable copy of the capacities, for allocation passes."""
         return self._capacity.copy()
-
-    def set_capacity(self, port: int, value: float) -> None:
-        """Change one port's capacity (dynamic bandwidth — e.g. background
-        traffic measured by the Swallow daemons).  The engine applies such
-        changes only at slice boundaries."""
-        if not 0 <= port < len(self._capacity):
-            raise ConfigurationError(f"port {port} out of range")
-        if not 0 < value < np.inf:
-            raise ConfigurationError("capacity must stay positive and finite")
-        cap = self._capacity.copy()
-        cap[port] = value
-        cap.setflags(write=False)
-        self._capacity = cap
 
 
 def port_loads(ports: np.ndarray, amounts: np.ndarray, num_ports: int) -> np.ndarray:

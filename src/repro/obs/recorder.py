@@ -16,7 +16,7 @@ consume.
 
 Record kinds with columnar streams: ``decision``, ``jump``, ``rates``,
 ``beta``, ``order``, ``core_claim``, ``arrival``, ``completion`` (flow
-and coflow level), ``cancel``, ``capacity``.  Everything else (the
+and coflow level), ``cancel``.  Everything else (the
 cluster simulator's ``job_stage``) arrives through the
 per-record :meth:`FlightRecorder.emit` and is journaled one record at a
 time — those kinds are per-decision scale, never per-flow.
@@ -57,9 +57,11 @@ def _mask_to_kinds(mask: int) -> set:
     return {kind for bit, kind in _BIT_KIND.items() if mask & bit}
 
 
-#: Stream codes (stable across NPZ round-trips; append-only).
+#: Stream codes (stable across NPZ round-trips; append-only).  Code 9
+#: belonged to a retired stream and is never reused.
 _DECISION, _JUMP, _RATES, _ARRIVAL, _FLOW_DONE, _COFLOW_DONE = range(6)
-_BETA, _CLAIM, _CANCEL, _CAPACITY, _MISC, _ORDER = range(6, 12)
+_BETA, _CLAIM, _CANCEL = range(6, 9)
+_MISC, _ORDER = 10, 11
 
 #: Column layout of each columnar stream (name -> dtype).
 _LAYOUT: Dict[int, Dict[str, type]] = {
@@ -72,7 +74,6 @@ _LAYOUT: Dict[int, Dict[str, type]] = {
     _BETA: {"flow_id": np.int64},
     _CLAIM: {"node": np.int64, "claims": np.int64},
     _CANCEL: {"coflow_id": np.int64, "n_flows": np.int64},
-    _CAPACITY: {"side": np.int64, "port": np.int64, "capacity": np.float64},
     _ORDER: {"coflow_id": np.int64, "gamma": np.float64, "p": np.float64},
 }
 
@@ -80,7 +81,7 @@ _STREAM_NAME = {
     _DECISION: "decision", _JUMP: "jump", _RATES: "rates",
     _ARRIVAL: "arrival", _FLOW_DONE: "flow_done", _COFLOW_DONE: "coflow_done",
     _BETA: "beta", _CLAIM: "core_claim", _CANCEL: "cancel",
-    _CAPACITY: "capacity", _MISC: "misc", _ORDER: "order",
+    _MISC: "misc", _ORDER: "order",
 }
 
 #: Trace-record kind decoded from each stream (``beta``/``order`` decode
@@ -89,13 +90,11 @@ _RECORD_KIND = {
     _DECISION: "decision", _JUMP: "jump", _RATES: "rates",
     _ARRIVAL: "arrival", _FLOW_DONE: "completion",
     _COFLOW_DONE: "completion", _BETA: "beta", _CLAIM: "core_claim",
-    _CANCEL: "cancel", _CAPACITY: "capacity", _ORDER: "order",
+    _CANCEL: "cancel", _ORDER: "order",
 }
 
 #: Streams whose whole batch decodes to a single record.
 _BATCH_RECORD = frozenset({_BETA, _ORDER})
-
-_SIDES = ("ingress", "egress")
 
 # ------------------------------------------------------------ JSONL lines
 #: Rows formatted per ``write``: a huge retirement batch is never held
@@ -146,7 +145,6 @@ _TEMPLATES = {
     _COFLOW_DONE: '"coflow_id":%s',
     _CLAIM: '"node":%s,"claims":%s',
     _CANCEL: '"coflow_id":%s,"n_flows":%s',
-    _CAPACITY: '"side":"%s","port":%s,"capacity":%s',
     _BETA: ("flow_ids", "%s"),
     _ORDER: ("units", "[%s,%s,%s,%s]"),
 }
@@ -161,8 +159,6 @@ def _chunk_args(code: int, cols: dict, lo: int, hi: int, kinds: dict) -> tuple:
         col = cols[name][lo:hi]
         if name == "kinds":
             texts.append([kinds[m] for m in col.tolist()])
-        elif name == "side":
-            texts.append([_SIDES[s] for s in col.tolist()])
         elif col.dtype == np.float64:
             texts.append(_floats(col))
         else:
@@ -329,12 +325,6 @@ class FlightRecorder:
         cols["coflow_id"][a] = coflow_id
         cols["n_flows"][a] = n_flows
 
-    def add_capacity(self, t, side, port, capacity) -> None:
-        cols, a = self._rows(_CAPACITY, float(t), 1)
-        cols["side"][a] = _SIDES.index(side)
-        cols["port"][a] = port
-        cols["capacity"][a] = capacity
-
     # Per-record events for kinds without a columnar stream (job stages
     # — per-decision scale).  Call sites guard on ``enabled`` before
     # building the payload.
@@ -425,12 +415,6 @@ class FlightRecorder:
                 yield TraceRecord(t, "cancel", {
                     "coflow_id": int(cols["coflow_id"][a]),
                     "n_flows": int(cols["n_flows"][a]),
-                })
-            elif code == _CAPACITY:
-                yield TraceRecord(t, "capacity", {
-                    "side": _SIDES[int(cols["side"][a])],
-                    "port": int(cols["port"][a]),
-                    "capacity": float(cols["capacity"][a]),
                 })
 
     # ----------------------------------------------------------- inspection
@@ -547,7 +531,11 @@ class FlightRecorder:
 
     @classmethod
     def load_npz(cls, path) -> "FlightRecorder":
-        """Restore a recorder saved by :meth:`save_npz`."""
+        """Restore a recorder saved by :meth:`save_npz`.
+
+        Raises :class:`ValueError` if the journal names a stream this
+        recorder does not have (code 9, the retired ``capacity`` stream).
+        """
         with np.load(path, allow_pickle=False) as data:
             rec = cls()
             for code, st in rec._streams.items():
@@ -569,6 +557,10 @@ class FlightRecorder:
                 "count": np.array(data["journal.count"]),
             }
             jl.n = jl.cap = jl.cols["stream"].size
+        unknown = set(jl.cols["stream"].tolist()) - set(_STREAM_NAME)
+        if unknown:
+            raise ValueError(f"{path} journals unknown stream codes "
+                             f"{sorted(unknown)} (a retired stream)")
         return rec
 
     def __repr__(self) -> str:

@@ -8,23 +8,8 @@ reference JSONL encoding of one record — the recorder's columnar
 ``dump_jsonl`` writes the same bytes — and :func:`record_from_json` is
 the reader end that :mod:`repro.analysis.tracefile` uses.
 
-Record kinds (the schema is documented in ``docs/observability.md``):
-
-======================  ====================================================
-kind                    payload
-======================  ====================================================
-``decision``            ``kinds`` (trigger kinds), ``n_flows``, ``n_coflows``
-``jump``                ``n_slices``, ``kinds`` (what bounded the horizon)
-``order``               ``units``: ranked ``[coflow_id, gamma, p, key]``
-``rates``               ``n_tx``, ``total``, ``max`` of the rate vector
-``beta``                ``flow_ids`` granted compression this window
-``core_claim``          ``node``, ``claims`` per-node core claims
-``arrival``             ``coflow_id``, ``n_flows``
-``completion``          ``coflow_id`` (coflow done) / ``flow_id`` (flow done)
-``cancel``              ``coflow_id``, ``n_flows`` aborted
-``capacity``            ``side``, ``port``, ``capacity``
-``job_stage``           cluster simulator: ``stage``, ``job_id``
-======================  ====================================================
+The record kinds and their payloads have one home: the table under
+*Trace records* in ``docs/observability.md``.
 
 Timestamps are simulated seconds.
 """

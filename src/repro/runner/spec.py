@@ -30,9 +30,9 @@ once per process, on the first digest.  Identifier fields that cannot
 affect metrics (``flow_id`` / ``coflow_id``, which come from global
 counters) are excluded, so the same *content* generated twice in one
 process hits the same cache cell.  Specs that embed arbitrary live
-objects (a scheduler instance, a setup with a ``background`` callable, a
-factory callable without an explicit ``tag``) are *uncacheable* —
-``digest()`` returns ``None`` and the runner simply executes them.
+objects (a scheduler instance, a factory callable without an explicit
+``tag``) are *uncacheable* — ``digest()`` returns ``None`` and the
+runner simply executes them.
 """
 
 from __future__ import annotations
@@ -211,11 +211,7 @@ class WorkloadSpec:
 
 
 def _setup_token(setup: ExperimentSetup):
-    if setup.background is not None:
-        raise _Uncacheable("setup.background callables are not digestable")
-    d = dataclasses.asdict(setup)
-    d.pop("background")
-    return _canon(d)
+    return _canon(dataclasses.asdict(setup))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Single-file checkpoints of a live streaming scheduler.
 
-Format (``repro-checkpoint-v2``): one ``.npz`` holding
+Format (``repro-checkpoint-v3``): one ``.npz`` holding
 
 * every numeric engine column (``flow__*`` / ``cf__*`` keys, FVDF's
   priority class ``cf___cf_prio`` and served flag ``cf___cf_served``
@@ -8,7 +8,9 @@ Format (``repro-checkpoint-v2``): one ``.npz`` holding
   index arrays (active set, retired rows, closed slots), the columnar
   arrival-calendar entries (``cal_time``/``cal_seq``/``cal_slot``) and
   per-port byte/capacity vectors — stored as plain arrays, loadable with
-  ``allow_pickle=False``;
+  ``allow_pickle=False``.  Port capacities are fixed when the fabric is
+  built; the saved vectors are a record of it, which a restore checks
+  against the rebuilt fabric;
 * one ``__pickle__`` entry (a ``uint8`` blob) carrying the Python-object
   side: the scheduler instance, labels/deadlines, the
   :class:`~repro.analysis.harness.ExperimentSetup` and
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 #: Schema tag inside every checkpoint; bump on breaking layout changes.
-CHECKPOINT_SCHEMA = "repro-checkpoint-v2"
+CHECKPOINT_SCHEMA = "repro-checkpoint-v3"
 
 #: export_state keys stored as top-level npz arrays (not in the blob).
 #: ``cal_*`` are the columnar arrival-calendar entries (time/seq/slot).
@@ -87,15 +89,9 @@ def save_checkpoint(
 
     ``setup`` is required to restore without caller-provided plumbing;
     ``source``/``source_spec`` record the arrival stream and its cursor.
-    Pending capacity changes are part of the state: each carries its
-    scheduling sequence number, so a restore applies them in the same
-    order.  Raises :class:`ConfigurationError` for setups with background
-    traffic — its closures are not checkpointable state.
+    Any engine state between :meth:`~repro.core.simulator.SliceSimulator.run`
+    calls checkpoints; nothing is refused.
     """
-    if setup is not None and getattr(setup, "background", None) is not None:
-        raise ConfigurationError(
-            "cannot checkpoint a setup with background traffic"
-        )
     state = sim.export_state()
     payload: Dict[str, np.ndarray] = {}
     for name, col in state["flow_cols"].items():
@@ -116,7 +112,6 @@ def save_checkpoint(
         "n": state["n"],
         "n_cf": state["n_cf"],
         "cancelled": state["cancelled"],
-        "cap_events": state["cap_events"],
         "cf_labels": state["cf_labels"],
         "cf_deadlines": state["cf_deadlines"],
         "scheduler": state["scheduler"],
@@ -227,7 +222,6 @@ def load_checkpoint(path) -> Dict[str, Any]:
         "n": blob["n"],
         "n_cf": blob["n_cf"],
         "cancelled": blob["cancelled"],
-        "cap_events": blob["cap_events"],
         "cf_labels": blob["cf_labels"],
         "cf_deadlines": blob["cf_deadlines"],
         "scheduler": blob["scheduler"],

@@ -5,49 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.cores import CpuModel, PiecewiseConstantBackground, random_background
+from repro.cpu.cores import CpuModel
 from repro.cpu.monitor import UtilizationRecorder
 from repro.errors import ConfigurationError
-
-
-class TestPiecewiseConstantBackground:
-    def test_lookup(self):
-        bg = PiecewiseConstantBackground([0.0, 10.0], np.array([[0.2], [0.8]]))
-        assert bg(5.0)[0] == 0.2
-        assert bg(10.0)[0] == 0.8
-        assert bg(100.0)[0] == 0.8
-        assert bg(-1.0)[0] == 0.2  # clamps to first step
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PiecewiseConstantBackground([], np.zeros((0, 1)))
-        with pytest.raises(ConfigurationError):
-            PiecewiseConstantBackground([1.0, 0.0], np.zeros((2, 1)))
-        with pytest.raises(ConfigurationError):
-            PiecewiseConstantBackground([0.0], np.array([[1.5]]))
 
 
 class TestCpuModel:
     def test_defaults_idle(self):
         cpu = CpuModel(3, cores_per_node=4)
-        assert np.all(cpu.free_cores(0.0) == 4)
-        assert np.all(cpu.busy_fraction(0.0) == 0.0)
-
-    def test_background_occupies_cores(self):
-        cpu = CpuModel(2, cores_per_node=4, background=lambda t: 0.5)
-        assert np.all(cpu.free_cores(0.0) == 2)
-        # partial core use blocks the whole core
-        cpu2 = CpuModel(2, cores_per_node=4, background=lambda t: 0.3)
-        assert np.all(cpu2.free_cores(0.0) == 2)  # ceil(1.2) = 2 busy
+        assert np.all(cpu.free_cores() == 4)
+        assert np.all(cpu.busy_fraction() == 0.0)
 
     def test_claims_reduce_free_cores(self):
         cpu = CpuModel(2, cores_per_node=2)
         cpu.claim(0)
-        assert cpu.free_cores(0.0)[0] == 1
-        assert cpu.free_cores(0.0)[1] == 2
-        assert cpu.busy_fraction(0.0)[0] == pytest.approx(0.5)
+        assert cpu.free_cores()[0] == 1
+        assert cpu.free_cores()[1] == 2
+        assert cpu.busy_fraction()[0] == pytest.approx(0.5)
         cpu.release(0)
-        assert cpu.free_cores(0.0)[0] == 2
+        assert cpu.free_cores()[0] == 2
 
     def test_over_release_raises(self):
         cpu = CpuModel(1)
@@ -58,53 +34,35 @@ class TestCpuModel:
         cpu = CpuModel(1, cores_per_node=3)
         cpu.claim(0, 2)
         cpu.release_all()
-        assert cpu.free_cores(0.0)[0] == 3
+        assert cpu.free_cores()[0] == 3
 
     def test_free_cores_never_negative(self):
-        cpu = CpuModel(1, cores_per_node=2, background=lambda t: 1.0)
-        cpu.claim(0, 1)  # engine bug scenario; model must still clamp
-        assert cpu.free_cores(0.0)[0] == 0
+        cpu = CpuModel(1, cores_per_node=2)
+        cpu.claim(0, 3)  # engine bug scenario; model must still clamp
+        assert cpu.free_cores()[0] == 0
+        assert cpu.busy_fraction()[0] == 1.0
 
     @given(
         st.integers(1, 8),
         st.lists(st.integers(0, 12), min_size=1, max_size=10),
-        st.floats(0.0, 100.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_free_cores_without_background_equals_idle_background(
-        self, cores, claims, t
-    ):
-        """No background model answers exactly as an always-idle one:
-        same integers and dtype, over-claimed nodes included."""
-        bare = CpuModel(len(claims), cores)
-        idle = CpuModel(len(claims), cores, background=lambda t: 0.0)
+    def test_free_cores_are_the_unclaimed_cores(self, cores, claims):
+        """Only claims occupy cores: each node frees ``cores - claims``
+        whole cores, floored at 0 on over-claimed nodes, as int64."""
+        cpu = CpuModel(len(claims), cores)
         for node, n in enumerate(claims):
             if n:
-                bare.claim(node, n)
-                idle.claim(node, n)
-        got, want = bare.free_cores(t), idle.free_cores(t)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+                cpu.claim(node, n)
+        got = cpu.free_cores()
+        assert got.dtype == np.int64
+        assert got.tolist() == [max(cores - n, 0) for n in claims]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CpuModel(0)
         with pytest.raises(ConfigurationError):
             CpuModel(1, cores_per_node=0)
-
-
-class TestRandomBackground:
-    def test_shape_and_bounds(self, rng):
-        bg = random_background(rng, num_nodes=4, horizon=100.0, busy_level=0.7)
-        for t in [0.0, 10.0, 50.0, 99.0]:
-            v = bg(t)
-            assert v.shape == (4,)
-            assert np.all((v >= 0) & (v <= 1))
-
-    def test_has_idle_periods(self, rng):
-        bg = random_background(rng, num_nodes=1, horizon=200.0, busy_level=0.9)
-        samples = np.array([bg(t)[0] for t in np.linspace(0, 200, 400)])
-        assert (samples == 0).mean() > 0.2  # idle spells exist
 
 
 class TestUtilizationRecorder:

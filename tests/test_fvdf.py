@@ -25,13 +25,13 @@ def engine(speed=4.0, ratio=0.5):
 
 
 def run_fvdf(coflows, bandwidth=1.0, n_ports=4, config=None, eng=None,
-             cores=2, slice_len=0.01, background=None):
+             cores=2, slice_len=0.01, cpu=None):
     fabric = BigSwitch(n_ports, bandwidth)
     sim = SliceSimulator(
         fabric,
         FVDFScheduler(config or FVDFConfig()),
         slice_len=slice_len,
-        cpu=CpuModel(n_ports, cores_per_node=cores, background=background),
+        cpu=cpu or CpuModel(n_ports, cores_per_node=cores),
         compression=eng or engine(speed=4.0 * bandwidth),
     )
     sim.submit_many(coflows)
@@ -89,7 +89,10 @@ class TestEq3Gate:
 
     def test_no_cores_no_compression(self):
         c = Coflow([Flow(0, 0, 8.0)])
-        res = run_fvdf([c], background=lambda t: 1.0)  # all cores busy
+        cpu = CpuModel(4, cores_per_node=2)
+        for node in range(4):
+            cpu.claim(node, 2)  # every core held, as a cluster task holds it
+        res = run_fvdf([c], cpu=cpu)
         assert res.traffic_reduction == pytest.approx(0.0)
 
     def test_master_switch(self):

@@ -17,7 +17,7 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.30.0"
+    assert repro.__version__ == "1.31.0"
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)

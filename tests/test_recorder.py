@@ -12,8 +12,8 @@ same recorder.  Covered here:
 * engine-level equivalence: the columnar engine's decoded stream equals
   the reference engine's, record for record (generated and
   FB-synthesized workloads, cancellation, ``run(until=...)`` resume with
-  mid-run ``submit_many``, capacity changes, and a hypothesis sweep over
-  tied retirement boundaries);
+  mid-run ``submit_many``, and a hypothesis sweep over tied retirement
+  boundaries);
 * eager gating: tracing never forces per-flow result dataclass
   materialization;
 * NPZ round-trip and JSONL export fidelity: the columnar JSONL writer is
@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from repro.analysis import ExperimentSetup
 from repro.core.events import EventKind, mask_of
 from repro.core.reference import PreColumnarSliceSimulator
+from repro.core.results import ResultStore
 from repro.core.simulator import SliceSimulator
 from repro.obs import NULL_RECORDER, Observability
 from repro.obs import recorder as recorder_mod
@@ -108,7 +109,6 @@ class TestUnitDecode:
         rec.add_jump(0.5, 4, mask_of({EventKind.START}))
         rec.add_rates(0.5, 6, 120.5, 40.25)
         rec.add_cancel(0.7, 9, 2)
-        rec.add_capacity(0.9, "egress", 3, 1e9)
         assert list(rec) == [
             TraceRecord(0.5, "decision",
                         {"kinds": kinds, "n_flows": 7, "n_coflows": 3}),
@@ -117,8 +117,6 @@ class TestUnitDecode:
             TraceRecord(0.5, "rates",
                         {"n_tx": 6, "total": 120.5, "max": 40.25}),
             TraceRecord(0.7, "cancel", {"coflow_id": 9, "n_flows": 2}),
-            TraceRecord(0.9, "capacity",
-                        {"side": "egress", "port": 3, "capacity": 1e9}),
         ]
 
     def test_batch_streams_expand_per_row(self):
@@ -240,20 +238,6 @@ def test_decoded_stream_matches_tracer_with_cancel_and_resume():
     assert decoded == reference
 
 
-def test_decoded_stream_matches_tracer_with_capacity_changes():
-    coflows = _generated_coflows(seed=23, num_coflows=8)
-
-    def drive(make):
-        sim = make("fvdf")
-        sim.submit_many(coflows)
-        sim.schedule_capacity_change(0.3, "egress", 1, mbps(50))
-        sim.run()
-
-    decoded, reference = _both(drive)
-    assert "capacity" in {r.kind for r in decoded}
-    assert decoded == reference
-
-
 @given(
     seed=st.integers(0, 2**16),
     num_coflows=st.integers(1, 6),
@@ -297,13 +281,13 @@ def test_recorder_never_materializes_flow_results(monkeypatch, obs_kw):
     """Tracing (or metrics) must not trip the eager per-flow dataclass
     path — only completion callbacks pay for materialization."""
     calls = {"n": 0}
-    orig = SliceSimulator._make_flow_result
+    orig = ResultStore.make_flow_result
 
-    def counting(self, g):
+    def counting(self, i):
         calls["n"] += 1
-        return orig(self, g)
+        return orig(self, i)
 
-    monkeypatch.setattr(SliceSimulator, "_make_flow_result", counting)
+    monkeypatch.setattr(ResultStore, "make_flow_result", counting)
     sim = _make_sim("fvdf", Observability(**obs_kw))
     sim.submit_many(_generated_coflows(seed=9, num_coflows=6))
     res = sim.run()
@@ -343,6 +327,19 @@ class TestNpzRoundtrip:
         chunk = FlightRecorder.load_npz(tmp_path / "chunk0.npz")
         assert len(chunk) == 20
 
+    def test_retired_stream_code_is_refused(self, tmp_path):
+        """Stream code 9 (the retired ``capacity`` stream) is never
+        reused: a recording that journals it fails to load by name."""
+        rec = FlightRecorder()
+        rec.add_cancel(0.5, 3, 1)
+        rec.save_npz(tmp_path / "rec.npz")
+        with np.load(tmp_path / "rec.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["journal.stream"] = np.array([9])
+        np.savez(tmp_path / "old.npz", **arrays)
+        with pytest.raises(ValueError, match=r"unknown stream codes \[9\]"):
+            FlightRecorder.load_npz(tmp_path / "old.npz")
+
 
 # ------------------------------------------------------------ JSONL export
 def _oracle_jsonl(rec):
@@ -374,9 +371,9 @@ def _every_stream_recorder():
     rec.emit(0.1, "bus", topic="decision",
              kinds={EventKind.COMPLETION, EventKind.ARRIVAL})
     rec.add_jump(0.2, 4, mask_of({EventKind.COMPLETION}))
-    rec.add_capacity(0.2, "ingress", 1, inf)
-    rec.add_capacity(0.2, "egress", 0, nan)
-    rec.add_capacity(0.25, "egress", 0, 1e-320)
+    rec.add_rates(0.2, 1, inf, nan)
+    rec.add_order(0.25, np.array([5]), np.array([1e-320]), np.array([1.0]))
+    rec.add_rates(0.25, 1, 1e-320, -1e-320)
     rec.add_cancel(0.3, 1, 2)
     rec.add_flow_completions(-1.0, np.arange(big) + 100,
                              np.full(big, 2))
@@ -401,7 +398,7 @@ class TestJsonlExport:
         rec = _every_stream_recorder()
         kinds = {r.kind for r in rec}
         assert {"decision", "jump", "rates", "beta", "order", "core_claim",
-                "arrival", "completion", "cancel", "capacity", "bus",
+                "arrival", "completion", "cancel", "bus",
                 "heartbeat", "master_order"} <= kinds
         assert _dump_both_ways(rec, tmp_path) == _oracle_jsonl(rec)
 
@@ -438,7 +435,7 @@ _FLOATS = st.one_of(
 _APPENDS = (
     "add_order", "add_flow_completions", "add_arrivals", "add_core_claims",
     "add_coflow_completions", "add_beta", "add_decision", "add_jump",
-    "add_rates", "add_cancel", "add_capacity",
+    "add_rates", "add_cancel",
 )
 
 
@@ -472,10 +469,7 @@ def _recordings(draw):
             return t, draw(ints), draw(small)
         if method == "add_rates":
             return t, draw(ints), draw(floats), draw(floats)
-        if method == "add_cancel":
-            return t, draw(ints), draw(ints)
-        side = draw(st.sampled_from(["ingress", "egress"]))
-        return t, side, draw(ints), draw(floats)  # add_capacity
+        return t, draw(ints), draw(ints)  # add_cancel
 
     ops = []
     for _ in range(draw(st.integers(1, 10))):

@@ -126,13 +126,6 @@ class TestDigest:
         assert untagged.digest() is None
         assert tagged.digest() is not None
 
-    def test_background_setup_is_uncacheable(self):
-        setup = ExperimentSetup(
-            num_ports=4, bandwidth=mbps(100), slice_len=0.01,
-            background=lambda t: 0.1,
-        )
-        assert _spec(setup=setup).digest() is None
-
 
 class TestEnvControls:
     def test_repro_cache_zero_disables(self, monkeypatch):

@@ -35,8 +35,9 @@ from repro.core.coflow import coflow_id_watermark
 from repro.core.flow import flow_id_watermark
 from repro.core.ingest import CoflowBlock
 from repro.core.results import ResultStore, concat_stores
-from repro.core.simulator import _time_eps
-from repro.errors import CheckpointError, ReproError
+from repro.core.simulator import SliceSimulator, _time_eps
+from repro.errors import CheckpointError, ConfigurationError, ReproError
+from repro.fabric.bigswitch import BigSwitch
 from repro.obs import Observability
 from repro.schedulers import make_scheduler
 from repro.service import (
@@ -873,41 +874,43 @@ class TestCheckpoint:
             combined.cf_label
         )
 
-    def test_pending_capacity_events_roundtrip(self, tmp_path):
-        """Capacity changes still pending at the checkpoint (a same-port,
-        same-instant pair among them) are restored and applied in the
-        order they were scheduled: the continuation equals the
-        uninterrupted run bit for bit."""
-        def schedule(sim):
-            sim.schedule_capacity_change(0.3, "ingress", 0, mbps(50))
-            sim.schedule_capacity_change(0.5, "egress", 2, mbps(60))
-            sim.schedule_capacity_change(0.5, "egress", 2, mbps(30))
-            sim.schedule_capacity_change(0.7, "ingress", 1, mbps(40))
+    @pytest.mark.parametrize(
+        "fabric_kw, message",
+        [
+            (dict(num_ports=5, num_egress_ports=4),
+             "checkpoint has 4 ingress ports, fabric has 5"),
+            (dict(num_egress_ports=5),
+             "checkpoint has 4 egress ports, fabric has 5"),
+            (dict(bandwidth=[mbps(100)] * 3 + [mbps(50)],
+                  egress_bandwidth=mbps(100)),
+             f"checkpoint ingress port 3 capacity {mbps(100)} "
+             f"!= fabric capacity {mbps(50)}"),
+            (dict(egress_bandwidth=[mbps(100), mbps(80)] + [mbps(100)] * 2),
+             f"checkpoint egress port 1 capacity {mbps(100)} "
+             f"!= fabric capacity {mbps(80)}"),
+        ],
+        ids=["ingress-ports", "egress-ports", "ingress-capacity",
+             "egress-capacity"],
+    )
+    def test_restore_onto_another_fabric_is_refused(
+        self, tmp_path, fabric_kw, message
+    ):
+        """Port capacities are fixed with the fabric, and the saved
+        vectors record it: ``import_state`` onto a fabric with another
+        port count or capacity on either side raises, naming the side,
+        the saved value and the current value."""
+        d = _driver()
+        d.run(max_ticks=2)
+        state = load_checkpoint(d.checkpoint(tmp_path / "ck.npz"))["state"]
 
-        whole = _driver()
-        schedule(whole.sim)
-        whole.run()
+        def sim_on(**kw):
+            fabric = BigSwitch(**{"num_ports": 4, "bandwidth": mbps(100), **kw})
+            return SliceSimulator(fabric, make_scheduler("fvdf-flow"),
+                                  slice_len=SETUP.slice_len)
 
-        first = _driver()
-        schedule(first.sim)
-        first.run(max_ticks=2)
-        ck = first.checkpoint(tmp_path / "caps.npz")
-        pre = list(first.shards)
-        pending = sorted(first.sim._cap_events)
-        assert len(pending) == 3
-
-        second = restore_driver(ck)
-        assert sorted(second.sim._cap_events) == pending
-        second.run()
-        assert second.sim.fabric.egress.capacity[2] == mbps(30)
-        for side in ("ingress", "egress"):
-            assert np.array_equal(
-                getattr(second.sim.fabric, side).capacity,
-                getattr(whole.sim.fabric, side).capacity,
-            )
-        combined = concat_stores(pre + second.shards)
-        _assert_same_content(whole.result_store(), combined)
-        _assert_same_content(whole.result_store(), combined, CF_CONTENT)
+        sim_on().import_state(state)  # the same fabric restores
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            sim_on(**fabric_kw).import_state(state)
 
     def test_jsonl_mid_stream_roundtrip_keeps_ids(self, tmp_path):
         """The JSONL twin of the round trip above, ids included: seeking
@@ -1033,7 +1036,7 @@ class TestCheckpoint:
         d.run(max_ticks=4)
         ck = d.checkpoint(tmp_path / "serve.ckpt.npz")
         data = load_checkpoint(ck)
-        assert data["schema"] == "repro-checkpoint-v2"
+        assert data["schema"] == "repro-checkpoint-v3"
         assert data["driver_state"]["stats"]["ticks"] == 4
         assert data["source_spec"] == d.source_spec
         assert data["source_state"]["count"] >= 0

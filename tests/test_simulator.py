@@ -153,14 +153,41 @@ class TestCallbacksAndIncremental:
         sim.run()
         assert done == [c.coflow_id]
 
-    def test_flow_completion_callback(self):
-        sw = BigSwitch(1, 1.0)
-        sim = SliceSimulator(sw, FullRate(), slice_len=0.01)
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_coflow_callback_results_equal_lazy_results(self, drain):
+        """Callbacks get the results the lazy store builds, field for
+        field and in close order, member flows in retirement order, on a
+        compressing run whose coflows close in shared batches (and after
+        drain compaction moved their rows)."""
+        from repro.analysis import ExperimentSetup
+        from repro.core.results import LazyCoflowResults, LazyFlowResults
+        from repro.core.results import concat_stores
+        from repro.traces.distributions import ConstantSize
+        from repro.traces.generator import WorkloadConfig, generate_workload
+        from repro.units import mbps
+
+        cfg = WorkloadConfig(num_coflows=12, num_ports=4, width=(1, 4),
+                             size_dist=ConstantSize(4e5), arrival_rate=50.0)
+        coflows = generate_workload(cfg, np.random.default_rng(3))
+        setup = ExperimentSetup(num_ports=4, bandwidth=mbps(100))
+        sim = setup.build_simulator(make_scheduler("fvdf"))
         seen = []
-        sim.on_flow_complete(lambda fr: seen.append(fr.flow_id))
-        sim.submit(one_flow_coflow(size=1.0))
-        sim.run()
-        assert len(seen) == 1
+        sim.on_coflow_complete(seen.append)
+        sim.submit_many(coflows)
+        if drain:
+            shards = []
+            while sim.pending:
+                sim.run(until=sim.now + 0.05)
+                shards.append(sim.drain_retired())
+            store = concat_stores(shards)
+        else:
+            store = sim.run().store
+        want = list(LazyCoflowResults(store, LazyFlowResults(store)))
+        assert len(want) == len(coflows)
+        assert any(cr.width > 1 for cr in want)
+        assert any(f.bytes_compressed_in > 0 for cr in want
+                   for f in cr.flow_results)
+        assert seen == want
 
     def test_incremental_run_and_submit(self):
         sw = BigSwitch(1, 1.0)
@@ -276,7 +303,7 @@ class TestCompressionSemantics:
         assert res.cpu_recorder is not None
         assert res.cpu_recorder.busy.max() == pytest.approx(0.5)  # 1 of 2 cores
         # all claims released at the end
-        assert cpu.free_cores(res.makespan)[0] == 2
+        assert cpu.free_cores()[0] == 2
 
 
 class BadScheduler(Scheduler):
